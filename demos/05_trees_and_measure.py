@@ -13,7 +13,6 @@ from mulab import (
     format_sequence,
     format_tree,
     greedy_path,
-    measure_lower_bound,
     parse_tree,
 )
 
@@ -22,7 +21,7 @@ def show(text: str) -> None:
     tree = parse_tree(text)
     print("tree        :", format_tree(tree))
     print("  levels    :", [tree.level_count(n) for n in range(7)])
-    print("  measure   :", measure_lower_bound(tree))
+    print("  measure   :", tree.measure_lower())
     try:
         print("  path      :", format_sequence(greedy_path(tree)))
     except Exception as exc:

@@ -47,6 +47,7 @@ from .extractors import (
     PiecewiseLinear,
     RationalWitness,
     RepresentedContinuousFunction,
+    Route,
     RouteReport,
     TwoBump,
     flag_epsilon,
@@ -55,10 +56,7 @@ from .extractors import (
     make_ubin_xi,
     make_uivt_xi,
     make_uwwkl_xi,
-    mu_from_ubin,
-    mu_from_udq,
-    mu_from_uivt,
-    mu_from_uwwkl,
+    mu_from,
     trees_from_flag,
     ubin_extraction,
     ubin_from_mu,
@@ -96,7 +94,6 @@ from .functionals import (
 )
 from .reals import (
     FastCauchyReal,
-    approx,
     counterexample_pair,
     dq_real,
     dyadic_flag_real,
@@ -130,7 +127,6 @@ from .trees import (
     Truncation,
     format_tree,
     greedy_path,
-    measure_lower_bound,
     measure_positive,
     parse_tree,
     scf_check,

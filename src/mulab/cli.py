@@ -24,12 +24,11 @@ from .errors import (
     NotNormalizable,
     ParseError,
 )
+from . import extractors
 from .extractors import (
+    RouteReport,
     flag_epsilon,
     udq_extraction,
-    ubin_extraction,
-    uivt_extraction,
-    uwwkl_extraction,
     weierstrass_counterexample,
 )
 from .formulas import (
@@ -42,14 +41,15 @@ from .formulas import (
 )
 from .functionals import catalog_functional, omega_fan
 from .reals import counterexample_pair
-from .sequences import format_sequence, mu_exact, parse_sequence
+from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
 from .trees import format_tree, parse_tree, scf_check
 
 __all__ = ["RunReport", "main", "console_main"]
 
-_INPUT_ERRORS = (ParseError, ValueError)
 _PROPERTY_ERRORS = (BoundViolation, MalformedWitness, BudgetExceeded,
                     MeasureZero, NotNormalizable)
+# checked after _PROPERTY_ERRORS: every other MulabError is unusable input
+_INPUT_ERRORS = (ValueError, MulabError)
 
 
 class RunReport:
@@ -102,60 +102,59 @@ def _fmt_witness(w: int | None) -> str:
     return "none" if w is None else str(w)
 
 
-def _run_ubin(args: argparse.Namespace) -> RunReport:
-    f = parse_sequence(args.flag)
-    rep = ubin_extraction(f)
+_Fields = list[tuple[str, object]]
+
+
+def _ubin_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
     x_minus, x_plus = counterexample_pair(f)
-    return _report(
-        "ubin",
-        ("flag", format_sequence(f)),
-        ("x_minus", x_minus.exact_value()),
-        ("x_plus", x_plus.exact_value()),
-        ("digit_minus", rep.details.get("digit_minus", "skipped")),
-        ("digit_plus", rep.details.get("digit_plus", "skipped")),
-        ("fired", rep.fired),
-        ("xi_bound", _fmt_witness(rep.xi_bound)),
-        ("search_bound", _fmt_witness(rep.search_bound)),
-        ("witness", _fmt_witness(rep.witness)),
-        ("mu_exact", _fmt_witness(mu_exact(f))),
-        ("agrees_with_direct_search", rep.witness == mu_exact(f)),
-    )
+    return [("x_minus", x_minus.exact_value()),
+            ("x_plus", x_plus.exact_value()),
+            ("digit_minus", rep.details.get("digit_minus", "skipped")),
+            ("digit_plus", rep.details.get("digit_plus", "skipped")),
+            ("fired", rep.fired)]
 
 
-def _run_wwkl(args: argparse.Namespace) -> RunReport:
-    f = parse_sequence(args.flag)
-    rep = uwwkl_extraction(f)
-    fields = [("flag", format_sequence(f)), ("fired", rep.fired)]
+def _wwkl_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
+    fields = [("fired", rep.fired)]
     if "path0" in rep.details:
         fields.append(("path0", format_sequence(rep.details["path0"])))
         fields.append(("path1", format_sequence(rep.details["path1"])))
-    fields += [
-        ("xi_bound", _fmt_witness(rep.xi_bound)),
-        ("search_bound", _fmt_witness(rep.search_bound)),
-        ("witness", _fmt_witness(rep.witness)),
-        ("mu_exact", _fmt_witness(mu_exact(f))),
-        ("agrees_with_direct_search", rep.witness == mu_exact(f)),
-    ]
-    return _report("wwkl", *fields)
+    return fields
 
 
-def _run_ivt(args: argparse.Namespace) -> RunReport:
-    f = parse_sequence(args.flag)
-    rep = uivt_extraction(f)
-    eps = flag_epsilon(f)
-    fields = [("flag", format_sequence(f)), ("epsilon", eps)]
+def _ivt_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
+    fields = [("epsilon", flag_epsilon(f))]
     if "root_plus" in rep.details:
         fields.append(("root_plus_approx", rep.details["root_plus"]))
         fields.append(("root_minus_approx", rep.details["root_minus"]))
-    fields += [
-        ("fired", rep.fired),
+    return fields + [("fired", rep.fired)]
+
+
+# command -> (extraction in mulab.extractors, the route's own fields).  The
+# extraction is looked up by name at call time, so a replaced module
+# attribute (a profiler's wrapper, say) is the one that runs.
+_ROUTES = {
+    "ubin": ("ubin_extraction", _ubin_fields),
+    "wwkl": ("uwwkl_extraction", _wwkl_fields),
+    "ivt": ("uivt_extraction", _ivt_fields),
+}
+
+
+def _run_route(args: argparse.Namespace) -> RunReport:
+    extraction, own_fields = _ROUTES[args.command]
+    f = parse_sequence(args.flag)
+    rep = getattr(extractors, extraction)(f)
+    direct = mu_exact(f)
+    return _report(
+        args.command,
+        ("flag", format_sequence(f)),
+        *own_fields(f, rep),
         ("xi_bound", _fmt_witness(rep.xi_bound)),
         ("search_bound", _fmt_witness(rep.search_bound)),
         ("witness", _fmt_witness(rep.witness)),
-        ("mu_exact", _fmt_witness(mu_exact(f))),
-        ("agrees_with_direct_search", rep.witness == mu_exact(f)),
-    ]
-    return _report("ivt", *fields)
+        ("mu_exact", _fmt_witness(direct)),
+        ("agrees_with_direct_search", rep.witness == direct),
+    )
 
 
 def _run_dq(args: argparse.Namespace) -> RunReport:
@@ -188,6 +187,8 @@ def _run_weier(args: argparse.Namespace) -> RunReport:
 
 
 def _run_fan(args: argparse.Namespace) -> RunReport:
+    if args.budget < 1:
+        raise ValueError(f"--budget must be at least 1, got {args.budget}")
     g = catalog_functional(args.functional)
     bound = omega_fan(g, node_budget=args.budget)
     fields = [("functional", args.functional), ("fan_bound", bound),
@@ -233,6 +234,8 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
 
 
 def _run_corpus(args: argparse.Namespace) -> RunReport:
+    if args.size < 0:
+        raise ValueError(f"--size must be nonnegative, got {args.size}")
     corpus = flag_corpus(seed=args.seed, size=args.size)
     stats = corpus_stats(corpus)
     return _report("corpus", ("seed", args.seed),
@@ -288,9 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _RUNNERS = {
-    "ubin": _run_ubin,
-    "wwkl": _run_wwkl,
-    "ivt": _run_ivt,
+    **dict.fromkeys(_ROUTES, _run_route),
     "dq": _run_dq,
     "weier": _run_weier,
     "fan": _run_fan,
@@ -308,9 +309,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except MulabError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

@@ -9,11 +9,13 @@ exactly when the input flag sequence never fires, and reads the first
 flag index out of a bounded search whose bound comes from tracing the
 functional's queries on both objects.
 
-The counterexample pairs with a flag event at 0 or 1 fall outside the
-unit-interval and sign-condition domains of the expansion and root
-functionals, so those two extractors settle indices 0 and 1 by direct
-inspection (a bounded, search-free step) and consult the functional for
-everything past that.
+The three pair-based routes are Route records, and calling one runs
+that argument through a single shared loop.  The counterexample pairs
+with a flag event at 0 or 1 fall outside the unit-interval and
+sign-condition domains of the expansion and root functionals, so those
+two routes settle indices 0 and 1 by direct inspection (a bounded,
+search-free step) and consult the functional for everything past that.
+The dq route has neither pair nor Xi and keeps its own extractor.
 
 Xi bounds move between index spaces through fixed codings: approximation
 columns for reals, length-lex string codes for trees, Cantor pairs of
@@ -48,12 +50,10 @@ from .trees import FlagTree, PresentedTree, TracedTreeView, greedy_path
 __all__ = [
     "BinaryExpansion",
     "ubin_from_mu",
-    "mu_from_ubin",
     "make_ubin_xi",
     "ubin_repr_digits",
     "trees_from_flag",
     "uwwkl_from_mu",
-    "mu_from_uwwkl",
     "make_uwwkl_xi",
     "uwwkl_repr_bits",
     "RepresentedContinuousFunction",
@@ -61,7 +61,6 @@ __all__ = [
     "ivt_base",
     "ivt_counterexample",
     "uivt_from_mu",
-    "mu_from_uivt",
     "make_uivt_xi",
     "uivt_repr_endpoints",
     "TracedTableView",
@@ -70,14 +69,78 @@ __all__ = [
     "RationalWitness",
     "Irrational",
     "udq_from_mu",
-    "mu_from_udq",
     "flag_epsilon",
     "RouteReport",
+    "Route",
+    "mu_from",
     "ubin_extraction",
     "uwwkl_extraction",
     "uivt_extraction",
     "udq_extraction",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class RouteReport:
+    route: str
+    flag: PresentedSequence
+    fired: bool
+    witness: int | None
+    xi_bound: int | None
+    search_bound: int | None
+    details: dict
+
+
+@dataclass(frozen=True, eq=False)
+class Route:
+    """One pair-based extraction route; calling it runs the extraction.
+
+    Indices in ``settled`` are decided by direct inspection.  Past them,
+    ``pair(f)`` builds two objects that coincide exactly when f never
+    fires, and ``observe(phi, a, b)`` says whether phi separates them,
+    plus the report details.  For a separated pair, Xi at ``precision``
+    bounds the inspected input and ``search_bound`` turns that into the
+    bound of a scan for the first zero.
+    """
+
+    name: str
+    settled: tuple[int, ...]
+    pair: Callable[[PresentedSequence], tuple]
+    observe: Callable[..., tuple[bool, dict]]
+    make_phi: Callable[[MuOp], Callable]
+    make_xi: Callable[[], Callable]
+    precision: int
+    search_bound: Callable[[int], int]
+
+    def __call__(self, f: PresentedSequence, phi: Callable | None = None,
+                 xi: Callable | None = None) -> RouteReport:
+        phi = phi or self.make_phi(mu_exact)
+        xi = xi or self.make_xi()
+        for m in self.settled:
+            if f.value(m) == 0:
+                return RouteReport(self.name, f, True, m, None, None,
+                                   {"settled": "direct inspection"})
+        a, b = self.pair(f)
+        separated, details = self.observe(phi, a, b)
+        if not separated:
+            return RouteReport(self.name, f, False, None, None, None, details)
+        n = xi(a, b, self.precision)
+        bound = self.search_bound(n)
+        for m in range(bound + 1):
+            if f.value(m) == 0:
+                return RouteReport(self.name, f, True, m, n, bound, details)
+        raise BoundViolation(
+            f"{self.name} pair separated but no zero of {f} below {bound}")
+
+
+def mu_from(extraction: Callable[..., RouteReport], *args) -> MuOp:
+    """The search an extraction recovers: f -> extraction(f, *args).witness.
+    Through udq_extraction that is the first nonzero index."""
+
+    def mu(f: PresentedSequence) -> int | None:
+        return extraction(f, *args).witness
+
+    return mu
 
 
 def flag_epsilon(f: PresentedSequence, mu: MuOp = mu_exact) -> Fraction:
@@ -177,47 +240,18 @@ def make_ubin_xi(budget: int = DEFAULT_BUDGET) -> XiReal:
     return xi
 
 
-@dataclass(frozen=True, eq=False)
-class RouteReport:
-    route: str
-    flag: PresentedSequence
-    fired: bool
-    witness: int | None
-    xi_bound: int | None
-    search_bound: int | None
-    details: dict
-
-
-def ubin_extraction(f: PresentedSequence,
-                    phi: Callable[[FastCauchyReal], BinaryExpansion] | None = None,
-                    xi: XiReal | None = None) -> RouteReport:
-    phi = phi or ubin_from_mu(mu_exact)
-    xi = xi or make_ubin_xi()
-    # indices 0 and 1 are settled directly; past them the pair stays in [0,1]
-    for m in (0, 1):
-        if f.value(m) == 0:
-            return RouteReport("ubin", f, True, m, None, None,
-                               {"settled": "direct inspection"})
-    x_minus, x_plus = counterexample_pair(f)
+def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
+                  x_minus: FastCauchyReal, x_plus: FastCauchyReal
+                  ) -> tuple[bool, dict]:
     d_minus = phi(x_minus).digit(1)
     d_plus = phi(x_plus).digit(1)
-    details = {"digit_minus": d_minus, "digit_plus": d_plus,
-               "x_minus": x_minus, "x_plus": x_plus}
-    if d_minus == d_plus:
-        return RouteReport("ubin", f, False, None, None, None, details)
-    n = xi(x_minus, x_plus, 1)
-    bound = n + 2
-    for m in range(bound + 1):
-        if f.value(m) == 0:
-            return RouteReport("ubin", f, True, m, n, bound, details)
-    raise BoundViolation(f"digits differ but no zero of {f} below {bound}")
+    return d_minus != d_plus, {"digit_minus": d_minus, "digit_plus": d_plus,
+                               "x_minus": x_minus, "x_plus": x_plus}
 
 
-def mu_from_ubin(phi: Callable[[FastCauchyReal], BinaryExpansion],
-                 xi: XiReal | None = None) -> MuOp:
-    def mu(f: PresentedSequence) -> int | None:
-        return ubin_extraction(f, phi, xi).witness
-    return mu
+# indices 0 and 1 are settled directly; past them the pair stays in [0,1]
+ubin_extraction = Route("ubin", (0, 1), counterexample_pair, _ubin_observe,
+                        ubin_from_mu, make_ubin_xi, 1, lambda n: n + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +322,17 @@ def make_uwwkl_xi(budget: int = DEFAULT_BUDGET) -> XiTree:
     return xi
 
 
-def uwwkl_extraction(f: PresentedSequence,
-                     phi: Callable[[PresentedTree], PresentedSequence] | None = None,
-                     xi: XiTree | None = None) -> RouteReport:
-    phi = phi or uwwkl_from_mu(mu_exact)
-    xi = xi or make_uwwkl_xi()
-    t0, t1 = trees_from_flag(f)
+def _wwkl_observe(phi: Callable[[PresentedTree], PresentedSequence],
+                  t0: PresentedTree, t1: PresentedTree) -> tuple[bool, dict]:
     p0, p1 = phi(t0), phi(t1)
-    details = {"path0": p0, "path1": p1}
-    if p0.value(0) == p1.value(0):
-        return RouteReport("wwkl", f, False, None, None, None, details)
-    n = xi(t0, t1, 1)
-    # codes below n only reach strings of bounded length; the trees can
-    # only disagree at strings at least as long as the first flag index
-    bound = max_coded_length(n - 1) if n > 0 else 0
-    for m in range(bound + 1):
-        if f.value(m) == 0:
-            return RouteReport("wwkl", f, True, m, n, bound, details)
-    raise BoundViolation(f"paths differ but no zero of {f} below {bound}")
+    return p0.value(0) != p1.value(0), {"path0": p0, "path1": p1}
 
 
-def mu_from_uwwkl(phi: Callable[[PresentedTree], PresentedSequence],
-                  xi: XiTree | None = None) -> MuOp:
-    def mu(f: PresentedSequence) -> int | None:
-        return uwwkl_extraction(f, phi, xi).witness
-    return mu
+# codes below n only reach strings of bounded length; the trees can only
+# disagree at strings at least as long as the first flag index
+uwwkl_extraction = Route("wwkl", (), trees_from_flag, _wwkl_observe,
+                         uwwkl_from_mu, make_uwwkl_xi, 1,
+                         lambda n: max_coded_length(n - 1) if n > 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +365,9 @@ class PiecewiseLinear:
 
 @dataclass(frozen=True, eq=False)
 class RepresentedContinuousFunction:
-    """A continuous function on [0, 1] given by exact values at rationals
-    plus a modulus of uniform continuity."""
+    """A continuous function on [0, 1] given by exact values at rationals."""
 
     value_rule: Callable[[Fraction], FastCauchyReal]
-    modulus: Callable[[int], int]
     descriptor: str
 
     def value_at(self, q: Fraction, mu: MuOp = mu_exact) -> Fraction:
@@ -359,9 +377,6 @@ class RepresentedContinuousFunction:
 def from_piecewise_linear(pl: PiecewiseLinear, descriptor: str,
                           shift: tuple[int, PresentedSequence] | None = None
                           ) -> RepresentedContinuousFunction:
-    slope = pl.slope_bound()
-    steep = int(slope) + (0 if slope == int(slope) else 1)
-
     if shift is None:
         def rule(q: Fraction) -> FastCauchyReal:
             return from_rational(pl.value(q))
@@ -373,8 +388,7 @@ def from_piecewise_linear(pl: PiecewiseLinear, descriptor: str,
                         PScale(Fraction(sign), PCumFlagSeries(flag)))
             return FastCauchyReal(pres)
 
-    return RepresentedContinuousFunction(
-        rule, lambda k, _s=steep: _s * k + _s, descriptor)
+    return RepresentedContinuousFunction(rule, descriptor)
 
 
 _IVT_BASE = PiecewiseLinear((
@@ -515,41 +529,25 @@ def make_uivt_xi(budget: int = DEFAULT_BUDGET) -> XiTable:
 _ROOT_PRECISION = 4  # approximations within 1/16, comfortably inside 1/12
 
 
-def uivt_extraction(f: PresentedSequence,
-                    phi: Callable[[RepresentedContinuousFunction], FastCauchyReal] | None = None,
-                    xi: XiTable | None = None) -> RouteReport:
-    phi = phi or uivt_from_mu(mu_exact)
-    xi = xi or make_uivt_xi()
-    # flag events at 0 or 1 shift the family out of the sign condition
-    for m in (0, 1):
-        if f.value(m) == 0:
-            return RouteReport("ivt", f, True, m, None, None,
-                               {"settled": "direct inspection"})
-    f_plus = ivt_counterexample(f, "+")
-    f_minus = ivt_counterexample(f, "-")
+def _ivt_observe(phi: Callable[[RepresentedContinuousFunction], FastCauchyReal],
+                 f_minus: RepresentedContinuousFunction,
+                 f_plus: RepresentedContinuousFunction) -> tuple[bool, dict]:
     r_plus = phi(f_plus)
     r_minus = phi(f_minus)
     a_plus = r_plus.approx(_ROOT_PRECISION)
     a_minus = r_minus.approx(_ROOT_PRECISION)
-    details = {"root_plus": a_plus, "root_minus": a_minus,
-               "r_plus": r_plus, "r_minus": r_minus}
-    if abs(a_plus - a_minus) <= Fraction(1, 6):
-        return RouteReport("ivt", f, False, None, None, None, details)
-    n = xi(f_minus, f_plus, _ROOT_PRECISION)
-    # a differing table cell at Cantor code c has precision row at most c,
-    # and the shifted values become visible two rows past the flag index
-    bound = n + 2
-    for m in range(bound + 1):
-        if f.value(m) == 0:
-            return RouteReport("ivt", f, True, m, n, bound, details)
-    raise BoundViolation(f"roots differ but no zero of {f} below {bound}")
+    return abs(a_plus - a_minus) > Fraction(1, 6), {
+        "root_plus": a_plus, "root_minus": a_minus,
+        "r_plus": r_plus, "r_minus": r_minus}
 
 
-def mu_from_uivt(phi: Callable[[RepresentedContinuousFunction], FastCauchyReal],
-                 xi: XiTable | None = None) -> MuOp:
-    def mu(f: PresentedSequence) -> int | None:
-        return uivt_extraction(f, phi, xi).witness
-    return mu
+# flag events at 0 or 1 shift the family out of the sign condition.  A
+# differing table cell at Cantor code c has precision row at most c, and
+# the shifted values become visible two rows past the flag index.
+uivt_extraction = Route(
+    "ivt", (0, 1),
+    lambda f: (ivt_counterexample(f, "-"), ivt_counterexample(f, "+")),
+    _ivt_observe, uivt_from_mu, make_uivt_xi, _ROOT_PRECISION, lambda n: n + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +589,7 @@ def _bump_function(f: PresentedSequence, left_sign: int) -> TwoBump:
                               PRational(Fraction(0)))
 
     sign = "+" if left_sign > 0 else "-"
-    fn = RepresentedContinuousFunction(rule, lambda k: 8 * k + 8,
-                                       f"two-bump{sign}")
+    fn = RepresentedContinuousFunction(rule, f"two-bump{sign}")
     return TwoBump(fn, FastCauchyReal(h_left), FastCauchyReal(h_right))
 
 
@@ -648,13 +645,3 @@ def udq_extraction(f: PresentedSequence,
     if f.value(m0) == 0 or any(f.value(i) != 0 for i in range(m0)):
         raise MalformedWitness(f"decoded index {m0} is not the first nonzero of {f}")
     return RouteReport("dq", f, True, m0, None, m0, details)
-
-
-def mu_from_udq(phi: Callable[[FastCauchyReal], RationalWitness | Irrational]
-                ) -> Callable[[PresentedSequence], int | None]:
-    """Recovers the first nonzero index (the dq series flags on nonzero)."""
-
-    def search(f: PresentedSequence) -> int | None:
-        return udq_extraction(f, phi).witness
-
-    return search

@@ -9,8 +9,9 @@ on replaying such bodies:
   query, rerun from scratch, and take 1 + the largest index queried
   anywhere in the completed tree.  A single run's trace would not be a
   sound modulus for adaptive bodies; the whole tree is.
-* theta_special turns the fan modulus into a bound plus a finite cover
-  of zero-padded prefixes.
+* theta_special reads a bound off the same replay tree: the largest
+  value at any of its leaves, which comes with the finite cover of
+  zero-padded prefixes of that length.
 * xi_by_tracing instruments two evaluations of a sequence-to-sequence
   functional and reports 1 + the largest input index either one touched.
 
@@ -53,7 +54,6 @@ class TracedFunctional:
 
     name: str
     body: Callable[[View], int]
-    last_trace: frozenset[int] | None = None
 
     def eval_traced(self, view: View | PresentedSequence) -> tuple[int, frozenset[int]]:
         if isinstance(view, PresentedSequence):
@@ -65,9 +65,7 @@ class TracedFunctional:
             return view(i)
 
         value = int(self.body(probe))
-        trace = frozenset(queried)
-        self.last_trace = trace
-        return value, trace
+        return value, frozenset(queried)
 
     def __call__(self, view: View | PresentedSequence) -> int:
         return self.eval_traced(view)[0]
@@ -78,16 +76,13 @@ class _Unanswered(Exception):
         self.index = index
 
 
-def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
-    """Fan modulus on Cantor space: inputs agreeing below it get equal values.
-
-    Explores the complete binary decision tree of g by replay.  Raises
-    BudgetExceeded once more than node_budget reruns are needed, which is
-    the fate of genuinely discontinuous bodies.
-    """
+def _fan_replay(g: TracedFunctional, node_budget: int) -> tuple[int, int]:
+    """(fan modulus, largest leaf value, at least 0) of g's complete binary
+    decision tree, explored by replay."""
     jobs: list[dict[int, int]] = [{}]
     nodes = 0
     max_index = -1
+    top = 0
     while jobs:
         answers = jobs.pop()
         nodes += 1
@@ -102,38 +97,53 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
             raise _Unanswered(i)
 
         try:
-            g.body(probe)
+            value = int(g.body(probe))
         except _Unanswered as stop:
             jobs.append({**answers, stop.index: 0})
             jobs.append({**answers, stop.index: 1})
             continue
+        top = max(top, value)
         if answers:
             max_index = max(max_index, max(answers))
-    return max_index + 1
+    return max_index + 1, top
+
+
+def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
+    """Fan modulus on Cantor space: inputs agreeing below it get equal values.
+
+    Explores the complete binary decision tree of g by replay.  Raises
+    BudgetExceeded once more than node_budget reruns are needed, which is
+    the fate of genuinely discontinuous bodies.
+    """
+    return _fan_replay(g, node_budget)[0]
 
 
 @dataclass(frozen=True)
 class ThetaResult:
-    """Bound plus finite cover of zero-padded prefixes at that bound."""
+    """Bound of the special fan; the cover is every zero-padded prefix of
+    that length."""
 
     bound: int
-    cover: tuple[PresentedSequence, ...]
+
+    @property
+    def cover(self) -> tuple[PresentedSequence, ...]:
+        return tuple(PresentedSequence(bits, (0,))
+                     for bits in product((0, 1), repeat=self.bound))
 
 
 def theta_special(g: TracedFunctional,
                   node_budget: int = DEFAULT_BUDGET) -> ThetaResult:
     """Special-fan data for g: bound = max of g over the zero-padded
     prefixes at the fan modulus, cover = every prefix of that bound length.
+
+    By determinism each such prefix runs g down exactly one leaf of the
+    replay tree, and each leaf is reached by some prefix, so the bound is
+    the largest leaf value.
     """
-    n = omega_fan(g, node_budget)
-    bound = 0
-    for bits in product((0, 1), repeat=n):
-        bound = max(bound, g(PresentedSequence(bits, (0,))))
+    bound = _fan_replay(g, node_budget)[1]
     if 1 << bound > node_budget:
         raise BudgetExceeded(f"theta cover of size 2^{bound} over budget")
-    cover = tuple(PresentedSequence(bits, (0,))
-                  for bits in product((0, 1), repeat=bound))
-    return ThetaResult(bound, cover)
+    return ThetaResult(bound)
 
 
 class TracedView:

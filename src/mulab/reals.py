@@ -37,7 +37,6 @@ __all__ = [
     "dq_real",
     "presented_sum",
     "presented_scale",
-    "approx",
     "real_eq",
     "real_lt",
     "real_sign",
@@ -246,10 +245,6 @@ def presented_sum(x: FastCauchyReal, y: FastCauchyReal) -> FastCauchyReal:
 
 def presented_scale(c: Fraction | int, x: FastCauchyReal) -> FastCauchyReal:
     return FastCauchyReal(PScale(Fraction(c), _require_presentation(x)))
-
-
-def approx(x: FastCauchyReal, k: int) -> Fraction:
-    return x.approx(k)
 
 
 def real_eq(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:

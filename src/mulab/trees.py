@@ -15,17 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from itertools import product
 
 from .coding import string_code, string_decode
 from .errors import MeasureZero, ParseError
-from .functionals import (
-    DEFAULT_BUDGET,
-    ThetaResult,
-    TracedFunctional,
-    TracedView,
-    theta_special,
-)
+from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, theta_special
 from .reals import MuOp
 from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
 
@@ -38,7 +32,6 @@ __all__ = [
     "TracedTreeView",
     "ScfReport",
     "measure_positive",
-    "measure_lower_bound",
     "greedy_path",
     "scf_check",
     "parse_tree",
@@ -205,10 +198,6 @@ def measure_positive(tree: PresentedTree, mu: MuOp = mu_exact) -> bool:
     return tree.measure_lower(mu) > 0
 
 
-def measure_lower_bound(tree: PresentedTree, mu: MuOp = mu_exact) -> Fraction:
-    return tree.measure_lower(mu)
-
-
 def greedy_path(tree: PresentedTree, mu: MuOp = mu_exact) -> PresentedSequence:
     """The path that prefers the 1-branch wherever that branch has nodes
     at every level.  Requires positive measure; the result is eventually
@@ -269,18 +258,22 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
     tree.  Consequent: the tree is empty at the bound level (equivalent,
     under prefix closure, to every branch leaving the tree by then).
     """
-    theta: ThetaResult = theta_special(g, node_budget)
+    bound = theta_special(g, node_budget).bound
     antecedent = True
-    for alpha in theta.cover:
+    for bits in product((0, 1), repeat=bound):
+        def alpha(i: int, bits: tuple[int, ...] = bits) -> int:
+            # the cover element: these bits, then zeros
+            return bits[i] if i < bound else 0
+
         depth = g(alpha)
         prefix_value = 0
         for d in range(depth):
-            prefix_value = (prefix_value << 1) | alpha.value(d)
+            prefix_value = (prefix_value << 1) | alpha(d)
         if tree.member(depth, prefix_value):
             antecedent = False
             break
-    consequent = tree.level_count(theta.bound) == 0
-    return ScfReport(theta.bound, len(theta.cover), antecedent, consequent)
+    consequent = tree.level_count(bound) == 0
+    return ScfReport(bound, 1 << bound, antecedent, consequent)
 
 
 def parse_tree(text: str) -> PresentedTree:

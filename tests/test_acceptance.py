@@ -26,10 +26,7 @@ from mulab.extractors import (
     make_ubin_xi,
     make_uivt_xi,
     make_uwwkl_xi,
-    mu_from_ubin,
-    mu_from_udq,
-    mu_from_uivt,
-    mu_from_uwwkl,
+    mu_from,
     ubin_extraction,
     ubin_from_mu,
     ubin_repr_digits,
@@ -99,10 +96,10 @@ def test_criterion_1_round_trip_extraction():
                    and direct_first_zero(f) >= len(f.prefix) for f in CORPUS)
 
         start = time.perf_counter()
-        mu_ubin = mu_from_ubin(ubin_from_mu(mu_exact), make_ubin_xi())
-        mu_wwkl = mu_from_uwwkl(uwwkl_from_mu(mu_exact), make_uwwkl_xi())
-        mu_ivt = mu_from_uivt(uivt_from_mu(mu_exact), make_uivt_xi())
-        mu_dq = mu_from_udq(udq_from_mu(mu_exact))
+        mu_ubin = mu_from(ubin_extraction, ubin_from_mu(mu_exact), make_ubin_xi())
+        mu_wwkl = mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact), make_uwwkl_xi())
+        mu_ivt = mu_from(uivt_extraction, uivt_from_mu(mu_exact), make_uivt_xi())
+        mu_dq = mu_from(udq_extraction, udq_from_mu(mu_exact))
         for f in CORPUS:
             zero = direct_first_zero(f)
             assert mu_ubin(f) == zero

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +147,22 @@ def test_fan_budget_violation_is_exit_one(capsys):
     assert "property violation" in err
 
 
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_fan_budget_below_one_is_exit_two(capsys, budget):
+    code, out, err = run_cli(capsys, "fan", "--functional", "max:3",
+                             "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert err == f"input error: --budget must be at least 1, got {budget}\n"
+
+
+def test_negative_corpus_size_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "corpus", "--size", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: --size must be nonnegative, got -5\n"
+
+
 def test_normalize_formula_text(capsys):
     code, out, _ = run_cli(
         capsys, "normalize", "--formula",
@@ -209,3 +228,14 @@ def test_installed_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("command: corpus")
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mulab.cli", "--json", "ubin", "--flag",
+         "prefix=[1,1,1];tail=[0]"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["agrees_with_direct_search"] == "True"

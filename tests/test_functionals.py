@@ -37,7 +37,6 @@ def test_eval_traced_reports_value_and_queries():
     value, trace = g.eval_traced(PresentedSequence((3, 7), (9,)))
     assert value == 9
     assert trace == frozenset({0, 2})
-    assert g.last_trace == frozenset({0, 2})
 
 
 def test_catalog_spot_values():

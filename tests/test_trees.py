@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,6 @@ from mulab.trees import (
     Truncation,
     format_tree,
     greedy_path,
-    measure_lower_bound,
     measure_positive,
     parse_tree,
     scf_check,
@@ -81,12 +81,12 @@ def test_alive_looks_past_finite_survival():
 
 
 def test_measure_values():
-    assert measure_lower_bound(FullTree()) == 1
-    assert measure_lower_bound(FlagTree(0, NO_EVENT)) == 1
-    assert measure_lower_bound(FlagTree(1, EVENT_AT_2)) == Fraction(1, 2)
-    assert measure_lower_bound(PathTree((0, 1))) == 0
-    assert measure_lower_bound(PathTree((0, 1), full_below=4)) == Fraction(1, 16)
-    assert measure_lower_bound(Truncation(3, FullTree())) == 0
+    assert FullTree().measure_lower() == 1
+    assert FlagTree(0, NO_EVENT).measure_lower() == 1
+    assert FlagTree(1, EVENT_AT_2).measure_lower() == Fraction(1, 2)
+    assert PathTree((0, 1)).measure_lower() == 0
+    assert PathTree((0, 1), full_below=4).measure_lower() == Fraction(1, 16)
+    assert Truncation(3, FullTree()).measure_lower() == 0
     assert measure_positive(FullTree())
     assert not measure_positive(PathTree((1,)))
 
@@ -134,6 +134,20 @@ def test_greedy_path_needs_positive_measure(tree):
     "truncate:2:path:01",
 ])
 def test_parse_format_round_trip(text):
+    assert format_tree(parse_tree(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    "full",
+    "flagtree:0:prefix=[1];tail=[0]",
+    "path:01",
+    "path:1+full@3",
+    "truncate:2:path:01",
+    "truncate:1:full",
+])
+def test_readme_tree_spellings_parse_and_round_trip(text):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`{text}`" in readme or f"'{text}'" in readme
     assert format_tree(parse_tree(text)) == text
 
 
