@@ -14,7 +14,9 @@ a marker-free matrix.  Every step records the path it fired at together
 with the exact subformula before and after, so a trace can be replayed
 against the source formula.  Steps are equivalences except for the
 marker-dropping rule, which only preserves truth top-down; a trace's
-certificate says which kind the whole run is.
+certificate says which kind the whole run is.  A run on a source with M
+marked quantifiers and depth D stops within M*(D+M+1) steps; one that
+went past that limit would raise NotNormalizable.
 """
 
 from __future__ import annotations
@@ -209,9 +211,7 @@ def _with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
         return Not(kids[0])
     if isinstance(f, (And, Or, Implies)):
         return type(f)(kids[0], kids[1])
-    if isinstance(f, Quant):
-        return _dc_replace(f, body=kids[0])
-    if isinstance(f, ExIn):
+    if isinstance(f, (Quant, ExIn)):
         return _dc_replace(f, body=kids[0])
     raise AssertionError
 
@@ -416,12 +416,14 @@ def format_formula(f: Formula) -> str:
 # basic queries
 
 def _term_names(t: Term) -> Iterator[str]:
-    if isinstance(t, str):
-        yield t
-    else:
-        yield t.head
-        for a in t.args:
-            yield from _term_names(a)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            yield t
+        else:
+            yield t.head
+            stack.extend(reversed(t.args))
 
 
 def free_names(f: Formula) -> frozenset[str]:
@@ -447,38 +449,38 @@ def free_names(f: Formula) -> frozenset[str]:
     return frozenset(go(f, frozenset()))
 
 
+def _positions(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula, int]]:
+    """Every subformula with its path and polarity, in preorder, children
+    left to right; implication antecedents and negations flip polarity."""
+    stack = [((), f, 1)]
+    while stack:
+        path, node, pol = stack.pop()
+        yield path, node, pol
+        kids = _children(node)
+        for i in reversed(range(len(kids))):
+            flip = isinstance(node, Not) or (isinstance(node, Implies) and i == 0)
+            stack.append((path + (i,), kids[i], -pol if flip else pol))
+
+
 def _all_names(f: Formula) -> set[str]:
     names: set[str] = set()
-
-    def go(f: Formula) -> None:
-        if isinstance(f, Atom):
-            names.add(f.pred)
-            for a in f.args:
+    for _, node, _ in _positions(f):
+        if isinstance(node, Atom):
+            names.add(node.pred)
+            for a in node.args:
                 names.update(_term_names(a))
-        elif isinstance(f, Quant):
-            names.add(f.var)
-            go(f.body)
-        elif isinstance(f, ExIn):
-            names.add(f.var)
-            names.update(_term_names(f.bound))
-            go(f.body)
-        else:
-            for kid in _children(f):
-                go(kid)
-
-    go(f)
+        elif isinstance(node, Quant):
+            names.add(node.var)
+        elif isinstance(node, ExIn):
+            names.add(node.var)
+            names.update(_term_names(node.bound))
     return names
 
 
 def is_internal(f: Formula) -> bool:
     """True when no quantifier carries the standardness marker."""
-    if isinstance(f, Quant) and f.st:
-        return False
-    return all(is_internal(kid) for kid in _children(f))
-
-
-def _term_mentions(t: Term, var: str) -> bool:
-    return var in set(_term_names(t))
+    return not any(isinstance(node, Quant) and node.st
+                   for _, node, _ in _positions(f))
 
 
 def _is_bounded_number_quant(q: Quant) -> bool:
@@ -495,7 +497,7 @@ def _is_bounded_number_quant(q: Quant) -> bool:
         return False
     return (isinstance(guard, Atom) and guard.pred == "leq"
             and len(guard.args) == 2 and guard.args[0] == q.var
-            and not _term_mentions(guard.args[1], q.var))
+            and q.var not in set(_term_names(guard.args[1])))
 
 
 def relativize_st(f: Formula) -> Formula:
@@ -738,21 +740,6 @@ _RULES: tuple[tuple[str, Callable], ...] = (
 )
 
 
-def _positions(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula, int]]:
-    def go(node: Formula, path: tuple[int, ...], pol: int):
-        yield path, node, pol
-        if isinstance(node, Implies):
-            yield from go(node.left, path + (0,), -pol)
-            yield from go(node.right, path + (1,), pol)
-        elif isinstance(node, Not):
-            yield from go(node.body, path + (0,), -pol)
-        else:
-            for i, kid in enumerate(_children(node)):
-                yield from go(kid, path + (i,), pol)
-
-    yield from go(f, (), 1)
-
-
 @dataclass(frozen=True)
 class NormalForm:
     foralls: tuple[tuple[str, Type], ...]
@@ -768,31 +755,38 @@ class NormalForm:
         return f
 
 
-_MAX_STEPS = 400
-
-
 def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
     names = _Names(_all_names(f))
+    # Step limit.  Let M count the marked quantifiers and S sum, over
+    # them, the unmarked nodes above each.  Every rule but R3 lowers S
+    # without raising M: it lifts marked quantifiers past the node it
+    # fired at, and R1b may merge a block of them into one.  R3 unmarks
+    # one quantifier, lowering M, and raises S by less than M: only the
+    # marked quantifiers below it gain a node.  S starts at most M*D for
+    # a source of depth D, so a run has at most M steps of R3 and
+    # M*D + M*(M-1) others, fewer than M*(D+M+1).
+    walk = list(_positions(f))
+    marked = sum(isinstance(node, Quant) and node.st for _, node, _ in walk)
+    depth = max(len(path) for path, _, _ in walk)
+    limit = marked * (depth + marked + 1)
     steps: list[RuleStep] = []
     current = f
-    for _ in range(_MAX_STEPS):
-        fired = False
-        for rule_name, rule in _RULES:
-            for path, node, pol in _positions(current):
-                hit = rule(node, pol, names)
-                if hit is None:
-                    continue
-                after, tag = hit
-                steps.append(RuleStep(rule_name, tag, path, node, after))
-                current = replace_at(current, path, after)
-                fired = True
-                break
-            if fired:
-                break
-        if not fired:
+    for _ in range(limit + 1):
+        # rules in priority order, outermost-leftmost within a rule
+        walk = list(_positions(current))
+        hit = next(((rule_name, path, node, fired)
+                    for rule_name, rule in _RULES
+                    for path, node, pol in walk
+                    if (fired := rule(node, pol, names)) is not None), None)
+        if hit is None:
             break
+        rule_name, path, node, (after, tag) = hit
+        steps.append(RuleStep(rule_name, tag, path, node, after))
+        current = replace_at(current, path, after)
     else:
-        raise NotNormalizable(f"no fixed point within {_MAX_STEPS} steps")
+        raise NotNormalizable(
+            f"no fixed point within the step limit M*(D+M+1) = {limit} "
+            f"(M={marked} marked quantifiers, depth D={depth})")
 
     foralls: list[tuple[str, Type]] = []
     cur = current

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Callable
 
 from .coding import rational_code
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, MalformedWitness, ParseError
 from .reals import FastCauchyReal
 from .sequences import DEFAULT_BUDGET, PresentedSequence
 
@@ -307,6 +307,6 @@ def mu_from_e2(phi: Callable[[PresentedSequence], int]):
         for n in range(f.horizon):
             if f.value(n) == 0:
                 return n
-        raise AssertionError("existence functional contradicted the scan")
+        raise MalformedWitness("existence functional contradicted the scan")
 
     return mu

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .errors import UnsupportedPresentation
+from .errors import BoundViolation, UnsupportedPresentation
 from .sequences import PresentedSequence, mu_exact, pointwise_combine
 
 __all__ = [
@@ -263,7 +263,7 @@ def real_lt(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:
     while not (x.approx(n) + Fraction(1, 1 << (n - 1)) < y.approx(n)):
         n += 1
         if n > 4 * (yv - xv).denominator.bit_length() + 64:
-            raise AssertionError("gap witness search overran its bound")
+            raise BoundViolation("gap witness search overran its bound")
     return True
 
 

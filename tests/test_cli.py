@@ -194,6 +194,15 @@ def test_normalize_rejects_stuck_markers_as_exit_one(capsys):
     assert "property violation" in err
 
 
+def test_over_deep_nesting_is_exit_two(capsys):
+    deep = "(not " * 1000 + "(atom p)" + ")" * 1000
+    code, out, err = run_cli(capsys, "normalize", "--formula", deep)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: nesting too deep")
+    assert err.count("\n") == 1
+
+
 def test_bad_flag_syntax_is_exit_two(capsys):
     code, out, err = run_cli(capsys, "ubin", "--flag", "garbage")
     assert code == 2

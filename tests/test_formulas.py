@@ -1,17 +1,23 @@
 from __future__ import annotations
 
 from importlib import resources
+from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulab.errors import FormulaScopeError, NotNormalizable, ParseError
 from mulab.formulas import (
+    And,
     App,
     Arrow,
     Atom,
     Base,
     ExIn,
+    Implies,
     NormalForm,
+    Not,
+    Or,
     Quant,
     Seq,
     alpha_equal,
@@ -28,6 +34,8 @@ from mulab.formulas import (
     subformula_at,
     to_normal_form,
 )
+
+from oracles import formula_depth, marked_measure, reference_normalize
 
 
 def fixture_text(name: str) -> str:
@@ -229,6 +237,151 @@ def test_internal_formulas_normalize_to_themselves():
     assert trace.rules() == ()
     assert nf.foralls == () and nf.exists == ()
     assert nf.matrix == f
+
+
+# ---------------------------------------------------------------------------
+# rule order and the step limit
+
+def flip_text(k):
+    """k nested marked existentials in one antecedent."""
+    return ("(imp " + "".join(f"(ex st x{j}:{j % 2} " for j in range(k))
+            + "(atom p " + " ".join(f"x{j}" for j in range(k)) + ")"
+            + ")" * k + " (atom q))")
+
+
+def herbrand_text(pairs):
+    """marked forall-exists pairs in an antecedent, a marked existential
+    consequent."""
+    body = "(atom r " + " ".join(f"x{j} y{j}" for j in range(pairs)) + ")"
+    return ("(imp " + "".join(f"(all st x{j}:0 (ex st y{j}:0 " for j in range(pairs))
+            + body + ")" * (2 * pairs) + " (ex st z:0 (atom q z)))")
+
+
+def pull_text(k):
+    """k guarded marked universals in nested consequents."""
+    f = "(atom p " + " ".join(f"x{j}" for j in range(1, k + 1)) + ")"
+    for j in range(k, 0, -1):
+        guard = "c" if j == 1 else f"x{j - 1}"
+        f = f"(imp (atom g {guard}) (all st x{j}:0 {f}))"
+    return f
+
+
+def negation_text(d):
+    """a marked forall-exists under d negations."""
+    return "(not " * d + "(all st x:0 (ex st y:0 (atom r x y)))" + ")" * d
+
+
+FAMILIES = [
+    (flip_text(8), ("R1a-flip-antecedent",) * 8, ("0", "1") * 4, ()),
+    (herbrand_text(3),
+     ("R2-herbrandize",) * 3 + ("R1b-bound-antecedent", "R1c-bound-consequent"),
+     ("1", "(0->1)", "(0->(0->1))"), ("0", "0")),
+    (pull_text(5), ("forall-pull",) * 15, ("0",) * 5, ()),
+    (negation_text(4), ("not-push",) * 8, ("0",), ("0",)),
+]
+
+
+@pytest.mark.parametrize("text, rules, foralls, exists", FAMILIES)
+def test_benchmark_families_fire_their_rules_in_order(text, rules, foralls, exists):
+    nf, trace = to_normal_form(parse_formula(text))
+    assert trace.rules() == rules
+    assert tuple(format_type(t) for _, t in nf.foralls) == foralls
+    assert tuple(format_type(t) for _, t in nf.exists) == exists
+
+
+def test_rules_fire_by_priority_then_outermost_leftmost():
+    # not-push could fire on both sides; the left one goes first, and
+    # the flip it enables outranks the right one
+    f = parse_formula("(imp (not (all st x:0 (atom p x)))"
+                      " (not (ex st y:0 (atom q y))))")
+    _, trace = to_normal_form(f)
+    assert [(s.rule, s.path) for s in trace.steps] == [
+        ("not-push", (0,)), ("R1a-flip-antecedent", ()),
+        ("not-push", (0, 1)), ("forall-pull", (0,))]
+
+
+def test_forty_nested_pulls_run_past_four_hundred_steps():
+    nf, trace = to_normal_form(parse_formula(pull_text(40)))
+    assert trace.rules() == ("forall-pull",) * 820
+    assert [format_type(t) for _, t in nf.foralls] == ["0"] * 40
+    assert nf.exists == ()
+
+
+TYPES = (Base(), parse_type("1"), parse_type("2"))
+
+
+@st.composite
+def marked_formulas(draw, depth=8):
+    """Formulas of depth at most `depth` over marked and unmarked
+    quantifiers of types 0, 1 and 2 and guarded number quantifiers.
+    Binders are never rebound, as the parser demands."""
+    fresh = count()
+
+    def term(scope):
+        head = draw(st.sampled_from(scope + ["c"]))
+        if draw(st.booleans()):
+            return head
+        return App(head, (draw(st.sampled_from(scope + ["c"])),))
+
+    def go(d, scope):
+        kinds = ["atom"] + (["not", "and", "or", "imp", "quant", "quant"] if d else [])
+        kinds += ["guarded"] if d >= 2 else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            arity = draw(st.integers(min_value=0, max_value=2))
+            return Atom(draw(st.sampled_from("pq")), tuple(term(scope) for _ in range(arity)))
+        if kind == "not":
+            return Not(go(d - 1, scope))
+        if kind in ("and", "or", "imp"):
+            cls = {"and": And, "or": Or, "imp": Implies}[kind]
+            return cls(go(d - 1, scope), go(d - 1, scope))
+        var = f"v{next(fresh)}"
+        q = draw(st.sampled_from(("all", "ex")))
+        if kind == "quant":
+            return Quant(q, draw(st.booleans()), var, draw(st.sampled_from(TYPES)),
+                         go(d - 1, scope + [var]))
+        guard = Atom("leq", (var, draw(st.sampled_from(scope + ["c"]))))
+        body = go(d - 2, scope + [var])
+        return Quant(q, draw(st.booleans()), var, Base(),
+                     Implies(guard, body) if q == "all" else And(guard, body))
+
+    return go(depth, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_formulas())
+def test_engine_matches_the_rule_major_reference(f):
+    try:
+        want, stuck = reference_normalize(f)
+    except NotNormalizable:
+        with pytest.raises(NotNormalizable):
+            to_normal_form(f)
+        return
+    if stuck is None:
+        _, trace = to_normal_form(f)
+        assert [(s.rule, s.tag, s.path, s.before, s.after)
+                for s in trace.steps] == want
+    else:
+        # the engine names what is left, which depends on the steps taken
+        with pytest.raises(NotNormalizable) as exc:
+            to_normal_form(f)
+        assert str(exc.value).endswith(": " + format_formula(stuck))
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_formulas())
+def test_every_step_lowers_the_termination_measure(f):
+    try:
+        steps, _ = reference_normalize(f)
+    except NotNormalizable:
+        return
+    marked = marked_measure(f)[0]
+    assert len(steps) <= marked * (formula_depth(f) + marked + 1)
+    current = f
+    for _, _, path, _, after in steps:
+        before = marked_measure(current)
+        current = replace_at(current, path, after)
+        assert marked_measure(current) < before
 
 
 # ---------------------------------------------------------------------------

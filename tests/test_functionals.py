@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mulab.coding import rational_code
-from mulab.errors import BudgetExceeded, ParseError
+from mulab.errors import BudgetExceeded, MalformedWitness, ParseError
 from mulab.functionals import (
     TracedFunctional,
     TracedRealView,
@@ -185,6 +185,12 @@ def test_zero_existence_round_trip(f):
     phi = e2_from_mu(mu_exact)
     assert phi(f) == (0 if mu_exact(f) is not None else 1)
     assert mu_from_e2(phi)(f) == mu_exact(f)
+
+
+def test_mu_from_e2_rejects_an_existence_claim_without_a_zero():
+    # phi claims a zero exists, but the sequence is 1 forever
+    with pytest.raises(MalformedWitness, match="contradicted the scan"):
+        mu_from_e2(lambda f: 0)(PresentedSequence((), (1,)))
 
 
 @settings(max_examples=60)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulab.errors import UnsupportedPresentation
+from mulab.errors import BoundViolation, UnsupportedPresentation
 from mulab.reals import (
     FastCauchyReal,
+    PRational,
     counterexample_pair,
     dq_real,
     dyadic_flag_real,
@@ -96,6 +97,14 @@ def test_counterexample_pair_without_an_event_collapses():
     assert lo.exact_value() == hi.exact_value() == Fraction(1, 2)
     assert real_eq(lo, hi)
     assert not real_lt(lo, hi)
+
+
+def test_real_lt_rejects_approximations_that_never_show_the_gap():
+    # the exact values say 0 < 1, but every approximation of x reads 5
+    liar = FastCauchyReal(PRational(Fraction(0)),
+                          approx_override=lambda n: Fraction(5))
+    with pytest.raises(BoundViolation, match="gap witness search"):
+        real_lt(liar, from_rational(1))
 
 
 @given(flags)
