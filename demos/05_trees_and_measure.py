@@ -1,8 +1,9 @@
 """Binary trees with decidable levels, their measure, and path finding.
 
-The flag-gated tree is full until its flag hits zero, after which one
-half stops growing.  Its measure is therefore 1 or 1/2, decided by the
-same search as everything else, and the greedy path finder prefers the
+The flag-gated tree keeps one root branch full and gates the other
+down to a single path of ones.  Its measure is therefore always 1/2;
+the flag decides only whether the gated path survives, by the same
+search as everything else, and the greedy path finder prefers the
 1-branch wherever that branch keeps reaching new levels.
 """
 
@@ -41,7 +42,7 @@ def main() -> None:
 
     f = PresentedSequence((1, 1, 1), (0,))
     tree = parse_tree(f"flagtree:0:{format_sequence(f)}")
-    print("\nthe gated half dies exactly at the flag's zero:")
+    print("\nthe gated path dies exactly at the flag's zero:")
     for n in range(6):
         row = ["#" if tree.member(n, v) else "." for v in range(1 << n)]
         print(f"  level {n}: {''.join(row)}")

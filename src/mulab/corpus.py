@@ -1,9 +1,10 @@
 """A reproducible corpus of flag sequences for exercising the routes.
 
 The fixed head covers the boundary shapes: no event at all, events at
-0, 1, 3, 7, and 17, an event sitting inside the periodic tail rather
-than the prefix, and all-zero flags.  The seeded remainder keeps event
-positions small so that tree-level scans stay cheap.
+0, 1, 3, 7, 17, 64 and 200, an event sitting inside the periodic tail
+rather than the prefix, all-zero flags, and zeros-then-one flags whose
+first nonzero entry (the dq event) sits at 64 and 200.  The seeded
+remainder draws short prefixes and tails, so its events stay small.
 """
 
 from __future__ import annotations
@@ -27,12 +28,16 @@ def _fixed_head() -> list[PresentedSequence]:
         PresentedSequence((1, 1, 1, 0), (1,)),        # event at 3
         PresentedSequence((1,) * 7 + (0,), (1,)),     # event at 7
         PresentedSequence((1,) * 17 + (0,), (1,)),    # event at 17
+        PresentedSequence((1,) * 64 + (0,), (1,)),    # event at 64
+        PresentedSequence((1,) * 200 + (0,), (1,)),   # event at 200
         PresentedSequence((), (1, 1, 0)),             # event inside the tail
         PresentedSequence((3, 5), (2, 0, 4)),
         PresentedSequence((), (0,)),                  # all zero
         PresentedSequence((0, 0, 3), (1,)),
         PresentedSequence((2,), (0,)),
         PresentedSequence((1, 1, 1), (5, 0)),
+        PresentedSequence((0,) * 64 + (1,), (0,)),    # first nonzero at 64
+        PresentedSequence((0,) * 200 + (1,), (0,)),   # first nonzero at 200
     ]
     return head
 

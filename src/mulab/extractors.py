@@ -4,9 +4,10 @@ Each route pairs a forward construction (given an exact search operator
 mu, build a functional: binary expansions, tree paths, intermediate-value
 roots, rational-value witnesses) with an extractor that recovers mu from
 such a functional plus an extensionality bound Xi.  The extractor feeds
-the functional a pair of presented counterexample objects that coincide
-exactly when the input flag sequence never fires, and reads the first
-flag index out of a bounded search whose bound comes from tracing the
+the functional a pair of presented counterexample objects that it tells
+apart exactly when the input flag sequence fires, each of which agrees
+with its never-firing version below the first flag index, and reads that
+index out of a bounded search whose bound comes from tracing the
 functional's queries on both objects.
 
 The three pair-based routes are Route records, and calling one runs
@@ -96,9 +97,9 @@ class Route:
     """One pair-based extraction route; calling it runs the extraction.
 
     Indices in ``settled`` are decided by direct inspection.  Past them,
-    ``pair(f)`` builds two objects that coincide exactly when f never
-    fires, and ``observe(phi, a, b)`` says whether phi separates them,
-    plus the report details.  For a separated pair, Xi at ``precision``
+    ``pair(f)`` builds two objects that phi separates exactly when f
+    fires, and ``observe(phi, a, b)`` says whether it does, plus the
+    report details.  For a separated pair, Xi at ``precision``
     bounds the inspected input and ``search_bound`` turns that into the
     bound of a scan for the first zero.
     """
@@ -258,8 +259,9 @@ ubin_extraction = Route("ubin", (0, 1), counterexample_pair, _ubin_observe,
 # weak Koenig route
 
 def trees_from_flag(f: PresentedSequence) -> tuple[FlagTree, FlagTree]:
-    """(T0, T1): trees equal to the full tree until the flag fires, after
-    which only the root_bit branch keeps growing."""
+    """(T0, T1): T_b keeps its b branch full and the other branch a
+    single path (its first bit, then ones), cut where the flag fires.
+    Both greedy paths are all ones unless the cut kills T0's 1-branch."""
     return FlagTree(0, f), FlagTree(1, f)
 
 
@@ -273,27 +275,21 @@ def _branch_alive_certified(view: TracedTreeView, length: int, value: int) -> bo
     """Decide whether the subtree at (length, value) reaches every level.
 
     A positive answer may come straight from the presentation.  A
-    negative answer is always certified through the view: either the
-    node itself is off the tree, or some level above it is queried
-    empty, and prefix-closure makes both certificates binding for every
-    tree agreeing on the queried codes.
+    negative answer is always certified through the view: the node is
+    queried, then the two children of every queried member, level by
+    level until none is a member.  A queried non-member rules out its
+    whole subtree by prefix closure, so the certificate binds every tree
+    agreeing on the queried codes.  On a thin gated branch each level
+    costs two queries.
     """
-    tree = view.tree
-    if tree.alive(length, value):
+    if view.tree.alive(length, value):
         return True
-    if not view.member(length, value):
-        return False
-    level = length + 1
-    while True:
-        width = level - length
-        found = False
-        for suffix in range(1 << width):
-            if view.member(level, (value << width) | suffix):
-                found = True
-                break
-        if not found:
-            return False
-        level += 1
+    frontier = [value] if view.member(length, value) else []
+    while frontier:
+        length += 1
+        frontier = [child for v in frontier for child in (v << 1, (v << 1) | 1)
+                    if view.member(length, child)]
+    return False
 
 
 def uwwkl_repr_bits(view: TracedTreeView, k: int) -> list[int]:
@@ -328,8 +324,9 @@ def _wwkl_observe(phi: Callable[[PresentedTree], PresentedSequence],
     return p0.value(0) != p1.value(0), {"path0": p0, "path1": p1}
 
 
-# codes below n only reach strings of bounded length; the trees can only
-# disagree at strings at least as long as the first flag index
+# codes below n only reach strings of bounded length; each tree agrees
+# with its never-firing version on strings shorter than the first flag
+# index
 uwwkl_extraction = Route("wwkl", (), trees_from_flag, _wwkl_observe,
                          uwwkl_from_mu, make_uwwkl_xi, 1,
                          lambda n: max_coded_length(n - 1) if n > 0 else 0)

@@ -1,10 +1,11 @@
 """Presented binary trees with closed-form level counts and measure.
 
 The closed family: the full tree, flag-gated trees (one root branch
-always alive, the other cut once the flag sequence hits zero), a single
-eventually periodic path with an optional full subtree grafted at a
-level, and truncations of any of these.  Strings are handled as
-(length, value) with the first bit in the most significant position.
+always full, the other a single path, its first bit then ones, cut
+once the flag sequence hits zero), a single eventually periodic path
+with an optional full subtree grafted at a level, and truncations of
+any of these.  Strings are handled as (length, value) with the first
+bit in the most significant position.
 
 Membership at a string is always a bounded decision; whether a branch
 stays alive at every level can need the total flag search, so those
@@ -86,8 +87,10 @@ class FullTree(PresentedTree):
 
 @dataclass(frozen=True)
 class FlagTree(PresentedTree):
-    """Strings starting with root_bit are always in; the opposite branch
-    survives at length n only while the flag has no zero at or below n.
+    """Strings starting with root_bit are always in.  The opposite branch
+    is the single gated path (the gate bit, then all ones), alive at
+    length n only while the flag has no zero at or below n.  The full
+    half alone gives measure 1/2 whatever the flag does.
     """
 
     root_bit: int
@@ -97,10 +100,10 @@ class FlagTree(PresentedTree):
         if self.root_bit not in (0, 1):
             raise ValueError("root_bit must be 0 or 1")
 
-    def _cut_level(self) -> int | None:
-        # first zero of the flag; the gated branch has no strings of
-        # length >= max(that, 1)
-        return mu_exact(self.flag)
+    def _gate_open(self, n: int) -> bool:
+        # the gated path has no strings of length >= max(first zero, 1)
+        m0 = mu_exact(self.flag)
+        return m0 is None or m0 > n
 
     def member(self, length: int, value: int) -> bool:
         if not 0 <= value < (1 << length):
@@ -109,15 +112,13 @@ class FlagTree(PresentedTree):
             return True
         if _bit_at(length, value, 0) == self.root_bit:
             return True
-        m0 = self._cut_level()
-        return m0 is None or m0 > length
+        ones = (1 << (length - 1)) - 1
+        return value & ones == ones and self._gate_open(length)
 
     def level_count(self, n: int) -> int:
         if n == 0:
             return 1
-        half = 1 << (n - 1)
-        m0 = self._cut_level()
-        return half + (half if (m0 is None or m0 > n) else 0)
+        return (1 << (n - 1)) + int(self._gate_open(n))
 
     def alive(self, length: int, value: int, mu: MuOp = mu_exact) -> bool:
         if not self.member(length, value):
@@ -127,7 +128,7 @@ class FlagTree(PresentedTree):
         return mu(self.flag) is None
 
     def measure_lower(self, mu: MuOp = mu_exact) -> Fraction:
-        return Fraction(1) if mu(self.flag) is None else Fraction(1, 2)
+        return Fraction(1, 2)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,43 @@ def level_set(tree, n: int) -> set[int]:
     return {v for v in range(1 << n) if tree.member(n, v)}
 
 
+def reference_branch_alive(view, length: int, value: int) -> bool:
+    """Whether the subtree at (length, value) reaches every level, with a
+    negative answer certified by full-level enumeration: every string
+    below the node is queried, level by level, until a level under it
+    is empty."""
+    if view.tree.alive(length, value):
+        return True
+    if not view.member(length, value):
+        return False
+    level = length + 1
+    while True:
+        width = level - length
+        if not any(view.member(level, (value << width) | suffix)
+                   for suffix in range(1 << width)):
+            return False
+        level += 1
+
+
+def queried_death(tree, trace, length: int, value: int) -> bool:
+    """Whether the queried codes alone force the subtree at (length,
+    value) to end: some level where every string below the node has a
+    prefix, no shorter than the node, that was queried and is off the
+    tree.  By prefix closure that binds every tree agreeing on `trace`.
+    Codes follow the length-lex string coding."""
+    deepest = max(((c + 1).bit_length() - 1 for c in trace), default=-1)
+    open_strings = [value]
+    while length <= deepest:
+        open_strings = [v for v in open_strings
+                        if ((1 << length) - 1 + v) not in trace
+                        or tree.member(length, v)]
+        if not open_strings:
+            return True
+        length += 1
+        open_strings = [c for v in open_strings for c in (v << 1, (v << 1) | 1)]
+    return False
+
+
 # ---------------------------------------------------------------------------
 # normal forms
 

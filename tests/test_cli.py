@@ -50,6 +50,15 @@ def test_routes_agree_with_direct_search(capsys, route):
     assert got["agrees_with_direct_search"] == "True"
 
 
+def test_wwkl_runs_past_the_old_budget_cliff(capsys):
+    flag = f"prefix=[{','.join(['1'] * 21)},0];tail=[1]"
+    code, out, _ = run_cli(capsys, "--json", "wwkl", "--flag", flag)
+    assert code == 0
+    got = json.loads(out)
+    assert got["witness"] == "21"
+    assert got["agrees_with_direct_search"] == "True"
+
+
 def test_dq_route_fires_on_the_first_nonzero(capsys):
     code, out, _ = run_cli(capsys, "dq", "--flag", "prefix=[0,0,0];tail=[1]")
     assert code == 0

@@ -22,6 +22,10 @@ def test_fixed_head_survives_every_seed():
         PresentedSequence((), (1,)),
         PresentedSequence((0,), (1,)),
         PresentedSequence((1,) * 17 + (0,), (1,)),
+        PresentedSequence((1,) * 64 + (0,), (1,)),
+        PresentedSequence((1,) * 200 + (0,), (1,)),
+        PresentedSequence((0,) * 64 + (1,), (0,)),
+        PresentedSequence((0,) * 200 + (1,), (0,)),
         PresentedSequence((), (0,)),
     ]
     for seed in (0, 1, 9):

@@ -19,6 +19,7 @@ from mulab.extractors import (
     PiecewiseLinear,
     RationalWitness,
     TracedTableView,
+    _branch_alive_certified,
     flag_epsilon,
     ivt_base,
     ivt_counterexample,
@@ -37,13 +38,22 @@ from mulab.extractors import (
     uivt_repr_endpoints,
     uwwkl_extraction,
     uwwkl_from_mu,
+    uwwkl_repr_bits,
     weierstrass_counterexample,
 )
-from mulab.functionals import TracedRealView
+from mulab.functionals import DEFAULT_BUDGET, TracedRealView, xi_by_tracing
 from mulab.reals import dq_real, dyadic_flag_real, from_rational
 from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
+from mulab.trees import (
+    FlagTree,
+    FullTree,
+    PathTree,
+    TracedTreeView,
+    Truncation,
+    format_tree,
+)
 
-from oracles import binary_digits
+from oracles import binary_digits, queried_death, reference_branch_alive
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 flags = st.tuples(
@@ -198,6 +208,53 @@ def test_uwwkl_xi_counts_membership_queries():
     xi = make_uwwkl_xi()
     t0, t1 = trees_from_flag(flag_with_event_at(4))
     assert xi(t0, t1, 1) >= 1
+
+
+@pytest.mark.parametrize("m", [21, 64, 200])
+def test_uwwkl_extraction_runs_past_the_old_budget_cliff(m):
+    # the largest queried code is 2^(m+1) - 2, far past DEFAULT_BUDGET,
+    # but the walk queries only two codes per level
+    report = uwwkl_extraction(flag_with_event_at(m))
+    assert report.fired and report.witness == m
+    assert report.xi_bound == 2 ** (m + 1) - 1
+    assert report.search_bound == m
+    views = [TracedTreeView(t, DEFAULT_BUDGET)
+             for t in trees_from_flag(flag_with_event_at(m))]
+    assert xi_by_tracing(uwwkl_repr_bits, *views, 1) == report.xi_bound
+    assert len(views[0].trace | views[1].trace) <= 4 * (m + 1)
+
+
+WALK_TREES = [
+    FullTree(),
+    *[FlagTree(bit, flag) for bit in (0, 1)
+      for flag in (NO_EVENT, *map(flag_with_event_at, (0, 1, 2, 5)))],
+    PathTree((0, 1, 1)),
+    PathTree((1, 0), full_below=3),
+    Truncation(6, FullTree()),
+    Truncation(5, PathTree((0, 1), full_below=2)),
+]
+
+
+def _decide_traced(decide, tree, length, value):
+    view = TracedTreeView(tree)
+    return decide(view, length, value), view.trace
+
+
+@pytest.mark.parametrize("tree", WALK_TREES, ids=format_tree)
+def test_frontier_walk_matches_full_level_enumeration(tree):
+    for length in range(9):
+        for value in range(1 << length):
+            alive, trace = _decide_traced(_branch_alive_certified, tree,
+                                          length, value)
+            ref_alive, ref_trace = _decide_traced(reference_branch_alive, tree,
+                                                  length, value)
+            assert alive == ref_alive
+            top, ref_top = max(trace, default=-1), max(ref_trace, default=-1)
+            assert top <= ref_top
+            if isinstance(tree, FlagTree):
+                assert top == ref_top
+            if not alive:
+                assert queried_death(tree, trace, length, value)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,10 @@ def test_alive_looks_past_finite_survival():
 
 def test_measure_values():
     assert FullTree().measure_lower() == 1
-    assert FlagTree(0, NO_EVENT).measure_lower() == 1
+    # the gated branch is a single path, so only the full half counts
+    assert FlagTree(0, NO_EVENT).measure_lower() == Fraction(1, 2)
+    for n in range(1, 9):
+        assert FlagTree(0, NO_EVENT).level_count(n) == 2 ** (n - 1) + 1
     assert FlagTree(1, EVENT_AT_2).measure_lower() == Fraction(1, 2)
     assert PathTree((0, 1)).measure_lower() == 0
     assert PathTree((0, 1), full_below=4).measure_lower() == Fraction(1, 16)
