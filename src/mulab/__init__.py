@@ -53,9 +53,6 @@ from .extractors import (
     flag_epsilon,
     ivt_base,
     ivt_counterexample,
-    make_ubin_xi,
-    make_uivt_xi,
-    make_uwwkl_xi,
     mu_from,
     trees_from_flag,
     ubin_extraction,

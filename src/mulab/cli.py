@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .corpus import corpus_stats, flag_corpus
@@ -190,30 +189,35 @@ def _run_fan(args: argparse.Namespace) -> RunReport:
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     g = catalog_functional(args.functional)
-    bound = omega_fan(g, node_budget=args.budget)
-    fields = [("functional", args.functional), ("fan_bound", bound),
-              ("node_budget", args.budget)]
-    if args.tree is not None:
-        tree = parse_tree(args.tree)
-        scf = scf_check(g, tree, node_budget=args.budget)
-        fields += [
-            ("tree", format_tree(tree)),
-            ("cover_bound", scf.bound),
-            ("cover_size", scf.cover_size),
-            ("antecedent", scf.antecedent),
-            ("consequent", scf.consequent),
-            ("implication", scf.implication),
-        ]
-        if not scf.implication:
-            raise BoundViolation("special cover implication failed")
-    return _report("fan", *fields)
+    if args.tree is None:
+        return _report("fan", ("functional", args.functional),
+                       ("fan_bound", omega_fan(g, node_budget=args.budget)),
+                       ("node_budget", args.budget))
+    # the cover check's one replay of g also yields the fan bound
+    tree = parse_tree(args.tree)
+    scf = scf_check(g, tree, node_budget=args.budget)
+    if not scf.implication:
+        raise BoundViolation("special cover implication failed")
+    return _report("fan", ("functional", args.functional),
+                   ("fan_bound", scf.fan_bound), ("node_budget", args.budget),
+                   ("tree", format_tree(tree)), ("cover_bound", scf.bound),
+                   ("cover_size", scf.cover_size),
+                   ("antecedent", scf.antecedent),
+                   ("consequent", scf.consequent),
+                   ("implication", scf.implication))
 
 
 def _run_normalize(args: argparse.Namespace) -> RunReport:
     text = args.formula
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    # formula text opens with a parenthesis or a comment; anything else
+    # names a file
+    if not text.lstrip().startswith(("(", ";")):
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(
+                f"cannot read formula file {text!r}: {exc.strerror}") from None
     formula = parse_formula(text)
     if args.relativize:
         formula = relativize_st(formula)
@@ -279,7 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="drive a formula to normal form",
                        parents=[common])
     p.add_argument("--formula", required=True,
-                   help="formula text or a path to a file holding one")
+                   help="formula text, which starts with '(' or ';', or a "
+                        "path to a file holding one")
     p.add_argument("--relativize", action="store_true",
                    help="mark quantifiers standard before normalizing")
 

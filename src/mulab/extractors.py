@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Iterator
 
 from .coding import cantor_pair, cantor_unpair, dyadic_index, dyadic_value, \
     max_coded_length, rational_code
@@ -51,18 +52,15 @@ from .trees import FlagTree, PresentedTree, TracedTreeView, greedy_path
 __all__ = [
     "BinaryExpansion",
     "ubin_from_mu",
-    "make_ubin_xi",
     "ubin_repr_digits",
     "trees_from_flag",
     "uwwkl_from_mu",
-    "make_uwwkl_xi",
     "uwwkl_repr_bits",
     "RepresentedContinuousFunction",
     "PiecewiseLinear",
     "ivt_base",
     "ivt_counterexample",
     "uivt_from_mu",
-    "make_uivt_xi",
     "uivt_repr_endpoints",
     "TracedTableView",
     "TwoBump",
@@ -101,7 +99,8 @@ class Route:
     fires, and ``observe(phi, a, b)`` says whether it does, plus the
     report details.  For a separated pair, Xi at ``precision``
     bounds the inspected input and ``search_bound`` turns that into the
-    bound of a scan for the first zero.
+    bound of a scan for the first zero.  Xi traces ``read``, phi
+    computed through a ``view`` of each input.
     """
 
     name: str
@@ -109,14 +108,19 @@ class Route:
     pair: Callable[[PresentedSequence], tuple]
     observe: Callable[..., tuple[bool, dict]]
     make_phi: Callable[[MuOp], Callable]
-    make_xi: Callable[[], Callable]
+    view: type[TracedView]
+    read: Callable[[TracedView, int], list]
     precision: int
     search_bound: Callable[[int], int]
+
+    def xi(self, a, b, k: int) -> int:
+        """1 + the largest input index read on a or b for k outputs."""
+        return xi_by_tracing(self.read, self.view(a), self.view(b), k)
 
     def __call__(self, f: PresentedSequence, phi: Callable | None = None,
                  xi: Callable | None = None) -> RouteReport:
         phi = phi or self.make_phi(mu_exact)
-        xi = xi or self.make_xi()
+        xi = xi or self.xi
         for m in self.settled:
             if f.value(m) == 0:
                 return RouteReport(self.name, f, True, m, None, None,
@@ -153,6 +157,19 @@ def flag_epsilon(f: PresentedSequence, mu: MuOp = mu_exact) -> Fraction:
 # ---------------------------------------------------------------------------
 # binary expansion route
 
+def _greedy_digits(reaches: Callable[[Fraction], bool]) -> Iterator[int]:
+    """Greedy binary digits: digit j is 1 exactly when
+    reaches(partial + 2^-j), and the partial sum then takes that step."""
+    partial = Fraction(0)
+    for j in count(1):
+        t = partial + Fraction(1, 1 << j)
+        if reaches(t):
+            partial = t
+            yield 1
+        else:
+            yield 0
+
+
 class BinaryExpansion:
     """Greedy binary digits of a presented real in [0, 1].
 
@@ -166,19 +183,13 @@ class BinaryExpansion:
         if self._value < 0 or self._value > 1:
             raise OutOfRange(f"expansion needs [0,1], got {self._value}")
         self._digits: list[int] = []
-        self._partial = Fraction(0)
+        self._stream = _greedy_digits(lambda t: self._value >= t)
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise ValueError("digits are indexed from 1")
         while len(self._digits) < n:
-            j = len(self._digits) + 1
-            t = self._partial + Fraction(1, 1 << j)
-            if self._value >= t:
-                self._digits.append(1)
-                self._partial = t
-            else:
-                self._digits.append(0)
+            self._digits.append(next(self._stream))
         return self._digits[n - 1]
 
     def digits(self, k: int) -> list[int]:
@@ -206,39 +217,19 @@ def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
     expansion is discontinuous in the representation.
     """
     value = view.real.exact_value()
-    digits: list[int] = []
-    partial = Fraction(0)
-    for j in range(1, k + 1):
-        t = partial + Fraction(1, 1 << j)
+
+    def reaches(t: Fraction) -> bool:
         if value == t:
-            b = 1
-        else:
-            n = 0
-            while True:
-                q = view.rational(n)
-                eps = Fraction(1, 1 << n)
-                if q - eps >= t:
-                    b = 1
-                    break
-                if q + eps < t:
-                    b = 0
-                    break
-                n += 1
-        digits.append(b)
-        if b:
-            partial = t
-    return digits
+            return True
+        for n in count():
+            q = view.rational(n)
+            eps = Fraction(1, 1 << n)
+            if q - eps >= t:
+                return True
+            if q + eps < t:
+                return False
 
-
-XiReal = Callable[[FastCauchyReal, FastCauchyReal, int], int]
-
-
-def make_ubin_xi(budget: int = DEFAULT_BUDGET) -> XiReal:
-    def xi(x: FastCauchyReal, y: FastCauchyReal, k: int) -> int:
-        return xi_by_tracing(ubin_repr_digits,
-                             TracedRealView(x, budget),
-                             TracedRealView(y, budget), k)
-    return xi
+    return list(islice(_greedy_digits(reaches), k))
 
 
 def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
@@ -252,7 +243,8 @@ def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
 
 # indices 0 and 1 are settled directly; past them the pair stays in [0,1]
 ubin_extraction = Route("ubin", (0, 1), counterexample_pair, _ubin_observe,
-                        ubin_from_mu, make_ubin_xi, 1, lambda n: n + 2)
+                        ubin_from_mu, TracedRealView, ubin_repr_digits, 1,
+                        lambda n: n + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +299,6 @@ def uwwkl_repr_bits(view: TracedTreeView, k: int) -> list[int]:
     return bits
 
 
-XiTree = Callable[[PresentedTree, PresentedTree, int], int]
-
-
-def make_uwwkl_xi(budget: int = DEFAULT_BUDGET) -> XiTree:
-    def xi(t: PresentedTree, s: PresentedTree, k: int) -> int:
-        return xi_by_tracing(uwwkl_repr_bits,
-                             TracedTreeView(t, budget),
-                             TracedTreeView(s, budget), k)
-    return xi
-
-
 def _wwkl_observe(phi: Callable[[PresentedTree], PresentedSequence],
                   t0: PresentedTree, t1: PresentedTree) -> tuple[bool, dict]:
     p0, p1 = phi(t0), phi(t1)
@@ -328,7 +309,7 @@ def _wwkl_observe(phi: Callable[[PresentedTree], PresentedSequence],
 # with its never-firing version on strings shorter than the first flag
 # index
 uwwkl_extraction = Route("wwkl", (), trees_from_flag, _wwkl_observe,
-                         uwwkl_from_mu, make_uwwkl_xi, 1,
+                         uwwkl_from_mu, TracedTreeView, uwwkl_repr_bits, 1,
                          lambda n: max_coded_length(n - 1) if n > 0 else 0)
 
 
@@ -414,6 +395,23 @@ def _check_cbar(fn: RepresentedContinuousFunction, mu: MuOp) -> None:
         raise NotInCbar(f"{fn.descriptor}: need f(0) < 0 < f(1)")
 
 
+def _bisection(sign: Callable[[Fraction], int]
+               ) -> Iterator[tuple[Fraction, bool]]:
+    """(left endpoint, root found) after stage 0, 1, ... of bisection on
+    [0, 1].  Stage j probes the left endpoint plus 2^-j and moves there
+    unless the sign is positive; a probe that lands exactly on a zero
+    ends the search, and every later stage repeats it without probing.
+    """
+    left, root = Fraction(0), False
+    for j in count(1):
+        yield left, root
+        if not root:
+            probe = left + Fraction(1, 1 << j)
+            s = sign(probe)
+            if s <= 0:
+                left, root = probe, s == 0
+
+
 _EAGER_DEPTH = 24
 
 
@@ -425,32 +423,17 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
 
     def phi(fn: RepresentedContinuousFunction) -> FastCauchyReal:
         _check_cbar(fn, mu)
-        endpoints: list[Fraction] = [Fraction(0)]
-        state = {"root": None}
-
-        def extend_to(n: int) -> None:
-            while len(endpoints) <= n:
-                if state["root"] is not None:
-                    endpoints.append(state["root"])
-                    continue
-                j = len(endpoints) - 1
-                probe = endpoints[-1] + Fraction(1, 1 << (j + 1))
-                s = real_sign(fn.value_rule(probe), mu)
-                if s == 0:
-                    state["root"] = probe
-                    endpoints.append(probe)
-                elif s < 0:
-                    endpoints.append(probe)
-                else:
-                    endpoints.append(endpoints[-1])
-
-        extend_to(_EAGER_DEPTH)
+        stages = _bisection(lambda p: real_sign(fn.value_rule(p), mu))
+        eager = list(islice(stages, _EAGER_DEPTH + 1))
+        endpoints = [left for left, _ in eager]
 
         def rule(n: int) -> Fraction:
-            extend_to(n)
+            while len(endpoints) <= n:
+                endpoints.append(next(stages)[0])
             return endpoints[n]
 
-        pres = PRational(state["root"]) if state["root"] is not None else None
+        left, root = eager[-1]
+        pres = PRational(left) if root else None
         return FastCauchyReal(pres, approx_override=rule,
                               label=f"bisect({fn.descriptor})")
 
@@ -492,35 +475,8 @@ def _sign_certified(view: TracedTableView, p: Fraction) -> int:
 
 def uivt_repr_endpoints(view: TracedTableView, k: int) -> list[Fraction]:
     """First k bisection endpoints computed through the value table."""
-    endpoints = [Fraction(0)]
-    root: Fraction | None = None
-    while len(endpoints) < max(k, 1):
-        if root is not None:
-            endpoints.append(root)
-            continue
-        j = len(endpoints) - 1
-        probe = endpoints[-1] + Fraction(1, 1 << (j + 1))
-        s = _sign_certified(view, probe)
-        if s == 0:
-            root = probe
-            endpoints.append(probe)
-        elif s < 0:
-            endpoints.append(probe)
-        else:
-            endpoints.append(endpoints[-1])
-    return endpoints[:k]
-
-
-XiTable = Callable[[RepresentedContinuousFunction, RepresentedContinuousFunction, int], int]
-
-
-def make_uivt_xi(budget: int = DEFAULT_BUDGET) -> XiTable:
-    def xi(f: RepresentedContinuousFunction,
-           g: RepresentedContinuousFunction, k: int) -> int:
-        return xi_by_tracing(uivt_repr_endpoints,
-                             TracedTableView(f, budget),
-                             TracedTableView(g, budget), k)
-    return xi
+    stages = _bisection(lambda p: _sign_certified(view, p))
+    return [left for left, _ in islice(stages, k)]
 
 
 _ROOT_PRECISION = 4  # approximations within 1/16, comfortably inside 1/12
@@ -544,7 +500,8 @@ def _ivt_observe(phi: Callable[[RepresentedContinuousFunction], FastCauchyReal],
 uivt_extraction = Route(
     "ivt", (0, 1),
     lambda f: (ivt_counterexample(f, "-"), ivt_counterexample(f, "+")),
-    _ivt_observe, uivt_from_mu, make_uivt_xi, _ROOT_PRECISION, lambda n: n + 2)
+    _ivt_observe, uivt_from_mu, TracedTableView, uivt_repr_endpoints,
+    _ROOT_PRECISION, lambda n: n + 2)
 
 
 # ---------------------------------------------------------------------------

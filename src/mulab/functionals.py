@@ -120,10 +120,11 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
 
 @dataclass(frozen=True)
 class ThetaResult:
-    """Bound of the special fan; the cover is every zero-padded prefix of
-    that length."""
+    """Bound of the special fan, with the fan modulus from the same
+    replay; the cover is every zero-padded prefix of the bound's length."""
 
     bound: int
+    modulus: int
 
     @property
     def cover(self) -> tuple[PresentedSequence, ...]:
@@ -140,10 +141,10 @@ def theta_special(g: TracedFunctional,
     replay tree, and each leaf is reached by some prefix, so the bound is
     the largest leaf value.
     """
-    bound = _fan_replay(g, node_budget)[1]
+    modulus, bound = _fan_replay(g, node_budget)
     if 1 << bound > node_budget:
         raise BudgetExceeded(f"theta cover of size 2^{bound} over budget")
-    return ThetaResult(bound)
+    return ThetaResult(bound, modulus)
 
 
 class TracedView:

@@ -62,9 +62,6 @@ class Presentation:
     def exact_value(self, mu: MuOp) -> Fraction:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PRational(Presentation):
@@ -75,9 +72,6 @@ class PRational(Presentation):
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.value
-
-    def describe(self) -> str:
-        return f"rational({self.value})"
 
 
 @dataclass(frozen=True)
@@ -105,9 +99,6 @@ class PCumFlagSeries(Presentation):
     def exact_value(self, mu: MuOp) -> Fraction:
         return self._closed_form(mu(self.flag))
 
-    def describe(self) -> str:
-        return f"flagdelta({self.flag})"
-
 
 @dataclass(frozen=True)
 class PDqSeries(Presentation):
@@ -133,9 +124,6 @@ class PDqSeries(Presentation):
     def exact_value(self, mu: MuOp) -> Fraction:
         return self._closed_form(_first_nonzero_via(mu, self.flag))
 
-    def describe(self) -> str:
-        return f"dqseries({self.flag})"
-
 
 @dataclass(frozen=True)
 class PSum(Presentation):
@@ -147,9 +135,6 @@ class PSum(Presentation):
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.left.exact_value(mu) + self.right.exact_value(mu)
-
-    def describe(self) -> str:
-        return f"sum({self.left.describe()}, {self.right.describe()})"
 
 
 @dataclass(frozen=True)
@@ -169,9 +154,6 @@ class PScale(Presentation):
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.factor * self.arg.exact_value(mu)
-
-    def describe(self) -> str:
-        return f"scale({self.factor}, {self.arg.describe()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +182,6 @@ class FastCauchyReal:
             raise UnsupportedPresentation(
                 f"no presentation for exact decision on {self.label or 'real'}")
         return self.presentation.exact_value(mu)
-
-    def describe(self) -> str:
-        if self.presentation is None:
-            return self.label or "opaque-real"
-        return self.presentation.describe()
 
 
 def from_rational(q: Fraction | int | str) -> FastCauchyReal:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .coding import string_code, string_decode
@@ -54,7 +55,7 @@ class PresentedTree:
         """Does the subtree at this member have nodes at every level?"""
         raise NotImplementedError
 
-    def measure_lower(self, mu: MuOp = mu_exact) -> Fraction:
+    def measure_lower(self) -> Fraction:
         """Exact infimum of level_count(n) / 2^n."""
         raise NotImplementedError
 
@@ -81,7 +82,7 @@ class FullTree(PresentedTree):
     def alive(self, length: int, value: int, mu: MuOp = mu_exact) -> bool:
         return self.member(length, value)
 
-    def measure_lower(self, mu: MuOp = mu_exact) -> Fraction:
+    def measure_lower(self) -> Fraction:
         return Fraction(1)
 
 
@@ -100,10 +101,13 @@ class FlagTree(PresentedTree):
         if self.root_bit not in (0, 1):
             raise ValueError("root_bit must be 0 or 1")
 
+    @cached_property
+    def _event(self) -> int | None:
+        return mu_exact(self.flag)
+
     def _gate_open(self, n: int) -> bool:
         # the gated path has no strings of length >= max(first zero, 1)
-        m0 = mu_exact(self.flag)
-        return m0 is None or m0 > n
+        return self._event is None or self._event > n
 
     def member(self, length: int, value: int) -> bool:
         if not 0 <= value < (1 << length):
@@ -127,7 +131,7 @@ class FlagTree(PresentedTree):
             return True
         return mu(self.flag) is None
 
-    def measure_lower(self, mu: MuOp = mu_exact) -> Fraction:
+    def measure_lower(self) -> Fraction:
         return Fraction(1, 2)
 
 
@@ -165,7 +169,7 @@ class PathTree(PresentedTree):
     def alive(self, length: int, value: int, mu: MuOp = mu_exact) -> bool:
         return self.member(length, value)
 
-    def measure_lower(self, mu: MuOp = mu_exact) -> Fraction:
+    def measure_lower(self) -> Fraction:
         if self.full_below is None:
             return Fraction(0)
         return Fraction(1, 1 << self.full_below)
@@ -189,14 +193,14 @@ class Truncation(PresentedTree):
     def alive(self, length: int, value: int, mu: MuOp = mu_exact) -> bool:
         return False
 
-    def measure_lower(self, mu: MuOp = mu_exact) -> Fraction:
+    def measure_lower(self) -> Fraction:
         return Fraction(0)
 
 
-def measure_positive(tree: PresentedTree, mu: MuOp = mu_exact) -> bool:
+def measure_positive(tree: PresentedTree) -> bool:
     """Decide whether the tree has positive measure: some 1/k bounds
     level_count(n)/2^n below for every n."""
-    return tree.measure_lower(mu) > 0
+    return tree.measure_lower() > 0
 
 
 def greedy_path(tree: PresentedTree, mu: MuOp = mu_exact) -> PresentedSequence:
@@ -204,10 +208,8 @@ def greedy_path(tree: PresentedTree, mu: MuOp = mu_exact) -> PresentedSequence:
     at every level.  Requires positive measure; the result is eventually
     constant or periodic, hence presented.
     """
-    if not measure_positive(tree, mu):
+    if not measure_positive(tree):
         raise MeasureZero(f"no path promised for {format_tree(tree)}")
-    if isinstance(tree, Truncation):
-        raise MeasureZero("truncated trees have no infinite paths")
     if isinstance(tree, FullTree):
         return PresentedSequence((), (1,))
     if isinstance(tree, FlagTree):
@@ -245,6 +247,7 @@ class ScfReport:
     cover_size: int
     antecedent: bool
     consequent: bool
+    fan_bound: int
 
     @property
     def implication(self) -> bool:
@@ -259,7 +262,8 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
     tree.  Consequent: the tree is empty at the bound level (equivalent,
     under prefix closure, to every branch leaving the tree by then).
     """
-    bound = theta_special(g, node_budget).bound
+    theta = theta_special(g, node_budget)
+    bound = theta.bound
     antecedent = True
     for bits in product((0, 1), repeat=bound):
         def alpha(i: int, bits: tuple[int, ...] = bits) -> int:
@@ -274,7 +278,7 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
             antecedent = False
             break
     consequent = tree.level_count(bound) == 0
-    return ScfReport(bound, 1 << bound, antecedent, consequent)
+    return ScfReport(bound, 1 << bound, antecedent, consequent, theta.modulus)
 
 
 def parse_tree(text: str) -> PresentedTree:

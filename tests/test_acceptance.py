@@ -23,9 +23,6 @@ from mulab.extractors import (
     from_piecewise_linear,
     ivt_counterexample,
     ivt_base,
-    make_ubin_xi,
-    make_uivt_xi,
-    make_uwwkl_xi,
     mu_from,
     ubin_extraction,
     ubin_from_mu,
@@ -96,9 +93,9 @@ def test_criterion_1_round_trip_extraction():
                    and direct_first_zero(f) >= len(f.prefix) for f in CORPUS)
 
         start = time.perf_counter()
-        mu_ubin = mu_from(ubin_extraction, ubin_from_mu(mu_exact), make_ubin_xi())
-        mu_wwkl = mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact), make_uwwkl_xi())
-        mu_ivt = mu_from(uivt_extraction, uivt_from_mu(mu_exact), make_uivt_xi())
+        mu_ubin = mu_from(ubin_extraction, ubin_from_mu(mu_exact), ubin_extraction.xi)
+        mu_wwkl = mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact), uwwkl_extraction.xi)
+        mu_ivt = mu_from(uivt_extraction, uivt_from_mu(mu_exact), uivt_extraction.xi)
         mu_dq = mu_from(udq_extraction, udq_from_mu(mu_exact))
         for f in CORPUS:
             zero = direct_first_zero(f)
@@ -372,21 +369,21 @@ def test_criterion_8_extensionality_contract():
                       "agreeing outputs, 50 triples per functional"):
         nonvacuous = _check_contract(
             _real_triples(50),
-            make_ubin_xi(),
+            ubin_extraction.xi,
             lambda x, k: ubin_repr_digits(TracedRealView(x), k),
             _real_columns_agree_below)
         assert nonvacuous >= 5
 
         nonvacuous = _check_contract(
             _tree_triples(50),
-            make_uwwkl_xi(),
+            uwwkl_extraction.xi,
             lambda t, k: uwwkl_repr_bits(TracedTreeView(t), k),
             _trees_agree_below)
         assert nonvacuous >= 5
 
         nonvacuous = _check_contract(
             _table_triples(50),
-            make_uivt_xi(),
+            uivt_extraction.xi,
             lambda fn, k: uivt_repr_endpoints(TracedTableView(fn), k),
             _tables_agree_below)
         assert nonvacuous >= 3

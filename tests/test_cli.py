@@ -156,6 +156,22 @@ def test_fan_budget_violation_is_exit_one(capsys):
     assert "property violation" in err
 
 
+def test_bad_tree_is_exit_two_before_the_fan_replay(capsys):
+    code, out, err = run_cli(capsys, "fan", "--functional", "sum:25",
+                             "--tree", "bogus", "--budget", "100")
+    assert code == 2
+    assert out == ""
+    assert err == "input error: unknown tree syntax: 'bogus'\n"
+
+
+def test_fan_bound_is_the_same_with_a_tree(capsys):
+    for spec in ("ifz:3:1:2", "sum:5", "const:2"):
+        _, plain, _ = run_cli(capsys, "fan", "--functional", spec)
+        _, with_tree, _ = run_cli(capsys, "fan", "--functional", spec,
+                                  "--tree", "truncate:6:full")
+        assert fields_of(with_tree)["fan_bound"] == fields_of(plain)["fan_bound"]
+
+
 @pytest.mark.parametrize("budget", ["-1", "0"])
 def test_fan_budget_below_one_is_exit_two(capsys, budget):
     code, out, err = run_cli(capsys, "fan", "--functional", "max:3",
@@ -194,6 +210,25 @@ def test_normalize_reads_files_and_relativizes(capsys, tmp_path):
     got = fields_of(out)
     assert got["foralls"] == "f:1"
     assert got["exists"] == "n:0"
+
+
+def test_normalize_text_wins_over_a_file_of_that_name(capsys, tmp_path,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "(atom p)").write_text("(atom q)\n")
+    code, out, _ = run_cli(capsys, "normalize", "--formula", "(atom p)")
+    assert code == 0
+    assert fields_of(out)["source"] == "(atom p)"
+
+
+def test_normalize_missing_file_is_exit_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "normalize", "--formula", "nope.sexp")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "formula file 'nope.sexp'" in err
+    assert err.count("\n") == 1
 
 
 def test_normalize_rejects_stuck_markers_as_exit_one(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mulab.trees
 from mulab.coding import cantor_pair, rational_code
 from mulab.errors import (
     BoundViolation,
@@ -23,9 +24,6 @@ from mulab.extractors import (
     flag_epsilon,
     ivt_base,
     ivt_counterexample,
-    make_ubin_xi,
-    make_uivt_xi,
-    make_uwwkl_xi,
     mu_from,
     trees_from_flag,
     ubin_extraction,
@@ -165,8 +163,23 @@ def test_ubin_repr_digits_tie_needs_no_queries():
     assert outputs[0] == outputs[1] == [1, 0, 0, 0, 0, 0]
 
 
+unit_reals = st.one_of(
+    unit_fractions.map(from_rational),
+    flags.filter(lambda f: mu_exact(f) not in (0, 1)).flatmap(
+        lambda f: st.sampled_from([dyadic_flag_real(f, "+"),
+                                   dyadic_flag_real(f, "-")])),
+    flags.map(dq_real),
+)
+
+
+@given(unit_reals, st.integers(min_value=0, max_value=12))
+def test_ubin_repr_digits_match_the_library_expansion(x, k):
+    assert (ubin_repr_digits(TracedRealView(x), k)
+            == BinaryExpansion(x, mu_exact).digits(k))
+
+
 def test_ubin_xi_is_a_nonnegative_bound():
-    xi = make_ubin_xi()
+    xi = ubin_extraction.xi
     lo, hi = from_rational(Fraction(1, 3)), from_rational(Fraction(2, 3))
     assert isinstance(xi(lo, hi, 4), int)
     assert xi(lo, hi, 4) >= 0
@@ -205,7 +218,7 @@ def test_uwwkl_extraction_handles_immediate_and_missing_events():
 
 
 def test_uwwkl_xi_counts_membership_queries():
-    xi = make_uwwkl_xi()
+    xi = uwwkl_extraction.xi
     t0, t1 = trees_from_flag(flag_with_event_at(4))
     assert xi(t0, t1, 1) >= 1
 
@@ -222,6 +235,19 @@ def test_uwwkl_extraction_runs_past_the_old_budget_cliff(m):
              for t in trees_from_flag(flag_with_event_at(m))]
     assert xi_by_tracing(uwwkl_repr_bits, *views, 1) == report.xi_bound
     assert len(views[0].trace | views[1].trace) <= 4 * (m + 1)
+
+
+def test_flag_trees_search_their_flag_once(monkeypatch):
+    calls = []
+
+    def counting_mu(f):
+        calls.append(f)
+        return mu_exact(f)
+
+    monkeypatch.setattr(mulab.trees, "mu_exact", counting_mu)
+    report = uwwkl_extraction(flag_with_event_at(200))
+    assert report.witness == 200
+    assert len(calls) <= 2
 
 
 WALK_TREES = [
@@ -358,15 +384,24 @@ def test_table_view_codes_cells():
     assert view.query(cantor_pair(1, 3)) == rational_code(q)
 
 
-def test_repr_endpoints_match_the_library_bisection():
-    fn = ivt_counterexample(flag_with_event_at(3), "+")
+IVT_FUNCTIONS = {
+    "base": ivt_base(),
+    **{f"quiet{sign}": ivt_counterexample(NO_EVENT, sign) for sign in "+-"},
+    **{f"event{m}{sign}": ivt_counterexample(flag_with_event_at(m), sign)
+       for m in range(2, 8) for sign in "+-"},
+}
+
+
+@pytest.mark.parametrize("fn", list(IVT_FUNCTIONS.values()),
+                         ids=list(IVT_FUNCTIONS))
+def test_repr_endpoints_match_the_library_bisection(fn):
     table = uivt_repr_endpoints(TracedTableView(fn), 8)
     direct = uivt_from_mu(mu_exact)(fn)
     assert table == [direct.approx(n) for n in range(8)]
 
 
 def test_uivt_xi_agrees_for_identical_tables():
-    xi = make_uivt_xi()
+    xi = uivt_extraction.xi
     a = ivt_counterexample(PresentedSequence((), (1,)), "+")
     b = ivt_counterexample(PresentedSequence((), (2,)), "+")
     k = xi(a, b, 6)
