@@ -34,11 +34,9 @@ from .errors import (
     MeasureZero,
     MulabError,
     NotInCbar,
-    NotInternal,
     NotNormalizable,
     OutOfRange,
     ParseError,
-    UnsupportedFamily,
     UnsupportedPresentation,
 )
 from .extractors import (

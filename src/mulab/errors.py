@@ -16,9 +16,7 @@ __all__ = [
     "OutOfRange",
     "NotInCbar",
     "MeasureZero",
-    "UnsupportedFamily",
     "MalformedWitness",
-    "NotInternal",
     "NotNormalizable",
     "FormulaScopeError",
 ]
@@ -59,16 +57,8 @@ class MeasureZero(MulabError):
     """Tree has measure zero, so no path is promised."""
 
 
-class UnsupportedFamily(MulabError):
-    """Tree is outside the closed presented family an operation supports."""
-
-
 class MalformedWitness(MulabError):
     """A returned witness does not have the promised shape."""
-
-
-class NotInternal(MulabError):
-    """Formula contains st-material where an internal formula is required."""
 
 
 class NotNormalizable(MulabError):

@@ -442,16 +442,26 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
 
 class TracedTableView(TracedView):
     """A function seen as its value table over the dyadic enumeration,
-    one Cantor-paired index per (point, precision) cell."""
+    one Cantor-paired index per (point, precision) cell.  The real at
+    each dyadic point is built once per view and serves every precision
+    row of that point; each cell read is still recorded."""
 
     def __init__(self, fn: RepresentedContinuousFunction,
                  budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
         self.fn = fn
+        self._points: dict[int, FastCauchyReal] = {}
+
+    def point(self, i: int) -> FastCauchyReal:
+        """The function's value at dyadic point i; records no query."""
+        x = self._points.get(i)
+        if x is None:
+            x = self._points[i] = self.fn.value_rule(dyadic_value(i))
+        return x
 
     def entry(self, i: int, n: int) -> Fraction:
         self._record(cantor_pair(i, n))
-        return self.fn.value_rule(dyadic_value(i)).approx(n)
+        return self.point(i).approx(n)
 
     def query(self, m: int) -> int:
         i, n = cantor_unpair(m)
@@ -459,9 +469,9 @@ class TracedTableView(TracedView):
 
 
 def _sign_certified(view: TracedTableView, p: Fraction) -> int:
-    if view.fn.value_rule(p).exact_value() == 0:
-        return 0
     i = dyadic_index(p)
+    if view.point(i).exact_value() == 0:
+        return 0
     n = 0
     while True:
         q = view.entry(i, n)

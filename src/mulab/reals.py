@@ -79,8 +79,9 @@ class PCumFlagSeries(Presentation):
     """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or below n.
 
     Closed form: 0 when f never hits zero, else 2^(1 - max(m0, 1)) where
-    m0 is the first zero.  Approximations scan two indices past n, so the
-    value is emitted exactly as soon as the flag's fate is visible.
+    m0 is the first zero.  Approximation n reads the flag's cached event
+    and emits the value exactly once the event is below n + 2, so it
+    still depends only on f below n + 2.
     """
 
     flag: PresentedSequence
@@ -91,9 +92,9 @@ class PCumFlagSeries(Presentation):
         return Fraction(1, 1 << (max(m0, 1) - 1))
 
     def approx(self, n: int) -> Fraction:
-        for m in range(n + 2):
-            if self.flag.value(m) == 0:
-                return self._closed_form(m)
+        m0 = self.flag.first_zero
+        if m0 is not None and m0 < n + 2:
+            return self._closed_form(m0)
         return Fraction(0)
 
     def exact_value(self, mu: MuOp) -> Fraction:
@@ -105,7 +106,9 @@ class PDqSeries(Presentation):
     """sum over n >= 1 of h(n) 2^-n with h(n) = 1 iff f is zero below n.
 
     Equals 1 when f is never nonzero and 1 - 2^-m0 when the first nonzero
-    sits at m0 (so a nonzero at position 0 gives exactly 0).
+    sits at m0 (so a nonzero at position 0 gives exactly 0).  Approximation
+    n reads the flag's cached first nonzero; like the flag series, it
+    still depends only on f below n + 2.
     """
 
     flag: PresentedSequence
@@ -116,9 +119,9 @@ class PDqSeries(Presentation):
         return 1 - Fraction(1, 1 << m0)
 
     def approx(self, n: int) -> Fraction:
-        for m in range(n + 2):
-            if self.flag.value(m) != 0:
-                return self._closed_form(m)
+        m0 = self.flag.first_nonzero
+        if m0 is not None and m0 < n + 2:
+            return self._closed_form(m0)
         return 1 - Fraction(1, 1 << (n + 2))
 
     def exact_value(self, mu: MuOp) -> Fraction:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable
 
@@ -93,6 +94,19 @@ class PresentedSequence:
     def view(self) -> Callable[[int], int]:
         return self.value
 
+    @cached_property
+    def first_zero(self) -> int | None:
+        """Least n with value 0, or None: one scan of the prefix and one
+        period, done once per sequence."""
+        return next((n for n, v in enumerate(self.prefix + self.tail) if v == 0),
+                    None)
+
+    @cached_property
+    def first_nonzero(self) -> int | None:
+        """Least n with a nonzero value, or None; scanned like first_zero."""
+        return next((n for n, v in enumerate(self.prefix + self.tail) if v != 0),
+                    None)
+
     def as_opaque(self) -> "OpaqueSequence":
         return OpaqueSequence(self.value)
 
@@ -127,20 +141,16 @@ class NoneBelowBudget:
 def mu_exact(f: PresentedSequence) -> int | None:
     """Least n with f(n) = 0, or None if the sequence never hits zero.
 
-    Exact: one period past the prefix decides the search.
+    Exact: one period past the prefix decides the search, and f scans it
+    once and keeps the answer (``PresentedSequence.first_zero``).
     """
-    for n in range(f.horizon):
-        if f.value(n) == 0:
-            return n
-    return None
+    return f.first_zero
 
 
 def first_nonzero(f: PresentedSequence) -> int | None:
-    """Least n with f(n) != 0, or None.  Dual scan used by the dq route."""
-    for n in range(f.horizon):
-        if f.value(n) != 0:
-            return n
-    return None
+    """Least n with f(n) != 0, or None.  Dual search used by the dq route,
+    read from ``PresentedSequence.first_nonzero``."""
+    return f.first_nonzero
 
 
 def mu_budgeted(f: OpaqueSequence | PresentedSequence,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
 from .coding import string_code, string_decode
@@ -101,13 +100,10 @@ class FlagTree(PresentedTree):
         if self.root_bit not in (0, 1):
             raise ValueError("root_bit must be 0 or 1")
 
-    @cached_property
-    def _event(self) -> int | None:
-        return mu_exact(self.flag)
-
     def _gate_open(self, n: int) -> bool:
         # the gated path has no strings of length >= max(first zero, 1)
-        return self._event is None or self._event > n
+        event = self.flag.first_zero
+        return event is None or event > n
 
     def member(self, length: int, value: int) -> bool:
         if not 0 <= value < (1 << length):

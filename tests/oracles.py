@@ -70,6 +70,25 @@ def dq_sum(values, terms=64):
     return total
 
 
+def flag_series_approx(values):
+    """Approximation n of the flag series from values = f(0..n+1) alone:
+    scan for the first zero m, which pins the sum at 2^(1 - max(m, 1))."""
+    for m, v in enumerate(values):
+        if v == 0:
+            return Fraction(1, 2 ** (max(m, 1) - 1))
+    return Fraction(0)
+
+
+def dq_series_approx(values):
+    """Approximation n of the dq series from values = f(0..n+1) alone:
+    scan for the first nonzero m, which pins the sum at 1 - 2^-m; with
+    none, the first len(values) terms are all in."""
+    for m, v in enumerate(values):
+        if v != 0:
+            return 1 - Fraction(1, 2 ** m)
+    return 1 - Fraction(1, 2 ** len(values))
+
+
 def binary_digits(q: Fraction, k: int) -> list[int]:
     """Greedy binary digits by doubling, ties rounding up."""
     x = Fraction(q)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mulab.trees
-from mulab.coding import cantor_pair, rational_code
+from mulab.coding import cantor_pair, cantor_unpair, dyadic_index, dyadic_value, \
+    rational_code
 from mulab.errors import (
     BoundViolation,
     MalformedWitness,
@@ -19,6 +20,7 @@ from mulab.extractors import (
     Irrational,
     PiecewiseLinear,
     RationalWitness,
+    RepresentedContinuousFunction,
     TracedTableView,
     _branch_alive_certified,
     flag_epsilon,
@@ -400,6 +402,25 @@ def test_repr_endpoints_match_the_library_bisection(fn):
     assert table == [direct.approx(n) for n in range(8)]
 
 
+def test_table_view_builds_each_point_once():
+    fn = ivt_counterexample(flag_with_event_at(5), "+")
+    built = []
+
+    def rule(q):
+        built.append(q)
+        return fn.value_rule(q)
+
+    view = TracedTableView(RepresentedContinuousFunction(rule, fn.descriptor))
+    uivt_repr_endpoints(view, 12)
+    cells = [cantor_unpair(c) for c in view.trace]
+    assert len(built) == len(set(built))
+    assert {i for i, _ in cells} <= {dyadic_index(q) for q in built}
+    assert len(cells) > len(built)  # several precision rows per point
+    for i, n in cells:
+        expected = fn.value_rule(dyadic_value(i)).approx(n)
+        assert view.query(cantor_pair(i, n)) == rational_code(expected)
+
+
 def test_uivt_xi_agrees_for_identical_tables():
     xi = uivt_extraction.xi
     a = ivt_counterexample(PresentedSequence((), (1,)), "+")
@@ -483,6 +504,27 @@ def test_all_routes_recover_the_exact_search(f):
     assert mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact))(f) == mu_exact(f)
     assert mu_from(uivt_extraction, uivt_from_mu(mu_exact))(f) == mu_exact(f)
     assert mu_from(udq_extraction, udq_from_mu(mu_exact))(f) == first_nonzero(f)
+
+
+@pytest.mark.parametrize("m", [400, 1000])
+def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
+    # two reads settle indices 0 and 1 (wwkl: compare the two paths'
+    # first bits), then the bounded scan reads 0..m; the event itself is
+    # found once per flag, not once per approximation
+    value = PresentedSequence.value
+    calls = [0]
+
+    def counting_value(self, n):
+        calls[0] += 1
+        return value(self, n)
+
+    monkeypatch.setattr(PresentedSequence, "value", counting_value)
+    for route in (ubin_extraction, uwwkl_extraction, uivt_extraction):
+        calls[0] = 0
+        report = route(flag_with_event_at(m))
+        assert report.witness == m
+        assert calls[0] <= m + 3, route.name
+    assert udq_extraction(PresentedSequence((0,) * m, (1,))).witness == m
 
 
 def test_bound_violation_surfaces_for_a_lying_oracle():

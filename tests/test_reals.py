@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from mulab.errors import BoundViolation, UnsupportedPresentation
 from mulab.reals import (
     FastCauchyReal,
+    PCumFlagSeries,
+    PDqSeries,
     PRational,
     counterexample_pair,
     dq_real,
@@ -22,7 +24,15 @@ from mulab.reals import (
 )
 from mulab.sequences import PresentedSequence
 
-from oracles import delta_sum, dq_sum, unroll
+from oracles import (
+    delta_sum,
+    dq_series_approx,
+    dq_sum,
+    flag_series_approx,
+    scan_first_nonzero,
+    scan_first_zero,
+    unroll,
+)
 
 small_nat = st.integers(min_value=0, max_value=4)
 flags = st.tuples(
@@ -74,6 +84,24 @@ def test_flag_shift_value_matches_term_by_term_sum(f):
 def test_dq_value_matches_term_by_term_sum(f):
     expected = dq_sum(f.values(f.horizon + 2), terms=96)
     assert dq_real(f).exact_value() == expected
+
+
+@given(flags)
+def test_cached_events_match_a_direct_scan(f):
+    window = f.values(f.horizon + 2 * len(f.tail))
+    assert f.first_zero == scan_first_zero(window)
+    assert f.first_nonzero == scan_first_nonzero(window)
+
+
+@settings(max_examples=200)
+@given(flags, st.integers(min_value=0, max_value=12),
+       st.lists(small_nat, max_size=4), st.lists(small_nat, min_size=1, max_size=3))
+def test_series_approximations_read_only_two_indices_past_n(f, n, junk, tail):
+    seen = f.values(n + 2)
+    altered = PresentedSequence(tuple(seen + junk), tuple(tail))
+    for g in (f, altered):
+        assert PCumFlagSeries(g).approx(n) == flag_series_approx(seen)
+        assert PDqSeries(g).approx(n) == dq_series_approx(seen)
 
 
 def test_counterexample_pair_for_an_event_at_three():
