@@ -36,7 +36,7 @@ def main() -> None:
 
     theta = theta_special(catalog_functional("sum:3"))
     print("\nsum:3 cover bound", theta.bound,
-          "with", len(theta.cover), "prefixes")
+          "with", 1 << theta.bound, "prefixes")
 
     tree = parse_tree("truncate:1:full")
     report = scf_check(catalog_functional("const:2"), tree)

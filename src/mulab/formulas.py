@@ -29,7 +29,7 @@ from .errors import FormulaScopeError, NotNormalizable, ParseError
 __all__ = [
     "Base", "Arrow", "Seq", "Type", "parse_type", "format_type",
     "App", "Term", "Atom", "Not", "And", "Or", "Implies", "Quant", "ExIn",
-    "Formula", "parse_formula", "format_formula", "free_names",
+    "Formula", "parse_formula", "format_formula",
     "is_internal", "relativize_st", "alpha_equal",
     "RuleStep", "RuleTrace", "NormalForm", "to_normal_form", "replay",
     "extraction_obligation", "subformula_at", "replace_at",
@@ -424,29 +424,6 @@ def _term_names(t: Term) -> Iterator[str]:
         else:
             yield t.head
             stack.extend(reversed(t.args))
-
-
-def free_names(f: Formula) -> frozenset[str]:
-    """Every symbol occurring in terms and not bound above its use."""
-
-    def go(f: Formula, bound: frozenset[str]) -> Iterator[str]:
-        if isinstance(f, Atom):
-            for a in f.args:
-                for n in _term_names(a):
-                    if n not in bound:
-                        yield n
-        elif isinstance(f, Quant):
-            yield from go(f.body, bound | {f.var})
-        elif isinstance(f, ExIn):
-            for n in _term_names(f.bound):
-                if n not in bound:
-                    yield n
-            yield from go(f.body, bound | {f.var})
-        else:
-            for kid in _children(f):
-                yield from go(kid, bound)
-
-    return frozenset(go(f, frozenset()))
 
 
 def _positions(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula, int]]:

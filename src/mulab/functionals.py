@@ -11,7 +11,8 @@ on replaying such bodies:
   sound modulus for adaptive bodies; the whole tree is.
 * theta_special reads a bound off the same replay tree: the largest
   value at any of its leaves, which comes with the finite cover of
-  zero-padded prefixes of that length.
+  zero-padded prefixes of that length.  trees.scf_check decides the
+  cover check from the same leaves, never running g outside the replay.
 * xi_by_tracing instruments two evaluations of a sequence-to-sequence
   functional and reports 1 + the largest input index either one touched.
 
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .coding import rational_code
 from .errors import BudgetExceeded, MalformedWitness, ParseError
@@ -76,36 +76,33 @@ class _Unanswered(Exception):
         self.index = index
 
 
-def _fan_replay(g: TracedFunctional, node_budget: int) -> tuple[int, int]:
-    """(fan modulus, largest leaf value, at least 0) of g's complete binary
-    decision tree, explored by replay."""
-    jobs: list[dict[int, int]] = [{}]
+def _fan_replay(g: TracedFunctional,
+                node_budget: int) -> Iterator[tuple[dict[int, int], int, int]]:
+    """Leaves (answers, value, last_one) of g's complete binary decision
+    tree, explored by replay; last_one is the largest index answered 1,
+    or -1."""
+    def probe(i: int) -> int:
+        # reads the answers of the node being replayed
+        if i < 0:
+            raise ValueError("negative index queried")
+        if i in answers:
+            return answers[i]
+        raise _Unanswered(i)
+
+    jobs: list[tuple[dict[int, int], int]] = [({}, -1)]
     nodes = 0
-    max_index = -1
-    top = 0
     while jobs:
-        answers = jobs.pop()
+        answers, last_one = jobs.pop()
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceeded(f"omega_fan: over {node_budget} replay nodes")
-
-        def probe(i: int) -> int:
-            if i < 0:
-                raise ValueError("negative index queried")
-            if i in answers:
-                return answers[i]
-            raise _Unanswered(i)
-
         try:
             value = int(g.body(probe))
         except _Unanswered as stop:
-            jobs.append({**answers, stop.index: 0})
-            jobs.append({**answers, stop.index: 1})
+            jobs.append(({**answers, stop.index: 0}, last_one))
+            jobs.append(({**answers, stop.index: 1}, max(last_one, stop.index)))
             continue
-        top = max(top, value)
-        if answers:
-            max_index = max(max_index, max(answers))
-    return max_index + 1, top
+        yield answers, value, last_one
 
 
 def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
@@ -115,36 +112,34 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
     BudgetExceeded once more than node_budget reruns are needed, which is
     the fate of genuinely discontinuous bodies.
     """
-    return _fan_replay(g, node_budget)[0]
+    max_index = -1
+    for answers, _, _ in _fan_replay(g, node_budget):
+        if answers:
+            max_index = max(max_index, max(answers))
+    return max_index + 1
 
 
 @dataclass(frozen=True)
 class ThetaResult:
-    """Bound of the special fan, with the fan modulus from the same
-    replay; the cover is every zero-padded prefix of the bound's length."""
+    """Bound of the special fan.  Its cover, every zero-padded prefix of
+    the bound's length, has 1 << bound elements and is never built."""
 
     bound: int
-    modulus: int
-
-    @property
-    def cover(self) -> tuple[PresentedSequence, ...]:
-        return tuple(PresentedSequence(bits, (0,))
-                     for bits in product((0, 1), repeat=self.bound))
 
 
 def theta_special(g: TracedFunctional,
                   node_budget: int = DEFAULT_BUDGET) -> ThetaResult:
     """Special-fan data for g: bound = max of g over the zero-padded
-    prefixes at the fan modulus, cover = every prefix of that bound length.
+    prefixes at the fan modulus, at least 0.
 
     By determinism each such prefix runs g down exactly one leaf of the
     replay tree, and each leaf is reached by some prefix, so the bound is
     the largest leaf value.
     """
-    modulus, bound = _fan_replay(g, node_budget)
-    if 1 << bound > node_budget:
-        raise BudgetExceeded(f"theta cover of size 2^{bound} over budget")
-    return ThetaResult(bound, modulus)
+    bound = 0
+    for _, value, _ in _fan_replay(g, node_budget):
+        bound = max(bound, value)
+    return ThetaResult(bound)
 
 
 class TracedView:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .coding import string_code, string_decode
 from .errors import MeasureZero, ParseError
-from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, theta_special
+from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, _fan_replay
 from .reals import MuOp
 from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
 
@@ -250,6 +249,29 @@ class ScfReport:
         return (not self.antecedent) or self.consequent
 
 
+def _meets(tree: PresentedTree, answers: dict[int, int], length: int) -> bool:
+    """Has the tree a member of this length agreeing with answers below it?
+
+    Depth first, pruned by prefix closure.  Each member of the closed
+    family has a full subtree or lies on one path: O(length) strings.
+    """
+    if length < 0:
+        raise ValueError(f"cut at negative length {length}")
+    if tree.level_count(length) == 0:
+        return False
+    stack = [(0, 0)]
+    while stack:
+        depth, value = stack.pop()
+        if depth == length:
+            return True
+        bit = answers.get(depth)
+        for b in (0, 1) if bit is None else (bit,):
+            child = (value << 1) | b
+            if tree.member(depth + 1, child):
+                stack.append((depth + 1, child))
+    return False
+
+
 def scf_check(g: TracedFunctional, tree: PresentedTree,
               node_budget: int = DEFAULT_BUDGET) -> ScfReport:
     """Check the special-fan implication for g against a presented tree.
@@ -257,24 +279,23 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
     Antecedent: every cover element, cut at its own g-value, misses the
     tree.  Consequent: the tree is empty at the bound level (equivalent,
     under prefix closure, to every branch leaving the tree by then).
-    """
-    theta = theta_special(g, node_budget)
-    bound = theta.bound
-    antecedent = True
-    for bits in product((0, 1), repeat=bound):
-        def alpha(i: int, bits: tuple[int, ...] = bits) -> int:
-            # the cover element: these bits, then zeros
-            return bits[i] if i < bound else 0
 
-        depth = g(alpha)
-        prefix_value = 0
-        for d in range(depth):
-            prefix_value = (prefix_value << 1) | alpha(d)
-        if tree.member(depth, prefix_value):
-            antecedent = False
-            break
+    One replay decides both.  A cover element reaches a replay leaf
+    exactly when the leaf answers 1 only below the bound, so the
+    antecedent fails iff such a leaf meets the tree at its value.
+    """
+    max_index = -1
+    bound = 0
+    low = None
+    for answers, value, last_one in _fan_replay(g, node_budget):
+        bound = max(bound, value)
+        if answers:
+            max_index = max(max_index, max(answers))
+        if (low is None or last_one < low) and _meets(tree, answers, value):
+            low = last_one
+    antecedent = low is None or low >= bound
     consequent = tree.level_count(bound) == 0
-    return ScfReport(bound, 1 << bound, antecedent, consequent, theta.modulus)
+    return ScfReport(bound, 1 << bound, antecedent, consequent, max_index + 1)
 
 
 def parse_tree(text: str) -> PresentedTree:

@@ -11,10 +11,13 @@ name scan and its search order are its own.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from mulab.formulas import (
     And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, replace_at,
 )
+from mulab.functionals import omega_fan
+from mulab.trees import ScfReport
 
 
 def unroll(prefix, tail, count):
@@ -104,6 +107,31 @@ def binary_digits(q: Fraction, k: int) -> list[int]:
 def level_set(tree, n: int) -> set[int]:
     """Brute enumeration of one tree level by membership queries."""
     return {v for v in range(1 << n) if tree.member(n, v)}
+
+
+def reference_scf(g, tree) -> ScfReport:
+    """The special-cover check by brute force: the bound is the largest
+    g-value over the zero-padded prefixes of the fan modulus, and every
+    zero-padded prefix of the bound's length is run through g and cut at
+    its value."""
+    modulus = omega_fan(g)
+
+    def padded(bits):
+        return lambda i: bits[i] if i < len(bits) else 0
+
+    bound = max(0, *(g(padded(bits)) for bits in product((0, 1), repeat=modulus)))
+    antecedent = True
+    for bits in product((0, 1), repeat=bound):
+        alpha = padded(bits)
+        depth = g(alpha)
+        prefix_value = 0
+        for d in range(depth):
+            prefix_value = (prefix_value << 1) | alpha(d)
+        if tree.member(depth, prefix_value):
+            antecedent = False
+            break
+    consequent = not level_set(tree, bound)
+    return ScfReport(bound, 1 << bound, antecedent, consequent, modulus)
 
 
 def reference_branch_alive(view, length: int, value: int) -> bool:

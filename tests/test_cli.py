@@ -148,6 +148,16 @@ def test_fan_with_tree_reports_the_cover(capsys):
     assert got["implication"] == "True"
 
 
+def test_fan_cover_larger_than_the_budget_is_decided(capsys):
+    code, out, err = run_cli(capsys, "fan", "--functional", "const:25",
+                             "--tree", "truncate:24:full")
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["cover_size"] == "33554432"
+    assert got["antecedent"] == "True"
+    assert got["consequent"] == "True"
+
+
 def test_fan_budget_violation_is_exit_one(capsys):
     code, out, err = run_cli(capsys, "fan", "--functional", "sum:25",
                              "--budget", "100")

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mulab.trees
 from mulab.coding import cantor_pair, cantor_unpair, dyadic_index, dyadic_value, \
     rational_code
 from mulab.errors import (
@@ -237,19 +236,6 @@ def test_uwwkl_extraction_runs_past_the_old_budget_cliff(m):
              for t in trees_from_flag(flag_with_event_at(m))]
     assert xi_by_tracing(uwwkl_repr_bits, *views, 1) == report.xi_bound
     assert len(views[0].trace | views[1].trace) <= 4 * (m + 1)
-
-
-def test_flag_trees_search_their_flag_once(monkeypatch):
-    calls = []
-
-    def counting_mu(f):
-        calls.append(f)
-        return mu_exact(f)
-
-    monkeypatch.setattr(mulab.trees, "mu_exact", counting_mu)
-    report = uwwkl_extraction(flag_with_event_at(200))
-    assert report.witness == 200
-    assert len(calls) <= 2
 
 
 WALK_TREES = [

@@ -24,7 +24,6 @@ from mulab.formulas import (
     extraction_obligation,
     format_formula,
     format_type,
-    free_names,
     is_internal,
     parse_formula,
     parse_type,
@@ -138,11 +137,6 @@ def test_parser_rejects_rebinding():
         parse_formula("(all x:0 (ex x:0 (atom p x)))")
     with pytest.raises(FormulaScopeError):
         parse_formula("(all x:0 (ex-in x w (atom p x)))")
-
-
-def test_free_names():
-    f = parse_formula("(all st f:1 (imp (atom iszero f n) (atom near w)))")
-    assert free_names(f) == frozenset({"n", "w"})
 
 
 def test_subformula_navigation_round_trip():

@@ -7,7 +7,7 @@ import pytest
 
 from mulab.coding import string_code
 from mulab.errors import MeasureZero, ParseError
-from mulab.functionals import catalog_functional
+from mulab.functionals import TracedFunctional, catalog_functional, omega_fan
 from mulab.sequences import PresentedSequence
 from mulab.trees import (
     FlagTree,
@@ -22,7 +22,7 @@ from mulab.trees import (
     scf_check,
 )
 
-from oracles import level_set
+from oracles import level_set, reference_scf
 
 EVENT_AT_2 = PresentedSequence((1, 1), (0,))
 NO_EVENT = PresentedSequence((), (1,))
@@ -212,6 +212,68 @@ def test_scf_consequent_without_antecedent():
 @pytest.mark.parametrize("tree", SAMPLE_TREES, ids=format_tree)
 def test_scf_implication_holds_across_the_grid(spec, tree):
     assert scf_check(catalog_functional(spec), tree).implication
+
+
+CATALOG_SPECS = ["const:0", "const:1", "const:2", "const:4", "proj:0", "proj:3",
+                 "sum:3", "max:2", "max:3", "ifz:0:0:1", "ifz:3:1:2", "f0+f1",
+                 "f0+f1+1"]
+
+# bodies with replay leaves that no zero-padded cover element reaches (a 1
+# answered at or past the bound), or whose answers fix bits below the cut
+ADAPTIVE = [
+    TracedFunctional("far", lambda v: 1 if v(5) else 2),
+    TracedFunctional("gate", lambda v: v(5) if v(0) == 1 else 0),
+    TracedFunctional("late", lambda v: 3 if v(4) else v(0) + v(1)),
+    TracedFunctional("chain", lambda v: v(v(0) + 2) + 2 * v(1)),
+    TracedFunctional("deep-zero", lambda v: 0 if v(6) else 3),
+    TracedFunctional("edge", lambda v: 1 if v(2) else 2),
+    TracedFunctional("split", lambda v: 2 if v(0) else 3),
+]
+
+SCF_TREES = [*SAMPLE_TREES, Truncation(1, FullTree()), Truncation(2, FullTree()),
+             Truncation(2, FlagTree(1, EVENT_AT_2))]
+
+
+@pytest.mark.parametrize("g", [*map(catalog_functional, CATALOG_SPECS), *ADAPTIVE],
+                         ids=lambda g: g.name)
+def test_scf_matches_the_brute_force_cover(g):
+    for tree in SCF_TREES:
+        assert scf_check(g, tree) == reference_scf(g, tree), format_tree(tree)
+
+
+def test_scf_skips_leaves_no_cover_element_reaches():
+    # bound 2; the only leaf meeting the tree answers 1 at index 5, where
+    # every zero-padded cover element of length 2 reads 0
+    far = ADAPTIVE[0]
+    report = scf_check(far, Truncation(1, FullTree()))
+    assert report == reference_scf(far, Truncation(1, FullTree()))
+    assert (report.bound, report.antecedent, report.consequent) == (2, True, True)
+
+
+def test_scf_rejects_a_negative_cut():
+    for tree in SCF_TREES:
+        with pytest.raises(ValueError):
+            scf_check(catalog_functional("const:-1"), tree)
+
+
+@pytest.mark.parametrize("spec,tree", [("const:12", "truncate:11:full"),
+                                       ("sum:5", "full"),
+                                       ("ifz:3:1:2", "truncate:1:full")])
+def test_scf_runs_g_as_often_as_the_fan_replay(spec, tree):
+    g = catalog_functional(spec)
+    body = g.body
+    runs = []
+
+    def counted(view):
+        runs.append(None)
+        return body(view)
+
+    g.body = counted
+    omega_fan(g)
+    fan_runs = len(runs)
+    runs.clear()
+    scf_check(g, parse_tree(tree))
+    assert len(runs) == fan_runs
 
 
 def test_invalid_constructions_rejected():
