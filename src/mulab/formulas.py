@@ -10,18 +10,21 @@ bounded form ``(ex-in x w body)`` ranges over entries of the sequence w.
 ``to_normal_form`` repeatedly applies local rewrites, highest priority
 first and outermost first within a priority, until the formula reads as
 a block of marked universals, then a block of marked existentials, then
-a marker-free matrix.  Every step records the path it fired at together
-with the exact subformula before and after, so a trace can be replayed
-against the source formula.  Steps are equivalences except for the
-marker-dropping rule, which only preserves truth top-down; a trace's
-certificate says which kind the whole run is.  A run on a source with M
+a marker-free matrix.  It finds each step from an index of rule hits
+kept per node, not by rescanning the formula: a step costs the nodes it
+builds and the ancestors it rebuilds.  Marked quantifiers that reach the
+root are settled and never visited again.  Every step records the path
+it fired at together with the exact subformula before and after, so a
+trace can be replayed against the source formula.  Steps are
+equivalences except for the marker-dropping rule, which only preserves
+truth top-down; a trace's certificate says which kind the whole run is.  A run on a source with M
 marked quantifiers and depth D stops within M*(D+M+1) steps; one that
 went past that limit would raise NotNormalizable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
 from .errors import FormulaScopeError, NotNormalizable, ParseError
@@ -211,9 +214,19 @@ def _with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
         return Not(kids[0])
     if isinstance(f, (And, Or, Implies)):
         return type(f)(kids[0], kids[1])
-    if isinstance(f, (Quant, ExIn)):
-        return _dc_replace(f, body=kids[0])
+    if isinstance(f, Quant):
+        return Quant(f.kind, f.st, f.var, f.vtype, kids[0], f.mono)
+    if isinstance(f, ExIn):
+        return ExIn(f.var, f.bound, kids[0])
     raise AssertionError
+
+
+def _child_pol(f: Formula, i: int, pol: int) -> int:
+    """Polarity of child i of f at polarity pol: implication antecedents
+    and negations flip it."""
+    if isinstance(f, Not) or (isinstance(f, Implies) and i == 0):
+        return -pol
+    return pol
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
@@ -226,11 +239,15 @@ def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
 
 
 def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    if not path:
-        return new
-    kids = list(_children(f))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return _with_children(f, tuple(kids))
+    spine = []
+    for i in path:
+        spine.append((f, i))
+        f = _children(f)[i]
+    for parent, i in reversed(spine):
+        kids = list(_children(parent))
+        kids[i] = new
+        new = _with_children(parent, tuple(kids))
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +443,18 @@ def _term_names(t: Term) -> Iterator[str]:
             stack.extend(reversed(t.args))
 
 
-def _positions(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula, int]]:
-    """Every subformula with its path and polarity, in preorder, children
-    left to right; implication antecedents and negations flip polarity."""
-    stack = [((), f, 1)]
+def _nodes(f: Formula) -> Iterator[Formula]:
+    """Every subformula, in preorder."""
+    stack = [f]
     while stack:
-        path, node, pol = stack.pop()
-        yield path, node, pol
-        kids = _children(node)
-        for i in reversed(range(len(kids))):
-            flip = isinstance(node, Not) or (isinstance(node, Implies) and i == 0)
-            stack.append((path + (i,), kids[i], -pol if flip else pol))
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(_children(node)))
 
 
 def _all_names(f: Formula) -> set[str]:
     names: set[str] = set()
-    for _, node, _ in _positions(f):
+    for node in _nodes(f):
         if isinstance(node, Atom):
             names.add(node.pred)
             for a in node.args:
@@ -456,8 +469,7 @@ def _all_names(f: Formula) -> set[str]:
 
 def is_internal(f: Formula) -> bool:
     """True when no quantifier carries the standardness marker."""
-    return not any(isinstance(node, Quant) and node.st
-                   for _, node, _ in _positions(f))
+    return not any(isinstance(node, Quant) and node.st for node in _nodes(f))
 
 
 def _is_bounded_number_quant(q: Quant) -> bool:
@@ -509,7 +521,7 @@ def _subst(f: Formula, var: str, rep: Term) -> Formula:
     if isinstance(f, Quant):
         if f.var == var:
             return f
-        return _dc_replace(f, body=_subst(f.body, var, rep))
+        return _with_children(f, (_subst(f.body, var, rep),))
     if isinstance(f, ExIn):
         bound = _subst_term(f.bound, var, rep)
         body = f.body if f.var == var else _subst(f.body, var, rep)
@@ -562,95 +574,113 @@ class RuleTrace:
 _EQ = "equivalence"
 _IMP = "implication"
 
+# A rule is the node type it fires at, a guard, which says whether it
+# fires at a node of that type and a given polarity, and a builder, which
+# rewrites a node its guard accepts.  Only builders draw fresh names.
+# Guards that need to know whether a subtree is internal ask the
+# `internal(subtree, polarity)` they are passed.
 
-def _r1a(node: Formula, pol: int, names: _Names):
+
+def _run(f: Formula, kind: str, number: bool = False) -> tuple[list[Quant], Formula]:
+    """The maximal block of marked `kind` quantifiers (number-typed ones
+    only, when asked) from f down, and the formula below it."""
+    block = []
+    while (isinstance(f, Quant) and f.kind == kind and f.st
+           and (not number or isinstance(f.vtype, Base))):
+        block.append(f)
+        f = f.body
+    return block, f
+
+
+def _r1a_guard(node: Implies, pol: int, internal) -> bool:
+    return (isinstance(node.left, Quant) and node.left.kind == "ex"
+            and node.left.st)
+
+
+def _r1a(node: Implies, names: _Names):
     """Marked existential antecedent becomes a marked universal outside."""
-    if (isinstance(node, Implies) and isinstance(node.left, Quant)
-            and node.left.kind == "ex" and node.left.st):
-        q = node.left
-        return Quant("all", True, q.var, q.vtype,
-                     Implies(q.body, node.right)), _EQ
-    return None
+    q = node.left
+    return Quant("all", True, q.var, q.vtype,
+                 Implies(q.body, node.right)), _EQ
 
 
-def _r2(node: Formula, pol: int, names: _Names):
+def _r2_guard(node: Implies, pol: int, internal) -> bool:
+    chain, cur = _run(node.left, "all")
+    return bool(chain) and isinstance(cur, Quant) and cur.kind == "ex" and cur.st
+
+
+def _r2(node: Implies, names: _Names):
     """Herbrandize: a marked forall-exists antecedent trades its inner
     existential for a fresh functional quantified outside."""
-    if not isinstance(node, Implies):
-        return None
-    chain: list[tuple[str, Type]] = []
-    cur = node.left
-    while isinstance(cur, Quant) and cur.kind == "all" and cur.st:
-        chain.append((cur.var, cur.vtype))
-        cur = cur.body
-    if not chain or not (isinstance(cur, Quant) and cur.kind == "ex" and cur.st):
-        return None
-    witness = cur
+    chain, witness = _run(node.left, "all")
     ftype: Type = witness.vtype
-    for _, vt in reversed(chain):
-        ftype = Arrow(vt, ftype)
+    for q in reversed(chain):
+        ftype = Arrow(q.vtype, ftype)
     base = witness.var.upper()
     fname = names.fresh(base if base != witness.var else "F" + witness.var)
-    applied: Term = App(fname, tuple(v for v, _ in chain))
+    applied: Term = App(fname, tuple(q.var for q in chain))
     inner: Formula = _subst(witness.body, witness.var, applied)
-    for v, vt in reversed(chain):
-        inner = Quant("all", True, v, vt, inner)
+    for q in reversed(chain):
+        inner = Quant("all", True, q.var, q.vtype, inner)
     return Quant("all", True, fname, ftype,
                  Implies(inner, node.right)), _EQ
 
 
-def _r3(node: Formula, pol: int, names: _Names):
+def _r3_guard(node: Quant, pol: int, internal) -> bool:
+    return (pol < 0 and node.kind == "all" and node.st
+            and not isinstance(node.vtype, Base))
+
+
+def _r3(node: Quant, names: _Names):
     """Drop the marker on a higher-type universal in antecedent position.
     The result is implied by the source but not equivalent to it."""
-    if (pol < 0 and isinstance(node, Quant) and node.kind == "all"
-            and node.st and not isinstance(node.vtype, Base)):
-        return _dc_replace(node, st=False), _IMP
-    return None
+    return Quant(node.kind, False, node.var, node.vtype, node.body,
+                 node.mono), _IMP
 
 
-def _p4(node: Formula, pol: int, names: _Names):
+def _p4_guard(node: Implies, pol: int, internal) -> bool:
+    return (isinstance(node.right, Quant) and node.right.kind == "all"
+            and node.right.st)
+
+
+def _p4(node: Implies, names: _Names):
     """Pull a marked universal out of a consequent."""
-    if (isinstance(node, Implies) and isinstance(node.right, Quant)
-            and node.right.kind == "all" and node.right.st):
-        q = node.right
-        return Quant("all", True, q.var, q.vtype,
-                     Implies(node.left, q.body), mono=q.mono), _EQ
-    return None
+    q = node.right
+    return Quant("all", True, q.var, q.vtype,
+                 Implies(node.left, q.body), mono=q.mono), _EQ
 
 
-def _r1b(node: Formula, pol: int, names: _Names):
+def _r1b_guard(node: Implies, pol: int, internal) -> bool:
+    chain, cur = _run(node.left, "all", number=True)
+    return bool(chain) and internal(cur, -pol)
+
+
+def _r1b(node: Implies, names: _Names):
     """An antecedent block of marked number universals over an internal
     body collapses to one marked existential bound outside the
     implication, guarding the block with leq."""
-    if not isinstance(node, Implies):
-        return None
-    chain: list[str] = []
-    cur = node.left
-    while (isinstance(cur, Quant) and cur.kind == "all" and cur.st
-           and isinstance(cur.vtype, Base)):
-        chain.append(cur.var)
-        cur = cur.body
-    if not chain or not is_internal(cur):
-        return None
+    chain, cur = _run(node.left, "all", number=True)
     bound = names.fresh("N")
     guarded = cur
-    for v in reversed(chain):
-        guarded = Quant("all", False, v, Base(),
-                        Implies(Atom("leq", (v, bound)), guarded))
+    for q in reversed(chain):
+        guarded = Quant("all", False, q.var, Base(),
+                        Implies(Atom("leq", (q.var, bound)), guarded))
     return Quant("ex", True, bound, Base(),
                  Implies(guarded, node.right), mono=True), _EQ
 
 
-def _r1c(node: Formula, pol: int, names: _Names):
+def _r1c_guard(node: Implies, pol: int, internal) -> bool:
+    q = node.right
+    return (isinstance(q, Quant) and q.kind == "ex" and q.st
+            and isinstance(q.vtype, Base) and not q.mono
+            and internal(q.body, pol))
+
+
+def _r1c(node: Implies, names: _Names):
     """A marked number existential in a consequent becomes a plain
     bounded search below a fresh marked bound outside the implication.
     The fresh bound is monotone, so it is never re-bounded."""
-    if not (isinstance(node, Implies) and isinstance(node.right, Quant)):
-        return None
     q = node.right
-    if (q.kind != "ex" or not q.st or not isinstance(q.vtype, Base)
-            or q.mono or not is_internal(q.body)):
-        return None
     bound = names.fresh("i")
     inner = Quant("ex", False, q.var, Base(),
                   And(Atom("leq", (q.var, bound)), q.body))
@@ -658,63 +688,134 @@ def _r1c(node: Formula, pol: int, names: _Names):
                  Implies(node.left, inner), mono=True), _EQ
 
 
-def _p7(node: Formula, pol: int, names: _Names):
+def _p7_guard(node: Implies, pol: int, internal) -> bool:
+    q = node.right
+    return (isinstance(q, Quant) and q.kind == "ex" and q.st
+            and (not isinstance(q.vtype, Base) or q.mono))
+
+
+def _p7(node: Implies, names: _Names):
     """Pull a marked existential out of a consequent when it is higher
     type or already carries a monotone bound."""
-    if not (isinstance(node, Implies) and isinstance(node.right, Quant)):
-        return None
     q = node.right
-    if q.kind != "ex" or not q.st:
-        return None
-    if isinstance(q.vtype, Base) and not q.mono:
-        return None
     return Quant("ex", True, q.var, q.vtype,
                  Implies(node.left, q.body), mono=q.mono), _EQ
 
 
-def _r4(node: Formula, pol: int, names: _Names):
+def _r4_guard(node: Quant, pol: int, internal) -> bool:
+    if node.kind != "all" or node.st:
+        return False
+    block, cur = _run(node.body, "ex")
+    return bool(block) and internal(cur, pol)
+
+
+def _r4(node: Quant, names: _Names):
     """Idealize: a plain universal over a block of marked existentials
     becomes marked existential sequences outside, with the block turned
     into entry-bounded searches.  Tuples are handled componentwise."""
-    if not (isinstance(node, Quant) and node.kind == "all" and not node.st):
-        return None
-    block: list[tuple[str, Type]] = []
-    cur = node.body
-    while isinstance(cur, Quant) and cur.kind == "ex" and cur.st:
-        block.append((cur.var, cur.vtype))
-        cur = cur.body
-    if not block or not is_internal(cur):
-        return None
+    block, cur = _run(node.body, "ex")
     seq_names = [names.fresh("w") for _ in block]
     inner: Formula = cur
-    for (v, _vt), w in zip(reversed(block), reversed(seq_names)):
-        inner = ExIn(v, w, inner)
+    for q, w in zip(reversed(block), reversed(seq_names)):
+        inner = ExIn(q.var, w, inner)
     result: Formula = Quant("all", False, node.var, node.vtype, inner)
-    for (v, vt), w in zip(reversed(block), reversed(seq_names)):
-        result = Quant("ex", True, w, Seq(vt), result)
+    for q, w in zip(reversed(block), reversed(seq_names)):
+        result = Quant("ex", True, w, Seq(q.vtype), result)
     return result, _EQ
 
 
-def _p9(node: Formula, pol: int, names: _Names):
+def _p9_guard(node: Not, pol: int, internal) -> bool:
+    return isinstance(node.body, Quant) and node.body.st
+
+
+def _p9(node: Not, names: _Names):
     """Push negation through marked quantifiers."""
-    if isinstance(node, Not) and isinstance(node.body, Quant) and node.body.st:
-        q = node.body
-        dual = "all" if q.kind == "ex" else "ex"
-        return Quant(dual, True, q.var, q.vtype, Not(q.body)), _EQ
-    return None
+    q = node.body
+    dual = "all" if q.kind == "ex" else "ex"
+    return Quant(dual, True, q.var, q.vtype, Not(q.body)), _EQ
 
 
-_RULES: tuple[tuple[str, Callable], ...] = (
-    ("R1a-flip-antecedent", _r1a),
-    ("R2-herbrandize", _r2),
-    ("R3-drop-st", _r3),
-    ("forall-pull", _p4),
-    ("R1b-bound-antecedent", _r1b),
-    ("R1c-bound-consequent", _r1c),
-    ("exists-pull", _p7),
-    ("R4-idealize", _r4),
-    ("not-push", _p9),
+# (name, node type, guard, builder), highest priority first
+_RULES: tuple[tuple[str, type, Callable, Callable], ...] = (
+    ("R1a-flip-antecedent", Implies, _r1a_guard, _r1a),
+    ("R2-herbrandize", Implies, _r2_guard, _r2),
+    ("R3-drop-st", Quant, _r3_guard, _r3),
+    ("forall-pull", Implies, _p4_guard, _p4),
+    ("R1b-bound-antecedent", Implies, _r1b_guard, _r1b),
+    ("R1c-bound-consequent", Implies, _r1c_guard, _r1c),
+    ("exists-pull", Implies, _p7_guard, _p7),
+    ("R4-idealize", Quant, _r4_guard, _r4),
+    ("not-push", Not, _p9_guard, _p9),
 )
+
+# Bit r of a summary stands for rule r; _MARKED for a marked quantifier.
+_MARKED = 1 << len(_RULES)
+_RULE_BITS = _MARKED - 1
+_GUARDS = {t: tuple((1 << r, guard)
+                    for r, (_, kind, guard, _) in enumerate(_RULES) if kind is t)
+           for t in (Atom, Not, And, Or, Implies, Quant, ExIn)}
+
+
+class _HitIndex(dict):
+    """Rule hits per node, keyed by (id(node), polarity).
+
+    Each entry is (node, here, below, marked, height):
+    - `here` has bit r set when rule r fires at the node;
+    - `below` ORs `here` over the whole subtree, plus _MARKED when a
+      marked quantifier lies in it, so the subtree is internal exactly
+      when that bit is clear;
+    - `marked` counts the marked quantifiers in the subtree, and `height`
+      is the number of edges on its longest root-to-leaf path.
+    Summaries depend only on the subtree and its polarity, so a subtree a
+    rewrite moves keeps its entry; nothing is keyed by path, since paths
+    below a moved quantifier shift.  Each entry holds its node, so no id
+    is reused while its entry stands.
+    """
+
+    __slots__ = ()
+
+    def entry(self, node: Formula, pol: int) -> tuple:
+        """The node's entry, summarizing first whatever of its subtree
+        is missing, children before parents.  A dropped entry of a node
+        still in use, one shared between positions, is rebuilt here."""
+        got = self.get((id(node), pol))
+        if got is not None:
+            return got
+        stack = [(node, pol)]
+        while stack:
+            f, p = stack[-1]
+            kids = [(k, _child_pol(f, i, p)) for i, k in enumerate(_children(f))]
+            missing = [(k, kp) for k, kp in kids if (id(k), kp) not in self]
+            if missing:
+                stack.extend(missing)
+            else:
+                got = self.add(*stack.pop())
+        return got
+
+    def add(self, f: Formula, p: int) -> tuple:
+        """Summarize f from its children's entries."""
+        internal = self.internal
+        here = 0
+        for bit, guard in _GUARDS[type(f)]:
+            if guard(f, p, internal):
+                here |= bit
+        below, marked, height = here, 0, 0
+        if isinstance(f, Quant) and f.st:
+            below, marked = below | _MARKED, 1
+        for i, k in enumerate(_children(f)):
+            _, _, k_below, k_marked, k_height = self.entry(k, _child_pol(f, i, p))
+            below |= k_below
+            marked += k_marked
+            if k_height >= height:
+                height = k_height + 1
+        got = self[id(f), p] = (f, here, below, marked, height)
+        return got
+
+    def internal(self, node: Formula, pol: int) -> bool:
+        return not self.entry(node, pol)[2] & _MARKED
+
+    def drop(self, node: Formula, pol: int) -> None:
+        self.pop((id(node), pol), None)
 
 
 @dataclass(frozen=True)
@@ -734,36 +835,15 @@ class NormalForm:
 
 def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
     names = _Names(_all_names(f))
-    # Step limit.  Let M count the marked quantifiers and S sum, over
-    # them, the unmarked nodes above each.  Every rule but R3 lowers S
-    # without raising M: it lifts marked quantifiers past the node it
-    # fired at, and R1b may merge a block of them into one.  R3 unmarks
-    # one quantifier, lowering M, and raises S by less than M: only the
-    # marked quantifiers below it gain a node.  S starts at most M*D for
-    # a source of depth D, so a run has at most M steps of R3 and
-    # M*D + M*(M-1) others, fewer than M*(D+M+1).
-    walk = list(_positions(f))
-    marked = sum(isinstance(node, Quant) and node.st for _, node, _ in walk)
-    depth = max(len(path) for path, _, _ in walk)
-    limit = marked * (depth + marked + 1)
-    steps: list[RuleStep] = []
-    current = f
-    for _ in range(limit + 1):
-        # rules in priority order, outermost-leftmost within a rule
-        walk = list(_positions(current))
-        hit = next(((rule_name, path, node, fired)
-                    for rule_name, rule in _RULES
-                    for path, node, pol in walk
-                    if (fired := rule(node, pol, names)) is not None), None)
-        if hit is None:
-            break
-        rule_name, path, node, (after, tag) = hit
-        steps.append(RuleStep(rule_name, tag, path, node, after))
-        current = replace_at(current, path, after)
-    else:
-        raise NotNormalizable(
-            f"no fixed point within the step limit M*(D+M+1) = {limit} "
-            f"(M={marked} marked quantifiers, depth D={depth})")
+    # Steps fire by rule priority, outermost-leftmost within a rule; the
+    # hit index finds each one without a rescan.  It lives for this call
+    # only and is emptied on the error path too, so a kept traceback
+    # holds no entries.
+    index = _HitIndex()
+    try:
+        steps, current = _rewrite(f, names, index)
+    finally:
+        index.clear()
 
     foralls: list[tuple[str, Type]] = []
     cur = current
@@ -780,6 +860,74 @@ def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
             + format_formula(cur))
     nf = NormalForm(tuple(foralls), tuple(exists), cur)
     return nf, RuleTrace(tuple(steps))
+
+
+def _rewrite(f: Formula, names: _Names,
+             index: _HitIndex) -> tuple[list[RuleStep], Formula]:
+    """Rewrite f to a fixed point; return the steps and the result.
+
+    Each step fires the highest-priority rule that fires anywhere, at its
+    outermost-leftmost position.  The index answers both at the root: the
+    least rule bit in `below`, then a descent into the first child whose
+    `below` holds that bit, until `here` does.  Only that hit is built.
+    The new nodes, and the rebuilt ancestors bottom-up, are summarized;
+    the entries of the nodes they replace are dropped.
+    """
+    # Step limit.  Let M count the marked quantifiers and S sum, over
+    # them, the unmarked nodes above each.  Every rule but R3 lowers S
+    # without raising M: it lifts marked quantifiers past the node it
+    # fired at, and R1b may merge a block of them into one.  R3 unmarks
+    # one quantifier, lowering M, and raises S by less than M: only the
+    # marked quantifiers below it gain a node.  S starts at most M*D for
+    # a source of depth D, so a run has at most M steps of R3 and
+    # M*D + M*(M-1) others, fewer than M*(D+M+1).
+    _, _, _, marked, depth = index.entry(f, 1)
+    limit = marked * (depth + marked + 1)
+    steps: list[RuleStep] = []
+    # Marked quantifiers at the root are settled: no rule fires at a
+    # positive marked quantifier, and none fires above it, so they are
+    # peeled off into `prefix` and later steps never revisit them.
+    prefix: list[Quant] = []
+    root = f
+    for _ in range(limit + 1):
+        while isinstance(root, Quant) and root.st:
+            prefix.append(root)
+            index.drop(root, 1)
+            root = root.body
+        _, here, below, _, _ = index.entry(root, 1)
+        pending = below & _RULE_BITS
+        if not pending:
+            break
+        bit = pending & -pending
+        rule_name, _, _, build = _RULES[bit.bit_length() - 1]
+        node, pol = root, 1
+        spine: list[tuple[Formula, int, tuple, int]] = []
+        while not here & bit:
+            kids = _children(node)
+            for i, kid in enumerate(kids):
+                kid_pol = _child_pol(node, i, pol)
+                _, kid_here, kid_below, _, _ = index.entry(kid, kid_pol)
+                if kid_below & bit:
+                    break
+            spine.append((node, pol, kids, i))
+            node, pol, here = kid, kid_pol, kid_here
+        after, tag = build(node, names)
+        path = (0,) * len(prefix) + tuple(i for _, _, _, i in spine)
+        steps.append(RuleStep(rule_name, tag, path, node, after))
+        index.drop(node, pol)
+        index.entry(after, pol)
+        for parent, parent_pol, kids, i in reversed(spine):
+            after = _with_children(parent, kids[:i] + (after,) + kids[i + 1:])
+            index.drop(parent, parent_pol)
+            index.add(after, parent_pol)
+        root = after
+    else:
+        raise NotNormalizable(
+            f"no fixed point within the step limit M*(D+M+1) = {limit} "
+            f"(M={marked} marked quantifiers, depth D={depth})")
+    for q in reversed(prefix):
+        root = _with_children(q, (root,))
+    return steps, root
 
 
 def replay(f: Formula, trace: RuleTrace) -> Formula:

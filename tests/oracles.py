@@ -3,9 +3,10 @@
 Everything here works on plain lists and Fractions, deliberately
 avoiding the library's own closed forms, so a test comparing against
 these functions checks the implementation rather than echoing it.  The
-reference normalizer at the end reuses only the rewrite rules, the
-fresh-name supply and ``replace_at`` from the library; its walk, its
-name scan and its search order are its own.
+reference normalizer at the end reuses only the rewrite rules (each a
+node type, a guard and a builder), the fresh-name supply and
+``replace_at`` from the library; its walk, its name scan, its
+internality test and its search order are its own.
 """
 
 from __future__ import annotations
@@ -214,26 +215,32 @@ def _marked(node):
     return isinstance(node, Quant) and node.st
 
 
+def _internal(f, _pol):
+    """Whether f holds no marked quantifier, at either polarity."""
+    return not any(_marked(node) for _, node, _ in _walk(f))
+
+
 def reference_normalize(f, max_steps=100_000):
     """Rule-major search: each step tries the rules in priority order and
     each rule at every position, outermost-leftmost, before the next
-    rule.  Returns the (rule, tag, path, before, after) steps, and None
-    when the result is a marked forall-exists prefix over an unmarked
-    matrix, else what is left below that prefix.  A rule that refuses to
-    fire raises NotNormalizable through here."""
+    rule.  At a position of its node type a rule asks its guard, and
+    builds only where the guard accepts.  Returns the (rule, tag, path,
+    before, after) steps, and None when the result is a marked
+    forall-exists prefix over an unmarked matrix, else what is left
+    below that prefix.  A builder that refuses raises NotNormalizable
+    through here."""
     names = _Names(_symbols(f))
     steps = []
     while True:
         if len(steps) > max_steps:
             raise AssertionError("reference search did not terminate")
-        for rule_name, rule in _RULES:
-            hit = None
-            for path, node, pol in _walk(f):
-                hit = rule(node, pol, names)
-                if hit is not None:
-                    break
+        for rule_name, kind, guard, build in _RULES:
+            hit = next(((path, node) for path, node, pol in _walk(f)
+                        if isinstance(node, kind) and guard(node, pol, _internal)),
+                       None)
             if hit is not None:
-                after, tag = hit
+                path, node = hit
+                after, tag = build(node, names)
                 steps.append((rule_name, tag, path, node, after))
                 f = replace_at(f, path, after)
                 break

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import gc
 from importlib import resources
 from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mulab.formulas
 from mulab.errors import FormulaScopeError, NotNormalizable, ParseError
 from mulab.formulas import (
     And,
@@ -143,6 +145,24 @@ def test_subformula_navigation_round_trip():
     f = parse_formula(GOOD_FORMULAS[5])
     for path in [(), (0,), (0, 0)]:
         assert replace_at(f, path, subformula_at(f, path)) == f
+
+
+def test_navigation_round_trips_a_chain_deeper_than_the_recursion_limit():
+    leaf = Atom("p")
+    f = leaf
+    for _ in range(5000):
+        f = Not(f)
+    path = (0,) * 5000
+    assert subformula_at(f, path) is leaf
+    same = replace_at(f, path, subformula_at(f, path))
+    other = replace_at(f, path, Atom("q"))
+    assert subformula_at(same, path) is leaf
+    assert subformula_at(other, path) == Atom("q")
+    for g in (same, other):
+        node = g
+        for _ in range(5000):
+            assert isinstance(node, Not)
+            node = node.body
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +321,69 @@ def test_forty_nested_pulls_run_past_four_hundred_steps():
     assert nf.exists == ()
 
 
+@pytest.mark.parametrize("text", [flip_text(40), pull_text(12), negation_text(24),
+                                  herbrand_text(8)],
+                         ids=["flip-40", "pull-12", "negation-24", "herbrand-8"])
+def test_engine_matches_the_reference_on_large_benchmark_families(text):
+    f = parse_formula(text)
+    want, stuck = reference_normalize(f)
+    assert stuck is None
+    _, trace = to_normal_form(f)
+    assert [(s.rule, s.tag, s.path, s.before, s.after)
+            for s in trace.steps] == want
+
+
+def test_normalizer_work_grows_linearly_on_flips(monkeypatch):
+    calls = {}
+    children = mulab.formulas._children
+
+    def counted(f):
+        calls[k] += 1
+        return children(f)
+
+    monkeypatch.setattr(mulab.formulas, "_children", counted)
+    for k in (256, 512):
+        f = parse_formula(flip_text(k))
+        calls[k] = 0
+        to_normal_form(f)
+    assert 0 < calls[256]
+    assert calls[512] <= 2.5 * calls[256]
+
+
+def test_a_thousand_binder_flip_normalizes():
+    k = 1000
+    binders = [(f"x{j}", (Base(), parse_type("1"))[j % 2]) for j in range(k)]
+    body = Atom("p", tuple(v for v, _ in binders))
+    for v, t in reversed(binders):
+        body = Quant("ex", True, v, t, body)
+    nf, trace = to_normal_form(Implies(body, Atom("q")))
+    assert trace.rules() == ("R1a-flip-antecedent",) * k
+    assert [s.path for s in trace.steps] == [(0,) * j for j in range(k)]
+    assert nf.foralls == tuple(binders)
+    assert nf.exists == ()
+
+
+@pytest.mark.parametrize("text", [
+    pull_text(12),
+    # Herbrandizing substitutes an applied term for a head: raised mid-run
+    "(imp (all st x:0 (ex st y:0 (atom r (app y x)))) (atom q))",
+    # markers stuck under a conjunction: raised after the run
+    "(and (all st x:0 (atom p x)) (atom q))",
+])
+def test_normalizer_leaves_no_reference_cycles(text):
+    f = parse_formula(text)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            to_normal_form(f)
+        except NotNormalizable:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 TYPES = (Base(), parse_type("1"), parse_type("2"))
 
 
@@ -342,9 +425,7 @@ def marked_formulas(draw, depth=8):
     return go(depth, [])
 
 
-@settings(max_examples=300, deadline=None)
-@given(marked_formulas())
-def test_engine_matches_the_rule_major_reference(f):
+def assert_engine_matches_the_reference(f):
     try:
         want, stuck = reference_normalize(f)
     except NotNormalizable:
@@ -360,6 +441,21 @@ def test_engine_matches_the_rule_major_reference(f):
         with pytest.raises(NotNormalizable) as exc:
             to_normal_form(f)
         assert str(exc.value).endswith(": " + format_formula(stuck))
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_formulas())
+def test_engine_matches_the_rule_major_reference(f):
+    assert_engine_matches_the_reference(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(marked_formulas(depth=6))
+def test_engine_matches_the_reference_on_shared_subformulas(f):
+    # one object at several positions, at both polarities
+    assert_engine_matches_the_reference(Implies(f, f))
+    assert_engine_matches_the_reference(
+        Implies(Not(f), Implies(f, And(Not(Not(f)), f))))
 
 
 @settings(max_examples=300, deadline=None)
