@@ -1,9 +1,12 @@
-"""Moduli for type-two functionals by branch-on-demand replay.
+"""Moduli for type-two functionals by replay over binary answers.
 
 A single traced run of a functional is not a sound modulus: a body can
 branch on an early query and only reach its deep queries on the other
-branch.  Replaying over all binary answer maps closes that gap, and the
-resulting bound feeds the special-cover check against presented trees.
+branch.  Replaying it over every binary answer map closes that gap.  The
+replay walks the decision tree one leftmost path at a time: each run
+answers new queries 1, and the next run flips the deepest open branch
+to 0, so the body runs once per leaf.  The resulting bound feeds the
+special-cover check against presented trees.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ A TracedFunctional wraps a deterministic body that sees its input only
 through a query view (index -> natural).  Everything else here is built
 on replaying such bodies:
 
-* omega_fan computes a fan modulus by branch-on-demand replay over
-  binary answers: fork the partial answer map at the first unanswered
-  query, rerun from scratch, and take 1 + the largest index queried
-  anywhere in the completed tree.  A single run's trace would not be a
-  sound modulus for adaptive bodies; the whole tree is.
+* omega_fan computes a fan modulus by replay over binary answers: each
+  run answers every new query 1 and notes a branch point there, and the
+  next run backs up to the deepest open branch point, answers it 0 and
+  goes on from there, one run per leaf.  The modulus is 1 + the largest
+  index queried anywhere in the completed tree.  A single run's trace
+  would not be a sound modulus for adaptive bodies; the whole tree is.
 * theta_special reads a bound off the same replay tree: the largest
   value at any of its leaves, which comes with the finite cover of
   zero-padded prefixes of that length.  trees.scf_check decides the
@@ -71,52 +72,68 @@ class TracedFunctional:
         return self.eval_traced(view)[0]
 
 
-class _Unanswered(Exception):
-    def __init__(self, index: int):
-        self.index = index
+def _fan_replay(g: TracedFunctional, node_budget: int
+                ) -> Iterator[tuple[dict[int, int], int, int, int]]:
+    """Leaves (answers, value, last_one, top) of g's complete binary
+    decision tree, 1-branches first; last_one is the largest index
+    answered 1 and top the largest index queried, each -1 when none.
 
+    One run of g per leaf: a run answers each new query 1 and notes the
+    branch point, and the next run trims the answers back to the deepest
+    open one and answers it 0.  Nodes are counted in preorder as they
+    are reached.  The answers dict is reused, its keys in query order:
+    read or copy it before asking for the next leaf.
+    """
+    answers: dict[int, int] = {}
+    # (answers before the query, index, last_one before it, top after it)
+    branches: list[tuple[int, int, int, int]] = []
+    nodes = 1
+    last_one = top = -1
 
-def _fan_replay(g: TracedFunctional,
-                node_budget: int) -> Iterator[tuple[dict[int, int], int, int]]:
-    """Leaves (answers, value, last_one) of g's complete binary decision
-    tree, explored by replay; last_one is the largest index answered 1,
-    or -1."""
+    def over() -> BudgetExceeded:
+        return BudgetExceeded(f"omega_fan: over {node_budget} replay nodes")
+
     def probe(i: int) -> int:
-        # reads the answers of the node being replayed
+        nonlocal nodes, last_one, top
+        answer = answers.get(i)
+        if answer is not None:
+            return answer
         if i < 0:
             raise ValueError("negative index queried")
-        if i in answers:
-            return answers[i]
-        raise _Unanswered(i)
-
-    jobs: list[tuple[dict[int, int], int]] = [({}, -1)]
-    nodes = 0
-    while jobs:
-        answers, last_one = jobs.pop()
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceeded(f"omega_fan: over {node_budget} replay nodes")
-        try:
-            value = int(g.body(probe))
-        except _Unanswered as stop:
-            jobs.append(({**answers, stop.index: 0}, last_one))
-            jobs.append(({**answers, stop.index: 1}, max(last_one, stop.index)))
-            continue
-        yield answers, value, last_one
+            raise over()
+        if i > top:
+            top = i
+        branches.append((len(answers), i, last_one, top))
+        if i > last_one:
+            last_one = i
+        answers[i] = 1
+        return 1
+
+    if nodes > node_budget:
+        raise over()
+    while True:
+        yield answers, int(g.body(probe)), last_one, top
+        if not branches:
+            return
+        depth, index, last_one, top = branches.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise over()
+        for _ in range(len(answers) - depth):
+            answers.popitem()
+        answers[index] = 0
 
 
 def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
     """Fan modulus on Cantor space: inputs agreeing below it get equal values.
 
     Explores the complete binary decision tree of g by replay.  Raises
-    BudgetExceeded once more than node_budget reruns are needed, which is
-    the fate of genuinely discontinuous bodies.
+    BudgetExceeded once the tree has more than node_budget nodes, which
+    is the fate of genuinely discontinuous bodies.
     """
-    max_index = -1
-    for answers, _, _ in _fan_replay(g, node_budget):
-        if answers:
-            max_index = max(max_index, max(answers))
-    return max_index + 1
+    return 1 + max(top for _, _, _, top in _fan_replay(g, node_budget))
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,7 @@ def theta_special(g: TracedFunctional,
     the largest leaf value.
     """
     bound = 0
-    for _, value, _ in _fan_replay(g, node_budget):
+    for _, value, _, _ in _fan_replay(g, node_budget):
         bound = max(bound, value)
     return ThetaResult(bound)
 
@@ -233,7 +250,7 @@ def _sum_expression(spec: str) -> Callable[[View], int] | None:
         return None
 
     def body(view: View, _p=tuple(projections), _c=constant) -> int:
-        return sum(view(i) for i in _p) + _c
+        return sum(map(view, _p)) + _c
 
     return body
 
@@ -256,13 +273,13 @@ def catalog_functional(spec: str) -> TracedFunctional:
         if parts[0] == "sum" and len(parts) == 2:
             n = int(parts[1])
             return TracedFunctional(
-                spec, lambda view, _n=n: sum(view(i) for i in range(_n)))
+                spec, lambda view, _n=n: sum(map(view, range(_n))))
         if parts[0] == "max" and len(parts) == 2:
             n = int(parts[1])
             if n <= 0:
                 raise ParseError("max:N needs N >= 1")
             return TracedFunctional(
-                spec, lambda view, _n=n: max(view(i) for i in range(_n)))
+                spec, lambda view, _n=n: max(map(view, range(_n))))
         if parts[0] == "ifz" and len(parts) == 4:
             i, j, k = (int(p) for p in parts[1:])
             return TracedFunctional(

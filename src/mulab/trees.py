@@ -287,10 +287,9 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
     max_index = -1
     bound = 0
     low = None
-    for answers, value, last_one in _fan_replay(g, node_budget):
+    for answers, value, last_one, top in _fan_replay(g, node_budget):
         bound = max(bound, value)
-        if answers:
-            max_index = max(max_index, max(answers))
+        max_index = max(max_index, top)
         if (low is None or last_one < low) and _meets(tree, answers, value):
             low = last_one
     antecedent = low is None or low >= bound

@@ -17,7 +17,7 @@ from itertools import product
 from mulab.formulas import (
     And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, replace_at,
 )
-from mulab.functionals import omega_fan
+from mulab.errors import BudgetExceeded
 from mulab.trees import ScfReport
 
 
@@ -110,12 +110,48 @@ def level_set(tree, n: int) -> set[int]:
     return {v for v in range(1 << n) if tree.member(n, v)}
 
 
+class _Unanswered(Exception):
+    def __init__(self, index: int):
+        self.index = index
+
+
+def reference_fan_replay(g, node_budget):
+    """Leaves (answers, value, last_one) of g's complete binary decision
+    tree by fork and rerun: every node reruns g from scratch, stops at
+    the first unanswered query, and pushes both children with copied
+    answers, 1 on top.  Nodes are counted as they are popped, so in
+    preorder, 1-branches first."""
+    def probe(i):
+        if i < 0:
+            raise ValueError("negative index queried")
+        if i in answers:
+            return answers[i]
+        raise _Unanswered(i)
+
+    jobs = [({}, -1)]
+    nodes = 0
+    while jobs:
+        answers, last_one = jobs.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceeded(f"omega_fan: over {node_budget} replay nodes")
+        try:
+            value = int(g.body(probe))
+        except _Unanswered as stop:
+            jobs.append(({**answers, stop.index: 0}, last_one))
+            jobs.append(({**answers, stop.index: 1}, max(last_one, stop.index)))
+            continue
+        yield dict(answers), value, last_one
+
+
 def reference_scf(g, tree) -> ScfReport:
     """The special-cover check by brute force: the bound is the largest
     g-value over the zero-padded prefixes of the fan modulus, and every
     zero-padded prefix of the bound's length is run through g and cut at
-    its value."""
-    modulus = omega_fan(g)
+    its value.  The modulus is 1 + the largest index in any leaf of the
+    fork-and-rerun replay."""
+    modulus = 1 + max(max(answers, default=-1)
+                      for answers, _, _ in reference_fan_replay(g, 1 << 20))
 
     def padded(bits):
         return lambda i: bits[i] if i < len(bits) else 0

@@ -166,6 +166,18 @@ def test_fan_budget_violation_is_exit_one(capsys):
     assert "property violation" in err
 
 
+def test_fan_budget_counts_tree_nodes(capsys):
+    # sum:3 has a 15-node tree
+    code, out, err = run_cli(capsys, "fan", "--functional", "sum:3",
+                             "--budget", "14")
+    assert (code, out) == (1, "")
+    assert err == "property violation: omega_fan: over 14 replay nodes\n"
+    code, out, _ = run_cli(capsys, "fan", "--functional", "sum:3",
+                           "--budget", "15")
+    assert code == 0
+    assert fields_of(out)["fan_bound"] == "3"
+
+
 def test_bad_tree_is_exit_two_before_the_fan_replay(capsys):
     code, out, err = run_cli(capsys, "fan", "--functional", "sum:25",
                              "--tree", "bogus", "--budget", "100")

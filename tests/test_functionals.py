@@ -12,6 +12,7 @@ from mulab.functionals import (
     TracedFunctional,
     TracedRealView,
     TracedSeqView,
+    _fan_replay,
     catalog_functional,
     catalog_names,
     e2_from_mu,
@@ -22,6 +23,7 @@ from mulab.functionals import (
 )
 from mulab.reals import from_rational
 from mulab.sequences import PresentedSequence, mu_exact
+from oracles import reference_fan_replay
 
 flags = st.tuples(
     st.lists(st.integers(min_value=0, max_value=3), max_size=6).map(tuple),
@@ -87,8 +89,12 @@ def test_fan_modulus_is_sound_on_binary_inputs(spec):
         assert len(outputs) == 1
 
 
+def _gate(view):
+    return view(5) if view(0) == 1 else 0
+
+
 def test_single_run_trace_is_not_a_modulus_for_adaptive_bodies():
-    g = TracedFunctional("gate", lambda view: view(5) if view(0) == 1 else 0)
+    g = TracedFunctional("gate", _gate)
     _, trace = g.eval_traced(PresentedSequence((), (0,)))
     naive = max(trace) + 1
     assert naive == 1
@@ -99,20 +105,95 @@ def test_single_run_trace_is_not_a_modulus_for_adaptive_bodies():
     assert g(a) != g(b)
 
 
-def test_fan_modulus_rejects_unbounded_search():
-    def hunt(view):
-        i = 0
-        while view(i) != 0:
-            i += 1
-        return i
+def _hunt(view):
+    i = 0
+    while view(i) != 0:
+        i += 1
+    return i
 
+
+def test_fan_modulus_rejects_unbounded_search():
     with pytest.raises(BudgetExceeded):
-        omega_fan(TracedFunctional("hunt", hunt), node_budget=50)
+        omega_fan(TracedFunctional("hunt", _hunt), node_budget=50)
 
 
 def test_fan_modulus_rejects_negative_queries():
     with pytest.raises(ValueError):
         omega_fan(TracedFunctional("neg", lambda view: view(-1)))
+
+
+REPLAY_BODIES = [
+    *map(catalog_functional, ["const:3", "proj:2", *(f"sum:{n}" for n in range(9)),
+                              *(f"max:{n}" for n in range(1, 9)), "ifz:3:1:2",
+                              "f0+f1+1"]),
+    TracedFunctional("gate", _gate),
+    TracedFunctional("hunt", _hunt),
+    TracedFunctional("neg", lambda view: view(1) + (view(-1) if view(4) == 0 else 0)),
+]
+
+
+def _replay_outcome(replay, g, node_budget):
+    """The leaves a replay yields, answers in key order, and the error
+    it ends with, if any."""
+    leaves = []
+    try:
+        for answers, value, last_one, *_ in replay(g, node_budget):
+            leaves.append((list(answers.items()), value, last_one))
+    except (BudgetExceeded, ValueError) as error:
+        return leaves, (type(error), str(error))
+    return leaves, None
+
+
+@pytest.mark.parametrize("g", REPLAY_BODIES, ids=lambda g: g.name)
+def test_replay_matches_fork_and_rerun_leaf_for_leaf_and_budget_for_budget(g):
+    leaves, error = _replay_outcome(reference_fan_replay, g, 1 << 10)
+    # a finite tree has 2L - 1 nodes; hunt's is infinite, neg's ends in an error
+    size = 2 * len(leaves) - 1 if error is None else 64
+    for node_budget in range(1, size + 2):
+        assert (_replay_outcome(_fan_replay, g, node_budget)
+                == _replay_outcome(reference_fan_replay, g, node_budget)), node_budget
+
+
+@pytest.mark.parametrize("g", REPLAY_BODIES, ids=lambda g: g.name)
+def test_replay_carries_the_largest_queried_index(g):
+    try:
+        for answers, _, last_one, top in _fan_replay(g, 64):
+            assert top == max(answers, default=-1)
+            assert last_one == max((i for i, a in answers.items() if a == 1), default=-1)
+    except (BudgetExceeded, ValueError):
+        pass
+
+
+def _count_runs(g):
+    body = g.body
+    runs = []
+
+    def counted(view):
+        runs.append(None)
+        return body(view)
+
+    g.body = counted
+    return runs
+
+
+@pytest.mark.parametrize("g,expected", [
+    *((catalog_functional(f"sum:{n}"), 1 << n) for n in (0, 1, 3, 6, 10)),
+    (catalog_functional("proj:7"), 2),
+    (catalog_functional("const:7"), 1),
+    (TracedFunctional("gate", _gate), 3),
+], ids=lambda x: getattr(x, "name", str(x)))
+def test_replay_runs_the_body_once_per_leaf(g, expected):
+    runs = _count_runs(g)
+    omega_fan(g)
+    assert len(runs) == expected
+
+
+def test_replay_budget_counts_tree_nodes():
+    # sum:3 has 8 leaves and 15 nodes
+    g = catalog_functional("sum:3")
+    with pytest.raises(BudgetExceeded, match="^omega_fan: over 14 replay nodes$"):
+        omega_fan(g, node_budget=14)
+    assert omega_fan(g, node_budget=15) == 3
 
 
 @pytest.mark.parametrize("spec,bound,cover_size", [
