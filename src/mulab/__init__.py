@@ -41,7 +41,6 @@ from .errors import (
 )
 from .extractors import (
     BinaryExpansion,
-    Irrational,
     PiecewiseLinear,
     RationalWitness,
     RepresentedContinuousFunction,

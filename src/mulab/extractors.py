@@ -66,7 +66,6 @@ __all__ = [
     "TwoBump",
     "weierstrass_counterexample",
     "RationalWitness",
-    "Irrational",
     "udq_from_mu",
     "flag_epsilon",
     "RouteReport",
@@ -572,12 +571,6 @@ class RationalWitness:
     certificate: str
 
 
-@dataclass(frozen=True)
-class Irrational:
-    """Marker for the branch this artifact can never take: presented
-    reals always carry a rational witness."""
-
-
 def _presentation_tag(x: FastCauchyReal) -> str:
     pres = x.presentation
     names = {"PRational": "rational", "PCumFlagSeries": "flag-series",
@@ -585,19 +578,17 @@ def _presentation_tag(x: FastCauchyReal) -> str:
     return names.get(type(pres).__name__, "unknown")
 
 
-def udq_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], RationalWitness | Irrational]:
-    def phi(x: FastCauchyReal) -> RationalWitness | Irrational:
+def udq_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], RationalWitness]:
+    def phi(x: FastCauchyReal) -> RationalWitness:
         return RationalWitness(x.exact_value(mu), _presentation_tag(x))
     return phi
 
 
 def udq_extraction(f: PresentedSequence,
-                   phi: Callable[[FastCauchyReal], RationalWitness | Irrational] | None = None
+                   phi: Callable[[FastCauchyReal], RationalWitness] | None = None
                    ) -> RouteReport:
     phi = phi or udq_from_mu(mu_exact)
     answer = phi(dq_real(f))
-    if isinstance(answer, Irrational):
-        raise MalformedWitness("dq reals are rational by construction")
     q = answer.value
     details = {"witness_value": q, "certificate": answer.certificate}
     if q == 1:

@@ -238,15 +238,19 @@ def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
     return f
 
 
+def _splice(f: Formula, i: int, kid: Formula) -> Formula:
+    """f with its child i replaced by kid."""
+    kids = _children(f)
+    return _with_children(f, kids[:i] + (kid,) + kids[i + 1:])
+
+
 def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
     spine = []
     for i in path:
         spine.append((f, i))
         f = _children(f)[i]
     for parent, i in reversed(spine):
-        kids = list(_children(parent))
-        kids[i] = new
-        new = _with_children(parent, tuple(kids))
+        new = _splice(parent, i, new)
     return new
 
 
@@ -768,8 +772,12 @@ class _HitIndex(dict):
       is the number of edges on its longest root-to-leaf path.
     Summaries depend only on the subtree and its polarity, so a subtree a
     rewrite moves keeps its entry; nothing is keyed by path, since paths
-    below a moved quantifier shift.  Each entry holds its node, so no id
-    is reused while its entry stands.
+    below a moved quantifier shift.  Entries are written only for real
+    nodes, and a node is never changed after it is built: the summary of
+    a spine level in `_rewrite` whose node is stale lives in the spine,
+    not here, so a node shared between positions keeps the entry of its
+    own subtree.  Each entry holds its node, so no id is reused while its
+    entry stands.
     """
 
     __slots__ = ()
@@ -867,11 +875,37 @@ def _rewrite(f: Formula, names: _Names,
     """Rewrite f to a fixed point; return the steps and the result.
 
     Each step fires the highest-priority rule that fires anywhere, at its
-    outermost-leftmost position.  The index answers both at the root: the
-    least rule bit in `below`, then a descent into the first child whose
-    `below` holds that bit, until `here` does.  Only that hit is built.
-    The new nodes, and the rebuilt ancestors bottom-up, are summarized;
-    the entries of the nodes they replace are dropped.
+    outermost-leftmost position: the first in preorder.  Between steps
+    the rewrite keeps a spine, one level per node from the root down to
+    the last hit, like a zipper.  A level is [entry, pol, before, left]:
+    - `entry` is the index entry of the level's node as last built.  The
+      node goes stale when a step below replaces its spine child, but
+      `here` and `below` in `entry` remain those of the current subtree;
+    - `before` ORs the rule bits at the positions before the node in
+      preorder: the ancestors' `here` and `left`;
+    - `left` ORs `below` over the node's left siblings.
+    `path[k]` is the child of level k that level k+1 stands for.
+
+    A step reads the least rule bit pending at the root, climbs from the
+    last hit to the deepest level whose subtree holds the first hit of
+    that rule (the first level whose `before` lacks the bit and whose
+    `below` has it), and descends from there to the hit through real
+    children and their index entries.  Only the hit is built.  Its
+    ancestors are then re-summarized bottom-up, each rebuilt around its
+    new child, while something their guards see has changed.  A guard
+    sees the heads of its node's children, the heads along chains of
+    marked quantifiers below them, and the marked bit at the end of such
+    a chain.  So a level passes a change up when its `below` changed,
+    or, being a marked quantifier, when the level below passed up a
+    change it sees, or else when its marked bit flipped.
+
+    The next hit lies in the subtree of the highest level re-summarized:
+    nothing outside it changed, so a rule that appeared or vanished, or
+    whose first hit moved out of it, would have changed that level's
+    `below`.  The climb thus never passes a stale level, and a step costs
+    the levels between successive hits plus the levels whose summaries
+    changed, not the depth of the formula.  The stale levels are rebuilt
+    once, at the end.
     """
     # Step limit.  Let M count the marked quantifiers and S sum, over
     # them, the unmarked nodes above each.  Every rule but R3 lowers S
@@ -881,50 +915,78 @@ def _rewrite(f: Formula, names: _Names,
     # marked quantifiers below it gain a node.  S starts at most M*D for
     # a source of depth D, so a run has at most M steps of R3 and
     # M*D + M*(M-1) others, fewer than M*(D+M+1).
-    _, _, _, marked, depth = index.entry(f, 1)
+    top = index.entry(f, 1)
+    _, _, _, marked, depth = top
     limit = marked * (depth + marked + 1)
     steps: list[RuleStep] = []
     # Marked quantifiers at the root are settled: no rule fires at a
     # positive marked quantifier, and none fires above it, so they are
     # peeled off into `prefix` and later steps never revisit them.
     prefix: list[Quant] = []
-    root = f
+    spine: list[list] = [[top, 1, 0, 0]]
+    path: list[int] = []
     for _ in range(limit + 1):
-        while isinstance(root, Quant) and root.st:
-            prefix.append(root)
-            index.drop(root, 1)
-            root = root.body
-        _, here, below, _, _ = index.entry(root, 1)
-        pending = below & _RULE_BITS
+        # Only a step at the root changes its head, and the root is then
+        # the whole spine.
+        node = spine[0][0][0]
+        while isinstance(node, Quant) and node.st:
+            prefix.append(node)
+            index.drop(node, 1)
+            node = node.body
+            spine[0] = [index.entry(node, 1), 1, 0, 0]
+        pending = spine[0][0][2] & _RULE_BITS
         if not pending:
             break
         bit = pending & -pending
         rule_name, _, _, build = _RULES[bit.bit_length() - 1]
-        node, pol = root, 1
-        spine: list[tuple[Formula, int, tuple, int]] = []
+        # climb to the deepest level whose subtree holds the first hit
+        k = len(spine) - 1
+        while spine[k][2] & bit or not spine[k][0][2] & bit:
+            k -= 1
+        del spine[k + 1:], path[k:]
+        (node, here, _, _, _), pol, before, _ = spine[k]
         while not here & bit:
-            kids = _children(node)
-            for i, kid in enumerate(kids):
+            left = 0
+            for i, kid in enumerate(_children(node)):
                 kid_pol = _child_pol(node, i, pol)
-                _, kid_here, kid_below, _, _ = index.entry(kid, kid_pol)
-                if kid_below & bit:
+                got = index.entry(kid, kid_pol)
+                if got[2] & bit:
                     break
-            spine.append((node, pol, kids, i))
-            node, pol, here = kid, kid_pol, kid_here
+                left |= got[2]
+            before |= here | left
+            path.append(i)
+            spine.append([got, kid_pol, before, left])
+            node, here, pol = kid, got[1], kid_pol
         after, tag = build(node, names)
-        path = (0,) * len(prefix) + tuple(i for _, _, _, i in spine)
-        steps.append(RuleStep(rule_name, tag, path, node, after))
+        steps.append(RuleStep(rule_name, tag, (0,) * len(prefix) + tuple(path),
+                              node, after))
         index.drop(node, pol)
-        index.entry(after, pol)
-        for parent, parent_pol, kids, i in reversed(spine):
-            after = _with_children(parent, kids[:i] + (after,) + kids[i + 1:])
-            index.drop(parent, parent_pol)
-            index.add(after, parent_pol)
-        root = after
+        spine[-1][0] = index.entry(after, pol)
+        # re-summarize up while a guard can see a change; the hit's head
+        # is one
+        seen = True
+        k = len(spine) - 2
+        while k >= 0:
+            level = spine[k]
+            old, pol = level[0], level[1]
+            index.drop(old[0], pol)
+            level[0] = index.add(_splice(old[0], path[k], spine[k + 1][0][0]), pol)
+            node, _, below, _, _ = level[0]
+            if not (isinstance(node, Quant) and node.st):
+                seen = bool((below ^ old[2]) & _MARKED)
+            if not seen and below == old[2]:
+                break
+            k -= 1
+        for j in range(max(k, 0) + 1, len(spine)):
+            spine[j][2] = spine[j - 1][2] | spine[j - 1][0][1] | spine[j][3]
     else:
         raise NotNormalizable(
             f"no fixed point within the step limit M*(D+M+1) = {limit} "
             f"(M={marked} marked quantifiers, depth D={depth})")
+    root = spine[-1][0][0]
+    for level, i in zip(reversed(spine[:-1]), reversed(path)):
+        node = level[0][0]
+        root = node if _children(node)[i] is root else _splice(node, i, root)
     for q in reversed(prefix):
         root = _with_children(q, (root,))
     return steps, root
@@ -951,52 +1013,62 @@ def replay(f: Formula, trace: RuleTrace) -> Formula:
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Structural equality up to bound-variable names (the engine's
     monotone bookkeeping marker is ignored)."""
+    # Each side maps a bound name to the depth of its binder.  The walk
+    # is depth-first from an explicit stack: a binder pushes a marker
+    # under its body that restores the outer bindings when its scope
+    # ends.
+    ea: dict[str, int] = {}
+    eb: dict[str, int] = {}
 
-    def terms(a: Term, b: Term, ea: dict, eb: dict) -> bool:
-        if isinstance(a, str) and isinstance(b, str):
-            ia, ib = ea.get(a), eb.get(b)
-            if (ia is None) != (ib is None):
-                return False
-            return ia == ib if ia is not None else a == b
-        if isinstance(a, App) and isinstance(b, App):
-            ha, hb = ea.get(a.head), eb.get(b.head)
-            if (ha is None) != (hb is None):
-                return False
-            if ha is not None:
-                if ha != hb:
+    def names(x: str, y: str) -> bool:
+        ix, iy = ea.get(x), eb.get(y)
+        return x == y if ix is None and iy is None else ix == iy
+
+    def terms(s: Term, t: Term) -> bool:
+        pairs = [(s, t)]
+        while pairs:
+            s, t = pairs.pop()
+            if isinstance(s, str) and isinstance(t, str):
+                if not names(s, t):
                     return False
-            elif a.head != b.head:
+            elif isinstance(s, App) and isinstance(t, App):
+                if not names(s.head, t.head) or len(s.args) != len(t.args):
+                    return False
+                pairs.extend(zip(s.args, t.args))
+            else:
                 return False
-            return (len(a.args) == len(b.args)
-                    and all(terms(x, y, ea, eb)
-                            for x, y in zip(a.args, b.args)))
-        return False
+        return True
 
-    def go(a: Formula, b: Formula, ea: dict, eb: dict, depth: int) -> bool:
+    todo: list[tuple] = [(f, g, 0)]
+    while todo:
+        item = todo.pop()
+        if len(item) == 4:
+            for env, var, old in ((ea, item[0], item[1]), (eb, item[2], item[3])):
+                if old is None:
+                    del env[var]
+                else:
+                    env[var] = old
+            continue
+        a, b, depth = item
         if type(a) is not type(b):
             return False
         if isinstance(a, Atom):
-            return (a.pred == b.pred and len(a.args) == len(b.args)
-                    and all(terms(x, y, ea, eb)
-                            for x, y in zip(a.args, b.args)))
-        if isinstance(a, Not):
-            return go(a.body, b.body, ea, eb, depth)
-        if isinstance(a, (And, Or, Implies)):
-            return (go(a.left, b.left, ea, eb, depth)
-                    and go(a.right, b.right, ea, eb, depth))
-        if isinstance(a, Quant):
-            if a.kind != b.kind or a.st != b.st or a.vtype != b.vtype:
+            if (a.pred != b.pred or len(a.args) != len(b.args)
+                    or not all(terms(x, y) for x, y in zip(a.args, b.args))):
                 return False
-            return go(a.body, b.body, {**ea, a.var: depth},
-                      {**eb, b.var: depth}, depth + 1)
-        if isinstance(a, ExIn):
-            if not terms(a.bound, b.bound, ea, eb):
+        elif isinstance(a, (Quant, ExIn)):
+            if isinstance(a, Quant):
+                if a.kind != b.kind or a.st != b.st or a.vtype != b.vtype:
+                    return False
+            elif not terms(a.bound, b.bound):
                 return False
-            return go(a.body, b.body, {**ea, a.var: depth},
-                      {**eb, b.var: depth}, depth + 1)
-        raise AssertionError
-
-    return go(f, g, {}, {}, 0)
+            todo.append((a.var, ea.get(a.var), b.var, eb.get(b.var)))
+            ea[a.var] = eb[b.var] = depth
+            todo.append((a.body, b.body, depth + 1))
+        else:
+            todo.extend(zip(reversed(_children(a)), reversed(_children(b)),
+                            (depth, depth)))
+    return True
 
 
 # ---------------------------------------------------------------------------

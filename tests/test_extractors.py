@@ -16,7 +16,6 @@ from mulab.errors import (
 )
 from mulab.extractors import (
     BinaryExpansion,
-    Irrational,
     PiecewiseLinear,
     RationalWitness,
     RepresentedContinuousFunction,
@@ -471,8 +470,9 @@ def test_udq_extraction_decodes_the_first_nonzero():
 
 
 def test_udq_rejects_malformed_witnesses():
+    # dq reals lie in [0, 1]; a witness above 1 is not of the form 1 - 2^-m
     with pytest.raises(MalformedWitness):
-        udq_extraction(NO_EVENT, phi=lambda x: Irrational())
+        udq_extraction(NO_EVENT, phi=lambda x: RationalWitness(Fraction(3, 2), "fake"))
     with pytest.raises(MalformedWitness):
         udq_extraction(NO_EVENT, phi=lambda x: RationalWitness(Fraction(1, 3), "fake"))
     with pytest.raises(MalformedWitness):

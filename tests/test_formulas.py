@@ -285,6 +285,14 @@ def negation_text(d):
     return "(not " * d + "(all st x:0 (ex st y:0 (atom r x y)))" + ")" * d
 
 
+def negation_formula(d):
+    """negation_text(d), built without the parser."""
+    f = Quant("all", True, "x", Base(), Quant("ex", True, "y", Base(), Atom("r", ("x", "y"))))
+    for _ in range(d):
+        f = Not(f)
+    return f
+
+
 FAMILIES = [
     (flip_text(8), ("R1a-flip-antecedent",) * 8, ("0", "1") * 4, ()),
     (herbrand_text(3),
@@ -314,6 +322,19 @@ def test_rules_fire_by_priority_then_outermost_leftmost():
         ("not-push", (0, 1)), ("forall-pull", (0,))]
 
 
+def test_a_change_seen_through_a_marked_chain_reaches_the_guard_above():
+    # the first not-push leaves the `below` of (all st x ...) as it was,
+    # since another not-push waits under it, but turns its body into a
+    # marked existential: Herbrandizing at the root now outranks the rest
+    f = parse_formula("(imp (all st x:0 (not (all st y:0 (not (all st z:0"
+                      " (atom p x y z)))))) (atom q))")
+    _, trace = to_normal_form(f)
+    assert [(s.rule, s.path) for s in trace.steps] == [
+        ("not-push", (0, 0)), ("R2-herbrandize", ()), ("not-push", (0, 0, 0, 0)),
+        ("not-push", (0, 0, 0)), ("R1b-bound-antecedent", (0,))]
+    assert_engine_matches_the_reference(f)
+
+
 def test_forty_nested_pulls_run_past_four_hundred_steps():
     nf, trace = to_normal_form(parse_formula(pull_text(40)))
     assert trace.rules() == ("forall-pull",) * 820
@@ -322,8 +343,9 @@ def test_forty_nested_pulls_run_past_four_hundred_steps():
 
 
 @pytest.mark.parametrize("text", [flip_text(40), pull_text(12), negation_text(24),
-                                  herbrand_text(8)],
-                         ids=["flip-40", "pull-12", "negation-24", "herbrand-8"])
+                                  herbrand_text(8), pull_text(40), negation_text(96)],
+                         ids=["flip-40", "pull-12", "negation-24", "herbrand-8",
+                              "pull-40", "negation-96"])
 def test_engine_matches_the_reference_on_large_benchmark_families(text):
     f = parse_formula(text)
     want, stuck = reference_normalize(f)
@@ -331,6 +353,32 @@ def test_engine_matches_the_reference_on_large_benchmark_families(text):
     _, trace = to_normal_form(f)
     assert [(s.rule, s.tag, s.path, s.before, s.after)
             for s in trace.steps] == want
+
+
+@pytest.mark.parametrize("family, small, large", [
+    (negation_formula, 200, 400),
+    (lambda k: parse_formula(pull_text(k)), 20, 40),
+], ids=["negation", "pull"])
+def test_summary_work_per_step_does_not_grow_with_depth(monkeypatch, family, small,
+                                                        large):
+    # each step re-summarizes the levels between successive hits, which
+    # are adjacent here, not every ancestor of the hit
+    calls = 0
+    add = mulab.formulas._HitIndex.add
+
+    def counted(self, f, p):
+        nonlocal calls
+        calls += 1
+        return add(self, f, p)
+
+    monkeypatch.setattr(mulab.formulas._HitIndex, "add", counted)
+    per_step = {}
+    for n in (small, large):
+        f = family(n)
+        calls = 0
+        _, trace = to_normal_form(f)
+        per_step[n] = calls / len(trace.steps)
+    assert 0 < per_step[large] <= 1.25 * per_step[small]
 
 
 def test_normalizer_work_grows_linearly_on_flips(monkeypatch):
@@ -361,6 +409,22 @@ def test_a_thousand_binder_flip_normalizes():
     assert [s.path for s in trace.steps] == [(0,) * j for j in range(k)]
     assert nf.foralls == tuple(binders)
     assert nf.exists == ()
+
+
+def test_a_thousand_deep_negation_normalizes():
+    d = 1000
+    nf, trace = to_normal_form(negation_formula(d))
+    assert trace.rules() == ("not-push",) * (2 * d)
+    # x climbs the d negations to the root, then y climbs them below x
+    assert [s.path for s in trace.steps] == (
+        [(0,) * j for j in range(d - 1, -1, -1)] + [(0,) * j for j in range(d, 0, -1)])
+    assert nf.foralls == (("x", Base()),)
+    assert nf.exists == (("y", Base()),)
+    node = nf.matrix
+    for _ in range(d):
+        assert isinstance(node, Not)
+        node = node.body
+    assert node == Atom("r", ("x", "y"))
 
 
 @pytest.mark.parametrize("text", [
@@ -494,6 +558,17 @@ def test_alpha_equal_respects_structure():
 def test_alpha_equal_keeps_free_names_rigid():
     assert not alpha_equal(parse_formula("(atom p x)"), parse_formula("(atom p y)"))
     assert alpha_equal(parse_formula("(atom p x)"), parse_formula("(atom p x)"))
+
+
+def test_alpha_equal_walks_chains_deeper_than_the_recursion_limit():
+    def chain(var, free="c"):
+        f = Quant("all", True, var, Base(), Atom("p", (var, free)))
+        for _ in range(5000):
+            f = Not(f)
+        return f
+
+    assert alpha_equal(chain("x"), chain("y"))
+    assert not alpha_equal(chain("x"), chain("y", free="d"))
 
 
 def test_alpha_equal_ignores_the_monotone_marker():
