@@ -62,19 +62,6 @@ from .extractors import (
     uwwkl_from_mu,
     weierstrass_counterexample,
 )
-from .formulas import (
-    alpha_equal,
-    extraction_obligation,
-    format_formula,
-    is_internal,
-    NormalForm,
-    parse_formula,
-    relativize_st,
-    replay,
-    RuleStep,
-    RuleTrace,
-    to_normal_form,
-)
 from .functionals import (
     TracedFunctional,
     TracedRealView,
@@ -127,3 +114,27 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+# The formula layer is the largest module, and only the normal form
+# engine needs it, so it is imported on first use of one of these names
+# (PEP 562): a route or fan command never compiles it.
+_FORMULA_NAMES = frozenset({
+    "alpha_equal",
+    "extraction_obligation",
+    "format_formula",
+    "is_internal",
+    "NormalForm",
+    "parse_formula",
+    "relativize_st",
+    "replay",
+    "RuleStep",
+    "RuleTrace",
+    "to_normal_form",
+})
+
+
+def __getattr__(name: str):
+    if name in _FORMULA_NAMES:
+        from . import formulas
+        return getattr(formulas, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,14 +30,6 @@ from .extractors import (
     udq_extraction,
     weierstrass_counterexample,
 )
-from .formulas import (
-    extraction_obligation,
-    format_formula,
-    format_type,
-    parse_formula,
-    relativize_st,
-    to_normal_form,
-)
 from .functionals import catalog_functional, omega_fan
 from .reals import counterexample_pair
 from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
@@ -93,12 +85,26 @@ class RunReport:
         return cls(command, tuple(fields))
 
 
+def _text(value: object) -> str:
+    """``str(value)``, also for an int or Fraction past the interpreter's
+    limit on int-to-str digits (exact values grow like 2^m at event m).
+    ``Decimal`` converts an int to the same digits with no such limit."""
+    try:
+        return str(value)
+    except ValueError:
+        from decimal import Decimal
+        num, den = value.numerator, value.denominator
+        if den == 1:
+            return str(Decimal(num))
+        return f"{Decimal(num)}/{Decimal(den)}"
+
+
 def _report(command: str, *fields: tuple[str, object]) -> RunReport:
-    return RunReport(command, tuple((k, str(v)) for k, v in fields))
+    return RunReport(command, tuple((k, _text(v)) for k, v in fields))
 
 
 def _fmt_witness(w: int | None) -> str:
-    return "none" if w is None else str(w)
+    return "none" if w is None else _text(w)
 
 
 _Fields = list[tuple[str, object]]
@@ -208,6 +214,16 @@ def _run_fan(args: argparse.Namespace) -> RunReport:
 
 
 def _run_normalize(args: argparse.Namespace) -> RunReport:
+    # imported here, so that no other command pays for the formula layer
+    from .formulas import (
+        extraction_obligation,
+        format_formula,
+        format_type,
+        parse_formula,
+        relativize_st,
+        to_normal_form,
+    )
+
     text = args.formula
     # formula text opens with a parenthesis or a comment; anything else
     # names a file

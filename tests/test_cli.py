@@ -5,11 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mulab.cli import RunReport, main
+from mulab.cli import RunReport, _text, main
 from mulab.errors import ParseError
 
 EVENT_FLAG = "prefix=[1,1,1];tail=[0]"
@@ -67,6 +69,60 @@ def test_dq_route_fires_on_the_first_nonzero(capsys):
     assert got["witness"] == "3"
     assert got["value"] == "7/8"
     assert got["certificate"] == "dq-series"
+
+
+# The first event at which a route's report held an int past the
+# interpreter's 4300-digit limit on str(int): x_minus/x_plus, xi_bound,
+# epsilon or dq's value grow like 2^m at event m.
+FIRST_LONG_EVENT = {"wwkl": 14_284, "dq": 14_285, "ubin": 14_286,
+                    "ivt": 14_286, "weier": 14_286}
+
+
+@pytest.mark.parametrize("route,event", [
+    (route, event) for route, first in FIRST_LONG_EVENT.items()
+    for event in (first, 20_000)])
+def test_routes_report_events_past_the_int_str_limit(capsys, route, event):
+    if route == "dq":
+        flag = f"prefix=[{','.join(['0'] * event)}];tail=[1]"
+    else:
+        flag = f"prefix=[{','.join(['1'] * event)}];tail=[0]"
+    code, out, err = run_cli(capsys, route, "--flag", flag)
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    if route == "weier":
+        # weier reports no witness; epsilon = 2^(1 - m) names the event m
+        assert got["event"] == "True"
+        assert got["epsilon"] == f"1/{Decimal(2 ** (event - 1))}"
+    else:
+        assert got["witness"] == str(event)
+    if route in ("ubin", "wwkl", "ivt"):
+        assert got["agrees_with_direct_search"] == "True"
+
+
+BELOW_DIGIT_LIMIT = [0, 1, -7, True, False, None, "word", Fraction(-3, 4),
+                     Fraction(5), 10 ** 4299, -(10 ** 4299) + 1,
+                     Fraction(1, 10 ** 4299 - 1)]
+ABOVE_DIGIT_LIMIT = [10 ** 4300, -(2 ** 20_000), Fraction(1, 2 ** 19_999),
+                     Fraction(-(3 ** 9000), 2 ** 20_000 + 1),
+                     Fraction(3 ** 20_000, 7), Fraction(7, 3 ** 20_000)]
+
+
+def test_report_values_below_the_digit_limit_print_as_str():
+    assert [_text(v) for v in BELOW_DIGIT_LIMIT] == \
+        [str(v) for v in BELOW_DIGIT_LIMIT]
+
+
+def test_report_values_above_the_digit_limit_print_as_unlimited_str():
+    for value in ABOVE_DIGIT_LIMIT:
+        with pytest.raises(ValueError):
+            str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(v) for v in ABOVE_DIGIT_LIMIT]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [_text(v) for v in ABOVE_DIGIT_LIMIT] == expected
 
 
 def test_ubin_route_details(capsys):
@@ -314,3 +370,26 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["agrees_with_direct_search"] == "True"
+
+
+COLD_START = """
+import contextlib, io, sys
+import mulab.cli
+loaded = ["mulab.formulas" in sys.modules]
+for argv in (["ubin", "--flag", "prefix=[1];tail=[0]"],
+             ["fan", "--functional", "sum:3", "--tree", "full"],
+             ["normalize", "--formula", "(all st f:1 (atom iszero f f))"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mulab.cli.main(argv)
+    loaded.append((code, "mulab.formulas" in sys.modules))
+print(loaded)
+"""
+
+
+def test_only_normalize_loads_the_formula_layer():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stderr == ""
+    assert proc.stdout == "[False, (0, False), (0, False), (0, True)]\n"
