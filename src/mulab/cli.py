@@ -332,9 +332,6 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
-        print(f"input error: nesting too deep ({exc})", file=sys.stderr)
-        return 2
     print(report.to_json() if args.json else report.to_text())
     return 0
 

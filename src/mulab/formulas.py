@@ -17,14 +17,21 @@ root are settled and never visited again.  Every step records the path
 it fired at together with the exact subformula before and after, so a
 trace can be replayed against the source formula.  Steps are
 equivalences except for the marker-dropping rule, which only preserves
-truth top-down; a trace's certificate says which kind the whole run is.  A run on a source with M
-marked quantifiers and depth D stops within M*(D+M+1) steps; one that
-went past that limit would raise NotNormalizable.
+truth top-down; a trace's certificate says which kind the whole run is.
+A run on a source with M marked quantifiers and depth D stops within
+M*(D+M+1) steps; one that went past that limit would raise
+NotNormalizable.
+
+Only the parser recurses on nesting depth, and it reports input nested
+too deeply for the interpreter's stack as a ParseError.  Every other walk
+over formulas, terms and types keeps its own stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
+from operator import is_not
 from typing import Callable, Iterator, Union
 
 from .errors import FormulaScopeError, NotNormalizable, ParseError
@@ -62,29 +69,13 @@ Type = Union[Base, Arrow, Seq]
 
 
 def _pure_degree(t: Type) -> int | None:
-    if isinstance(t, Base):
-        return 0
-    if isinstance(t, Arrow) and isinstance(t.right, Base):
-        d = _pure_degree(t.left)
-        if d is not None:
-            return d + 1
-    return None
+    d = 0
+    while isinstance(t, Arrow) and isinstance(t.right, Base):
+        t, d = t.left, d + 1
+    return d if isinstance(t, Base) else None
 
 
-def format_type(t: Type) -> str:
-    d = _pure_degree(t)
-    if d is not None:
-        return str(d)
-    if isinstance(t, Seq):
-        inner = format_type(t.inner)
-        return f"({inner})*" if isinstance(t.inner, Arrow) and _pure_degree(t.inner) is None else f"{inner}*"
-    if isinstance(t, Arrow):
-        return f"({format_type(t.left)}->{format_type(t.right)})"
-    raise AssertionError(f"unknown type {t!r}")
-
-
-def _pure(n: int) -> Type:
-    return Base() if n == 0 else Arrow(_pure(n - 1), Base())
+_MAX_DEGREE = 10_000  # a digit n builds n nested arrows
 
 
 def parse_type(text: str, where: str = "") -> Type:
@@ -108,7 +99,12 @@ def parse_type(text: str, where: str = "") -> Type:
             start = pos
             while pos < len(text) and text[pos].isdigit():
                 pos += 1
-            t = _pure(int(text[start:pos]))
+            degree = int(text[start:pos])
+            if degree > _MAX_DEGREE:
+                raise fail(f"degree {degree} is past {_MAX_DEGREE}")
+            t = Base()
+            for _ in range(degree):
+                t = Arrow(t, Base())
         else:
             raise fail(f"unexpected {text[pos]!r}")
         while pos < len(text) and text[pos] == "*":
@@ -207,6 +203,18 @@ def _children(f: Formula) -> tuple[Formula, ...]:
     raise AssertionError(f"unknown node {f!r}")
 
 
+def _parts(x: Formula | Term) -> tuple:
+    """The terms and subformulas directly below a formula or a term."""
+    t = type(x)
+    if t is Atom or t is App:
+        return x.args
+    if t is Quant or t is Not:
+        return (x.body,)
+    if t is ExIn:
+        return (x.bound, x.body)
+    return () if t is str else (x.left, x.right)
+
+
 def _with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
     if isinstance(f, Atom):
         return f
@@ -257,104 +265,80 @@ def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # parsing
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
+# blanks and comments, then one token: a parenthesis, a symbol, or ""
+# at the end of the input
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|;[^\n]*)*([()]|[^ \t\r\n();]*)")
+_RUN = re.compile(r"[^ \t\r\n;]*")
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            toks.append(_Tok(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            startcol = col
-            while i < len(text) and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok(text[start:i], line, startcol))
-    return toks
+def _tokenize(text: str) -> tuple[list[str], list[int]]:
+    """The tokens of text, ending with "", and their offsets.  A binder
+    whose type opens with a parenthesis, as in ``F:(0->1)*``, keeps its
+    type with its name when the run up to the next blank balances."""
+    toks: list[str] = []
+    starts: list[int] = []
+    tok, pos = None, 0
+    while tok != "":
+        m = _TOKEN.match(text, pos)
+        tok, pos = m[1], m.end()
+        if ":" in tok and text.startswith("(", pos):
+            run = _RUN.match(text, pos)[0]
+            if run.count("(") == run.count(")"):
+                tok, pos = tok + run, pos + len(run)
+        toks.append(tok)
+        starts.append(m.start(1))
+    return toks, starts
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.text = text
+        self.toks, self.starts = _tokenize(text)
         self.pos = 0
 
     def fail(self, msg: str) -> ParseError:
-        if self.pos < len(self.toks):
-            t = self.toks[self.pos]
-            return ParseError(f"line {t.line} col {t.col}: {msg} (at {t.text!r})")
-        return ParseError(f"end of input: {msg}")
+        tok, start = self.toks[self.pos], self.starts[self.pos]
+        if not tok:
+            return ParseError(f"end of input: {msg}")
+        line = self.text.count("\n", 0, start) + 1
+        col = start - self.text.rfind("\n", 0, start)
+        return ParseError(f"line {line} col {col}: {msg} (at {tok!r})")
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        t = self.peek()
-        if t is None:
+    def next(self) -> str:
+        tok = self.toks[self.pos]
+        if not tok:
             raise self.fail("unexpected end")
         self.pos += 1
-        return t
+        return tok
 
     def expect(self, text: str) -> None:
-        t = self.next()
-        if t.text != text:
+        if self.next() != text:
             self.pos -= 1
             raise self.fail(f"expected {text!r}")
 
     def symbol(self) -> str:
-        t = self.next()
-        if t.text in ("(", ")"):
+        tok = self.next()
+        if tok in ("(", ")"):
             self.pos -= 1
             raise self.fail("expected a symbol")
-        return t.text
+        return tok
 
     def term(self) -> Term:
-        t = self.next()
-        if t.text == ")":
+        tok = self.next()
+        if tok == ")":
             self.pos -= 1
             raise self.fail("expected a term")
-        if t.text != "(":
-            return t.text
+        if tok != "(":
+            return tok
         self.expect("app")
         head = self.symbol()
         args: list[Term] = []
-        while self.peek() and self.peek().text != ")":
+        while self.toks[self.pos] not in ("", ")"):
             args.append(self.term())
         self.expect(")")
         if not args:
             raise self.fail("app needs at least one argument")
         return App(head, tuple(args))
-
-    def binder(self) -> tuple[str, Type]:
-        t = self.next()
-        if ":" not in t.text:
-            self.pos -= 1
-            raise self.fail("expected var:type")
-        var, _, ann = t.text.partition(":")
-        if not var or not ann:
-            self.pos -= 1
-            raise self.fail("expected var:type")
-        return var, parse_type(ann, where=t.text)
 
     def formula(self, scope: frozenset[str]) -> Formula:
         self.expect("(")
@@ -362,7 +346,7 @@ class _Parser:
         if head == "atom":
             pred = self.symbol()
             args: list[Term] = []
-            while self.peek() and self.peek().text != ")":
+            while self.toks[self.pos] not in ("", ")"):
                 args.append(self.term())
             self.expect(")")
             return Atom(pred, tuple(args))
@@ -374,14 +358,16 @@ class _Parser:
             left = self.formula(scope)
             right = self.formula(scope)
             self.expect(")")
-            cls = {"and": And, "or": Or, "imp": Implies}[head]
-            return cls(left, right)
+            return {"and": And, "or": Or, "imp": Implies}[head](left, right)
         if head in ("all", "ex"):
-            st = False
-            if self.peek() and self.peek().text == "st":
-                st = True
-                self.next()
-            var, vtype = self.binder()
+            st = self.toks[self.pos] == "st"
+            self.pos += st
+            binder = self.next()
+            var, _, ann = binder.partition(":")
+            if not var or not ann:
+                self.pos -= 1
+                raise self.fail("expected var:type")
+            vtype = parse_type(ann, where=binder)
             if var in scope:
                 raise FormulaScopeError(f"variable {var!r} rebound")
             body = self.formula(scope | {var})
@@ -401,73 +387,79 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula(frozenset())
-    if p.peek() is not None:
+    try:
+        f = p.formula(frozenset())
+    except RecursionError as exc:
+        raise ParseError(f"nesting too deep ({exc})") from None
+    if p.toks[p.pos]:
         raise p.fail("trailing input")
     return f
 
 
-def _term_str(t: Term) -> str:
-    if isinstance(t, str):
-        return t
-    return "(app " + t.head + "".join(" " + _term_str(a) for a in t.args) + ")"
+# how each node but a quantifier opens; its parts follow, each after a blank
+_OPEN = {Not: "(not", And: "(and", Or: "(or", Implies: "(imp",
+         Atom: "(atom {0.pred}", App: "(app {0.head}", ExIn: "(ex-in {0.var}"}
 
 
-def format_formula(f: Formula) -> str:
-    if isinstance(f, Atom):
-        return "(atom " + f.pred + "".join(" " + _term_str(a) for a in f.args) + ")"
-    if isinstance(f, Not):
-        return f"(not {format_formula(f.body)})"
-    if isinstance(f, And):
-        return f"(and {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Or):
-        return f"(or {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Implies):
-        return f"(imp {format_formula(f.left)} {format_formula(f.right)})"
-    if isinstance(f, Quant):
-        marker = "st " if f.st else ""
-        return (f"({f.kind} {marker}{f.var}:{format_type(f.vtype)} "
-                f"{format_formula(f.body)})")
-    if isinstance(f, ExIn):
-        return f"(ex-in {f.var} {_term_str(f.bound)} {format_formula(f.body)})"
-    raise AssertionError
+def format_formula(root: Formula | Term | Type) -> str:
+    """Print a formula, or a term or a type, from an explicit stack.  A
+    node writes its opening text and pushes the rest in reverse; a string
+    on the stack, a name or a piece of syntax, is written as it stands."""
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is str:
+            out.append(x)
+        elif t in _OPEN:
+            out.append(_OPEN[t].format(x))
+            stack.append(")")
+            for part in reversed(_parts(x)):
+                stack += (" " + part,) if type(part) is str else (part, " ")
+        elif t is Quant:
+            out.append(f"({x.kind} {'st ' if x.st else ''}{x.var}:")
+            stack += (")", x.body, " ", x.vtype)
+        elif t is Seq:
+            wrap = type(x.inner) is Arrow and _pure_degree(x.inner) is None
+            out.append("(" if wrap else "")
+            stack += (")*" if wrap else "*", x.inner)
+        else:
+            d = _pure_degree(x)
+            if d is None:
+                out.append("(")
+                stack += (")", x.right, "->", x.left)
+            else:
+                out.append(str(d))
+    return "".join(out)
+
+
+format_type = format_formula  # the one printer takes types too
 
 
 # ---------------------------------------------------------------------------
 # basic queries
 
-def _term_names(t: Term) -> Iterator[str]:
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):
-            yield t
-        else:
-            yield t.head
-            stack.extend(reversed(t.args))
-
-
-def _nodes(f: Formula) -> Iterator[Formula]:
-    """Every subformula, in preorder."""
+def _nodes(f: Formula | Term) -> Iterator[Formula | Term]:
+    """Every subformula and term, in preorder."""
     stack = [f]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_children(node)))
+        stack.extend(reversed(_parts(node)))
 
 
-def _all_names(f: Formula) -> set[str]:
+def _all_names(f: Formula | Term) -> set[str]:
     names: set[str] = set()
     for node in _nodes(f):
-        if isinstance(node, Atom):
+        if isinstance(node, str):
+            names.add(node)
+        elif isinstance(node, Atom):
             names.add(node.pred)
-            for a in node.args:
-                names.update(_term_names(a))
-        elif isinstance(node, Quant):
+        elif isinstance(node, App):
+            names.add(node.head)
+        elif isinstance(node, (Quant, ExIn)):
             names.add(node.var)
-        elif isinstance(node, ExIn):
-            names.add(node.var)
-            names.update(_term_names(node.bound))
     return names
 
 
@@ -476,61 +468,56 @@ def is_internal(f: Formula) -> bool:
     return not any(isinstance(node, Quant) and node.st for node in _nodes(f))
 
 
-def _is_bounded_number_quant(q: Quant) -> bool:
-    """Guarded number quantifiers that stay unmarked under relativization:
-    (all n:0 (imp (atom leq n t) ...)) and (ex n:0 (and (atom leq n t) ...))."""
-    if not isinstance(q.vtype, Base):
-        return False
-    b = q.body
-    if q.kind == "all" and isinstance(b, Implies):
-        guard = b.left
-    elif q.kind == "ex" and isinstance(b, And):
-        guard = b.left
-    else:
-        return False
-    return (isinstance(guard, Atom) and guard.pred == "leq"
-            and len(guard.args) == 2 and guard.args[0] == q.var
-            and q.var not in set(_term_names(guard.args[1])))
-
-
 def relativize_st(f: Formula) -> Formula:
     """Mark every quantifier standard except guarded number quantifiers
     and sequence-entry quantifiers, which are bounded already."""
-    if isinstance(f, Quant):
-        body = relativize_st(f.body)
-        st = not _is_bounded_number_quant(f)
-        return Quant(f.kind, st, f.var, f.vtype, body, f.mono)
-    kids = tuple(relativize_st(k) for k in _children(f))
-    return _with_children(f, kids)
+    return _rebuild(f, _mark_unguarded)
+
+
+def _mark_unguarded(x: Formula | Term) -> tuple[Formula | Term, tuple]:
+    """The visit of `relativize_st`: a quantifier is marked unless it is a
+    guarded number quantifier, (all n:0 (imp (atom leq n t) ...)) or
+    (ex n:0 (and (atom leq n t) ...)) with n not in t."""
+    if isinstance(x, Quant):
+        b = x.body
+        guard = b.left if isinstance(b, Implies if x.kind == "all" else And) else None
+        guarded = (isinstance(x.vtype, Base) and isinstance(guard, Atom)
+                   and guard.pred == "leq" and len(guard.args) == 2
+                   and guard.args[0] == x.var
+                   and x.var not in _all_names(guard.args[1]))
+        if x.st == guarded:
+            x = replace(x, st=not guarded)
+    return x, _parts(x)
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# rebuilding and fresh names
 
-def _subst_term(t: Term, var: str, rep: Term) -> Term:
-    if isinstance(t, str):
-        return rep if t == var else t
-    head: str = t.head
-    if head == var:
-        if not isinstance(rep, str):
-            raise NotNormalizable(
-                f"cannot substitute applied term for head position {var!r}")
-        head = rep
-    return App(head, tuple(_subst_term(a, var, rep) for a in t.args))
-
-
-def _subst(f: Formula, var: str, rep: Term) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(_subst_term(a, var, rep) for a in f.args))
-    if isinstance(f, Quant):
-        if f.var == var:
-            return f
-        return _with_children(f, (_subst(f.body, var, rep),))
-    if isinstance(f, ExIn):
-        bound = _subst_term(f.bound, var, rep)
-        body = f.body if f.var == var else _subst(f.body, var, rep)
-        return ExIn(f.var, bound, body)
-    return _with_children(f, tuple(_subst(k, var, rep) for k in _children(f)))
+def _rebuild(root: Formula | Term, visit: Callable) -> Formula | Term:
+    """Rebuild a formula or a term bottom-up from an explicit stack.
+    `visit(node)` sees each node, last part first, and returns the node
+    to build with the leading parts (`_parts`) of it to rebuild; in
+    reverse visiting order these are done, left to right, just before
+    it.  A node whose parts come back as the same objects stays as is."""
+    order = []
+    todo = [root]
+    while todo:
+        node, below = visit(todo.pop())
+        order.append((node, below))
+        todo += below
+    done: list = []
+    for node, below in reversed(order):
+        if below:
+            n = len(below)
+            new = done[-n:]
+            del done[-n:]
+            if any(map(is_not, new, below)):
+                new += _parts(node)[n:]
+                node = (replace(node, args=tuple(new)) if type(node) in (Atom, App)
+                        else ExIn(node.var, *new) if type(node) is ExIn
+                        else _with_children(node, new))
+        done.append(node)
+    return done[0]
 
 
 class _Names:
@@ -622,8 +609,21 @@ def _r2(node: Implies, names: _Names):
         ftype = Arrow(q.vtype, ftype)
     base = witness.var.upper()
     fname = names.fresh(base if base != witness.var else "F" + witness.var)
-    applied: Term = App(fname, tuple(q.var for q in chain))
-    inner: Formula = _subst(witness.body, witness.var, applied)
+    applied = App(fname, tuple(q.var for q in chain))
+
+    def visit(x):
+        # the witness becomes `applied` wherever it is free
+        t = type(x)
+        if t is str:
+            return (applied if x == witness.var else x), ()
+        if t is App and x.head == witness.var:
+            raise NotNormalizable("cannot substitute applied term for head "
+                                  f"position {witness.var!r}")
+        if (t is Quant or t is ExIn) and x.var == witness.var:
+            return x, (x.bound,) if t is ExIn else ()  # only a bound is outside
+        return x, _parts(x)
+
+    inner: Formula = _rebuild(witness.body, visit)
     for q in reversed(chain):
         inner = Quant("all", True, q.var, q.vtype, inner)
     return Quant("all", True, fname, ftype,
@@ -853,20 +853,14 @@ def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
     finally:
         index.clear()
 
-    foralls: list[tuple[str, Type]] = []
-    cur = current
-    while isinstance(cur, Quant) and cur.kind == "all" and cur.st:
-        foralls.append((cur.var, cur.vtype))
-        cur = cur.body
-    exists: list[tuple[str, Type]] = []
-    while isinstance(cur, Quant) and cur.kind == "ex" and cur.st:
-        exists.append((cur.var, cur.vtype))
-        cur = cur.body
+    foralls, cur = _run(current, "all")
+    exists, cur = _run(cur, "ex")
     if not is_internal(cur):
         raise NotNormalizable(
             "markers remain outside a forall-exists prefix: "
             + format_formula(cur))
-    nf = NormalForm(tuple(foralls), tuple(exists), cur)
+    nf = NormalForm(tuple((q.var, q.vtype) for q in foralls),
+                    tuple((q.var, q.vtype) for q in exists), cur)
     return nf, RuleTrace(tuple(steps))
 
 
@@ -1058,7 +1052,9 @@ def alpha_equal(f: Formula, g: Formula) -> bool:
                 return False
         elif isinstance(a, (Quant, ExIn)):
             if isinstance(a, Quant):
-                if a.kind != b.kind or a.st != b.st or a.vtype != b.vtype:
+                # printed types are equal exactly when the types are
+                if (a.kind, a.st, format_type(a.vtype)) != (
+                        b.kind, b.st, format_type(b.vtype)):
                     return False
             elif not terms(a.bound, b.bound):
                 return False
@@ -1078,9 +1074,7 @@ def extraction_obligation(nf: NormalForm) -> Formula:
     """The internal statement that realizes a normal form: plain
     universals over the forall block, then each existential witnessed
     inside a fresh term applied to the universals."""
-    names = _Names(_all_names(nf.matrix)
-                   | {v for v, _ in nf.foralls}
-                   | {v for v, _ in nf.exists})
+    names = _Names(_all_names(nf.to_formula()))
     single = len(nf.exists) == 1
     body = nf.matrix
     witness_names = [names.fresh("t" if single else f"t{j + 1}")

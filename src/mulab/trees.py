@@ -180,10 +180,16 @@ class Truncation(PresentedTree):
             raise ValueError("truncation level must be nonnegative")
 
     def member(self, length: int, value: int) -> bool:
-        return length <= self.level and self.inner.member(length, value)
+        tree = self
+        while isinstance(tree, Truncation) and length <= tree.level:
+            tree = tree.inner
+        return not isinstance(tree, Truncation) and tree.member(length, value)
 
     def level_count(self, n: int) -> int:
-        return self.inner.level_count(n) if n <= self.level else 0
+        tree = self
+        while isinstance(tree, Truncation) and n <= tree.level:
+            tree = tree.inner
+        return 0 if isinstance(tree, Truncation) else tree.level_count(n)
 
     def alive(self, length: int, value: int, mu: MuOp = mu_exact) -> bool:
         return False
@@ -301,45 +307,47 @@ def parse_tree(text: str) -> PresentedTree:
     """Parse the tree syntax: full | flagtree:i:<sequence> |
     path:<bits>[+full@<level>] | truncate:<level>:<tree>."""
     text = text.strip()
-    if text == "full":
-        return FullTree()
-    if text.startswith("flagtree:"):
-        rest = text[len("flagtree:"):]
-        root, sep, seq = rest.partition(":")
-        if not sep or root not in ("0", "1"):
-            raise ParseError(f"bad flagtree syntax: {text!r}")
-        return FlagTree(int(root), parse_sequence(seq))
-    if text.startswith("path:"):
-        rest = text[len("path:"):]
-        if "+full@" in rest:
-            bits_text, _, level_text = rest.partition("+full@")
-            if not level_text.isdigit():
-                raise ParseError(f"bad graft level in {text!r}")
-            level = int(level_text)
-        else:
-            bits_text, level = rest, None
-        if not bits_text or any(c not in "01" for c in bits_text):
-            raise ParseError(f"bad path bits in {text!r}")
-        return PathTree(tuple(int(c) for c in bits_text), level)
-    if text.startswith("truncate:"):
-        rest = text[len("truncate:"):]
-        level_text, sep, inner = rest.partition(":")
+    levels = []
+    while text.startswith("truncate:"):
+        level_text, sep, inner = text[len("truncate:"):].partition(":")
         if not sep or not level_text.isdigit():
             raise ParseError(f"bad truncate syntax: {text!r}")
-        return Truncation(int(level_text), parse_tree(inner))
-    raise ParseError(f"unknown tree syntax: {text!r}")
+        levels.append(int(level_text))
+        text = inner.strip()
+    if text == "full":
+        tree = FullTree()
+    elif text.startswith("flagtree:"):
+        root, sep, seq = text[len("flagtree:"):].partition(":")
+        if not sep or root not in ("0", "1"):
+            raise ParseError(f"bad flagtree syntax: {text!r}")
+        tree = FlagTree(int(root), parse_sequence(seq))
+    elif text.startswith("path:"):
+        bits_text, graft, level_text = text[len("path:"):].partition("+full@")
+        if graft and not level_text.isdigit():
+            raise ParseError(f"bad graft level in {text!r}")
+        level = int(level_text) if graft else None
+        if not bits_text or any(c not in "01" for c in bits_text):
+            raise ParseError(f"bad path bits in {text!r}")
+        tree = PathTree(tuple(int(c) for c in bits_text), level)
+    else:
+        raise ParseError(f"unknown tree syntax: {text!r}")
+    for level in reversed(levels):
+        tree = Truncation(level, tree)
+    return tree
 
 
 def format_tree(tree: PresentedTree) -> str:
+    cuts = []
+    while isinstance(tree, Truncation):
+        cuts.append(f"truncate:{tree.level}:")
+        tree = tree.inner
     if isinstance(tree, FullTree):
-        return "full"
-    if isinstance(tree, FlagTree):
-        return f"flagtree:{tree.root_bit}:{format_sequence(tree.flag)}"
-    if isinstance(tree, PathTree):
-        bits = "".join(str(b) for b in tree.bits)
-        if tree.full_below is None:
-            return f"path:{bits}"
-        return f"path:{bits}+full@{tree.full_below}"
-    if isinstance(tree, Truncation):
-        return f"truncate:{tree.level}:{format_tree(tree.inner)}"
-    raise ValueError(f"unknown tree {tree!r}")
+        text = "full"
+    elif isinstance(tree, FlagTree):
+        text = f"flagtree:{tree.root_bit}:{format_sequence(tree.flag)}"
+    elif isinstance(tree, PathTree):
+        graft = "" if tree.full_below is None else f"+full@{tree.full_below}"
+        text = "path:" + "".join(str(b) for b in tree.bits) + graft
+    else:
+        raise ValueError(f"unknown tree {tree!r}")
+    return "".join(cuts) + text

@@ -325,6 +325,86 @@ def test_over_deep_nesting_is_exit_two(capsys):
     assert err.count("\n") == 1
 
 
+def test_a_large_pure_degree_is_not_deep_nesting(capsys):
+    code, out, err = run_cli(capsys, "normalize", "--formula",
+                             "(all st x:1200 (atom p x))")
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["steps"] == "none"
+    assert got["foralls"] == "x:1200"
+    assert got["source"] == "(all st x:1200 (atom p x))"
+
+
+def test_a_deep_normal_form_prints(capsys):
+    # R1b turns 600 marked number universals into 600 guarded ones, each
+    # under its own implication: a matrix 1200 levels deep
+    k = 600
+    names = [f"x{j}" for j in range(k)]
+    text = ("(imp " + "".join(f"(all st {v}:0 " for v in names)
+            + "(atom p " + " ".join(names) + ")" + ")" * k + " (atom q))")
+    code, out, err = run_cli(capsys, "normalize", "--formula", text)
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["steps"] == "R1b-bound-antecedent"
+    assert (got["foralls"], got["exists"]) == ("none", "N:0")
+    guarded = "".join(f"(all {v}:0 (imp (atom leq {v} N) " for v in names)
+    assert got["matrix"] == ("(imp " + guarded + "(atom p " + " ".join(names)
+                             + ")" + "))" * k + " (atom q))")
+
+
+def test_relativize_walks_deep_nesting(capsys):
+    d = 600
+    text = "(not " * d + "(all x:0 (ex y:0 (atom r x y)))" + ")" * d
+    code, out, err = run_cli(capsys, "normalize", "--formula", text,
+                             "--relativize")
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["source"] == ("(not " * d + "(all st x:0 (ex st y:0 (atom r x y)))"
+                             + ")" * d)
+    assert got["steps"] == " ".join(["not-push"] * (2 * d))
+    assert (got["foralls"], got["exists"]) == ("x:0", "y:0")
+    assert got["matrix"] == "(not " * d + "(atom r x y)" + ")" * d
+
+
+def test_herbrandizing_substitutes_through_a_deep_witness_body(capsys):
+    d = 600
+    text = ("(imp (all st x:0 (ex st y:0 " + "(not " * d + "(atom r x y)"
+            + ")" * d + ")) (atom q))")
+    code, out, err = run_cli(capsys, "normalize", "--formula", text)
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["steps"] == "R2-herbrandize R1b-bound-antecedent"
+    assert (got["foralls"], got["exists"]) == ("Y:1", "N:0")
+    assert got["matrix"] == ("(imp (all x:0 (imp (atom leq x N) " + "(not " * d
+                             + "(atom r x (app Y x))" + ")" * d + ")) (atom q))")
+
+
+def test_a_recursion_error_past_the_parser_is_a_bug(monkeypatch):
+    # only the parser may refuse deep input; anywhere else a
+    # RecursionError is not an input error and must surface
+    import mulab.formulas
+
+    def overflow(formula):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(mulab.formulas, "to_normal_form", overflow)
+    with pytest.raises(RecursionError):
+        main(["normalize", "--formula", "(atom p)"])
+
+
+def test_deeply_nested_truncations_check_the_cover(capsys):
+    # nested truncations are kept as they are, not flattened
+    tree = "truncate:5:" * 2000 + "full"
+    code, out, err = run_cli(capsys, "fan", "--functional", "const:1",
+                             "--tree", tree)
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["tree"] == tree
+    _, once, _ = run_cli(capsys, "fan", "--functional", "const:1",
+                         "--tree", "truncate:5:full")
+    assert {**fields_of(once), "tree": tree} == got
+
+
 def test_bad_flag_syntax_is_exit_two(capsys):
     code, out, err = run_cli(capsys, "ubin", "--flag", "garbage")
     assert code == 2

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 from importlib import resources
 from itertools import count
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,6 +89,18 @@ def test_parse_type_rejects_garbage(bad):
         parse_type(bad)
 
 
+def test_a_pure_degree_is_built_and_printed_without_recursion():
+    t = parse_type("10000")
+    assert format_type(t) == "10000"
+    for _ in range(10000):
+        assert t.right == Base()
+        t = t.left
+    assert t == Base()
+    # a digit stands for that many nested arrows, so the parser bounds it
+    with pytest.raises(ParseError, match="degree 10001 is past 10000"):
+        parse_type("10001")
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 
@@ -99,6 +115,8 @@ GOOD_FORMULAS = [
     "(ex-in a w (atom near a))",
     "(atom graph (app F x y) x)",
     "(all x:0* (atom listed x))",
+    "(all st F:(0->1) (atom p F))",
+    "(ex y:((0->1))* (all z:(0->1)->0 (atom q y z)))",
 ]
 
 
@@ -106,6 +124,20 @@ GOOD_FORMULAS = [
 def test_formula_round_trip(text):
     f = parse_formula(text)
     assert parse_formula(format_formula(f)) == f
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(atom p)\n  ; note (\n\t(atom q)",
+     "line 3 col 2: trailing input (at '(')"),
+    ("(all x:0\n   (atom p x) junk)", "line 2 col 15: expected ')' (at 'junk')"),
+    ("(all st (atom p))", "line 1 col 9: expected var:type (at '(')"),
+    ("(all x:0 (atom p x)", "end of input: unexpected end"),
+    ("(atom p (app f)) ; done", "line 1 col 16: app needs at least one argument (at ')')"),
+])
+def test_parse_errors_name_the_line_and_column(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text)
+    assert str(exc.value) == message
 
 
 def test_comments_and_whitespace_are_ignored():
@@ -139,6 +171,11 @@ def test_parser_rejects_rebinding():
         parse_formula("(all x:0 (ex x:0 (atom p x)))")
     with pytest.raises(FormulaScopeError):
         parse_formula("(all x:0 (ex-in x w (atom p x)))")
+
+
+def test_parser_refuses_deep_nesting_as_a_parse_error():
+    with pytest.raises(ParseError, match=r"^nesting too deep \(maximum recursion"):
+        parse_formula("(not " * 5000 + "(atom p)" + ")" * 5000)
 
 
 def test_subformula_navigation_round_trip():
@@ -205,6 +242,26 @@ def test_fixture_normal_forms(name):
     assert trace.certificate == certificate
 
 
+def herbrand_text(pairs):
+    """marked forall-exists pairs in an antecedent, a marked existential
+    consequent."""
+    body = "(atom r " + " ".join(f"x{j} y{j}" for j in range(pairs)) + ")"
+    return ("(imp " + "".join(f"(all st x{j}:0 (ex st y{j}:0 " for j in range(pairs))
+            + body + ")" * (2 * pairs) + " (ex st z:0 (atom q z)))")
+
+
+@pytest.mark.parametrize("text", [fixture_text(f"{name}.sexp") for name in sorted(FIXTURES)]
+                         + [herbrand_text(pairs) for pairs in (2, 3, 4)],
+                         ids=sorted(FIXTURES) + ["herbrand-2", "herbrand-3", "herbrand-4"])
+def test_printed_formulas_parse_back(text):
+    # Herbrandizing two or more pairs names functionals of compound type,
+    # printed as binders like Y2:(0->1)
+    src = parse_formula(text)
+    nf, _ = to_normal_form(src)
+    for f in (src, nf.to_formula(), extraction_obligation(nf)):
+        assert parse_formula(format_formula(f)) == f
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_normalization_is_idempotent(name):
     src = parse_formula(fixture_text(f"{name}.sexp"))
@@ -261,14 +318,6 @@ def flip_text(k):
     return ("(imp " + "".join(f"(ex st x{j}:{j % 2} " for j in range(k))
             + "(atom p " + " ".join(f"x{j}" for j in range(k)) + ")"
             + ")" * k + " (atom q))")
-
-
-def herbrand_text(pairs):
-    """marked forall-exists pairs in an antecedent, a marked existential
-    consequent."""
-    body = "(atom r " + " ".join(f"x{j} y{j}" for j in range(pairs)) + ")"
-    return ("(imp " + "".join(f"(all st x{j}:0 (ex st y{j}:0 " for j in range(pairs))
-            + body + ")" * (2 * pairs) + " (ex st z:0 (atom q z)))")
 
 
 def pull_text(k):
@@ -605,3 +654,81 @@ def test_obligation_numbers_multiple_witnesses():
 def test_obligation_avoids_name_capture():
     nf = NormalForm((), (("x", Base()),), Atom("p", ("x", "t")))
     assert extraction_obligation(nf).bound == "t2"
+
+
+# ---------------------------------------------------------------------------
+# only the parser recurses
+
+SHALLOW_STACK = """
+import sys
+from mulab.formulas import (App, Arrow, Atom, Base, Implies, Not, Quant, Seq,
+                            alpha_equal, extraction_obligation, format_formula,
+                            format_type, relativize_st, to_normal_form)
+from mulab.trees import FullTree, Truncation, format_tree, parse_tree
+
+D = 2000
+sys.setrecursionlimit(150)
+
+# types: a pure degree, a right-nested arrow, a sequence chain
+pure = Base()
+for _ in range(D):
+    pure = Arrow(pure, Base())
+arrows, seqs = Seq(Base()), Base()
+for _ in range(D):
+    arrows, seqs = Arrow(Base(), arrows), Seq(seqs)
+assert format_type(pure) == str(D)
+assert format_type(arrows) == "(0->" * D + "0*" + ")" * D
+assert format_type(seqs) == "0" + "*" * D
+again = Base()
+for _ in range(D):
+    again = Arrow(again, Base())
+assert alpha_equal(Quant("all", True, "x", pure, Atom("p", ("x",))),
+                   Quant("all", True, "z", again, Atom("p", ("z",))))
+assert not alpha_equal(Quant("all", True, "x", pure, Atom("p")),
+                       Quant("all", True, "x", Arrow(again, Base()), Atom("p")))
+
+# a deep term and a deep negation chain, printed
+term = "y"
+for _ in range(D):
+    term = App("f", (term,))
+nots = Atom("r", ("x", term))
+for _ in range(D):
+    nots = Not(nots)
+assert format_formula(nots) == ("(not " * D + "(atom r x " + "(app f " * D + "y"
+                                + ")" * (2 * D + 1))
+
+# relativize marks the outer quantifiers, and returns the unmarked chain
+# as the same object
+src = Quant("all", False, "x", Base(), Quant("ex", False, "y", Base(), nots))
+rel = relativize_st(src)
+assert rel.st and rel.body.st and rel.body.body is nots
+
+# R2 substitutes an applied functional for y at the bottom of the chain
+nf, trace = to_normal_form(Implies(rel, Atom("q")))
+assert trace.rules() == ("R2-herbrandize", "R1b-bound-antecedent")
+printed = format_formula(extraction_obligation(nf))
+assert printed.count("(not ") == D
+assert "(app f " * D + "(app Y x)" + ")" * D in printed
+
+# trees: nested truncations, parsed, printed and queried
+text = "truncate:5:" * D + "full"
+built = FullTree()
+for _ in range(D):
+    built = Truncation(5, built)
+for tree in (parse_tree(text), built):
+    assert format_tree(tree) == text
+    assert tree.member(5, 31) and not tree.member(6, 0)
+    assert (tree.level_count(5), tree.level_count(6)) == (32, 0)
+print("ok")
+"""
+
+
+def test_formula_and_tree_walks_run_on_a_shallow_stack():
+    # every input is built without the parser and is over ten times
+    # deeper than the recursion limit
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", SHALLOW_STACK], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stderr == ""
+    assert proc.stdout == "ok\n"
