@@ -14,6 +14,7 @@ valued, equality of codes is equality of rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 __all__ = [
     "string_code",
@@ -52,12 +53,9 @@ def cantor_pair(a: int, b: int) -> int:
 
 
 def cantor_unpair(p: int) -> tuple[int, int]:
-    # invert the triangular part, then read off the diagonal offset
-    s = int(((8 * p + 1) ** 0.5 - 1) // 2)
-    while s * (s + 1) // 2 > p:
-        s -= 1
-    while (s + 1) * (s + 2) // 2 <= p:
-        s += 1
+    # invert the triangular part exactly, then read off the diagonal
+    # offset: s(s+1)/2 <= p iff 2s+1 <= isqrt(8p+1)
+    s = (isqrt(8 * p + 1) - 1) // 2
     b = p - s * (s + 1) // 2
     return s - b, b
 

@@ -25,7 +25,7 @@ columns for reals, length-lex string codes for trees, Cantor pairs of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Iterator
@@ -206,6 +206,21 @@ def ubin_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], BinaryExpansion]:
     return phi
 
 
+def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
+    """Whether the viewed real, of exact value ``value``, reaches t: the
+    first row n with d = q_n - t at least 2^-n says yes, below -2^-n
+    says no, each decided on integers."""
+    if value == t:
+        return True
+    for n in count():
+        d = view.rational(n) - t
+        scaled = d.numerator << n
+        if scaled >= d.denominator:
+            return True
+        if -scaled > d.denominator:
+            return False
+
+
 def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
     """Digits computed against the approximation column.
 
@@ -216,19 +231,7 @@ def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
     expansion is discontinuous in the representation.
     """
     value = view.real.exact_value()
-
-    def reaches(t: Fraction) -> bool:
-        if value == t:
-            return True
-        for n in count():
-            q = view.rational(n)
-            eps = Fraction(1, 1 << n)
-            if q - eps >= t:
-                return True
-            if q + eps < t:
-                return False
-
-    return list(islice(_greedy_digits(reaches), k))
+    return list(islice(_greedy_digits(lambda t: _reaches(view, value, t)), k))
 
 
 def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
@@ -320,24 +323,31 @@ class PiecewiseLinear:
     """Linear interpolation through rational breakpoints on [0, 1]."""
 
     points: tuple[tuple[Fraction, Fraction], ...]
+    # (right end, slope, intercept) of each segment, left to right
+    segments: tuple[tuple[Fraction, Fraction, Fraction], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         xs = [p[0] for p in self.points]
         if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or sorted(set(xs)) != xs:
             raise ValueError("breakpoints must strictly increase from 0 to 1")
+        segments = []
+        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+            slope = Fraction(y1 - y0) / (x1 - x0)
+            segments.append((x1, slope, y0 - slope * x0))
+        object.__setattr__(self, "segments", tuple(segments))
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
         if x < 0 or x > 1:
             raise OutOfRange(f"{x} outside [0,1]")
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+        for x1, slope, intercept in self.segments:
             if x <= x1:
-                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+                return slope * x + intercept
         raise AssertionError("unreachable")
 
     def slope_bound(self) -> Fraction:
-        return max(abs((y1 - y0) / (x1 - x0))
-                   for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]))
+        return max(abs(slope) for _, slope, _ in self.segments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -473,11 +483,12 @@ def _sign_certified(view: TracedTableView, p: Fraction) -> int:
         return 0
     n = 0
     while True:
+        # |q| > 2^-n, decided on integers
         q = view.entry(i, n)
-        eps = Fraction(1, 1 << n)
-        if q > eps:
+        scaled = q.numerator << n
+        if scaled > q.denominator:
             return 1
-        if q < -eps:
+        if -scaled > q.denominator:
             return -1
         n += 1
 

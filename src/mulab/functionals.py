@@ -260,6 +260,7 @@ def catalog_functional(spec: str) -> TracedFunctional:
 
     Grammar: const:N | proj:N | sum:N | max:N | ifz:I:J:K, or a
     '+'-joined mix of projections fI and constants such as f0+f1+1.
+    Only const:N may be negative.
     """
     spec = spec.strip()
     parts = spec.split(":")
@@ -269,9 +270,13 @@ def catalog_functional(spec: str) -> TracedFunctional:
             return TracedFunctional(spec, lambda view, _c=c: _c)
         if parts[0] == "proj" and len(parts) == 2:
             i = int(parts[1])
+            if i < 0:
+                raise ParseError("proj:N needs N >= 0")
             return TracedFunctional(spec, lambda view, _i=i: view(_i))
         if parts[0] == "sum" and len(parts) == 2:
             n = int(parts[1])
+            if n < 0:
+                raise ParseError("sum:N needs N >= 0")
             return TracedFunctional(
                 spec, lambda view, _n=n: sum(map(view, range(_n))))
         if parts[0] == "max" and len(parts) == 2:
@@ -282,6 +287,8 @@ def catalog_functional(spec: str) -> TracedFunctional:
                 spec, lambda view, _n=n: max(map(view, range(_n))))
         if parts[0] == "ifz" and len(parts) == 4:
             i, j, k = (int(p) for p in parts[1:])
+            if min(i, j, k) < 0:
+                raise ParseError("ifz:I:J:K needs I, J, K >= 0")
             return TracedFunctional(
                 spec,
                 lambda view, _i=i, _j=j, _k=k: view(_j) if view(_i) == 0 else view(_k))

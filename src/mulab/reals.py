@@ -15,7 +15,7 @@ first nonzero value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -46,6 +46,7 @@ __all__ = [
 MuOp = Callable[[PresentedSequence], "int | None"]
 
 _ZERO_SEQ = PresentedSequence((), (0,))
+_ZERO = Fraction(0)
 
 
 def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
@@ -88,14 +89,14 @@ class PCumFlagSeries(Presentation):
 
     def _closed_form(self, m0: int | None) -> Fraction:
         if m0 is None:
-            return Fraction(0)
+            return _ZERO
         return Fraction(1, 1 << (max(m0, 1) - 1))
 
     def approx(self, n: int) -> Fraction:
         m0 = self.flag.first_zero
         if m0 is not None and m0 < n + 2:
             return self._closed_form(m0)
-        return Fraction(0)
+        return _ZERO
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self._closed_form(mu(self.flag))
@@ -134,7 +135,10 @@ class PSum(Presentation):
     right: Presentation
 
     def approx(self, n: int) -> Fraction:
-        return self.left.approx(n + 2) + self.right.approx(n + 2)
+        # a flag term reads 0 until its event shows: skip the addition
+        left = self.left.approx(n + 2)
+        right = self.right.approx(n + 2)
+        return left + right if right else left
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.left.exact_value(mu) + self.right.exact_value(mu)
@@ -144,16 +148,19 @@ class PSum(Presentation):
 class PScale(Presentation):
     factor: Fraction
     arg: Presentation
+    # the least k with |factor| <= 2^k: arg's row n + k gives row n
+    shift: int = field(init=False, compare=False, repr=False)
 
-    def _shift(self) -> int:
+    def __post_init__(self) -> None:
         k = 0
         c = abs(self.factor)
         while c > (1 << k):
             k += 1
-        return k
+        object.__setattr__(self, "shift", k)
 
     def approx(self, n: int) -> Fraction:
-        return self.factor * self.arg.approx(n + self._shift())
+        q = self.arg.approx(n + self.shift)
+        return self.factor * q if q else q
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.factor * self.arg.exact_value(mu)
@@ -239,12 +246,17 @@ def real_lt(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:
     yv = y.exact_value(mu)
     if xv >= yv:
         return False
+    limit = 4 * (yv - xv).denominator.bit_length() + 64
     n = 1
-    while not (x.approx(n) + Fraction(1, 1 << (n - 1)) < y.approx(n)):
+    while True:
+        # y_n - x_n > 2^-(n-1), decided on integers
+        xn = x.approx(n)
+        d = y.approx(n) - xn
+        if d.numerator << (n - 1) > d.denominator:
+            return True
         n += 1
-        if n > 4 * (yv - xv).denominator.bit_length() + 64:
+        if n > limit:
             raise BoundViolation("gap witness search overran its bound")
-    return True
 
 
 def real_sign(x: FastCauchyReal, mu: MuOp = mu_exact) -> int:

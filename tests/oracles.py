@@ -12,12 +12,14 @@ internality test and its search order are its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, islice, product
 
 from mulab.formulas import (
     And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, replace_at,
 )
+from mulab.coding import dyadic_index
 from mulab.errors import BudgetExceeded
+from mulab.extractors import _bisection, _greedy_digits
 from mulab.trees import ScfReport
 
 
@@ -206,6 +208,64 @@ def queried_death(tree, trace, length: int, value: int) -> bool:
         length += 1
         open_strings = [c for v in open_strings for c in (v << 1, (v << 1) | 1)]
     return False
+
+
+# ---------------------------------------------------------------------------
+# approximation columns decided on Fractions
+#
+# The library decides each row of a column on integers; these keep the
+# comparisons as Fractions, with a fresh 2^-n per row.  The digit and
+# bisection walks around them are the library's own.
+
+def reference_piecewise_value(points, x):
+    """Linear interpolation between the breakpoints around x."""
+    x = Fraction(x)
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    raise ValueError(f"{x} past the last breakpoint")
+
+
+def reference_sign_certified(view, p):
+    """Sign of a table view's function at dyadic p: 0 from the exact
+    value, else from the first row n with |q_n| > 2^-n."""
+    i = dyadic_index(p)
+    if view.point(i).exact_value() == 0:
+        return 0
+    for n in count():
+        q = view.entry(i, n)
+        eps = Fraction(1, 1 << n)
+        if q > eps:
+            return 1
+        if q < -eps:
+            return -1
+
+
+def reference_reaches(view, value, t):
+    """Whether a real viewed as its column, of exact value `value`,
+    reaches t: an exact tie says yes, else the first row n with q_n at
+    least t + 2^-n says yes and below t - 2^-n says no."""
+    if value == t:
+        return True
+    for n in count():
+        q = view.rational(n)
+        eps = Fraction(1, 1 << n)
+        if q - eps >= t:
+            return True
+        if q + eps < t:
+            return False
+
+
+def reference_ubin_digits(view, k):
+    """The first k greedy binary digits, each decided by reference_reaches."""
+    value = view.real.exact_value()
+    return list(islice(_greedy_digits(lambda t: reference_reaches(view, value, t)), k))
+
+
+def reference_ivt_endpoints(view, k):
+    """The first k bisection endpoints, probed by reference_sign_certified."""
+    stages = _bisection(lambda p: reference_sign_certified(view, p))
+    return [left for left, _ in islice(stages, k)]
 
 
 # ---------------------------------------------------------------------------

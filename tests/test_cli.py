@@ -418,6 +418,13 @@ def test_bad_functional_is_exit_two(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("spec", ["proj:-1", "ifz:0:-2:1", "sum:-3"])
+def test_negative_functional_indices_are_exit_two(capsys, spec):
+    code, out, err = run_cli(capsys, "fan", "--functional", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "needs" in err
+
+
 def test_bad_tree_is_exit_two(capsys):
     code, _, _ = run_cli(capsys, "fan", "--functional", "const:1",
                          "--tree", "triangle")

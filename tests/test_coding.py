@@ -80,6 +80,13 @@ def test_rational_code_round_trip(q):
     assert rational_decode(rational_code(q)) == q
 
 
+@pytest.mark.parametrize("bits", [600, 5000])
+def test_rational_code_round_trip_past_float_range(bits):
+    # codes here pass 2^1024, where a float square root overflows
+    for q in (Fraction(3, 1 << bits), Fraction(-(1 << bits) - 1, 1 << bits)):
+        assert rational_decode(rational_code(q)) == q
+
+
 def test_rational_codes_separate_values():
     assert rational_code(Fraction(1, 2)) != rational_code(Fraction(2, 4) + 1)
     assert rational_code(Fraction(1, 2)) == rational_code(Fraction(2, 4))

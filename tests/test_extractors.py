@@ -21,6 +21,8 @@ from mulab.extractors import (
     RepresentedContinuousFunction,
     TracedTableView,
     _branch_alive_certified,
+    _reaches,
+    _sign_certified,
     flag_epsilon,
     ivt_base,
     ivt_counterexample,
@@ -39,8 +41,15 @@ from mulab.extractors import (
     uwwkl_repr_bits,
     weierstrass_counterexample,
 )
-from mulab.functionals import DEFAULT_BUDGET, TracedRealView, xi_by_tracing
-from mulab.reals import dq_real, dyadic_flag_real, from_rational
+from mulab.functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
+from mulab.reals import (
+    FastCauchyReal,
+    PRational,
+    counterexample_pair,
+    dq_real,
+    dyadic_flag_real,
+    from_rational,
+)
 from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
 from mulab.trees import (
     FlagTree,
@@ -51,7 +60,16 @@ from mulab.trees import (
     format_tree,
 )
 
-from oracles import binary_digits, queried_death, reference_branch_alive
+from oracles import (
+    binary_digits,
+    queried_death,
+    reference_branch_alive,
+    reference_ivt_endpoints,
+    reference_piecewise_value,
+    reference_reaches,
+    reference_sign_certified,
+    reference_ubin_digits,
+)
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
 flags = st.tuples(
@@ -65,6 +83,29 @@ def flag_with_event_at(m0: int) -> PresentedSequence:
 
 
 NO_EVENT = PresentedSequence((), (1,))
+
+# events 0-300 behind a nonzero fill, and quiet flags of the same lengths
+_fill = st.integers(min_value=1, max_value=3)
+_tail = st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3)
+deep_flags = st.one_of(
+    st.builds(lambda m, v, tail: PresentedSequence((v,) * m + (0,), tuple(tail)),
+              st.integers(min_value=0, max_value=300), _fill, _tail),
+    st.builds(lambda m, v, tail: PresentedSequence((v,) * m, tuple(tail)),
+              st.integers(min_value=0, max_value=300), _fill,
+              st.lists(_fill, min_size=1, max_size=3)),
+)
+
+
+def boundary_gaps(n: int) -> list[Fraction]:
+    """Gaps around +-2^-n, at it, and at 0, for checking a row decision."""
+    eps = Fraction(1, 1 << n)
+    around = [eps / 3, eps - eps / 8, eps, eps + eps / 8, 2 * eps, Fraction(5, 7)]
+    return [Fraction(0), *around, *(-g for g in around)]
+
+
+def column(rows: dict[int, Fraction], rest: Fraction):
+    """An approximation rule that reads rows[n] where given, else rest."""
+    return lambda n: rows.get(n, rest)
 
 
 def test_flag_epsilon_closed_form():
@@ -185,6 +226,33 @@ def test_ubin_xi_is_a_nonnegative_bound():
     assert xi(lo, hi, 4) >= 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(deep_flags, st.integers(min_value=1, max_value=4))
+def test_ubin_repr_digits_match_the_fraction_reference(f, k):
+    for x in counterexample_pair(f):
+        view, ref = TracedRealView(x), TracedRealView(x)
+        assert ubin_repr_digits(view, k) == reference_ubin_digits(ref, k)
+        assert view.trace == ref.trace
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_reaches_decides_each_row_like_the_fraction_form(n):
+    # rows below n sit on t and decide nothing; row n sits at t + gap;
+    # later rows sit on the exact value, across t from the gap
+    t = Fraction(1, 3)
+    for gap in boundary_gaps(n):
+        value = t - 7 if gap >= 0 else t + 7
+        rows = {j: t for j in range(n)} | {n: t + gap}
+        x = FastCauchyReal(PRational(value), approx_override=column(rows, value))
+        view, ref = TracedRealView(x), TracedRealView(x)
+        eps = Fraction(1, 1 << n)
+        decided = gap >= eps or gap < -eps
+        reached = _reaches(view, value, t)
+        assert reached == reference_reaches(ref, value, t)
+        assert reached == (gap >= 0 if decided else value > t)
+        assert view.trace == ref.trace == set(range(n + 1 if decided else n + 2))
+
+
 # ---------------------------------------------------------------------------
 # tree route
 
@@ -294,6 +362,24 @@ def test_piecewise_linear_evaluation():
 def test_piecewise_linear_rejects_bad_breakpoints(points):
     with pytest.raises(ValueError):
         PiecewiseLinear(points)
+
+
+breakpoints = st.tuples(
+    st.sets(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=4),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=24),
+             min_size=6, max_size=6),
+).map(lambda xy: tuple(zip([Fraction(0), *sorted(xy[0] - {0, 1}), Fraction(1)],
+                           xy[1])))
+
+
+@given(breakpoints, unit_fractions)
+def test_piecewise_linear_matches_the_interpolation_formula(points, x):
+    pl = PiecewiseLinear(points)
+    assert pl.value(x) == reference_piecewise_value(points, x)
+    for bx, by in points:
+        assert pl.value(bx) == by
+    assert pl.slope_bound() == max(abs((y1 - y0) / (x1 - x0))
+                                   for (x0, y0), (x1, y1) in zip(points, points[1:]))
 
 
 def test_ivt_base_shape():
@@ -417,6 +503,35 @@ def test_uivt_xi_agrees_for_identical_tables():
     assert k >= 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(deep_flags, st.sampled_from("+-"), st.integers(min_value=1, max_value=6))
+def test_repr_endpoints_match_the_fraction_reference(f, sign, k):
+    fn = ivt_counterexample(f, sign)
+    view, ref = TracedTableView(fn), TracedTableView(fn)
+    assert uivt_repr_endpoints(view, k) == reference_ivt_endpoints(ref, k)
+    assert view.trace == ref.trace
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_sign_certified_decides_each_row_like_the_fraction_form(n):
+    # rows below n read 0 and decide nothing; row n reads q; later rows
+    # read the exact value, of the opposite sign to q
+    p = Fraction(1, 4)
+    for q in boundary_gaps(n):
+        exact = Fraction(-7) if q >= 0 else Fraction(7)
+        rows = {j: Fraction(0) for j in range(n)} | {n: q}
+        real = FastCauchyReal(PRational(exact), approx_override=column(rows, exact))
+        fn = RepresentedContinuousFunction(lambda _, real=real: real, "column")
+        view, ref = TracedTableView(fn), TracedTableView(fn)
+        eps = Fraction(1, 1 << n)
+        decided = q > eps or q < -eps
+        sign = _sign_certified(view, p)
+        assert sign == reference_sign_certified(ref, p)
+        assert sign == ((q > 0) - (q < 0) if decided else (exact > 0) - (exact < 0))
+        assert view.trace == ref.trace
+        assert len(view.trace) == (n + 1 if decided else n + 2)
+
+
 # ---------------------------------------------------------------------------
 # maximum location route
 
@@ -511,6 +626,33 @@ def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
         assert report.witness == m
         assert calls[0] <= m + 3, route.name
     assert udq_extraction(PresentedSequence((0,) * m, (1,))).witness == m
+
+
+@pytest.mark.parametrize("route,m,records,cells,xi_bound,search_bound", [
+    (uivt_extraction, 200, 812, 611, 21729, 21731),
+    (uivt_extraction, 1000, 4012, 3011, 508529, 508531),
+    (ubin_extraction, 200, 401, 201, 201, 203),
+    (ubin_extraction, 1000, 2001, 1001, 1001, 1003),
+], ids=["ivt-200", "ivt-1000", "ubin-200", "ubin-1000"])
+def test_column_routes_read_pinned_cells(monkeypatch, route, m, records, cells,
+                                         xi_bound, search_bound):
+    # every precision row the algorithm needs is read, and read as often
+    # as it ever was: a change that skips or repeats rows moves these
+    record = TracedView._record
+    calls, views = [0], []
+
+    def counting_record(self, i):
+        calls[0] += 1
+        if self not in views:
+            views.append(self)
+        record(self, i)
+
+    monkeypatch.setattr(TracedView, "_record", counting_record)
+    report = route(PresentedSequence((1,) * m + (0,), (1,)))
+    assert report.witness == m
+    assert calls[0] == records
+    assert len(set().union(*(view.trace for view in views))) == cells
+    assert (report.xi_bound, report.search_bound) == (xi_bound, search_bound)
 
 
 def test_bound_violation_surfaces_for_a_lying_oracle():

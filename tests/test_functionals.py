@@ -45,6 +45,7 @@ def test_catalog_spot_values():
     ones = PresentedSequence((), (1,))
     ramp = PresentedSequence((0, 1, 2, 3, 4), (0,))
     assert catalog_functional("const:5")(ones) == 5
+    assert catalog_functional("const:-1")(ones) == -1
     assert catalog_functional("proj:3")(ramp) == 3
     assert catalog_functional("sum:4")(ramp) == 6
     assert catalog_functional("max:3")(ramp) == 2
@@ -53,7 +54,8 @@ def test_catalog_spot_values():
 
 
 @pytest.mark.parametrize("bad", ["", "max:0", "bogus", "proj:x", "sum",
-                                 "f0+g1", "const:1:2", "ifz:1:2"])
+                                 "f0+g1", "const:1:2", "ifz:1:2", "proj:-1",
+                                 "sum:-3", "ifz:-1:1:2", "ifz:0:-2:1", "ifz:0:1:-3"])
 def test_catalog_rejects_bad_specs(bad):
     with pytest.raises(ParseError):
         catalog_functional(bad)

@@ -135,6 +135,21 @@ def test_real_lt_rejects_approximations_that_never_show_the_gap():
         real_lt(liar, from_rational(1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_real_lt_decides_each_row_like_the_fraction_form(n):
+    # x reads y's value on every row but n, where it reads y - gap: the
+    # gap is a witness exactly when y_n > x_n + 2^-(n-1)
+    eps = Fraction(1, 1 << (n - 1))
+    for gap in (Fraction(0), eps / 3, eps, eps + eps / 8, 2 * eps, -eps, -2 * eps):
+        x = FastCauchyReal(PRational(Fraction(0)),
+                           approx_override=lambda j, gap=gap: 1 - gap if j == n else 1)
+        if x.approx(n) + eps < 1:
+            assert real_lt(x, from_rational(1))
+        else:
+            with pytest.raises(BoundViolation, match="gap witness search"):
+                real_lt(x, from_rational(1))
+
+
 @given(flags)
 def test_pair_is_strictly_ordered_exactly_when_the_event_fires(f):
     lo, hi = counterexample_pair(f)
