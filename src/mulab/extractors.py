@@ -209,16 +209,21 @@ def ubin_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], BinaryExpansion]:
 def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
     """Whether the viewed real, of exact value ``value``, reaches t: the
     first row n with d = q_n - t at least 2^-n says yes, below -2^-n
-    says no, each decided on integers."""
+    says no, each decided on integers.  A column within 2^-n of value
+    decides by the row past the bit length of the gap's denominator, so
+    one that has not by the limit below contradicts value."""
     if value == t:
         return True
-    for n in count():
+    limit = 4 * (value.denominator.bit_length() + t.denominator.bit_length()) + 64
+    for n in range(limit + 1):
         d = view.rational(n) - t
         scaled = d.numerator << n
         if scaled >= d.denominator:
             return True
         if -scaled > d.denominator:
             return False
+    raise BoundViolation(f"no row up to {limit} decides whether the real "
+                         f"reaches {t}")
 
 
 def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
@@ -479,10 +484,13 @@ class TracedTableView(TracedView):
 
 def _sign_certified(view: TracedTableView, p: Fraction) -> int:
     i = dyadic_index(p)
-    if view.point(i).exact_value() == 0:
+    value = view.point(i).exact_value()
+    if value == 0:
         return 0
-    n = 0
-    while True:
+    # a column within 2^-n of value certifies its sign by the row past the
+    # bit length of its denominator; one that has not by the limit is wrong
+    limit = 4 * value.denominator.bit_length() + 64
+    for n in range(limit + 1):
         # |q| > 2^-n, decided on integers
         q = view.entry(i, n)
         scaled = q.numerator << n
@@ -490,7 +498,7 @@ def _sign_certified(view: TracedTableView, p: Fraction) -> int:
             return 1
         if -scaled > q.denominator:
             return -1
-        n += 1
+    raise BoundViolation(f"no row up to {limit} certifies the sign at {p}")
 
 
 def uivt_repr_endpoints(view: TracedTableView, k: int) -> list[Fraction]:

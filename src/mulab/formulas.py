@@ -22,15 +22,14 @@ A run on a source with M marked quantifiers and depth D stops within
 M*(D+M+1) steps; one that went past that limit would raise
 NotNormalizable.
 
-Only the parser recurses on nesting depth, and it reports input nested
-too deeply for the interpreter's stack as a ParseError.  Every other walk
-over formulas, terms and types keeps its own stack.
+No walk over formulas, terms and types recurses, the parser included:
+each keeps its own stack, so nesting depth costs time and memory only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from operator import is_not
 from typing import Callable, Iterator, Union
 
@@ -79,51 +78,50 @@ _MAX_DEGREE = 10_000  # a digit n builds n nested arrows
 
 
 def parse_type(text: str, where: str = "") -> Type:
-    pos = 0
+    """Read a type in one loop.  `groups` holds a list for the whole text
+    and one for each parenthesis still open: the units read in it so far,
+    each left of an arrow.  A group that ends folds them in from the right."""
 
     def fail(msg: str) -> ParseError:
         ctx = f" in {where}" if where else ""
         return ParseError(f"bad type {text!r}{ctx}: {msg}")
 
-    def unit() -> Type:
-        nonlocal pos
-        if pos >= len(text):
-            raise fail("unexpected end")
-        if text[pos] == "(":
+    groups: list[list[Type]] = [[]]
+    pos = 0
+    while True:
+        while text.startswith("(", pos):
+            groups.append([])
             pos += 1
-            t = arrow()
-            if pos >= len(text) or text[pos] != ")":
+        start = pos
+        while pos < len(text) and text[pos] in "0123456789":
+            pos += 1
+        if pos == start:
+            raise fail(f"unexpected {text[pos]!r}" if pos < len(text)
+                       else "unexpected end")
+        degree = int(text[start:pos])
+        if degree > _MAX_DEGREE:
+            raise fail(f"degree {degree} is past {_MAX_DEGREE}")
+        t = Base()
+        for _ in range(degree):
+            t = Arrow(t, Base())
+        # the unit ends; so does each group it closes, unless an arrow follows
+        while True:
+            while text.startswith("*", pos):
+                pos += 1
+                t = Seq(t)
+            if text.startswith("->", pos):
+                pos += 2
+                groups[-1].append(t)
+                break
+            for left in reversed(groups.pop()):
+                t = Arrow(left, t)
+            if not groups:
+                if pos != len(text):
+                    raise fail(f"trailing {text[pos:]!r}")
+                return t
+            if not text.startswith(")", pos):
                 raise fail("missing ')'")
             pos += 1
-        elif text[pos].isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            degree = int(text[start:pos])
-            if degree > _MAX_DEGREE:
-                raise fail(f"degree {degree} is past {_MAX_DEGREE}")
-            t = Base()
-            for _ in range(degree):
-                t = Arrow(t, Base())
-        else:
-            raise fail(f"unexpected {text[pos]!r}")
-        while pos < len(text) and text[pos] == "*":
-            pos += 1
-            t = Seq(t)
-        return t
-
-    def arrow() -> Type:
-        nonlocal pos
-        left = unit()
-        if text[pos:pos + 2] == "->":
-            pos += 2
-            return Arrow(left, arrow())
-        return left
-
-    t = arrow()
-    if pos != len(text):
-        raise fail(f"trailing {text[pos:]!r}")
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +190,10 @@ Formula = Union[Atom, Not, And, Or, Implies, Quant, ExIn]
 
 
 def _children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, Atom):
+    t = type(f)
+    if t is Atom:
         return ()
-    if isinstance(f, Not):
-        return (f.body,)
-    if isinstance(f, (And, Or, Implies)):
-        return (f.left, f.right)
-    if isinstance(f, (Quant, ExIn)):
-        return (f.body,)
-    raise AssertionError(f"unknown node {f!r}")
+    return (f.body,) if t is Not or t is Quant or t is ExIn else (f.left, f.right)
 
 
 def _parts(x: Formula | Term) -> tuple:
@@ -216,25 +209,18 @@ def _parts(x: Formula | Term) -> tuple:
 
 
 def _with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(kids[0])
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(kids[0], kids[1])
-    if isinstance(f, Quant):
+    t = type(f)
+    if t is Quant:
         return Quant(f.kind, f.st, f.var, f.vtype, kids[0], f.mono)
-    if isinstance(f, ExIn):
+    if t is ExIn:
         return ExIn(f.var, f.bound, kids[0])
-    raise AssertionError
+    return f if t is Atom else t(*kids)
 
 
 def _child_pol(f: Formula, i: int, pol: int) -> int:
     """Polarity of child i of f at polarity pol: implication antecedents
     and negations flip it."""
-    if isinstance(f, Not) or (isinstance(f, Implies) and i == 0):
-        return -pol
-    return pol
+    return -pol if type(f) is Not or (type(f) is Implies and i == 0) else pol
 
 
 def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
@@ -296,8 +282,9 @@ class _Parser:
         self.toks, self.starts = _tokenize(text)
         self.pos = 0
 
-    def fail(self, msg: str) -> ParseError:
-        tok, start = self.toks[self.pos], self.starts[self.pos]
+    def fail(self, msg: str, back: int = 0) -> ParseError:
+        """The error at the current token, or `back` tokens before it."""
+        tok, start = self.toks[self.pos - back], self.starts[self.pos - back]
         if not tok:
             return ParseError(f"end of input: {msg}")
         line = self.text.count("\n", 0, start) + 1
@@ -313,87 +300,81 @@ class _Parser:
 
     def expect(self, text: str) -> None:
         if self.next() != text:
-            self.pos -= 1
-            raise self.fail(f"expected {text!r}")
+            raise self.fail(f"expected {text!r}", 1)
 
     def symbol(self) -> str:
         tok = self.next()
         if tok in ("(", ")"):
-            self.pos -= 1
-            raise self.fail("expected a symbol")
+            raise self.fail("expected a symbol", 1)
         return tok
 
-    def term(self) -> Term:
-        tok = self.next()
-        if tok == ")":
-            self.pos -= 1
-            raise self.fail("expected a term")
-        if tok != "(":
-            return tok
-        self.expect("app")
-        head = self.symbol()
-        args: list[Term] = []
-        while self.toks[self.pos] not in ("", ")"):
-            args.append(self.term())
-        self.expect(")")
-        if not args:
-            raise self.fail("app needs at least one argument")
-        return App(head, tuple(args))
 
-    def formula(self, scope: frozenset[str]) -> Formula:
-        self.expect("(")
-        head = self.symbol()
-        if head == "atom":
-            pred = self.symbol()
-            args: list[Term] = []
-            while self.toks[self.pos] not in ("", ")"):
-                args.append(self.term())
-            self.expect(")")
-            return Atom(pred, tuple(args))
-        if head == "not":
-            body = self.formula(scope)
-            self.expect(")")
-            return Not(body)
-        if head in ("and", "or", "imp"):
-            left = self.formula(scope)
-            right = self.formula(scope)
-            self.expect(")")
-            return {"and": And, "or": Or, "imp": Implies}[head](left, right)
-        if head in ("all", "ex"):
-            st = self.toks[self.pos] == "st"
-            self.pos += st
-            binder = self.next()
-            var, _, ann = binder.partition(":")
-            if not var or not ann:
-                self.pos -= 1
-                raise self.fail("expected var:type")
-            vtype = parse_type(ann, where=binder)
-            if var in scope:
-                raise FormulaScopeError(f"variable {var!r} rebound")
-            body = self.formula(scope | {var})
-            self.expect(")")
-            return Quant(head, st, var, vtype, body)
-        if head == "ex-in":
-            var = self.symbol()
-            if var in scope:
-                raise FormulaScopeError(f"variable {var!r} rebound")
-            bound = self.term()
-            body = self.formula(scope | {var})
-            self.expect(")")
-            return ExIn(var, bound, body)
-        self.pos -= 1
-        raise self.fail(f"unknown form {head!r}")
+# each form's class, and the parts it reads after its head and binder:
+# "f" a formula, "t" a term, "*" terms up to its ")"
+_FORMS = {"atom": (Atom, "*"), "not": (Not, "f"), "and": (And, "ff"),
+          "or": (Or, "ff"), "imp": (Implies, "ff"), "all": (Quant, "f"),
+          "ex": (Quant, "f"), "ex-in": (ExIn, "tf")}
 
 
 def parse_formula(text: str) -> Formula:
+    """Read a formula shift-reduce, from an explicit stack of open forms.
+    A form is [class, parts, todo, var]: `todo` spells the parts it still
+    reads, as in _FORMS, and `var` is the name it binds, in scope until
+    it closes.  A form whose `todo` is spent reads its ")" and becomes
+    the next part of the form below it; the bottom form takes the whole
+    formula."""
     p = _Parser(text)
-    try:
-        f = p.formula(frozenset())
-    except RecursionError as exc:
-        raise ParseError(f"nesting too deep ({exc})") from None
+    scope: set[str] = set()
+    forms: list[list] = [[None, [], "f", None]]
+    while True:
+        todo = forms[-1][2]
+        if not todo or todo == "*" and p.toks[p.pos] in ("", ")"):
+            if len(forms) == 1:
+                break
+            cls, parts, _, var = forms.pop()
+            p.expect(")")
+            if cls is App and len(parts) == 1:
+                raise p.fail("app needs at least one argument")
+            scope.discard(var)
+            node = (cls(parts[0], tuple(parts[1:])) if cls is Atom or cls is App
+                    else cls(*parts))
+        elif todo[0] != "f":
+            node = p.next()
+            if node == ")":
+                raise p.fail("expected a term", 1)
+            if node == "(":
+                p.expect("app")
+                forms.append([App, [p.symbol()], "*", None])
+                continue
+        else:
+            p.expect("(")
+            head = p.symbol()
+            if head not in _FORMS:
+                raise p.fail(f"unknown form {head!r}", 1)
+            cls, todo = _FORMS[head]
+            parts = [p.symbol()] if head == "atom" or head == "ex-in" else []
+            var = parts[0] if head == "ex-in" else None
+            if cls is Quant:
+                st = p.toks[p.pos] == "st"
+                p.pos += st
+                binder = p.next()
+                var, _, ann = binder.partition(":")
+                if not var or not ann:
+                    raise p.fail("expected var:type", 1)
+                parts = [head, st, var, parse_type(ann, where=binder)]
+            if var is not None:
+                if var in scope:
+                    raise FormulaScopeError(f"variable {var!r} rebound")
+                scope.add(var)
+            forms.append([cls, parts, todo, var])
+            continue
+        form = forms[-1]
+        form[1].append(node)
+        if form[2] != "*":
+            form[2] = form[2][1:]
     if p.toks[p.pos]:
         raise p.fail("trailing input")
-    return f
+    return forms[0][1][0]
 
 
 # how each node but a quantifier opens; its parts follow, each after a blank
@@ -537,13 +518,39 @@ class _Names:
 # ---------------------------------------------------------------------------
 # the rewrite rules
 
+_EQ = "equivalence"
+_IMP = "implication"
+
+
 @dataclass(frozen=True)
 class RuleStep:
+    """One rewrite: its rule and tag, where it fired, and the subformula
+    there before and after.  `at` is the last cell of a chain of (parent
+    cell, child index) pairs from the root cell (), shared between the
+    steps of a run.  `path` spells it out; equality and repr see that."""
     rule: str
-    tag: str                      # "equivalence" or "implication"
-    path: tuple[int, ...]
+    tag: str                      # _EQ or _IMP
+    at: tuple = field(compare=False)  # left out of the hash
     before: Formula
     after: Formula
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        path, cell = [], self.at
+        while cell:
+            cell, i = cell
+            path.append(i)
+        return tuple(reversed(path))
+
+    def _key(self) -> tuple:
+        return self.rule, self.tag, self.path, self.before, self.after
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is RuleStep and self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("RuleStep(rule={!r}, tag={!r}, path={!r}, before={!r}, "
+                "after={!r})".format(*self._key()))
 
 
 @dataclass(frozen=True)
@@ -554,16 +561,11 @@ class RuleTrace:
     def certificate(self) -> str:
         """"equivalence" when every step is invertible, else
         "implication": the source formula implies the result."""
-        if any(s.tag == "implication" for s in self.steps):
-            return "implication"
-        return "equivalence"
+        return _IMP if any(s.tag == _IMP for s in self.steps) else _EQ
 
     def rules(self) -> tuple[str, ...]:
         return tuple(s.rule for s in self.steps)
 
-
-_EQ = "equivalence"
-_IMP = "implication"
 
 # A rule is the node type it fires at, a guard, which says whether it
 # fires at a node of that type and a given polarity, and a builder, which
@@ -638,8 +640,7 @@ def _r3_guard(node: Quant, pol: int, internal) -> bool:
 def _r3(node: Quant, names: _Names):
     """Drop the marker on a higher-type universal in antecedent position.
     The result is implied by the source but not equivalent to it."""
-    return Quant(node.kind, False, node.var, node.vtype, node.body,
-                 node.mono), _IMP
+    return replace(node, st=False), _IMP
 
 
 def _p4_guard(node: Implies, pol: int, internal) -> bool:
@@ -871,14 +872,14 @@ def _rewrite(f: Formula, names: _Names,
     Each step fires the highest-priority rule that fires anywhere, at its
     outermost-leftmost position: the first in preorder.  Between steps
     the rewrite keeps a spine, one level per node from the root down to
-    the last hit, like a zipper.  A level is [entry, pol, before, left]:
+    the last hit, like a zipper.  A level is [entry, pol, before, left, cell]:
     - `entry` is the index entry of the level's node as last built.  The
       node goes stale when a step below replaces its spine child, but
       `here` and `below` in `entry` remain those of the current subtree;
     - `before` ORs the rule bits at the positions before the node in
       preorder: the ancestors' `here` and `left`;
-    - `left` ORs `below` over the node's left siblings.
-    `path[k]` is the child of level k that level k+1 stands for.
+    - `left` ORs `below` over the node's left siblings;
+    - `cell` is the level's place, as in RuleStep.at.
 
     A step reads the least rule bit pending at the root, climbs from the
     last hit to the deepest level whose subtree holds the first hit of
@@ -917,8 +918,7 @@ def _rewrite(f: Formula, names: _Names,
     # positive marked quantifier, and none fires above it, so they are
     # peeled off into `prefix` and later steps never revisit them.
     prefix: list[Quant] = []
-    spine: list[list] = [[top, 1, 0, 0]]
-    path: list[int] = []
+    spine: list[list] = [[top, 1, 0, 0, ()]]
     for _ in range(limit + 1):
         # Only a step at the root changes its head, and the root is then
         # the whole spine.
@@ -927,7 +927,7 @@ def _rewrite(f: Formula, names: _Names,
             prefix.append(node)
             index.drop(node, 1)
             node = node.body
-            spine[0] = [index.entry(node, 1), 1, 0, 0]
+            spine[0] = [index.entry(node, 1), 1, 0, 0, (spine[0][4], 0)]
         pending = spine[0][0][2] & _RULE_BITS
         if not pending:
             break
@@ -937,8 +937,8 @@ def _rewrite(f: Formula, names: _Names,
         k = len(spine) - 1
         while spine[k][2] & bit or not spine[k][0][2] & bit:
             k -= 1
-        del spine[k + 1:], path[k:]
-        (node, here, _, _, _), pol, before, _ = spine[k]
+        del spine[k + 1:]
+        (node, here, _, _, _), pol, before, _, cell = spine[k]
         while not here & bit:
             left = 0
             for i, kid in enumerate(_children(node)):
@@ -948,13 +948,15 @@ def _rewrite(f: Formula, names: _Names,
                     break
                 left |= got[2]
             before |= here | left
-            path.append(i)
-            spine.append([got, kid_pol, before, left])
+            cell = cell, i
+            spine.append([got, kid_pol, before, left, cell])
             node, here, pol = kid, got[1], kid_pol
         after, tag = build(node, names)
-        steps.append(RuleStep(rule_name, tag, (0,) * len(prefix) + tuple(path),
-                              node, after))
+        steps.append(RuleStep(rule_name, tag, cell, node, after))
         index.drop(node, pol)
+        for i, kid in enumerate(_children(node)):  # and the marked child it lifts
+            if type(kid) is Quant and kid.st:
+                index.drop(kid, _child_pol(node, i, pol))
         spine[-1][0] = index.entry(after, pol)
         # re-summarize up while a guard can see a change; the hit's head
         # is one
@@ -964,7 +966,7 @@ def _rewrite(f: Formula, names: _Names,
             level = spine[k]
             old, pol = level[0], level[1]
             index.drop(old[0], pol)
-            level[0] = index.add(_splice(old[0], path[k], spine[k + 1][0][0]), pol)
+            level[0] = index.add(_splice(old[0], spine[k + 1][4][1], spine[k + 1][0][0]), pol)
             node, _, below, _, _ = level[0]
             if not (isinstance(node, Quant) and node.st):
                 seen = bool((below ^ old[2]) & _MARKED)
@@ -978,8 +980,8 @@ def _rewrite(f: Formula, names: _Names,
             f"no fixed point within the step limit M*(D+M+1) = {limit} "
             f"(M={marked} marked quantifiers, depth D={depth})")
     root = spine[-1][0][0]
-    for level, i in zip(reversed(spine[:-1]), reversed(path)):
-        node = level[0][0]
+    for k in range(len(spine) - 2, -1, -1):
+        node, i = spine[k][0][0], spine[k + 1][4][1]
         root = node if _children(node)[i] is root else _splice(node, i, root)
     for q in reversed(prefix):
         root = _with_children(q, (root,))
@@ -988,83 +990,81 @@ def _rewrite(f: Formula, names: _Names,
 
 def replay(f: Formula, trace: RuleTrace) -> Formula:
     """Re-run a recorded trace against a source formula, checking each
-    step's before-state exactly."""
-    current = f
-    for k, step in enumerate(trace.steps):
-        found = subformula_at(current, step.path)
+    step's before-state exactly.  Like the rewrite, it keeps a spine of
+    [node, cell] levels down to the last step and rebuilds a node above
+    it only when a later step climbs past; a step's cells are followed
+    up to the spine only, so a step costs the levels it moves."""
+    spine = [[f, ()]]
+    level = {id(()): 0}  # the level of each cell on the spine
+    for k, step in enumerate((*trace.steps, None)):
+        below, cell = [], step.at if step else ()
+        while id(cell) not in level:
+            below.append(cell)
+            cell = cell[0]
+        while len(spine) > level[id(cell)] + 1:
+            node, top = spine.pop()
+            del level[id(top)]
+            spine[-1][0] = _splice(spine[-1][0], top[1], node)
+        if step is None:  # past the last step, with the root rebuilt
+            return spine[0][0]
+        for cell in reversed(below):
+            node = spine[-1][0]
+            if cell[1] >= len(_children(node)):
+                raise ValueError(f"path {step.path} leaves {type(node).__name__}")
+            level[id(cell)] = len(spine)
+            spine.append([_children(node)[cell[1]], cell])
+        found = spine[-1][0]
         if found != step.before:
             raise ValueError(
                 f"replay step {k} ({step.rule}) expected "
                 f"{format_formula(step.before)} at {step.path}, found "
                 f"{format_formula(found)}")
-        current = replace_at(current, step.path, step.after)
-    return current
+        spine[-1][0] = step.after
 
 
 # ---------------------------------------------------------------------------
 # alpha equality
 
+def _canonical(f: Formula) -> Iterator:
+    """f in preorder, one item a node, with each bound name replaced by
+    the number of binders above its own and the monotone marker left out:
+    alpha-equal formulas give equal sequences.  A binder's scope opens
+    and closes by (var, level) pairs on the stack; level None unbinds."""
+    env: dict[str, int] = {}
+    todo: list[tuple] = [(f, 0)]
+    while todo:
+        x, depth = todo.pop()
+        t = type(x)
+        if t is tuple:
+            var, level = x
+            if level is None:
+                del env[var]
+            else:
+                env[var] = level
+            continue
+        if t is str:
+            yield env.get(x, x)
+        elif t is Atom:
+            yield t, x.pred, len(x.args)
+        elif t is App:
+            yield t, env.get(x.head, x.head), len(x.args)
+        elif t is Quant:
+            # printed types are equal exactly when the types are
+            yield t, x.kind, x.st, format_type(x.vtype)
+        else:
+            yield t
+        parts = _parts(x)
+        if t is Quant or t is ExIn:
+            todo += (((x.var, env.get(x.var)), 0), (x.body, depth + 1),
+                     ((x.var, depth), 0))
+            parts = parts[:-1]  # an entry bound lies outside the scope
+        todo.extend((part, depth) for part in reversed(parts))
+
+
 def alpha_equal(f: Formula, g: Formula) -> bool:
     """Structural equality up to bound-variable names (the engine's
     monotone bookkeeping marker is ignored)."""
-    # Each side maps a bound name to the depth of its binder.  The walk
-    # is depth-first from an explicit stack: a binder pushes a marker
-    # under its body that restores the outer bindings when its scope
-    # ends.
-    ea: dict[str, int] = {}
-    eb: dict[str, int] = {}
-
-    def names(x: str, y: str) -> bool:
-        ix, iy = ea.get(x), eb.get(y)
-        return x == y if ix is None and iy is None else ix == iy
-
-    def terms(s: Term, t: Term) -> bool:
-        pairs = [(s, t)]
-        while pairs:
-            s, t = pairs.pop()
-            if isinstance(s, str) and isinstance(t, str):
-                if not names(s, t):
-                    return False
-            elif isinstance(s, App) and isinstance(t, App):
-                if not names(s.head, t.head) or len(s.args) != len(t.args):
-                    return False
-                pairs.extend(zip(s.args, t.args))
-            else:
-                return False
-        return True
-
-    todo: list[tuple] = [(f, g, 0)]
-    while todo:
-        item = todo.pop()
-        if len(item) == 4:
-            for env, var, old in ((ea, item[0], item[1]), (eb, item[2], item[3])):
-                if old is None:
-                    del env[var]
-                else:
-                    env[var] = old
-            continue
-        a, b, depth = item
-        if type(a) is not type(b):
-            return False
-        if isinstance(a, Atom):
-            if (a.pred != b.pred or len(a.args) != len(b.args)
-                    or not all(terms(x, y) for x, y in zip(a.args, b.args))):
-                return False
-        elif isinstance(a, (Quant, ExIn)):
-            if isinstance(a, Quant):
-                # printed types are equal exactly when the types are
-                if (a.kind, a.st, format_type(a.vtype)) != (
-                        b.kind, b.st, format_type(b.vtype)):
-                    return False
-            elif not terms(a.bound, b.bound):
-                return False
-            todo.append((a.var, ea.get(a.var), b.var, eb.get(b.var)))
-            ea[a.var] = eb[b.var] = depth
-            todo.append((a.body, b.body, depth + 1))
-        else:
-            todo.extend(zip(reversed(_children(a)), reversed(_children(b)),
-                            (depth, depth)))
-    return True
+    return list(_canonical(f)) == list(_canonical(g))
 
 
 # ---------------------------------------------------------------------------

@@ -200,9 +200,9 @@ def from_rational(q: Fraction | int | str) -> FastCauchyReal:
 
 def dyadic_flag_real(f: PresentedSequence, mode: str) -> FastCauchyReal:
     """1/2 + delta(f) for mode '+', 1/2 - delta(f) for mode '-'."""
-    if mode in ("+", "plus"):
+    if mode == "+":
         sign = Fraction(1)
-    elif mode in ("-", "minus"):
+    elif mode == "-":
         sign = Fraction(-1)
     else:
         raise ValueError(f"mode must be '+' or '-', got {mode!r}")

@@ -316,13 +316,16 @@ def test_normalize_rejects_stuck_markers_as_exit_one(capsys):
     assert "property violation" in err
 
 
-def test_over_deep_nesting_is_exit_two(capsys):
-    deep = "(not " * 1000 + "(atom p)" + ")" * 1000
-    code, out, err = run_cli(capsys, "normalize", "--formula", deep)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("input error: nesting too deep")
-    assert err.count("\n") == 1
+def test_ten_thousand_nested_negations_normalize(capsys):
+    d = 10_000
+    text = "(not " * d + "(all st x:0 (ex st y:0 (atom r x y)))" + ")" * d
+    code, out, err = run_cli(capsys, "normalize", "--formula", text)
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert got["source"] == text
+    assert got["steps"] == " ".join(["not-push"] * (2 * d))
+    assert (got["foralls"], got["exists"]) == ("x:0", "y:0")
+    assert got["matrix"] == "(not " * d + "(atom r x y)" + ")" * d
 
 
 def test_a_large_pure_degree_is_not_deep_nesting(capsys):

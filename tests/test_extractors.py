@@ -253,6 +253,18 @@ def test_reaches_decides_each_row_like_the_fraction_form(n):
         assert view.trace == ref.trace == set(range(n + 1 if decided else n + 2))
 
 
+def test_reaches_stops_on_a_column_that_contradicts_the_value():
+    # every row sits on t = 1/2, so none decides; a column within 2^-n of
+    # the exact value 1/4 would have by row 4, so the search stops at a
+    # bound from the denominators, not at the view's query budget
+    x = FastCauchyReal(PRational(Fraction(1, 4)),
+                       approx_override=lambda n: Fraction(1, 2))
+    view = TracedRealView(x)
+    with pytest.raises(BoundViolation, match="no row up to 84 decides"):
+        ubin_repr_digits(view, 1)
+    assert view.trace == set(range(85))
+
+
 # ---------------------------------------------------------------------------
 # tree route
 
@@ -530,6 +542,17 @@ def test_sign_certified_decides_each_row_like_the_fraction_form(n):
         assert sign == ((q > 0) - (q < 0) if decided else (exact > 0) - (exact < 0))
         assert view.trace == ref.trace
         assert len(view.trace) == (n + 1 if decided else n + 2)
+
+
+def test_sign_certified_stops_on_a_column_that_contradicts_the_value():
+    # every row reads 0, so none certifies the sign of the exact value 1/4
+    real = FastCauchyReal(PRational(Fraction(1, 4)),
+                          approx_override=lambda n: Fraction(0))
+    fn = RepresentedContinuousFunction(lambda _: real, "column")
+    view = TracedTableView(fn)
+    with pytest.raises(BoundViolation, match="no row up to 76 certifies"):
+        _sign_certified(view, Fraction(1, 2))
+    assert len(view.trace) == 77
 
 
 # ---------------------------------------------------------------------------

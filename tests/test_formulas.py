@@ -83,7 +83,7 @@ def test_type_round_trip(text):
     assert parse_type(format_type(t)) == t
 
 
-@pytest.mark.parametrize("bad", ["", "x", "0->", "(0", "0)", "*", "0 0"])
+@pytest.mark.parametrize("bad", ["", "x", "0->", "(0", "0)", "*", "0 0", "²", "٣", "1²"])
 def test_parse_type_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_type(bad)
@@ -173,9 +173,23 @@ def test_parser_rejects_rebinding():
         parse_formula("(all x:0 (ex-in x w (atom p x)))")
 
 
-def test_parser_refuses_deep_nesting_as_a_parse_error():
-    with pytest.raises(ParseError, match=r"^nesting too deep \(maximum recursion"):
-        parse_formula("(not " * 5000 + "(atom p)" + ")" * 5000)
+def test_parser_lets_a_name_be_bound_again_once_its_scope_closes():
+    f = parse_formula("(and (all x:0 (atom p x)) (ex-in x w (atom q x)))")
+    assert (f.left.var, f.right.var) == ("x", "x")
+
+
+def test_parser_reads_nesting_deeper_than_the_recursion_limit():
+    d = 5000
+    f = parse_formula("(not " * d + "(atom p " + "(app f " * d + "y" + ")" * (d + 1)
+                      + ")" * d)
+    for _ in range(d):
+        assert isinstance(f, Not)
+        f = f.body
+    term = f.args[0]
+    for _ in range(d):
+        assert isinstance(term, App)
+        term = term.args[0]
+    assert term == "y"
 
 
 def test_subformula_navigation_round_trip():
@@ -476,6 +490,15 @@ def test_a_thousand_deep_negation_normalizes():
     assert node == Atom("r", ("x", "y"))
 
 
+def test_a_ten_thousand_deep_negation_replays_from_its_parsed_source():
+    d = 10_000
+    src = parse_formula(negation_text(d))
+    nf, trace = to_normal_form(src)
+    assert trace.rules() == ("not-push",) * (2 * d)
+    assert (trace.steps[0].path, trace.steps[-1].path) == ((0,) * (d - 1), (0,))
+    assert format_formula(replay(src, trace)) == format_formula(nf.to_formula())
+
+
 @pytest.mark.parametrize("text", [
     pull_text(12),
     # Herbrandizing substitutes an applied term for a head: raised mid-run
@@ -657,13 +680,15 @@ def test_obligation_avoids_name_capture():
 
 
 # ---------------------------------------------------------------------------
-# only the parser recurses
+# no walk recurses
 
 SHALLOW_STACK = """
 import sys
+from mulab.errors import FormulaScopeError
 from mulab.formulas import (App, Arrow, Atom, Base, Implies, Not, Quant, Seq,
                             alpha_equal, extraction_obligation, format_formula,
-                            format_type, relativize_st, to_normal_form)
+                            format_type, parse_formula, parse_type, relativize_st,
+                            replay, to_normal_form)
 from mulab.trees import FullTree, Truncation, format_tree, parse_tree
 
 D = 2000
@@ -710,6 +735,36 @@ printed = format_formula(extraction_obligation(nf))
 assert printed.count("(not ") == D
 assert "(app f " * D + "(app Y x)" + ")" * D in printed
 
+# the parser: the deep negation and its deep term, then a marked chain
+# normalized and replayed
+text = format_formula(nots)
+assert format_formula(parse_formula(text)) == text
+text = "(not " * D + "(all st x:0 (ex st y:0 (atom r x y)))" + ")" * D
+neg = parse_formula(text)
+assert format_formula(neg) == text
+nf, trace = to_normal_form(neg)
+assert len(trace.steps) == 2 * D
+assert format_formula(replay(neg, trace)) == format_formula(nf.to_formula())
+
+# nested distinct binders, and one bound again at the bottom
+text = "".join(f"(all x{j}:0 " for j in range(D)) + "(atom p)" + ")" * D
+assert format_formula(parse_formula(text)) == text
+try:
+    parse_formula(text.replace("(atom p)", "(ex x0:0 (atom p))"))
+except FormulaScopeError:
+    pass
+else:
+    raise AssertionError("rebinding at the bottom was accepted")
+
+# binder types nested in parentheses, in arrows, and in both
+chain = "(0->" * (D - 1) + "1" + ")" * (D - 1)
+for ann, printed in (("(" * D + "0" + ")" * D, "0"),
+                     ("->".join(["0"] * (D + 1)), chain),
+                     ("(0->" * D + "0" + ")" * D, chain)):
+    assert format_type(parse_type(ann)) == printed
+    binder = parse_formula(f"(all st x:{ann} (atom p x))")
+    assert format_type(binder.vtype) == printed
+
 # trees: nested truncations, parsed, printed and queried
 text = "truncate:5:" * D + "full"
 built = FullTree()
@@ -724,8 +779,7 @@ print("ok")
 
 
 def test_formula_and_tree_walks_run_on_a_shallow_stack():
-    # every input is built without the parser and is over ten times
-    # deeper than the recursion limit
+    # every input is over ten times deeper than the recursion limit
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", SHALLOW_STACK], capture_output=True, text=True,

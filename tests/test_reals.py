@@ -80,6 +80,12 @@ def test_flag_shift_value_matches_term_by_term_sum(f):
     assert x.exact_value() == expected
 
 
+@pytest.mark.parametrize("mode", ["plus", "minus", "", "+-"])
+def test_dyadic_flag_real_takes_only_a_sign(mode):
+    with pytest.raises(ValueError, match="mode must be '\\+' or '-'"):
+        dyadic_flag_real(PresentedSequence((), (1,)), mode)
+
+
 @given(flags)
 def test_dq_value_matches_term_by_term_sum(f):
     expected = dq_sum(f.values(f.horizon + 2), terms=96)
