@@ -25,7 +25,6 @@ columns for reals, length-lex string codes for trees, Cantor pairs of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Iterator
@@ -48,6 +47,7 @@ from .reals import (
 )
 from .sequences import PresentedSequence, mu_exact
 from .trees import FlagTree, PresentedTree, TracedTreeView, greedy_path
+from .value import Value, setfield
 
 __all__ = [
     "BinaryExpansion",
@@ -78,19 +78,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class RouteReport:
-    route: str
-    flag: PresentedSequence
-    fired: bool
-    witness: int | None
-    xi_bound: int | None
-    search_bound: int | None
-    details: dict
+class RouteReport(Value, eq=False):
+    _fields = ("route", "flag", "fired", "witness", "xi_bound",
+               "search_bound", "details")
+
+    def __init__(self, route: str, flag: PresentedSequence, fired: bool,
+                 witness: int | None, xi_bound: int | None,
+                 search_bound: int | None, details: dict) -> None:
+        setfield(self, "route", route)
+        setfield(self, "flag", flag)
+        setfield(self, "fired", fired)
+        setfield(self, "witness", witness)
+        setfield(self, "xi_bound", xi_bound)
+        setfield(self, "search_bound", search_bound)
+        setfield(self, "details", details)
 
 
-@dataclass(frozen=True, eq=False)
-class Route:
+class Route(Value, eq=False):
     """One pair-based extraction route; calling it runs the extraction.
 
     Indices in ``settled`` are decided by direct inspection.  Past them,
@@ -102,15 +106,25 @@ class Route:
     computed through a ``view`` of each input.
     """
 
-    name: str
-    settled: tuple[int, ...]
-    pair: Callable[[PresentedSequence], tuple]
-    observe: Callable[..., tuple[bool, dict]]
-    make_phi: Callable[[MuOp], Callable]
-    view: type[TracedView]
-    read: Callable[[TracedView, int], list]
-    precision: int
-    search_bound: Callable[[int], int]
+    _fields = ("name", "settled", "pair", "observe", "make_phi", "view",
+               "read", "precision", "search_bound")
+
+    def __init__(self, name: str, settled: tuple[int, ...],
+                 pair: Callable[[PresentedSequence], tuple],
+                 observe: Callable[..., tuple[bool, dict]],
+                 make_phi: Callable[[MuOp], Callable],
+                 view: type[TracedView],
+                 read: Callable[[TracedView, int], list], precision: int,
+                 search_bound: Callable[[int], int]) -> None:
+        setfield(self, "name", name)
+        setfield(self, "settled", settled)
+        setfield(self, "pair", pair)
+        setfield(self, "observe", observe)
+        setfield(self, "make_phi", make_phi)
+        setfield(self, "view", view)
+        setfield(self, "read", read)
+        setfield(self, "precision", precision)
+        setfield(self, "search_bound", search_bound)
 
     def xi(self, a, b, k: int) -> int:
         """1 + the largest input index read on a or b for k outputs."""
@@ -323,24 +337,25 @@ uwwkl_extraction = Route("wwkl", (), trees_from_flag, _wwkl_observe,
 # ---------------------------------------------------------------------------
 # intermediate value route
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Linear interpolation through rational breakpoints on [0, 1]."""
+class PiecewiseLinear(Value):
+    """Linear interpolation through rational breakpoints on [0, 1].
 
-    points: tuple[tuple[Fraction, Fraction], ...]
-    # (right end, slope, intercept) of each segment, left to right
-    segments: tuple[tuple[Fraction, Fraction, Fraction], ...] = field(
-        init=False, compare=False, repr=False)
+    `segments` holds the (right end, slope, intercept) of each segment,
+    left to right.  It follows from points, so ==, hash and repr leave
+    it out."""
 
-    def __post_init__(self) -> None:
-        xs = [p[0] for p in self.points]
+    _fields = ("points",)
+
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]) -> None:
+        xs = [p[0] for p in points]
         if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or sorted(set(xs)) != xs:
             raise ValueError("breakpoints must strictly increase from 0 to 1")
         segments = []
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
             slope = Fraction(y1 - y0) / (x1 - x0)
             segments.append((x1, slope, y0 - slope * x0))
-        object.__setattr__(self, "segments", tuple(segments))
+        setfield(self, "points", points)
+        setfield(self, "segments", tuple(segments))
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
@@ -355,12 +370,15 @@ class PiecewiseLinear:
         return max(abs(slope) for _, slope, _ in self.segments)
 
 
-@dataclass(frozen=True, eq=False)
-class RepresentedContinuousFunction:
+class RepresentedContinuousFunction(Value, eq=False):
     """A continuous function on [0, 1] given by exact values at rationals."""
 
-    value_rule: Callable[[Fraction], FastCauchyReal]
-    descriptor: str
+    _fields = ("value_rule", "descriptor")
+
+    def __init__(self, value_rule: Callable[[Fraction], FastCauchyReal],
+                 descriptor: str) -> None:
+        setfield(self, "value_rule", value_rule)
+        setfield(self, "descriptor", descriptor)
 
     def value_at(self, q: Fraction, mu: MuOp = mu_exact) -> Fraction:
         return self.value_rule(Fraction(q)).exact_value(mu)
@@ -535,14 +553,18 @@ uivt_extraction = Route(
 # ---------------------------------------------------------------------------
 # maximum-location route
 
-@dataclass(frozen=True, eq=False)
-class TwoBump:
+class TwoBump(Value, eq=False):
     """Piecewise-linear two-bump function: peaks at 1/4 and 3/4 with
     flag-dependent heights, zero at 0, 1/2, and 1."""
 
-    fn: RepresentedContinuousFunction
-    left_height: FastCauchyReal
-    right_height: FastCauchyReal
+    _fields = ("fn", "left_height", "right_height")
+
+    def __init__(self, fn: RepresentedContinuousFunction,
+                 left_height: FastCauchyReal,
+                 right_height: FastCauchyReal) -> None:
+        setfield(self, "fn", fn)
+        setfield(self, "left_height", left_height)
+        setfield(self, "right_height", right_height)
 
     def argmax(self, mu: MuOp = mu_exact) -> Fraction:
         left = self.left_height.exact_value(mu)
@@ -584,10 +606,12 @@ def weierstrass_counterexample(f: PresentedSequence) -> tuple[TwoBump, TwoBump]:
 # ---------------------------------------------------------------------------
 # rational dichotomy route
 
-@dataclass(frozen=True)
-class RationalWitness:
-    value: Fraction
-    certificate: str
+class RationalWitness(Value):
+    _fields = ("value", "certificate")
+
+    def __init__(self, value: Fraction, certificate: str) -> None:
+        setfield(self, "value", value)
+        setfield(self, "certificate", certificate)
 
 
 def _presentation_tag(x: FastCauchyReal) -> str:

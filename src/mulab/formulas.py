@@ -29,11 +29,11 @@ each keeps its own stack, so nesting depth costs time and memory only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
 from operator import is_not
 from typing import Callable, Iterator, Union
 
 from .errors import FormulaScopeError, NotNormalizable, ParseError
+from .value import Value, setfield
 
 __all__ = [
     "Base", "Arrow", "Seq", "Type", "parse_type", "format_type",
@@ -48,20 +48,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # types
 
-@dataclass(frozen=True)
-class Base:
+class Base(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Arrow:
-    left: "Type"
-    right: "Type"
+class Arrow(Value):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Type, right: Type) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Seq:
-    inner: "Type"
+class Seq(Value):
+    _fields = ("inner",)
+
+    def __init__(self, inner: Type) -> None:
+        setfield(self, "inner", inner)
 
 
 Type = Union[Base, Arrow, Seq]
@@ -127,63 +130,78 @@ def parse_type(text: str, where: str = "") -> Type:
 # ---------------------------------------------------------------------------
 # terms and formulas
 
-@dataclass(frozen=True)
-class App:
-    head: str
-    args: tuple["Term", ...]
+class App(Value):
+    _fields = ("head", "args")
+
+    def __init__(self, head: str, args: tuple[Term, ...]) -> None:
+        setfield(self, "head", head)
+        setfield(self, "args", args)
 
 
 Term = Union[str, App]
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+class Atom(Value):
+    _fields = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...] = ()) -> None:
+        setfield(self, "pred", pred)
+        setfield(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Value):
+    _fields = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Value):
+    """And, Or and Implies; == tells them apart by class."""
+
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Quant:
-    kind: str          # "all" or "ex"
-    st: bool
-    var: str
-    vtype: Type
-    body: "Formula"
-    mono: bool = False  # marks bound variables the engine already bounded
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("all", "ex"):
-            raise ValueError(f"bad quantifier kind {self.kind!r}")
+class Implies(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class ExIn:
-    var: str
-    bound: Term
-    body: "Formula"
+class Quant(Value):
+    # kind is "all" or "ex"; mono marks bound variables the engine
+    # already bounded
+    _fields = ("kind", "st", "var", "vtype", "body", "mono")
+
+    def __init__(self, kind: str, st: bool, var: str, vtype: Type,
+                 body: Formula, mono: bool = False) -> None:
+        if kind not in ("all", "ex"):
+            raise ValueError(f"bad quantifier kind {kind!r}")
+        setfield(self, "kind", kind)
+        setfield(self, "st", st)
+        setfield(self, "var", var)
+        setfield(self, "vtype", vtype)
+        setfield(self, "body", body)
+        setfield(self, "mono", mono)
+
+
+class ExIn(Value):
+    _fields = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Term, body: Formula) -> None:
+        setfield(self, "var", var)
+        setfield(self, "bound", bound)
+        setfield(self, "body", body)
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Quant, ExIn]
@@ -467,7 +485,7 @@ def _mark_unguarded(x: Formula | Term) -> tuple[Formula | Term, tuple]:
                    and guard.args[0] == x.var
                    and x.var not in _all_names(guard.args[1]))
         if x.st == guarded:
-            x = replace(x, st=not guarded)
+            x = Quant(x.kind, not guarded, x.var, x.vtype, x.body, x.mono)
     return x, _parts(x)
 
 
@@ -494,8 +512,10 @@ def _rebuild(root: Formula | Term, visit: Callable) -> Formula | Term:
             del done[-n:]
             if any(map(is_not, new, below)):
                 new += _parts(node)[n:]
-                node = (replace(node, args=tuple(new)) if type(node) in (Atom, App)
-                        else ExIn(node.var, *new) if type(node) is ExIn
+                t = type(node)
+                node = (Atom(node.pred, tuple(new)) if t is Atom
+                        else App(node.head, tuple(new)) if t is App
+                        else ExIn(node.var, *new) if t is ExIn
                         else _with_children(node, new))
         done.append(node)
     return done[0]
@@ -522,17 +542,21 @@ _EQ = "equivalence"
 _IMP = "implication"
 
 
-@dataclass(frozen=True)
-class RuleStep:
+class RuleStep(Value):
     """One rewrite: its rule and tag, where it fired, and the subformula
     there before and after.  `at` is the last cell of a chain of (parent
     cell, child index) pairs from the root cell (), shared between the
     steps of a run.  `path` spells it out; equality and repr see that."""
-    rule: str
-    tag: str                      # _EQ or _IMP
-    at: tuple = field(compare=False)  # left out of the hash
-    before: Formula
-    after: Formula
+
+    _fields = ("rule", "tag", "before", "after")  # hashed: no `at`
+
+    def __init__(self, rule: str, tag: str, at: tuple, before: Formula,
+                 after: Formula) -> None:
+        setfield(self, "rule", rule)
+        setfield(self, "tag", tag)  # _EQ or _IMP
+        setfield(self, "at", at)
+        setfield(self, "before", before)
+        setfield(self, "after", after)
 
     @property
     def path(self) -> tuple[int, ...]:
@@ -548,14 +572,18 @@ class RuleStep:
     def __eq__(self, other: object) -> bool:
         return type(other) is RuleStep and self._key() == other._key()
 
+    __hash__ = Value.__hash__
+
     def __repr__(self) -> str:
         return ("RuleStep(rule={!r}, tag={!r}, path={!r}, before={!r}, "
                 "after={!r})".format(*self._key()))
 
 
-@dataclass(frozen=True)
-class RuleTrace:
-    steps: tuple[RuleStep, ...]
+class RuleTrace(Value):
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple[RuleStep, ...]) -> None:
+        setfield(self, "steps", steps)
 
     @property
     def certificate(self) -> str:
@@ -640,7 +668,8 @@ def _r3_guard(node: Quant, pol: int, internal) -> bool:
 def _r3(node: Quant, names: _Names):
     """Drop the marker on a higher-type universal in antecedent position.
     The result is implied by the source but not equivalent to it."""
-    return replace(node, st=False), _IMP
+    return Quant(node.kind, False, node.var, node.vtype, node.body,
+                 node.mono), _IMP
 
 
 def _p4_guard(node: Implies, pol: int, internal) -> bool:
@@ -827,11 +856,14 @@ class _HitIndex(dict):
         self.pop((id(node), pol), None)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    foralls: tuple[tuple[str, Type], ...]
-    exists: tuple[tuple[str, Type], ...]
-    matrix: Formula
+class NormalForm(Value):
+    _fields = ("foralls", "exists", "matrix")
+
+    def __init__(self, foralls: tuple[tuple[str, Type], ...],
+                 exists: tuple[tuple[str, Type], ...], matrix: Formula) -> None:
+        setfield(self, "foralls", foralls)
+        setfield(self, "exists", exists)
+        setfield(self, "matrix", matrix)
 
     def to_formula(self) -> Formula:
         f = self.matrix

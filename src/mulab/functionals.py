@@ -22,7 +22,6 @@ Budgets make divergence on discontinuous inputs an error, not a hang.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -30,6 +29,7 @@ from .coding import rational_code
 from .errors import BudgetExceeded, MalformedWitness, ParseError
 from .reals import FastCauchyReal
 from .sequences import DEFAULT_BUDGET, PresentedSequence
+from .value import Value, setfield
 
 __all__ = [
     "TracedFunctional",
@@ -49,12 +49,16 @@ __all__ = [
 View = Callable[[int], int]
 
 
-@dataclass(eq=False)
 class TracedFunctional:
-    """A deterministic body over a query view, with per-evaluation tracing."""
+    """A deterministic body over a query view, with per-evaluation tracing.
+    Not frozen: the body can be swapped for a wrapped one."""
 
-    name: str
-    body: Callable[[View], int]
+    def __init__(self, name: str, body: Callable[[View], int]) -> None:
+        self.name = name
+        self.body = body
+
+    def __repr__(self) -> str:
+        return f"TracedFunctional(name={self.name!r}, body={self.body!r})"
 
     def eval_traced(self, view: View | PresentedSequence) -> tuple[int, frozenset[int]]:
         if isinstance(view, PresentedSequence):
@@ -136,12 +140,14 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
     return 1 + max(top for _, _, _, top in _fan_replay(g, node_budget))
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(Value):
     """Bound of the special fan.  Its cover, every zero-padded prefix of
     the bound's length, has 1 << bound elements and is never built."""
 
-    bound: int
+    _fields = ("bound",)
+
+    def __init__(self, bound: int) -> None:
+        setfield(self, "bound", bound)
 
 
 def theta_special(g: TracedFunctional,

@@ -15,12 +15,12 @@ first nonzero value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .errors import BoundViolation, UnsupportedPresentation
 from .sequences import PresentedSequence, mu_exact, pointwise_combine
+from .value import Value, setfield
 
 __all__ = [
     "Presentation",
@@ -64,9 +64,11 @@ class Presentation:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class PRational(Presentation):
-    value: Fraction
+class PRational(Presentation, Value):
+    _fields = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        setfield(self, "value", value)
 
     def approx(self, n: int) -> Fraction:
         return self.value
@@ -75,8 +77,7 @@ class PRational(Presentation):
         return self.value
 
 
-@dataclass(frozen=True)
-class PCumFlagSeries(Presentation):
+class PCumFlagSeries(Presentation, Value):
     """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or below n.
 
     Closed form: 0 when f never hits zero, else 2^(1 - max(m0, 1)) where
@@ -85,7 +86,10 @@ class PCumFlagSeries(Presentation):
     still depends only on f below n + 2.
     """
 
-    flag: PresentedSequence
+    _fields = ("flag",)
+
+    def __init__(self, flag: PresentedSequence) -> None:
+        setfield(self, "flag", flag)
 
     def _closed_form(self, m0: int | None) -> Fraction:
         if m0 is None:
@@ -102,8 +106,7 @@ class PCumFlagSeries(Presentation):
         return self._closed_form(mu(self.flag))
 
 
-@dataclass(frozen=True)
-class PDqSeries(Presentation):
+class PDqSeries(Presentation, Value):
     """sum over n >= 1 of h(n) 2^-n with h(n) = 1 iff f is zero below n.
 
     Equals 1 when f is never nonzero and 1 - 2^-m0 when the first nonzero
@@ -112,7 +115,10 @@ class PDqSeries(Presentation):
     still depends only on f below n + 2.
     """
 
-    flag: PresentedSequence
+    _fields = ("flag",)
+
+    def __init__(self, flag: PresentedSequence) -> None:
+        setfield(self, "flag", flag)
 
     def _closed_form(self, m0: int | None) -> Fraction:
         if m0 is None:
@@ -129,10 +135,12 @@ class PDqSeries(Presentation):
         return self._closed_form(_first_nonzero_via(mu, self.flag))
 
 
-@dataclass(frozen=True)
-class PSum(Presentation):
-    left: Presentation
-    right: Presentation
+class PSum(Presentation, Value):
+    _fields = ("left", "right")
+
+    def __init__(self, left: Presentation, right: Presentation) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
     def approx(self, n: int) -> Fraction:
         # a flag term reads 0 until its event shows: skip the addition
@@ -144,19 +152,19 @@ class PSum(Presentation):
         return self.left.exact_value(mu) + self.right.exact_value(mu)
 
 
-@dataclass(frozen=True)
-class PScale(Presentation):
-    factor: Fraction
-    arg: Presentation
-    # the least k with |factor| <= 2^k: arg's row n + k gives row n
-    shift: int = field(init=False, compare=False, repr=False)
+class PScale(Presentation, Value):
+    # `shift` is the least k with |factor| <= 2^k: arg's row n + k gives
+    # row n.  It follows from factor, so ==, hash and repr leave it out.
+    _fields = ("factor", "arg")
 
-    def __post_init__(self) -> None:
+    def __init__(self, factor: Fraction, arg: Presentation) -> None:
+        setfield(self, "factor", factor)
+        setfield(self, "arg", arg)
         k = 0
-        c = abs(self.factor)
+        c = abs(factor)
         while c > (1 << k):
             k += 1
-        object.__setattr__(self, "shift", k)
+        setfield(self, "shift", k)
 
     def approx(self, n: int) -> Fraction:
         q = self.arg.approx(n + self.shift)
@@ -166,17 +174,21 @@ class PScale(Presentation):
         return self.factor * self.arg.exact_value(mu)
 
 
-@dataclass(frozen=True, eq=False)
-class FastCauchyReal:
+class FastCauchyReal(Value, eq=False):
     """approx rule plus optional presentation.
 
     Use real_eq / real_lt for comparisons; == is object identity on
     purpose, extensional equality of reals is not structural.
     """
 
-    presentation: Presentation | None
-    approx_override: Callable[[int], Fraction] | None = None
-    label: str = ""
+    _fields = ("presentation", "approx_override", "label")
+
+    def __init__(self, presentation: Presentation | None,
+                 approx_override: Callable[[int], Fraction] | None = None,
+                 label: str = "") -> None:
+        setfield(self, "presentation", presentation)
+        setfield(self, "approx_override", approx_override)
+        setfield(self, "label", label)
 
     def approx(self, n: int) -> Fraction:
         if n < 0:

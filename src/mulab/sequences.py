@@ -16,12 +16,12 @@ structural equality of objects.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable
 
 from .errors import ParseError
+from .value import Value, setfield
 
 __all__ = [
     "PresentedSequence",
@@ -50,16 +50,19 @@ def _minimal_period(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
-@dataclass(frozen=True)
-class PresentedSequence:
+class PresentedSequence(Value):
     """An infinite sequence given by prefix then tail repeated forever."""
 
-    prefix: tuple[int, ...]
-    tail: tuple[int, ...]
+    _fields = ("prefix", "tail")
 
-    def __post_init__(self) -> None:
-        prefix = tuple(int(v) for v in self.prefix)
-        tail = tuple(int(v) for v in self.tail)
+    def __init__(self, prefix: Iterable[int], tail: Iterable[int]) -> None:
+        self.__post_init__(prefix, tail)
+
+    def __post_init__(self, prefix: Iterable[int], tail: Iterable[int]) -> None:
+        # canonical form; a method of its own, so perfbench can count
+        # the sequences built
+        prefix = tuple(int(v) for v in prefix)
+        tail = tuple(int(v) for v in tail)
         if not tail:
             raise ValueError("tail must be nonempty")
         if any(v < 0 for v in prefix + tail):
@@ -69,8 +72,8 @@ class PresentedSequence:
         while prefix and prefix[-1] == tail[-1]:
             prefix = prefix[:-1]
             tail = (tail[-1],) + tail[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        setfield(self, "prefix", prefix)
+        setfield(self, "tail", tail)
 
     @staticmethod
     def make(prefix: Iterable[int], tail: Iterable[int]) -> "PresentedSequence":
@@ -114,28 +117,34 @@ class PresentedSequence:
         return format_sequence(self)
 
 
-@dataclass(frozen=True)
-class OpaqueSequence:
+class OpaqueSequence(Value):
     """A sequence known only through evaluation, no structure attached."""
 
-    evaluator: Callable[[int], int]
+    _fields = ("evaluator",)
+
+    def __init__(self, evaluator: Callable[[int], int]) -> None:
+        setfield(self, "evaluator", evaluator)
 
     def value(self, n: int) -> int:
         return int(self.evaluator(n))
 
 
-@dataclass(frozen=True)
-class Found:
+class Found(Value):
     """mu_budgeted found the least zero at .index."""
 
-    index: int
+    _fields = ("index",)
+
+    def __init__(self, index: int) -> None:
+        setfield(self, "index", index)
 
 
-@dataclass(frozen=True)
-class NoneBelowBudget:
+class NoneBelowBudget(Value):
     """No zero below the budget.  Explicitly not a proof of nonexistence."""
 
-    budget: int
+    _fields = ("budget",)
+
+    def __init__(self, budget: int) -> None:
+        setfield(self, "budget", budget)
 
 
 def mu_exact(f: PresentedSequence) -> int | None:

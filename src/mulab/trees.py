@@ -14,7 +14,6 @@ methods accept a mu operation and default to the exact one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .coding import string_code, string_decode
@@ -22,6 +21,7 @@ from .errors import MeasureZero, ParseError
 from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, _fan_replay
 from .reals import MuOp
 from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
+from .value import Value, setfield
 
 __all__ = [
     "PresentedTree",
@@ -69,8 +69,7 @@ def _bit_at(length: int, value: int, d: int) -> int:
     return (value >> (length - 1 - d)) & 1
 
 
-@dataclass(frozen=True)
-class FullTree(PresentedTree):
+class FullTree(PresentedTree, Value):
     def member(self, length: int, value: int) -> bool:
         return 0 <= value < (1 << length)
 
@@ -84,20 +83,20 @@ class FullTree(PresentedTree):
         return Fraction(1)
 
 
-@dataclass(frozen=True)
-class FlagTree(PresentedTree):
+class FlagTree(PresentedTree, Value):
     """Strings starting with root_bit are always in.  The opposite branch
     is the single gated path (the gate bit, then all ones), alive at
     length n only while the flag has no zero at or below n.  The full
     half alone gives measure 1/2 whatever the flag does.
     """
 
-    root_bit: int
-    flag: PresentedSequence
+    _fields = ("root_bit", "flag")
 
-    def __post_init__(self) -> None:
-        if self.root_bit not in (0, 1):
+    def __init__(self, root_bit: int, flag: PresentedSequence) -> None:
+        if root_bit not in (0, 1):
             raise ValueError("root_bit must be 0 or 1")
+        setfield(self, "root_bit", root_bit)
+        setfield(self, "flag", flag)
 
     def _gate_open(self, n: int) -> bool:
         # the gated path has no strings of length >= max(first zero, 1)
@@ -130,21 +129,22 @@ class FlagTree(PresentedTree):
         return Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class PathTree(PresentedTree):
+class PathTree(PresentedTree, Value):
     """A single path following `bits` cyclically.  With full_below = L the
     path runs to level L and carries the full tree under its endpoint;
     with full_below None it is just the path, which has measure zero.
     """
 
-    bits: tuple[int, ...]
-    full_below: int | None = None
+    _fields = ("bits", "full_below")
 
-    def __post_init__(self) -> None:
-        if not self.bits or any(b not in (0, 1) for b in self.bits):
+    def __init__(self, bits: tuple[int, ...],
+                 full_below: int | None = None) -> None:
+        if not bits or any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a nonempty binary tuple")
-        if self.full_below is not None and self.full_below < 0:
+        if full_below is not None and full_below < 0:
             raise ValueError("graft level must be nonnegative")
+        setfield(self, "bits", bits)
+        setfield(self, "full_below", full_below)
 
     def _path_bit(self, d: int) -> int:
         return self.bits[d % len(self.bits)]
@@ -170,14 +170,14 @@ class PathTree(PresentedTree):
         return Fraction(1, 1 << self.full_below)
 
 
-@dataclass(frozen=True)
-class Truncation(PresentedTree):
-    level: int
-    inner: PresentedTree
+class Truncation(PresentedTree, Value):
+    _fields = ("level", "inner")
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
+    def __init__(self, level: int, inner: PresentedTree) -> None:
+        if level < 0:
             raise ValueError("truncation level must be nonnegative")
+        setfield(self, "level", level)
+        setfield(self, "inner", inner)
 
     def member(self, length: int, value: int) -> bool:
         tree = self
@@ -242,13 +242,16 @@ class TracedTreeView(TracedView):
         return self.query(string_code(length, value)) == 1
 
 
-@dataclass(frozen=True)
-class ScfReport:
-    bound: int
-    cover_size: int
-    antecedent: bool
-    consequent: bool
-    fan_bound: int
+class ScfReport(Value):
+    _fields = ("bound", "cover_size", "antecedent", "consequent", "fan_bound")
+
+    def __init__(self, bound: int, cover_size: int, antecedent: bool,
+                 consequent: bool, fan_bound: int) -> None:
+        setfield(self, "bound", bound)
+        setfield(self, "cover_size", cover_size)
+        setfield(self, "antecedent", antecedent)
+        setfield(self, "consequent", consequent)
+        setfield(self, "fan_bound", fan_bound)
 
     @property
     def implication(self) -> bool:

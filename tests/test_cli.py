@@ -383,8 +383,8 @@ def test_herbrandizing_substitutes_through_a_deep_witness_body(capsys):
 
 
 def test_a_recursion_error_past_the_parser_is_a_bug(monkeypatch):
-    # only the parser may refuse deep input; anywhere else a
-    # RecursionError is not an input error and must surface
+    # no walk refuses deep input, so a RecursionError anywhere in
+    # normalize is a bug, not an input error, and must surface
     import mulab.formulas
 
     def overflow(formula):
@@ -483,3 +483,23 @@ def test_only_normalize_loads_the_formula_layer():
         timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stderr == ""
     assert proc.stdout == "[False, (0, False), (0, False), (0, True)]\n"
+
+
+UNUSED_MODULES = """
+import sys
+import mulab.cli
+import mulab.formulas
+print(sorted(set(sys.modules) & {"dataclasses", "inspect", "ast", "dis",
+                                 "tokenize"}))
+"""
+
+
+def test_the_value_classes_import_no_code_generation():
+    # the value classes are written out, so nothing pulls in dataclasses
+    # or the modules it needs to generate code
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", UNUSED_MODULES], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stderr == ""
+    assert proc.stdout == "[]\n"
