@@ -14,127 +14,68 @@ suite checks rather than trusts.
 
 from __future__ import annotations
 
-from .coding import (
-    cantor_pair,
-    cantor_unpair,
-    dyadic_index,
-    dyadic_value,
-    max_coded_length,
-    rational_code,
-    rational_decode,
-    string_code,
-    string_decode,
-)
-from .corpus import corpus_stats, flag_corpus
-from .errors import (
-    BoundViolation,
-    BudgetExceeded,
-    FormulaScopeError,
-    MalformedWitness,
-    MeasureZero,
-    MulabError,
-    NotInCbar,
-    NotNormalizable,
-    OutOfRange,
-    ParseError,
-    UnsupportedPresentation,
-)
-from .extractors import (
-    BinaryExpansion,
-    PiecewiseLinear,
-    RationalWitness,
-    RepresentedContinuousFunction,
-    Route,
-    RouteReport,
-    TwoBump,
-    flag_epsilon,
-    ivt_base,
-    ivt_counterexample,
-    mu_from,
-    trees_from_flag,
-    ubin_extraction,
-    ubin_from_mu,
-    udq_extraction,
-    udq_from_mu,
-    uivt_extraction,
-    uivt_from_mu,
-    uwwkl_extraction,
-    uwwkl_from_mu,
-    weierstrass_counterexample,
-)
-from .functionals import (
-    TracedFunctional,
-    TracedRealView,
-    TracedSeqView,
-    catalog_functional,
-    e2_from_mu,
-    mu_from_e2,
-    omega_fan,
-    theta_special,
-    xi_by_tracing,
-)
-from .reals import (
-    FastCauchyReal,
-    counterexample_pair,
-    dq_real,
-    dyadic_flag_real,
-    from_rational,
-    presented_scale,
-    presented_sum,
-    real_eq,
-    real_lt,
-    real_sign,
-    to_decimal,
-)
-from .sequences import (
-    DEFAULT_BUDGET,
-    Found,
-    NoneBelowBudget,
-    OpaqueSequence,
-    PresentedSequence,
-    first_nonzero,
-    format_sequence,
-    mu_budgeted,
-    mu_exact,
-    parse_sequence,
-    pointwise_combine,
-    shift,
-)
-from .trees import (
-    FlagTree,
-    FullTree,
-    PathTree,
-    PresentedTree,
-    Truncation,
-    format_tree,
-    greedy_path,
-    measure_positive,
-    parse_tree,
-    scf_check,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The formula layer is the largest module, and only the normal form
-# engine needs it, so it is imported on first use of one of these names
-# (PEP 562): a route or fan command never compiles it.
-_FORMULA_NAMES = frozenset({
-    "alpha_equal",
-    "extraction_obligation",
-    "format_formula",
-    "is_internal",
-    "NormalForm",
-    "parse_formula",
-    "relativize_st",
-    "replay",
-    "RuleStep",
-    "RuleTrace",
-    "to_normal_form",
-})
+# Each public name -> the submodule that defines it.  Nothing is imported
+# here: a name loads its module on first use (PEP 562), so a command
+# compiles only the layers it runs.
+_EXPORTS = {
+    **dict.fromkeys((
+        "cantor_pair", "cantor_unpair", "dyadic_index", "dyadic_value",
+        "max_coded_length", "rational_code", "rational_decode",
+        "string_code", "string_decode"), "coding"),
+    **dict.fromkeys(("corpus_stats", "flag_corpus"), "corpus"),
+    **dict.fromkeys((
+        "BoundViolation", "BudgetExceeded", "FormulaScopeError",
+        "MalformedWitness", "MeasureZero", "MulabError", "NotInCbar",
+        "NotNormalizable", "OutOfRange", "ParseError",
+        "UnsupportedPresentation"), "errors"),
+    **dict.fromkeys((
+        "BinaryExpansion", "PiecewiseLinear", "RationalWitness",
+        "RepresentedContinuousFunction", "Route", "RouteReport", "TwoBump",
+        "flag_epsilon", "ivt_base", "ivt_counterexample", "mu_from",
+        "trees_from_flag", "ubin_extraction", "ubin_from_mu",
+        "udq_extraction", "udq_from_mu", "uivt_extraction", "uivt_from_mu",
+        "uwwkl_extraction", "uwwkl_from_mu",
+        "weierstrass_counterexample"), "extractors"),
+    **dict.fromkeys((
+        "alpha_equal", "extraction_obligation", "format_formula",
+        "is_internal", "NormalForm", "parse_formula", "relativize_st",
+        "replay", "RuleStep", "RuleTrace", "to_normal_form"), "formulas"),
+    **dict.fromkeys((
+        "TracedFunctional", "TracedRealView", "TracedSeqView",
+        "catalog_functional", "e2_from_mu", "mu_from_e2", "omega_fan",
+        "theta_special", "xi_by_tracing"), "functionals"),
+    **dict.fromkeys((
+        "FastCauchyReal", "counterexample_pair", "dq_real",
+        "dyadic_flag_real", "from_rational", "presented_scale",
+        "presented_sum", "real_eq", "real_lt", "real_sign",
+        "to_decimal"), "reals"),
+    **dict.fromkeys((
+        "DEFAULT_BUDGET", "Found", "NoneBelowBudget", "OpaqueSequence",
+        "PresentedSequence", "first_nonzero", "format_sequence",
+        "mu_budgeted", "mu_exact", "parse_sequence", "pointwise_combine",
+        "shift"), "sequences"),
+    **dict.fromkeys((
+        "FlagTree", "FullTree", "PathTree", "PresentedTree", "Truncation",
+        "format_tree", "greedy_path", "measure_positive", "parse_tree",
+        "scf_check"), "trees"),
+}
+_SUBMODULES = frozenset({*_EXPORTS.values(), "cli", "value"})
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    if name in _FORMULA_NAMES:
-        from . import formulas
-        return getattr(formulas, name)
+    module = _EXPORTS.get(name)
+    if module is not None:
+        return getattr(import_module(f"{__name__}.{module}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from .corpus import corpus_stats, flag_corpus
 from .errors import (
     BoundViolation,
     BudgetExceeded,
@@ -23,17 +23,13 @@ from .errors import (
     NotNormalizable,
     ParseError,
 )
-from . import extractors
-from .extractors import (
-    RouteReport,
-    flag_epsilon,
-    udq_extraction,
-    weierstrass_counterexample,
-)
-from .functionals import catalog_functional, omega_fan
-from .reals import counterexample_pair
-from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
-from .trees import format_tree, parse_tree, scf_check
+
+if TYPE_CHECKING:
+    from .extractors import RouteReport
+    from .sequences import PresentedSequence
+
+# Each runner imports the layers it runs, and a command compiles no other:
+# normalize loads no route or fan module, and fan no reals or extractors.
 
 __all__ = ["RunReport", "main", "console_main"]
 
@@ -111,6 +107,8 @@ _Fields = list[tuple[str, object]]
 
 
 def _ubin_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
+    from .reals import counterexample_pair
+
     x_minus, x_plus = counterexample_pair(f)
     return [("x_minus", x_minus.exact_value()),
             ("x_plus", x_plus.exact_value()),
@@ -120,6 +118,8 @@ def _ubin_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
 
 
 def _wwkl_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
+    from .sequences import format_sequence
+
     fields = [("fired", rep.fired)]
     if "path0" in rep.details:
         fields.append(("path0", format_sequence(rep.details["path0"])))
@@ -128,6 +128,8 @@ def _wwkl_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
 
 
 def _ivt_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
+    from .extractors import flag_epsilon
+
     fields = [("epsilon", flag_epsilon(f))]
     if "root_plus" in rep.details:
         fields.append(("root_plus_approx", rep.details["root_plus"]))
@@ -146,6 +148,9 @@ _ROUTES = {
 
 
 def _run_route(args: argparse.Namespace) -> RunReport:
+    from . import extractors
+    from .sequences import format_sequence, mu_exact, parse_sequence
+
     extraction, own_fields = _ROUTES[args.command]
     f = parse_sequence(args.flag)
     rep = getattr(extractors, extraction)(f)
@@ -163,6 +168,9 @@ def _run_route(args: argparse.Namespace) -> RunReport:
 
 
 def _run_dq(args: argparse.Namespace) -> RunReport:
+    from .extractors import udq_extraction
+    from .sequences import format_sequence, parse_sequence
+
     f = parse_sequence(args.flag)
     rep = udq_extraction(f)
     return _report(
@@ -176,6 +184,9 @@ def _run_dq(args: argparse.Namespace) -> RunReport:
 
 
 def _run_weier(args: argparse.Namespace) -> RunReport:
+    from .extractors import flag_epsilon, weierstrass_counterexample
+    from .sequences import format_sequence, mu_exact, parse_sequence
+
     f = parse_sequence(args.flag)
     plus, minus = weierstrass_counterexample(f)
     a_plus = plus.argmax()
@@ -192,6 +203,9 @@ def _run_weier(args: argparse.Namespace) -> RunReport:
 
 
 def _run_fan(args: argparse.Namespace) -> RunReport:
+    from .functionals import catalog_functional, omega_fan
+    from .trees import format_tree, parse_tree, scf_check
+
     if args.budget < 1:
         raise ValueError(f"--budget must be at least 1, got {args.budget}")
     g = catalog_functional(args.functional)
@@ -214,7 +228,6 @@ def _run_fan(args: argparse.Namespace) -> RunReport:
 
 
 def _run_normalize(args: argparse.Namespace) -> RunReport:
-    # imported here, so that no other command pays for the formula layer
     from .formulas import (
         extraction_obligation,
         format_formula,
@@ -254,6 +267,8 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
 
 
 def _run_corpus(args: argparse.Namespace) -> RunReport:
+    from .corpus import corpus_stats, flag_corpus
+
     if args.size < 0:
         raise ValueError(f"--size must be nonnegative, got {args.size}")
     corpus = flag_corpus(seed=args.seed, size=args.size)

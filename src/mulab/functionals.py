@@ -23,13 +23,15 @@ Budgets make divergence on discontinuous inputs an error, not a hang.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .coding import rational_code
 from .errors import BudgetExceeded, MalformedWitness, ParseError
-from .reals import FastCauchyReal
 from .sequences import DEFAULT_BUDGET, PresentedSequence
 from .value import Value, setfield
+
+if TYPE_CHECKING:  # the fan commands never load the reals
+    from .reals import FastCauchyReal
 
 __all__ = [
     "TracedFunctional",

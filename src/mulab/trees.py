@@ -15,13 +15,16 @@ methods accept a mu operation and default to the exact one.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .coding import string_code, string_decode
 from .errors import MeasureZero, ParseError
 from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, _fan_replay
-from .reals import MuOp
 from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
 from .value import Value, setfield
+
+if TYPE_CHECKING:  # the fan commands never load the reals
+    from .reals import MuOp
 
 __all__ = [
     "PresentedTree",

@@ -4,12 +4,14 @@ A subclass of ``Value`` names its fields in ``_fields`` and writes them
 in its own ``__init__`` with ``setfield``.  From ``Value`` it gets:
 
 * ``==`` over those fields, only with an instance of the very same
-  class.  Nested values and tuples are opened from an explicit stack,
-  so two separately built chains of any depth compare without recursion;
+  class;
 * ``hash`` of the tuple of those fields, so equal values hash alike;
 * a repr that names them, as in ``Found(index=3)``;
 * a refusal to assign or delete attributes: both raise
   ``FrozenInstanceError``.
+
+All three open nested values and tuples from an explicit stack, so a
+chain of any depth compares, hashes and prints without recursion.
 
 A field left out of ``_fields`` (a cache worked out from the others, or
 a record that ``==`` reads another way) is invisible to all three.  The
@@ -27,6 +29,25 @@ class FrozenInstanceError(AttributeError):
 
 # writes a field of a frozen value; only an __init__ should call it
 setfield = object.__setattr__
+
+
+def _nested(x: object) -> bool:
+    """Whether ``hash`` opens ``x`` from its stack: a tuple, or a value
+    hashed over its fields."""
+    return type(x) is tuple or type(x).__hash__ is Value.__hash__
+
+
+class _Hashed:
+    """Stands in a tuple for a value or tuple whose hash is known: a tuple
+    hashes the hashes of its items, so it hashes alike either way."""
+
+    __slots__ = ("hash",)
+
+    def __init__(self, h: int) -> None:
+        self.hash = h
+
+    def __hash__(self) -> int:
+        return self.hash
 
 
 class Value:
@@ -67,12 +88,47 @@ class Value:
         return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # the field tuples of every nested value, and the nested tuples,
+        # parents before children, leftmost first
+        order, stack = [], [self._values()]
+        while stack:
+            items = stack.pop()
+            order.append(items)
+            stack += [x if type(x) is tuple else x._values()
+                      for x in reversed(items) if _nested(x)]
+        # children before parents: each leaves its hash on `hashes`, and
+        # its parent takes them back leftmost first
+        hashes = []
+        for items in reversed(order):
+            hashes.append(hash(tuple([_Hashed(hashes.pop()) if _nested(x)
+                                      else x for x in items])))
+        return hashes[0]
 
     def __repr__(self) -> str:
-        shown = ", ".join([f"{name}={getattr(self, name)!r}"
-                           for name in self._fields])
-        return f"{type(self).__qualname__}({shown})"
+        # text still to write, and (x,) for an object x still to show
+        parts, stack = [], [(self,)]
+        while stack:
+            top = stack.pop()
+            if type(top) is str:
+                parts.append(top)
+                continue
+            x, = top
+            t = type(x)
+            if t is tuple:
+                opening, closing = "(", ",)" if len(x) == 1 else ")"
+                shown = [("", item) for item in x]
+            elif t.__repr__ is Value.__repr__:
+                opening, closing = f"{t.__qualname__}(", ")"
+                shown = [(f"{name}=", getattr(x, name)) for name in x._fields]
+            else:
+                parts.append(repr(x))
+                continue
+            pieces = [opening]
+            for i, (label, item) in enumerate(shown):
+                pieces += [f", {label}" if i else label, (item,)]
+            pieces.append(closing)
+            stack += reversed(pieces)
+        return "".join(parts)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -485,6 +485,52 @@ def test_only_normalize_loads_the_formula_layer():
     assert proc.stdout == "[False, (0, False), (0, False), (0, True)]\n"
 
 
+LOADED_LAYERS = """
+import contextlib, io, sys
+import mulab.cli
+def layers():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "mulab")
+print(layers())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mulab.cli.main(sys.argv[1:])
+print(code, layers())
+print("fractions" in sys.modules, "decimal" in sys.modules)
+"""
+
+CLI_LAYERS = ["mulab", "mulab.cli", "mulab.errors"]
+FAN_LAYERS = sorted(CLI_LAYERS + ["mulab.coding", "mulab.functionals",
+                                  "mulab.sequences", "mulab.trees",
+                                  "mulab.value"])
+ROUTE_LAYERS = sorted(FAN_LAYERS + ["mulab.extractors", "mulab.reals"])
+COMMAND_LAYERS = [
+    *[([route, "--flag", "prefix=[1,1,0];tail=[1]"], ROUTE_LAYERS)
+      for route in ("ubin", "wwkl", "ivt", "dq", "weier")],
+    (["fan", "--functional", "sum:3"], FAN_LAYERS),
+    (["fan", "--functional", "sum:3", "--tree", "full"], FAN_LAYERS),
+    (["normalize", "--formula", "(all st f:1 (ex st n:0 (atom iszero f n)))"],
+     sorted(CLI_LAYERS + ["mulab.formulas", "mulab.value"])),
+    (["corpus", "--size", "20"],
+     sorted(CLI_LAYERS + ["mulab.corpus", "mulab.sequences", "mulab.value"])),
+]
+
+
+@pytest.mark.parametrize("argv, layers", COMMAND_LAYERS,
+                         ids=[" ".join(argv[:1] + argv[3:4])
+                              for argv, _ in COMMAND_LAYERS])
+def test_each_command_loads_only_its_own_layers(argv, layers):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_LAYERS, *argv], capture_output=True,
+        text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stderr == ""
+    cold, run, numeric = proc.stdout.splitlines()
+    assert cold == repr(CLI_LAYERS)
+    assert run == f"0 {layers!r}"
+    if argv[0] == "normalize":
+        assert numeric == "False False"
+
+
 UNUSED_MODULES = """
 import sys
 import mulab.cli

@@ -712,6 +712,14 @@ assert alpha_equal(Quant("all", True, "x", pure, Atom("p", ("x",))),
 assert not alpha_equal(Quant("all", True, "x", pure, Atom("p")),
                        Quant("all", True, "x", Arrow(again, Base()), Atom("p")))
 
+# hash and repr open the chains from their own stacks: equal chains hash
+# alike, a chain hashes as the tuple of its fields, and reprs are exact
+assert hash(pure) == hash(again) == hash((pure.left, pure.right))
+assert hash(arrows) == hash((arrows.left, arrows.right))
+assert repr(pure) == "Arrow(left=" * D + "Base()" + ", right=Base())" * D
+assert repr(arrows) == ("Arrow(left=Base(), right=" * D + "Seq(inner=Base())"
+                        + ")" * D)
+
 # a deep term and a deep negation chain, printed
 term = "y"
 for _ in range(D):
@@ -721,6 +729,10 @@ for _ in range(D):
     nots = Not(nots)
 assert format_formula(nots) == ("(not " * D + "(atom r x " + "(app f " * D + "y"
                                 + ")" * (2 * D + 1))
+assert hash(nots) == hash((nots.body,))
+assert repr(nots) == ("Not(body=" * D + "Atom(pred='r', args=('x', "
+                      + "App(head='f', args=(" * D + "'y'" + ",))" * D + "))"
+                      + ")" * D)
 
 # relativize marks the outer quantifiers, and returns the unmarked chain
 # as the same object
@@ -738,7 +750,8 @@ assert "(app f " * D + "(app Y x)" + ")" * D in printed
 # the parser: the deep negation and its deep term, then a marked chain
 # normalized and replayed
 text = format_formula(nots)
-assert format_formula(parse_formula(text)) == text
+parsed = parse_formula(text)
+assert format_formula(parsed) == text and hash(parsed) == hash(nots)
 text = "(not " * D + "(all st x:0 (ex st y:0 (atom r x y)))" + ")" * D
 neg = parse_formula(text)
 assert format_formula(neg) == text
@@ -772,6 +785,8 @@ for _ in range(D):
     built = Truncation(5, built)
 for tree in (parse_tree(text), built):
     assert format_tree(tree) == text
+    assert hash(tree) == hash(built) == hash((5, tree.inner))
+    assert repr(tree) == "Truncation(level=5, inner=" * D + "FullTree()" + ")" * D
     assert tree.member(5, 31) and not tree.member(6, 0)
     assert (tree.level_count(5), tree.level_count(6)) == (32, 0)
 print("ok")
