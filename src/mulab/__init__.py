@@ -29,8 +29,8 @@ _EXPORTS = {
     **dict.fromkeys(("corpus_stats", "flag_corpus"), "corpus"),
     **dict.fromkeys((
         "BoundViolation", "BudgetExceeded", "FormulaScopeError",
-        "MalformedWitness", "MeasureZero", "MulabError", "NotInCbar",
-        "NotNormalizable", "OutOfRange", "ParseError",
+        "InputError", "MalformedWitness", "MeasureZero", "MulabError",
+        "NotInCbar", "NotNormalizable", "OutOfRange", "ParseError",
         "UnsupportedPresentation"), "errors"),
     **dict.fromkeys((
         "BinaryExpansion", "PiecewiseLinear", "RationalWitness",

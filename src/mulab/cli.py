@@ -4,7 +4,10 @@ Every subcommand prints a RunReport: a flat block of ``key: value``
 lines (or the same fields as JSON under ``--json``) that the module can
 parse back.  Exit codes: 0 on success, 1 when a stated property fails
 on the given input (bound violations, malformed witnesses, exhausted
-budgets, measure-zero trees), 2 on unusable input.
+budgets, measure-zero trees, stuck normalization), 2 when an argument is
+unusable.  Only an InputError exits 2: each argument is read, and
+refused with one, where its runner reads it.  Any other exception is a
+bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import TYPE_CHECKING
 from .errors import (
     BoundViolation,
     BudgetExceeded,
+    InputError,
     MalformedWitness,
     MeasureZero,
-    MulabError,
     NotNormalizable,
     ParseError,
 )
@@ -35,8 +38,6 @@ __all__ = ["RunReport", "main", "console_main"]
 
 _PROPERTY_ERRORS = (BoundViolation, MalformedWitness, BudgetExceeded,
                     MeasureZero, NotNormalizable)
-# checked after _PROPERTY_ERRORS: every other MulabError is unusable input
-_INPUT_ERRORS = (ValueError, MulabError)
 
 
 class RunReport:
@@ -207,7 +208,7 @@ def _run_fan(args: argparse.Namespace) -> RunReport:
     from .trees import format_tree, parse_tree, scf_check
 
     if args.budget < 1:
-        raise ValueError(f"--budget must be at least 1, got {args.budget}")
+        raise InputError(f"--budget must be at least 1, got {args.budget}")
     g = catalog_functional(args.functional)
     if args.tree is None:
         return _report("fan", ("functional", args.functional),
@@ -244,9 +245,11 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ValueError(
-                f"cannot read formula file {text!r}: {exc.strerror}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = (exc.strerror if isinstance(exc, OSError)
+                      else f"not UTF-8 at byte {exc.start}")
+            raise InputError(
+                f"cannot read formula file {text!r}: {reason}") from None
     formula = parse_formula(text)
     if args.relativize:
         formula = relativize_st(formula)
@@ -270,7 +273,7 @@ def _run_corpus(args: argparse.Namespace) -> RunReport:
     from .corpus import corpus_stats, flag_corpus
 
     if args.size < 0:
-        raise ValueError(f"--size must be nonnegative, got {args.size}")
+        raise InputError(f"--size must be nonnegative, got {args.size}")
     corpus = flag_corpus(seed=args.seed, size=args.size)
     stats = corpus_stats(corpus)
     return _report("corpus", ("seed", args.seed),
@@ -344,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except _PROPERTY_ERRORS as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else report.to_text())

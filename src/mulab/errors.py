@@ -1,14 +1,20 @@
 """Shared exception types.
 
 Everything that can go wrong on a well-typed call is a subclass of
-MulabError, so callers (the CLI in particular) can separate input
-problems from genuine property violations.
+MulabError.  Two kinds decide the command line's exit codes: InputError
+(a ParseError among them) says an argument is unusable and exits 2,
+and the property errors (BoundViolation, MalformedWitness,
+BudgetExceeded, MeasureZero, NotNormalizable) say a stated property
+failed on this input and exit 1.  Anything else that reaches the command
+line, a plain ValueError or any other MulabError, is a bug and surfaces
+as a traceback.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "MulabError",
+    "InputError",
     "ParseError",
     "UnsupportedPresentation",
     "BudgetExceeded",
@@ -26,7 +32,11 @@ class MulabError(Exception):
     """Base class for library errors."""
 
 
-class ParseError(MulabError, ValueError):
+class InputError(MulabError, ValueError):
+    """An argument is unusable: it is read and refused before a run."""
+
+
+class ParseError(InputError):
     """A text form (sequence, tree, functional, formula) does not parse."""
 
 

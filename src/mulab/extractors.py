@@ -29,8 +29,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Callable, Iterator
 
-from .coding import cantor_pair, cantor_unpair, dyadic_index, dyadic_value, \
-    max_coded_length, rational_code
+from .coding import cantor_pair, dyadic_index, dyadic_value, max_coded_length
 from .errors import BoundViolation, MalformedWitness, NotInCbar, OutOfRange
 from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
 from .reals import (
@@ -494,10 +493,6 @@ class TracedTableView(TracedView):
     def entry(self, i: int, n: int) -> Fraction:
         self._record(cantor_pair(i, n))
         return self.point(i).approx(n)
-
-    def query(self, m: int) -> int:
-        i, n = cantor_unpair(m)
-        return rational_code(self.entry(i, n))
 
 
 def _sign_certified(view: TracedTableView, p: Fraction) -> int:

@@ -101,11 +101,12 @@ def parse_type(text: str, where: str = "") -> Type:
         if pos == start:
             raise fail(f"unexpected {text[pos]!r}" if pos < len(text)
                        else "unexpected end")
-        degree = int(text[start:pos])
-        if degree > _MAX_DEGREE:
-            raise fail(f"degree {degree} is past {_MAX_DEGREE}")
+        # lengths first: int() refuses a run past the interpreter's limit
+        digits = text[start:pos].lstrip("0") or "0"
+        if len(digits) > len(str(_MAX_DEGREE)) or int(digits) > _MAX_DEGREE:
+            raise fail(f"degree {digits} is past {_MAX_DEGREE}")
         t = Base()
-        for _ in range(degree):
+        for _ in range(int(digits)):
             t = Arrow(t, Base())
         # the unit ends; so does each group it closes, unless an arrow follows
         while True:

@@ -25,9 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .coding import rational_code
 from .errors import BudgetExceeded, MalformedWitness, ParseError
-from .sequences import DEFAULT_BUDGET, PresentedSequence
+from .sequences import DEFAULT_BUDGET, PresentedSequence, _natural
 from .value import Value, setfield
 
 if TYPE_CHECKING:  # the fan commands never load the reals
@@ -182,9 +181,6 @@ class TracedView:
     def reset(self) -> None:
         self.trace.clear()
 
-    def query(self, i: int) -> int:
-        raise NotImplementedError
-
 
 class TracedSeqView(TracedView):
     def __init__(self, seq: PresentedSequence | View, budget: int = DEFAULT_BUDGET):
@@ -197,12 +193,9 @@ class TracedSeqView(TracedView):
 
 
 class TracedRealView(TracedView):
-    """View of a real as its approximation column.
-
-    query returns coded rationals to keep the view integer valued;
-    rational(n) is the decoded convenience used by functional bodies.
-    The underlying real stays reachable for exactness escapes, which is
-    how the concrete functionals stay total at their tie points.
+    """View of a real as its approximation column: rational(n) reads row
+    n.  The underlying real stays reachable for exactness escapes, which
+    is how the concrete functionals stay total at their tie points.
     """
 
     def __init__(self, x: FastCauchyReal, budget: int = DEFAULT_BUDGET):
@@ -212,9 +205,6 @@ class TracedRealView(TracedView):
     def rational(self, n: int) -> Fraction:
         self._record(n)
         return self.real.approx(n)
-
-    def query(self, i: int) -> int:
-        return rational_code(self.rational(i))
 
 
 TwinPhi = Callable[[TracedView, int], list]
@@ -248,10 +238,11 @@ def _sum_expression(spec: str) -> Callable[[View], int] | None:
         term = term.strip()
         if not term:
             return None
-        if term.startswith("f") and term[1:].isdigit():
-            projections.append(int(term[1:]))
-        elif term.isdigit():
-            constant += int(term)
+        index = _natural(term[1:]) if term.startswith("f") else None
+        if index is not None:
+            projections.append(index)
+        elif (value := _natural(term)) is not None:
+            constant += value
         else:
             return None
     if not projections:
@@ -263,6 +254,14 @@ def _sum_expression(spec: str) -> Callable[[View], int] | None:
     return body
 
 
+def _integer(text: str, spec: str) -> int:
+    """An optionally negative number in ASCII digits, read from spec."""
+    n = _natural(text.removeprefix("-"))
+    if n is None:
+        raise ParseError(f"bad functional spec {spec!r}")
+    return -n if text.startswith("-") else n
+
+
 def catalog_functional(spec: str) -> TracedFunctional:
     """Build a functional from its catalog name.
 
@@ -272,38 +271,33 @@ def catalog_functional(spec: str) -> TracedFunctional:
     """
     spec = spec.strip()
     parts = spec.split(":")
-    try:
-        if parts[0] == "const" and len(parts) == 2:
-            c = int(parts[1])
-            return TracedFunctional(spec, lambda view, _c=c: _c)
-        if parts[0] == "proj" and len(parts) == 2:
-            i = int(parts[1])
-            if i < 0:
-                raise ParseError("proj:N needs N >= 0")
-            return TracedFunctional(spec, lambda view, _i=i: view(_i))
-        if parts[0] == "sum" and len(parts) == 2:
-            n = int(parts[1])
-            if n < 0:
-                raise ParseError("sum:N needs N >= 0")
-            return TracedFunctional(
-                spec, lambda view, _n=n: sum(map(view, range(_n))))
-        if parts[0] == "max" and len(parts) == 2:
-            n = int(parts[1])
-            if n <= 0:
-                raise ParseError("max:N needs N >= 1")
-            return TracedFunctional(
-                spec, lambda view, _n=n: max(map(view, range(_n))))
-        if parts[0] == "ifz" and len(parts) == 4:
-            i, j, k = (int(p) for p in parts[1:])
-            if min(i, j, k) < 0:
-                raise ParseError("ifz:I:J:K needs I, J, K >= 0")
-            return TracedFunctional(
-                spec,
-                lambda view, _i=i, _j=j, _k=k: view(_j) if view(_i) == 0 else view(_k))
-    except ParseError:
-        raise
-    except ValueError:
-        raise ParseError(f"bad functional spec {spec!r}") from None
+    if parts[0] == "const" and len(parts) == 2:
+        c = _integer(parts[1], spec)
+        return TracedFunctional(spec, lambda view, _c=c: _c)
+    if parts[0] == "proj" and len(parts) == 2:
+        i = _integer(parts[1], spec)
+        if i < 0:
+            raise ParseError("proj:N needs N >= 0")
+        return TracedFunctional(spec, lambda view, _i=i: view(_i))
+    if parts[0] == "sum" and len(parts) == 2:
+        n = _integer(parts[1], spec)
+        if n < 0:
+            raise ParseError("sum:N needs N >= 0")
+        return TracedFunctional(
+            spec, lambda view, _n=n: sum(map(view, range(_n))))
+    if parts[0] == "max" and len(parts) == 2:
+        n = _integer(parts[1], spec)
+        if n <= 0:
+            raise ParseError("max:N needs N >= 1")
+        return TracedFunctional(
+            spec, lambda view, _n=n: max(map(view, range(_n))))
+    if parts[0] == "ifz" and len(parts) == 4:
+        i, j, k = (_integer(p, spec) for p in parts[1:])
+        if min(i, j, k) < 0:
+            raise ParseError("ifz:I:J:K needs I, J, K >= 0")
+        return TracedFunctional(
+            spec,
+            lambda view, _i=i, _j=j, _k=k: view(_j) if view(_i) == 0 else view(_k))
     body = _sum_expression(spec)
     if body is None:
         raise ParseError(f"unknown functional {spec!r}")

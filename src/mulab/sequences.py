@@ -75,10 +75,6 @@ class PresentedSequence(Value):
         setfield(self, "prefix", prefix)
         setfield(self, "tail", tail)
 
-    @staticmethod
-    def make(prefix: Iterable[int], tail: Iterable[int]) -> "PresentedSequence":
-        return PresentedSequence(tuple(prefix), tuple(tail))
-
     @property
     def horizon(self) -> int:
         """Indices below this determine the whole sequence."""
@@ -211,6 +207,17 @@ def shift(s: PresentedSequence, k: int) -> PresentedSequence:
     return PresentedSequence((), s.tail[r:] + s.tail[:r])
 
 
+def _natural(text: str) -> int | None:
+    """The number that text spells in ASCII digits, or None: for any other
+    character, and for more digits than int() converts."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on digits
+            pass
+    return None
+
+
 _SEQ_RE = re.compile(r"^prefix=\[([0-9,]*)\];tail=\[([0-9,]*)\]$")
 
 
@@ -224,9 +231,10 @@ def parse_sequence(text: str) -> PresentedSequence:
     def ints(group: str) -> tuple[int, ...]:
         if not group:
             return ()
-        if group.startswith(",") or group.endswith(",") or ",," in group:
+        values = tuple(map(_natural, group.split(",")))
+        if None in values:
             raise ParseError(f"bad number list in {text!r}")
-        return tuple(int(v) for v in group.split(","))
+        return values
 
     prefix, tail = ints(m.group(1)), ints(m.group(2))
     if not tail:

@@ -18,9 +18,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .coding import string_code, string_decode
-from .errors import MeasureZero, ParseError
+from .errors import InputError, MeasureZero, ParseError
 from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, _fan_replay
-from .sequences import PresentedSequence, format_sequence, mu_exact, parse_sequence
+from .sequences import (PresentedSequence, _natural, format_sequence, mu_exact,
+                        parse_sequence)
 from .value import Value, setfield
 
 if TYPE_CHECKING:  # the fan commands never load the reals
@@ -267,8 +268,6 @@ def _meets(tree: PresentedTree, answers: dict[int, int], length: int) -> bool:
     Depth first, pruned by prefix closure.  Each member of the closed
     family has a full subtree or lies on one path: O(length) strings.
     """
-    if length < 0:
-        raise ValueError(f"cut at negative length {length}")
     if tree.level_count(length) == 0:
         return False
     stack = [(0, 0)]
@@ -294,12 +293,16 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
 
     One replay decides both.  A cover element reaches a replay leaf
     exactly when the leaf answers 1 only below the bound, so the
-    antecedent fails iff such a leaf meets the tree at its value.
+    antecedent fails iff such a leaf meets the tree at its value.  A cut
+    is a length, so a negative value of g is refused as input.
     """
     max_index = -1
     bound = 0
     low = None
     for answers, value, last_one, top in _fan_replay(g, node_budget):
+        if value < 0:
+            raise InputError(f"the cover check needs natural values, "
+                             f"but {g.name} gives {value}")
         bound = max(bound, value)
         max_index = max(max_index, top)
         if (low is None or last_one < low) and _meets(tree, answers, value):
@@ -316,9 +319,10 @@ def parse_tree(text: str) -> PresentedTree:
     levels = []
     while text.startswith("truncate:"):
         level_text, sep, inner = text[len("truncate:"):].partition(":")
-        if not sep or not level_text.isdigit():
+        level = _natural(level_text)
+        if not sep or level is None:
             raise ParseError(f"bad truncate syntax: {text!r}")
-        levels.append(int(level_text))
+        levels.append(level)
         text = inner.strip()
     if text == "full":
         tree = FullTree()
@@ -329,9 +333,9 @@ def parse_tree(text: str) -> PresentedTree:
         tree = FlagTree(int(root), parse_sequence(seq))
     elif text.startswith("path:"):
         bits_text, graft, level_text = text[len("path:"):].partition("+full@")
-        if graft and not level_text.isdigit():
+        level = _natural(level_text) if graft else None
+        if graft and level is None:
             raise ParseError(f"bad graft level in {text!r}")
-        level = int(level_text) if graft else None
         if not bits_text or any(c not in "01" for c in bits_text):
             raise ParseError(f"bad path bits in {text!r}")
         tree = PathTree(tuple(int(c) for c in bits_text), level)

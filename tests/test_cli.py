@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import importlib
+import io
 import json
 import os
 import shutil
@@ -10,9 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mulab.cli import RunReport, _text, main
-from mulab.errors import ParseError
+from mulab.errors import OutOfRange, ParseError, UnsupportedPresentation
+from mulab.formulas import format_formula
+
+from test_formulas import marked_formulas
 
 EVENT_FLAG = "prefix=[1,1,1];tail=[0]"
 QUIET_FLAG = "prefix=[];tail=[1]"
@@ -22,6 +29,14 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv: str) -> tuple[int, str, str]:
+    """run_cli for a hypothesis test, which must not share capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def fields_of(out: str) -> dict[str, str]:
@@ -309,6 +324,15 @@ def test_normalize_missing_file_is_exit_two(capsys, tmp_path, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_normalize_non_utf8_file_is_exit_two(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.sexp").write_bytes(b"(atom caf\xe9)\n")
+    code, out, err = run_cli(capsys, "normalize", "--formula", "latin1.sexp")
+    assert (code, out) == (2, "")
+    assert err == ("input error: cannot read formula file 'latin1.sexp': "
+                   "not UTF-8 at byte 9\n")
+
+
 def test_normalize_rejects_stuck_markers_as_exit_one(capsys):
     code, _, err = run_cli(capsys, "normalize", "--formula",
                            "(and (all st x:0 (atom p x)) (atom q))")
@@ -395,6 +419,34 @@ def test_a_recursion_error_past_the_parser_is_a_bug(monkeypatch):
         main(["normalize", "--formula", "(atom p)"])
 
 
+# one run per layer, each past its parser: the layer's module and the
+# name the runner looks up in it
+PAST_THE_PARSERS = {
+    "route": (["ubin", "--flag", EVENT_FLAG], "extractors", "ubin_extraction"),
+    "cover": (["fan", "--functional", "const:1", "--tree", "full"], "trees",
+              "scf_check"),
+    "normalize": (["normalize", "--formula", "(atom p)"], "formulas",
+                  "to_normal_form"),
+}
+
+
+@pytest.mark.parametrize("error", [ValueError, OutOfRange,
+                                   UnsupportedPresentation])
+@pytest.mark.parametrize("layer", sorted(PAST_THE_PARSERS))
+def test_an_error_past_the_parsers_is_a_bug(monkeypatch, capsys, layer, error):
+    # only an InputError exits 2; anything else a run raises is a bug
+    argv, module, name = PAST_THE_PARSERS[layer]
+
+    def broken(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(importlib.import_module(f"mulab.{module}"), name,
+                        broken)
+    with pytest.raises(error, match="injected"):
+        main(argv)
+    assert capsys.readouterr() == ("", "")
+
+
 def test_deeply_nested_truncations_check_the_cover(capsys):
     # nested truncations are kept as they are, not flattened
     tree = "truncate:5:" * 2000 + "full"
@@ -432,6 +484,114 @@ def test_bad_tree_is_exit_two(capsys):
     code, _, _ = run_cli(capsys, "fan", "--functional", "const:1",
                          "--tree", "triangle")
     assert code == 2
+
+
+HUGE = "1" * 5000  # past the interpreter's 4300-digit limit on int(str)
+
+UNUSABLE_ARGUMENTS = [
+    # digits are ASCII: str.isdigit() also takes superscripts
+    (["fan", "--functional", "const:1", "--tree", "truncate:²:full"],
+     "bad truncate syntax: 'truncate:²:full'"),
+    (["fan", "--functional", "const:1", "--tree", "path:1+full@²"],
+     "bad graft level in 'path:1+full@²'"),
+    (["fan", "--functional", "f²"], "unknown functional 'f²'"),
+    (["fan", "--functional", "f0+²"], "unknown functional 'f0+²'"),
+    # a number past the digit limit is refused where it is read
+    (["ubin", "--flag", f"prefix=[{HUGE}];tail=[1]"],
+     f"bad number list in 'prefix=[{HUGE}];tail=[1]'"),
+    (["fan", "--functional", "const:1", "--tree", f"truncate:{HUGE}:full"],
+     f"bad truncate syntax: 'truncate:{HUGE}:full'"),
+    (["fan", "--functional", "const:1", "--tree", f"path:1+full@{HUGE}"],
+     f"bad graft level in 'path:1+full@{HUGE}'"),
+    (["fan", "--functional", f"f{HUGE}"], f"unknown functional 'f{HUGE}'"),
+    (["normalize", "--formula", f"(all x:{HUGE} (atom p x))"],
+     f"bad type '{HUGE}' in x:{HUGE}: degree {HUGE} is past 10000"),
+    # the cover check cuts at g's values, so they must be naturals
+    (["fan", "--functional", "const:-5", "--tree", "full"],
+     "the cover check needs natural values, but const:-5 gives -5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNUSABLE_ARGUMENTS,
+                         ids=[str(i) for i in range(len(UNUSABLE_ARGUMENTS))])
+def test_unusable_arguments_are_exit_two_and_named(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
+# what the lab accepts: flags with small values, every catalog form and
+# every tree form
+FLAGS = st.builds(
+    lambda prefix, tail: (f"prefix=[{','.join(map(str, prefix))}];"
+                          f"tail=[{','.join(map(str, tail))}]"),
+    st.lists(st.integers(0, 5), max_size=30),
+    st.lists(st.integers(0, 5), min_size=1, max_size=5))
+SMALL = st.integers(0, 7)
+TREES = st.recursive(
+    st.one_of(
+        st.just("full"),
+        st.builds("flagtree:{}:{}".format, st.integers(0, 1), FLAGS),
+        st.builds(lambda bits, graft: f"path:{bits}" + (
+            "" if graft is None else f"+full@{graft}"),
+            st.text("01", min_size=1, max_size=4), st.none() | SMALL)),
+    lambda inner: st.builds("truncate:{}:{}".format, SMALL, inner),
+    max_leaves=3)
+SUM_TERMS = st.lists(st.builds("f{}".format, SMALL) | st.builds(str, SMALL),
+                     min_size=1, max_size=3)
+
+
+@st.composite
+def fan_arguments(draw):
+    tree = draw(st.none() | TREES)
+    # the cover check needs natural values; the fan bound takes any
+    const = st.integers(0 if tree else -7, 7)
+    functional = draw(st.one_of(
+        st.builds("const:{}".format, const),
+        st.builds("proj:{}".format, SMALL),
+        st.builds("sum:{}".format, SMALL),
+        st.builds("max:{}".format, st.integers(1, 7)),
+        st.builds("ifz:{}:{}:{}".format, SMALL, SMALL, SMALL),
+        SUM_TERMS.filter(lambda ts: any(t[0] == "f" for t in ts))
+        .map("+".join)))
+    return ["fan", "--functional", functional] + (
+        [] if tree is None else ["--tree", tree])
+
+
+@pytest.mark.parametrize("route", ["ubin", "wwkl", "ivt", "dq", "weier"])
+@settings(max_examples=25, deadline=None)
+@given(flag=FLAGS)
+def test_valid_flags_exit_zero(route, flag):
+    code, _, err = run_captured(route, "--flag", flag)
+    assert (code, err) == (0, "")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(-10 ** 6, 10 ** 6), size=st.integers(0, 30))
+def test_valid_corpus_arguments_exit_zero(seed, size):
+    code, _, err = run_captured("corpus", "--seed", str(seed),
+                                "--size", str(size))
+    assert (code, err) == (0, "")
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=fan_arguments())
+def test_valid_fan_arguments_never_exit_two(argv):
+    code, out, err = run_captured(*argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("property violation: ")
+        assert err.count("\n") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(formula=marked_formulas())
+def test_printed_formulas_normalize_or_get_stuck(formula):
+    code, out, err = run_captured("normalize", "--formula",
+                                  format_formula(formula))
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("property violation: ")
 
 
 def test_missing_arguments_exit_via_argparse():

@@ -32,7 +32,7 @@ EAGER_NAMES = [
     "dyadic_index", "dyadic_value", "e2_from_mu", "FastCauchyReal",
     "first_nonzero", "flag_corpus", "flag_epsilon", "FlagTree",
     "format_sequence", "format_tree", "FormulaScopeError", "Found",
-    "from_rational", "FullTree", "greedy_path", "ivt_base",
+    "from_rational", "FullTree", "greedy_path", "InputError", "ivt_base",
     "ivt_counterexample", "MalformedWitness", "max_coded_length",
     "measure_positive", "MeasureZero", "mu_budgeted", "mu_exact", "mu_from",
     "mu_from_e2", "MulabError", "NoneBelowBudget", "NotInCbar",

@@ -169,6 +169,10 @@ def test_format_parse_round_trip(tree):
     "truncate:x:full",
     "truncate:3",
     "bogus",
+    # levels are read in ASCII digits only
+    "truncate:²:full",
+    "truncate:５:full",
+    "path:1+full@٣",
 ])
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ParseError):
