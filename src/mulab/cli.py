@@ -245,9 +245,10 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
         try:
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = (exc.strerror if isinstance(exc, OSError)
-                      else f"not UTF-8 at byte {exc.start}")
+        except (OSError, ValueError) as exc:  # open() refuses a NUL in a path
+            reason = (exc.strerror if isinstance(exc, OSError) else
+                      f"not UTF-8 at byte {exc.start}"
+                      if isinstance(exc, UnicodeDecodeError) else str(exc))
             raise InputError(
                 f"cannot read formula file {text!r}: {reason}") from None
     formula = parse_formula(text)

@@ -291,16 +291,16 @@ def _branch_alive_certified(view: TracedTreeView, length: int, value: int) -> bo
     queried, then the two children of every queried member, level by
     level until none is a member.  A queried non-member rules out its
     whole subtree by prefix closure, so the certificate binds every tree
-    agreeing on the queried codes.  On a thin gated branch each level
+    agreeing on the queried strings.  On a thin gated branch each level
     costs two queries.
     """
     if view.tree.alive(length, value):
         return True
-    frontier = [value] if view.member(length, value) else []
+    frontier = [value] if view.query(length, value) else []
     while frontier:
         length += 1
         frontier = [child for v in frontier for child in (v << 1, (v << 1) | 1)
-                    if view.member(length, child)]
+                    if view.query(length, child)]
     return False
 
 

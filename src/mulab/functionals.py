@@ -167,19 +167,22 @@ def theta_special(g: TracedFunctional,
 
 
 class TracedView:
-    """Query view that records the set of indices touched."""
+    """Query view recording the distinct entries asked for, within budget."""
 
     def __init__(self, budget: int = DEFAULT_BUDGET):
-        self.trace: set[int] = set()
+        self.trace: set = set()
         self.budget = budget
 
-    def _record(self, i: int) -> None:
-        self.trace.add(i)
+    def _record(self, entry) -> None:
+        self.trace.add(entry)
         if len(self.trace) > self.budget:
             raise BudgetExceeded(f"view queried more than {self.budget} indices")
 
     def reset(self) -> None:
         self.trace.clear()
+
+    def top(self) -> int:
+        return max(self.trace, default=-1)
 
 
 class TracedSeqView(TracedView):
@@ -212,19 +215,17 @@ TwinPhi = Callable[[TracedView, int], list]
 
 def xi_by_tracing(phi: TwinPhi, f_view: TracedView, g_view: TracedView,
                   k: int) -> int:
-    """1 + the largest index queried while producing the first k outputs
-    of phi on each view; 0 when nothing is queried.
+    """1 + the larger top() of the two views after producing the first k
+    outputs of phi on each; 0 when nothing is queried.
 
     For deterministic phi whose negative decisions are certified by the
     queried values alone, inputs agreeing below the returned bound get
     agreeing first k outputs.
     """
-    f_view.reset()
-    g_view.reset()
-    phi(f_view, k)
-    phi(g_view, k)
-    top = max(f_view.trace | g_view.trace, default=-1)
-    return top + 1
+    for view in (f_view, g_view):
+        view.reset()
+        phi(view, k)
+    return max(f_view.top(), g_view.top()) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .coding import string_code, string_decode
+from .coding import string_code
 from .errors import InputError, MeasureZero, ParseError
 from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, _fan_replay
 from .sequences import (PresentedSequence, _natural, format_sequence, mu_exact,
@@ -60,10 +60,6 @@ class PresentedTree:
     def measure_lower(self) -> Fraction:
         """Exact infimum of level_count(n) / 2^n."""
         raise NotImplementedError
-
-    def member_code(self, code: int) -> bool:
-        length, value = string_decode(code)
-        return self.member(length, value)
 
     def __str__(self) -> str:
         return format_tree(self)
@@ -232,18 +228,19 @@ def greedy_path(tree: PresentedTree, mu: MuOp = mu_exact) -> PresentedSequence:
 
 
 class TracedTreeView(TracedView):
-    """Membership view of a tree under the length-lex string coding."""
+    """Membership view tracing (length, value) descriptors; top() codes the
+    largest, as length-lex code order is (length, value) order."""
 
     def __init__(self, tree: PresentedTree, budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
         self.tree = tree
 
-    def query(self, i: int) -> int:
-        self._record(i)
-        return 1 if self.tree.member_code(i) else 0
+    def query(self, length: int, value: int) -> bool:
+        self._record((length, value))
+        return self.tree.member(length, value)
 
-    def member(self, length: int, value: int) -> bool:
-        return self.query(string_code(length, value)) == 1
+    def top(self) -> int:
+        return string_code(*max(self.trace)) if self.trace else -1
 
 
 class ScfReport(Value):

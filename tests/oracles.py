@@ -17,9 +17,10 @@ from itertools import count, islice, product
 from mulab.formulas import (
     And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, replace_at,
 )
-from mulab.coding import dyadic_index
+from mulab.coding import dyadic_index, string_code, string_decode
 from mulab.errors import BudgetExceeded
 from mulab.extractors import _bisection, _greedy_digits
+from mulab.functionals import DEFAULT_BUDGET, TracedView
 from mulab.trees import ScfReport
 
 
@@ -180,15 +181,40 @@ def reference_branch_alive(view, length: int, value: int) -> bool:
     is empty."""
     if view.tree.alive(length, value):
         return True
-    if not view.member(length, value):
+    if not view.query(length, value):
         return False
     level = length + 1
     while True:
         width = level - length
-        if not any(view.member(level, (value << width) | suffix)
+        if not any(view.query(level, (value << width) | suffix)
                    for suffix in range(1 << width)):
             return False
         level += 1
+
+
+class CodeKeyedTreeView(TracedView):
+    """Tree view keyed by length-lex codes: each query is coded, the code
+    recorded, and membership answered by decoding it again.  Its top()
+    is the largest code recorded."""
+
+    def __init__(self, tree, budget: int = DEFAULT_BUDGET):
+        super().__init__(budget)
+        self.tree = tree
+
+    def query(self, length: int, value: int) -> bool:
+        code = string_code(length, value)
+        self._record(code)
+        return self.tree.member(*string_decode(code))
+
+
+def reference_xi(phi, f_view, g_view, k: int) -> int:
+    """1 + the largest entry in the union of both views' traces after k
+    outputs of phi on each; 0 when nothing is queried."""
+    f_view.reset()
+    g_view.reset()
+    phi(f_view, k)
+    phi(g_view, k)
+    return max(f_view.trace | g_view.trace, default=-1) + 1
 
 
 def queried_death(tree, trace, length: int, value: int) -> bool:

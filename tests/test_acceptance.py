@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-from mulab.coding import cantor_unpair, dyadic_value
+from mulab.coding import cantor_unpair, dyadic_value, string_decode
 from mulab.corpus import flag_corpus
 from mulab.errors import BoundViolation
 from mulab.extractors import (
@@ -267,7 +267,8 @@ def _real_columns_agree_below(x, y, bound: int) -> bool:
 
 
 def _trees_agree_below(t, s, bound: int) -> bool:
-    return all(t.member_code(c) == s.member_code(c) for c in range(bound))
+    return all(t.member(*string_decode(c)) == s.member(*string_decode(c))
+               for c in range(bound))
 
 
 def _tables_agree_below(fa, fb, bound: int) -> bool:

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -74,6 +75,21 @@ def test_wwkl_runs_past_the_old_budget_cliff(capsys):
     got = json.loads(out)
     assert got["witness"] == "21"
     assert got["agrees_with_direct_search"] == "True"
+
+
+def test_wwkl_scales_to_event_one_hundred_thousand(capsys):
+    # about 2m membership queries on strings up to m bits long, each
+    # recorded once and never coded: only Xi codes the largest string
+    m = 100_000
+    flag = f"prefix=[{','.join(['1'] * m)},0];tail=[1]"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "wwkl", "--flag", flag)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert (got["witness"], got["search_bound"]) == ("100000", "100000")
+    assert got["xi_bound"] == str(Decimal(2 ** (m + 1) - 1))
+    assert elapsed < 15, f"wwkl at event {m} took {elapsed:.1f} s"
 
 
 def test_dq_route_fires_on_the_first_nonzero(capsys):
@@ -331,6 +347,13 @@ def test_normalize_non_utf8_file_is_exit_two(capsys, tmp_path, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("input error: cannot read formula file 'latin1.sexp': "
                    "not UTF-8 at byte 9\n")
+
+
+def test_normalize_nul_in_a_file_name_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "normalize", "--formula", "a\x00b.sexp")
+    assert (code, out) == (2, "")
+    assert err == ("input error: cannot read formula file 'a\\x00b.sexp': "
+                   "embedded null byte\n")
 
 
 def test_normalize_rejects_stuck_markers_as_exit_one(capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulab.coding import cantor_pair, cantor_unpair, dyadic_index, dyadic_value
+from mulab.coding import (cantor_pair, cantor_unpair, dyadic_index, dyadic_value,
+                          string_code)
 from mulab.errors import (
     BoundViolation,
+    BudgetExceeded,
     MalformedWitness,
     NotInCbar,
     OutOfRange,
@@ -60,6 +62,7 @@ from mulab.trees import (
 )
 
 from oracles import (
+    CodeKeyedTreeView,
     binary_digits,
     queried_death,
     reference_branch_alive,
@@ -68,6 +71,7 @@ from oracles import (
     reference_reaches,
     reference_sign_certified,
     reference_ubin_digits,
+    reference_xi,
 )
 
 unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
@@ -328,8 +332,9 @@ WALK_TREES = [
 
 
 def _decide_traced(decide, tree, length, value):
+    """The decision and the length-lex codes of the strings it queried."""
     view = TracedTreeView(tree)
-    return decide(view, length, value), view.trace
+    return decide(view, length, value), {string_code(*d) for d in view.trace}
 
 
 @pytest.mark.parametrize("tree", WALK_TREES, ids=format_tree)
@@ -347,6 +352,43 @@ def test_frontier_walk_matches_full_level_enumeration(tree):
                 assert top == ref_top
             if not alive:
                 assert queried_death(tree, trace, length, value)
+
+
+# binary string descriptors (length, value) up to length 10
+descriptors = st.integers(min_value=0, max_value=10).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n) - 1)))
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WALK_TREES), st.sampled_from(WALK_TREES),
+       st.lists(descriptors, max_size=30), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=6))
+def test_descriptor_view_matches_the_code_keyed_reference(t, s, queries, budget, k):
+    # same answers, the same trace once coded, and the budget hit at the
+    # same query
+    view, ref = TracedTreeView(t, budget), CodeKeyedTreeView(t, budget)
+    for length, value in queries:
+        answer = _outcome(view.query, length, value)
+        assert answer == _outcome(ref.query, length, value)
+        assert {string_code(*d) for d in view.trace} == ref.trace
+        if answer is BudgetExceeded:
+            break
+
+    # the same Xi, on the listed queries and on the frontier walk
+    def phi(v, k):
+        return [v.query(*d) for d in queries] + uwwkl_repr_bits(v, k)
+
+    assert (_outcome(xi_by_tracing, phi, TracedTreeView(t, budget),
+                     TracedTreeView(s, budget), k)
+            == _outcome(reference_xi, phi, CodeKeyedTreeView(t, budget),
+                        CodeKeyedTreeView(s, budget), k))
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +697,14 @@ def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
     (uivt_extraction, 1000, 4012, 3011, 508529, 508531),
     (ubin_extraction, 200, 401, 201, 201, 203),
     (ubin_extraction, 1000, 2001, 1001, 1001, 1003),
-], ids=["ivt-200", "ivt-1000", "ubin-200", "ubin-1000"])
+    (uwwkl_extraction, 200, 399, 399, 2 ** 201 - 1, 200),
+    (uwwkl_extraction, 1000, 1999, 1999, 2 ** 1001 - 1, 1000),
+], ids=["ivt-200", "ivt-1000", "ubin-200", "ubin-1000", "wwkl-200", "wwkl-1000"])
 def test_column_routes_read_pinned_cells(monkeypatch, route, m, records, cells,
                                          xi_bound, search_bound):
-    # every precision row the algorithm needs is read, and read as often
-    # as it ever was: a change that skips or repeats rows moves these
+    # every precision row (for wwkl, every tree string) the algorithm
+    # needs is read, and read as often as it ever was: a change that
+    # skips or repeats reads moves these
     record = TracedView._record
     calls, views = [0], []
 

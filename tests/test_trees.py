@@ -182,11 +182,12 @@ def test_parse_rejects_bad_syntax(bad):
 def test_traced_view_answers_membership_under_the_string_coding():
     tree = FlagTree(0, EVENT_AT_2)
     view = TracedTreeView(tree)
-    assert view.member(1, 1) is True
-    assert view.member(2, 3) is False
-    assert string_code(1, 1) in view.trace
-    assert string_code(2, 3) in view.trace
-    assert view.query(string_code(0, 0)) == 1
+    assert view.query(1, 1) is True
+    assert view.query(2, 3) is False
+    assert (1, 1) in view.trace
+    assert (2, 3) in view.trace
+    assert view.query(0, 0) is True
+    assert view.top() == string_code(2, 3)
 
 
 def test_scf_antecedent_and_consequent_both_hold():
