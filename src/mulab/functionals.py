@@ -23,7 +23,7 @@ Budgets make divergence on discontinuous inputs an error, not a hang.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, MalformedWitness, ParseError
 from .sequences import DEFAULT_BUDGET, PresentedSequence, _natural
@@ -62,16 +62,11 @@ class TracedFunctional:
         return f"TracedFunctional(name={self.name!r}, body={self.body!r})"
 
     def eval_traced(self, view: View | PresentedSequence) -> tuple[int, frozenset[int]]:
-        if isinstance(view, PresentedSequence):
-            view = view.value
-        queried: set[int] = set()
-
-        def probe(i: int) -> int:
-            queried.add(i)
-            return view(i)
-
-        value = int(self.body(probe))
-        return value, frozenset(queried)
+        """The body's value on view and the distinct indices it queried,
+        read through a TracedSeqView: each answer passes through int(),
+        and more than DEFAULT_BUDGET distinct indices raise BudgetExceeded."""
+        traced = TracedSeqView(view)
+        return int(self.body(traced.query)), frozenset(traced.trace)
 
     def __call__(self, view: View | PresentedSequence) -> int:
         return self.eval_traced(view)[0]
@@ -231,11 +226,27 @@ def xi_by_tracing(phi: TwinPhi, f_view: TracedView, g_view: TracedView,
 # ---------------------------------------------------------------------------
 # named catalog
 
-def _sum_expression(spec: str) -> Callable[[View], int] | None:
-    terms = spec.split("+")
+def _linear(projections: Iterable[int], constant: int = 0) -> Callable[[View], int]:
+    """The body view(p0) + view(p1) + ... + constant, queried in order."""
+    return lambda view: sum(map(view, projections), constant)
+
+
+# spelling -> (least value of its arguments, None for any; body builder)
+_CATALOG: dict[str, tuple[int | None, Callable[..., Callable[[View], int]]]] = {
+    "const:N": (None, lambda c: _linear((), c)),
+    "proj:N": (0, lambda i: _linear((i,))),
+    "sum:N": (0, lambda n: _linear(range(n))),
+    "max:N": (1, lambda n: lambda view: max(map(view, range(n)))),
+    "ifz:I:J:K": (0, lambda i, j, k: lambda view: view(j) if view(i) == 0 else view(k)),
+}
+
+
+def _terms(spec: str) -> tuple[list[int], int] | None:
+    """The projection indices and the summed constant of a '+'-joined
+    mix such as f0+f1+1, or None unless spec is one with a projection."""
     projections: list[int] = []
     constant = 0
-    for term in terms:
+    for term in spec.split("+"):
         term = term.strip()
         if not term:
             return None
@@ -246,13 +257,7 @@ def _sum_expression(spec: str) -> Callable[[View], int] | None:
             constant += value
         else:
             return None
-    if not projections:
-        return None
-
-    def body(view: View, _p=tuple(projections), _c=constant) -> int:
-        return sum(map(view, _p)) + _c
-
-    return body
+    return (projections, constant) if projections else None
 
 
 def _integer(text: str, spec: str) -> int:
@@ -264,49 +269,29 @@ def _integer(text: str, spec: str) -> int:
 
 
 def catalog_functional(spec: str) -> TracedFunctional:
-    """Build a functional from its catalog name.
-
-    Grammar: const:N | proj:N | sum:N | max:N | ifz:I:J:K, or a
-    '+'-joined mix of projections fI and constants such as f0+f1+1.
-    Only const:N may be negative.
+    """Build a functional from its catalog name: a spelling of _CATALOG
+    with numbers for its letters, or a '+'-joined mix of projections fI
+    and constants such as f0+f1+1.  Each kind's arguments must be at
+    least its table value; only const:N takes any integer.
     """
     spec = spec.strip()
-    parts = spec.split(":")
-    if parts[0] == "const" and len(parts) == 2:
-        c = _integer(parts[1], spec)
-        return TracedFunctional(spec, lambda view, _c=c: _c)
-    if parts[0] == "proj" and len(parts) == 2:
-        i = _integer(parts[1], spec)
-        if i < 0:
-            raise ParseError("proj:N needs N >= 0")
-        return TracedFunctional(spec, lambda view, _i=i: view(_i))
-    if parts[0] == "sum" and len(parts) == 2:
-        n = _integer(parts[1], spec)
-        if n < 0:
-            raise ParseError("sum:N needs N >= 0")
-        return TracedFunctional(
-            spec, lambda view, _n=n: sum(map(view, range(_n))))
-    if parts[0] == "max" and len(parts) == 2:
-        n = _integer(parts[1], spec)
-        if n <= 0:
-            raise ParseError("max:N needs N >= 1")
-        return TracedFunctional(
-            spec, lambda view, _n=n: max(map(view, range(_n))))
-    if parts[0] == "ifz" and len(parts) == 4:
-        i, j, k = (_integer(p, spec) for p in parts[1:])
-        if min(i, j, k) < 0:
-            raise ParseError("ifz:I:J:K needs I, J, K >= 0")
-        return TracedFunctional(
-            spec,
-            lambda view, _i=i, _j=j, _k=k: view(_j) if view(_i) == 0 else view(_k))
-    body = _sum_expression(spec)
-    if body is None:
+    kind, *args = spec.split(":")
+    for spelling, (least, build) in _CATALOG.items():
+        name, *letters = spelling.split(":")
+        if kind == name and len(args) == len(letters):
+            values = [_integer(arg, spec) for arg in args]
+            if least is not None and min(values) < least:
+                raise ParseError(f"{spelling} needs {', '.join(letters)} >= {least}")
+            return TracedFunctional(spec, build(*values))
+    terms = _terms(spec)
+    if terms is None:
         raise ParseError(f"unknown functional {spec!r}")
-    return TracedFunctional(spec, body)
+    return TracedFunctional(spec, _linear(*terms))
 
 
 def catalog_names() -> list[str]:
-    return ["const:N", "proj:N", "sum:N", "max:N", "ifz:I:J:K", "f0+f1", "f0+f1+1"]
+    """The catalog's spellings, then two examples of the '+' mix."""
+    return [*_CATALOG, "f0+f1", "f0+f1+1"]
 
 
 # ---------------------------------------------------------------------------

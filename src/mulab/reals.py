@@ -283,5 +283,5 @@ def to_decimal(x: FastCauchyReal, digits: int = 8) -> str:
     scaled = q * 10**digits
     whole = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
     sign = "-" if whole < 0 else ""
-    whole = abs(whole)
-    return f"{sign}{whole // 10**digits}.{whole % 10**digits:0{digits}d}"
+    units, fraction = divmod(abs(whole), 10**digits)
+    return f"{sign}{units}" + (f".{fraction:0{digits}d}" if digits else "")

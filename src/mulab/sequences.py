@@ -68,10 +68,14 @@ class PresentedSequence(Value):
         if any(v < 0 for v in prefix + tail):
             raise ValueError("values must be natural numbers")
         tail = _minimal_period(tail)
-        # absorb prefix elements that already follow the periodic pattern
-        while prefix and prefix[-1] == tail[-1]:
-            prefix = prefix[:-1]
-            tail = (tail[-1],) + tail[:-1]
+        # absorb the trailing prefix entries that already follow the
+        # periodic pattern read backwards, then rotate the tail once
+        n, p = len(prefix), len(tail)
+        k = n
+        while k and prefix[k - 1] == tail[(k - 1 - n) % p]:
+            k -= 1
+        r = (n - k) % p
+        prefix, tail = prefix[:k], tail[p - r:] + tail[:p - r]
         setfield(self, "prefix", prefix)
         setfield(self, "tail", tail)
 

@@ -37,6 +37,19 @@ def unroll(prefix, tail, count):
     return out
 
 
+def reference_canonical(prefix, tail):
+    """Canonical (prefix, tail): the shortest word whose repeats give the
+    tail, then trailing prefix entries absorbed one at a time, each step
+    rotating the tail right by one."""
+    prefix, tail = tuple(prefix), tuple(tail)
+    tail = next(tail[:d] for d in range(1, len(tail) + 1)
+                if len(tail) % d == 0 and tail[:d] * (len(tail) // d) == tail)
+    while prefix and prefix[-1] == tail[-1]:
+        prefix = prefix[:-1]
+        tail = (tail[-1],) + tail[:-1]
+    return prefix, tail
+
+
 def scan_first_zero(values):
     for i, v in enumerate(values):
         if v == 0:

@@ -92,6 +92,18 @@ def test_wwkl_scales_to_event_one_hundred_thousand(capsys):
     assert elapsed < 15, f"wwkl at event {m} took {elapsed:.1f} s"
 
 
+def test_long_redundant_prefix_canonicalizes_fast(capsys):
+    # every prefix entry repeats the tail, so all are absorbed into it
+    m = 100_000
+    flag = f"prefix=[{','.join(['1'] * m)}];tail=[1]"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "ubin", "--flag", flag)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert fields_of(out)["flag"] == "prefix=[];tail=[1]"
+    assert elapsed < 5, f"a {m}-entry redundant prefix took {elapsed:.1f} s"
+
+
 def test_dq_route_fires_on_the_first_nonzero(capsys):
     code, out, _ = run_cli(capsys, "dq", "--flag", "prefix=[0,0,0];tail=[1]")
     assert code == 0
@@ -532,6 +544,14 @@ UNUSABLE_ARGUMENTS = [
     # the cover check cuts at g's values, so they must be naturals
     (["fan", "--functional", "const:-5", "--tree", "full"],
      "the cover check needs natural values, but const:-5 gives -5"),
+    # each catalog kind names its least argument value
+    (["fan", "--functional", "proj:-1"], "proj:N needs N >= 0"),
+    (["fan", "--functional", "sum:-3"], "sum:N needs N >= 0"),
+    (["fan", "--functional", "max:0"], "max:N needs N >= 1"),
+    (["fan", "--functional", "ifz:0:-2:1"], "ifz:I:J:K needs I, J, K >= 0"),
+    (["fan", "--functional", "proj:x"], "bad functional spec 'proj:x'"),
+    (["fan", "--functional", "const:1:2"], "unknown functional 'const:1:2'"),
+    (["fan", "--functional", "sum"], "unknown functional 'sum'"),
 ]
 
 

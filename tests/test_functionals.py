@@ -40,6 +40,15 @@ def test_eval_traced_reports_value_and_queries():
     assert trace == frozenset({0, 2})
 
 
+def test_eval_traced_reads_through_a_traced_seq_view():
+    # each answer passes through int(), as every TracedSeqView's does
+    doubled = TracedFunctional("doubled", lambda view: view(0) * 2)
+    assert doubled.eval_traced(lambda i: 2.5) == (4, frozenset({0}))
+    # and more than DEFAULT_BUDGET distinct indices is a budget error
+    with pytest.raises(BudgetExceeded):
+        TracedFunctional("hunt", _hunt).eval_traced(PresentedSequence((), (1,)))
+
+
 def test_catalog_spot_values():
     ones = PresentedSequence((), (1,))
     ramp = PresentedSequence((0, 1, 2, 3, 4), (0,))

@@ -195,6 +195,9 @@ def test_to_decimal_spot_values():
     assert to_decimal(from_rational("2/3"), digits=5) == "0.66667"
     assert to_decimal(from_rational("-1/8"), digits=3) == "-0.125"
     assert to_decimal(from_rational(0), digits=2) == "0.00"
+    # no digits: the rounded integer alone, with no point
+    assert to_decimal(from_rational("3/2"), digits=0) == "2"
+    assert to_decimal(from_rational("-1/4"), digits=0) == "0"
 
 
 @given(rationals, st.integers(min_value=1, max_value=10))

@@ -19,7 +19,7 @@ from mulab.sequences import (
     shift,
 )
 
-from oracles import scan_first_nonzero, scan_first_zero, unroll
+from oracles import reference_canonical, scan_first_nonzero, scan_first_zero, unroll
 
 small_nat = st.integers(min_value=0, max_value=6)
 prefixes = st.lists(small_nat, max_size=8).map(tuple)
@@ -50,6 +50,14 @@ def test_canonical_form_keeps_values(prefix, tail):
     s = PresentedSequence(prefix, tail)
     count = len(prefix) + 3 * len(tail) + 2
     assert s.values(count) == unroll(prefix, tail, count)
+
+
+# values 0-2 so that prefix entries often repeat the tail
+@given(st.lists(st.integers(0, 2), max_size=40),
+       st.lists(st.integers(0, 2), min_size=1, max_size=6))
+def test_canonical_form_matches_the_stepwise_reference(prefix, tail):
+    s = PresentedSequence(prefix, tail)
+    assert (s.prefix, s.tail) == reference_canonical(prefix, tail)
 
 
 @given(prefixes, tails)

@@ -7,7 +7,12 @@ import pytest
 
 from mulab.coding import string_code
 from mulab.errors import MeasureZero, ParseError
-from mulab.functionals import TracedFunctional, catalog_functional, omega_fan
+from mulab.functionals import (
+    TracedFunctional,
+    catalog_functional,
+    catalog_names,
+    omega_fan,
+)
 from mulab.sequences import PresentedSequence
 from mulab.trees import (
     FlagTree,
@@ -152,6 +157,12 @@ def test_readme_tree_spellings_parse_and_round_trip(text):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     assert f"`{text}`" in readme or f"'{text}'" in readme
     assert format_tree(parse_tree(text)) == text
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_readme_lists_each_catalog_spelling(name):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert f"`{name}`" in readme
 
 
 @pytest.mark.parametrize("tree", SAMPLE_TREES, ids=format_tree)
