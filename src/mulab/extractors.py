@@ -81,17 +81,6 @@ class RouteReport(Value, eq=False):
     _fields = ("route", "flag", "fired", "witness", "xi_bound",
                "search_bound", "details")
 
-    def __init__(self, route: str, flag: PresentedSequence, fired: bool,
-                 witness: int | None, xi_bound: int | None,
-                 search_bound: int | None, details: dict) -> None:
-        setfield(self, "route", route)
-        setfield(self, "flag", flag)
-        setfield(self, "fired", fired)
-        setfield(self, "witness", witness)
-        setfield(self, "xi_bound", xi_bound)
-        setfield(self, "search_bound", search_bound)
-        setfield(self, "details", details)
-
 
 class Route(Value, eq=False):
     """One pair-based extraction route; calling it runs the extraction.
@@ -107,23 +96,6 @@ class Route(Value, eq=False):
 
     _fields = ("name", "settled", "pair", "observe", "make_phi", "view",
                "read", "precision", "search_bound")
-
-    def __init__(self, name: str, settled: tuple[int, ...],
-                 pair: Callable[[PresentedSequence], tuple],
-                 observe: Callable[..., tuple[bool, dict]],
-                 make_phi: Callable[[MuOp], Callable],
-                 view: type[TracedView],
-                 read: Callable[[TracedView, int], list], precision: int,
-                 search_bound: Callable[[int], int]) -> None:
-        setfield(self, "name", name)
-        setfield(self, "settled", settled)
-        setfield(self, "pair", pair)
-        setfield(self, "observe", observe)
-        setfield(self, "make_phi", make_phi)
-        setfield(self, "view", view)
-        setfield(self, "read", read)
-        setfield(self, "precision", precision)
-        setfield(self, "search_bound", search_bound)
 
     def xi(self, a, b, k: int) -> int:
         """1 + the largest input index read on a or b for k outputs."""
@@ -353,7 +325,7 @@ class PiecewiseLinear(Value):
         for (x0, y0), (x1, y1) in zip(points, points[1:]):
             slope = Fraction(y1 - y0) / (x1 - x0)
             segments.append((x1, slope, y0 - slope * x0))
-        setfield(self, "points", points)
+        super().__init__(points)
         setfield(self, "segments", tuple(segments))
 
     def value(self, x: Fraction) -> Fraction:
@@ -373,11 +345,6 @@ class RepresentedContinuousFunction(Value, eq=False):
     """A continuous function on [0, 1] given by exact values at rationals."""
 
     _fields = ("value_rule", "descriptor")
-
-    def __init__(self, value_rule: Callable[[Fraction], FastCauchyReal],
-                 descriptor: str) -> None:
-        setfield(self, "value_rule", value_rule)
-        setfield(self, "descriptor", descriptor)
 
     def value_at(self, q: Fraction, mu: MuOp = mu_exact) -> Fraction:
         return self.value_rule(Fraction(q)).exact_value(mu)
@@ -554,13 +521,6 @@ class TwoBump(Value, eq=False):
 
     _fields = ("fn", "left_height", "right_height")
 
-    def __init__(self, fn: RepresentedContinuousFunction,
-                 left_height: FastCauchyReal,
-                 right_height: FastCauchyReal) -> None:
-        setfield(self, "fn", fn)
-        setfield(self, "left_height", left_height)
-        setfield(self, "right_height", right_height)
-
     def argmax(self, mu: MuOp = mu_exact) -> Fraction:
         left = self.left_height.exact_value(mu)
         right = self.right_height.exact_value(mu)
@@ -603,10 +563,6 @@ def weierstrass_counterexample(f: PresentedSequence) -> tuple[TwoBump, TwoBump]:
 
 class RationalWitness(Value):
     _fields = ("value", "certificate")
-
-    def __init__(self, value: Fraction, certificate: str) -> None:
-        setfield(self, "value", value)
-        setfield(self, "certificate", certificate)
 
 
 def _presentation_tag(x: FastCauchyReal) -> str:

@@ -55,16 +55,9 @@ class Base(Value):
 class Arrow(Value):
     _fields = ("left", "right")
 
-    def __init__(self, left: Type, right: Type) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
 
 class Seq(Value):
     _fields = ("inner",)
-
-    def __init__(self, inner: Type) -> None:
-        setfield(self, "inner", inner)
 
 
 Type = Union[Base, Arrow, Seq]
@@ -134,37 +127,23 @@ def parse_type(text: str, where: str = "") -> Type:
 class App(Value):
     _fields = ("head", "args")
 
-    def __init__(self, head: str, args: tuple[Term, ...]) -> None:
-        setfield(self, "head", head)
-        setfield(self, "args", args)
-
 
 Term = Union[str, App]
 
 
 class Atom(Value):
     _fields = ("pred", "args")
-
-    def __init__(self, pred: str, args: tuple[Term, ...] = ()) -> None:
-        setfield(self, "pred", pred)
-        setfield(self, "args", args)
+    args = ()
 
 
 class Not(Value):
     _fields = ("body",)
-
-    def __init__(self, body: Formula) -> None:
-        setfield(self, "body", body)
 
 
 class _Binary(Value):
     """And, Or and Implies; == tells them apart by class."""
 
     _fields = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
 
 
 class And(_Binary):
@@ -183,26 +162,17 @@ class Quant(Value):
     # kind is "all" or "ex"; mono marks bound variables the engine
     # already bounded
     _fields = ("kind", "st", "var", "vtype", "body", "mono")
+    mono = False
 
     def __init__(self, kind: str, st: bool, var: str, vtype: Type,
-                 body: Formula, mono: bool = False) -> None:
+                 body: Formula, mono: bool = mono) -> None:
         if kind not in ("all", "ex"):
             raise ValueError(f"bad quantifier kind {kind!r}")
-        setfield(self, "kind", kind)
-        setfield(self, "st", st)
-        setfield(self, "var", var)
-        setfield(self, "vtype", vtype)
-        setfield(self, "body", body)
-        setfield(self, "mono", mono)
+        super().__init__(kind, st, var, vtype, body, mono)
 
 
 class ExIn(Value):
     _fields = ("var", "bound", "body")
-
-    def __init__(self, var: str, bound: Term, body: Formula) -> None:
-        setfield(self, "var", var)
-        setfield(self, "bound", bound)
-        setfield(self, "body", body)
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Quant, ExIn]
@@ -553,11 +523,8 @@ class RuleStep(Value):
 
     def __init__(self, rule: str, tag: str, at: tuple, before: Formula,
                  after: Formula) -> None:
-        setfield(self, "rule", rule)
-        setfield(self, "tag", tag)  # _EQ or _IMP
+        super().__init__(rule, tag, before, after)  # tag: _EQ or _IMP
         setfield(self, "at", at)
-        setfield(self, "before", before)
-        setfield(self, "after", after)
 
     @property
     def path(self) -> tuple[int, ...]:
@@ -582,9 +549,6 @@ class RuleStep(Value):
 
 class RuleTrace(Value):
     _fields = ("steps",)
-
-    def __init__(self, steps: tuple[RuleStep, ...]) -> None:
-        setfield(self, "steps", steps)
 
     @property
     def certificate(self) -> str:
@@ -859,12 +823,6 @@ class _HitIndex(dict):
 
 class NormalForm(Value):
     _fields = ("foralls", "exists", "matrix")
-
-    def __init__(self, foralls: tuple[tuple[str, Type], ...],
-                 exists: tuple[tuple[str, Type], ...], matrix: Formula) -> None:
-        setfield(self, "foralls", foralls)
-        setfield(self, "exists", exists)
-        setfield(self, "matrix", matrix)
 
     def to_formula(self) -> Formula:
         f = self.matrix

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, MalformedWitness, ParseError
 from .sequences import DEFAULT_BUDGET, PresentedSequence, _natural
-from .value import Value, setfield
+from .value import Value
 
 if TYPE_CHECKING:  # the fan commands never load the reals
     from .reals import FastCauchyReal
@@ -141,9 +141,6 @@ class ThetaResult(Value):
     the bound's length, has 1 << bound elements and is never built."""
 
     _fields = ("bound",)
-
-    def __init__(self, bound: int) -> None:
-        setfield(self, "bound", bound)
 
 
 def theta_special(g: TracedFunctional,

@@ -67,9 +67,6 @@ class Presentation:
 class PRational(Presentation, Value):
     _fields = ("value",)
 
-    def __init__(self, value: Fraction) -> None:
-        setfield(self, "value", value)
-
     def approx(self, n: int) -> Fraction:
         return self.value
 
@@ -87,9 +84,6 @@ class PCumFlagSeries(Presentation, Value):
     """
 
     _fields = ("flag",)
-
-    def __init__(self, flag: PresentedSequence) -> None:
-        setfield(self, "flag", flag)
 
     def _closed_form(self, m0: int | None) -> Fraction:
         if m0 is None:
@@ -117,9 +111,6 @@ class PDqSeries(Presentation, Value):
 
     _fields = ("flag",)
 
-    def __init__(self, flag: PresentedSequence) -> None:
-        setfield(self, "flag", flag)
-
     def _closed_form(self, m0: int | None) -> Fraction:
         if m0 is None:
             return Fraction(1)
@@ -138,10 +129,6 @@ class PDqSeries(Presentation, Value):
 class PSum(Presentation, Value):
     _fields = ("left", "right")
 
-    def __init__(self, left: Presentation, right: Presentation) -> None:
-        setfield(self, "left", left)
-        setfield(self, "right", right)
-
     def approx(self, n: int) -> Fraction:
         # a flag term reads 0 until its event shows: skip the addition
         left = self.left.approx(n + 2)
@@ -158,8 +145,7 @@ class PScale(Presentation, Value):
     _fields = ("factor", "arg")
 
     def __init__(self, factor: Fraction, arg: Presentation) -> None:
-        setfield(self, "factor", factor)
-        setfield(self, "arg", arg)
+        super().__init__(factor, arg)
         k = 0
         c = abs(factor)
         while c > (1 << k):
@@ -182,13 +168,8 @@ class FastCauchyReal(Value, eq=False):
     """
 
     _fields = ("presentation", "approx_override", "label")
-
-    def __init__(self, presentation: Presentation | None,
-                 approx_override: Callable[[int], Fraction] | None = None,
-                 label: str = "") -> None:
-        setfield(self, "presentation", presentation)
-        setfield(self, "approx_override", approx_override)
-        setfield(self, "label", label)
+    approx_override = None
+    label = ""
 
     def approx(self, n: int) -> Fraction:
         if n < 0:
@@ -278,6 +259,8 @@ def real_sign(x: FastCauchyReal, mu: MuOp = mu_exact) -> int:
 
 def to_decimal(x: FastCauchyReal, digits: int = 8) -> str:
     """Decimal rendering at the requested precision (round half up)."""
+    if not isinstance(digits, int) or digits < 0:
+        raise ValueError(f"digits must be a natural number, got {digits!r}")
     bits = int(digits * 3.33) + 4
     q = x.approx(bits)
     scaled = q * 10**digits

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .errors import ParseError
-from .value import Value, setfield
+from .value import Value
 
 __all__ = [
     "PresentedSequence",
@@ -76,8 +76,7 @@ class PresentedSequence(Value):
             k -= 1
         r = (n - k) % p
         prefix, tail = prefix[:k], tail[p - r:] + tail[:p - r]
-        setfield(self, "prefix", prefix)
-        setfield(self, "tail", tail)
+        super().__init__(prefix, tail)
 
     @property
     def horizon(self) -> int:
@@ -122,9 +121,6 @@ class OpaqueSequence(Value):
 
     _fields = ("evaluator",)
 
-    def __init__(self, evaluator: Callable[[int], int]) -> None:
-        setfield(self, "evaluator", evaluator)
-
     def value(self, n: int) -> int:
         return int(self.evaluator(n))
 
@@ -134,17 +130,11 @@ class Found(Value):
 
     _fields = ("index",)
 
-    def __init__(self, index: int) -> None:
-        setfield(self, "index", index)
-
 
 class NoneBelowBudget(Value):
     """No zero below the budget.  Explicitly not a proof of nonexistence."""
 
     _fields = ("budget",)
-
-    def __init__(self, budget: int) -> None:
-        setfield(self, "budget", budget)
 
 
 def mu_exact(f: PresentedSequence) -> int | None:

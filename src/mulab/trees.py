@@ -22,7 +22,7 @@ from .errors import InputError, MeasureZero, ParseError
 from .functionals import DEFAULT_BUDGET, TracedFunctional, TracedView, _fan_replay
 from .sequences import (PresentedSequence, _natural, format_sequence, mu_exact,
                         parse_sequence)
-from .value import Value, setfield
+from .value import Value
 
 if TYPE_CHECKING:  # the fan commands never load the reals
     from .reals import MuOp
@@ -95,8 +95,7 @@ class FlagTree(PresentedTree, Value):
     def __init__(self, root_bit: int, flag: PresentedSequence) -> None:
         if root_bit not in (0, 1):
             raise ValueError("root_bit must be 0 or 1")
-        setfield(self, "root_bit", root_bit)
-        setfield(self, "flag", flag)
+        super().__init__(root_bit, flag)
 
     def _gate_open(self, n: int) -> bool:
         # the gated path has no strings of length >= max(first zero, 1)
@@ -136,15 +135,15 @@ class PathTree(PresentedTree, Value):
     """
 
     _fields = ("bits", "full_below")
+    full_below = None
 
     def __init__(self, bits: tuple[int, ...],
-                 full_below: int | None = None) -> None:
+                 full_below: int | None = full_below) -> None:
         if not bits or any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be a nonempty binary tuple")
         if full_below is not None and full_below < 0:
             raise ValueError("graft level must be nonnegative")
-        setfield(self, "bits", bits)
-        setfield(self, "full_below", full_below)
+        super().__init__(bits, full_below)
 
     def _path_bit(self, d: int) -> int:
         return self.bits[d % len(self.bits)]
@@ -153,8 +152,11 @@ class PathTree(PresentedTree, Value):
         if not 0 <= value < (1 << length):
             return False
         limit = length if self.full_below is None else min(length, self.full_below)
-        return all(_bit_at(length, value, d) == self._path_bit(d)
-                   for d in range(limit))
+        # the top `limit` bits of value against the path's first `limit`
+        # bits, each read as one int: linear in length
+        period = "".join(map(str, self.bits))
+        path = (period * (limit // len(period) + 1))[:limit]
+        return value >> (length - limit) == int(path or "0", 2)
 
     def level_count(self, n: int) -> int:
         if self.full_below is None or n <= self.full_below:
@@ -176,8 +178,7 @@ class Truncation(PresentedTree, Value):
     def __init__(self, level: int, inner: PresentedTree) -> None:
         if level < 0:
             raise ValueError("truncation level must be nonnegative")
-        setfield(self, "level", level)
-        setfield(self, "inner", inner)
+        super().__init__(level, inner)
 
     def member(self, length: int, value: int) -> bool:
         tree = self
@@ -245,14 +246,6 @@ class TracedTreeView(TracedView):
 
 class ScfReport(Value):
     _fields = ("bound", "cover_size", "antecedent", "consequent", "fan_bound")
-
-    def __init__(self, bound: int, cover_size: int, antecedent: bool,
-                 consequent: bool, fan_bound: int) -> None:
-        setfield(self, "bound", bound)
-        setfield(self, "cover_size", cover_size)
-        setfield(self, "antecedent", antecedent)
-        setfield(self, "consequent", consequent)
-        setfield(self, "fan_bound", fan_bound)
 
     @property
     def implication(self) -> bool:

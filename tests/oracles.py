@@ -131,6 +131,16 @@ class _Unanswered(Exception):
         self.index = index
 
 
+def reference_path_member(bits, full_below, length: int, value: int) -> bool:
+    """PathTree membership bit by bit: each of value's top bits, down to
+    the graft level, against the path's bit at that depth."""
+    if not 0 <= value < (1 << length):
+        return False
+    limit = length if full_below is None else min(length, full_below)
+    return all((value >> (length - 1 - d)) & 1 == bits[d % len(bits)]
+               for d in range(limit))
+
+
 def reference_fan_replay(g, node_budget):
     """Leaves (answers, value, last_one) of g's complete binary decision
     tree by fork and rerun: every node reruns g from scratch, stops at

@@ -247,6 +247,19 @@ def test_fan_with_tree_reports_the_cover(capsys):
     assert got["implication"] == "True"
 
 
+def test_fan_cover_on_a_long_path_tree_is_fast(capsys):
+    # the cover check walks the path down 8000 levels, two membership
+    # queries a level, each linear in its length
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "--functional", "const:8000",
+                             "--tree", "path:01")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert (got["cover_bound"], got["antecedent"]) == ("8000", "False")
+    assert elapsed < 5, f"const:8000 on path:01 took {elapsed:.1f} s"
+
+
 def test_fan_cover_larger_than_the_budget_is_decided(capsys):
     code, out, err = run_cli(capsys, "fan", "--functional", "const:25",
                              "--tree", "truncate:24:full")
@@ -744,8 +757,9 @@ print(sorted(set(sys.modules) & {"dataclasses", "inspect", "ast", "dis",
 
 
 def test_the_value_classes_import_no_code_generation():
-    # the value classes are written out, so nothing pulls in dataclasses
-    # or the modules it needs to generate code
+    # the value classes share one hand-written constructor on
+    # mulab.value.Value, so nothing pulls in dataclasses or the modules
+    # it needs to generate code
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", UNUSED_MODULES], capture_output=True,

@@ -200,6 +200,12 @@ def test_to_decimal_spot_values():
     assert to_decimal(from_rational("-1/4"), digits=0) == "0"
 
 
+@pytest.mark.parametrize("digits", [-1, 2.5])
+def test_to_decimal_refuses_a_digit_count_that_is_not_natural(digits):
+    with pytest.raises(ValueError, match="digits must be a natural number"):
+        to_decimal(from_rational("1/3"), digits)
+
+
 @given(rationals, st.integers(min_value=1, max_value=10))
 def test_to_decimal_matches_round_half_up(q, digits):
     shown = to_decimal(from_rational(q), digits=digits)

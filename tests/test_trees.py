@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mulab.coding import string_code
 from mulab.errors import MeasureZero, ParseError
@@ -27,7 +28,7 @@ from mulab.trees import (
     scf_check,
 )
 
-from oracles import level_set, reference_scf
+from oracles import level_set, reference_path_member, reference_scf
 
 EVENT_AT_2 = PresentedSequence((1, 1), (0,))
 NO_EVENT = PresentedSequence((), (1,))
@@ -64,6 +65,18 @@ def test_membership_is_prefix_closed(tree):
 def test_member_rejects_out_of_range_values(tree):
     assert not tree.member(2, -1)
     assert not tree.member(2, 4)
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=5),
+       st.none() | st.integers(0, 24), st.integers(0, 40), st.data())
+def test_path_membership_matches_the_bit_by_bit_oracle(bits, full_below,
+                                                       length, data):
+    # values on the path, one bit off it at any depth, or anywhere
+    on_path = sum(bits[d % len(bits)] << (length - 1 - d) for d in range(length))
+    value = data.draw(st.integers(0, length).map(lambda k: on_path ^ (1 << k >> 1))
+                      | st.integers(-1, 1 << length))
+    assert (PathTree(tuple(bits), full_below).member(length, value)
+            == reference_path_member(bits, full_below, length, value))
 
 
 def test_gated_branch_dies_exactly_at_the_event():

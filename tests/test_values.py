@@ -1,6 +1,7 @@
 """The value classes: one instance of each, its repr pinned as text, its
-==, hash and refusal of assignment; and == on chains deeper than the
-interpreter's recursion limit."""
+==, hash and refusal of assignment; the call forms of the one
+constructor they share; and == on chains deeper than the interpreter's
+recursion limit."""
 
 from __future__ import annotations
 
@@ -264,3 +265,84 @@ def test_eq_on_chains_past_the_recursion_limit(wrap, leaf, other):
 def test_deep_parsed_types_compare_equal():
     assert parse_type("10000") == parse_type("10000")
     assert parse_type("10000") != parse_type("9999")
+
+
+def constant_half(n):
+    return Q(1, 2)
+
+
+# (a value built by name or with defaults, the same value spelled
+# positionally in full)
+CALL_FORMS = {
+    "FastCauchyReal by name": (
+        lambda: FastCauchyReal(PRational(Q(1, 2)), approx_override=constant_half,
+                               label="h"),
+        lambda: FastCauchyReal(PRational(Q(1, 2)), constant_half, "h")),
+    "FastCauchyReal defaults": (lambda: FastCauchyReal(PRational(Q(1, 2))),
+                                lambda: FastCauchyReal(PRational(Q(1, 2)), None, "")),
+    "FastCauchyReal label only": (lambda: FastCauchyReal(None, label="h"),
+                                  lambda: FastCauchyReal(None, None, "h")),
+    "Atom default": (lambda: Atom("p"), lambda: Atom("p", ())),
+    "Atom by name": (lambda: Atom(args=("x",), pred="p"), lambda: Atom("p", ("x",))),
+    "Quant default": (lambda: Quant("all", True, "x", Base(), p()),
+                      lambda: Quant("all", True, "x", Base(), p(), False)),
+    "Quant by name": (lambda: Quant("ex", False, body=p(), vtype=Base(), var="x",
+                                    mono=True),
+                      lambda: Quant("ex", False, "x", Base(), p(), True)),
+    "PathTree default": (lambda: PathTree((0, 1)), lambda: PathTree((0, 1), None)),
+    "PathTree by name": (lambda: PathTree(bits=(1,), full_below=2),
+                         lambda: PathTree((1,), 2)),
+}
+
+
+@pytest.mark.parametrize("form", CALL_FORMS)
+def test_named_and_default_forms_match_the_positional_one(form):
+    short, full = (make() for make in CALL_FORMS[form])
+    assert type(short) is type(full)
+    assert vars(short) == vars(full)
+    assert vars(short).keys() == set(type(full)._fields)
+    if type(full).__eq__ is Value.__eq__:
+        assert short == full and hash(short) == hash(full)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a: PSum(a, a, a), "PSum() takes 2 arguments but 3 were given"),
+    (lambda a: PSum(a), "PSum() missing argument 'right'"),
+    (lambda a: PSum(right=a), "PSum() missing argument 'left'"),
+    (lambda a: PSum(a, right=a, up=a), "PSum() got an unexpected argument 'up'"),
+    (lambda a: PSum(a, left=a), "PSum() got multiple values for argument 'left'"),
+    (lambda a: FastCauchyReal(), "FastCauchyReal() missing argument 'presentation'"),
+    # a class that checks its fields binds them with its own signature
+    (lambda a: Quant("all", True), "Quant.__init__() missing 3 required"),
+    (lambda a: PathTree((1,), 2, 3), "PathTree.__init__() takes from 2 to 3"),
+])
+def test_a_bad_call_raises_type_error_naming_the_class(call, message):
+    with pytest.raises(TypeError) as caught:
+        call(PRational(Q(1)))
+    assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_every_field_lands_in_the_instance_dict(name):
+    x = VALUES[name][0]()
+    if isinstance(x, Value):
+        assert all(field in vars(x) for field in type(x)._fields)
+
+
+def value_classes():
+    found, stack = set(), [Value]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            found.add(sub)
+            stack.append(sub)
+    return {cls for cls in found if cls.__module__.startswith("mulab.")}
+
+
+def test_only_classes_that_check_or_derive_write_a_constructor():
+    # every other value class takes Value's, which reads _fields
+    classes = value_classes()
+    assert ({cls.__name__ for cls in classes}
+            == VALUES.keys() - {"TracedFunctional"} | {"_Binary"})
+    own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
+    assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PScale",
+                   "PiecewiseLinear", "PresentedSequence", "RuleStep"}
