@@ -24,8 +24,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys((
         "cantor_pair", "cantor_unpair", "dyadic_index", "dyadic_value",
-        "max_coded_length", "rational_code", "rational_decode",
-        "string_code", "string_decode"), "coding"),
+        "max_coded_length", "string_code"), "coding"),
     **dict.fromkeys(("corpus_stats", "flag_corpus"), "corpus"),
     **dict.fromkeys((
         "BoundViolation", "BudgetExceeded", "FormulaScopeError",
@@ -50,14 +49,12 @@ _EXPORTS = {
         "theta_special", "xi_by_tracing"), "functionals"),
     **dict.fromkeys((
         "FastCauchyReal", "counterexample_pair", "dq_real",
-        "dyadic_flag_real", "from_rational", "presented_scale",
-        "presented_sum", "real_eq", "real_lt", "real_sign",
-        "to_decimal"), "reals"),
+        "dyadic_flag_real", "from_rational", "real_eq", "real_lt",
+        "real_sign", "to_decimal"), "reals"),
     **dict.fromkeys((
         "DEFAULT_BUDGET", "Found", "NoneBelowBudget", "OpaqueSequence",
         "PresentedSequence", "first_nonzero", "format_sequence",
-        "mu_budgeted", "mu_exact", "parse_sequence", "pointwise_combine",
-        "shift"), "sequences"),
+        "mu_budgeted", "mu_exact", "parse_sequence"), "sequences"),
     **dict.fromkeys((
         "FlagTree", "FullTree", "PathTree", "PresentedTree", "Truncation",
         "format_tree", "greedy_path", "measure_positive", "parse_tree",

@@ -179,11 +179,6 @@ class BinaryExpansion:
     def digits(self, k: int) -> list[int]:
         return [self.digit(n) for n in range(1, k + 1)]
 
-    def partial_sum(self, k: int) -> Fraction:
-        self.digit(max(k, 1))
-        return sum((Fraction(d, 1 << i) for i, d in
-                    enumerate(self._digits[:k], start=1)), Fraction(0))
-
 
 def ubin_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], BinaryExpansion]:
     def phi(x: FastCauchyReal) -> BinaryExpansion:
@@ -336,9 +331,6 @@ class PiecewiseLinear(Value):
             if x <= x1:
                 return slope * x + intercept
         raise AssertionError("unreachable")
-
-    def slope_bound(self) -> Fraction:
-        return max(abs(slope) for _, slope, _ in self.segments)
 
 
 class RepresentedContinuousFunction(Value, eq=False):

@@ -41,7 +41,7 @@ __all__ = [
     "Formula", "parse_formula", "format_formula",
     "is_internal", "relativize_st", "alpha_equal",
     "RuleStep", "RuleTrace", "NormalForm", "to_normal_form", "replay",
-    "extraction_obligation", "subformula_at", "replace_at",
+    "extraction_obligation",
 ]
 
 
@@ -212,29 +212,10 @@ def _child_pol(f: Formula, i: int, pol: int) -> int:
     return -pol if type(f) is Not or (type(f) is Implies and i == 0) else pol
 
 
-def subformula_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    for i in path:
-        kids = _children(f)
-        if i >= len(kids):
-            raise ValueError(f"path {path} leaves {type(f).__name__}")
-        f = kids[i]
-    return f
-
-
 def _splice(f: Formula, i: int, kid: Formula) -> Formula:
     """f with its child i replaced by kid."""
     kids = _children(f)
     return _with_children(f, kids[:i] + (kid,) + kids[i + 1:])
-
-
-def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    spine = []
-    for i in path:
-        spine.append((f, i))
-        f = _children(f)[i]
-    for parent, i in reversed(spine):
-        new = _splice(parent, i, new)
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +304,7 @@ def parse_formula(text: str) -> Formula:
             cls, parts, _, var = forms.pop()
             p.expect(")")
             if cls is App and len(parts) == 1:
-                raise p.fail("app needs at least one argument")
+                raise p.fail("app needs at least one argument", 1)
             scope.discard(var)
             node = (cls(parts[0], tuple(parts[1:])) if cls is Atom or cls is App
                     else cls(*parts))
@@ -642,10 +623,12 @@ def _p4_guard(node: Implies, pol: int, internal) -> bool:
             and node.right.st)
 
 
-def _p4(node: Implies, names: _Names):
-    """Pull a marked universal out of a consequent."""
+def _pull(node: Implies, names: _Names):
+    """Pull a marked quantifier out of a consequent: any universal
+    (_p4_guard), an existential only when it is higher type or already
+    carries a monotone bound (_p7_guard)."""
     q = node.right
-    return Quant("all", True, q.var, q.vtype,
+    return Quant(q.kind, True, q.var, q.vtype,
                  Implies(node.left, q.body), mono=q.mono), _EQ
 
 
@@ -693,14 +676,6 @@ def _p7_guard(node: Implies, pol: int, internal) -> bool:
             and (not isinstance(q.vtype, Base) or q.mono))
 
 
-def _p7(node: Implies, names: _Names):
-    """Pull a marked existential out of a consequent when it is higher
-    type or already carries a monotone bound."""
-    q = node.right
-    return Quant("ex", True, q.var, q.vtype,
-                 Implies(node.left, q.body), mono=q.mono), _EQ
-
-
 def _r4_guard(node: Quant, pol: int, internal) -> bool:
     if node.kind != "all" or node.st:
         return False
@@ -739,10 +714,10 @@ _RULES: tuple[tuple[str, type, Callable, Callable], ...] = (
     ("R1a-flip-antecedent", Implies, _r1a_guard, _r1a),
     ("R2-herbrandize", Implies, _r2_guard, _r2),
     ("R3-drop-st", Quant, _r3_guard, _r3),
-    ("forall-pull", Implies, _p4_guard, _p4),
+    ("forall-pull", Implies, _p4_guard, _pull),
     ("R1b-bound-antecedent", Implies, _r1b_guard, _r1b),
     ("R1c-bound-consequent", Implies, _r1c_guard, _r1c),
-    ("exists-pull", Implies, _p7_guard, _p7),
+    ("exists-pull", Implies, _p7_guard, _pull),
     ("R4-idealize", Quant, _r4_guard, _r4),
     ("not-push", Not, _p9_guard, _p9),
 )

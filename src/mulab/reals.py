@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import BoundViolation, UnsupportedPresentation
-from .sequences import PresentedSequence, mu_exact, pointwise_combine
+from .sequences import PresentedSequence, mu_exact
 from .value import Value, setfield
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "dyadic_flag_real",
     "counterexample_pair",
     "dq_real",
-    "presented_sum",
-    "presented_scale",
     "real_eq",
     "real_lt",
     "real_sign",
@@ -45,13 +43,13 @@ __all__ = [
 
 MuOp = Callable[[PresentedSequence], "int | None"]
 
-_ZERO_SEQ = PresentedSequence((), (0,))
 _ZERO = Fraction(0)
 
 
 def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
-    # eq-indicator against the zero sequence is 0 exactly where f is nonzero
-    return mu(pointwise_combine("eq-indicator", f, _ZERO_SEQ))
+    # the zero indicator of f is 0 exactly where f is nonzero
+    return mu(PresentedSequence(tuple(int(v == 0) for v in f.prefix),
+                                tuple(int(v == 0) for v in f.tail)))
 
 
 class Presentation:
@@ -217,14 +215,6 @@ def _require_presentation(x: FastCauchyReal) -> Presentation:
         raise UnsupportedPresentation(
             f"operation needs a presentation, got {x.label or 'opaque real'}")
     return x.presentation
-
-
-def presented_sum(x: FastCauchyReal, y: FastCauchyReal) -> FastCauchyReal:
-    return FastCauchyReal(PSum(_require_presentation(x), _require_presentation(y)))
-
-
-def presented_scale(c: Fraction | int, x: FastCauchyReal) -> FastCauchyReal:
-    return FastCauchyReal(PScale(Fraction(c), _require_presentation(x)))
 
 
 def real_eq(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:

@@ -2,9 +2,7 @@
 
 A PresentedSequence is a finite prefix plus a repeating tail.  On this
 class the search operator mu is exactly computable: scanning the prefix
-and a single period settles whether the sequence ever hits zero.  The
-class is closed under pointwise arithmetic and shifts, with the period
-of a combination dividing the lcm of the input periods.
+and a single period settles whether the sequence ever hits zero.
 
 Canonical form is minimal period first, then minimal prefix: the tail is
 reduced to its shortest generating word, after which trailing prefix
@@ -17,8 +15,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from math import lcm
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import ParseError
 from .value import Value
@@ -31,11 +28,8 @@ __all__ = [
     "mu_exact",
     "mu_budgeted",
     "first_nonzero",
-    "pointwise_combine",
-    "shift",
     "parse_sequence",
     "format_sequence",
-    "POINTWISE_OPS",
     "DEFAULT_BUDGET",
 ]
 
@@ -92,9 +86,6 @@ class PresentedSequence(Value):
 
     def values(self, count: int) -> list[int]:
         return [self.value(n) for n in range(count)]
-
-    def view(self) -> Callable[[int], int]:
-        return self.value
 
     @cached_property
     def first_zero(self) -> int | None:
@@ -161,44 +152,6 @@ def mu_budgeted(f: OpaqueSequence | PresentedSequence,
         if f.value(n) == 0:
             return Found(n)
     return NoneBelowBudget(budget)
-
-
-POINTWISE_OPS: dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "max": max,
-    "min": min,
-    "eq-indicator": lambda a, b: 1 if a == b else 0,
-    "neq-indicator": lambda a, b: 1 if a != b else 0,
-}
-
-
-def pointwise_combine(op: str, a: PresentedSequence,
-                      b: PresentedSequence) -> PresentedSequence:
-    """Combine two presented sequences pointwise; the result is presented.
-
-    The raw result has prefix length max of the inputs and period the lcm
-    of the input periods; canonicalization may shrink both.
-    """
-    try:
-        fn = POINTWISE_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown pointwise op {op!r}") from None
-    np = max(len(a.prefix), len(b.prefix))
-    nt = lcm(len(a.tail), len(b.tail))
-    vals = [fn(a.value(i), b.value(i)) for i in range(np + nt)]
-    return PresentedSequence(tuple(vals[:np]), tuple(vals[np:]))
-
-
-def shift(s: PresentedSequence, k: int) -> PresentedSequence:
-    """Drop the first k values."""
-    if k < 0:
-        raise ValueError("shift must be nonnegative")
-    if k <= len(s.prefix):
-        rest = s.prefix[k:]
-        return PresentedSequence(rest, s.tail)
-    r = (k - len(s.prefix)) % len(s.tail)
-    return PresentedSequence((), s.tail[r:] + s.tail[:r])
 
 
 def _natural(text: str) -> int | None:

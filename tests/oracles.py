@@ -5,7 +5,7 @@ avoiding the library's own closed forms, so a test comparing against
 these functions checks the implementation rather than echoing it.  The
 reference normalizer at the end reuses only the rewrite rules (each a
 node type, a guard and a builder), the fresh-name supply and
-``replace_at`` from the library; its walk, its name scan, its
+``_splice`` from the library; its walk, its name scan, its
 internality test and its search order are its own.
 """
 
@@ -15,9 +15,10 @@ from fractions import Fraction
 from itertools import count, islice, product
 
 from mulab.formulas import (
-    And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, replace_at,
+    And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, _children,
+    _splice,
 )
-from mulab.coding import dyadic_index, string_code, string_decode
+from mulab.coding import dyadic_index, string_code
 from mulab.errors import BudgetExceeded
 from mulab.extractors import _bisection, _greedy_digits
 from mulab.functionals import DEFAULT_BUDGET, TracedView
@@ -119,6 +120,15 @@ def binary_digits(q: Fraction, k: int) -> list[int]:
         x -= d
         digits.append(d)
     return digits
+
+
+def string_decode(code: int) -> tuple[int, int]:
+    """The (length, value) descriptor of a length-lex code, the inverse
+    of ``mulab.coding.string_code``."""
+    if code < 0:
+        raise ValueError("negative string code")
+    length = (code + 1).bit_length() - 1
+    return length, code - ((1 << length) - 1)
 
 
 def level_set(tree, n: int) -> set[int]:
@@ -328,6 +338,25 @@ def _kids(f):
     if isinstance(f, (Quant, ExIn)):
         return (f.body,)
     return ()
+
+
+def subformula_at(f, path: tuple[int, ...]):
+    for i in path:
+        kids = _children(f)
+        if i >= len(kids):
+            raise ValueError(f"path {path} leaves {type(f).__name__}")
+        f = kids[i]
+    return f
+
+
+def replace_at(f, path: tuple[int, ...], new):
+    spine = []
+    for i in path:
+        spine.append((f, i))
+        f = _children(f)[i]
+    for parent, i in reversed(spine):
+        new = _splice(parent, i, new)
+    return new
 
 
 def _walk(f, path=(), pol=1):

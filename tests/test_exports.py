@@ -38,11 +38,10 @@ EAGER_NAMES = [
     "mu_from_e2", "MulabError", "NoneBelowBudget", "NotInCbar",
     "NotNormalizable", "omega_fan", "OpaqueSequence", "OutOfRange",
     "parse_sequence", "parse_tree", "ParseError", "PathTree",
-    "PiecewiseLinear", "pointwise_combine", "presented_scale",
-    "presented_sum", "PresentedSequence", "PresentedTree", "rational_code",
-    "rational_decode", "RationalWitness", "real_eq", "real_lt", "real_sign",
+    "PiecewiseLinear", "PresentedSequence", "PresentedTree",
+    "RationalWitness", "real_eq", "real_lt", "real_sign",
     "RepresentedContinuousFunction", "Route", "RouteReport", "scf_check",
-    "shift", "string_code", "string_decode", "theta_special", "to_decimal",
+    "string_code", "theta_special", "to_decimal",
     "TracedFunctional", "TracedRealView", "TracedSeqView", "trees_from_flag",
     "Truncation", "TwoBump", "ubin_extraction", "ubin_from_mu",
     "udq_extraction", "udq_from_mu", "uivt_extraction", "uivt_from_mu",

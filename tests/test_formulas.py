@@ -34,13 +34,13 @@ from mulab.formulas import (
     parse_formula,
     parse_type,
     relativize_st,
-    replace_at,
     replay,
-    subformula_at,
     to_normal_form,
 )
 
-from oracles import formula_depth, marked_measure, reference_normalize
+from oracles import (
+    formula_depth, marked_measure, reference_normalize, replace_at, subformula_at,
+)
 
 
 def fixture_text(name: str) -> str:
@@ -132,7 +132,7 @@ def test_formula_round_trip(text):
     ("(all x:0\n   (atom p x) junk)", "line 2 col 15: expected ')' (at 'junk')"),
     ("(all st (atom p))", "line 1 col 9: expected var:type (at '(')"),
     ("(all x:0 (atom p x)", "end of input: unexpected end"),
-    ("(atom p (app f)) ; done", "line 1 col 16: app needs at least one argument (at ')')"),
+    ("(atom p (app f)) ; done", "line 1 col 15: app needs at least one argument (at ')')"),
 ])
 def test_parse_errors_name_the_line_and_column(text, message):
     with pytest.raises(ParseError) as exc:

@@ -15,8 +15,6 @@ from mulab.sequences import (
     mu_budgeted,
     mu_exact,
     parse_sequence,
-    pointwise_combine,
-    shift,
 )
 
 from oracles import reference_canonical, scan_first_nonzero, scan_first_zero, unroll
@@ -114,33 +112,6 @@ def test_budget_default_is_large():
     assert DEFAULT_BUDGET == 2 ** 20
 
 
-@given(prefixes, tails, prefixes, tails,
-       st.sampled_from(["add", "mul", "max", "min",
-                        "eq-indicator", "neq-indicator"]))
-def test_pointwise_combine_matches_brute(pa, ta, pb, tb, op):
-    from mulab.sequences import POINTWISE_OPS
-    a = PresentedSequence(pa, ta)
-    b = PresentedSequence(pb, tb)
-    c = pointwise_combine(op, a, b)
-    fn = POINTWISE_OPS[op]
-    for n in range(a.horizon + b.horizon + 6):
-        assert c.value(n) == fn(a.value(n), b.value(n))
-
-
-def test_pointwise_combine_rejects_unknown_op():
-    a = PresentedSequence((), (1,))
-    with pytest.raises(ValueError):
-        pointwise_combine("sub", a, a)
-
-
-@given(prefixes, tails, st.integers(min_value=0, max_value=12))
-def test_shift_drops_exactly_k(prefix, tail, k):
-    s = PresentedSequence(prefix, tail)
-    t = shift(s, k)
-    for n in range(s.horizon + 4):
-        assert t.value(n) == s.value(n + k)
-
-
 def test_parse_format_round_trip():
     for text in ["prefix=[];tail=[1]",
                  "prefix=[1,2,3];tail=[0,4]",
@@ -170,4 +141,3 @@ def test_parse_rejects_bad_syntax(bad):
 def test_opaque_view_round_trip():
     s = PresentedSequence((2, 0), (9,))
     assert [s.as_opaque().value(n) for n in range(5)] == s.values(5)
-    assert s.view()(1) == 0
