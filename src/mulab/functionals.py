@@ -7,9 +7,11 @@ on replaying such bodies:
 * omega_fan computes a fan modulus by replay over binary answers: each
   run answers every new query 1 and notes a branch point there, and the
   next run backs up to the deepest open branch point, answers it 0 and
-  goes on from there, one run per leaf.  The modulus is 1 + the largest
-  index queried anywhere in the completed tree.  A single run's trace
-  would not be a sound modulus for adaptive bodies; the whole tree is.
+  goes on from there, one run per leaf.  The body's view is the answers
+  dict's own lookup: an answered query is a plain dict lookup, and only
+  a new query runs Python code.  The modulus is 1 + the largest index
+  queried anywhere in the completed tree.  A single run's trace would
+  not be a sound modulus for adaptive bodies; the whole tree is.
 * theta_special reads a bound off the same replay tree: the largest
   value at any of its leaves, which comes with the finite cover of
   zero-padded prefixes of that length.  trees.scf_check decides the
@@ -72,6 +74,43 @@ class TracedFunctional:
         return self.eval_traced(view)[0]
 
 
+def _over(node_budget: int) -> BudgetExceeded:
+    return BudgetExceeded(f"omega_fan: over {node_budget} replay nodes")
+
+
+class _Answers(dict):
+    """The answers of one replay run, keys in query order.  Looking up an
+    answered index is a plain dict lookup; only a new index reaches
+    __missing__, which counts its node, answers it 1 and notes the branch
+    point as (answers before the query, index, last_one before it, top
+    after it)."""
+
+    __slots__ = ("budget", "nodes", "last_one", "top", "branches")
+
+    def __init__(self, budget: int) -> None:
+        super().__init__()
+        self.budget = budget
+        self.nodes = 1
+        self.last_one = self.top = -1
+        self.branches: list[tuple[int, int, int, int]] = []
+
+    def __missing__(self, i: int) -> int:
+        if i < 0:
+            raise ValueError("negative index queried")
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _over(self.budget)
+        top = self.top
+        if i > top:
+            self.top = top = i
+        last_one = self.last_one
+        self.branches.append((len(self), i, last_one, top))
+        if i > last_one:
+            self.last_one = i
+        self[i] = 1
+        return 1
+
+
 def _fan_replay(g: TracedFunctional, node_budget: int
                 ) -> Iterator[tuple[dict[int, int], int, int, int]]:
     """Leaves (answers, value, last_one, top) of g's complete binary
@@ -80,49 +119,31 @@ def _fan_replay(g: TracedFunctional, node_budget: int
 
     One run of g per leaf: a run answers each new query 1 and notes the
     branch point, and the next run trims the answers back to the deepest
-    open one and answers it 0.  Nodes are counted in preorder as they
-    are reached.  The answers dict is reused, its keys in query order:
-    read or copy it before asking for the next leaf.
+    open one and answers it 0.  The body's view is the answers dict's
+    own lookup, so a query answered before in this run or on the shared
+    prefix is a plain dict lookup, and only a new query runs Python code.
+    Nodes are counted in preorder as they are reached.  The answers dict
+    is reused, its keys in query order: read or copy it before asking for
+    the next leaf, and look it up with get, as indexing an unanswered
+    key queries it.
     """
-    answers: dict[int, int] = {}
-    # (answers before the query, index, last_one before it, top after it)
-    branches: list[tuple[int, int, int, int]] = []
-    nodes = 1
-    last_one = top = -1
-
-    def over() -> BudgetExceeded:
-        return BudgetExceeded(f"omega_fan: over {node_budget} replay nodes")
-
-    def probe(i: int) -> int:
-        nonlocal nodes, last_one, top
-        answer = answers.get(i)
-        if answer is not None:
-            return answer
-        if i < 0:
-            raise ValueError("negative index queried")
-        nodes += 1
-        if nodes > node_budget:
-            raise over()
-        if i > top:
-            top = i
-        branches.append((len(answers), i, last_one, top))
-        if i > last_one:
-            last_one = i
-        answers[i] = 1
-        return 1
-
-    if nodes > node_budget:
-        raise over()
+    answers = _Answers(node_budget)
+    if answers.nodes > node_budget:
+        raise _over(node_budget)
+    query = answers.__getitem__
+    branches = answers.branches
+    next_branch = branches.pop
+    trim = answers.popitem
     while True:
-        yield answers, int(g.body(probe)), last_one, top
+        yield answers, int(g.body(query)), answers.last_one, answers.top
         if not branches:
             return
-        depth, index, last_one, top = branches.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise over()
+        depth, index, answers.last_one, answers.top = next_branch()
+        answers.nodes += 1
+        if answers.nodes > node_budget:
+            raise _over(node_budget)
         for _ in range(len(answers) - depth):
-            answers.popitem()
+            trim()
         answers[index] = 0
 
 
@@ -133,7 +154,11 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
     BudgetExceeded once the tree has more than node_budget nodes, which
     is the fate of genuinely discontinuous bodies.
     """
-    return 1 + max(top for _, _, _, top in _fan_replay(g, node_budget))
+    modulus = -1
+    for _, _, _, top in _fan_replay(g, node_budget):
+        if top > modulus:
+            modulus = top
+    return 1 + modulus
 
 
 class ThetaResult(Value):
@@ -154,7 +179,8 @@ def theta_special(g: TracedFunctional,
     """
     bound = 0
     for _, value, _, _ in _fan_replay(g, node_budget):
-        bound = max(bound, value)
+        if value > bound:
+            bound = value
     return ThetaResult(bound)
 
 

@@ -255,22 +255,26 @@ class ScfReport(Value):
 def _meets(tree: PresentedTree, answers: dict[int, int], length: int) -> bool:
     """Has the tree a member of this length agreeing with answers below it?
 
-    Depth first, pruned by prefix closure.  Each member of the closed
-    family has a full subtree or lies on one path: O(length) strings.
+    Decided per tree form from the answered indices alone, so linear in
+    their number and never building a string of the cut's length.
     """
-    if tree.level_count(length) == 0:
-        return False
-    stack = [(0, 0)]
-    while stack:
-        depth, value = stack.pop()
-        if depth == length:
+    while isinstance(tree, Truncation):
+        if length > tree.level:
+            return False
+        tree = tree.inner
+    if isinstance(tree, FullTree) or length == 0:
+        return True
+    if isinstance(tree, FlagTree):
+        # the root_bit half is full; the other half is the gated path
+        if answers.get(0, tree.root_bit) == tree.root_bit:
             return True
-        bit = answers.get(depth)
-        for b in (0, 1) if bit is None else (bit,):
-            child = (value << 1) | b
-            if tree.member(depth + 1, child):
-                stack.append((depth + 1, child))
-    return False
+        return tree._gate_open(length) and all(
+            bit == 1 for i, bit in answers.items() if 0 < i < length)
+    if isinstance(tree, PathTree):
+        limit = length if tree.full_below is None else min(length, tree.full_below)
+        return all(bit == tree._path_bit(i)
+                   for i, bit in answers.items() if 0 <= i < limit)
+    raise ValueError(f"unknown tree {tree!r}")
 
 
 def scf_check(g: TracedFunctional, tree: PresentedTree,
@@ -293,8 +297,10 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
         if value < 0:
             raise InputError(f"the cover check needs natural values, "
                              f"but {g.name} gives {value}")
-        bound = max(bound, value)
-        max_index = max(max_index, top)
+        if value > bound:
+            bound = value
+        if top > max_index:
+            max_index = top
         if (low is None or last_one < low) and _meets(tree, answers, value):
             low = last_one
     antecedent = low is None or low >= bound

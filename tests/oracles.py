@@ -180,6 +180,18 @@ def reference_fan_replay(g, node_budget):
         yield dict(answers), value, last_one
 
 
+def replay_outcome(replay, g, node_budget):
+    """The leaves a replay yields, answers in key order, and the error
+    it ends with, if any."""
+    leaves = []
+    try:
+        for answers, value, last_one, *_ in replay(g, node_budget):
+            leaves.append((list(answers.items()), value, last_one))
+    except (BudgetExceeded, ValueError) as error:
+        return leaves, (type(error), str(error))
+    return leaves, None
+
+
 def reference_scf(g, tree) -> ScfReport:
     """The special-cover check by brute force: the bound is the largest
     g-value over the zero-padded prefixes of the fan modulus, and every
@@ -205,6 +217,27 @@ def reference_scf(g, tree) -> ScfReport:
             break
     consequent = not level_set(tree, bound)
     return ScfReport(bound, 1 << bound, antecedent, consequent, modulus)
+
+
+def reference_meets(tree, answers, length: int) -> bool:
+    """Has the tree a member of this length agreeing with answers below it?
+
+    Depth first by membership queries, pruned by prefix closure: each
+    member of the closed family has a full subtree or lies on one path,
+    so O(length) strings, each built bit by bit."""
+    if tree.level_count(length) == 0:
+        return False
+    stack = [(0, 0)]
+    while stack:
+        depth, value = stack.pop()
+        if depth == length:
+            return True
+        bit = answers.get(depth)
+        for b in (0, 1) if bit is None else (bit,):
+            child = (value << 1) | b
+            if tree.member(depth + 1, child):
+                stack.append((depth + 1, child))
+    return False
 
 
 def reference_branch_alive(view, length: int, value: int) -> bool:

@@ -261,6 +261,19 @@ def test_fan_cover_on_a_long_path_tree_is_fast(capsys):
     assert elapsed < 5, f"const:8000 on path:01 took {elapsed:.1f} s"
 
 
+def test_fan_cover_on_a_wide_full_tree_is_fast(capsys):
+    # the one leaf answers nothing, so the cover check decides it without
+    # building a string of the cut's 200,000 bits
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "--functional", "const:200000",
+                             "--tree", "full")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    assert (got["cover_bound"], got["antecedent"]) == ("200000", "False")
+    assert elapsed < 2, f"const:200000 on full took {elapsed:.1f} s"
+
+
 def test_fan_cover_larger_than_the_budget_is_decided(capsys):
     code, out, err = run_cli(capsys, "fan", "--functional", "const:25",
                              "--tree", "truncate:24:full")

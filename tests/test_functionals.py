@@ -22,7 +22,7 @@ from mulab.functionals import (
 )
 from mulab.reals import from_rational
 from mulab.sequences import PresentedSequence, mu_exact
-from oracles import reference_fan_replay
+from oracles import reference_fan_replay, replay_outcome
 
 flags = st.tuples(
     st.lists(st.integers(min_value=0, max_value=3), max_size=6).map(tuple),
@@ -142,29 +142,19 @@ REPLAY_BODIES = [
     TracedFunctional("gate", _gate),
     TracedFunctional("hunt", _hunt),
     TracedFunctional("neg", lambda view: view(1) + (view(-1) if view(4) == 0 else 0)),
+    # asks index 1 again in every run, and on its 0-branch a third time
+    TracedFunctional("again", lambda view: view(1) + view(1 + view(1)) + view(1)),
 ]
-
-
-def _replay_outcome(replay, g, node_budget):
-    """The leaves a replay yields, answers in key order, and the error
-    it ends with, if any."""
-    leaves = []
-    try:
-        for answers, value, last_one, *_ in replay(g, node_budget):
-            leaves.append((list(answers.items()), value, last_one))
-    except (BudgetExceeded, ValueError) as error:
-        return leaves, (type(error), str(error))
-    return leaves, None
 
 
 @pytest.mark.parametrize("g", REPLAY_BODIES, ids=lambda g: g.name)
 def test_replay_matches_fork_and_rerun_leaf_for_leaf_and_budget_for_budget(g):
-    leaves, error = _replay_outcome(reference_fan_replay, g, 1 << 10)
+    leaves, error = replay_outcome(reference_fan_replay, g, 1 << 10)
     # a finite tree has 2L - 1 nodes; hunt's is infinite, neg's ends in an error
     size = 2 * len(leaves) - 1 if error is None else 64
     for node_budget in range(1, size + 2):
-        assert (_replay_outcome(_fan_replay, g, node_budget)
-                == _replay_outcome(reference_fan_replay, g, node_budget)), node_budget
+        assert (replay_outcome(_fan_replay, g, node_budget)
+                == replay_outcome(reference_fan_replay, g, node_budget)), node_budget
 
 
 @pytest.mark.parametrize("g", REPLAY_BODIES, ids=lambda g: g.name)

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mulab.coding import string_code
 from mulab.errors import MeasureZero, ParseError
 from mulab.functionals import (
     TracedFunctional,
+    _fan_replay,
     catalog_functional,
     catalog_names,
     omega_fan,
@@ -21,6 +23,7 @@ from mulab.trees import (
     PathTree,
     TracedTreeView,
     Truncation,
+    _meets,
     format_tree,
     greedy_path,
     measure_positive,
@@ -28,7 +31,15 @@ from mulab.trees import (
     scf_check,
 )
 
-from oracles import level_set, reference_path_member, reference_scf
+from oracles import (
+    level_set,
+    reference_fan_replay,
+    reference_meets,
+    reference_path_member,
+    reference_scf,
+    replay_outcome,
+)
+from test_cli import TREES
 
 EVENT_AT_2 = PresentedSequence((1, 1), (0,))
 NO_EVENT = PresentedSequence((), (1,))
@@ -277,6 +288,60 @@ def test_scf_skips_leaves_no_cover_element_reaches():
     report = scf_check(far, Truncation(1, FullTree()))
     assert report == reference_scf(far, Truncation(1, FullTree()))
     assert (report.bound, report.antecedent, report.consequent) == (2, True, True)
+
+
+# decision trees over indices 0-5 whose leaves add up more queries, so a
+# run can ask an index it has already asked; an index -1 on some branch
+# ends the replay in a ValueError
+QUERY_TREES = st.recursive(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(0, 5), max_size=3)),
+    lambda inner: st.tuples(st.integers(-1, 5), inner, inner),
+    max_leaves=8)
+
+
+def _decide(tree):
+    def body(view):
+        node = tree
+        while len(node) == 3:
+            index, if_zero, if_one = node
+            node = if_one if view(index) else if_zero
+        constant, tail = node
+        return constant + sum(map(view, tail))
+    return body
+
+
+def _scf_outcome(check, g, tree):
+    try:
+        return check(g, tree)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=60, deadline=None)
+@given(QUERY_TREES)
+def test_replay_and_cover_check_match_their_references_on_drawn_bodies(tree):
+    g = TracedFunctional(repr(tree), _decide(tree))
+    # fork and rerun runs the body once per node it reaches
+    runs = []
+    counted = TracedFunctional(g.name, lambda view: runs.append(None) or g.body(view))
+    replay_outcome(reference_fan_replay, counted, 1 << 10)
+    for node_budget in range(1, len(runs) + 2):
+        assert (replay_outcome(_fan_replay, g, node_budget)
+                == replay_outcome(reference_fan_replay, g, node_budget)), node_budget
+    for scf_tree in SCF_TREES:
+        assert (_scf_outcome(scf_check, g, scf_tree)
+                == _scf_outcome(reference_scf, g, scf_tree)), format_tree(scf_tree)
+
+
+@given(TREES.map(parse_tree), st.integers(0, 12), st.integers(0, 14))
+def test_meets_matches_the_depth_first_walk(tree, length, extra):
+    # every unanswered/0/1 pattern on the root bit, both sides of the cut
+    # and one more index
+    indices = sorted({0, 1, length - 1, length, length + 1, extra} - {-1})
+    for pattern in product((None, 0, 1), repeat=len(indices)):
+        answers = {i: bit for i, bit in zip(indices, pattern) if bit is not None}
+        assert (_meets(tree, answers, length)
+                == reference_meets(tree, answers, length)), answers
 
 
 def test_scf_rejects_a_negative_cut():
