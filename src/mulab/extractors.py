@@ -26,6 +26,7 @@ columns for reals, length-lex string codes for trees, Cantor pairs of
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, islice
 from typing import Callable, Iterator
 
@@ -402,30 +403,58 @@ def _bisection(sign: Callable[[Fraction], int]
                 left, root = probe, s == 0
 
 
-_EAGER_DEPTH = 24
+_EXACT_ROOT_DEPTH = 24
+
+
+class _BisectionRoot(FastCauchyReal):
+    """The root that uivt_from_mu's phi returns.  ``stage(n)`` is (left
+    endpoint, root found) after n bisection stages, and approximation n
+    is that left endpoint.  The presentation is worked out on first read
+    (see uivt_from_mu).  It prints as a FastCauchyReal with ``stage`` for
+    its rule."""
+
+    _fields = ("stage", "label")
+
+    def approx_override(self, n: int) -> Fraction:
+        return self.stage(n)[0]
+
+    @cached_property
+    def presentation(self) -> PRational | None:
+        left, root = self.stage(_EXACT_ROOT_DEPTH)
+        return PRational(left) if root else None
+
+    def __repr__(self) -> str:
+        return repr(FastCauchyReal(self.presentation, self.stage, self.label))
 
 
 def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauchyReal]:
     """Bisection with midpoint probes.  The left endpoint after n stages
     is the n-th approximation; a probe that lands exactly on a zero ends
     the search at that rational.
+
+    phi checks the sign condition at once, with two calls of mu, and
+    raises NotInCbar there.  The stages run on demand: a read of
+    approximation n runs the stages up to n that no earlier read ran,
+    each a sign decided through mu, and keeps them.  The first read of
+    the presentation (through exact_value, real_eq, repr, ...) runs the
+    stages up to _EXACT_ROOT_DEPTH and gives the root an exact rational
+    presentation if the bisection has landed on it by then, else none.
+    An error from mu in a stage surfaces on the read that runs that
+    stage, and ends the bisection: a later read that needs a further
+    stage raises StopIteration.
     """
 
     def phi(fn: RepresentedContinuousFunction) -> FastCauchyReal:
         _check_cbar(fn, mu)
-        stages = _bisection(lambda p: real_sign(fn.value_rule(p), mu))
-        eager = list(islice(stages, _EAGER_DEPTH + 1))
-        endpoints = [left for left, _ in eager]
+        stream = _bisection(lambda p: real_sign(fn.value_rule(p), mu))
+        stages: list[tuple[Fraction, bool]] = []
 
-        def rule(n: int) -> Fraction:
-            while len(endpoints) <= n:
-                endpoints.append(next(stages)[0])
-            return endpoints[n]
+        def stage(n: int) -> tuple[Fraction, bool]:
+            while len(stages) <= n:
+                stages.append(next(stream))
+            return stages[n]
 
-        left, root = eager[-1]
-        pres = PRational(left) if root else None
-        return FastCauchyReal(pres, approx_override=rule,
-                              label=f"bisect({fn.descriptor})")
+        return _BisectionRoot(stage, f"bisect({fn.descriptor})")
 
     return phi
 

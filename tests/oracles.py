@@ -20,8 +20,9 @@ from mulab.formulas import (
 )
 from mulab.coding import dyadic_index, string_code
 from mulab.errors import BudgetExceeded
-from mulab.extractors import _bisection, _greedy_digits
+from mulab.extractors import _bisection, _check_cbar, _greedy_digits
 from mulab.functionals import DEFAULT_BUDGET, TracedView
+from mulab.reals import FastCauchyReal, PRational, real_sign
 from mulab.trees import ScfReport
 
 
@@ -358,6 +359,41 @@ def reference_ivt_endpoints(view, k):
     """The first k bisection endpoints, probed by reference_sign_certified."""
     stages = _bisection(lambda p: reference_sign_certified(view, p))
     return [left for left, _ in islice(stages, k)]
+
+
+# ---------------------------------------------------------------------------
+# the eager bisection root
+#
+# uivt_from_mu as it was before its stages ran on demand: phi runs
+# _EAGER_DEPTH stages up front and decides the presentation there.  The
+# lazy root must read the same through every door.
+
+_EAGER_DEPTH = 24
+
+
+def reference_uivt_phi(mu):
+    """Bisection with midpoint probes.  The left endpoint after n stages
+    is the n-th approximation; a probe that lands exactly on a zero ends
+    the search at that rational.
+    """
+
+    def phi(fn):
+        _check_cbar(fn, mu)
+        stages = _bisection(lambda p: real_sign(fn.value_rule(p), mu))
+        eager = list(islice(stages, _EAGER_DEPTH + 1))
+        endpoints = [left for left, _ in eager]
+
+        def rule(n):
+            while len(endpoints) <= n:
+                endpoints.append(next(stages)[0])
+            return endpoints[n]
+
+        left, root = eager[-1]
+        pres = PRational(left) if root else None
+        return FastCauchyReal(pres, approx_override=rule,
+                              label=f"bisect({fn.descriptor})")
+
+    return phi
 
 
 # ---------------------------------------------------------------------------

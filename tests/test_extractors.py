@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mulab.coding import (cantor_pair, cantor_unpair, dyadic_index, dyadic_value,
                           string_code)
+from mulab.corpus import flag_corpus
 from mulab.errors import (
     BoundViolation,
     BudgetExceeded,
     MalformedWitness,
+    MulabError,
     NotInCbar,
     OutOfRange,
     UnsupportedPresentation,
@@ -21,10 +24,14 @@ from mulab.extractors import (
     RationalWitness,
     RepresentedContinuousFunction,
     TracedTableView,
+    _EXACT_ROOT_DEPTH,
+    _ROOT_PRECISION,
     _branch_alive_certified,
+    _presentation_tag,
     _reaches,
     _sign_certified,
     flag_epsilon,
+    from_piecewise_linear,
     ivt_base,
     ivt_counterexample,
     mu_from,
@@ -50,6 +57,8 @@ from mulab.reals import (
     dq_real,
     dyadic_flag_real,
     from_rational,
+    real_eq,
+    real_lt,
 )
 from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
 from mulab.trees import (
@@ -71,6 +80,7 @@ from oracles import (
     reference_reaches,
     reference_sign_certified,
     reference_ubin_digits,
+    reference_uivt_phi,
     reference_xi,
 )
 
@@ -527,6 +537,129 @@ def test_repr_endpoints_match_the_library_bisection(fn):
     direct = uivt_from_mu(mu_exact)(fn)
     assert table == [direct.approx(n) for n in range(8)]
 
+
+
+# the eager bisection root of tests/oracles.py against the lazy one.
+# Functions: -a at 0, zero at one point or on a plateau, b at 1, with
+# dyadic zeros at depths 1-30 (a probe lands on depth d at stage d, so
+# past _EXACT_ROOT_DEPTH no presentation), non-dyadic zeros, the shifted
+# route bases (a dyadic root at depth m - 1 for some events m), and
+# functions outside the sign condition
+def _bracketing(a, zeros, b):
+    points = ((Fraction(0), a), *((z, Fraction(0)) for z in zeros),
+              (Fraction(1), b))
+    return from_piecewise_linear(PiecewiseLinear(points), "pl")
+
+
+_dyadic_zeros = st.integers(min_value=1, max_value=30).flatmap(
+    lambda d: st.integers(min_value=0, max_value=(1 << (d - 1)) - 1).map(
+        lambda k: Fraction(2 * k + 1, 1 << d)))
+_other_zeros = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(
+    lambda z: z.denominator & (z.denominator - 1))
+_zeros = st.one_of(_dyadic_zeros, _other_zeros)
+_zero_sets = st.one_of(
+    _zeros.map(lambda z: (z,)),
+    st.sets(_zeros, min_size=2, max_size=2).map(lambda zs: tuple(sorted(zs))))
+_ends = st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=16)
+ivt_functions = st.one_of(
+    st.builds(lambda a, zs, b: _bracketing(-a, zs, b), _ends, _zero_sets, _ends),
+    st.builds(lambda m, sign: ivt_counterexample(flag_with_event_at(m), sign),
+              st.integers(min_value=0, max_value=40), st.sampled_from("+-")),
+    st.builds(ivt_counterexample, st.just(NO_EVENT), st.sampled_from("+-")),
+    st.builds(_bracketing, _ends, _zero_sets, _ends),
+)
+
+
+def _read(call, *args):
+    """What a call gives: its value, or its error's class and text."""
+    try:
+        return call(*args)
+    except MulabError as e:
+        return type(e), str(e)
+
+
+def _unaddressed(text):
+    """A repr with each function shown as <rule>: the eager and the lazy
+    root print their approximation rules, different closures."""
+    return re.sub(r"<function \S+ at 0x[0-9a-f]+>", "<rule>", text)
+
+
+def _depth(d):
+    """A ramp whose zero 2^-d the bisection lands on at stage d."""
+    return _bracketing(Fraction(-1), (Fraction(1, 1 << d),), Fraction(1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ivt_functions, st.permutations(range(41)), st.booleans(), unit_fractions)
+@example(_depth(_EXACT_ROOT_DEPTH), list(range(41)), False, Fraction(0))
+@example(_depth(_EXACT_ROOT_DEPTH + 1), list(range(41)), False, Fraction(0))
+def test_lazy_roots_read_like_the_eager_reference(fn, order, presentation_first, q):
+    lazy = _read(uivt_from_mu(mu_exact), fn)
+    eager = _read(reference_uivt_phi(mu_exact), fn)
+    if not isinstance(eager, FastCauchyReal):
+        assert lazy == eager  # NotInCbar, raised by phi itself
+        return
+    if presentation_first:
+        assert lazy.presentation == eager.presentation
+    assert [lazy.approx(n) for n in order] == [eager.approx(n) for n in order]
+    assert lazy.presentation == eager.presentation
+    assert _read(lazy.exact_value) == _read(eager.exact_value)
+    for y in (from_rational(q), from_rational(eager.approx(40))):
+        assert _read(real_eq, lazy, y) == _read(real_eq, eager, y)
+        assert _read(real_lt, lazy, y) == _read(real_lt, eager, y)
+        assert _read(real_lt, y, lazy) == _read(real_lt, y, eager)
+    assert _presentation_tag(lazy) == _presentation_tag(eager)
+    assert _unaddressed(repr(lazy)) == _unaddressed(repr(eager))
+
+
+def counting(mu):
+    """mu, and the list of the flags it is called on."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return mu(f)
+
+    return counted, calls
+
+
+CALL_EVENTS = (2, 3, 5, 18, 27, 64, 250)
+
+
+@pytest.mark.parametrize("f", [NO_EVENT, *map(flag_with_event_at, CALL_EVENTS)],
+                         ids=["quiet", *(f"event{m}" for m in CALL_EVENTS)])
+def test_an_ivt_call_runs_only_the_stages_it_reads(f):
+    # each phi: two calls for the sign condition, one per stage up to
+    # the precision the route reads (the eager phi ran 24 stages)
+    mu, calls = counting(mu_exact)
+    report = uivt_extraction(f, phi=uivt_from_mu(mu))
+    assert report.witness == mu_exact(f)
+    assert len(calls) <= 2 * (2 + _ROOT_PRECISION)
+    # the presentation runs the rest, once
+    root, before = report.details["r_plus"], len(calls)
+    repr(root)
+    assert len(calls) - before <= _EXACT_ROOT_DEPTH - _ROOT_PRECISION
+    before = len(calls)
+    assert root.presentation is root.presentation
+    assert len(calls) == before
+
+
+def test_ivt_over_the_corpus_counts_its_calls_of_mu():
+    # 1,872 calls while phi ran 24 stages up front
+    mu, calls = counting(mu_exact)
+    for f in flag_corpus(seed=0):
+        assert uivt_extraction(f, phi=uivt_from_mu(mu)).witness == mu_exact(f)
+    assert len(calls) == 772
+
+
+def test_ivt_composed_with_itself_recovers_the_search():
+    # the outer phi is built from the search the inner route recovers;
+    # 76,392 base calls while phi ran 24 stages up front
+    mu, calls = counting(mu_exact)
+    phi = uivt_from_mu(mu_from(uivt_extraction, uivt_from_mu(mu)))
+    for f in flag_corpus(seed=0):
+        assert uivt_extraction(f, phi=phi).witness == mu_exact(f)
+    assert len(calls) == 7640
 
 def test_table_view_builds_each_point_once():
     fn = ivt_counterexample(flag_with_event_at(5), "+")

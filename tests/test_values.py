@@ -341,8 +341,10 @@ def value_classes():
 def test_only_classes_that_check_or_derive_write_a_constructor():
     # every other value class takes Value's, which reads _fields
     classes = value_classes()
+    # _BisectionRoot prints a closure, so its repr cannot be pinned here;
+    # test_extractors pins it against the eager reference instead
     assert ({cls.__name__ for cls in classes}
-            == VALUES.keys() - {"TracedFunctional"} | {"_Binary"})
+            == VALUES.keys() - {"TracedFunctional"} | {"_Binary", "_BisectionRoot"})
     own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
     assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PScale",
                    "PiecewiseLinear", "PresentedSequence", "RuleStep"}
