@@ -49,7 +49,7 @@ _EXPORTS = {
         "theta_special", "xi_by_tracing"), "functionals"),
     **dict.fromkeys((
         "FastCauchyReal", "counterexample_pair", "dq_real",
-        "dyadic_flag_real", "from_rational", "real_eq", "real_lt",
+        "flag_shifted", "from_rational", "real_eq", "real_lt",
         "real_sign", "to_decimal"), "reals"),
     **dict.fromkeys((
         "DEFAULT_BUDGET", "Found", "NoneBelowBudget", "OpaqueSequence",

@@ -8,7 +8,10 @@ the functional a pair of presented counterexample objects that it tells
 apart exactly when the input flag sequence fires, each of which agrees
 with its never-firing version below the first flag index, and reads that
 index out of a bounded search whose bound comes from tracing the
-functional's queries on both objects.
+functional's queries on both objects.  The pairs made of reals come
+from one device, ``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the
+ivt base's values +- delta(f), and the heights 1 +- delta(f) of the
+two-bump functions, whose shape is two piecewise-linear tents.
 
 The three pair-based routes are Route records, and calling one runs
 that argument through a single shared loop.  The counterexample pairs
@@ -39,9 +42,9 @@ from .reals import (
     PCumFlagSeries,
     PRational,
     PScale,
-    PSum,
     counterexample_pair,
     dq_real,
+    flag_shifted,
     from_rational,
     real_sign,
 )
@@ -343,21 +346,10 @@ class RepresentedContinuousFunction(Value, eq=False):
         return self.value_rule(Fraction(q)).exact_value(mu)
 
 
-def from_piecewise_linear(pl: PiecewiseLinear, descriptor: str,
-                          shift: tuple[int, PresentedSequence] | None = None
+def from_piecewise_linear(pl: PiecewiseLinear, descriptor: str
                           ) -> RepresentedContinuousFunction:
-    if shift is None:
-        def rule(q: Fraction) -> FastCauchyReal:
-            return from_rational(pl.value(q))
-    else:
-        sign, flag = shift
-
-        def rule(q: Fraction) -> FastCauchyReal:
-            pres = PSum(PRational(pl.value(q)),
-                        PScale(Fraction(sign), PCumFlagSeries(flag)))
-            return FastCauchyReal(pres)
-
-    return RepresentedContinuousFunction(rule, descriptor)
+    return RepresentedContinuousFunction(
+        lambda q: from_rational(pl.value(q)), descriptor)
 
 
 _IVT_BASE = PiecewiseLinear((
@@ -378,7 +370,8 @@ def ivt_counterexample(f: PresentedSequence, sign: str) -> RepresentedContinuous
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     s = 1 if sign == "+" else -1
-    return from_piecewise_linear(_IVT_BASE, f"ivt-base{sign}delta", (s, f))
+    return RepresentedContinuousFunction(
+        lambda q: flag_shifted(_IVT_BASE.value(q), s, f), f"ivt-base{sign}delta")
 
 
 def _check_cbar(fn: RepresentedContinuousFunction, mu: MuOp) -> None:
@@ -548,29 +541,25 @@ class TwoBump(Value, eq=False):
         return Fraction(1, 4) if left >= right else Fraction(3, 4)
 
 
+# the two-bump weights: a tent on [0, 1/2] peaking at 1/4, one on [1/2, 1] at 3/4
+_LEFT_TENT = PiecewiseLinear(((0, 0), (Fraction(1, 4), 1), (Fraction(1, 2), 0), (1, 0)))
+_RIGHT_TENT = PiecewiseLinear(((0, 0), (Fraction(1, 2), 0), (Fraction(3, 4), 1), (1, 0)))
+
+
 def _bump_function(f: PresentedSequence, left_sign: int) -> TwoBump:
-    one = PRational(Fraction(1))
-    delta = PCumFlagSeries(f)
-    h_left = PSum(one, PScale(Fraction(left_sign), delta))
-    h_right = PSum(one, PScale(Fraction(-left_sign), delta))
+    h_left = flag_shifted(1, left_sign, f)
+    h_right = flag_shifted(1, -left_sign, f)
 
     def rule(q: Fraction) -> FastCauchyReal:
-        q = Fraction(q)
-        if q < 0 or q > 1:
-            raise OutOfRange(f"{q} outside [0,1]")
-        if q <= Fraction(1, 2):
-            # tent through (0,0), (1/4, h_left), (1/2, 0)
-            weight = 4 * q if q <= Fraction(1, 4) else 4 * (Fraction(1, 2) - q)
-            return FastCauchyReal(PScale(weight, h_left) if weight else
-                                  PRational(Fraction(0)))
-        weight = (4 * (q - Fraction(1, 2)) if q <= Fraction(3, 4)
-                  else 4 * (1 - q))
-        return FastCauchyReal(PScale(weight, h_right) if weight else
+        tent, height = ((_RIGHT_TENT, h_right) if q > Fraction(1, 2)
+                        else (_LEFT_TENT, h_left))
+        weight = tent.value(q)
+        return FastCauchyReal(PScale(weight, height.presentation) if weight else
                               PRational(Fraction(0)))
 
     sign = "+" if left_sign > 0 else "-"
-    fn = RepresentedContinuousFunction(rule, f"two-bump{sign}")
-    return TwoBump(fn, FastCauchyReal(h_left), FastCauchyReal(h_right))
+    return TwoBump(RepresentedContinuousFunction(rule, f"two-bump{sign}"),
+                   h_left, h_right)
 
 
 def weierstrass_counterexample(f: PresentedSequence) -> tuple[TwoBump, TwoBump]:

@@ -6,6 +6,10 @@ descriptor from a small closed algebra (rational constants, flag-driven
 dyadic series, sums, scalings).  Comparisons are decided exactly from
 presentations; the flag-driven cases reduce to a mu search on the
 presented flag sequence, which is the whole point of the class.
+The real-valued counterexample objects are built from one device,
+``flag_shifted(c, sign, f)`` = c + sign * delta(f): its approximations
+agree with c until f's first event shows, and after it they split from c
+by epsilon(f).
 
 Flag convention, used artifact-wide except where a construction says
 otherwise: a flag event at m means f(m) = 0, so flag searches line up
@@ -32,7 +36,7 @@ __all__ = [
     "FastCauchyReal",
     "MuOp",
     "from_rational",
-    "dyadic_flag_real",
+    "flag_shifted",
     "counterexample_pair",
     "dq_real",
     "real_eq",
@@ -189,38 +193,26 @@ def from_rational(q: Fraction | int | str) -> FastCauchyReal:
     return FastCauchyReal(PRational(Fraction(q)))
 
 
-def dyadic_flag_real(f: PresentedSequence, mode: str) -> FastCauchyReal:
-    """1/2 + delta(f) for mode '+', 1/2 - delta(f) for mode '-'."""
-    if mode == "+":
-        sign = Fraction(1)
-    elif mode == "-":
-        sign = Fraction(-1)
-    else:
-        raise ValueError(f"mode must be '+' or '-', got {mode!r}")
-    pres = PSum(PRational(Fraction(1, 2)), PScale(sign, PCumFlagSeries(f)))
-    return FastCauchyReal(pres)
+def flag_shifted(c: Fraction | int, sign: int, f: PresentedSequence) -> FastCauchyReal:
+    """c + sign * delta(f): c if f never hits zero, else c moved by
+    sign * epsilon(f).  Every flag-shifted real is built here."""
+    return FastCauchyReal(PSum(PRational(Fraction(c)),
+                               PScale(Fraction(sign), PCumFlagSeries(f))))
 
 
 def counterexample_pair(f: PresentedSequence) -> tuple[FastCauchyReal, FastCauchyReal]:
     """(1/2 - delta(f), 1/2 + delta(f)): equal iff f never hits zero."""
-    return dyadic_flag_real(f, "-"), dyadic_flag_real(f, "+")
+    half = Fraction(1, 2)
+    return flag_shifted(half, -1, f), flag_shifted(half, 1, f)
 
 
 def dq_real(f: PresentedSequence) -> FastCauchyReal:
     return FastCauchyReal(PDqSeries(f))
 
 
-def _require_presentation(x: FastCauchyReal) -> Presentation:
-    if x.presentation is None:
-        raise UnsupportedPresentation(
-            f"operation needs a presentation, got {x.label or 'opaque real'}")
-    return x.presentation
-
-
 def real_eq(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:
-    """Exact equality via the symbolic difference of presentations."""
-    diff = PSum(_require_presentation(x), PScale(Fraction(-1), _require_presentation(y)))
-    return diff.exact_value(mu) == 0
+    """Exact equality of the presented values."""
+    return x.exact_value(mu) == y.exact_value(mu)
 
 
 def real_lt(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:

@@ -19,10 +19,15 @@ from mulab.formulas import (
     _splice,
 )
 from mulab.coding import dyadic_index, string_code
-from mulab.errors import BudgetExceeded
-from mulab.extractors import _bisection, _check_cbar, _greedy_digits
+from mulab.errors import BudgetExceeded, OutOfRange
+from mulab.extractors import (
+    RepresentedContinuousFunction, TwoBump, _IVT_BASE, _bisection, _check_cbar,
+    _greedy_digits,
+)
 from mulab.functionals import DEFAULT_BUDGET, TracedView
-from mulab.reals import FastCauchyReal, PRational, real_sign
+from mulab.reals import (
+    FastCauchyReal, PCumFlagSeries, PRational, PScale, PSum, real_sign,
+)
 from mulab.trees import ScfReport
 
 
@@ -394,6 +399,58 @@ def reference_uivt_phi(mu):
                               label=f"bisect({fn.descriptor})")
 
     return phi
+
+
+# ---------------------------------------------------------------------------
+# the counterexample objects as each route spelled them out
+#
+# Before one flag-shifted real built them all, every route wrote its own
+# rational moved by +-delta(f), and the two-bump tents were inline
+# arithmetic.  The shared constructions must build the same trees.
+
+def reference_ubin_pair(f):
+    """(1/2 - delta(f), 1/2 + delta(f))."""
+    return tuple(FastCauchyReal(PSum(PRational(Fraction(1, 2)),
+                                     PScale(Fraction(sign), PCumFlagSeries(f))))
+                 for sign in (-1, 1))
+
+
+def reference_ivt_counterexample(f, sign):
+    """The ivt base moved by +-delta(f), for sign '+' or '-'."""
+    s = 1 if sign == "+" else -1
+
+    def rule(q):
+        pres = PSum(PRational(_IVT_BASE.value(q)),
+                    PScale(Fraction(s), PCumFlagSeries(f)))
+        return FastCauchyReal(pres)
+
+    return RepresentedContinuousFunction(rule, f"ivt-base{sign}delta")
+
+
+def reference_two_bump(f, left_sign):
+    """Tents through (0,0), (1/4, h_left), (1/2,0) and (1/2,0),
+    (3/4, h_right), (1,0), with heights 1 +- delta(f)."""
+    one = PRational(Fraction(1))
+    delta = PCumFlagSeries(f)
+    h_left = PSum(one, PScale(Fraction(left_sign), delta))
+    h_right = PSum(one, PScale(Fraction(-left_sign), delta))
+
+    def rule(q):
+        q = Fraction(q)
+        if q < 0 or q > 1:
+            raise OutOfRange(f"{q} outside [0,1]")
+        if q <= Fraction(1, 2):
+            weight = 4 * q if q <= Fraction(1, 4) else 4 * (Fraction(1, 2) - q)
+            return FastCauchyReal(PScale(weight, h_left) if weight else
+                                  PRational(Fraction(0)))
+        weight = (4 * (q - Fraction(1, 2)) if q <= Fraction(3, 4)
+                  else 4 * (1 - q))
+        return FastCauchyReal(PScale(weight, h_right) if weight else
+                              PRational(Fraction(0)))
+
+    sign = "+" if left_sign > 0 else "-"
+    fn = RepresentedContinuousFunction(rule, f"two-bump{sign}")
+    return TwoBump(fn, FastCauchyReal(h_left), FastCauchyReal(h_right))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from mulab.reals import (
     PRational,
     PSum,
     dq_real,
-    dyadic_flag_real,
+    flag_shifted,
     from_rational,
 )
 from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
@@ -136,8 +136,8 @@ def test_criterion_3_binary_expansion_soundness():
             if len(reals) >= 38:
                 break
             if shiftable(f):
-                reals.append(dyadic_flag_real(f, "+"))
-                reals.append(dyadic_flag_real(f, "-"))
+                reals.append(flag_shifted(Fraction(1, 2), 1, f))
+                reals.append(flag_shifted(Fraction(1, 2), -1, f))
             reals.append(dq_real(f))
         reals += [from_rational(Fraction(i, 16)) for i in range(17)]
         assert len(reals) >= 50
@@ -300,10 +300,11 @@ def _real_triples(count: int):
     quiet_a = PresentedSequence((), (1,))
     quiet_b = PresentedSequence((), (2,))
     quiet_c = PresentedSequence((3,), (7,))
+    half = Fraction(1, 2)
     twins = [
-        (from_rational(Fraction(1, 2)), dyadic_flag_real(quiet_a, "+"), 6),
-        (from_rational(Fraction(1, 2)), dyadic_flag_real(quiet_b, "-"), 4),
-        (dyadic_flag_real(quiet_a, "+"), dyadic_flag_real(quiet_c, "-"), 8),
+        (from_rational(half), flag_shifted(half, 1, quiet_a), 6),
+        (from_rational(half), flag_shifted(half, -1, quiet_b), 4),
+        (flag_shifted(half, 1, quiet_a), flag_shifted(half, -1, quiet_c), 8),
         (from_rational(Fraction(3, 8)),
          FastCauchyReal(PSum(PRational(Fraction(1, 8)), PRational(Fraction(1, 4)))), 5),
         (dq_real(PresentedSequence((), (0,))), dq_real(PresentedSequence((0,), (0,))), 6),
@@ -313,8 +314,8 @@ def _real_triples(count: int):
     candidates += [from_rational(Fraction(1, 3)), from_rational(Fraction(2, 5))]
     for f in CORPUS[:24]:
         if shiftable(f):
-            candidates.append(dyadic_flag_real(f, "+"))
-            candidates.append(dyadic_flag_real(f, "-"))
+            candidates.append(flag_shifted(half, 1, f))
+            candidates.append(flag_shifted(half, -1, f))
         candidates.append(dq_real(f))
     triples = list(twins)
     while len(triples) < count:

@@ -28,9 +28,9 @@ def test_every_listed_name_exists(name):
 EAGER_NAMES = [
     "BinaryExpansion", "BoundViolation", "BudgetExceeded", "cantor_pair",
     "cantor_unpair", "catalog_functional", "corpus_stats",
-    "counterexample_pair", "DEFAULT_BUDGET", "dq_real", "dyadic_flag_real",
-    "dyadic_index", "dyadic_value", "e2_from_mu", "FastCauchyReal",
-    "first_nonzero", "flag_corpus", "flag_epsilon", "FlagTree",
+    "counterexample_pair", "DEFAULT_BUDGET", "dq_real", "dyadic_index",
+    "dyadic_value", "e2_from_mu", "FastCauchyReal", "first_nonzero",
+    "flag_corpus", "flag_epsilon", "flag_shifted", "FlagTree",
     "format_sequence", "format_tree", "FormulaScopeError", "Found",
     "from_rational", "FullTree", "greedy_path", "InputError", "ivt_base",
     "ivt_counterexample", "MalformedWitness", "max_coded_length",

@@ -55,7 +55,7 @@ from mulab.reals import (
     PRational,
     counterexample_pair,
     dq_real,
-    dyadic_flag_real,
+    flag_shifted,
     from_rational,
     real_eq,
     real_lt,
@@ -75,11 +75,14 @@ from oracles import (
     binary_digits,
     queried_death,
     reference_branch_alive,
+    reference_ivt_counterexample,
     reference_ivt_endpoints,
     reference_piecewise_value,
     reference_reaches,
     reference_sign_certified,
+    reference_two_bump,
     reference_ubin_digits,
+    reference_ubin_pair,
     reference_uivt_phi,
     reference_xi,
 )
@@ -170,7 +173,7 @@ def test_expansion_digits_index_from_one():
 
 
 def test_expansion_of_a_flag_real():
-    x = dyadic_flag_real(flag_with_event_at(3), "+")  # 3/4
+    x = flag_shifted(Fraction(1, 2), 1, flag_with_event_at(3))  # 3/4
     assert BinaryExpansion(x, mu_exact).digits(4) == [1, 1, 0, 0]
 
 
@@ -198,7 +201,7 @@ def test_ubin_settles_early_events_directly(m0):
 
 
 def test_ubin_repr_digits_certifies_through_the_column():
-    x = dyadic_flag_real(flag_with_event_at(3), "+")
+    x = flag_shifted(Fraction(1, 2), 1, flag_with_event_at(3))
     view = TracedRealView(x)
     assert ubin_repr_digits(view, 3) == [1, 1, 0]
     assert view.trace
@@ -207,7 +210,8 @@ def test_ubin_repr_digits_certifies_through_the_column():
 def test_ubin_repr_digits_tie_needs_no_queries():
     # both present the same column of constant 1/2 approximations, and
     # the tie digit itself is settled without touching the column
-    twins = [from_rational(Fraction(1, 2)), dyadic_flag_real(NO_EVENT, "+")]
+    twins = [from_rational(Fraction(1, 2)),
+             flag_shifted(Fraction(1, 2), 1, NO_EVENT)]
     outputs = []
     for x in twins:
         view = TracedRealView(x)
@@ -221,8 +225,8 @@ def test_ubin_repr_digits_tie_needs_no_queries():
 unit_reals = st.one_of(
     unit_fractions.map(from_rational),
     flags.filter(lambda f: mu_exact(f) not in (0, 1)).flatmap(
-        lambda f: st.sampled_from([dyadic_flag_real(f, "+"),
-                                   dyadic_flag_real(f, "-")])),
+        lambda f: st.sampled_from([flag_shifted(Fraction(1, 2), 1, f),
+                                   flag_shifted(Fraction(1, 2), -1, f)])),
     flags.map(dq_real),
 )
 
@@ -760,6 +764,41 @@ def test_two_bump_values():
     assert fn.value_at(Fraction(1, 8)) == Fraction(5, 8)
     with pytest.raises(OutOfRange):
         fn.value_at(Fraction(-1, 8))
+
+
+# the flag-shifted reals against the routes' own spellings of them in
+# tests/oracles.py: the same trees at the tents' breakpoints and between
+# them, and the same error past [0, 1]
+_BREAKPOINTS = [Fraction(q) for q in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1")]
+_outside = st.one_of(
+    st.fractions(min_value=-4, max_value=0, max_denominator=64).filter(lambda q: q < 0),
+    st.fractions(min_value=1, max_value=5, max_denominator=64).filter(lambda q: q > 1))
+
+
+def _same_real(new, old):
+    assert new.presentation == old.presentation
+    assert repr(new) == repr(old)
+    assert [new.approx(n) for n in range(31)] == [old.approx(n) for n in range(31)]
+    assert new.exact_value() == old.exact_value()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(flags, deep_flags), st.sampled_from([1, -1]),
+       st.one_of(st.sampled_from(_BREAKPOINTS), unit_fractions), _outside)
+def test_flag_shifts_build_the_routes_old_objects(f, sign, q, outside):
+    mode = "+" if sign > 0 else "-"
+    bump = weierstrass_counterexample(f)[0 if sign > 0 else 1]
+    old_bump = reference_two_bump(f, sign)
+    _same_real(bump.left_height, old_bump.left_height)
+    _same_real(bump.right_height, old_bump.right_height)
+    for new, old in ((ivt_counterexample(f, mode), reference_ivt_counterexample(f, mode)),
+                     (bump.fn, old_bump.fn)):
+        assert new.descriptor == old.descriptor
+        _same_real(new.value_rule(q), old.value_rule(q))
+        assert _read(new.value_rule, outside) == _read(old.value_rule, outside) == (
+            OutOfRange, f"{outside} outside [0,1]")
+    for new, old in zip(counterexample_pair(f), reference_ubin_pair(f)):
+        _same_real(new, old)
 
 
 # ---------------------------------------------------------------------------

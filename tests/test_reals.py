@@ -15,7 +15,7 @@ from mulab.reals import (
     PSum,
     counterexample_pair,
     dq_real,
-    dyadic_flag_real,
+    flag_shifted,
     from_rational,
     real_eq,
     real_lt,
@@ -44,8 +44,8 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
 atoms = st.one_of(
     rationals.map(from_rational),
-    st.tuples(flags, st.sampled_from(["+", "-"])).map(
-        lambda fm: dyadic_flag_real(fm[0], fm[1])),
+    st.tuples(flags, st.sampled_from([1, -1])).map(
+        lambda fs: flag_shifted(Fraction(1, 2), fs[1], fs[0])),
     flags.map(dq_real),
 )
 
@@ -77,15 +77,9 @@ def test_approximations_settle_on_the_exact_value(x, n):
 
 @given(flags)
 def test_flag_shift_value_matches_term_by_term_sum(f):
-    x = dyadic_flag_real(f, "+")
+    x = flag_shifted(Fraction(1, 2), 1, f)
     expected = Fraction(1, 2) + delta_sum(f.values(f.horizon + 2), terms=96)
     assert x.exact_value() == expected
-
-
-@pytest.mark.parametrize("mode", ["plus", "minus", "", "+-"])
-def test_dyadic_flag_real_takes_only_a_sign(mode):
-    with pytest.raises(ValueError, match="mode must be '\\+' or '-'"):
-        dyadic_flag_real(PresentedSequence((), (1,)), mode)
 
 
 @given(flags)
