@@ -10,17 +10,19 @@ bounded form ``(ex-in x w body)`` ranges over entries of the sequence w.
 ``to_normal_form`` repeatedly applies local rewrites, highest priority
 first and outermost first within a priority, until the formula reads as
 a block of marked universals, then a block of marked existentials, then
-a marker-free matrix.  It finds each step from an index of rule hits
-kept per node, not by rescanning the formula: a step costs the nodes it
-builds and the ancestors it rebuilds.  Marked quantifiers that reach the
-root are settled and never visited again.  Every step records the path
-it fired at together with the exact subformula before and after, so a
-trace can be replayed against the source formula.  Steps are
-equivalences except for the marker-dropping rule, which only preserves
-truth top-down; a trace's certificate says which kind the whole run is.
-A run on a source with M marked quantifiers and depth D stops within
-M*(D+M+1) steps; one that went past that limit would raise
-NotNormalizable.
+a marker-free matrix.  Each node keeps a summary of the rules that fire
+at it and below it, one per polarity, worked out the first time a run
+asks and kept for every later one, since nodes never change.  The engine
+finds each step from these summaries, not by rescanning the formula: a
+step costs the nodes it builds and the ancestors it rebuilds.  Marked
+quantifiers that reach the root are settled and never visited again.
+Every step records the path it fired at together with the exact
+subformula before and after, so a trace can be replayed against the
+source formula.  Steps are equivalences except for the marker-dropping
+rule, which only preserves truth top-down; a trace's certificate says
+which kind the whole run is.  A run on a source with M marked
+quantifiers and depth D stops within M*(D+M+1) steps; one that went past
+that limit would raise NotNormalizable.
 
 No walk over formulas, terms and types recurses, the parser included:
 each keeps its own stack, so nesting depth costs time and memory only.
@@ -722,78 +724,97 @@ _RULES: tuple[tuple[str, type, Callable, Callable], ...] = (
     ("not-push", Not, _p9_guard, _p9),
 )
 
-# Bit r of a summary stands for rule r; _MARKED for a marked quantifier.
+# Bit r of a summary's `below` stands for rule r, and _MARKED for a marked
+# quantifier; `here` sits _HERE bits up.
 _MARKED = 1 << len(_RULES)
 _RULE_BITS = _MARKED - 1
+_HERE = len(_RULES) + 1
+_BELOW = (1 << _HERE) - 1
 _GUARDS = {t: tuple((1 << r, guard)
                     for r, (_, kind, guard, _) in enumerate(_RULES) if kind is t)
            for t in (Atom, Not, And, Or, Implies, Quant, ExIn)}
+# Each guard at an implication reads one side and fires only when that
+# side is a marked quantifier, so an implication runs the guards of the
+# sides that are: indexed by 1 for a marked antecedent, plus 2 for a
+# marked consequent.
+_ANTECEDENT_GUARDS = (_r1a_guard, _r2_guard, _r1b_guard)
+_IMPLIES_GUARDS = tuple(
+    tuple((bit, guard) for bit, guard in _GUARDS[Implies]
+          if sides & (1 if guard in _ANTECEDENT_GUARDS else 2))
+    for sides in range(4))
+# the field that keeps a node's summary at each polarity
+_SUMMARY = {1: "_summary_pos", -1: "_summary_neg"}
 
 
-class _HitIndex(dict):
-    """Rule hits per node, keyed by (id(node), polarity).
+def _is_marked(f: Formula) -> bool:
+    return type(f) is Quant and f.st
 
-    Each entry is (node, here, below, marked, height):
+
+def _summary(node: Formula, pol: int) -> int:
+    """The node's summary at polarity pol, here << _HERE | below:
     - `here` has bit r set when rule r fires at the node;
     - `below` ORs `here` over the whole subtree, plus _MARKED when a
       marked quantifier lies in it, so the subtree is internal exactly
-      when that bit is clear;
-    - `marked` counts the marked quantifiers in the subtree, and `height`
-      is the number of edges on its longest root-to-leaf path.
-    Summaries depend only on the subtree and its polarity, so a subtree a
-    rewrite moves keeps its entry; nothing is keyed by path, since paths
-    below a moved quantifier shift.  Entries are written only for real
-    nodes, and a node is never changed after it is built: the summary of
-    a spine level in `_rewrite` whose node is stale lives in the spine,
-    not here, so a node shared between positions keeps the entry of its
-    own subtree.  Each entry holds its node, so no id is reused while its
-    entry stands.
-    """
-
-    __slots__ = ()
-
-    def entry(self, node: Formula, pol: int) -> tuple:
-        """The node's entry, summarizing first whatever of its subtree
-        is missing, children before parents.  A dropped entry of a node
-        still in use, one shared between positions, is rebuilt here."""
-        got = self.get((id(node), pol))
-        if got is not None:
-            return got
-        stack = [(node, pol)]
-        while stack:
-            f, p = stack[-1]
-            kids = [(k, _child_pol(f, i, p)) for i, k in enumerate(_children(f))]
-            missing = [(k, kp) for k, kp in kids if (id(k), kp) not in self]
-            if missing:
-                stack.extend(missing)
-            else:
-                got = self.add(*stack.pop())
+      when that bit is clear.
+    A summary depends only on the subtree and its polarity, and a node
+    never changes, so the node keeps it in a field of its own, worked out
+    on first use for it and for whatever of its subtree has none,
+    children before parents.  A subtree that a rewrite moves, or that
+    several positions or calls share, keeps its summary.  It is an int,
+    so it holds no reference back to its node."""
+    got = getattr(node, _SUMMARY[pol], None)
+    if got is not None:
         return got
-
-    def add(self, f: Formula, p: int) -> tuple:
-        """Summarize f from its children's entries."""
-        internal = self.internal
-        here = 0
-        for bit, guard in _GUARDS[type(f)]:
-            if guard(f, p, internal):
-                here |= bit
-        below, marked, height = here, 0, 0
-        if isinstance(f, Quant) and f.st:
-            below, marked = below | _MARKED, 1
+    # preorder down to the nodes that have one; a child follows its parent
+    order = []
+    todo = [(node, pol)]
+    while todo:
+        f, p = todo.pop()
+        order.append((f, p))
         for i, k in enumerate(_children(f)):
-            _, _, k_below, k_marked, k_height = self.entry(k, _child_pol(f, i, p))
-            below |= k_below
-            marked += k_marked
-            if k_height >= height:
-                height = k_height + 1
-        got = self[id(f), p] = (f, here, below, marked, height)
-        return got
+            kp = _child_pol(f, i, p)
+            if getattr(k, _SUMMARY[kp], None) is None:
+                todo.append((k, kp))
+    for f, p in reversed(order):
+        got = _summarize(f, p)
+    return got
 
-    def internal(self, node: Formula, pol: int) -> bool:
-        return not self.entry(node, pol)[2] & _MARKED
 
-    def drop(self, node: Formula, pol: int) -> None:
-        self.pop((id(node), pol), None)
+def _summarize(f: Formula, p: int) -> int:
+    """Work out f's summary at polarity p, and keep it.  Its children
+    have theirs, and so every node below them."""
+    t = type(f)
+    guards = (_IMPLIES_GUARDS[_is_marked(f.left) | _is_marked(f.right) << 1]
+              if t is Implies else _GUARDS[t])
+    here = 0
+    for bit, guard in guards:
+        if guard(f, p, _internal):
+            here |= bit
+    below = here | _MARKED if _is_marked(f) else here
+    for i, k in enumerate(_children(f)):
+        below |= getattr(k, _SUMMARY[_child_pol(f, i, p)])
+    got = here << _HERE | below & _BELOW
+    setfield(f, _SUMMARY[p], got)
+    return got
+
+
+def _internal(f: Formula, pol: int) -> bool:
+    """Whether f, a summarized node, holds no marked quantifier."""
+    return not getattr(f, _SUMMARY[pol]) & _MARKED
+
+
+def _marked_and_depth(f: Formula) -> tuple[int, int]:
+    """The marked quantifiers in f, and the edges on its longest
+    root-to-leaf path."""
+    marked = depth = 0
+    stack = [(f, 0)]
+    while stack:
+        node, d = stack.pop()
+        marked += _is_marked(node)
+        if d > depth:
+            depth = d
+        stack += [(k, d + 1) for k in _children(node)]
+    return marked, depth
 
 
 class NormalForm(Value):
@@ -810,15 +831,7 @@ class NormalForm(Value):
 
 def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
     names = _Names(_all_names(f))
-    # Steps fire by rule priority, outermost-leftmost within a rule; the
-    # hit index finds each one without a rescan.  It lives for this call
-    # only and is emptied on the error path too, so a kept traceback
-    # holds no entries.
-    index = _HitIndex()
-    try:
-        steps, current = _rewrite(f, names, index)
-    finally:
-        index.clear()
+    steps, current = _rewrite(f, names)
 
     foralls, cur = _run(current, "all")
     exists, cur = _run(cur, "ex")
@@ -831,17 +844,19 @@ def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
     return nf, RuleTrace(tuple(steps))
 
 
-def _rewrite(f: Formula, names: _Names,
-             index: _HitIndex) -> tuple[list[RuleStep], Formula]:
+def _rewrite(f: Formula, names: _Names) -> tuple[list[RuleStep], Formula]:
     """Rewrite f to a fixed point; return the steps and the result.
 
     Each step fires the highest-priority rule that fires anywhere, at its
-    outermost-leftmost position: the first in preorder.  Between steps
-    the rewrite keeps a spine, one level per node from the root down to
-    the last hit, like a zipper.  A level is [entry, pol, before, left, cell]:
-    - `entry` is the index entry of the level's node as last built.  The
-      node goes stale when a step below replaces its spine child, but
-      `here` and `below` in `entry` remain those of the current subtree;
+    outermost-leftmost position: the first in preorder.  The node
+    summaries (`_summary`) say where that is without a rescan.  Between
+    steps the rewrite keeps a spine, one level per node from the root
+    down to the last hit, like a zipper.  A level is
+    [node, summary, pol, before, left, cell]:
+    - `node` is the level's node as last built, and `summary` its summary
+      then.  The node goes stale when a step below replaces its spine
+      child, but `here` and `below` in `summary` remain those of the
+      current subtree;
     - `before` ORs the rule bits at the positions before the node in
       preorder: the ancestors' `here` and `left`;
     - `left` ORs `below` over the node's left siblings;
@@ -851,14 +866,14 @@ def _rewrite(f: Formula, names: _Names,
     last hit to the deepest level whose subtree holds the first hit of
     that rule (the first level whose `before` lacks the bit and whose
     `below` has it), and descends from there to the hit through real
-    children and their index entries.  Only the hit is built.  Its
-    ancestors are then re-summarized bottom-up, each rebuilt around its
-    new child, while something their guards see has changed.  A guard
-    sees the heads of its node's children, the heads along chains of
-    marked quantifiers below them, and the marked bit at the end of such
-    a chain.  So a level passes a change up when its `below` changed,
-    or, being a marked quantifier, when the level below passed up a
-    change it sees, or else when its marked bit flipped.
+    children and their summaries.  Only the hit is built.  Its ancestors
+    are then re-summarized bottom-up, each rebuilt around its new child,
+    while something their guards see has changed.  A guard sees the heads
+    of its node's children, the heads along chains of marked quantifiers
+    below them, and the marked bit at the end of such a chain.  So a
+    level passes a change up when its `below` changed, or, being a
+    marked quantifier, when the level below passed up a change it sees,
+    or else when its marked bit flipped.
 
     The next hit lies in the subtree of the highest level re-summarized:
     nothing outside it changed, so a rule that appeared or vanished, or
@@ -866,7 +881,8 @@ def _rewrite(f: Formula, names: _Names,
     `below`.  The climb thus never passes a stale level, and a step costs
     the levels between successive hits plus the levels whose summaries
     changed, not the depth of the formula.  The stale levels are rebuilt
-    once, at the end.
+    once, at the end.  A stale node keeps the summary of its own subtree:
+    the current one lives in the spine only.
     """
     # Step limit.  Let M count the marked quantifiers and S sum, over
     # them, the unmarked nodes above each.  Every rule but R3 lowers S
@@ -876,78 +892,71 @@ def _rewrite(f: Formula, names: _Names,
     # marked quantifiers below it gain a node.  S starts at most M*D for
     # a source of depth D, so a run has at most M steps of R3 and
     # M*D + M*(M-1) others, fewer than M*(D+M+1).
-    top = index.entry(f, 1)
-    _, _, _, marked, depth = top
+    marked, depth = _marked_and_depth(f)
     limit = marked * (depth + marked + 1)
     steps: list[RuleStep] = []
     # Marked quantifiers at the root are settled: no rule fires at a
     # positive marked quantifier, and none fires above it, so they are
     # peeled off into `prefix` and later steps never revisit them.
     prefix: list[Quant] = []
-    spine: list[list] = [[top, 1, 0, 0, ()]]
+    spine: list[list] = [[f, _summary(f, 1), 1, 0, 0, ()]]
     for _ in range(limit + 1):
         # Only a step at the root changes its head, and the root is then
         # the whole spine.
-        node = spine[0][0][0]
-        while isinstance(node, Quant) and node.st:
+        node = spine[0][0]
+        while _is_marked(node):
             prefix.append(node)
-            index.drop(node, 1)
             node = node.body
-            spine[0] = [index.entry(node, 1), 1, 0, 0, (spine[0][4], 0)]
-        pending = spine[0][0][2] & _RULE_BITS
+            spine[0] = [node, _summary(node, 1), 1, 0, 0, (spine[0][5], 0)]
+        pending = spine[0][1] & _RULE_BITS
         if not pending:
             break
         bit = pending & -pending
         rule_name, _, _, build = _RULES[bit.bit_length() - 1]
         # climb to the deepest level whose subtree holds the first hit
         k = len(spine) - 1
-        while spine[k][2] & bit or not spine[k][0][2] & bit:
+        while spine[k][3] & bit or not spine[k][1] & bit:
             k -= 1
         del spine[k + 1:]
-        (node, here, _, _, _), pol, before, _, cell = spine[k]
-        while not here & bit:
-            left = 0
+        node, got, pol, before, _, cell = spine[k]
+        while not got >> _HERE & bit:
+            here, left = got >> _HERE, 0
             for i, kid in enumerate(_children(node)):
                 kid_pol = _child_pol(node, i, pol)
-                got = index.entry(kid, kid_pol)
-                if got[2] & bit:
+                got = getattr(kid, _SUMMARY[kid_pol])
+                if got & bit:
                     break
-                left |= got[2]
+                left |= got & _BELOW
             before |= here | left
             cell = cell, i
-            spine.append([got, kid_pol, before, left, cell])
-            node, here, pol = kid, got[1], kid_pol
+            spine.append([kid, got, kid_pol, before, left, cell])
+            node, pol = kid, kid_pol
         after, tag = build(node, names)
         steps.append(RuleStep(rule_name, tag, cell, node, after))
-        index.drop(node, pol)
-        for i, kid in enumerate(_children(node)):  # and the marked child it lifts
-            if type(kid) is Quant and kid.st:
-                index.drop(kid, _child_pol(node, i, pol))
-        spine[-1][0] = index.entry(after, pol)
+        spine[-1][:2] = after, _summary(after, pol)
         # re-summarize up while a guard can see a change; the hit's head
         # is one
         seen = True
         k = len(spine) - 2
         while k >= 0:
-            level = spine[k]
-            old, pol = level[0], level[1]
-            index.drop(old[0], pol)
-            level[0] = index.add(_splice(old[0], spine[k + 1][4][1], spine[k + 1][0][0]), pol)
-            node, _, below, _, _ = level[0]
-            if not (isinstance(node, Quant) and node.st):
-                seen = bool((below ^ old[2]) & _MARKED)
-            if not seen and below == old[2]:
+            level, child = spine[k], spine[k + 1]
+            old = level[1]
+            node = level[0] = _splice(level[0], child[5][1], child[0])
+            got = level[1] = _summarize(node, level[2])
+            if not _is_marked(node):
+                seen = bool((got ^ old) & _MARKED)
+            if not seen and not (got ^ old) & _BELOW:
                 break
             k -= 1
         for j in range(max(k, 0) + 1, len(spine)):
-            spine[j][2] = spine[j - 1][2] | spine[j - 1][0][1] | spine[j][3]
+            spine[j][3] = spine[j - 1][3] | spine[j - 1][1] >> _HERE | spine[j][4]
     else:
         raise NotNormalizable(
             f"no fixed point within the step limit M*(D+M+1) = {limit} "
             f"(M={marked} marked quantifiers, depth D={depth})")
-    root = spine[-1][0][0]
+    root = spine[-1][0]
     for k in range(len(spine) - 2, -1, -1):
-        node, i = spine[k][0][0], spine[k + 1][4][1]
+        node, i = spine[k][0], spine[k + 1][5][1]
         root = node if _children(node)[i] is root else _splice(node, i, root)
     for q in reversed(prefix):
         root = _with_children(q, (root,))

@@ -37,7 +37,9 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or a deletion from, a frozen value."""
 
 
-# writes a field of a frozen value; only an __init__ should call it
+# writes a field of a frozen value; only an __init__ should call it, or
+# code that works out a cache lazily, as the normalizer keeps each
+# formula node's rule summary
 setfield = object.__setattr__
 
 

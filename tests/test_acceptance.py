@@ -46,7 +46,7 @@ from mulab.reals import (
     flag_shifted,
     from_rational,
 )
-from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
+from mulab.sequences import PresentedSequence, mu_exact
 from mulab.trees import (
     FlagTree,
     FullTree,

@@ -406,9 +406,10 @@ def test_forty_nested_pulls_run_past_four_hundred_steps():
 
 
 @pytest.mark.parametrize("text", [flip_text(40), pull_text(12), negation_text(24),
-                                  herbrand_text(8), pull_text(40), negation_text(96)],
+                                  herbrand_text(8), pull_text(40), negation_text(96),
+                                  herbrand_text(32), flip_text(256)],
                          ids=["flip-40", "pull-12", "negation-24", "herbrand-8",
-                              "pull-40", "negation-96"])
+                              "pull-40", "negation-96", "herbrand-32", "flip-256"])
 def test_engine_matches_the_reference_on_large_benchmark_families(text):
     f = parse_formula(text)
     want, stuck = reference_normalize(f)
@@ -427,14 +428,14 @@ def test_summary_work_per_step_does_not_grow_with_depth(monkeypatch, family, sma
     # each step re-summarizes the levels between successive hits, which
     # are adjacent here, not every ancestor of the hit
     calls = 0
-    add = mulab.formulas._HitIndex.add
+    summarize = mulab.formulas._summarize
 
-    def counted(self, f, p):
+    def counted(f, p):
         nonlocal calls
         calls += 1
-        return add(self, f, p)
+        return summarize(f, p)
 
-    monkeypatch.setattr(mulab.formulas._HitIndex, "add", counted)
+    monkeypatch.setattr(mulab.formulas, "_summarize", counted)
     per_step = {}
     for n in (small, large):
         f = family(n)
@@ -501,6 +502,8 @@ def test_a_ten_thousand_deep_negation_replays_from_its_parsed_source():
 
 @pytest.mark.parametrize("text", [
     pull_text(12),
+    herbrand_text(4),
+    negation_text(24),
     # Herbrandizing substitutes an applied term for a head: raised mid-run
     "(imp (all st x:0 (ex st y:0 (atom r (app y x)))) (atom q))",
     # markers stuck under a conjunction: raised after the run
@@ -511,13 +514,36 @@ def test_normalizer_leaves_no_reference_cycles(text):
     gc.collect()
     gc.disable()
     try:
-        try:
-            to_normal_form(f)
-        except NotNormalizable:
-            pass
+        # the second run finds the summaries the first left on the nodes
+        for _ in range(2):
+            try:
+                to_normal_form(f)
+            except NotNormalizable:
+                pass
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("text", [
+    fixture_text("ubin_to_transfer.sexp"),
+    herbrand_text(3),
+    # positive, a normal form; negative, R3 fires at the universal
+    "(all st F:1 (ex st n:0 (atom p (app F n))))",
+    "(imp (all st F:1 (atom p F)) (ex st y:0 (atom q y)))",
+], ids=["ubin_to_transfer", "herbrand-3", "higher-type-universal", "antecedent-universal"])
+def test_summaries_left_on_nodes_are_invisible_and_reused_at_either_polarity(text):
+    f = parse_formula(text)
+    to_normal_form(f)
+    nodes = list(mulab.formulas._nodes(f))
+    fresh = list(mulab.formulas._nodes(parse_formula(text)))
+    assert nodes == fresh
+    assert [hash(x) for x in nodes] == [hash(x) for x in fresh]
+    assert [repr(x) for x in nodes] == [repr(x) for x in fresh]
+    # the same node objects, now also at the opposite polarity
+    assert_engine_matches_the_reference(Not(f))
+    assert_engine_matches_the_reference(Implies(f, Atom("q")))
+    assert_engine_matches_the_reference(Implies(Implies(f, Atom("q")), f))
 
 
 TYPES = (Base(), parse_type("1"), parse_type("2"))

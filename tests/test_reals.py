@@ -31,7 +31,6 @@ from oracles import (
     flag_series_approx,
     scan_first_nonzero,
     scan_first_zero,
-    unroll,
 )
 
 small_nat = st.integers(min_value=0, max_value=4)
