@@ -40,9 +40,9 @@ _EXPORTS = {
         "uwwkl_extraction", "uwwkl_from_mu",
         "weierstrass_counterexample"), "extractors"),
     **dict.fromkeys((
-        "alpha_equal", "extraction_obligation", "format_formula",
-        "is_internal", "NormalForm", "parse_formula", "relativize_st",
-        "replay", "RuleStep", "RuleTrace", "to_normal_form"), "formulas"),
+        "extraction_obligation", "format_formula", "is_internal",
+        "NormalForm", "parse_formula", "relativize_st", "replay", "RuleStep",
+        "RuleTrace", "to_normal_form"), "formulas"),
     **dict.fromkeys((
         "TracedFunctional", "TracedRealView", "TracedSeqView",
         "catalog_functional", "e2_from_mu", "mu_from_e2", "omega_fan",

@@ -1,13 +1,13 @@
 """Command line front end.
 
 Every subcommand prints a RunReport: a flat block of ``key: value``
-lines (or the same fields as JSON under ``--json``) that the module can
-parse back.  Exit codes: 0 on success, 1 when a stated property fails
-on the given input (bound violations, malformed witnesses, exhausted
-budgets, measure-zero trees, stuck normalization), 2 when an argument is
-unusable.  Only an InputError exits 2: each argument is read, and
-refused with one, where its runner reads it.  Any other exception is a
-bug and surfaces as a traceback.
+lines, the first ``command: <name>``, or the same fields as one JSON
+object under ``--json``.  Exit codes: 0 on success, 1 when a stated
+property fails on the given input (bound violations, malformed
+witnesses, exhausted budgets, measure-zero trees, stuck normalization),
+2 when an argument is unusable.  Only an InputError exits 2: each
+argument is read, and refused with one, where its runner reads it.  Any
+other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     MalformedWitness,
     MeasureZero,
     NotNormalizable,
-    ParseError,
 )
 
 if TYPE_CHECKING:
@@ -47,11 +46,6 @@ class RunReport:
         self.command = command
         self.fields = fields
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, RunReport)
-                and self.command == other.command
-                and self.fields == other.fields)
-
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
         lines += [f"{k}: {v}" for k, v in self.fields]
@@ -61,25 +55,6 @@ class RunReport:
         data = {"command": self.command}
         data.update({k: v for k, v in self.fields})
         return json.dumps(data, indent=2)
-
-    @classmethod
-    def parse(cls, text: str) -> "RunReport":
-        command = None
-        fields = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition(": ")
-            if not sep:
-                raise ParseError(f"not a report line: {raw!r}")
-            if key == "command" and command is None:
-                command = value
-            else:
-                fields.append((key, value))
-        if command is None:
-            raise ParseError("report has no command line")
-        return cls(command, tuple(fields))
 
 
 def _text(value: object) -> str:

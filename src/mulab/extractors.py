@@ -10,8 +10,9 @@ with its never-firing version below the first flag index, and reads that
 index out of a bounded search whose bound comes from tracing the
 functional's queries on both objects.  The pairs made of reals come
 from one device, ``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the
-ivt base's values +- delta(f), and the heights 1 +- delta(f) of the
-two-bump functions, whose shape is two piecewise-linear tents.
+ivt base's values +- delta(f), and the two-bump values w +- w * delta(f),
+where w is one of two piecewise-linear tents, so the heights at their
+peaks are 1 +- delta(f).
 
 The three pair-based routes are Route records, and calling one runs
 that argument through a single shared loop.  The counterexample pairs
@@ -39,9 +40,8 @@ from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_traci
 from .reals import (
     FastCauchyReal,
     MuOp,
-    PCumFlagSeries,
     PRational,
-    PScale,
+    _epsilon,
     counterexample_pair,
     dq_real,
     flag_shifted,
@@ -139,7 +139,7 @@ def mu_from(extraction: Callable[..., RouteReport], *args) -> MuOp:
 def flag_epsilon(f: PresentedSequence, mu: MuOp = mu_exact) -> Fraction:
     """The dyadic shift a flag induces: 0 if f never hits zero, else
     2^(1 - max(m0, 1)) for the first zero m0."""
-    return PCumFlagSeries(f).exact_value(mu)
+    return _epsilon(mu(f))
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +551,10 @@ def _bump_function(f: PresentedSequence, left_sign: int) -> TwoBump:
     h_right = flag_shifted(1, -left_sign, f)
 
     def rule(q: Fraction) -> FastCauchyReal:
-        tent, height = ((_RIGHT_TENT, h_right) if q > Fraction(1, 2)
-                        else (_LEFT_TENT, h_left))
+        tent, sign = ((_RIGHT_TENT, -left_sign) if q > Fraction(1, 2)
+                      else (_LEFT_TENT, left_sign))
         weight = tent.value(q)
-        return FastCauchyReal(PScale(weight, height.presentation) if weight else
-                              PRational(Fraction(0)))
+        return flag_shifted(weight, sign * weight, f)
 
     sign = "+" if left_sign > 0 else "-"
     return TwoBump(RepresentedContinuousFunction(rule, f"two-bump{sign}"),
@@ -575,16 +574,9 @@ class RationalWitness(Value):
     _fields = ("value", "certificate")
 
 
-def _presentation_tag(x: FastCauchyReal) -> str:
-    pres = x.presentation
-    names = {"PRational": "rational", "PCumFlagSeries": "flag-series",
-             "PDqSeries": "dq-series", "PSum": "sum", "PScale": "scale"}
-    return names.get(type(pres).__name__, "unknown")
-
-
 def udq_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], RationalWitness]:
     def phi(x: FastCauchyReal) -> RationalWitness:
-        return RationalWitness(x.exact_value(mu), _presentation_tag(x))
+        return RationalWitness(x.exact_value(mu), x.presentation.tag)
     return phi
 
 

@@ -41,7 +41,7 @@ __all__ = [
     "Base", "Arrow", "Seq", "Type", "parse_type", "format_type",
     "App", "Term", "Atom", "Not", "And", "Or", "Implies", "Quant", "ExIn",
     "Formula", "parse_formula", "format_formula",
-    "is_internal", "relativize_st", "alpha_equal",
+    "is_internal", "relativize_st",
     "RuleStep", "RuleTrace", "NormalForm", "to_normal_form", "replay",
     "extraction_obligation",
 ]
@@ -394,12 +394,17 @@ format_type = format_formula  # the one printer takes types too
 # basic queries
 
 def _nodes(f: Formula | Term) -> Iterator[Formula | Term]:
-    """Every subformula and term, in preorder."""
+    """Every distinct subformula and term, in preorder: a node that
+    several positions share comes once, with its parts."""
+    seen = {id(f)}
     stack = [f]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(reversed(_parts(node)))
+        for part in reversed(_parts(node)):
+            if id(part) not in seen:
+                seen.add(id(part))
+                stack.append(part)
 
 
 def _all_names(f: Formula | Term) -> set[str]:
@@ -759,24 +764,26 @@ def _summary(node: Formula, pol: int) -> int:
     A summary depends only on the subtree and its polarity, and a node
     never changes, so the node keeps it in a field of its own, worked out
     on first use for it and for whatever of its subtree has none,
-    children before parents.  A subtree that a rewrite moves, or that
-    several positions or calls share, keeps its summary.  It is an int,
-    so it holds no reference back to its node."""
+    children before parents, each distinct node once per polarity.  A
+    subtree that a rewrite moves, or that several positions or calls
+    share, keeps its summary.  It is an int, so it holds no reference
+    back to its node."""
     got = getattr(node, _SUMMARY[pol], None)
     if got is not None:
         return got
-    # preorder down to the nodes that have one; a child follows its parent
-    order = []
-    todo = [(node, pol)]
+    # depth first down to the nodes that have one; a node is summarized
+    # when it comes off the stack the second time, after its children
+    todo = [(node, pol, False)]
     while todo:
-        f, p = todo.pop()
-        order.append((f, p))
-        for i, k in enumerate(_children(f)):
-            kp = _child_pol(f, i, p)
-            if getattr(k, _SUMMARY[kp], None) is None:
-                todo.append((k, kp))
-    for f, p in reversed(order):
-        got = _summarize(f, p)
+        f, p, ready = todo.pop()
+        if ready:
+            got = _summarize(f, p)
+        elif getattr(f, _SUMMARY[p], None) is None:  # not reached before
+            todo.append((f, p, True))
+            for i, k in enumerate(_children(f)):
+                kp = _child_pol(f, i, p)
+                if getattr(k, _SUMMARY[kp], None) is None:
+                    todo.append((k, kp, False))
     return got
 
 
@@ -804,17 +811,24 @@ def _internal(f: Formula, pol: int) -> bool:
 
 
 def _marked_and_depth(f: Formula) -> tuple[int, int]:
-    """The marked quantifiers in f, and the edges on its longest
-    root-to-leaf path."""
-    marked = depth = 0
-    stack = [(f, 0)]
-    while stack:
-        node, d = stack.pop()
-        marked += _is_marked(node)
-        if d > depth:
-            depth = d
-        stack += [(k, d + 1) for k in _children(node)]
-    return marked, depth
+    """The marked quantifiers in f, counted at every position, and the
+    edges on its longest root-to-leaf path.  Both are worked out per
+    distinct node, children first, so a shared subformula costs once."""
+    got: dict[int, tuple[int, int]] = {}
+    todo = [(f, False)]
+    while todo:
+        node, ready = todo.pop()
+        if ready:
+            marked, depth = int(_is_marked(node)), 0
+            for k in _children(node):
+                m, d = got[id(k)]
+                marked += m
+                depth = max(depth, d + 1)
+            got[id(node)] = marked, depth
+        elif id(node) not in got:
+            todo.append((node, True))
+            todo += [(k, False) for k in _children(node)]
+    return got[id(f)]
 
 
 class NormalForm(Value):
@@ -995,51 +1009,6 @@ def replay(f: Formula, trace: RuleTrace) -> Formula:
                 f"{format_formula(step.before)} at {step.path}, found "
                 f"{format_formula(found)}")
         spine[-1][0] = step.after
-
-
-# ---------------------------------------------------------------------------
-# alpha equality
-
-def _canonical(f: Formula) -> Iterator:
-    """f in preorder, one item a node, with each bound name replaced by
-    the number of binders above its own and the monotone marker left out:
-    alpha-equal formulas give equal sequences.  A binder's scope opens
-    and closes by (var, level) pairs on the stack; level None unbinds."""
-    env: dict[str, int] = {}
-    todo: list[tuple] = [(f, 0)]
-    while todo:
-        x, depth = todo.pop()
-        t = type(x)
-        if t is tuple:
-            var, level = x
-            if level is None:
-                del env[var]
-            else:
-                env[var] = level
-            continue
-        if t is str:
-            yield env.get(x, x)
-        elif t is Atom:
-            yield t, x.pred, len(x.args)
-        elif t is App:
-            yield t, env.get(x.head, x.head), len(x.args)
-        elif t is Quant:
-            # printed types are equal exactly when the types are
-            yield t, x.kind, x.st, format_type(x.vtype)
-        else:
-            yield t
-        parts = _parts(x)
-        if t is Quant or t is ExIn:
-            todo += (((x.var, env.get(x.var)), 0), (x.body, depth + 1),
-                     ((x.var, depth), 0))
-            parts = parts[:-1]  # an entry bound lies outside the scope
-        todo.extend((part, depth) for part in reversed(parts))
-
-
-def alpha_equal(f: Formula, g: Formula) -> bool:
-    """Structural equality up to bound-variable names (the engine's
-    monotone bookkeeping marker is ignored)."""
-    return list(_canonical(f)) == list(_canonical(g))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,14 @@
 
 A real here is an approximation rule n -> q_n (exact rationals, with
 |q_n - q_{n+i}| < 2^-n) together with a presentation: a symbolic
-descriptor from a small closed algebra (rational constants, flag-driven
-dyadic series, sums, scalings).  Comparisons are decided exactly from
-presentations; the flag-driven cases reduce to a mu search on the
+descriptor of one of three kinds (a rational constant, a flag-shifted
+rational, the dq series).  Comparisons are decided exactly from
+presentations; the flag-driven kinds reduce to one mu search on the
 presented flag sequence, which is the whole point of the class.
-The real-valued counterexample objects are built from one device,
-``flag_shifted(c, sign, f)`` = c + sign * delta(f): its approximations
-agree with c until f's first event shows, and after it they split from c
-by epsilon(f).
+The real-valued counterexample objects are all flag-shifted reals,
+``flag_shifted(c, factor, f)`` = c + factor * delta(f): its
+approximations agree with c until f's first event shows, and after it
+they split from c by factor * epsilon(f).
 
 Flag convention, used artifact-wide except where a construction says
 otherwise: a flag event at m means f(m) = 0, so flag searches line up
@@ -29,10 +29,8 @@ from .value import Value, setfield
 __all__ = [
     "Presentation",
     "PRational",
-    "PCumFlagSeries",
+    "PFlagShift",
     "PDqSeries",
-    "PSum",
-    "PScale",
     "FastCauchyReal",
     "MuOp",
     "from_rational",
@@ -57,7 +55,8 @@ def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
 
 
 class Presentation:
-    """Base class for symbolic presentations."""
+    """Base class for symbolic presentations.  Each kind names itself in
+    ``tag``, the certificate a dq witness carries."""
 
     def approx(self, n: int) -> Fraction:
         raise NotImplementedError
@@ -68,6 +67,7 @@ class Presentation:
 
 class PRational(Presentation, Value):
     _fields = ("value",)
+    tag = "rational"
 
     def approx(self, n: int) -> Fraction:
         return self.value
@@ -76,30 +76,44 @@ class PRational(Presentation, Value):
         return self.value
 
 
-class PCumFlagSeries(Presentation, Value):
-    """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or below n.
+def _epsilon(m0: int | None) -> Fraction:
+    """epsilon(f) = delta(f) for a flag whose first zero is m0: 0 when f
+    never hits zero, else 2^(1 - max(m0, 1))."""
+    if m0 is None:
+        return _ZERO
+    return Fraction(1, 1 << (max(m0, 1) - 1))
 
-    Closed form: 0 when f never hits zero, else 2^(1 - max(m0, 1)) where
-    m0 is the first zero.  Approximation n reads the flag's cached event
-    and emits the value exactly once the event is below n + 2, so it
-    still depends only on f below n + 2.
+
+class PFlagShift(Presentation, Value):
+    """base + factor * delta(f), where delta(f) = sum over n >= 1 of
+    c_n 2^-n and c_n = 1 iff f hits 0 at or below n.
+
+    Approximation n reads the flag's cached event: it is base until the
+    event is below n + 4 + shift, and exact from there on, so it depends
+    only on f below n + 4 + shift.  ``shift`` is the least k >= 0 with
+    |factor| <= 2^k; it follows from factor, so ==, hash and repr leave
+    it out.
     """
 
-    _fields = ("flag",)
+    _fields = ("base", "factor", "flag")
+    tag = "sum"  # base plus a flag term
 
-    def _closed_form(self, m0: int | None) -> Fraction:
-        if m0 is None:
-            return _ZERO
-        return Fraction(1, 1 << (max(m0, 1) - 1))
+    def __init__(self, base: Fraction, factor: Fraction, flag: PresentedSequence) -> None:
+        super().__init__(base, factor, flag)
+        k = 0
+        c = abs(factor)
+        while c > (1 << k):
+            k += 1
+        setfield(self, "shift", k)
 
     def approx(self, n: int) -> Fraction:
         m0 = self.flag.first_zero
-        if m0 is not None and m0 < n + 2:
-            return self._closed_form(m0)
-        return _ZERO
+        if m0 is not None and m0 < n + 4 + self.shift:
+            return self.base + self.factor * _epsilon(m0)
+        return self.base
 
     def exact_value(self, mu: MuOp) -> Fraction:
-        return self._closed_form(mu(self.flag))
+        return self.base + self.factor * _epsilon(mu(self.flag))
 
 
 class PDqSeries(Presentation, Value):
@@ -107,11 +121,12 @@ class PDqSeries(Presentation, Value):
 
     Equals 1 when f is never nonzero and 1 - 2^-m0 when the first nonzero
     sits at m0 (so a nonzero at position 0 gives exactly 0).  Approximation
-    n reads the flag's cached first nonzero; like the flag series, it
-    still depends only on f below n + 2.
+    n reads the flag's cached first nonzero, and still depends only on f
+    below n + 2.
     """
 
     _fields = ("flag",)
+    tag = "dq-series"
 
     def _closed_form(self, m0: int | None) -> Fraction:
         if m0 is None:
@@ -126,40 +141,6 @@ class PDqSeries(Presentation, Value):
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self._closed_form(_first_nonzero_via(mu, self.flag))
-
-
-class PSum(Presentation, Value):
-    _fields = ("left", "right")
-
-    def approx(self, n: int) -> Fraction:
-        # a flag term reads 0 until its event shows: skip the addition
-        left = self.left.approx(n + 2)
-        right = self.right.approx(n + 2)
-        return left + right if right else left
-
-    def exact_value(self, mu: MuOp) -> Fraction:
-        return self.left.exact_value(mu) + self.right.exact_value(mu)
-
-
-class PScale(Presentation, Value):
-    # `shift` is the least k with |factor| <= 2^k: arg's row n + k gives
-    # row n.  It follows from factor, so ==, hash and repr leave it out.
-    _fields = ("factor", "arg")
-
-    def __init__(self, factor: Fraction, arg: Presentation) -> None:
-        super().__init__(factor, arg)
-        k = 0
-        c = abs(factor)
-        while c > (1 << k):
-            k += 1
-        setfield(self, "shift", k)
-
-    def approx(self, n: int) -> Fraction:
-        q = self.arg.approx(n + self.shift)
-        return self.factor * q if q else q
-
-    def exact_value(self, mu: MuOp) -> Fraction:
-        return self.factor * self.arg.exact_value(mu)
 
 
 class FastCauchyReal(Value, eq=False):
@@ -193,11 +174,11 @@ def from_rational(q: Fraction | int | str) -> FastCauchyReal:
     return FastCauchyReal(PRational(Fraction(q)))
 
 
-def flag_shifted(c: Fraction | int, sign: int, f: PresentedSequence) -> FastCauchyReal:
-    """c + sign * delta(f): c if f never hits zero, else c moved by
-    sign * epsilon(f).  Every flag-shifted real is built here."""
-    return FastCauchyReal(PSum(PRational(Fraction(c)),
-                               PScale(Fraction(sign), PCumFlagSeries(f))))
+def flag_shifted(c: Fraction | int, factor: Fraction | int,
+                 f: PresentedSequence) -> FastCauchyReal:
+    """c + factor * delta(f): c if f never hits zero, else c moved by
+    factor * epsilon(f).  Every flag-shifted real is built here."""
+    return FastCauchyReal(PFlagShift(Fraction(c), Fraction(factor), f))
 
 
 def counterexample_pair(f: PresentedSequence) -> tuple[FastCauchyReal, FastCauchyReal]:

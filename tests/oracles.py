@@ -6,7 +6,8 @@ these functions checks the implementation rather than echoing it.  The
 reference normalizer at the end reuses only the rewrite rules (each a
 node type, a guard and a builder), the fresh-name supply and
 ``_splice`` from the library; its walk, its name scan, its
-internality test and its search order are its own.
+internality test and its search order are its own.  Alpha equality,
+which the tests use to compare normal forms, is kept here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import count, islice, product
 
 from mulab.formulas import (
     And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, _children,
-    _splice,
+    _parts, _splice, format_type,
 )
 from mulab.coding import dyadic_index, string_code
 from mulab.errors import BudgetExceeded, OutOfRange
@@ -25,10 +26,9 @@ from mulab.extractors import (
     _greedy_digits,
 )
 from mulab.functionals import DEFAULT_BUDGET, TracedView
-from mulab.reals import (
-    FastCauchyReal, PCumFlagSeries, PRational, PScale, PSum, real_sign,
-)
+from mulab.reals import FastCauchyReal, Presentation, PRational, real_sign
 from mulab.trees import ScfReport
+from mulab.value import Value, setfield
 
 
 def unroll(prefix, tail, count):
@@ -405,8 +405,60 @@ def reference_uivt_phi(mu):
 # the counterexample objects as each route spelled them out
 #
 # Before one flag-shifted real built them all, every route wrote its own
-# rational moved by +-delta(f), and the two-bump tents were inline
-# arithmetic.  The shared constructions must build the same trees.
+# rational moved by +-delta(f) as a tree of a general sum-and-scale
+# algebra of presentations, and the two-bump tents were inline
+# arithmetic.  That algebra is kept here as the reference; the shared
+# constructions must give the same approximation rows and exact values.
+
+class PCumFlagSeries(Presentation, Value):
+    """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or
+    below n: 2^(1 - max(m0, 1)) for the first zero m0, else 0.  Row n is
+    exact once the event is below n + 2, else 0."""
+
+    _fields = ("flag",)
+
+    def _closed_form(self, m0):
+        return Fraction(0) if m0 is None else Fraction(1, 2 ** (max(m0, 1) - 1))
+
+    def approx(self, n):
+        m0 = self.flag.first_zero
+        return self._closed_form(m0) if m0 is not None and m0 < n + 2 else Fraction(0)
+
+    def exact_value(self, mu):
+        return self._closed_form(mu(self.flag))
+
+
+class PSum(Presentation, Value):
+    """left + right; row n adds the children's rows n + 2."""
+
+    _fields = ("left", "right")
+
+    def approx(self, n):
+        return self.left.approx(n + 2) + self.right.approx(n + 2)
+
+    def exact_value(self, mu):
+        return self.left.exact_value(mu) + self.right.exact_value(mu)
+
+
+class PScale(Presentation, Value):
+    """factor * arg; row n scales arg's row n + shift, where shift is the
+    least k with |factor| <= 2^k and stays out of ==, hash and repr."""
+
+    _fields = ("factor", "arg")
+
+    def __init__(self, factor, arg):
+        super().__init__(factor, arg)
+        k = 0
+        while abs(factor) > 2 ** k:
+            k += 1
+        setfield(self, "shift", k)
+
+    def approx(self, n):
+        return self.factor * self.arg.approx(n + self.shift)
+
+    def exact_value(self, mu):
+        return self.factor * self.arg.exact_value(mu)
+
 
 def reference_ubin_pair(f):
     """(1/2 - delta(f), 1/2 + delta(f))."""
@@ -567,3 +619,48 @@ def marked_measure(f, unmarked_above=0):
 def formula_depth(f):
     """Edges on the longest path from the root to a leaf."""
     return max(len(path) for path, _, _ in _walk(f))
+
+
+# ---------------------------------------------------------------------------
+# alpha equality
+
+def _canonical(f):
+    """f in preorder, one item a node, with each bound name replaced by
+    the number of binders above its own and the monotone marker left out:
+    alpha-equal formulas give equal sequences.  A binder's scope opens
+    and closes by (var, level) pairs on the stack; level None unbinds."""
+    env = {}
+    todo = [(f, 0)]
+    while todo:
+        x, depth = todo.pop()
+        t = type(x)
+        if t is tuple:
+            var, level = x
+            if level is None:
+                del env[var]
+            else:
+                env[var] = level
+            continue
+        if t is str:
+            yield env.get(x, x)
+        elif t is Atom:
+            yield t, x.pred, len(x.args)
+        elif t is App:
+            yield t, env.get(x.head, x.head), len(x.args)
+        elif t is Quant:
+            # printed types are equal exactly when the types are
+            yield t, x.kind, x.st, format_type(x.vtype)
+        else:
+            yield t
+        parts = _parts(x)
+        if t is Quant or t is ExIn:
+            todo += (((x.var, env.get(x.var)), 0), (x.body, depth + 1),
+                     ((x.var, depth), 0))
+            parts = parts[:-1]  # an entry bound lies outside the scope
+        todo.extend((part, depth) for part in reversed(parts))
+
+
+def alpha_equal(f, g):
+    """Structural equality up to bound-variable names (the engine's
+    monotone bookkeeping marker is ignored)."""
+    return list(_canonical(f)) == list(_canonical(g))

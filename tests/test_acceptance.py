@@ -36,16 +36,9 @@ from mulab.extractors import (
     uwwkl_from_mu,
     uwwkl_repr_bits,
 )
-from mulab.formulas import alpha_equal, parse_formula, to_normal_form
+from mulab.formulas import parse_formula, to_normal_form
 from mulab.functionals import TracedRealView, catalog_functional, omega_fan
-from mulab.reals import (
-    FastCauchyReal,
-    PRational,
-    PSum,
-    dq_real,
-    flag_shifted,
-    from_rational,
-)
+from mulab.reals import dq_real, flag_shifted, from_rational
 from mulab.sequences import PresentedSequence, mu_exact
 from mulab.trees import (
     FlagTree,
@@ -56,7 +49,7 @@ from mulab.trees import (
     scf_check,
 )
 
-from oracles import scan_first_nonzero, scan_first_zero, string_decode
+from oracles import alpha_equal, scan_first_nonzero, scan_first_zero, string_decode
 from test_formulas import FIXTURES, fixture_text
 
 CORPUS = flag_corpus(seed=0)
@@ -306,7 +299,7 @@ def _real_triples(count: int):
         (from_rational(half), flag_shifted(half, -1, quiet_b), 4),
         (flag_shifted(half, 1, quiet_a), flag_shifted(half, -1, quiet_c), 8),
         (from_rational(Fraction(3, 8)),
-         FastCauchyReal(PSum(PRational(Fraction(1, 8)), PRational(Fraction(1, 4)))), 5),
+         flag_shifted(Fraction(1, 8), Fraction(1, 4), PresentedSequence((0,), (1,))), 5),
         (dq_real(PresentedSequence((), (0,))), dq_real(PresentedSequence((0,), (0,))), 6),
     ]
     rng = random.Random(81)

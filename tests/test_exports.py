@@ -70,7 +70,7 @@ def test_package_imports_only_listed_names():
         from mulab import no_such_name  # noqa: F401
 
 
-FORMULA_NAMES = ["alpha_equal", "extraction_obligation", "format_formula",
+FORMULA_NAMES = ["extraction_obligation", "format_formula",
                  "is_internal", "NormalForm", "parse_formula",
                  "relativize_st", "replay", "RuleStep", "RuleTrace",
                  "to_normal_form"]

@@ -4,6 +4,7 @@ import gc
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from itertools import count
 from pathlib import Path
@@ -26,7 +27,6 @@ from mulab.formulas import (
     Or,
     Quant,
     Seq,
-    alpha_equal,
     extraction_obligation,
     format_formula,
     format_type,
@@ -39,7 +39,8 @@ from mulab.formulas import (
 )
 
 from oracles import (
-    formula_depth, marked_measure, reference_normalize, replace_at, subformula_at,
+    alpha_equal, formula_depth, marked_measure, reference_normalize, replace_at,
+    subformula_at,
 )
 
 
@@ -445,6 +446,66 @@ def test_summary_work_per_step_does_not_grow_with_depth(monkeypatch, family, sma
     assert 0 < per_step[large] <= 1.25 * per_step[small]
 
 
+def doubled(leaf, depth, share=True):
+    """depth nested And(g, g) over leaf(): 2^depth leaf positions, on
+    depth + 1 distinct nodes when shared, else each position built anew."""
+    if depth == 0:
+        return leaf()
+    if share:
+        g = doubled(leaf, depth - 1)
+        return And(g, g)
+    return And(doubled(leaf, depth - 1, False), doubled(leaf, depth - 1, False))
+
+
+def test_a_formula_of_shared_subformulas_normalizes_in_time_linear_in_its_nodes():
+    # 2^18 positions, 22 distinct nodes: each walk visits a node once
+    matrix = doubled(lambda: Atom("p", ("x",)), 18)
+    start = time.perf_counter()
+    nf, trace = to_normal_form(Quant("all", True, "x", Base(), matrix))
+    elapsed = time.perf_counter() - start
+    assert trace.steps == ()
+    assert nf == NormalForm((("x", Base()),), (), matrix)
+    assert elapsed < 0.5, f"18 shared conjunctions took {elapsed:.2f} s"
+
+
+SHARED_SHAPES = {
+    "under-a-universal": lambda share: Quant(
+        "all", True, "x", Base(), doubled(lambda: Atom("p", ("x",)), 5, share)),
+    "pulled": lambda share: Implies(
+        Atom("q"),
+        Quant("all", True, "x", Base(), doubled(lambda: Atom("p", ("x",)), 5, share))),
+    "in-an-antecedent": lambda share: Implies(
+        Quant("all", True, "x", Base(), doubled(lambda: Atom("p", ("x",)), 5, share)),
+        Atom("q")),
+    "pushed-at-each-position": lambda share: doubled(
+        lambda: Not(Quant("ex", True, "y", Base(), Atom("p", ("y",)))), 4, share),
+    "marked-antecedents": lambda share: Implies(
+        doubled(lambda: Quant("all", True, "x", Base(), Atom("p", ("x",))), 4, share),
+        Atom("q")),
+}
+
+
+@pytest.mark.parametrize("shape", SHARED_SHAPES)
+def test_shared_subformulas_normalize_like_their_unshared_copies(shape):
+    # M and D, and with them the step limit and its message, count
+    # positions, not distinct nodes
+    shared, unshared = (SHARED_SHAPES[shape](share) for share in (True, False))
+    assert shared == unshared
+    assert (mulab.formulas._marked_and_depth(shared)
+            == mulab.formulas._marked_and_depth(unshared)
+            == (marked_measure(unshared)[0], formula_depth(unshared)))
+    assert mulab.formulas._all_names(shared) == mulab.formulas._all_names(unshared)
+    assert is_internal(shared) == is_internal(unshared)
+    results = []
+    for f in (shared, unshared):
+        try:
+            results.append(to_normal_form(f))
+        except NotNormalizable as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    assert_engine_matches_the_reference(shared)
+
+
 def test_normalizer_work_grows_linearly_on_flips(monkeypatch):
     calls = {}
     children = mulab.formulas._children
@@ -712,10 +773,11 @@ SHALLOW_STACK = """
 import sys
 from mulab.errors import FormulaScopeError
 from mulab.formulas import (App, Arrow, Atom, Base, Implies, Not, Quant, Seq,
-                            alpha_equal, extraction_obligation, format_formula,
-                            format_type, parse_formula, parse_type, relativize_st,
-                            replay, to_normal_form)
+                            extraction_obligation, format_formula, format_type,
+                            parse_formula, parse_type, relativize_st, replay,
+                            to_normal_form)
 from mulab.trees import FullTree, Truncation, format_tree, parse_tree
+from oracles import alpha_equal
 
 D = 2000
 sys.setrecursionlimit(150)
@@ -821,9 +883,10 @@ print("ok")
 
 def test_formula_and_tree_walks_run_on_a_shallow_stack():
     # every input is over ten times deeper than the recursion limit
-    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(str(d) for d in (tests.parent / "src", tests))
     proc = subprocess.run(
         [sys.executable, "-c", SHALLOW_STACK], capture_output=True, text=True,
-        timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        timeout=120, env={**os.environ, "PYTHONPATH": path})
     assert proc.stderr == ""
     assert proc.stdout == "ok\n"

@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 from mulab.errors import BoundViolation, UnsupportedPresentation
 from mulab.reals import (
     FastCauchyReal,
-    PCumFlagSeries,
     PDqSeries,
+    PFlagShift,
     PRational,
-    PScale,
-    PSum,
     counterexample_pair,
     dq_real,
     flag_shifted,
@@ -22,9 +20,12 @@ from mulab.reals import (
     real_sign,
     to_decimal,
 )
-from mulab.sequences import PresentedSequence
+from mulab.sequences import PresentedSequence, mu_exact
 
 from oracles import (
+    PCumFlagSeries,
+    PScale,
+    PSum,
     delta_sum,
     dq_series_approx,
     dq_sum,
@@ -32,6 +33,7 @@ from oracles import (
     scan_first_nonzero,
     scan_first_zero,
 )
+from test_extractors import counting, deep_flags
 
 small_nat = st.integers(min_value=0, max_value=4)
 flags = st.tuples(
@@ -41,24 +43,11 @@ flags = st.tuples(
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
-atoms = st.one_of(
+presented_reals = st.one_of(
     rationals.map(from_rational),
-    st.tuples(flags, st.sampled_from([1, -1])).map(
-        lambda fs: flag_shifted(Fraction(1, 2), fs[1], fs[0])),
+    st.builds(flag_shifted, rationals, rationals, flags),
     flags.map(dq_real),
 )
-
-
-def _combine(children):
-    return st.one_of(
-        st.tuples(children, children).map(
-            lambda xy: FastCauchyReal(PSum(xy[0].presentation, xy[1].presentation))),
-        st.tuples(rationals, children).map(
-            lambda cx: FastCauchyReal(PScale(cx[0], cx[1].presentation))),
-    )
-
-
-presented_reals = st.recursive(atoms, _combine, max_leaves=6)
 
 
 @settings(max_examples=200)
@@ -103,6 +92,43 @@ def test_series_approximations_read_only_two_indices_past_n(f, n, junk, tail):
     for g in (f, altered):
         assert PCumFlagSeries(g).approx(n) == flag_series_approx(seen)
         assert PDqSeries(g).approx(n) == dq_series_approx(seen)
+
+
+@settings(max_examples=200)
+@given(flags, st.integers(min_value=0, max_value=12), rationals, rationals,
+       st.lists(small_nat, max_size=4), st.lists(small_nat, min_size=1, max_size=3))
+def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
+        f, n, base, factor, junk, tail):
+    x = PFlagShift(base, factor, f)
+    seen = f.values(n + 4 + x.shift)
+    altered = PresentedSequence(tuple(seen + junk), tuple(tail))
+    expected = base + factor * flag_series_approx(seen)
+    assert x.approx(n) == PFlagShift(base, factor, altered).approx(n) == expected
+
+
+# factors with a precision shift of 0 (0, +-1 and the two-bump weights)
+# and of 1 to 3 (-3, 5/2 and the rest of [-4, 4])
+_weights = st.fractions(min_value=0, max_value=1, max_denominator=64)
+_factors = st.one_of(
+    st.sampled_from([Fraction(q) for q in ("0", "1", "-1", "-3", "5/2")]),
+    _weights, _weights.map(lambda w: -w), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(flags, deep_flags), rationals, _factors)
+def test_a_flag_shift_reads_like_the_reference_sum_and_scale(f, base, factor):
+    new = PFlagShift(base, factor, f)
+    scale = PScale(factor, PCumFlagSeries(f))
+    old = PSum(PRational(base), scale)
+    assert new.shift == scale.shift
+    event = f.first_zero
+    rows = range((f.horizon if event is None else event) + 9)
+    assert [new.approx(n) for n in rows] == [old.approx(n) for n in rows]
+    mu_new, calls_new = counting(mu_exact)
+    mu_old, calls_old = counting(mu_exact)
+    assert new.exact_value(mu_new) == old.exact_value(mu_old)
+    assert calls_new == calls_old == [f]
+    assert flag_shifted(base, factor, f).presentation == new
 
 
 def test_counterexample_pair_for_an_event_at_three():
@@ -167,11 +193,13 @@ def test_dq_spot_values():
 
 
 def test_sum_and_scale_are_exact():
-    x = FastCauchyReal(PSum(PRational(Fraction(1, 3)),
-                            PDqSeries(PresentedSequence((0, 2), (1,)))))
-    assert x.exact_value() == Fraction(1, 3) + Fraction(1, 2)
-    y = FastCauchyReal(PScale(Fraction(-3, 2), x.presentation))
-    assert y.exact_value() == Fraction(-3, 2) * Fraction(5, 6)
+    # base + factor * epsilon, with epsilon 1/2 for an event at 2
+    f = PresentedSequence((1, 1), (0,))
+    x = flag_shifted(Fraction(1, 3), Fraction(-3, 2), f)
+    assert x.exact_value() == Fraction(1, 3) - Fraction(3, 2) * Fraction(1, 2)
+    assert x.approx(0) == x.exact_value()
+    y = flag_shifted(Fraction(1, 3), Fraction(-3, 2), PresentedSequence((), (1,)))
+    assert y.exact_value() == y.approx(0) == Fraction(1, 3)
 
 
 def test_real_sign():

@@ -16,12 +16,13 @@ from mulab.formulas import (And, App, Arrow, Atom, Base, ExIn, Implies, Not,
                             NormalForm, Or, Quant, RuleStep, RuleTrace, Seq,
                             parse_type)
 from mulab.functionals import ThetaResult, TracedFunctional, TracedView
-from mulab.reals import (FastCauchyReal, PCumFlagSeries, PDqSeries, PRational,
-                         PScale, PSum)
+from mulab.reals import FastCauchyReal, PDqSeries, PFlagShift, PRational
 from mulab.sequences import (Found, NoneBelowBudget, OpaqueSequence,
                              PresentedSequence)
 from mulab.trees import FlagTree, FullTree, PathTree, ScfReport, Truncation
 from mulab.value import FrozenInstanceError, Value, setfield
+
+from oracles import PCumFlagSeries, PScale, PSum
 
 
 def seq():
@@ -76,9 +77,13 @@ VALUES = {
                         "NoneBelowBudget(budget=16)", ("budget",)),
     "PRational": (lambda: PRational(Q(1, 3)),
                   "PRational(value=Fraction(1, 3))", ("value",)),
+    "PDqSeries": (lambda: PDqSeries(seq()), f"PDqSeries(flag={SEQ})", ("flag",)),
+    "PFlagShift": (lambda: PFlagShift(Q(1, 2), Q(-3), seq()),
+                   f"PFlagShift(base=Fraction(1, 2), factor=Fraction(-3, 1), flag={SEQ})",
+                   ("base", "factor", "flag")),
+    # the reference sum-and-scale algebra of tests/oracles.py
     "PCumFlagSeries": (lambda: PCumFlagSeries(seq()),
                        f"PCumFlagSeries(flag={SEQ})", ("flag",)),
-    "PDqSeries": (lambda: PDqSeries(seq()), f"PDqSeries(flag={SEQ})", ("flag",)),
     "PSum": (lambda: PSum(PRational(Q(1, 2)), PRational(Q(-1, 4))),
              "PSum(left=PRational(value=Fraction(1, 2)), "
              "right=PRational(value=Fraction(-1, 4)))", ("left", "right")),
@@ -152,6 +157,9 @@ VALUES = {
                    ("foralls", "exists", "matrix")),
 }
 
+# value classes of tests/oracles.py, kept here to pin them as well
+REFERENCE_ALGEBRA = {"PCumFlagSeries", "PSum", "PScale"}
+
 # classes whose instances carry the same field values as each other's
 SIBLINGS = [("PCumFlagSeries", "PDqSeries"), ("And", "Or", "Implies"),
             ("FullTree", "Base"), ("Found", "NoneBelowBudget", "ThetaResult")]
@@ -167,7 +175,7 @@ def twin(x):
 
 
 def test_every_value_class_has_an_instance():
-    assert len(VALUES) == 37
+    assert len(VALUES) == 38
     for name, (make, _, _) in VALUES.items():
         assert type(make()).__name__ == name
 
@@ -225,7 +233,7 @@ def test_frozen_values_refuse_assignment(name):
     assert issubclass(FrozenInstanceError, AttributeError)
 
 
-@pytest.mark.parametrize("name, field", [("PScale", "shift"),
+@pytest.mark.parametrize("name, field", [("PFlagShift", "shift"), ("PScale", "shift"),
                                          ("PiecewiseLinear", "segments")])
 def test_derived_fields_stay_out_of_eq_hash_and_repr(name, field):
     make, text, _ = VALUES[name]
@@ -344,7 +352,8 @@ def test_only_classes_that_check_or_derive_write_a_constructor():
     # _BisectionRoot prints a closure, so its repr cannot be pinned here;
     # test_extractors pins it against the eager reference instead
     assert ({cls.__name__ for cls in classes}
-            == VALUES.keys() - {"TracedFunctional"} | {"_Binary", "_BisectionRoot"})
+            == VALUES.keys() - {"TracedFunctional", *REFERENCE_ALGEBRA}
+            | {"_Binary", "_BisectionRoot"})
     own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
-    assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PScale",
+    assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PFlagShift",
                    "PiecewiseLinear", "PresentedSequence", "RuleStep"}
