@@ -815,19 +815,22 @@ def _marked_and_depth(f: Formula) -> tuple[int, int]:
     edges on its longest root-to-leaf path.  Both are worked out per
     distinct node, children first, so a shared subformula costs once."""
     got: dict[int, tuple[int, int]] = {}
-    todo = [(f, False)]
+    todo: list[tuple] = [(f, None)]
     while todo:
-        node, ready = todo.pop()
-        if ready:
-            marked, depth = int(_is_marked(node)), 0
-            for k in _children(node):
-                m, d = got[id(k)]
-                marked += m
-                depth = max(depth, d + 1)
-            got[id(node)] = marked, depth
-        elif id(node) not in got:
-            todo.append((node, True))
-            todo += [(k, False) for k in _children(node)]
+        node, kids = todo.pop()
+        if kids is None:  # first reached: its children go first
+            if id(node) not in got:
+                kids = _children(node)
+                todo.append((node, kids))
+                todo += [(k, None) for k in kids]
+            continue
+        marked, depth = int(_is_marked(node)), 0
+        for k in kids:
+            m, d = got[id(k)]
+            marked += m
+            if d >= depth:
+                depth = d + 1
+        got[id(node)] = marked, depth
     return got[id(f)]
 
 
