@@ -107,7 +107,7 @@ def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
 
 
 # factors with a precision shift of 0 (0, +-1 and the two-bump weights)
-# and of 1 to 3 (-3, 5/2 and the rest of [-4, 4])
+# and of 1 or 2 (-3, 5/2 and the rest of [-4, 4])
 _weights = st.fractions(min_value=0, max_value=1, max_denominator=64)
 _factors = st.one_of(
     st.sampled_from([Fraction(q) for q in ("0", "1", "-1", "-3", "5/2")]),
