@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from operator import is_not
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .errors import FormulaScopeError, NotNormalizable, ParseError
 from .value import Value, setfield
@@ -393,37 +393,46 @@ format_type = format_formula  # the one printer takes types too
 # ---------------------------------------------------------------------------
 # basic queries
 
-def _nodes(f: Formula | Term) -> Iterator[Formula | Term]:
-    """Every distinct subformula and term, in preorder: a node that
-    several positions share comes once, with its parts."""
-    seen = {id(f)}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        for part in reversed(_parts(node)):
-            if id(part) not in seen:
-                seen.add(id(part))
-                stack.append(part)
-
-
-def _all_names(f: Formula | Term) -> set[str]:
+def _scan(f: Formula | Term) -> tuple[set[str], int, int]:
+    """The names in f, its marked quantifiers M, counted at every
+    position, and its depth D, the formula edges on its longest
+    root-to-leaf path (terms add none).  One walk visits each distinct
+    node once, its parts first, so a part that several positions share
+    costs once and counts at each."""
     names: set[str] = set()
-    for node in _nodes(f):
-        if isinstance(node, str):
+    got: dict[int, tuple[int, int]] = {}  # M and D of each node reached
+    todo: list = [f]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is tuple:  # a node again, after its parts: (node, 1 if marked, children)
+            node, marked, kids = node
+            depth = 0
+            for k in kids:
+                m, d = got[id(k)]
+                marked += m
+                if d >= depth:
+                    depth = d + 1
+            got[id(node)] = marked, depth
+        elif t is str:
             names.add(node)
-        elif isinstance(node, Atom):
-            names.add(node.pred)
-        elif isinstance(node, App):
-            names.add(node.head)
-        elif isinstance(node, (Quant, ExIn)):
-            names.add(node.var)
-    return names
+        elif id(node) not in got:
+            if t is Atom or t is App:  # only terms below
+                names.add(node.pred if t is Atom else node.head)
+                got[id(node)] = 0, 0
+                todo += node.args
+                continue
+            if t is Quant or t is ExIn:
+                names.add(node.var)
+            todo.append((node, int(t is Quant and node.st), _children(node)))
+            todo += _parts(node)
+    return (names, *got.get(id(f), (0, 0)))
 
 
 def is_internal(f: Formula) -> bool:
-    """True when no quantifier carries the standardness marker."""
-    return not any(isinstance(node, Quant) and node.st for node in _nodes(f))
+    """True when no quantifier carries the standardness marker: the
+    marked bit of the root's rule summary, which the engine keeps."""
+    return not _summary(f, 1) & _MARKED
 
 
 def relativize_st(f: Formula) -> Formula:
@@ -442,7 +451,7 @@ def _mark_unguarded(x: Formula | Term) -> tuple[Formula | Term, tuple]:
         guarded = (isinstance(x.vtype, Base) and isinstance(guard, Atom)
                    and guard.pred == "leq" and len(guard.args) == 2
                    and guard.args[0] == x.var
-                   and x.var not in _all_names(guard.args[1]))
+                   and x.var not in _scan(guard.args[1])[0])
         if x.st == guarded:
             x = Quant(x.kind, not guarded, x.var, x.vtype, x.body, x.mono)
     return x, _parts(x)
@@ -810,30 +819,6 @@ def _internal(f: Formula, pol: int) -> bool:
     return not getattr(f, _SUMMARY[pol]) & _MARKED
 
 
-def _marked_and_depth(f: Formula) -> tuple[int, int]:
-    """The marked quantifiers in f, counted at every position, and the
-    edges on its longest root-to-leaf path.  Both are worked out per
-    distinct node, children first, so a shared subformula costs once."""
-    got: dict[int, tuple[int, int]] = {}
-    todo: list[tuple] = [(f, None)]
-    while todo:
-        node, kids = todo.pop()
-        if kids is None:  # first reached: its children go first
-            if id(node) not in got:
-                kids = _children(node)
-                todo.append((node, kids))
-                todo += [(k, None) for k in kids]
-            continue
-        marked, depth = int(_is_marked(node)), 0
-        for k in kids:
-            m, d = got[id(k)]
-            marked += m
-            if d >= depth:
-                depth = d + 1
-        got[id(node)] = marked, depth
-    return got[id(f)]
-
-
 class NormalForm(Value):
     _fields = ("foralls", "exists", "matrix")
 
@@ -847,12 +832,12 @@ class NormalForm(Value):
 
 
 def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
-    names = _Names(_all_names(f))
-    steps, current = _rewrite(f, names)
+    names, marked, depth = _scan(f)
+    steps, current = _rewrite(f, _Names(names), marked, depth)
 
     foralls, cur = _run(current, "all")
     exists, cur = _run(cur, "ex")
-    if not is_internal(cur):
+    if not is_internal(cur):  # a summary read: only rebuilt nodes lack one
         raise NotNormalizable(
             "markers remain outside a forall-exists prefix: "
             + format_formula(cur))
@@ -861,8 +846,10 @@ def to_normal_form(f: Formula) -> tuple[NormalForm, RuleTrace]:
     return nf, RuleTrace(tuple(steps))
 
 
-def _rewrite(f: Formula, names: _Names) -> tuple[list[RuleStep], Formula]:
-    """Rewrite f to a fixed point; return the steps and the result.
+def _rewrite(f: Formula, names: _Names, marked: int,
+             depth: int) -> tuple[list[RuleStep], Formula]:
+    """Rewrite f, with M = `marked` and D = `depth` (`_scan`), to a fixed
+    point; return the steps and the result.
 
     Each step fires the highest-priority rule that fires anywhere, at its
     outermost-leftmost position: the first in preorder.  The node
@@ -909,7 +896,6 @@ def _rewrite(f: Formula, names: _Names) -> tuple[list[RuleStep], Formula]:
     # marked quantifiers below it gain a node.  S starts at most M*D for
     # a source of depth D, so a run has at most M steps of R3 and
     # M*D + M*(M-1) others, fewer than M*(D+M+1).
-    marked, depth = _marked_and_depth(f)
     limit = marked * (depth + marked + 1)
     steps: list[RuleStep] = []
     # Marked quantifiers at the root are settled: no rule fires at a
@@ -1021,7 +1007,7 @@ def extraction_obligation(nf: NormalForm) -> Formula:
     """The internal statement that realizes a normal form: plain
     universals over the forall block, then each existential witnessed
     inside a fresh term applied to the universals."""
-    names = _Names(_all_names(nf.to_formula()))
+    names = _Names(_scan(nf.to_formula())[0])
     single = len(nf.exists) == 1
     body = nf.matrix
     witness_names = [names.fresh("t" if single else f"t{j + 1}")

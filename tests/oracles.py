@@ -545,6 +545,21 @@ def _walk(f, path=(), pol=1):
         yield from _walk(kid, path + (i,), -pol if flip else pol)
 
 
+def preorder(f):
+    """Every subformula and term of f, position by position, in preorder,
+    from an explicit stack."""
+    todo = [f]
+    while todo:
+        x = todo.pop()
+        yield x
+        if isinstance(x, (Atom, App)):
+            todo += reversed(x.args)
+        elif isinstance(x, ExIn):
+            todo += (x.body, x.bound)
+        else:
+            todo += reversed(_kids(x))
+
+
 def _term_symbols(t):
     if isinstance(t, App):
         return {t.head}.union(*(_term_symbols(a) for a in t.args))

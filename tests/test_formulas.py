@@ -39,8 +39,8 @@ from mulab.formulas import (
 )
 
 from oracles import (
-    alpha_equal, formula_depth, marked_measure, reference_normalize, replace_at,
-    subformula_at,
+    _internal, _symbols, _term_symbols, alpha_equal, formula_depth, marked_measure,
+    preorder, reference_normalize, replace_at, subformula_at,
 )
 
 
@@ -491,10 +491,9 @@ def test_shared_subformulas_normalize_like_their_unshared_copies(shape):
     # positions, not distinct nodes
     shared, unshared = (SHARED_SHAPES[shape](share) for share in (True, False))
     assert shared == unshared
-    assert (mulab.formulas._marked_and_depth(shared)
-            == mulab.formulas._marked_and_depth(unshared)
-            == (marked_measure(unshared)[0], formula_depth(unshared)))
-    assert mulab.formulas._all_names(shared) == mulab.formulas._all_names(unshared)
+    assert (mulab.formulas._scan(shared) == mulab.formulas._scan(unshared)
+            == (_symbols(unshared), marked_measure(unshared)[0],
+                formula_depth(unshared)))
     assert is_internal(shared) == is_internal(unshared)
     results = []
     for f in (shared, unshared):
@@ -596,8 +595,8 @@ def test_normalizer_leaves_no_reference_cycles(text):
 def test_summaries_left_on_nodes_are_invisible_and_reused_at_either_polarity(text):
     f = parse_formula(text)
     to_normal_form(f)
-    nodes = list(mulab.formulas._nodes(f))
-    fresh = list(mulab.formulas._nodes(parse_formula(text)))
+    nodes = list(preorder(f))
+    fresh = list(preorder(parse_formula(text)))
     assert nodes == fresh
     assert [hash(x) for x in nodes] == [hash(x) for x in fresh]
     assert [repr(x) for x in nodes] == [repr(x) for x in fresh]
@@ -695,6 +694,69 @@ def test_every_step_lowers_the_termination_measure(f):
         before = marked_measure(current)
         current = replace_at(current, path, after)
         assert marked_measure(current) < before
+
+
+@st.composite
+def shared_formulas(draw, size=12):
+    """API-built formulas in which subformula and term objects sit at
+    several positions: each new node takes its parts from the nodes built
+    before it.  Terms nest `App`s, and `ex-in` bounds are terms.  Every
+    binder gets a fresh name, so the printed formula parses back."""
+    fresh = count()
+    terms: list = ["c", "d"]
+    forms: list = [Atom("p"), Atom("q", ("c",))]
+
+    def pick(nodes):
+        return nodes[draw(st.integers(min_value=0, max_value=len(nodes) - 1))]
+
+    for _ in range(draw(st.integers(min_value=1, max_value=size))):
+        kind = draw(st.sampled_from(("app", "atom", "not", "and", "or", "imp",
+                                     "quant", "quant", "ex-in")))
+        if kind == "app":
+            terms.append(App(draw(st.sampled_from("fg")), (pick(terms), pick(terms))))
+        elif kind == "atom":
+            forms.append(Atom(draw(st.sampled_from("pqr")), (pick(terms), pick(terms))))
+        elif kind == "not":
+            forms.append(Not(pick(forms)))
+        elif kind in ("and", "or", "imp"):
+            cls = {"and": And, "or": Or, "imp": Implies}[kind]
+            forms.append(cls(pick(forms), pick(forms)))
+        elif kind == "quant":
+            forms.append(Quant(draw(st.sampled_from(("all", "ex"))), draw(st.booleans()),
+                               f"v{next(fresh)}", draw(st.sampled_from(TYPES)),
+                               pick(forms)))
+        else:
+            forms.append(ExIn(f"v{next(fresh)}", pick(terms), pick(forms)))
+    return forms[-1]
+
+
+def normalize_quietly(f):
+    try:
+        to_normal_form(f)
+    except NotNormalizable:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_formulas())
+def test_one_walk_reads_the_names_marked_count_and_depth(f):
+    # M and D count positions, however many share a node
+    assert mulab.formulas._scan(f) == (_symbols(f), marked_measure(f)[0],
+                                       formula_depth(f))
+    for t in preorder(f):
+        if isinstance(t, (str, App)):
+            assert mulab.formulas._scan(t) == (_term_symbols(t), 0, 0)
+    # is_internal on fresh nodes: the drawn formula and an unshared copy
+    copy = parse_formula(format_formula(f))
+    assert copy == f
+    assert is_internal(f) == is_internal(copy) == _internal(f, 1)
+    # then on nodes that runs summarized at either polarity, or both
+    normalize_quietly(Not(copy))
+    normalize_quietly(f)
+    normalize_quietly(Implies(f, Atom("q")))
+    for node in (*preorder(f), *preorder(copy)):
+        if not isinstance(node, (str, App)):
+            assert is_internal(node) == _internal(node, 1)
 
 
 # ---------------------------------------------------------------------------
