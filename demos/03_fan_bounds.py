@@ -4,9 +4,11 @@ A single traced run of a functional is not a sound modulus: a body can
 branch on an early query and only reach its deep queries on the other
 branch.  Replaying it over every binary answer map closes that gap.  The
 replay walks the decision tree one leftmost path at a time: each run
-answers new queries 1, and the next run flips the deepest open branch
-to 0, so the body runs once per leaf.  The resulting bound feeds the
-special-cover check against presented trees.
+answers new queries 1 and notes each one's index as an open branch,
+and the next run flips the last open index to 0, so the body runs once
+per leaf.  The bound is 1 + the largest index queried in any run, which
+the replay keeps as it goes.  It feeds the special-cover check against
+presented trees.
 """
 
 from __future__ import annotations

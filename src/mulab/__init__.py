@@ -60,7 +60,7 @@ _EXPORTS = {
         "format_tree", "greedy_path", "measure_positive", "parse_tree",
         "scf_check"), "trees"),
 }
-_SUBMODULES = frozenset({*_EXPORTS.values(), "cli", "value"})
+_SUBMODULES = frozenset({*_EXPORTS.values(), "cli", "digits", "value"})
 
 __all__ = list(_EXPORTS)
 

@@ -60,15 +60,13 @@ class RunReport:
 def _text(value: object) -> str:
     """``str(value)``, also for an int or Fraction past the interpreter's
     limit on int-to-str digits (exact values grow like 2^m at event m).
-    ``Decimal`` converts an int to the same digits with no such limit."""
+    Those are written by ``mulab.digits``, with the same digits."""
     try:
         return str(value)
     except ValueError:
-        from decimal import Decimal
+        from .digits import int_text
         num, den = value.numerator, value.denominator
-        if den == 1:
-            return str(Decimal(num))
-        return f"{Decimal(num)}/{Decimal(den)}"
+        return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
 
 
 def _report(command: str, *fields: tuple[str, object]) -> RunReport:

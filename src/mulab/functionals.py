@@ -5,13 +5,14 @@ through a query view (index -> natural).  Everything else here is built
 on replaying such bodies:
 
 * omega_fan computes a fan modulus by replay over binary answers: each
-  run answers every new query 1 and notes a branch point there, and the
-  next run backs up to the deepest open branch point, answers it 0 and
-  goes on from there, one run per leaf.  The body's view is the answers
-  dict's own lookup: an answered query is a plain dict lookup, and only
-  a new query runs Python code.  The modulus is 1 + the largest index
-  queried anywhere in the completed tree.  A single run's trace would
-  not be a sound modulus for adaptive bodies; the whole tree is.
+  run answers every new query 1 and notes only its index, as an open
+  branch point, and the next run backs up to the last open index,
+  answers it 0 and goes on from there, one run per leaf.  The body's
+  view is the answers dict's own lookup: an answered query is a plain
+  dict lookup, and only a new query runs Python code.  The modulus is
+  1 + the largest index queried anywhere in the completed tree, which
+  the replay keeps as it goes.  A single run's trace would not be a
+  sound modulus for adaptive bodies; the whole tree is.
 * theta_special reads a bound off the same replay tree: the largest
   value at any of its leaves, which comes with the finite cover of
   zero-padded prefixes of that length.  trees.scf_check decides the
@@ -81,18 +82,18 @@ def _over(node_budget: int) -> BudgetExceeded:
 class _Answers(dict):
     """The answers of one replay run, keys in query order.  Looking up an
     answered index is a plain dict lookup; only a new index reaches
-    __missing__, which counts its node, answers it 1 and notes the branch
-    point as (answers before the query, index, last_one before it, top
-    after it)."""
+    __missing__, which counts its node, answers it 1, appends it to
+    ones, the open 1-branches in query order, and raises top, the
+    largest index queried so far in the whole replay."""
 
-    __slots__ = ("budget", "nodes", "last_one", "top", "branches")
+    __slots__ = ("budget", "nodes", "top", "ones")
 
     def __init__(self, budget: int) -> None:
         super().__init__()
         self.budget = budget
         self.nodes = 1
-        self.last_one = self.top = -1
-        self.branches: list[tuple[int, int, int, int]] = []
+        self.top = -1
+        self.ones: list[int] = []
 
     def __missing__(self, i: int) -> int:
         if i < 0:
@@ -100,50 +101,47 @@ class _Answers(dict):
         self.nodes += 1
         if self.nodes > self.budget:
             raise _over(self.budget)
-        top = self.top
-        if i > top:
-            self.top = top = i
-        last_one = self.last_one
-        self.branches.append((len(self), i, last_one, top))
-        if i > last_one:
-            self.last_one = i
+        if i > self.top:
+            self.top = i
+        self.ones.append(i)
         self[i] = 1
         return 1
 
 
 def _fan_replay(g: TracedFunctional, node_budget: int
-                ) -> Iterator[tuple[dict[int, int], int, int, int]]:
-    """Leaves (answers, value, last_one, top) of g's complete binary
-    decision tree, 1-branches first; last_one is the largest index
-    answered 1 and top the largest index queried, each -1 when none.
+                ) -> Iterator[tuple[_Answers, int]]:
+    """Leaves (answers, value) of g's complete binary decision tree,
+    1-branches first.  At each leaf answers.ones lists the indices the
+    leaf answers 1, in query order, and answers.top is the largest index
+    queried at this leaf or any before it, -1 when none.
 
-    One run of g per leaf: a run answers each new query 1 and notes the
-    branch point, and the next run trims the answers back to the deepest
-    open one and answers it 0.  The body's view is the answers dict's
-    own lookup, so a query answered before in this run or on the shared
-    prefix is a plain dict lookup, and only a new query runs Python code.
-    Nodes are counted in preorder as they are reached.  The answers dict
-    is reused, its keys in query order: read or copy it before asking for
-    the next leaf, and look it up with get, as indexing an unanswered
-    key queries it.
+    One run of g per leaf: a run answers each new query 1 and notes its
+    index as open, and the next run pops the last open index, trims the
+    answers back to it and answers it 0.  Every 1-answer on the path is
+    open, as its 0-branch is still to come.  The body's view is the
+    answers dict's own lookup, so a query answered before in this run or
+    on the shared prefix is a plain dict lookup, and only a new query
+    runs Python code.  Nodes are counted in preorder as they are
+    reached.  The answers dict is reused, its keys in query order: read
+    or copy it before asking for the next leaf, and look it up with get,
+    as indexing an unanswered key queries it.
     """
     answers = _Answers(node_budget)
     if answers.nodes > node_budget:
         raise _over(node_budget)
     query = answers.__getitem__
-    branches = answers.branches
-    next_branch = branches.pop
+    ones = answers.ones
     trim = answers.popitem
     while True:
-        yield answers, int(g.body(query)), answers.last_one, answers.top
-        if not branches:
+        yield answers, int(g.body(query))
+        if not ones:
             return
-        depth, index, answers.last_one, answers.top = next_branch()
+        index = ones.pop()
         answers.nodes += 1
         if answers.nodes > node_budget:
             raise _over(node_budget)
-        for _ in range(len(answers) - depth):
-            trim()
+        while trim()[0] != index:
+            pass
         answers[index] = 0
 
 
@@ -154,11 +152,9 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
     BudgetExceeded once the tree has more than node_budget nodes, which
     is the fate of genuinely discontinuous bodies.
     """
-    modulus = -1
-    for _, _, _, top in _fan_replay(g, node_budget):
-        if top > modulus:
-            modulus = top
-    return 1 + modulus
+    for answers, _ in _fan_replay(g, node_budget):
+        pass
+    return 1 + answers.top
 
 
 class ThetaResult(Value):
@@ -178,7 +174,7 @@ def theta_special(g: TracedFunctional,
     the largest leaf value.
     """
     bound = 0
-    for _, value, _, _ in _fan_replay(g, node_budget):
+    for _, value in _fan_replay(g, node_budget):
         if value > bound:
             bound = value
     return ThetaResult(bound)

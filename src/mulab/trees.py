@@ -290,22 +290,22 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
     antecedent fails iff such a leaf meets the tree at its value.  A cut
     is a length, so a negative value of g is refused as input.
     """
-    max_index = -1
     bound = 0
-    low = None
-    for answers, value, last_one, top in _fan_replay(g, node_budget):
+    low = float("inf")  # the least largest 1-answer of a leaf meeting the tree
+    for answers, value in _fan_replay(g, node_budget):
         if value < 0:
             raise InputError(f"the cover check needs natural values, "
                              f"but {g.name} gives {value}")
         if value > bound:
             bound = value
-        if top > max_index:
-            max_index = top
-        if (low is None or last_one < low) and _meets(tree, answers, value):
-            low = last_one
-    antecedent = low is None or low >= bound
+        ones = answers.ones
+        if not ones or ones[-1] < low:  # else the largest is not below low
+            last_one = max(ones, default=-1)
+            if last_one < low and _meets(tree, answers, value):
+                low = last_one
+    antecedent = low >= bound
     consequent = tree.level_count(bound) == 0
-    return ScfReport(bound, 1 << bound, antecedent, consequent, max_index + 1)
+    return ScfReport(bound, 1 << bound, antecedent, consequent, answers.top + 1)
 
 
 def parse_tree(text: str) -> PresentedTree:

@@ -188,10 +188,12 @@ def reference_fan_replay(g, node_budget):
 
 def replay_outcome(replay, g, node_budget):
     """The leaves a replay yields, answers in key order, and the error
-    it ends with, if any."""
+    it ends with, if any.  The reference yields each leaf's last_one; the
+    real replay's is the largest of the open 1-branches it keeps."""
     leaves = []
     try:
-        for answers, value, last_one, *_ in replay(g, node_budget):
+        for answers, value, *rest in replay(g, node_budget):
+            last_one = rest[0] if rest else max(answers.ones, default=-1)
             leaves.append((list(answers.items()), value, last_one))
     except (BudgetExceeded, ValueError) as error:
         return leaves, (type(error), str(error))

@@ -10,7 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -170,7 +170,11 @@ BELOW_DIGIT_LIMIT = [0, 1, -7, True, False, None, "word", Fraction(-3, 4),
                      Fraction(1, 10 ** 4299 - 1)]
 ABOVE_DIGIT_LIMIT = [10 ** 4300, -(2 ** 20_000), Fraction(1, 2 ** 19_999),
                      Fraction(-(3 ** 9000), 2 ** 20_000 + 1),
-                     Fraction(3 ** 20_000, 7), Fraction(7, 3 ** 20_000)]
+                     Fraction(3 ** 20_000, 7), Fraction(7, 3 ** 20_000),
+                     # 5k to 300k digits, ints and Fractions of both signs
+                     3 ** 10_480, -(7 ** 40_000),
+                     Fraction(-(3 ** 12_000), 10 ** 5_000 + 1),
+                     Fraction(7 ** 355_000, 3)]
 
 
 def test_report_values_below_the_digit_limit_print_as_str():
@@ -294,6 +298,22 @@ def test_fan_cover_on_a_wide_full_tree_is_fast(capsys):
     got = fields_of(out)
     assert (got["cover_bound"], got["antecedent"]) == ("200000", "False")
     assert elapsed < 2, f"const:200000 on full took {elapsed:.1f} s"
+
+
+def test_fan_cover_of_a_million_bits_prints_in_full_and_fast(capsys):
+    # cover_size is 2^1000000, 301,030 digits: Decimal(int) alone took
+    # about 2 s to write it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "--functional", "const:1000000",
+                             "--tree", "full")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    digits = fields_of(out)["cover_size"]
+    assert len(digits) == 301_030
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        assert Decimal(digits) == Decimal(2) ** 1_000_000
+    assert elapsed < 1, f"const:1000000 on full took {elapsed:.1f} s"
 
 
 def test_fan_cover_larger_than_the_budget_is_decided(capsys):

@@ -159,10 +159,12 @@ def test_replay_matches_fork_and_rerun_leaf_for_leaf_and_budget_for_budget(g):
 
 @pytest.mark.parametrize("g", REPLAY_BODIES, ids=lambda g: g.name)
 def test_replay_carries_the_largest_queried_index(g):
+    top = -1
     try:
-        for answers, _, last_one, top in _fan_replay(g, 64):
-            assert top == max(answers, default=-1)
-            assert last_one == max((i for i, a in answers.items() if a == 1), default=-1)
+        for answers, _ in _fan_replay(g, 64):
+            top = max(top, max(answers, default=-1))
+            assert answers.top == top
+            assert answers.ones == [i for i, a in answers.items() if a == 1]
     except (BudgetExceeded, ValueError):
         pass
 
@@ -189,6 +191,21 @@ def test_replay_runs_the_body_once_per_leaf(g, expected):
     runs = _count_runs(g)
     omega_fan(g)
     assert len(runs) == expected
+
+
+@pytest.mark.parametrize("spec", [f"{kind}:{n}" for kind in ("sum", "max")
+                                  for n in range(1, 11)])
+def test_replay_work_on_the_fan_workload_shapes(spec):
+    # sum:N and max:N query 0..N-1 on every path: 2^N leaves, one body run
+    # each, and 2^(N+1) - 1 nodes
+    n = int(spec.partition(":")[2])
+    g = catalog_functional(spec)
+    runs = _count_runs(g)
+    assert sum(1 for _ in _fan_replay(g, 1 << 20)) == len(runs) == 1 << n
+    nodes = (1 << (n + 1)) - 1
+    with pytest.raises(BudgetExceeded, match=f"^omega_fan: over {nodes - 1} replay"):
+        omega_fan(g, node_budget=nodes - 1)
+    assert omega_fan(g, node_budget=nodes) == n
 
 
 def test_replay_budget_counts_tree_nodes():

@@ -281,6 +281,14 @@ def test_scf_matches_the_brute_force_cover(g):
         assert scf_check(g, tree) == reference_scf(g, tree), format_tree(tree)
 
 
+@pytest.mark.parametrize("spec,tree", [
+    (f"{kind}:{n}", tree) for kind in ("const", "sum") for n in range(1, 9)
+    for tree in ("full", f"truncate:{n - 1}:full")])
+def test_scf_matches_the_brute_force_cover_on_the_fan_workload_shapes(spec, tree):
+    g, tree = catalog_functional(spec), parse_tree(tree)
+    assert scf_check(g, tree) == reference_scf(g, tree)
+
+
 def test_scf_skips_leaves_no_cover_element_reaches():
     # bound 2; the only leaf meeting the tree answers 1 at index 5, where
     # every zero-padded cover element of length 2 reads 0
