@@ -30,7 +30,7 @@ _EXPORTS = {
         "BoundViolation", "BudgetExceeded", "FormulaScopeError",
         "InputError", "MalformedWitness", "MeasureZero", "MulabError",
         "NotInCbar", "NotNormalizable", "OutOfRange", "ParseError",
-        "UnsupportedPresentation"), "errors"),
+        "PropertyError", "UnsupportedPresentation"), "errors"),
     **dict.fromkeys((
         "BinaryExpansion", "PiecewiseLinear", "RationalWitness",
         "RepresentedContinuousFunction", "Route", "RouteReport", "TwoBump",

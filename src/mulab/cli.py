@@ -2,12 +2,12 @@
 
 Every subcommand prints a RunReport: a flat block of ``key: value``
 lines, the first ``command: <name>``, or the same fields as one JSON
-object under ``--json``.  Exit codes: 0 on success, 1 when a stated
-property fails on the given input (bound violations, malformed
-witnesses, exhausted budgets, measure-zero trees, stuck normalization),
-2 when an argument is unusable.  Only an InputError exits 2: each
-argument is read, and refused with one, where its runner reads it.  Any
-other exception is a bug and surfaces as a traceback.
+object under ``--json``.  Each subcommand carries its runner, and the
+five flag commands are the rows of one table, ``_FLAG_COMMANDS``.  Exit
+codes: 0 on success, 1 on a PropertyError (a stated property fails on
+the given input), 2 on an InputError (an argument is unusable, refused
+where its runner reads it).  Any other exception is a bug and surfaces
+as a traceback.
 """
 
 from __future__ import annotations
@@ -17,14 +17,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import (
-    BoundViolation,
-    BudgetExceeded,
-    InputError,
-    MalformedWitness,
-    MeasureZero,
-    NotNormalizable,
-)
+from .errors import BoundViolation, InputError, PropertyError
 
 if TYPE_CHECKING:
     from .extractors import RouteReport
@@ -34,9 +27,6 @@ if TYPE_CHECKING:
 # normalize loads no route or fan module, and fan no reals or extractors.
 
 __all__ = ["RunReport", "main", "console_main"]
-
-_PROPERTY_ERRORS = (BoundViolation, MalformedWitness, BudgetExceeded,
-                    MeasureZero, NotNormalizable)
 
 
 class RunReport:
@@ -111,69 +101,69 @@ def _ivt_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
     return fields + [("fired", rep.fired)]
 
 
-# command -> (extraction in mulab.extractors, the route's own fields).  The
-# extraction is looked up by name at call time, so a replaced module
-# attribute (a profiler's wrapper, say) is the one that runs.
-_ROUTES = {
-    "ubin": ("ubin_extraction", _ubin_fields),
-    "wwkl": ("uwwkl_extraction", _wwkl_fields),
-    "ivt": ("uivt_extraction", _ivt_fields),
+def _route_fields(extraction: str, own_fields):
+    """The fields of a pair-based route: its own, then its bounds and
+    witness beside the direct search.  The extraction is looked up by
+    name in mulab.extractors at call time, so a replaced module
+    attribute (a profiler's wrapper, say) is the one that runs."""
+    def fields(f: PresentedSequence) -> _Fields:
+        from . import extractors
+        from .sequences import mu_exact
+
+        rep = getattr(extractors, extraction)(f)
+        direct = mu_exact(f)
+        return [*own_fields(f, rep),
+                ("xi_bound", _fmt_witness(rep.xi_bound)),
+                ("search_bound", _fmt_witness(rep.search_bound)),
+                ("witness", _fmt_witness(rep.witness)),
+                ("mu_exact", _fmt_witness(direct)),
+                ("agrees_with_direct_search", rep.witness == direct)]
+    return fields
+
+
+def _dq_fields(f: PresentedSequence) -> _Fields:
+    from .extractors import udq_extraction
+
+    rep = udq_extraction(f)
+    return [("value", rep.details["witness_value"]),
+            ("certificate", rep.details["certificate"]),
+            ("fired", rep.fired),
+            ("witness", _fmt_witness(rep.witness))]
+
+
+def _weier_fields(f: PresentedSequence) -> _Fields:
+    from .extractors import flag_epsilon, weierstrass_counterexample
+    from .sequences import mu_exact
+
+    plus, minus = weierstrass_counterexample(f)
+    a_plus, a_minus = plus.argmax(), minus.argmax()
+    return [("epsilon", flag_epsilon(f)),
+            ("argmax_plus", a_plus),
+            ("argmax_minus", a_minus),
+            ("argmaxes_equal", a_plus == a_minus),
+            ("event", mu_exact(f) is not None)]
+
+
+# The flag commands: command -> (help text, the report fields after
+# ``flag``).  The parser adds one subcommand per row, in this order.
+_FLAG_COMMANDS = {
+    "ubin": ("binary expansion route",
+             _route_fields("ubin_extraction", _ubin_fields)),
+    "wwkl": ("tree path route",
+             _route_fields("uwwkl_extraction", _wwkl_fields)),
+    "ivt": ("intermediate value route",
+            _route_fields("uivt_extraction", _ivt_fields)),
+    "dq": ("rational witness route", _dq_fields),
+    "weier": ("maximum location pair", _weier_fields),
 }
 
 
-def _run_route(args: argparse.Namespace) -> RunReport:
-    from . import extractors
-    from .sequences import format_sequence, mu_exact, parse_sequence
-
-    extraction, own_fields = _ROUTES[args.command]
-    f = parse_sequence(args.flag)
-    rep = getattr(extractors, extraction)(f)
-    direct = mu_exact(f)
-    return _report(
-        args.command,
-        ("flag", format_sequence(f)),
-        *own_fields(f, rep),
-        ("xi_bound", _fmt_witness(rep.xi_bound)),
-        ("search_bound", _fmt_witness(rep.search_bound)),
-        ("witness", _fmt_witness(rep.witness)),
-        ("mu_exact", _fmt_witness(direct)),
-        ("agrees_with_direct_search", rep.witness == direct),
-    )
-
-
-def _run_dq(args: argparse.Namespace) -> RunReport:
-    from .extractors import udq_extraction
+def _run_flag(args: argparse.Namespace) -> RunReport:
     from .sequences import format_sequence, parse_sequence
 
     f = parse_sequence(args.flag)
-    rep = udq_extraction(f)
-    return _report(
-        "dq",
-        ("flag", format_sequence(f)),
-        ("value", rep.details["witness_value"]),
-        ("certificate", rep.details["certificate"]),
-        ("fired", rep.fired),
-        ("witness", _fmt_witness(rep.witness)),
-    )
-
-
-def _run_weier(args: argparse.Namespace) -> RunReport:
-    from .extractors import flag_epsilon, weierstrass_counterexample
-    from .sequences import format_sequence, mu_exact, parse_sequence
-
-    f = parse_sequence(args.flag)
-    plus, minus = weierstrass_counterexample(f)
-    a_plus = plus.argmax()
-    a_minus = minus.argmax()
-    return _report(
-        "weier",
-        ("flag", format_sequence(f)),
-        ("epsilon", flag_epsilon(f)),
-        ("argmax_plus", a_plus),
-        ("argmax_minus", a_minus),
-        ("argmaxes_equal", a_plus == a_minus),
-        ("event", mu_exact(f) is not None),
-    )
+    _, fields = _FLAG_COMMANDS[args.command]
+    return _report(args.command, ("flag", format_sequence(f)), *fields(f))
 
 
 def _run_fan(args: argparse.Namespace) -> RunReport:
@@ -243,11 +233,19 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
     )
 
 
+# the corpus holds every flag it draws: 10^5 flags take about 4 s and a
+# 65 MB process on a 2-core VM, and a larger --size is refused unread
+_CORPUS_CAP = 100_000
+
+
 def _run_corpus(args: argparse.Namespace) -> RunReport:
     from .corpus import corpus_stats, flag_corpus
 
     if args.size < 0:
         raise InputError(f"--size must be nonnegative, got {args.size}")
+    if args.size > _CORPUS_CAP:
+        raise InputError(f"--size must be at most {_CORPUS_CAP}, "
+                         f"got {args.size}")
     corpus = flag_corpus(seed=args.seed, size=args.size)
     stats = corpus_stats(corpus)
     return _report("corpus", ("seed", args.seed),
@@ -271,15 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-            ("ubin", "binary expansion route"),
-            ("wwkl", "tree path route"),
-            ("ivt", "intermediate value route"),
-            ("dq", "rational witness route"),
-            ("weier", "maximum location pair")):
+    for name, (help_text, _) in _FLAG_COMMANDS.items():
         p = sub.add_parser(name, help=help_text, parents=[common])
         p.add_argument("--flag", required=True,
                        help="flag sequence, e.g. 'prefix=[1,1,1,0];tail=[1]'")
+        p.set_defaults(run=_run_flag)
 
     p = sub.add_parser("fan", help="branch-on-demand bounds", parents=[common])
     p.add_argument("--functional", required=True,
@@ -287,6 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", default=None,
                    help="optional tree for the special cover check")
     p.add_argument("--budget", type=int, default=1 << 20)
+    p.set_defaults(run=_run_fan)
 
     p = sub.add_parser("normalize", help="drive a formula to normal form",
                        parents=[common])
@@ -295,30 +290,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         "path to a file holding one")
     p.add_argument("--relativize", action="store_true",
                    help="mark quantifiers standard before normalizing")
+    p.set_defaults(run=_run_normalize)
 
     p = sub.add_parser("corpus", help="describe the seeded flag corpus",
                        parents=[common])
     p.add_argument("--size", type=int, default=120)
+    p.set_defaults(run=_run_corpus)
 
     return parser
-
-
-_RUNNERS = {
-    **dict.fromkeys(_ROUTES, _run_route),
-    "dq": _run_dq,
-    "weier": _run_weier,
-    "fan": _run_fan,
-    "normalize": _run_normalize,
-    "corpus": _run_corpus,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _RUNNERS[args.command](args)
-    except _PROPERTY_ERRORS as exc:
+        report = args.run(args)
+    except PropertyError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:

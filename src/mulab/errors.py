@@ -1,13 +1,13 @@
 """Shared exception types.
 
 Everything that can go wrong on a well-typed call is a subclass of
-MulabError.  Two kinds decide the command line's exit codes: InputError
-(a ParseError among them) says an argument is unusable and exits 2,
-and the property errors (BoundViolation, MalformedWitness,
-BudgetExceeded, MeasureZero, NotNormalizable) say a stated property
-failed on this input and exit 1.  Anything else that reaches the command
-line, a plain ValueError or any other MulabError, is a bug and surfaces
-as a traceback.
+MulabError.  Two classes decide the command line's exit codes:
+InputError (a ParseError among them) says an argument is unusable and
+exits 2, and PropertyError (BoundViolation, MalformedWitness,
+BudgetExceeded, MeasureZero, NotNormalizable) says a stated property
+failed on this input and exits 1.  Anything else that reaches the
+command line, a plain ValueError or any other MulabError, is a bug and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ __all__ = [
     "MulabError",
     "InputError",
     "ParseError",
+    "PropertyError",
     "UnsupportedPresentation",
     "BudgetExceeded",
     "BoundViolation",
@@ -40,18 +41,22 @@ class ParseError(InputError):
     """A text form (sequence, tree, functional, formula) does not parse."""
 
 
+class PropertyError(MulabError):
+    """A stated property fails on this input: the command line exits 1."""
+
+
 class UnsupportedPresentation(MulabError):
     """A real lacks the symbolic presentation needed for an exact decision."""
 
 
-class BudgetExceeded(MulabError):
+class BudgetExceeded(PropertyError):
     """An exploration or query budget ran out before an answer was reached.
 
     Not a proof of divergence; the budget is configurable.
     """
 
 
-class BoundViolation(MulabError):
+class BoundViolation(PropertyError):
     """An extracted search bound failed to contain the promised witness."""
 
 
@@ -63,15 +68,15 @@ class NotInCbar(MulabError):
     """Function does not satisfy the sign condition f(0) < 0 < f(1)."""
 
 
-class MeasureZero(MulabError):
+class MeasureZero(PropertyError):
     """Tree has measure zero, so no path is promised."""
 
 
-class MalformedWitness(MulabError):
+class MalformedWitness(PropertyError):
     """A returned witness does not have the promised shape."""
 
 
-class NotNormalizable(MulabError):
+class NotNormalizable(PropertyError):
     """No rewrite rule applies to the remaining st-quantifier structure."""
 
 

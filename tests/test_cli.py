@@ -17,8 +17,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mulab.cli
 from mulab.cli import RunReport, _text, main
-from mulab.errors import OutOfRange, ParseError, UnsupportedPresentation
+from mulab.errors import (
+    BoundViolation,
+    BudgetExceeded,
+    MalformedWitness,
+    MeasureZero,
+    NotInCbar,
+    NotNormalizable,
+    OutOfRange,
+    ParseError,
+    PropertyError,
+    UnsupportedPresentation,
+)
 from mulab.formulas import format_formula
 
 from test_formulas import marked_formulas
@@ -378,6 +390,17 @@ def test_negative_corpus_size_is_exit_two(capsys):
     assert err == "input error: --size must be nonnegative, got -5\n"
 
 
+@pytest.mark.parametrize("size", [100_001, 10 ** 20])
+def test_corpus_size_past_the_cap_is_exit_two_at_once(capsys, size):
+    # the seeded filler draws each flag, so a huge --size would run for
+    # as long as it takes to draw them; it is refused before any draw
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "corpus", "--size", str(size))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"input error: --size must be at most 100000, got {size}\n"
+
+
 def test_normalize_formula_text(capsys):
     code, out, _ = run_cli(
         capsys, "normalize", "--formula",
@@ -534,11 +557,9 @@ PAST_THE_PARSERS = {
 }
 
 
-@pytest.mark.parametrize("error", [ValueError, OutOfRange,
-                                   UnsupportedPresentation])
-@pytest.mark.parametrize("layer", sorted(PAST_THE_PARSERS))
-def test_an_error_past_the_parsers_is_a_bug(monkeypatch, capsys, layer, error):
-    # only an InputError exits 2; anything else a run raises is a bug
+def inject(monkeypatch, layer, error) -> list[str]:
+    """Make the layer's looked-up name raise error("injected"); return
+    the argv that reaches it."""
     argv, module, name = PAST_THE_PARSERS[layer]
 
     def broken(*args, **kwargs):
@@ -546,9 +567,36 @@ def test_an_error_past_the_parsers_is_a_bug(monkeypatch, capsys, layer, error):
 
     monkeypatch.setattr(importlib.import_module(f"mulab.{module}"), name,
                         broken)
+    return argv
+
+
+@pytest.mark.parametrize("error", [ValueError, OutOfRange,
+                                   UnsupportedPresentation, NotInCbar])
+@pytest.mark.parametrize("layer", sorted(PAST_THE_PARSERS))
+def test_an_error_past_the_parsers_is_a_bug(monkeypatch, capsys, layer, error):
+    # only an InputError exits 2 and a PropertyError 1; anything else a
+    # run raises is a bug
+    argv = inject(monkeypatch, layer, error)
     with pytest.raises(error, match="injected"):
         main(argv)
     assert capsys.readouterr() == ("", "")
+
+
+PROPERTY_ERRORS = [BoundViolation, BudgetExceeded, MalformedWitness,
+                   MeasureZero, NotNormalizable]
+
+
+def test_the_exit_one_class_is_exactly_the_property_errors():
+    assert sorted(PropertyError.__subclasses__(), key=lambda c: c.__name__) \
+        == PROPERTY_ERRORS
+
+
+@pytest.mark.parametrize("error", PROPERTY_ERRORS)
+@pytest.mark.parametrize("layer", sorted(PAST_THE_PARSERS))
+def test_a_property_error_past_the_parsers_is_exit_one(monkeypatch, capsys,
+                                                       layer, error):
+    argv = inject(monkeypatch, layer, error)
+    assert run_cli(capsys, *argv) == (1, "", "property violation: injected\n")
 
 
 def test_deeply_nested_truncations_check_the_cover(capsys):
@@ -704,6 +752,38 @@ def test_printed_formulas_normalize_or_get_stuck(formula):
     assert code in (0, 1)
     if code == 1:
         assert out == "" and err.startswith("property violation: ")
+
+
+SUBCOMMANDS = [("ubin", "binary expansion route"),
+               ("wwkl", "tree path route"),
+               ("ivt", "intermediate value route"),
+               ("dq", "rational witness route"),
+               ("weier", "maximum location pair"),
+               ("fan", "branch-on-demand bounds"),
+               ("normalize", "drive a formula to normal form"),
+               ("corpus", "describe the seeded flag corpus")]
+
+
+def test_the_flag_table_drives_the_parser(monkeypatch, capsys):
+    # one subcommand per table row, in table order, with the row's help
+    # text and a required --flag, and then the three other commands
+    table = [(name, help_text)
+             for name, (help_text, _) in mulab.cli._FLAG_COMMANDS.items()]
+    assert table == SUBCOMMANDS[:5]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^    (\w+) +(\S.*)$", out, re.M) == SUBCOMMANDS
+    for command, _ in table:
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"mulab {command}: error: the following "
+                            "arguments are required: --flag\n")
 
 
 def test_missing_arguments_exit_via_argparse():

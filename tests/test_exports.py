@@ -38,7 +38,7 @@ EAGER_NAMES = [
     "mu_from_e2", "MulabError", "NoneBelowBudget", "NotInCbar",
     "NotNormalizable", "omega_fan", "OpaqueSequence", "OutOfRange",
     "parse_sequence", "parse_tree", "ParseError", "PathTree",
-    "PiecewiseLinear", "PresentedSequence", "PresentedTree",
+    "PiecewiseLinear", "PresentedSequence", "PresentedTree", "PropertyError",
     "RationalWitness", "real_eq", "real_lt", "real_sign",
     "RepresentedContinuousFunction", "Route", "RouteReport", "scf_check",
     "string_code", "theta_special", "to_decimal",

@@ -1,5 +1,7 @@
-"""Smoke test of tools/sweep.py at small widths: one row per width with
-2^N leaves and as many body runs, and a slope line per functional."""
+"""Smoke tests of tools/sweep.py: at small widths, one row per width
+with 2^N leaves and as many body runs, and a slope line per functional;
+at small event indices, one row per route and m whose witness is m and
+whose search bound is at least m, and a slope line per route."""
 
 from __future__ import annotations
 
@@ -35,3 +37,36 @@ def test_sweep_refuses_an_empty_range():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "FIRST < LAST" in proc.stderr
+
+
+EVENT_ROW = re.compile(
+    r"(ubin|wwkl|ivt|dq) +(\d+) +(\d+) +(\d+|<2\^\d+|none) +(\d+) +\d+\.\d{6}")
+
+
+def test_event_sweep_recovers_each_event_within_its_bound():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"),
+         "--src", str(ROOT / "src"), "--events", "2", "16"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [m.groups() for m in map(EVENT_ROW.fullmatch, proc.stdout.splitlines())
+            if m]
+    assert [(route, int(m)) for route, m, *_ in rows] == \
+        [(route, m) for route in ("ubin", "wwkl", "ivt", "dq")
+         for m in (2, 4, 8, 16)]
+    for route, m, witness, xi, bound in rows:
+        assert int(witness) == int(m) <= int(bound)
+        assert (xi == "none") == (route == "dq")
+    slopes = re.findall(r"^(\w+): log2 slope -?\d+\.\d{3}$", proc.stdout, re.M)
+    assert slopes == ["ubin", "wwkl", "ivt", "dq"]
+    # the width sweep runs only when asked for or when nothing else is
+    assert "functional" not in proc.stdout
+
+
+def test_event_sweep_refuses_a_grid_of_one_point():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"),
+         "--src", str(ROOT / "src"), "--events", "5", "9"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "2 FIRST <= LAST" in proc.stderr

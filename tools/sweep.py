@@ -1,9 +1,16 @@
-"""Fan-width sweep: what the fan replay costs as the width N grows.
+"""Sweeps along the fan width N and the event index m.
+
+The width sweep measures what the fan replay costs as N grows, and the
+event sweep what each route costs as m grows:
 
     python3 tools/sweep.py --src src --widths 8 16
+    python3 tools/sweep.py --src src --events 1000 64000
 
-For each of sum:N and max:N and each N in the range, runs the fan
-replay in process, loaded from ``--src``, and prints one row:
+Both run in process, with mulab loaded from ``--src``.  With neither
+option the width sweep runs at its default range.
+
+Width sweep: for each of sum:N and max:N and each N in the range, runs
+the fan replay and prints one row:
 
 * leaves: the leaves of the body's decision tree (2^N for these two);
 * runs: the body runs it took, counted on a wrapped copy of the body
@@ -15,31 +22,50 @@ After each functional's rows it prints the least-squares slope of
 log2(best_s) against N.  A slope of 1 means the time doubles with each
 added width, as the leaf count does: constant time per leaf.  Leaves
 and runs do not depend on the machine; the times do.
+
+Event sweep: for m on the doubling grid FIRST, 2 FIRST, 4 FIRST, ... up
+to LAST, runs ubin, wwkl and ivt on the flag prefix=[1]*m+[0];tail=[1]
+(event m) and dq on its mirror prefix=[0]*m+[1];tail=[0] (first nonzero
+at m), each through its extraction in mulab.extractors, and prints one
+row per route and m: the witness, xi_bound, search_bound ("none" where
+the route reports none, and "<2^B" for a bound past 10^15 with B its bit
+length) and the best of 3 timed extraction calls, each on a freshly
+parsed flag.  After each route's rows it prints the least-squares slope
+of log2(best_s) against log2(m): 1 is time linear in m, 2 quadratic.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from math import log2
 from pathlib import Path
 
 KINDS = ("sum", "max")
+# route -> (extraction in mulab.extractors, flag with event m)
+ROUTES = {
+    "ubin": ("ubin_extraction", "prefix=[{ones}0];tail=[1]"),
+    "wwkl": ("uwwkl_extraction", "prefix=[{ones}0];tail=[1]"),
+    "ivt": ("uivt_extraction", "prefix=[{ones}0];tail=[1]"),
+    "dq": ("udq_extraction", "prefix=[{zeros}1];tail=[0]"),
+}
 REPEATS = 3
 NODE_BUDGET = 1 << 40  # far past any width run here: the sweep never cuts
 
 
-def _load(src: Path):
+def _load(src: Path, name: str):
+    """The module mulab.<name>, imported from src."""
     sys.path.insert(0, str(src))
-    import mulab.functionals
-    if src not in Path(mulab.functionals.__file__).resolve().parents:
-        raise ImportError(f"mulab.functionals imported from "
-                          f"{mulab.functionals.__file__}, not from {src}")
-    return mulab.functionals
+    module = importlib.import_module(f"mulab.{name}")
+    if src not in Path(module.__file__).resolve().parents:
+        raise ImportError(f"mulab.{name} imported from {module.__file__}, "
+                          f"not from {src}")
+    return module
 
 
-def _slope(xs: list[int], ys: list[float]) -> float:
+def _slope(xs: list[float], ys: list[float]) -> float:
     """Least-squares slope of ys against xs."""
     mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
     spread = sum((x - mean_x) ** 2 for x in xs)
@@ -64,19 +90,24 @@ def sweep(functionals, kind: str, widths: range) -> list[tuple[int, int, int, fl
     return rows
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=Path("src"),
-                        help="directory holding the mulab package")
-    parser.add_argument("--widths", type=int, nargs=2, default=(8, 16),
-                        metavar=("FIRST", "LAST"),
-                        help="the widths N to run, both ends included "
-                             "(default: 8 16)")
-    args = parser.parse_args(argv)
-    first, last = args.widths
-    if not 1 <= first < last:
-        parser.error("--widths needs 1 <= FIRST < LAST")
-    functionals = _load(args.src.resolve())
+def event_sweep(extractors, sequences, route: str, events: list[int]
+                ) -> list[tuple[int, object, object, object, float]]:
+    """Rows (m, witness, xi_bound, search_bound, best_s) for the route."""
+    extraction, template = ROUTES[route]
+    rows = []
+    for m in events:
+        text = template.format(ones="1," * m, zeros="0," * m)
+        best = float("inf")
+        for _ in range(REPEATS):
+            f = sequences.parse_sequence(text)
+            start = time.perf_counter()
+            rep = getattr(extractors, extraction)(f)
+            best = min(best, time.perf_counter() - start)
+        rows.append((m, rep.witness, rep.xi_bound, rep.search_bound, best))
+    return rows
+
+
+def _print_widths(functionals, first: int, last: int) -> None:
     for kind in KINDS:
         rows = sweep(functionals, kind, range(first, last + 1))
         print(f"{'functional':<10} {'leaves':>8} {'runs':>8} "
@@ -86,6 +117,55 @@ def main(argv: list[str] | None = None) -> int:
                   f"{best:>10.6f} {best / leaves * 1e6:>11.2f}")
         slope = _slope([n for n, *_ in rows], [log2(best) for *_, best in rows])
         print(f"{kind}: log2 slope {slope:.3f}\n")
+
+
+def _cell(value: int | None) -> str:
+    """A bound as printed: "none", the number, or past 10^15 "<2^B" with
+    B its bit length (wwkl's Xi grows like 2^m)."""
+    if value is None:
+        return "none"
+    return str(value) if value < 10 ** 15 else f"<2^{value.bit_length()}"
+
+
+def _print_events(extractors, sequences, first: int, last: int) -> None:
+    events = [first << i for i in range((last // first).bit_length())]
+    for route in ROUTES:
+        rows = event_sweep(extractors, sequences, route, events)
+        print(f"{'route':<5} {'m':>8} {'witness':>8} {'xi_bound':>12} "
+              f"{'search_bound':>12} {'best_s':>10}")
+        for m, witness, xi, bound, best in rows:
+            print(f"{route:<5} {m:>8} {_cell(witness):>8} {_cell(xi):>12} "
+                  f"{_cell(bound):>12} {best:>10.6f}")
+        slope = _slope([log2(m) for m, *_ in rows],
+                       [log2(best) for *_, best in rows])
+        print(f"{route}: log2 slope {slope:.3f}\n")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path("src"),
+                        help="directory holding the mulab package")
+    parser.add_argument("--widths", type=int, nargs=2, default=None,
+                        metavar=("FIRST", "LAST"),
+                        help="the widths N to run, both ends included "
+                             "(default, when --events is not given: 8 16)")
+    parser.add_argument("--events", type=int, nargs=2, default=None,
+                        metavar=("FIRST", "LAST"),
+                        help="run the event sweep on m = FIRST, 2 FIRST, "
+                             "4 FIRST, ... up to LAST")
+    args = parser.parse_args(argv)
+    if args.widths is None and args.events is None:
+        args.widths = (8, 16)
+    if args.widths is not None and not 1 <= args.widths[0] < args.widths[1]:
+        parser.error("--widths needs 1 <= FIRST < LAST")
+    if args.events is not None and not 1 <= 2 * args.events[0] <= args.events[1]:
+        parser.error("--events needs 1 <= FIRST and 2 FIRST <= LAST")
+    src = args.src.resolve()
+    if args.widths is not None:
+        _print_widths(_load(src, "functionals"), *args.widths)
+    if args.events is not None:
+        _print_events(_load(src, "extractors"), _load(src, "sequences"),
+                      *args.events)
     return 0
 
 
