@@ -10,9 +10,9 @@ with its never-firing version below the first flag index, and reads that
 index out of a bounded search whose bound comes from tracing the
 functional's queries on both objects.  The pairs made of reals come
 from one device, ``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the
-ivt base's values +- delta(f), and the two-bump values w +- w * delta(f),
-where w is one of two piecewise-linear tents, so the heights at their
-peaks are 1 +- delta(f).
+ivt base's values +- delta(f), and the two-bump heights 1 +- delta(f).
+The two-bump pair is only its two peak heights, since the argmax reads
+nothing else; it has no Xi and is not a route.
 
 The three pair-based routes are Route records, and calling one runs
 that argument through a single shared loop.  The counterexample pairs
@@ -166,7 +166,6 @@ class BinaryExpansion:
     """
 
     def __init__(self, x: FastCauchyReal, mu: MuOp):
-        self.real = x
         self._value = x.exact_value(mu)
         if self._value < 0 or self._value > 1:
             raise OutOfRange(f"expansion needs [0,1], got {self._value}")
@@ -228,8 +227,7 @@ def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
                   ) -> tuple[bool, dict]:
     d_minus = phi(x_minus).digit(1)
     d_plus = phi(x_plus).digit(1)
-    return d_minus != d_plus, {"digit_minus": d_minus, "digit_plus": d_plus,
-                               "x_minus": x_minus, "x_plus": x_plus}
+    return d_minus != d_plus, {"digit_minus": d_minus, "digit_plus": d_plus}
 
 
 # indices 0 and 1 are settled directly; past them the pair stays in [0,1]
@@ -527,13 +525,13 @@ uivt_extraction = Route(
 
 
 # ---------------------------------------------------------------------------
-# maximum-location route
+# maximum-location pair
 
 class TwoBump(Value, eq=False):
-    """Piecewise-linear two-bump function: peaks at 1/4 and 3/4 with
-    flag-dependent heights, zero at 0, 1/2, and 1."""
+    """The two-bump function, piecewise linear with peaks at 1/4 and 3/4
+    and zero at 0, 1/2 and 1, given by its two peak heights."""
 
-    _fields = ("fn", "left_height", "right_height")
+    _fields = ("left_height", "right_height")
 
     def argmax(self, mu: MuOp = mu_exact) -> Fraction:
         left = self.left_height.exact_value(mu)
@@ -541,30 +539,12 @@ class TwoBump(Value, eq=False):
         return Fraction(1, 4) if left >= right else Fraction(3, 4)
 
 
-# the two-bump weights: a tent on [0, 1/2] peaking at 1/4, one on [1/2, 1] at 3/4
-_LEFT_TENT = PiecewiseLinear(((0, 0), (Fraction(1, 4), 1), (Fraction(1, 2), 0), (1, 0)))
-_RIGHT_TENT = PiecewiseLinear(((0, 0), (Fraction(1, 2), 0), (Fraction(3, 4), 1), (1, 0)))
-
-
-def _bump_function(f: PresentedSequence, left_sign: int) -> TwoBump:
-    h_left = flag_shifted(1, left_sign, f)
-    h_right = flag_shifted(1, -left_sign, f)
-
-    def rule(q: Fraction) -> FastCauchyReal:
-        tent, sign = ((_RIGHT_TENT, -left_sign) if q > Fraction(1, 2)
-                      else (_LEFT_TENT, left_sign))
-        weight = tent.value(q)
-        return flag_shifted(weight, sign * weight, f)
-
-    sign = "+" if left_sign > 0 else "-"
-    return TwoBump(RepresentedContinuousFunction(rule, f"two-bump{sign}"),
-                   h_left, h_right)
-
-
 def weierstrass_counterexample(f: PresentedSequence) -> tuple[TwoBump, TwoBump]:
-    """(plus, minus): plus peaks higher on the left, minus mirrors it.
-    Their argmax locations agree exactly when the flag never fires."""
-    return _bump_function(f, +1), _bump_function(f, -1)
+    """(plus, minus): plus peaks at 1 + delta(f) on the left and 1 -
+    delta(f) on the right, minus mirrors it.  Their argmax locations
+    agree exactly when the flag never fires."""
+    up, down = flag_shifted(1, 1, f), flag_shifted(1, -1, f)
+    return TwoBump(up, down), TwoBump(down, up)
 
 
 # ---------------------------------------------------------------------------

@@ -1006,8 +1006,11 @@ def replay(f: Formula, trace: RuleTrace) -> Formula:
 def extraction_obligation(nf: NormalForm) -> Formula:
     """The internal statement that realizes a normal form: plain
     universals over the forall block, then each existential witnessed
-    inside a fresh term applied to the universals."""
-    names = _Names(_scan(nf.to_formula())[0])
+    inside a fresh term applied to the universals.  Taken are the names
+    of the matrix and the block variables, all of nf.to_formula()'s."""
+    taken = _scan(nf.matrix)[0]
+    taken.update(v for v, _t in nf.foralls + nf.exists)
+    names = _Names(taken)
     single = len(nf.exists) == 1
     body = nf.matrix
     witness_names = [names.fresh("t" if single else f"t{j + 1}")

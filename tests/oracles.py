@@ -408,9 +408,9 @@ def reference_uivt_phi(mu):
 #
 # Before one flag-shifted real built them all, every route wrote its own
 # rational moved by +-delta(f) as a tree of a general sum-and-scale
-# algebra of presentations, and the two-bump tents were inline
-# arithmetic.  That algebra is kept here as the reference; the shared
-# constructions must give the same approximation rows and exact values.
+# algebra of presentations.  That algebra is kept here as the reference;
+# the shared constructions must give the same approximation rows and
+# exact values.
 
 class PCumFlagSeries(Presentation, Value):
     """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or
@@ -482,29 +482,12 @@ def reference_ivt_counterexample(f, sign):
 
 
 def reference_two_bump(f, left_sign):
-    """Tents through (0,0), (1/4, h_left), (1/2,0) and (1/2,0),
-    (3/4, h_right), (1,0), with heights 1 +- delta(f)."""
+    """The two-bump heights 1 +- delta(f) at the peaks 1/4 and 3/4."""
     one = PRational(Fraction(1))
     delta = PCumFlagSeries(f)
     h_left = PSum(one, PScale(Fraction(left_sign), delta))
     h_right = PSum(one, PScale(Fraction(-left_sign), delta))
-
-    def rule(q):
-        q = Fraction(q)
-        if q < 0 or q > 1:
-            raise OutOfRange(f"{q} outside [0,1]")
-        if q <= Fraction(1, 2):
-            weight = 4 * q if q <= Fraction(1, 4) else 4 * (Fraction(1, 2) - q)
-            return FastCauchyReal(PScale(weight, h_left) if weight else
-                                  PRational(Fraction(0)))
-        weight = (4 * (q - Fraction(1, 2)) if q <= Fraction(3, 4)
-                  else 4 * (1 - q))
-        return FastCauchyReal(PScale(weight, h_right) if weight else
-                              PRational(Fraction(0)))
-
-    sign = "+" if left_sign > 0 else "-"
-    fn = RepresentedContinuousFunction(rule, f"two-bump{sign}")
-    return TwoBump(fn, FastCauchyReal(h_left), FastCauchyReal(h_right))
+    return TwoBump(FastCauchyReal(h_left), FastCauchyReal(h_right))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mulab.cli
 from mulab.cli import RunReport, _text, main
@@ -724,6 +724,80 @@ def fan_arguments(draw):
 def test_valid_flags_exit_zero(route, flag):
     code, _, err = run_captured(route, "--flag", flag)
     assert (code, err) == (0, "")
+
+
+@st.composite
+def long_flags(draw):
+    """(prefix, tail) of a flag at the hard cases: a prefix of nonzero
+    fill 1-9 whose length is log-uniform up to 1000, one zero at a drawn
+    index of it or none, and a tail of period 1-4 with values 0-9."""
+    bits = draw(st.integers(0, 10))
+    length = draw(st.integers(1 << bits >> 1, min(1 << bits, 1000)))
+    fill = draw(st.randoms(use_true_random=False))
+    prefix = [fill.randint(1, 9) for _ in range(length)]
+    if length:
+        zero = draw(st.none() | st.integers(0, length - 1))
+        if zero is not None:
+            prefix[zero] = 0
+    return prefix, draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))
+
+
+# the far end of the range: an event in the prefix at 999, and one in
+# the tail at 1001
+LONG_EXAMPLES = [([1] * 999 + [0], [1]), ([7] * 1000, [3, 0])]
+
+
+def flag_text(prefix, tail) -> str:
+    return (f"prefix=[{','.join(map(str, prefix))}];"
+            f"tail=[{','.join(map(str, tail))}]")
+
+
+def first_index(prefix, tail, hit) -> str:
+    """The first index whose value hits, by a scan of the prefix and one
+    period, as the route reports it."""
+    return next((str(i) for i, v in enumerate(prefix + tail) if hit(v)), "none")
+
+
+@pytest.mark.parametrize("route", ["ubin", "wwkl", "ivt"])
+@settings(max_examples=30, deadline=None)
+@given(flag=long_flags())
+@example(flag=LONG_EXAMPLES[0])
+@example(flag=LONG_EXAMPLES[1])
+def test_long_flags_agree_with_a_direct_scan(route, flag):
+    code, out, err = run_captured(route, "--flag", flag_text(*flag))
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    event = first_index(*flag, lambda v: v == 0)
+    assert (got["witness"], got["mu_exact"]) == (event, event)
+    assert got["fired"] == str(event != "none")
+    assert got["agrees_with_direct_search"] == "True"
+
+
+@settings(max_examples=30, deadline=None)
+@given(flag=long_flags())
+@example(flag=LONG_EXAMPLES[0])
+@example(flag=LONG_EXAMPLES[1])
+def test_long_flags_and_their_mirrors_find_the_first_nonzero(flag):
+    # the mirror swaps zero and nonzero, so its first nonzero lies deep
+    prefix, tail = flag
+    for flag in (flag, ([int(not v) for v in prefix], [int(not v) for v in tail])):
+        code, out, err = run_captured("dq", "--flag", flag_text(*flag))
+        assert (code, err) == (0, "")
+        witness = first_index(*flag, lambda v: v != 0)
+        assert fields_of(out)["witness"] == witness
+
+
+@settings(max_examples=30, deadline=None)
+@given(flag=long_flags())
+@example(flag=LONG_EXAMPLES[0])
+@example(flag=LONG_EXAMPLES[1])
+def test_long_flags_split_the_argmaxes_exactly_when_they_fire(flag):
+    code, out, err = run_captured("weier", "--flag", flag_text(*flag))
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    quiet = first_index(*flag, lambda v: v == 0) == "none"
+    assert got["argmaxes_equal"] == str(quiet)
+    assert got["event"] == str(not quiet)
 
 
 @settings(max_examples=25, deadline=None)

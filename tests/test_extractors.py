@@ -753,22 +753,10 @@ def test_two_bump_argmax_ties_left_without_event():
     assert plus.left_height.exact_value() == plus.right_height.exact_value() == 1
 
 
-def test_two_bump_values():
-    plus, _ = weierstrass_counterexample(flag_with_event_at(3))
-    fn = plus.fn
-    assert fn.value_at(Fraction(0)) == 0
-    assert fn.value_at(Fraction(1, 2)) == 0
-    assert fn.value_at(Fraction(1)) == 0
-    assert fn.value_at(Fraction(1, 4)) == Fraction(5, 4)
-    assert fn.value_at(Fraction(3, 4)) == Fraction(3, 4)
-    assert fn.value_at(Fraction(1, 8)) == Fraction(5, 8)
-    with pytest.raises(OutOfRange):
-        fn.value_at(Fraction(-1, 8))
-
-
 # the flag-shifted reals against the routes' own spellings of them in
-# tests/oracles.py: the same rows and exact values at the tents'
-# breakpoints and between them, and the same error past [0, 1]
+# tests/oracles.py: the same rows and exact values for the two-bump
+# heights, the ubin pair and the ivt values at breakpoints and between
+# them, and the same error past [0, 1]
 _BREAKPOINTS = [Fraction(q) for q in ("0", "1/4", "1/3", "1/2", "2/3", "3/4", "1")]
 _outside = st.one_of(
     st.fractions(min_value=-4, max_value=0, max_denominator=64).filter(lambda q: q < 0),
@@ -789,12 +777,11 @@ def test_flag_shifts_build_the_routes_old_objects(f, sign, q, outside):
     old_bump = reference_two_bump(f, sign)
     _same_real(bump.left_height, old_bump.left_height)
     _same_real(bump.right_height, old_bump.right_height)
-    for new, old in ((ivt_counterexample(f, mode), reference_ivt_counterexample(f, mode)),
-                     (bump.fn, old_bump.fn)):
-        assert new.descriptor == old.descriptor
-        _same_real(new.value_rule(q), old.value_rule(q))
-        assert _read(new.value_rule, outside) == _read(old.value_rule, outside) == (
-            OutOfRange, f"{outside} outside [0,1]")
+    new, old = ivt_counterexample(f, mode), reference_ivt_counterexample(f, mode)
+    assert new.descriptor == old.descriptor
+    _same_real(new.value_rule(q), old.value_rule(q))
+    assert _read(new.value_rule, outside) == _read(old.value_rule, outside) == (
+        OutOfRange, f"{outside} outside [0,1]")
     for new, old in zip(counterexample_pair(f), reference_ubin_pair(f)):
         _same_real(new, old)
 

@@ -826,6 +826,9 @@ def test_obligation_numbers_multiple_witnesses():
 def test_obligation_avoids_name_capture():
     nf = NormalForm((), (("x", Base()),), Atom("p", ("x", "t")))
     assert extraction_obligation(nf).bound == "t2"
+    # a forall variable the matrix never mentions is taken too
+    nf = NormalForm((("t", Base()),), (("x", Base()),), Atom("p", ("x",)))
+    assert extraction_obligation(nf).body.bound == App("t2", ("t",))
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
     assert x.approx(n) == PFlagShift(base, factor, altered).approx(n) == expected
 
 
-# factors with a precision shift of 0 (0, +-1 and the two-bump weights)
+# factors with a precision shift of 0 (0, +-1 and weights in [0, 1])
 # and of 1 or 2 (-3, 5/2 and the rest of [-4, 4])
 _weights = st.fractions(min_value=0, max_value=1, max_denominator=64)
 _factors = st.one_of(

@@ -1,7 +1,9 @@
 """Smoke tests of tools/sweep.py: at small widths, one row per width
 with 2^N leaves and as many body runs, and a slope line per functional;
 at small event indices, one row per route and m whose witness is m and
-whose search bound is at least m, and a slope line per route."""
+whose search bound is at least m, and a slope line per route; at small
+formula sizes, one row per family and k with the family's step count,
+and a slope line per family."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,3 +74,36 @@ def test_event_sweep_refuses_a_grid_of_one_point():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "2 FIRST <= LAST" in proc.stderr
+
+
+SIZE_ROW = re.compile(
+    r"(pull|flip|herbrand|negation) +(\d+) +(\d+) +\d+\.\d{6} +\d+\.\d{2}")
+STEPS = {"pull": lambda k: k * (k + 1) // 2, "flip": lambda k: k,
+         "herbrand": lambda k: k + 2, "negation": lambda k: 2 * k}
+
+
+def test_size_sweep_takes_each_familys_steps():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"),
+         "--src", str(ROOT / "src"), "--sizes", "2", "16"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [m.groups() for m in map(SIZE_ROW.fullmatch, proc.stdout.splitlines())
+            if m]
+    assert [(family, int(k)) for family, k, _ in rows] == \
+        [(family, k) for family in STEPS for k in (2, 4, 8, 16)]
+    for family, k, steps in rows:
+        assert int(steps) == STEPS[family](int(k))
+    slopes = re.findall(r"^(\w+): log2 slope -?\d+\.\d{3}$", proc.stdout, re.M)
+    assert slopes == list(STEPS)
+    assert "functional" not in proc.stdout
+
+
+@pytest.mark.parametrize("sizes", [("3", "8"), ("0", "8"), ("4", "7")])
+def test_size_sweep_refuses_an_odd_or_short_grid(sizes):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"),
+         "--src", str(ROOT / "src"), "--sizes", *sizes],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "even FIRST >= 2 and 2 FIRST <= LAST" in proc.stderr

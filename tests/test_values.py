@@ -120,8 +120,8 @@ VALUES = {
                         "PiecewiseLinear(points=((0, 0), (Fraction(1, 2), 1), (1, 0)))",
                         ("points",)),
     "RepresentedContinuousFunction": (smooth, SMOOTH, None),
-    "TwoBump": (lambda: TwoBump(smooth(), half(), half()),
-                f"TwoBump(fn={SMOOTH}, left_height={HALF}, right_height={HALF})",
+    "TwoBump": (lambda: TwoBump(half(), half()),
+                f"TwoBump(left_height={HALF}, right_height={HALF})",
                 None),
     "RationalWitness": (lambda: RationalWitness(Q(7, 8), "dq-series"),
                         "RationalWitness(value=Fraction(7, 8), certificate='dq-series')",

@@ -1,13 +1,15 @@
-"""Sweeps along the fan width N and the event index m.
+"""Sweeps along the fan width N, the event index m and the formula size k.
 
-The width sweep measures what the fan replay costs as N grows, and the
-event sweep what each route costs as m grows:
+The width sweep measures what the fan replay costs as N grows, the
+event sweep what each route costs as m grows, and the size sweep what
+the normalizer costs as k grows:
 
     python3 tools/sweep.py --src src --widths 8 16
     python3 tools/sweep.py --src src --events 1000 64000
+    python3 tools/sweep.py --src src --sizes 8 512
 
-Both run in process, with mulab loaded from ``--src``.  With neither
-option the width sweep runs at its default range.
+All run in process, with mulab loaded from ``--src``.  With none of the
+three options the width sweep runs at its default range.
 
 Width sweep: for each of sum:N and max:N and each N in the range, runs
 the fan replay and prints one row:
@@ -32,16 +34,29 @@ the route reports none, and "<2^B" for a bound past 10^15 with B its bit
 length) and the best of 3 timed extraction calls, each on a freshly
 parsed flag.  After each route's rows it prints the least-squares slope
 of log2(best_s) against log2(m): 1 is time linear in m, 2 quadratic.
+
+Size sweep: for k on the doubling grid FIRST, 2 FIRST, ... up to LAST
+(FIRST even, so every negation depth is even), takes the text of the
+pull, flip, herbrand and negation formulas of size k from the benchmark's
+``perfbench/workloads.py`` (read only, at a fixed seed) and runs
+``to_normal_form`` on each.  It prints one row per family and k: the
+rewrite steps (k(k+1)/2 for pull, k for flip, k+2 for herbrand and 2k
+for negation), the best of 3 timed calls, each on a freshly parsed
+formula, and the microseconds per step.  After each family's rows it
+prints the least-squares slope of log2(best_s) against log2(k).
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import random
 import sys
 import time
 from math import log2
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 KINDS = ("sum", "max")
 # route -> (extraction in mulab.extractors, flag with event m)
@@ -51,6 +66,14 @@ ROUTES = {
     "ivt": ("uivt_extraction", "prefix=[{ones}0];tail=[1]"),
     "dq": ("udq_extraction", "prefix=[{zeros}1];tail=[0]"),
 }
+# family -> the workload op of size k; its argv ends with the formula text
+FAMILIES = {
+    "pull": lambda workloads, rng, k: workloads.pull_formula(rng, k),
+    "flip": lambda workloads, rng, k: workloads.flip_formula(rng, k),
+    "herbrand": lambda workloads, rng, k: workloads.herbrand_formula(rng, k),
+    "negation": lambda workloads, rng, k: workloads.negation_formula(k),
+}
+FAMILY_SEED = 0
 REPEATS = 3
 NODE_BUDGET = 1 << 40  # far past any width run here: the sweep never cuts
 
@@ -63,6 +86,11 @@ def _load(src: Path, name: str):
         raise ImportError(f"mulab.{name} imported from {module.__file__}, "
                           f"not from {src}")
     return module
+
+
+def _doubling(first: int, last: int) -> list[int]:
+    """FIRST, 2 FIRST, 4 FIRST, ... up to LAST."""
+    return [first << i for i in range((last // first).bit_length())]
 
 
 def _slope(xs: list[float], ys: list[float]) -> float:
@@ -107,6 +135,22 @@ def event_sweep(extractors, sequences, route: str, events: list[int]
     return rows
 
 
+def size_sweep(formulas, workloads, family: str, sizes: list[int]
+               ) -> list[tuple[int, int, float]]:
+    """Rows (k, steps, best_s) for the family."""
+    rows = []
+    for k in sizes:
+        text = FAMILIES[family](workloads, random.Random(FAMILY_SEED), k).argv[-1]
+        best = float("inf")
+        for _ in range(REPEATS):
+            f = formulas.parse_formula(text)
+            start = time.perf_counter()
+            _, trace = formulas.to_normal_form(f)
+            best = min(best, time.perf_counter() - start)
+        rows.append((k, len(trace.steps), best))
+    return rows
+
+
 def _print_widths(functionals, first: int, last: int) -> None:
     for kind in KINDS:
         rows = sweep(functionals, kind, range(first, last + 1))
@@ -128,9 +172,8 @@ def _cell(value: int | None) -> str:
 
 
 def _print_events(extractors, sequences, first: int, last: int) -> None:
-    events = [first << i for i in range((last // first).bit_length())]
     for route in ROUTES:
-        rows = event_sweep(extractors, sequences, route, events)
+        rows = event_sweep(extractors, sequences, route, _doubling(first, last))
         print(f"{'route':<5} {'m':>8} {'witness':>8} {'xi_bound':>12} "
               f"{'search_bound':>12} {'best_s':>10}")
         for m, witness, xi, bound, best in rows:
@@ -139,6 +182,22 @@ def _print_events(extractors, sequences, first: int, last: int) -> None:
         slope = _slope([log2(m) for m, *_ in rows],
                        [log2(best) for *_, best in rows])
         print(f"{route}: log2 slope {slope:.3f}\n")
+
+
+def _print_sizes(formulas, first: int, last: int) -> None:
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    for family in FAMILIES:
+        rows = size_sweep(formulas, workloads, family, _doubling(first, last))
+        print(f"{'family':<8} {'k':>6} {'steps':>8} {'best_s':>10} "
+              f"{'us_per_step':>11}")
+        for k, steps, best in rows:
+            print(f"{family:<8} {k:>6} {steps:>8} {best:>10.6f} "
+                  f"{best / steps * 1e6:>11.2f}")
+        slope = _slope([log2(k) for k, *_ in rows],
+                       [log2(best) for *_, best in rows])
+        print(f"{family}: log2 slope {slope:.3f}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,19 +212,29 @@ def main(argv: list[str] | None = None) -> int:
                         metavar=("FIRST", "LAST"),
                         help="run the event sweep on m = FIRST, 2 FIRST, "
                              "4 FIRST, ... up to LAST")
+    parser.add_argument("--sizes", type=int, nargs=2, default=None,
+                        metavar=("FIRST", "LAST"),
+                        help="run the size sweep on k = FIRST, 2 FIRST, "
+                             "4 FIRST, ... up to LAST")
     args = parser.parse_args(argv)
-    if args.widths is None and args.events is None:
+    if args.widths is None and args.events is None and args.sizes is None:
         args.widths = (8, 16)
     if args.widths is not None and not 1 <= args.widths[0] < args.widths[1]:
         parser.error("--widths needs 1 <= FIRST < LAST")
     if args.events is not None and not 1 <= 2 * args.events[0] <= args.events[1]:
         parser.error("--events needs 1 <= FIRST and 2 FIRST <= LAST")
+    if args.sizes is not None and not (
+            args.sizes[0] >= 2 and args.sizes[0] % 2 == 0
+            and 2 * args.sizes[0] <= args.sizes[1]):
+        parser.error("--sizes needs an even FIRST >= 2 and 2 FIRST <= LAST")
     src = args.src.resolve()
     if args.widths is not None:
         _print_widths(_load(src, "functionals"), *args.widths)
     if args.events is not None:
         _print_events(_load(src, "extractors"), _load(src, "sequences"),
                       *args.events)
+    if args.sizes is not None:
+        _print_sizes(_load(src, "formulas"), *args.sizes)
     return 0
 
 
