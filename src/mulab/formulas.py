@@ -560,8 +560,8 @@ class RuleTrace(Value):
 # A rule is the node type it fires at, a guard, which says whether it
 # fires at a node of that type and a given polarity, and a builder, which
 # rewrites a node its guard accepts.  Only builders draw fresh names.
-# Guards that need to know whether a subtree is internal ask the
-# `internal(subtree, polarity)` they are passed.
+# Guards that need to know whether a subtree is internal ask
+# `_internal(subtree, polarity)`, which reads the subtree's summary.
 
 
 def _run(f: Formula, kind: str, number: bool = False) -> tuple[list[Quant], Formula]:
@@ -575,7 +575,7 @@ def _run(f: Formula, kind: str, number: bool = False) -> tuple[list[Quant], Form
     return block, f
 
 
-def _r1a_guard(node: Implies, pol: int, internal) -> bool:
+def _r1a_guard(node: Implies, pol: int) -> bool:
     return (isinstance(node.left, Quant) and node.left.kind == "ex"
             and node.left.st)
 
@@ -587,7 +587,7 @@ def _r1a(node: Implies, names: _Names):
                  Implies(q.body, node.right)), _EQ
 
 
-def _r2_guard(node: Implies, pol: int, internal) -> bool:
+def _r2_guard(node: Implies, pol: int) -> bool:
     chain, cur = _run(node.left, "all")
     return bool(chain) and isinstance(cur, Quant) and cur.kind == "ex" and cur.st
 
@@ -622,7 +622,7 @@ def _r2(node: Implies, names: _Names):
                  Implies(inner, node.right)), _EQ
 
 
-def _r3_guard(node: Quant, pol: int, internal) -> bool:
+def _r3_guard(node: Quant, pol: int) -> bool:
     return (pol < 0 and node.kind == "all" and node.st
             and not isinstance(node.vtype, Base))
 
@@ -634,7 +634,7 @@ def _r3(node: Quant, names: _Names):
                  node.mono), _IMP
 
 
-def _p4_guard(node: Implies, pol: int, internal) -> bool:
+def _p4_guard(node: Implies, pol: int) -> bool:
     return (isinstance(node.right, Quant) and node.right.kind == "all"
             and node.right.st)
 
@@ -648,9 +648,9 @@ def _pull(node: Implies, names: _Names):
                  Implies(node.left, q.body), mono=q.mono), _EQ
 
 
-def _r1b_guard(node: Implies, pol: int, internal) -> bool:
+def _r1b_guard(node: Implies, pol: int) -> bool:
     chain, cur = _run(node.left, "all", number=True)
-    return bool(chain) and internal(cur, -pol)
+    return bool(chain) and _internal(cur, -pol)
 
 
 def _r1b(node: Implies, names: _Names):
@@ -667,11 +667,11 @@ def _r1b(node: Implies, names: _Names):
                  Implies(guarded, node.right), mono=True), _EQ
 
 
-def _r1c_guard(node: Implies, pol: int, internal) -> bool:
+def _r1c_guard(node: Implies, pol: int) -> bool:
     q = node.right
     return (isinstance(q, Quant) and q.kind == "ex" and q.st
             and isinstance(q.vtype, Base) and not q.mono
-            and internal(q.body, pol))
+            and _internal(q.body, pol))
 
 
 def _r1c(node: Implies, names: _Names):
@@ -686,17 +686,17 @@ def _r1c(node: Implies, names: _Names):
                  Implies(node.left, inner), mono=True), _EQ
 
 
-def _p7_guard(node: Implies, pol: int, internal) -> bool:
+def _p7_guard(node: Implies, pol: int) -> bool:
     q = node.right
     return (isinstance(q, Quant) and q.kind == "ex" and q.st
             and (not isinstance(q.vtype, Base) or q.mono))
 
 
-def _r4_guard(node: Quant, pol: int, internal) -> bool:
+def _r4_guard(node: Quant, pol: int) -> bool:
     if node.kind != "all" or node.st:
         return False
     block, cur = _run(node.body, "ex")
-    return bool(block) and internal(cur, pol)
+    return bool(block) and _internal(cur, pol)
 
 
 def _r4(node: Quant, names: _Names):
@@ -714,7 +714,7 @@ def _r4(node: Quant, names: _Names):
     return result, _EQ
 
 
-def _p9_guard(node: Not, pol: int, internal) -> bool:
+def _p9_guard(node: Not, pol: int) -> bool:
     return isinstance(node.body, Quant) and node.body.st
 
 
@@ -804,7 +804,7 @@ def _summarize(f: Formula, p: int) -> int:
               if t is Implies else _GUARDS[t])
     here = 0
     for bit, guard in guards:
-        if guard(f, p, _internal):
+        if guard(f, p):
             here |= bit
     below = here | _MARKED if _is_marked(f) else here
     for i, k in enumerate(_children(f)):

@@ -11,6 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from mulab.coding import cantor_unpair, dyadic_value
@@ -37,8 +38,14 @@ from mulab.extractors import (
     uwwkl_repr_bits,
 )
 from mulab.formulas import parse_formula, to_normal_form
-from mulab.functionals import TracedRealView, catalog_functional, omega_fan
-from mulab.reals import dq_real, flag_shifted, from_rational
+from mulab.functionals import (
+    TracedRealView,
+    catalog_functional,
+    e2_from_mu,
+    mu_from_e2,
+    omega_fan,
+)
+from mulab.reals import _first_nonzero_via, dq_real, flag_shifted, from_rational
 from mulab.sequences import PresentedSequence, mu_exact
 from mulab.trees import (
     FlagTree,
@@ -50,6 +57,7 @@ from mulab.trees import (
 )
 
 from oracles import alpha_equal, scan_first_nonzero, scan_first_zero, string_decode
+from test_extractors import counting
 from test_formulas import FIXTURES, fixture_text
 
 CORPUS = flag_corpus(seed=0)
@@ -385,3 +393,53 @@ def test_criterion_8_extensionality_contract():
             lambda fn, k: uivt_repr_endpoints(TracedTableView(fn), k),
             _tables_agree_below)
         assert nonvacuous >= 3
+
+
+# --- criterion 9 machinery ---------------------------------------------
+
+# route -> (its extraction, its phi from a first-zero search)
+ROUTES = {
+    "ubin": (ubin_extraction, ubin_from_mu),
+    "wwkl": (uwwkl_extraction, uwwkl_from_mu),
+    "ivt": (uivt_extraction, uivt_from_mu),
+    "dq": (udq_extraction, udq_from_mu),
+}
+# (outer, inner) -> the most calls of the base mu the composition may
+# make over the corpus: the counts it makes today
+BASE_CALLS = {
+    ("ubin", "ubin"): 344, ("ubin", "wwkl"): 172,
+    ("ubin", "ivt"): 1544, ("ubin", "dq"): 172,
+    ("wwkl", "ubin"): 172, ("wwkl", "wwkl"): 120,
+    ("wwkl", "ivt"): 772, ("wwkl", "dq"): 120,
+    ("ivt", "ubin"): 1544, ("ivt", "wwkl"): 772,
+    ("ivt", "ivt"): 7640, ("ivt", "dq"): 772,
+    ("dq", "ubin"): 172, ("dq", "wwkl"): 120,
+    ("dq", "ivt"): 772, ("dq", "dq"): 120,
+}
+
+
+def _first_zero_search(route: str, mu):
+    """The first-zero search the route recovers with its phi built from
+    mu.  dq recovers a first nonzero, so it runs on the zero indicator
+    of the flag."""
+    extraction, from_mu = ROUTES[route]
+    search = mu_from(extraction, from_mu(mu))
+    return partial(_first_nonzero_via, search) if route == "dq" else search
+
+
+def test_criterion_9_composition_matrix():
+    with criterion(9, "all 16 compositions of two routes through the "
+                      f"existence functional equal mu on {len(CORPUS)} "
+                      "corpus flags"):
+        start = time.perf_counter()
+        counts = {}
+        for outer, inner in product(ROUTES, repeat=2):
+            base, calls = counting(mu_exact)
+            inner_search = _first_zero_search(inner, base)
+            entry = _first_zero_search(outer, mu_from_e2(e2_from_mu(inner_search)))
+            for f in CORPUS:
+                assert entry(f) == mu_exact(f), (outer, inner, f)
+            counts[outer, inner] = len(calls)
+        elapsed = time.perf_counter() - start
+        assert all(counts[key] <= most for key, most in BASE_CALLS.items()), counts
+        assert elapsed < 10.0, f"the matrix took {elapsed:.1f}s"

@@ -107,3 +107,24 @@ def test_size_sweep_refuses_an_odd_or_short_grid(sizes):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "even FIRST >= 2 and 2 FIRST <= LAST" in proc.stderr
+
+
+def test_several_axes_run_in_table_order_in_one_process():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"),
+         "--src", str(ROOT / "src"), "--sizes", "2", "4", "--events", "2", "4",
+         "--widths", "1", "2"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # per line, the series its row or slope line names, in print order
+    seen = []
+    for line in proc.stdout.splitlines():
+        match = (ROW.fullmatch(line) or EVENT_ROW.fullmatch(line)
+                 or SIZE_ROW.fullmatch(line)
+                 or re.fullmatch(r"(\w+): log2 slope -?\d+\.\d{3}", line))
+        if match:
+            seen.append(match.group(1))
+    widths = [kind for kind in ("sum", "max") for _ in range(3)]
+    events = [route for route in ("ubin", "wwkl", "ivt", "dq") for _ in range(3)]
+    sizes = [family for family in STEPS for _ in range(3)]
+    assert seen == widths + events + sizes

@@ -9,7 +9,12 @@ the normalizer costs as k grows:
     python3 tools/sweep.py --src src --sizes 8 512
 
 All run in process, with mulab loaded from ``--src``.  With none of the
-three options the width sweep runs at its default range.
+three options the width sweep runs at its default range; given several,
+they run in this order.  Each option is one row of the axis table
+``AXES``: its points, the rule they must meet, its series, header and
+row builder.  One loop prints, for each series, the header, one row per
+point and the slope line, and one timer takes the best of 3 calls, each
+on an input built outside the timed call.
 
 Width sweep: for each of sum:N and max:N and each N in the range, runs
 the fan replay and prints one row:
@@ -49,12 +54,12 @@ prints the least-squares slope of log2(best_s) against log2(k).
 from __future__ import annotations
 
 import argparse
-import importlib
 import random
 import sys
 import time
 from math import log2
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,14 +83,13 @@ REPEATS = 3
 NODE_BUDGET = 1 << 40  # far past any width run here: the sweep never cuts
 
 
-def _load(src: Path, name: str):
-    """The module mulab.<name>, imported from src."""
-    sys.path.insert(0, str(src))
-    module = importlib.import_module(f"mulab.{name}")
-    if src not in Path(module.__file__).resolve().parents:
-        raise ImportError(f"mulab.{name} imported from {module.__file__}, "
-                          f"not from {src}")
-    return module
+def _load(src: Path) -> None:
+    """Put src, then the benchmark's directory, first on the import path,
+    and check that mulab imports from src."""
+    sys.path[:0] = [str(src), str(PERFBENCH)]
+    import mulab
+    if src not in Path(mulab.__file__).resolve().parents:
+        raise ImportError(f"mulab imported from {mulab.__file__}, not from {src}")
 
 
 def _doubling(first: int, last: int) -> list[int]:
@@ -100,67 +104,16 @@ def _slope(xs: list[float], ys: list[float]) -> float:
     return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / spread
 
 
-def sweep(functionals, kind: str, widths: range) -> list[tuple[int, int, int, float]]:
-    """Rows (N, leaves, runs, best_s) for kind:N over widths."""
-    rows = []
-    for n in widths:
-        g = functionals.catalog_functional(f"{kind}:{n}")
-        body, runs = g.body, []
-        counted = functionals.TracedFunctional(
-            g.name, lambda view: runs.append(None) or body(view))
-        leaves = sum(1 for _ in functionals._fan_replay(counted, NODE_BUDGET))
-        best = float("inf")
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            functionals.omega_fan(g, NODE_BUDGET)
-            best = min(best, time.perf_counter() - start)
-        rows.append((n, leaves, len(runs), best))
-    return rows
-
-
-def event_sweep(extractors, sequences, route: str, events: list[int]
-                ) -> list[tuple[int, object, object, object, float]]:
-    """Rows (m, witness, xi_bound, search_bound, best_s) for the route."""
-    extraction, template = ROUTES[route]
-    rows = []
-    for m in events:
-        text = template.format(ones="1," * m, zeros="0," * m)
-        best = float("inf")
-        for _ in range(REPEATS):
-            f = sequences.parse_sequence(text)
-            start = time.perf_counter()
-            rep = getattr(extractors, extraction)(f)
-            best = min(best, time.perf_counter() - start)
-        rows.append((m, rep.witness, rep.xi_bound, rep.search_bound, best))
-    return rows
-
-
-def size_sweep(formulas, workloads, family: str, sizes: list[int]
-               ) -> list[tuple[int, int, float]]:
-    """Rows (k, steps, best_s) for the family."""
-    rows = []
-    for k in sizes:
-        text = FAMILIES[family](workloads, random.Random(FAMILY_SEED), k).argv[-1]
-        best = float("inf")
-        for _ in range(REPEATS):
-            f = formulas.parse_formula(text)
-            start = time.perf_counter()
-            _, trace = formulas.to_normal_form(f)
-            best = min(best, time.perf_counter() - start)
-        rows.append((k, len(trace.steps), best))
-    return rows
-
-
-def _print_widths(functionals, first: int, last: int) -> None:
-    for kind in KINDS:
-        rows = sweep(functionals, kind, range(first, last + 1))
-        print(f"{'functional':<10} {'leaves':>8} {'runs':>8} "
-              f"{'best_s':>10} {'us_per_leaf':>11}")
-        for n, leaves, runs, best in rows:
-            print(f"{kind}:{n:<{9 - len(kind)}} {leaves:>8} {runs:>8} "
-                  f"{best:>10.6f} {best / leaves * 1e6:>11.2f}")
-        slope = _slope([n for n, *_ in rows], [log2(best) for *_, best in rows])
-        print(f"{kind}: log2 slope {slope:.3f}\n")
+def _best(build, call) -> tuple[object, float]:
+    """The last result and the best time of REPEATS calls, each on an input
+    that build() makes fresh outside the timed call."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        given = build()
+        start = time.perf_counter()
+        result = call(given)
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 def _cell(value: int | None) -> str:
@@ -171,70 +124,107 @@ def _cell(value: int | None) -> str:
     return str(value) if value < 10 ** 15 else f"<2^{value.bit_length()}"
 
 
-def _print_events(extractors, sequences, first: int, last: int) -> None:
-    for route in ROUTES:
-        rows = event_sweep(extractors, sequences, route, _doubling(first, last))
-        print(f"{'route':<5} {'m':>8} {'witness':>8} {'xi_bound':>12} "
-              f"{'search_bound':>12} {'best_s':>10}")
-        for m, witness, xi, bound, best in rows:
-            print(f"{route:<5} {m:>8} {_cell(witness):>8} {_cell(xi):>12} "
-                  f"{_cell(bound):>12} {best:>10.6f}")
-        slope = _slope([log2(m) for m, *_ in rows],
-                       [log2(best) for *_, best in rows])
-        print(f"{route}: log2 slope {slope:.3f}\n")
+def _width_row(kind: str, n: int) -> tuple[str, float]:
+    """The row of kind:N: leaves, body runs, best_s and us_per_leaf."""
+    from mulab import functionals
+
+    g = functionals.catalog_functional(f"{kind}:{n}")
+    body, runs = g.body, []
+    counted = functionals.TracedFunctional(
+        g.name, lambda view: runs.append(None) or body(view))
+    leaves = sum(1 for _ in functionals._fan_replay(counted, NODE_BUDGET))
+    _, best = _best(lambda: g, lambda h: functionals.omega_fan(h, NODE_BUDGET))
+    return (f"{kind}:{n:<{9 - len(kind)}} {leaves:>8} {len(runs):>8} "
+            f"{best:>10.6f} {best / leaves * 1e6:>11.2f}"), best
 
 
-def _print_sizes(formulas, first: int, last: int) -> None:
-    sys.path.insert(0, str(PERFBENCH))
+def _event_row(route: str, m: int) -> tuple[str, float]:
+    """The route's row at event m: witness, xi_bound, search_bound, best_s."""
+    from mulab import extractors, sequences
+
+    extraction, template = ROUTES[route]
+    text = template.format(ones="1," * m, zeros="0," * m)
+    rep, best = _best(lambda: sequences.parse_sequence(text),
+                      getattr(extractors, extraction))
+    return (f"{route:<5} {m:>8} {_cell(rep.witness):>8} "
+            f"{_cell(rep.xi_bound):>12} {_cell(rep.search_bound):>12} "
+            f"{best:>10.6f}"), best
+
+
+def _size_row(family: str, k: int) -> tuple[str, float]:
+    """The family's row at size k: steps, best_s and us_per_step."""
     import workloads
+    from mulab import formulas
 
-    for family in FAMILIES:
-        rows = size_sweep(formulas, workloads, family, _doubling(first, last))
-        print(f"{'family':<8} {'k':>6} {'steps':>8} {'best_s':>10} "
-              f"{'us_per_step':>11}")
-        for k, steps, best in rows:
-            print(f"{family:<8} {k:>6} {steps:>8} {best:>10.6f} "
-                  f"{best / steps * 1e6:>11.2f}")
-        slope = _slope([log2(k) for k, *_ in rows],
-                       [log2(best) for *_, best in rows])
-        print(f"{family}: log2 slope {slope:.3f}\n")
+    text = FAMILIES[family](workloads, random.Random(FAMILY_SEED), k).argv[-1]
+    (_, trace), best = _best(lambda: formulas.parse_formula(text),
+                             formulas.to_normal_form)
+    steps = len(trace.steps)
+    return (f"{family:<8} {k:>6} {steps:>8} {best:>10.6f} "
+            f"{best / steps * 1e6:>11.2f}"), best
+
+
+class Axis(NamedTuple):
+    """One sweep axis, run by the option --<its key in AXES>."""
+
+    help: str
+    rule: Callable[[int, int], bool]  # on FIRST, LAST
+    error: str
+    points: Callable[[int, int], Iterable[int]]
+    series: Iterable[str]
+    header: str
+    row: Callable[[str, int], tuple[str, float]]  # (series, point) -> line, best_s
+    log_x: bool  # slope against log2 of the point, else against the point
+
+
+AXES = {
+    "widths": Axis(
+        "the widths N to run, both ends included (default, when neither "
+        "--events nor --sizes is given: 8 16)",
+        lambda first, last: 1 <= first < last, "--widths needs 1 <= FIRST < LAST",
+        lambda first, last: range(first, last + 1), KINDS,
+        f"{'functional':<10} {'leaves':>8} {'runs':>8} {'best_s':>10} "
+        f"{'us_per_leaf':>11}", _width_row, False),
+    "events": Axis(
+        "run the event sweep on m = FIRST, 2 FIRST, 4 FIRST, ... up to LAST",
+        lambda first, last: 1 <= first and 2 * first <= last,
+        "--events needs 1 <= FIRST and 2 FIRST <= LAST", _doubling, ROUTES,
+        f"{'route':<5} {'m':>8} {'witness':>8} {'xi_bound':>12} "
+        f"{'search_bound':>12} {'best_s':>10}", _event_row, True),
+    "sizes": Axis(
+        "run the size sweep on k = FIRST, 2 FIRST, 4 FIRST, ... up to LAST",
+        lambda first, last: first >= 2 and first % 2 == 0 and 2 * first <= last,
+        "--sizes needs an even FIRST >= 2 and 2 FIRST <= LAST", _doubling,
+        FAMILIES, f"{'family':<8} {'k':>6} {'steps':>8} {'best_s':>10} "
+        f"{'us_per_step':>11}", _size_row, True),
+}
+DEFAULT_WIDTHS = (8, 16)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path("src"),
                         help="directory holding the mulab package")
-    parser.add_argument("--widths", type=int, nargs=2, default=None,
-                        metavar=("FIRST", "LAST"),
-                        help="the widths N to run, both ends included "
-                             "(default, when --events is not given: 8 16)")
-    parser.add_argument("--events", type=int, nargs=2, default=None,
-                        metavar=("FIRST", "LAST"),
-                        help="run the event sweep on m = FIRST, 2 FIRST, "
-                             "4 FIRST, ... up to LAST")
-    parser.add_argument("--sizes", type=int, nargs=2, default=None,
-                        metavar=("FIRST", "LAST"),
-                        help="run the size sweep on k = FIRST, 2 FIRST, "
-                             "4 FIRST, ... up to LAST")
+    for name, axis in AXES.items():
+        parser.add_argument(f"--{name}", type=int, nargs=2,
+                            metavar=("FIRST", "LAST"), help=axis.help)
     args = parser.parse_args(argv)
-    if args.widths is None and args.events is None and args.sizes is None:
-        args.widths = (8, 16)
-    if args.widths is not None and not 1 <= args.widths[0] < args.widths[1]:
-        parser.error("--widths needs 1 <= FIRST < LAST")
-    if args.events is not None and not 1 <= 2 * args.events[0] <= args.events[1]:
-        parser.error("--events needs 1 <= FIRST and 2 FIRST <= LAST")
-    if args.sizes is not None and not (
-            args.sizes[0] >= 2 and args.sizes[0] % 2 == 0
-            and 2 * args.sizes[0] <= args.sizes[1]):
-        parser.error("--sizes needs an even FIRST >= 2 and 2 FIRST <= LAST")
-    src = args.src.resolve()
-    if args.widths is not None:
-        _print_widths(_load(src, "functionals"), *args.widths)
-    if args.events is not None:
-        _print_events(_load(src, "extractors"), _load(src, "sequences"),
-                      *args.events)
-    if args.sizes is not None:
-        _print_sizes(_load(src, "formulas"), *args.sizes)
+    if all(getattr(args, name) is None for name in AXES):
+        args.widths = DEFAULT_WIDTHS
+    runs = [(axis, getattr(args, name)) for name, axis in AXES.items()
+            if getattr(args, name) is not None]
+    for axis, (first, last) in runs:
+        if not axis.rule(first, last):
+            parser.error(axis.error)
+    _load(args.src.resolve())
+    for axis, (first, last) in runs:
+        points = list(axis.points(first, last))
+        xs = [log2(point) for point in points] if axis.log_x else points
+        for series in axis.series:
+            rows = [axis.row(series, point) for point in points]
+            print(axis.header, *(line for line, _ in rows), sep="\n")
+            slope = _slope(xs, [log2(best) for _, best in rows])
+            print(f"{series}: log2 slope {slope:.3f}\n")
     return 0
 
 
