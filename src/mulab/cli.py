@@ -195,7 +195,6 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
     from .formulas import (
         extraction_obligation,
         format_formula,
-        format_type,
         parse_formula,
         relativize_st,
         to_normal_form,
@@ -218,18 +217,24 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
     if args.relativize:
         formula = relativize_st(formula)
     nf, trace = to_normal_form(formula)
+    # the block types and the matrix, printed once: the normal form and
+    # the obligation hold these very objects
+    printed = {id(x): (x, format_formula(x))
+               for x in (nf.matrix, *(t for _, t in nf.foralls + nf.exists))}
+
+    def block(pairs: tuple) -> str:
+        return " ".join(f"{v}:{printed[id(t)][1]}" for v, t in pairs) or "none"
+
     return _report(
         "normalize",
         ("source", format_formula(formula)),
         ("steps", " ".join(trace.rules()) if trace.steps else "none"),
         ("certificate", trace.certificate),
-        ("foralls", " ".join(f"{v}:{format_type(t)}"
-                             for v, t in nf.foralls) or "none"),
-        ("exists", " ".join(f"{v}:{format_type(t)}"
-                            for v, t in nf.exists) or "none"),
-        ("matrix", format_formula(nf.matrix)),
-        ("normal_form", format_formula(nf.to_formula())),
-        ("obligation", format_formula(extraction_obligation(nf))),
+        ("foralls", block(nf.foralls)),
+        ("exists", block(nf.exists)),
+        ("matrix", printed[id(nf.matrix)][1]),
+        ("normal_form", format_formula(nf.to_formula(), printed)),
+        ("obligation", format_formula(extraction_obligation(nf), printed)),
     )
 
 

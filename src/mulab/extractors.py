@@ -192,18 +192,23 @@ def ubin_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], BinaryExpansion]:
 def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
     """Whether the viewed real, of exact value ``value``, reaches t: the
     first row n with d = q_n - t at least 2^-n says yes, below -2^-n
-    says no, each decided on integers.  A column within 2^-n of value
-    decides by the row past the bit length of the gap's denominator, so
-    one that has not by the limit below contradicts value."""
+    says no.  With q_n = a/b and t = tn/td, d·2^n compares with 1 as
+    (a·td - tn·b)·2^n does with b·td, both denominators being positive,
+    so each row is decided on integers without building d.  A column
+    within 2^-n of value decides by the row past the bit length of the
+    gap's denominator, so one that has not by the limit below
+    contradicts value."""
     if value == t:
         return True
-    limit = 4 * (value.denominator.bit_length() + t.denominator.bit_length()) + 64
+    tn, td = t.numerator, t.denominator
+    limit = 4 * (value.denominator.bit_length() + td.bit_length()) + 64
     for n in range(limit + 1):
-        d = view.rational(n) - t
-        scaled = d.numerator << n
-        if scaled >= d.denominator:
+        q = view.rational(n)
+        b = q.denominator
+        scaled = (q.numerator * td - tn * b) << n
+        if scaled >= b * td:
             return True
-        if -scaled > d.denominator:
+        if -scaled > b * td:
             return False
     raise BoundViolation(f"no row up to {limit} decides whether the real "
                          f"reaches {t}")

@@ -16,6 +16,12 @@ asks and kept for every later one, since nodes never change.  The engine
 finds each step from these summaries, not by rescanning the formula: a
 step costs the nodes it builds and the ancestors it rebuilds.  Marked
 quantifiers that reach the root are settled and never visited again.
+Herbrandization (R2) substitutes a term for its witness through a body:
+each term it looks at keeps the names in it, so it passes over a term
+without the witness, and the nodes it rebuilds keep the summaries of
+those they replace, as a term put for a name changes nothing a rule
+guard reads.  So R2 pays for the nodes it changes, not for the terms
+earlier steps left in the body.
 Every step records the path it fired at together with the exact
 subformula before and after, so a trace can be replayed against the
 source formula.  Steps are equivalences except for the marker-dropping
@@ -354,10 +360,16 @@ _OPEN = {Not: "(not", And: "(and", Or: "(or", Implies: "(imp",
          Atom: "(atom {0.pred}", App: "(app {0.head}", ExIn: "(ex-in {0.var}"}
 
 
-def format_formula(root: Formula | Term | Type) -> str:
+def format_formula(root: Formula | Term | Type,
+                   printed: dict[int, tuple[object, str]] | None = None) -> str:
     """Print a formula, or a term or a type, from an explicit stack.  A
     node writes its opening text and pushes the rest in reverse; a string
-    on the stack, a name or a piece of syntax, is written as it stands."""
+    on the stack, a name or a piece of syntax, is written as it stands.
+
+    `printed` maps the id of a node already printed to that node and its
+    text, which is written for it as it stands: a node prints alike
+    wherever it sits, and the node an entry holds keeps its id from
+    passing to another object."""
     out: list[str] = []
     stack = [root]
     while stack:
@@ -365,6 +377,8 @@ def format_formula(root: Formula | Term | Type) -> str:
         t = type(x)
         if t is str:
             out.append(x)
+        elif printed and id(x) in printed:
+            out.append(printed[id(x)][1])
         elif t in _OPEN:
             out.append(_OPEN[t].format(x))
             stack.append(")")
@@ -429,10 +443,24 @@ def _scan(f: Formula | Term) -> tuple[set[str], int, int]:
     return (names, *got.get(id(f), (0, 0)))
 
 
+def _term_names(t: App) -> frozenset[str]:
+    """The names in a term, `_scan(t)[0]`, kept in a field of the term's
+    own, `_names`, out of ==, hash and repr, and written once, on first
+    use.  Only the term asked keeps a set, not the terms below it: sets
+    at every App of a deep term would cost the square of its depth,
+    where this costs no more than the terms R2 asks about."""
+    names = getattr(t, "_names", None)
+    if names is None:
+        names = frozenset(_scan(t)[0])
+        setfield(t, "_names", names)
+    return names
+
+
 def is_internal(f: Formula) -> bool:
-    """True when no quantifier carries the standardness marker: the
-    marked bit of the root's rule summary, which the engine keeps."""
-    return not _summary(f, 1) & _MARKED
+    """True when no quantifier carries the standardness marker: False at
+    a marked root, else the marked bit of the root's rule summary, which
+    the engine keeps."""
+    return not (_is_marked(f) or _summary(f, 1) & _MARKED)
 
 
 def relativize_st(f: Formula) -> Formula:
@@ -460,12 +488,18 @@ def _mark_unguarded(x: Formula | Term) -> tuple[Formula | Term, tuple]:
 # ---------------------------------------------------------------------------
 # rebuilding and fresh names
 
-def _rebuild(root: Formula | Term, visit: Callable) -> Formula | Term:
+def _rebuild(root: Formula | Term, visit: Callable,
+             carry: bool = False) -> Formula | Term:
     """Rebuild a formula or a term bottom-up from an explicit stack.
     `visit(node)` sees each node, last part first, and returns the node
     to build with the leading parts (`_parts`) of it to rebuild; in
     reverse visiting order these are done, left to right, just before
-    it.  A node whose parts come back as the same objects stays as is."""
+    it.  A node whose parts come back as the same objects stays as is.
+
+    With `carry`, a node built anew keeps the rule summaries (`_summary`)
+    of the node it replaces, at whichever polarities that one has them.
+    Only a rebuild that changes nothing a guard reads may ask for it: R2's
+    substitution into terms does, `relativize_st`'s marking does not."""
     order = []
     todo = [root]
     while todo:
@@ -481,10 +515,16 @@ def _rebuild(root: Formula | Term, visit: Callable) -> Formula | Term:
             if any(map(is_not, new, below)):
                 new += _parts(node)[n:]
                 t = type(node)
-                node = (Atom(node.pred, tuple(new)) if t is Atom
-                        else App(node.head, tuple(new)) if t is App
-                        else ExIn(node.var, *new) if t is ExIn
-                        else _with_children(node, new))
+                built = (Atom(node.pred, tuple(new)) if t is Atom
+                         else App(node.head, tuple(new)) if t is App
+                         else ExIn(node.var, *new) if t is ExIn
+                         else _with_children(node, new))
+                if carry:
+                    for field in _SUMMARY.values():
+                        got = getattr(node, field, None)
+                        if got is not None:
+                            setfield(built, field, got)
+                node = built
         done.append(node)
     return done[0]
 
@@ -594,7 +634,17 @@ def _r2_guard(node: Implies, pol: int) -> bool:
 
 def _r2(node: Implies, names: _Names):
     """Herbrandize: a marked forall-exists antecedent trades its inner
-    existential for a fresh functional quantified outside."""
+    existential for a fresh functional quantified outside.
+
+    The substitution pays for what it changes.  It keeps whole a term
+    whose kept names (`_term_names`) lack the witness, so the terms
+    earlier steps put in cost nothing after their first look; a nested
+    head is among those names, so a witness there is still found and
+    refused.  The nodes it rebuilds keep the summaries of those they
+    replace (`_rebuild`'s `carry`): a term put for a name changes no node
+    type, quantifier kind, marker, binder type or marked bit, and guards
+    read nothing else, so only the new nodes above the body are
+    summarized."""
     chain, witness = _run(node.left, "all")
     ftype: Type = witness.vtype
     for q in reversed(chain):
@@ -603,19 +653,30 @@ def _r2(node: Implies, names: _Names):
     fname = names.fresh(base if base != witness.var else "F" + witness.var)
     applied = App(fname, tuple(q.var for q in chain))
 
-    def visit(x):
+    def substitute(x):
         # the witness becomes `applied` wherever it is free
-        t = type(x)
-        if t is str:
+        if type(x) is str:
             return (applied if x == witness.var else x), ()
-        if t is App and x.head == witness.var:
+        if x.head == witness.var:
             raise NotNormalizable("cannot substitute applied term for head "
                                   f"position {witness.var!r}")
+        return x, x.args
+
+    def visit(x):
+        # a term in a formula node is kept when it lacks the witness, and
+        # else substituted whole, without asking the terms below it
+        t = type(x)
+        if t is str:
+            return substitute(x)
+        if t is App:
+            if witness.var not in _term_names(x):
+                return x, ()
+            return _rebuild(x, substitute), ()
         if (t is Quant or t is ExIn) and x.var == witness.var:
             return x, (x.bound,) if t is ExIn else ()  # only a bound is outside
         return x, _parts(x)
 
-    inner: Formula = _rebuild(witness.body, visit)
+    inner: Formula = _rebuild(witness.body, visit, carry=True)
     for q in reversed(chain):
         inner = Quant("all", True, q.var, q.vtype, inner)
     return Quant("all", True, fname, ftype,

@@ -270,6 +270,26 @@ def test_reaches_decides_each_row_like_the_fraction_form(n):
         assert view.trace == ref.trace == set(range(n + 1 if decided else n + 2))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(), st.integers(min_value=0, max_value=40), st.data())
+def test_reaches_decides_drawn_rows_on_integers_like_the_fraction_form(t, n, data):
+    # q_n = t + gap for a drawn t and n, the gap drawn freely or at, just
+    # inside or just outside +-2^-n; rows below n sit on t, later ones on
+    # the exact value, across t from the gap
+    gap = data.draw(st.one_of(st.fractions(), st.sampled_from(boundary_gaps(n))))
+    value = t - 7 if gap >= 0 else t + 7
+    rows = {j: t for j in range(n)} | {n: t + gap}
+    x = FastCauchyReal(PRational(value), approx_override=column(rows, value))
+    view, ref = TracedRealView(x), TracedRealView(x)
+    # row n decides as the Fraction form did, on d = q_n - t = gap
+    scaled = gap.numerator << n
+    decided = scaled >= gap.denominator or -scaled > gap.denominator
+    reached = _reaches(view, value, t)
+    assert reached == reference_reaches(ref, value, t)
+    assert reached == (gap >= 0 if decided else value > t)
+    assert view.trace == ref.trace == set(range(n + 1 if decided else n + 2))
+
+
 def test_reaches_stops_on_a_column_that_contradicts_the_value():
     # every row sits on t = 1/2, so none decides; a column within 2^-n of
     # the exact value 1/4 would have by row 4, so the search stops at a

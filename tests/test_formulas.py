@@ -8,9 +8,10 @@ import time
 from importlib import resources
 from itertools import count
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 import mulab.formulas
 from mulab.errors import FormulaScopeError, NotNormalizable, ParseError
@@ -316,6 +317,16 @@ def test_unreachable_markers_are_an_error():
         to_normal_form(stuck)
 
 
+def test_is_internal_answers_at_a_marked_root_without_summarizing():
+    f = parse_formula("(all st x:0 (imp (atom p x) (ex st y:0 (atom q x y))))")
+    assert not is_internal(f)
+    assert [getattr(node, field, None) for node in (f, f.body)
+            for field in mulab.formulas._SUMMARY.values()] == [None] * 4
+    # after a run has summarized the root, the answer is the summary's
+    to_normal_form(f)
+    assert is_internal(f) == mulab.formulas._internal(f, 1) == _internal(f, 1)
+
+
 def test_internal_formulas_normalize_to_themselves():
     f = parse_formula("(all x:0 (imp (atom p x) (ex y:0 (atom q x y))))")
     assert is_internal(f)
@@ -591,7 +602,10 @@ def test_normalizer_leaves_no_reference_cycles(text):
     # positive, a normal form; negative, R3 fires at the universal
     "(all st F:1 (ex st n:0 (atom p (app F n))))",
     "(imp (all st F:1 (atom p F)) (ex st y:0 (atom q y)))",
-], ids=["ubin_to_transfer", "herbrand-3", "higher-type-universal", "antecedent-universal"])
+    # R2 keeps the names of the terms it looks into
+    "(imp (all st x:0 (ex st y:0 (atom r (app f x) (app g (app f y))))) (atom q))",
+], ids=["ubin_to_transfer", "herbrand-3", "higher-type-universal", "antecedent-universal",
+        "herbrand-terms"])
 def test_summaries_left_on_nodes_are_invisible_and_reused_at_either_polarity(text):
     f = parse_formula(text)
     to_normal_form(f)
@@ -746,6 +760,10 @@ def test_one_walk_reads_the_names_marked_count_and_depth(f):
     for t in preorder(f):
         if isinstance(t, (str, App)):
             assert mulab.formulas._scan(t) == (_term_symbols(t), 0, 0)
+        if isinstance(t, App):
+            # the names an App keeps, on terms that share App objects
+            kept = mulab.formulas._term_names(t)
+            assert kept == _term_symbols(t) and mulab.formulas._term_names(t) is kept
     # is_internal on fresh nodes: the drawn formula and an unshared copy
     copy = parse_formula(format_formula(f))
     assert copy == f
@@ -757,6 +775,116 @@ def test_one_walk_reads_the_names_marked_count_and_depth(f):
     for node in (*preorder(f), *preorder(copy)):
         if not isinstance(node, (str, App)):
             assert is_internal(node) == _internal(node, 1)
+
+
+def unshared_copy(f):
+    """f built again from the leaves up, with a new formula node at every
+    position, so that no node of it has a summary yet.  (Printing and
+    parsing back would not do: a rewrite may nest two binders of one
+    name that the drawn formula held side by side.)"""
+    order, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += mulab.formulas._children(node)
+    built: list = []
+    for node in reversed(order):
+        n = len(mulab.formulas._children(node))
+        kids = built[len(built) - n:]
+        del built[len(built) - n:]
+        built.append(Atom(node.pred, node.args) if type(node) is Atom
+                     else mulab.formulas._with_children(node, kids))
+    return built[0]
+
+
+def wrong_summaries(f):
+    """The positions of f whose node keeps a summary, at either polarity,
+    other than the one worked out afresh at that position of an unshared
+    copy."""
+    copy = unshared_copy(f)
+    assert copy == f
+    wrong = []
+    todo = [(f, copy, ())]
+    while todo:
+        node, fresh, path = todo.pop()
+        for pol, field in mulab.formulas._SUMMARY.items():
+            kept = getattr(node, field, None)
+            if kept is not None and kept != mulab.formulas._summary(fresh, pol):
+                wrong.append((path, pol))
+        todo += [(kid, fresh_kid, path + (i,)) for i, (kid, fresh_kid)
+                 in enumerate(zip(mulab.formulas._children(node),
+                                  mulab.formulas._children(fresh)))]
+    return wrong
+
+
+def herbrandized(f):
+    """The results of the R2 steps of a run on f, stuck or not."""
+    built = []
+
+    def r2(node, names):
+        after, tag = mulab.formulas._r2(node, names)
+        built.append(after)
+        return after, tag
+
+    rules = tuple((name, kind, guard, r2 if build is mulab.formulas._r2 else build)
+                  for name, kind, guard, build in mulab.formulas._RULES)
+    with mock.patch.object(mulab.formulas, "_RULES", rules):
+        normalize_quietly(f)
+    return built
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_formulas())
+def test_summaries_carried_through_herbrandizing_equal_fresh_ones(g):
+    # g sits where R2 fires, under an existential on c, a name its terms
+    # use; its nodes keep summaries at both polarities to carry
+    for pol in (1, -1):
+        mulab.formulas._summary(g, pol)
+    f = Implies(Quant("all", True, "x", Base(), Quant("ex", True, "c", Base(), g)),
+                Atom("q"))
+    results = herbrandized(f)
+    assert results
+    for after in results:
+        assert wrong_summaries(after) == []
+
+
+@pytest.mark.parametrize("pairs", range(1, 9))
+def test_summaries_carried_through_the_herbrand_family_equal_fresh_ones(pairs):
+    results = herbrandized(parse_formula(herbrand_text(pairs)))
+    assert len(results) == pairs
+    for after in results:
+        assert wrong_summaries(after) == []
+
+
+def test_summaries_carried_through_relativizing_would_be_caught():
+    # marking changes what guards read, so relativize_st's rebuild must
+    # not carry summaries; the check above sees it on some drawn formula
+    def carried_wrong(g):
+        for pol in (1, -1):
+            mulab.formulas._summary(g, pol)
+        marked = mulab.formulas._rebuild(g, mulab.formulas._mark_unguarded, carry=True)
+        return bool(wrong_summaries(marked))
+
+    find(shared_formulas(), carried_wrong)
+
+
+def test_herbrandizing_refuses_a_witness_in_a_nested_head():
+    # (app f (app y x)) keeps y among its names, so R2 looks inside it
+    f = parse_formula("(imp (all st x:0 (ex st y:0 (atom r (app g x) (app f (app y x)))))"
+                      " (atom q))")
+    with pytest.raises(NotNormalizable, match="head position 'y'"):
+        to_normal_form(f)
+
+
+def test_herbrandizing_keeps_names_only_on_the_terms_it_asks_about():
+    # a set at every App of a deep term would cost the square of its depth
+    term = "z"
+    for j in range(50):
+        term = App(f"f{j}", (term,))
+    to_normal_form(Implies(Quant("all", True, "x", Base(), Quant(
+        "ex", True, "y", Base(), Atom("r", (term, "y")))), Atom("q")))
+    assert term._names == {"z", *(f"f{j}" for j in range(50))}
+    assert getattr(term.args[0], "_names", None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -838,9 +966,9 @@ SHALLOW_STACK = """
 import sys
 from mulab.errors import FormulaScopeError
 from mulab.formulas import (App, Arrow, Atom, Base, Implies, Not, Quant, Seq,
-                            extraction_obligation, format_formula, format_type,
-                            parse_formula, parse_type, relativize_st, replay,
-                            to_normal_form)
+                            _term_names, extraction_obligation, format_formula,
+                            format_type, parse_formula, parse_type, relativize_st,
+                            replay, to_normal_form)
 from mulab.trees import FullTree, Truncation, format_tree, parse_tree
 from oracles import alpha_equal
 
@@ -877,6 +1005,7 @@ assert repr(arrows) == ("Arrow(left=Base(), right=" * D + "Seq(inner=Base())"
 term = "y"
 for _ in range(D):
     term = App("f", (term,))
+assert _term_names(term) == {"f", "y"}  # kept by a walk of its own
 nots = Atom("r", ("x", term))
 for _ in range(D):
     nots = Not(nots)

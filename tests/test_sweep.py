@@ -2,8 +2,8 @@
 with 2^N leaves and as many body runs, and a slope line per functional;
 at small event indices, one row per route and m whose witness is m and
 whose search bound is at least m, and a slope line per route; at small
-formula sizes, one row per family and k with the family's step count,
-and a slope line per family."""
+formula sizes, one row per family and k with the family's step count
+and at least as many nodes summarized, and a slope line per family."""
 
 from __future__ import annotations
 
@@ -77,7 +77,7 @@ def test_event_sweep_refuses_a_grid_of_one_point():
 
 
 SIZE_ROW = re.compile(
-    r"(pull|flip|herbrand|negation) +(\d+) +(\d+) +\d+\.\d{6} +\d+\.\d{2}")
+    r"(pull|flip|herbrand|negation) +(\d+) +(\d+) +(\d+) +\d+\.\d{6} +\d+\.\d{2}")
 STEPS = {"pull": lambda k: k * (k + 1) // 2, "flip": lambda k: k,
          "herbrand": lambda k: k + 2, "negation": lambda k: 2 * k}
 
@@ -90,10 +90,16 @@ def test_size_sweep_takes_each_familys_steps():
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = [m.groups() for m in map(SIZE_ROW.fullmatch, proc.stdout.splitlines())
             if m]
-    assert [(family, int(k)) for family, k, _ in rows] == \
+    assert [(family, int(k)) for family, k, *_ in rows] == \
         [(family, k) for family in STEPS for k in (2, 4, 8, 16)]
-    for family, k, steps in rows:
+    for family, k, steps, summarized in rows:
         assert int(steps) == STEPS[family](int(k))
+        # every step summarizes at least the node it builds
+        assert int(summarized) >= int(steps)
+    # R2 summarizes only the nodes above the body it substitutes into
+    herbrand_16, = [int(summarized) for family, k, _, summarized in rows
+                    if (family, k) == ("herbrand", "16")]
+    assert herbrand_16 <= 259
     slopes = re.findall(r"^(\w+): log2 slope -?\d+\.\d{3}$", proc.stdout, re.M)
     assert slopes == list(STEPS)
     assert "functional" not in proc.stdout

@@ -47,7 +47,10 @@ pull, flip, herbrand and negation formulas of size k from the benchmark's
 ``to_normal_form`` on each.  It prints one row per family and k: the
 rewrite steps (k(k+1)/2 for pull, k for flip, k+2 for herbrand and 2k
 for negation), the best of 3 timed calls, each on a freshly parsed
-formula, and the microseconds per step.  After each family's rows it
+formula, and the microseconds per step.  Between steps and best_s,
+summarized counts the rule summaries worked out (calls of
+``formulas._summarize``) in one untimed run, on a wrapped copy; like the
+steps it does not depend on the machine.  After each family's rows it
 prints the least-squares slope of log2(best_s) against log2(k).
 """
 
@@ -60,6 +63,7 @@ import time
 from math import log2
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
+from unittest import mock
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -152,16 +156,21 @@ def _event_row(route: str, m: int) -> tuple[str, float]:
 
 
 def _size_row(family: str, k: int) -> tuple[str, float]:
-    """The family's row at size k: steps, best_s and us_per_step."""
+    """The family's row at size k: steps, nodes summarized, best_s and
+    us_per_step."""
     import workloads
     from mulab import formulas
 
     text = FAMILIES[family](workloads, random.Random(FAMILY_SEED), k).argv[-1]
+    summarize, summarized = formulas._summarize, []
+    with mock.patch.object(formulas, "_summarize",
+                           lambda f, p: summarized.append(None) or summarize(f, p)):
+        formulas.to_normal_form(formulas.parse_formula(text))
     (_, trace), best = _best(lambda: formulas.parse_formula(text),
                              formulas.to_normal_form)
     steps = len(trace.steps)
-    return (f"{family:<8} {k:>6} {steps:>8} {best:>10.6f} "
-            f"{best / steps * 1e6:>11.2f}"), best
+    return (f"{family:<8} {k:>6} {steps:>8} {len(summarized):>10} "
+            f"{best:>10.6f} {best / steps * 1e6:>11.2f}"), best
 
 
 class Axis(NamedTuple):
@@ -195,8 +204,8 @@ AXES = {
         "run the size sweep on k = FIRST, 2 FIRST, 4 FIRST, ... up to LAST",
         lambda first, last: first >= 2 and first % 2 == 0 and 2 * first <= last,
         "--sizes needs an even FIRST >= 2 and 2 FIRST <= LAST", _doubling,
-        FAMILIES, f"{'family':<8} {'k':>6} {'steps':>8} {'best_s':>10} "
-        f"{'us_per_step':>11}", _size_row, True),
+        FAMILIES, f"{'family':<8} {'k':>6} {'steps':>8} {'summarized':>10} "
+        f"{'best_s':>10} {'us_per_step':>11}", _size_row, True),
 }
 DEFAULT_WIDTHS = (8, 16)
 
