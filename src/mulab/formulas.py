@@ -21,7 +21,10 @@ each term it looks at keeps the names in it, so it passes over a term
 without the witness, and the nodes it rebuilds keep the summaries of
 those they replace, as a term put for a name changes nothing a rule
 guard reads.  So R2 pays for the nodes it changes, not for the terms
-earlier steps left in the body.
+earlier steps left in the body.  A rule that lifts a binder over the
+other side of an implication (R1a and the pulls) renames it first, to a
+fresh name put through its body the same way, when its name occurs on
+that side: the lifted binder never captures a name there.
 Every step records the path it fired at together with the exact
 subformula before and after, so a trace can be replayed against the
 source formula.  Steps are equivalences except for the marker-dropping
@@ -37,7 +40,7 @@ each keeps its own stack, so nesting depth costs time and memory only.
 from __future__ import annotations
 
 import re
-from operator import is_not
+from operator import is_, is_not
 from typing import Callable, Union
 
 from .errors import FormulaScopeError, NotNormalizable, ParseError
@@ -132,8 +135,17 @@ def parse_type(text: str, where: str = "") -> Type:
 # ---------------------------------------------------------------------------
 # terms and formulas
 
+# The classes below write their fields themselves, in `_fields` order:
+# the rewrite builds thousands of them per run, and a written-out
+# constructor skips the binding and the loop over `_fields` that
+# `Value.__init__` pays on every call.
+
 class App(Value):
     _fields = ("head", "args")
+
+    def __init__(self, head: str, args: tuple[Term, ...]) -> None:
+        setfield(self, "head", head)
+        setfield(self, "args", args)
 
 
 Term = Union[str, App]
@@ -143,15 +155,26 @@ class Atom(Value):
     _fields = ("pred", "args")
     args = ()
 
+    def __init__(self, pred: str, args: tuple[Term, ...] = args) -> None:
+        setfield(self, "pred", pred)
+        setfield(self, "args", args)
+
 
 class Not(Value):
     _fields = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        setfield(self, "body", body)
 
 
 class _Binary(Value):
     """And, Or and Implies; == tells them apart by class."""
 
     _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        setfield(self, "left", left)
+        setfield(self, "right", right)
 
 
 class And(_Binary):
@@ -176,11 +199,21 @@ class Quant(Value):
                  body: Formula, mono: bool = mono) -> None:
         if kind not in ("all", "ex"):
             raise ValueError(f"bad quantifier kind {kind!r}")
-        super().__init__(kind, st, var, vtype, body, mono)
+        setfield(self, "kind", kind)
+        setfield(self, "st", st)
+        setfield(self, "var", var)
+        setfield(self, "vtype", vtype)
+        setfield(self, "body", body)
+        setfield(self, "mono", mono)
 
 
 class ExIn(Value):
     _fields = ("var", "bound", "body")
+
+    def __init__(self, var: str, bound: Term, body: Formula) -> None:
+        setfield(self, "var", var)
+        setfield(self, "bound", bound)
+        setfield(self, "body", body)
 
 
 Formula = Union[Atom, Not, And, Or, Implies, Quant, ExIn]
@@ -214,16 +247,29 @@ def _with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
     return f if t is Atom else t(*kids)
 
 
-def _child_pol(f: Formula, i: int, pol: int) -> int:
-    """Polarity of child i of f at polarity pol: implication antecedents
-    and negations flip it."""
-    return -pol if type(f) is Not or (type(f) is Implies and i == 0) else pol
+def _below(f: Formula, pol: int) -> tuple[tuple[Formula, int], ...]:
+    """The children of f, each with its polarity when f sits at polarity
+    pol: implication antecedents and negations flip it."""
+    t = type(f)
+    if t is Implies:
+        return (f.left, -pol), (f.right, pol)
+    if t is Quant or t is ExIn:
+        return ((f.body, pol),)
+    if t is Not:
+        return ((f.body, -pol),)
+    return () if t is Atom else ((f.left, pol), (f.right, pol))
 
 
 def _splice(f: Formula, i: int, kid: Formula) -> Formula:
     """f with its child i replaced by kid."""
-    kids = _children(f)
-    return _with_children(f, kids[:i] + (kid,) + kids[i + 1:])
+    t = type(f)
+    if t is Quant:
+        return Quant(f.kind, f.st, f.var, f.vtype, kid, f.mono)
+    if t is Not:
+        return Not(kid)
+    if t is ExIn:
+        return ExIn(f.var, f.bound, kid)
+    return t(kid, f.right) if i == 0 else t(f.left, kid)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +346,10 @@ def parse_formula(text: str) -> Formula:
     reads, as in _FORMS, and `var` is the name it binds, in scope until
     it closes.  A form whose `todo` is spent reads its ")" and becomes
     the next part of the form below it; the bottom form takes the whole
-    formula."""
+    formula.  Binders that spell their type alike share one type."""
     p = _Parser(text)
     scope: set[str] = set()
+    types: dict[str, Type] = {}
     forms: list[list] = [[None, [], "f", None]]
     while True:
         todo = forms[-1][2]
@@ -339,7 +386,10 @@ def parse_formula(text: str) -> Formula:
                 var, _, ann = binder.partition(":")
                 if not var or not ann:
                     raise p.fail("expected var:type", 1)
-                parts = [head, st, var, parse_type(ann, where=binder)]
+                vtype = types.get(ann)
+                if vtype is None:
+                    vtype = types[ann] = parse_type(ann, where=binder)
+                parts = [head, st, var, vtype]
             if var is not None:
                 if var in scope:
                     raise FormulaScopeError(f"variable {var!r} rebound")
@@ -443,16 +493,17 @@ def _scan(f: Formula | Term) -> tuple[set[str], int, int]:
     return (names, *got.get(id(f), (0, 0)))
 
 
-def _term_names(t: App) -> frozenset[str]:
-    """The names in a term, `_scan(t)[0]`, kept in a field of the term's
-    own, `_names`, out of ==, hash and repr, and written once, on first
-    use.  Only the term asked keeps a set, not the terms below it: sets
-    at every App of a deep term would cost the square of its depth,
-    where this costs no more than the terms R2 asks about."""
-    names = getattr(t, "_names", None)
+def _term_names(x: App | Formula) -> frozenset[str]:
+    """The names in a term or a formula, `_scan(x)[0]`, kept in a field
+    of the node's own, `_names`, out of ==, hash and repr, and written
+    once, on first use.  Only the node asked keeps a set, not the nodes
+    below it: sets at every App of a deep term would cost the square of
+    its depth, where this costs no more than the terms R2 asks about and
+    the sides a quantifier is lifted over (`_lift`)."""
+    names = getattr(x, "_names", None)
     if names is None:
-        names = frozenset(_scan(t)[0])
-        setfield(t, "_names", names)
+        names = frozenset(_scan(x)[0])
+        setfield(x, "_names", names)
     return names
 
 
@@ -520,13 +571,18 @@ def _rebuild(root: Formula | Term, visit: Callable,
                          else ExIn(node.var, *new) if t is ExIn
                          else _with_children(node, new))
                 if carry:
-                    for field in _SUMMARY.values():
-                        got = getattr(node, field, None)
-                        if got is not None:
-                            setfield(built, field, got)
+                    _carry(node, built)
                 node = built
         done.append(node)
     return done[0]
+
+
+def _carry(old: Formula, new: Formula) -> None:
+    """Give new the rule summaries (`_summary`) that old has."""
+    for field in _SUMMARY.values():
+        got = getattr(old, field, None)
+        if got is not None:
+            setfield(new, field, got)
 
 
 class _Names:
@@ -560,7 +616,10 @@ class RuleStep(Value):
 
     def __init__(self, rule: str, tag: str, at: tuple, before: Formula,
                  after: Formula) -> None:
-        super().__init__(rule, tag, before, after)  # tag: _EQ or _IMP
+        setfield(self, "rule", rule)
+        setfield(self, "tag", tag)  # _EQ or _IMP
+        setfield(self, "before", before)
+        setfield(self, "after", after)
         setfield(self, "at", at)
 
     @property
@@ -620,11 +679,22 @@ def _r1a_guard(node: Implies, pol: int) -> bool:
             and node.left.st)
 
 
+def _lift(q: Quant, past: Formula, names: _Names) -> tuple[str, Formula]:
+    """The name and body under which q can be lifted over `past`: its
+    own, or a fresh name put in its body when its name occurs anywhere
+    in `past`, where it would capture a free name or nest a binder of
+    that name."""
+    if q.var not in _term_names(past):
+        return q.var, q.body
+    var = names.fresh(q.var)
+    return var, _put(q.body, q.var, var)
+
+
 def _r1a(node: Implies, names: _Names):
     """Marked existential antecedent becomes a marked universal outside."""
     q = node.left
-    return Quant("all", True, q.var, q.vtype,
-                 Implies(q.body, node.right)), _EQ
+    var, body = _lift(q, node.right, names)
+    return Quant("all", True, var, q.vtype, Implies(body, node.right)), _EQ
 
 
 def _r2_guard(node: Implies, pol: int) -> bool:
@@ -634,53 +704,68 @@ def _r2_guard(node: Implies, pol: int) -> bool:
 
 def _r2(node: Implies, names: _Names):
     """Herbrandize: a marked forall-exists antecedent trades its inner
-    existential for a fresh functional quantified outside.
-
-    The substitution pays for what it changes.  It keeps whole a term
-    whose kept names (`_term_names`) lack the witness, so the terms
-    earlier steps put in cost nothing after their first look; a nested
-    head is among those names, so a witness there is still found and
-    refused.  The nodes it rebuilds keep the summaries of those they
-    replace (`_rebuild`'s `carry`): a term put for a name changes no node
-    type, quantifier kind, marker, binder type or marked bit, and guards
-    read nothing else, so only the new nodes above the body are
-    summarized."""
+    existential for a fresh functional quantified outside.  Only the new
+    nodes above the witness body are summarized afresh (`_put`)."""
     chain, witness = _run(node.left, "all")
     ftype: Type = witness.vtype
     for q in reversed(chain):
         ftype = Arrow(q.vtype, ftype)
     base = witness.var.upper()
     fname = names.fresh(base if base != witness.var else "F" + witness.var)
-    applied = App(fname, tuple(q.var for q in chain))
-
-    def substitute(x):
-        # the witness becomes `applied` wherever it is free
-        if type(x) is str:
-            return (applied if x == witness.var else x), ()
-        if x.head == witness.var:
-            raise NotNormalizable("cannot substitute applied term for head "
-                                  f"position {witness.var!r}")
-        return x, x.args
-
-    def visit(x):
-        # a term in a formula node is kept when it lacks the witness, and
-        # else substituted whole, without asking the terms below it
-        t = type(x)
-        if t is str:
-            return substitute(x)
-        if t is App:
-            if witness.var not in _term_names(x):
-                return x, ()
-            return _rebuild(x, substitute), ()
-        if (t is Quant or t is ExIn) and x.var == witness.var:
-            return x, (x.bound,) if t is ExIn else ()  # only a bound is outside
-        return x, _parts(x)
-
-    inner: Formula = _rebuild(witness.body, visit, carry=True)
+    inner = _put(witness.body, witness.var,
+                 App(fname, tuple(q.var for q in chain)))
     for q in reversed(chain):
         inner = Quant("all", True, q.var, q.vtype, inner)
     return Quant("all", True, fname, ftype,
                  Implies(inner, node.right)), _EQ
+
+
+def _put(body: Formula, var: str, new: Term) -> Formula:
+    """body with the term `new` wherever the name `var` is free in it; a
+    head position takes only a name.
+
+    It pays for what it changes.  It keeps whole a term whose kept names
+    (`_term_names`) lack var, so the terms earlier steps put in cost
+    nothing after their first look; a nested head is among those names,
+    so var there is still found.  An atom puts its terms in itself, not
+    through the rebuild's stack.  The nodes it rebuilds keep the
+    summaries of those they replace (`_rebuild`'s `carry`): a term put
+    for a name changes no node type, quantifier kind, marker, binder
+    type or marked bit, and guards read nothing else."""
+
+    def substitute(x):
+        if type(x) is str:
+            return (new if x == var else x), ()
+        if x.head == var:
+            if type(new) is not str:
+                raise NotNormalizable("cannot substitute applied term for head "
+                                      f"position {var!r}")
+            x = App(new, x.args)
+        return x, x.args
+
+    def put(x: Term) -> Term:
+        # a term in a formula node is kept when it lacks var, and else
+        # substituted whole, without asking the terms below it
+        if type(x) is str:
+            return new if x == var else x
+        return x if var not in _term_names(x) else _rebuild(x, substitute)
+
+    def visit(x):
+        t = type(x)
+        if t is Atom:
+            args = tuple([put(a) for a in x.args])
+            if all(map(is_, args, x.args)):
+                return x, ()
+            built = Atom(x.pred, args)
+            _carry(x, built)
+            return built, ()
+        if t is str or t is App:  # an entry bound
+            return put(x), ()
+        if (t is Quant or t is ExIn) and x.var == var:
+            return x, (x.bound,) if t is ExIn else ()  # only a bound is outside
+        return x, _parts(x)
+
+    return _rebuild(body, visit, carry=True)
 
 
 def _r3_guard(node: Quant, pol: int) -> bool:
@@ -705,8 +790,9 @@ def _pull(node: Implies, names: _Names):
     (_p4_guard), an existential only when it is higher type or already
     carries a monotone bound (_p7_guard)."""
     q = node.right
-    return Quant(q.kind, True, q.var, q.vtype,
-                 Implies(node.left, q.body), mono=q.mono), _EQ
+    var, body = _lift(q, node.left, names)
+    return Quant(q.kind, True, var, q.vtype,
+                 Implies(node.left, body), q.mono), _EQ
 
 
 def _r1b_guard(node: Implies, pol: int) -> bool:
@@ -807,7 +893,7 @@ _HERE = len(_RULES) + 1
 _BELOW = (1 << _HERE) - 1
 _GUARDS = {t: tuple((1 << r, guard)
                     for r, (_, kind, guard, _) in enumerate(_RULES) if kind is t)
-           for t in (Atom, Not, And, Or, Implies, Quant, ExIn)}
+           for t in (Not, Implies, Quant)}  # no rule fires at the others
 # Each guard at an implication reads one side and fires only when that
 # side is a marked quantifier, so an implication runs the guards of the
 # sides that are: indexed by 1 for a marked antecedent, plus 2 for a
@@ -850,8 +936,7 @@ def _summary(node: Formula, pol: int) -> int:
             got = _summarize(f, p)
         elif getattr(f, _SUMMARY[p], None) is None:  # not reached before
             todo.append((f, p, True))
-            for i, k in enumerate(_children(f)):
-                kp = _child_pol(f, i, p)
+            for k, kp in _below(f, p):
                 if getattr(k, _SUMMARY[kp], None) is None:
                     todo.append((k, kp, False))
     return got
@@ -859,19 +944,36 @@ def _summary(node: Formula, pol: int) -> int:
 
 def _summarize(f: Formula, p: int) -> int:
     """Work out f's summary at polarity p, and keep it.  Its children
-    have theirs, and so every node below them."""
+    have theirs, and so every node below them.  Each node type reads its
+    children and their polarities itself, as `_below` would give them."""
     t = type(f)
-    guards = (_IMPLIES_GUARDS[_is_marked(f.left) | _is_marked(f.right) << 1]
-              if t is Implies else _GUARDS[t])
+    field = _SUMMARY[p]
+    if t is Implies:
+        left, right = f.left, f.right
+        guards = _IMPLIES_GUARDS[(type(left) is Quant and left.st)
+                                 | (type(right) is Quant and right.st) << 1]
+        below = getattr(left, _SUMMARY[-p]) | getattr(right, field)
+    elif t is Quant:
+        guards = _GUARDS[Quant]
+        below = getattr(f.body, field)
+        if f.st:
+            below |= _MARKED
+    elif t is Not:
+        guards = _GUARDS[Not]
+        below = getattr(f.body, _SUMMARY[-p])
+    elif t is Atom:
+        setfield(f, field, 0)
+        return 0
+    elif t is ExIn:
+        guards, below = (), getattr(f.body, field)
+    else:  # And, Or
+        guards, below = (), getattr(f.left, field) | getattr(f.right, field)
     here = 0
     for bit, guard in guards:
         if guard(f, p):
             here |= bit
-    below = here | _MARKED if _is_marked(f) else here
-    for i, k in enumerate(_children(f)):
-        below |= getattr(k, _SUMMARY[_child_pol(f, i, p)])
-    got = here << _HERE | below & _BELOW
-    setfield(f, _SUMMARY[p], got)
+    got = here << _HERE | (below | here) & _BELOW
+    setfield(f, field, got)
     return got
 
 
@@ -985,8 +1087,7 @@ def _rewrite(f: Formula, names: _Names, marked: int,
         node, got, pol, before, _, cell = spine[k]
         while not got >> _HERE & bit:
             here, left = got >> _HERE, 0
-            for i, kid in enumerate(_children(node)):
-                kid_pol = _child_pol(node, i, pol)
+            for i, (kid, kid_pol) in enumerate(_below(node, pol)):
                 got = getattr(kid, _SUMMARY[kid_pol])
                 if got & bit:
                     break

@@ -21,7 +21,11 @@ recursion.
 
 A class that checks its fields or works out more from them keeps an
 ``__init__`` of its own: it checks its arguments, then writes its fields
-through ``Value.__init__``.
+through ``Value.__init__``.  The formula nodes of ``mulab.formulas``
+(and ``RuleStep``, and ``Quant`` after its check) write theirs out with
+``setfield``, in ``_fields`` order, with their defaults in their
+signatures: a normalize run builds thousands, and the generic
+constructor's binding and loop cost more than the writes.
 A field left out of ``_fields`` (a cache worked out from the others, or
 a record that ``==`` reads another way) is written with ``setfield`` and
 is invisible to ``==``, ``hash`` and repr.  The class keyword

@@ -565,6 +565,31 @@ def _symbols(f):
     return out
 
 
+def free_names(f):
+    """The names free in f: each name in a term, an App head included,
+    outside every binder of that name.  Predicates are not counted."""
+    out = set()
+    todo = [(f, frozenset())]
+    while todo:
+        x, bound = todo.pop()
+        if isinstance(x, str):
+            if x not in bound:
+                out.add(x)
+        elif isinstance(x, App):
+            if x.head not in bound:
+                out.add(x.head)
+            todo += ((a, bound) for a in x.args)
+        elif isinstance(x, Atom):
+            todo += ((a, bound) for a in x.args)
+        elif isinstance(x, Quant):
+            todo.append((x.body, bound | {x.var}))
+        elif isinstance(x, ExIn):
+            todo += ((x.bound, bound), (x.body, bound | {x.var}))
+        else:
+            todo += ((k, bound) for k in _kids(x))
+    return out
+
+
 def _marked(node):
     return isinstance(node, Quant) and node.st
 

@@ -31,9 +31,10 @@ from mulab.errors import (
     PropertyError,
     UnsupportedPresentation,
 )
-from mulab.formulas import format_formula
+from mulab.formulas import ExIn, Quant, format_formula, parse_formula
 
-from test_formulas import marked_formulas
+from oracles import free_names
+from test_formulas import marked_formulas, reused_name_formulas
 
 EVENT_FLAG = "prefix=[1,1,1];tail=[0]"
 QUIET_FLAG = "prefix=[];tail=[1]"
@@ -412,6 +413,43 @@ def test_normalize_formula_text(capsys):
     assert got["foralls"] == "f:1"
     assert got["exists"] == "n:0"
     assert got["obligation"] == "(all f:1 (ex-in n (app t f) (atom iszero f n)))"
+
+
+# a lifted binder whose name occurs in the side it passes is renamed
+CAPTURES = {
+    "forall-pull past a free name": (
+        "(imp (atom p v) (all st v:0 (atom q v)))",
+        "steps: forall-pull\ncertificate: equivalence\nforalls: v2:0\n"
+        "exists: none\nmatrix: (imp (atom p v) (atom q v2))\n"
+        "normal_form: (all st v2:0 (imp (atom p v) (atom q v2)))\n"
+        "obligation: (all v2:0 (imp (atom p v) (atom q v2)))\n"),
+    "one name bound on both sides": (
+        "(imp (ex st v:0 (atom p v)) (all st v:0 (atom q v)))",
+        "steps: R1a-flip-antecedent forall-pull\ncertificate: equivalence\n"
+        "foralls: v2:0 v:0\nexists: none\nmatrix: (imp (atom p v2) (atom q v))\n"
+        "normal_form: (all st v2:0 (all st v:0 (imp (atom p v2) (atom q v))))\n"
+        "obligation: (all v2:0 (all v:0 (imp (atom p v2) (atom q v))))\n"),
+    "exists-pull past a free name": (
+        "(imp (atom p v) (ex st v:1 (atom q v)))",
+        "steps: exists-pull\ncertificate: equivalence\nforalls: none\n"
+        "exists: v2:1\nmatrix: (imp (atom p v) (atom q v2))\n"
+        "normal_form: (ex st v2:1 (imp (atom p v) (atom q v2)))\n"
+        "obligation: (ex-in v2 t (imp (atom p v) (atom q v2)))\n"),
+    "flip past a free name": (
+        "(imp (ex st v:0 (atom p v)) (atom q v))",
+        "steps: R1a-flip-antecedent\ncertificate: equivalence\nforalls: v2:0\n"
+        "exists: none\nmatrix: (imp (atom p v2) (atom q v))\n"
+        "normal_form: (all st v2:0 (imp (atom p v2) (atom q v)))\n"
+        "obligation: (all v2:0 (imp (atom p v2) (atom q v)))\n"),
+}
+
+
+@pytest.mark.parametrize("case", CAPTURES)
+def test_lifting_a_binder_captures_no_name(capsys, case):
+    text, rest = CAPTURES[case]
+    code, out, err = run_cli(capsys, "normalize", "--formula", text)
+    assert (code, err) == (0, "")
+    assert out == f"command: normalize\nsource: {text}\n{rest}"
 
 
 def test_normalize_reads_files_and_relativizes(capsys, tmp_path):
@@ -826,6 +864,38 @@ def test_printed_formulas_normalize_or_get_stuck(formula):
     assert code in (0, 1)
     if code == 1:
         assert out == "" and err.startswith("property violation: ")
+
+
+@settings(max_examples=120, deadline=None)
+@given(formula=reused_name_formulas())
+@example(formula=parse_formula("(imp (ex st v:0 (atom p v)) (all st v:0 (atom q v)))"))
+@example(formula=parse_formula("(imp (atom p u) (ex st u:1 (atom q (app u c))))"))
+def test_printed_normal_forms_parse_back_with_the_source_free_names(formula):
+    code, out, err = run_captured("normalize", "--formula", format_formula(formula))
+    if code == 1:  # stuck, or a witness in head position
+        assert out == "" and err.startswith("property violation: ")
+        return
+    assert (code, err) == (0, "")
+    got = fields_of(out)
+    source = parse_formula(got["source"])
+    normal_form = parse_formula(got["normal_form"])
+    obligation = parse_formula(got["obligation"])
+    assert free_names(normal_form) == free_names(source)
+    # the obligation names its witnesses free: the entry bounds below
+    # its universals, one for each existential
+    foralls, exists = (() if got[k] == "none" else got[k].split()
+                       for k in ("foralls", "exists"))
+    node = obligation
+    for _ in foralls:
+        assert isinstance(node, Quant)
+        node = node.body
+    witnesses = set()
+    for _ in exists:
+        assert isinstance(node, ExIn)
+        witnesses.add(node.bound if isinstance(node.bound, str) else node.bound.head)
+        node = node.body
+    assert free_names(obligation) == free_names(source) | witnesses
+    assert not witnesses & free_names(source)
 
 
 SUBCOMMANDS = [("ubin", "binary expansion route"),

@@ -517,14 +517,15 @@ def test_shared_subformulas_normalize_like_their_unshared_copies(shape):
 
 
 def test_normalizer_work_grows_linearly_on_flips(monkeypatch):
+    # the summary walk and each step's descent ask _below for children
     calls = {}
-    children = mulab.formulas._children
+    below = mulab.formulas._below
 
-    def counted(f):
+    def counted(f, pol):
         calls[k] += 1
-        return children(f)
+        return below(f, pol)
 
-    monkeypatch.setattr(mulab.formulas, "_children", counted)
+    monkeypatch.setattr(mulab.formulas, "_below", counted)
     for k in (256, 512):
         f = parse_formula(flip_text(k))
         calls[k] = 0
@@ -659,6 +660,41 @@ def marked_formulas(draw, depth=8):
                      Implies(guard, body) if q == "all" else And(guard, body))
 
     return go(depth, [])
+
+
+@st.composite
+def reused_name_formulas(draw, depth=4, pool=("u", "v")):
+    """Formulas like marked_formulas' whose binders take their names from
+    a small pool: a name is bound again in a disjoint scope, never inside
+    its own, as the parser demands, and atoms and terms use pool names
+    outside any binder of theirs too, so free.  Implications come twice
+    as often as the other connectives, as the rules lift binders out of
+    them."""
+
+    def term():
+        head = draw(st.sampled_from(pool + ("c",)))
+        if draw(st.booleans()):
+            return head
+        return App(head, (draw(st.sampled_from(pool + ("c",))),))
+
+    def go(d, scope):
+        free = [v for v in pool if v not in scope]
+        kinds = ["atom"] + (["not", "and", "or", "imp", "imp"] if d else [])
+        kinds += ["quant", "quant"] if d and free else []
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            arity = draw(st.integers(min_value=0, max_value=2))
+            return Atom(draw(st.sampled_from("pq")), tuple(term() for _ in range(arity)))
+        if kind == "not":
+            return Not(go(d - 1, scope))
+        if kind in ("and", "or", "imp"):
+            cls = {"and": And, "or": Or, "imp": Implies}[kind]
+            return cls(go(d - 1, scope), go(d - 1, scope))
+        var = draw(st.sampled_from(free))
+        return Quant(draw(st.sampled_from(("all", "ex"))), draw(st.booleans()), var,
+                     draw(st.sampled_from(TYPES)), go(d - 1, scope | {var}))
+
+    return go(depth, frozenset())
 
 
 def assert_engine_matches_the_reference(f):

@@ -1,7 +1,7 @@
 """The value classes: one instance of each, its repr pinned as text, its
-==, hash and refusal of assignment; the call forms of the one
-constructor they share; and == on chains deeper than the interpreter's
-recursion limit."""
+==, hash and refusal of assignment; the call forms of Value's generic
+constructor and of the written-out ones; and == on chains deeper than
+the interpreter's recursion limit."""
 
 from __future__ import annotations
 
@@ -300,6 +300,18 @@ CALL_FORMS = {
     "PathTree default": (lambda: PathTree((0, 1)), lambda: PathTree((0, 1), None)),
     "PathTree by name": (lambda: PathTree(bits=(1,), full_below=2),
                          lambda: PathTree((1,), 2)),
+    "App by name": (lambda: App(args=("x", "c"), head="f"), lambda: App("f", ("x", "c"))),
+    "App args by name": (lambda: App("f", args=("x",)), lambda: App("f", ("x",))),
+    "Atom pred by name": (lambda: Atom(pred="p"), lambda: Atom("p", ())),
+    "Not by name": (lambda: Not(body=p()), lambda: Not(p())),
+    "Implies by name": (lambda: Implies(right=p("y"), left=p()),
+                        lambda: Implies(p(), p("y"))),
+    "Implies right by name": (lambda: Implies(p(), right=p("y")),
+                              lambda: Implies(p(), p("y"))),
+    "ExIn by name": (lambda: ExIn(body=p(), var="x", bound="w"),
+                     lambda: ExIn("x", "w", p())),
+    "ExIn body by name": (lambda: ExIn("x", App("t", ("y",)), body=p()),
+                          lambda: ExIn("x", App("t", ("y",)), p())),
 }
 
 
@@ -313,6 +325,20 @@ def test_named_and_default_forms_match_the_positional_one(form):
         assert short == full and hash(short) == hash(full)
 
 
+def test_a_rule_step_by_name_matches_the_positional_one():
+    # `at` is written beside the fields, so CALL_FORMS cannot hold it
+    at = cells(1, 0)
+    before, after = Quant("all", True, "x", Base(), p()), Quant("all", False, "x", Base(), p())
+    short = RuleStep(after=after, before=before, at=at, tag="implication",
+                     rule="R3-drop-st")
+    full = RuleStep("R3-drop-st", "implication", at, before, after)
+    mixed = RuleStep("R3-drop-st", "implication", at, after=after, before=before)
+    assert vars(short) == vars(full) == vars(mixed)
+    assert vars(short).keys() == {*RuleStep._fields, "at"}
+    assert short == full == mixed and hash(short) == hash(full) == hash(mixed)
+    assert short.path == (1, 0)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda a: PSum(a, a, a), "PSum() takes 2 arguments but 3 were given"),
     (lambda a: PSum(a), "PSum() missing argument 'right'"),
@@ -323,6 +349,11 @@ def test_named_and_default_forms_match_the_positional_one(form):
     # a class that checks its fields binds them with its own signature
     (lambda a: Quant("all", True), "Quant.__init__() missing 3 required"),
     (lambda a: PathTree((1,), 2, 3), "PathTree.__init__() takes from 2 to 3"),
+    (lambda a: App("f"), "App.__init__() missing 1 required"),
+    (lambda a: Not(a, a), "Not.__init__() takes 2 positional"),
+    (lambda a: Implies(a, left=a), "_Binary.__init__() got multiple values"),
+    (lambda a: ExIn("x", "w", a, up=a), "ExIn.__init__() got an unexpected"),
+    (lambda a: RuleStep("r", "t", ()), "RuleStep.__init__() missing 2 required"),
 ])
 def test_a_bad_call_raises_type_error_naming_the_class(call, message):
     with pytest.raises(TypeError) as caught:
@@ -346,8 +377,9 @@ def value_classes():
     return {cls for cls in found if cls.__module__.startswith("mulab.")}
 
 
-def test_only_classes_that_check_or_derive_write_a_constructor():
-    # every other value class takes Value's, which reads _fields
+def test_only_classes_that_check_derive_or_build_formulas_write_a_constructor():
+    # every other value class takes Value's, which reads _fields; the
+    # formula nodes each rewrite step builds write theirs out for speed
     classes = value_classes()
     # _BisectionRoot prints a closure, so its repr cannot be pinned here;
     # test_extractors pins it against the eager reference instead
@@ -356,4 +388,5 @@ def test_only_classes_that_check_or_derive_write_a_constructor():
             | {"_Binary", "_BisectionRoot"})
     own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
     assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PFlagShift",
-                   "PiecewiseLinear", "PresentedSequence", "RuleStep"}
+                   "PiecewiseLinear", "PresentedSequence", "RuleStep",
+                   "App", "Atom", "Not", "_Binary", "ExIn"}
