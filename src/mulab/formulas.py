@@ -47,7 +47,7 @@ from .errors import FormulaScopeError, NotNormalizable, ParseError
 from .value import Value, setfield
 
 __all__ = [
-    "Base", "Arrow", "Seq", "Type", "parse_type", "format_type",
+    "Base", "Arrow", "Seq", "Type", "parse_type",
     "App", "Term", "Atom", "Not", "And", "Or", "Implies", "Quant", "ExIn",
     "Formula", "parse_formula", "format_formula",
     "is_internal", "relativize_st",
@@ -219,13 +219,6 @@ class ExIn(Value):
 Formula = Union[Atom, Not, And, Or, Implies, Quant, ExIn]
 
 
-def _children(f: Formula) -> tuple[Formula, ...]:
-    t = type(f)
-    if t is Atom:
-        return ()
-    return (f.body,) if t is Not or t is Quant or t is ExIn else (f.left, f.right)
-
-
 def _parts(x: Formula | Term) -> tuple:
     """The terms and subformulas directly below a formula or a term."""
     t = type(x)
@@ -238,13 +231,16 @@ def _parts(x: Formula | Term) -> tuple:
     return () if t is str else (x.left, x.right)
 
 
-def _with_children(f: Formula, kids: tuple[Formula, ...]) -> Formula:
-    t = type(f)
+def _with_parts(x: Formula | Term, parts: tuple | list) -> Formula | Term:
+    """x built again with `parts` in place of `_parts(x)`."""
+    t = type(x)
+    if t is Atom or t is App:
+        return t(x.pred if t is Atom else x.head, tuple(parts))
     if t is Quant:
-        return Quant(f.kind, f.st, f.var, f.vtype, kids[0], f.mono)
+        return Quant(x.kind, x.st, x.var, x.vtype, parts[0], x.mono)
     if t is ExIn:
-        return ExIn(f.var, f.bound, kids[0])
-    return f if t is Atom else t(*kids)
+        return ExIn(x.var, *parts)
+    return x if t is str else t(*parts)
 
 
 def _below(f: Formula, pol: int) -> tuple[tuple[Formula, int], ...]:
@@ -437,10 +433,8 @@ def format_formula(root: Formula | Term | Type,
         elif t is Quant:
             out.append(f"({x.kind} {'st ' if x.st else ''}{x.var}:")
             stack += (")", x.body, " ", x.vtype)
-        elif t is Seq:
-            wrap = type(x.inner) is Arrow and _pure_degree(x.inner) is None
-            out.append("(" if wrap else "")
-            stack += (")*" if wrap else "*", x.inner)
+        elif t is Seq:  # an arrow inside writes its own parentheses
+            stack += ("*", x.inner)
         else:
             d = _pure_degree(x)
             if d is None:
@@ -449,9 +443,6 @@ def format_formula(root: Formula | Term | Type,
             else:
                 out.append(str(d))
     return "".join(out)
-
-
-format_type = format_formula  # the one printer takes types too
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +460,10 @@ def _scan(f: Formula | Term) -> tuple[set[str], int, int]:
     while todo:
         node = todo.pop()
         t = type(node)
-        if t is tuple:  # a node again, after its parts: (node, 1 if marked, children)
+        if t is tuple:  # a node again, after its parts: (node, 1 if marked, _below(node, 1))
             node, marked, kids = node
             depth = 0
-            for k in kids:
+            for k, _ in kids:
                 m, d = got[id(k)]
                 marked += m
                 if d >= depth:
@@ -488,7 +479,7 @@ def _scan(f: Formula | Term) -> tuple[set[str], int, int]:
                 continue
             if t is Quant or t is ExIn:
                 names.add(node.var)
-            todo.append((node, int(t is Quant and node.st), _children(node)))
+            todo.append((node, int(t is Quant and node.st), _below(node, 1)))
             todo += _parts(node)
     return (names, *got.get(id(f), (0, 0)))
 
@@ -565,11 +556,7 @@ def _rebuild(root: Formula | Term, visit: Callable,
             del done[-n:]
             if any(map(is_not, new, below)):
                 new += _parts(node)[n:]
-                t = type(node)
-                built = (Atom(node.pred, tuple(new)) if t is Atom
-                         else App(node.head, tuple(new)) if t is App
-                         else ExIn(node.var, *new) if t is ExIn
-                         else _with_children(node, new))
+                built = _with_parts(node, new)
                 if carry:
                     _carry(node, built)
                 node = built
@@ -1122,9 +1109,9 @@ def _rewrite(f: Formula, names: _Names, marked: int,
     root = spine[-1][0]
     for k in range(len(spine) - 2, -1, -1):
         node, i = spine[k][0], spine[k + 1][5][1]
-        root = node if _children(node)[i] is root else _splice(node, i, root)
+        root = node if _below(node, 1)[i][0] is root else _splice(node, i, root)
     for q in reversed(prefix):
-        root = _with_children(q, (root,))
+        root = _splice(q, 0, root)
     return steps, root
 
 
@@ -1149,10 +1136,11 @@ def replay(f: Formula, trace: RuleTrace) -> Formula:
             return spine[0][0]
         for cell in reversed(below):
             node = spine[-1][0]
-            if cell[1] >= len(_children(node)):
+            kids = _below(node, 1)
+            if cell[1] >= len(kids):
                 raise ValueError(f"path {step.path} leaves {type(node).__name__}")
             level[id(cell)] = len(spine)
-            spine.append([_children(node)[cell[1]], cell])
+            spine.append([kids[cell[1]][0], cell])
         found = spine[-1][0]
         if found != step.before:
             raise ValueError(

@@ -138,8 +138,10 @@ def mu_exact(f: PresentedSequence) -> int | None:
 
 
 def first_nonzero(f: PresentedSequence) -> int | None:
-    """Least n with f(n) != 0, or None.  Dual search used by the dq route,
-    read from ``PresentedSequence.first_nonzero``."""
+    """Least n with f(n) != 0, or None, read from
+    ``PresentedSequence.first_nonzero``.  `corpus_stats` counts the
+    all-zero sequences with it; the dq route searches through mu instead
+    (`reals._first_nonzero_via`)."""
     return f.first_nonzero
 
 

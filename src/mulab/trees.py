@@ -65,10 +65,6 @@ class PresentedTree:
         return format_tree(self)
 
 
-def _bit_at(length: int, value: int, d: int) -> int:
-    return (value >> (length - 1 - d)) & 1
-
-
 class FullTree(PresentedTree, Value):
     def member(self, length: int, value: int) -> bool:
         return 0 <= value < (1 << length)
@@ -107,7 +103,7 @@ class FlagTree(PresentedTree, Value):
             return False
         if length == 0:
             return True
-        if _bit_at(length, value, 0) == self.root_bit:
+        if value >> (length - 1) == self.root_bit:
             return True
         ones = (1 << (length - 1)) - 1
         return value & ones == ones and self._gate_open(length)
@@ -120,7 +116,7 @@ class FlagTree(PresentedTree, Value):
     def alive(self, length: int, value: int, mu: MuOp = mu_exact) -> bool:
         if not self.member(length, value):
             return False
-        if length == 0 or _bit_at(length, value, 0) == self.root_bit:
+        if length == 0 or value >> (length - 1) == self.root_bit:
             return True
         return mu(self.flag) is None
 
@@ -312,14 +308,20 @@ def parse_tree(text: str) -> PresentedTree:
     """Parse the tree syntax: full | flagtree:i:<sequence> |
     path:<bits>[+full@<level>] | truncate:<level>:<tree>."""
     text = text.strip()
+    # the prefixes in one pass: `pos` is where the text still to read
+    # starts, so each level costs its own characters only
     levels = []
-    while text.startswith("truncate:"):
-        level_text, sep, inner = text[len("truncate:"):].partition(":")
-        level = _natural(level_text)
-        if not sep or level is None:
-            raise ParseError(f"bad truncate syntax: {text!r}")
+    pos = 0
+    while text.startswith("truncate:", pos):
+        end = text.find(":", pos + len("truncate:"))
+        level = _natural(text[pos + len("truncate:"):end]) if end >= 0 else None
+        if level is None:
+            raise ParseError(f"bad truncate syntax: {text[pos:]!r}")
         levels.append(level)
-        text = inner.strip()
+        pos = end + 1
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+    text = text[pos:]
     if text == "full":
         tree = FullTree()
     elif text.startswith("flagtree:"):

@@ -18,8 +18,8 @@ from unittest import mock
 
 import mulab.formulas as formulas
 from mulab.formulas import (
-    And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, _children,
-    _parts, _splice, format_type,
+    And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, _parts,
+    _splice, format_formula,
 )
 from mulab.coding import dyadic_index, string_code
 from mulab.errors import BudgetExceeded, OutOfRange
@@ -507,7 +507,7 @@ def _kids(f):
 
 def subformula_at(f, path: tuple[int, ...]):
     for i in path:
-        kids = _children(f)
+        kids = _kids(f)
         if i >= len(kids):
             raise ValueError(f"path {path} leaves {type(f).__name__}")
         f = kids[i]
@@ -518,7 +518,7 @@ def replace_at(f, path: tuple[int, ...], new):
     spine = []
     for i in path:
         spine.append((f, i))
-        f = _children(f)[i]
+        f = _kids(f)[i]
     for parent, i in reversed(spine):
         new = _splice(parent, i, new)
     return new
@@ -679,7 +679,7 @@ def _canonical(f):
             yield t, env.get(x.head, x.head), len(x.args)
         elif t is Quant:
             # printed types are equal exactly when the types are
-            yield t, x.kind, x.st, format_type(x.vtype)
+            yield t, x.kind, x.st, format_formula(x.vtype)
         else:
             yield t
         parts = _parts(x)

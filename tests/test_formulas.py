@@ -27,10 +27,11 @@ from mulab.formulas import (
     Not,
     Or,
     Quant,
+    RuleStep,
+    RuleTrace,
     Seq,
     extraction_obligation,
     format_formula,
-    format_type,
     is_internal,
     parse_formula,
     parse_type,
@@ -40,8 +41,8 @@ from mulab.formulas import (
 )
 
 from oracles import (
-    _internal, _symbols, _term_symbols, alpha_equal, formula_depth, marked_measure,
-    preorder, reference_normalize, replace_at, subformula_at,
+    _internal, _kids, _symbols, _term_symbols, _walk, alpha_equal, formula_depth,
+    marked_measure, preorder, reference_normalize, replace_at, subformula_at,
 )
 
 
@@ -64,9 +65,9 @@ FIXTURES = {
 # types
 
 def test_pure_types_print_as_degrees():
-    assert format_type(Base()) == "0"
-    assert format_type(Arrow(Base(), Base())) == "1"
-    assert format_type(Arrow(Arrow(Base(), Base()), Base())) == "2"
+    assert format_formula(Base()) == "0"
+    assert format_formula(Arrow(Base(), Base())) == "1"
+    assert format_formula(Arrow(Arrow(Base(), Base()), Base())) == "2"
 
 
 def test_parse_type_spot_values():
@@ -82,7 +83,15 @@ def test_parse_type_spot_values():
                                   "(1->1)*", "2->1", "(0*->0)"])
 def test_type_round_trip(text):
     t = parse_type(text)
-    assert parse_type(format_type(t)) == t
+    assert parse_type(format_formula(t)) == t
+
+
+@pytest.mark.parametrize("text", ["(0->1)*", "(0->1)**", "((0->1)->0)*", "1*", "(0*->0)"])
+def test_canonical_type_spellings_print_as_read(text):
+    # an arrow inside a sequence type writes its parentheses once
+    assert format_formula(parse_type(text)) == text
+    binder = f"(all st F:{text} (atom p F))"
+    assert format_formula(parse_formula(binder)) == binder
 
 
 @pytest.mark.parametrize("bad", ["", "x", "0->", "(0", "0)", "*", "0 0", "²", "٣", "1²"])
@@ -93,7 +102,7 @@ def test_parse_type_rejects_garbage(bad):
 
 def test_a_pure_degree_is_built_and_printed_without_recursion():
     t = parse_type("10000")
-    assert format_type(t) == "10000"
+    assert format_formula(t) == "10000"
     for _ in range(10000):
         assert t.right == Base()
         t = t.left
@@ -166,6 +175,16 @@ def test_comments_and_whitespace_are_ignored():
 def test_parser_rejects_bad_input(bad):
     with pytest.raises(ParseError):
         parse_formula(bad)
+
+
+def test_parser_wants_a_term_for_an_entry_bound():
+    with pytest.raises(ParseError, match="expected a term"):
+        parse_formula("(ex-in x)")
+
+
+def test_a_quantifier_kind_is_all_or_ex():
+    with pytest.raises(ValueError, match="bad quantifier kind 'some'"):
+        Quant("some", True, "x", Base(), Atom("p", ("x",)))
 
 
 def test_parser_rejects_rebinding():
@@ -303,6 +322,13 @@ def test_replay_rejects_a_tampered_source():
         replay(other, trace)
 
 
+def test_replay_rejects_a_path_that_leaves_the_formula():
+    # the step's cell chain says child 0 of the root, an atom
+    step = RuleStep("not-push", "equivalence", ((), 0), Atom("p"), Atom("q"))
+    with pytest.raises(ValueError, match=r"path \(0,\) leaves Atom"):
+        replay(Atom("p"), RuleTrace((step,)))
+
+
 def test_certificate_depends_only_on_weakening_steps():
     nf_src = parse_formula(fixture_text("pi01_transfer.sexp"))
     _, trace = to_normal_form(nf_src)
@@ -382,8 +408,8 @@ FAMILIES = [
 def test_benchmark_families_fire_their_rules_in_order(text, rules, foralls, exists):
     nf, trace = to_normal_form(parse_formula(text))
     assert trace.rules() == rules
-    assert tuple(format_type(t) for _, t in nf.foralls) == foralls
-    assert tuple(format_type(t) for _, t in nf.exists) == exists
+    assert tuple(format_formula(t) for _, t in nf.foralls) == foralls
+    assert tuple(format_formula(t) for _, t in nf.exists) == exists
 
 
 def test_rules_fire_by_priority_then_outermost_leftmost():
@@ -413,7 +439,7 @@ def test_a_change_seen_through_a_marked_chain_reaches_the_guard_above():
 def test_forty_nested_pulls_run_past_four_hundred_steps():
     nf, trace = to_normal_form(parse_formula(pull_text(40)))
     assert trace.rules() == ("forall-pull",) * 820
-    assert [format_type(t) for _, t in nf.foralls] == ["0"] * 40
+    assert [format_formula(t) for _, t in nf.foralls] == ["0"] * 40
     assert nf.exists == ()
 
 
@@ -813,6 +839,19 @@ def test_one_walk_reads_the_names_marked_count_and_depth(f):
             assert is_internal(node) == _internal(node, 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(shared_formulas())
+def test_the_structure_helpers_agree_with_the_oracle_walk(f):
+    for x in preorder(f):
+        assert mulab.formulas._with_parts(x, mulab.formulas._parts(x)) == x
+    # children and polarities, against the oracle's own walk
+    for start in (1, -1):
+        at = {path: (node, pol) for path, node, pol in _walk(f, (), start)}
+        for path, (node, pol) in at.items():
+            assert mulab.formulas._below(node, pol) == tuple(
+                at[path + (i,)] for i in range(len(_kids(node))))
+
+
 def unshared_copy(f):
     """f built again from the leaves up, with a new formula node at every
     position, so that no node of it has a summary yet.  (Printing and
@@ -822,14 +861,16 @@ def unshared_copy(f):
     while todo:
         node = todo.pop()
         order.append(node)
-        todo += mulab.formulas._children(node)
+        todo += _kids(node)
     built: list = []
     for node in reversed(order):
-        n = len(mulab.formulas._children(node))
+        n = len(_kids(node))
         kids = built[len(built) - n:]
         del built[len(built) - n:]
-        built.append(Atom(node.pred, node.args) if type(node) is Atom
-                     else mulab.formulas._with_children(node, kids))
+        # the subformulas are the last parts: an atom's terms and an
+        # ex-in's bound come before them
+        parts = mulab.formulas._parts(node)
+        built.append(mulab.formulas._with_parts(node, (*parts[:len(parts) - n], *kids)))
     return built[0]
 
 
@@ -848,8 +889,7 @@ def wrong_summaries(f):
             if kept is not None and kept != mulab.formulas._summary(fresh, pol):
                 wrong.append((path, pol))
         todo += [(kid, fresh_kid, path + (i,)) for i, (kid, fresh_kid)
-                 in enumerate(zip(mulab.formulas._children(node),
-                                  mulab.formulas._children(fresh)))]
+                 in enumerate(zip(_kids(node), _kids(fresh)))]
     return wrong
 
 
@@ -921,6 +961,38 @@ def test_herbrandizing_keeps_names_only_on_the_terms_it_asks_about():
         "ex", True, "y", Base(), Atom("r", (term, "y")))), Atom("q")))
     assert term._names == {"z", *(f"f{j}" for j in range(50))}
     assert getattr(term.args[0], "_names", None) is None
+
+
+# The parser refuses a binder nested under one of its name, so these
+# formulas are built with the constructors.
+
+def test_herbrandizing_stops_at_a_binder_of_the_witness_name():
+    inner = Quant("all", False, "y", Base(), Atom("q", ("y",)))
+    f = Implies(Quant("all", True, "x", Base(), Quant(
+        "ex", True, "y", Base(), And(Atom("p", ("y",)), inner))), Atom("r"))
+    step = to_normal_form(f)[1].steps[0]
+    assert step.rule == "R2-herbrandize"
+    assert step.after == Quant("all", True, "Y", parse_type("1"), Implies(
+        Quant("all", True, "x", Base(), And(Atom("p", (App("Y", ("x",)),)), inner)),
+        Atom("r")))
+
+
+def test_herbrandizing_puts_the_witness_only_in_the_bound_of_an_entry_binder():
+    f = Implies(Quant("all", True, "x", Base(), Quant(
+        "ex", True, "y", Base(), ExIn("y", "y", Atom("q", ("y",))))), Atom("r"))
+    step = to_normal_form(f)[1].steps[0]
+    assert step.rule == "R2-herbrandize"
+    assert step.after.body.left.body == ExIn("y", App("Y", ("x",)), Atom("q", ("y",)))
+
+
+def test_a_renamed_binder_leaves_an_inner_binder_of_its_old_name_alone():
+    inner = Quant("all", False, "z", Base(), Atom("s", ("z",)))
+    f = Implies(Quant("ex", True, "z", Base(), And(Atom("p", ("z",)), inner)),
+                Atom("q", ("z",)))
+    step = to_normal_form(f)[1].steps[0]
+    assert step.rule == "R1a-flip-antecedent"
+    assert step.after == Quant("all", True, "z2", Base(), Implies(
+        And(Atom("p", ("z2",)), inner), Atom("q", ("z",))))
 
 
 # ---------------------------------------------------------------------------
@@ -1003,7 +1075,7 @@ import sys
 from mulab.errors import FormulaScopeError
 from mulab.formulas import (App, Arrow, Atom, Base, Implies, Not, Quant, Seq,
                             _term_names, extraction_obligation, format_formula,
-                            format_type, parse_formula, parse_type, relativize_st,
+                            parse_formula, parse_type, relativize_st,
                             replay, to_normal_form)
 from mulab.trees import FullTree, Truncation, format_tree, parse_tree
 from oracles import alpha_equal
@@ -1018,9 +1090,9 @@ for _ in range(D):
 arrows, seqs = Seq(Base()), Base()
 for _ in range(D):
     arrows, seqs = Arrow(Base(), arrows), Seq(seqs)
-assert format_type(pure) == str(D)
-assert format_type(arrows) == "(0->" * D + "0*" + ")" * D
-assert format_type(seqs) == "0" + "*" * D
+assert format_formula(pure) == str(D)
+assert format_formula(arrows) == "(0->" * D + "0*" + ")" * D
+assert format_formula(seqs) == "0" + "*" * D
 again = Base()
 for _ in range(D):
     again = Arrow(again, Base())
@@ -1092,9 +1164,9 @@ chain = "(0->" * (D - 1) + "1" + ")" * (D - 1)
 for ann, printed in (("(" * D + "0" + ")" * D, "0"),
                      ("->".join(["0"] * (D + 1)), chain),
                      ("(0->" * D + "0" + ")" * D, chain)):
-    assert format_type(parse_type(ann)) == printed
+    assert format_formula(parse_type(ann)) == printed
     binder = parse_formula(f"(all st x:{ann} (atom p x))")
-    assert format_type(binder.vtype) == printed
+    assert format_formula(binder.vtype) == printed
 
 # trees: nested truncations, parsed, printed and queried
 text = "truncate:5:" * D + "full"

@@ -130,6 +130,12 @@ def test_fan_modulus_rejects_unbounded_search():
         omega_fan(TracedFunctional("hunt", _hunt), node_budget=50)
 
 
+def test_a_fan_budget_of_no_nodes_admits_not_even_the_root():
+    # a constant asks nothing, so only the root's own count refuses it
+    with pytest.raises(BudgetExceeded, match="^omega_fan: over 0 replay nodes$"):
+        omega_fan(TracedFunctional("zero", lambda view: 0), node_budget=0)
+
+
 def test_fan_modulus_rejects_negative_queries():
     with pytest.raises(ValueError):
         omega_fan(TracedFunctional("neg", lambda view: view(-1)))

@@ -86,6 +86,11 @@ def test_rejects_empty_tail_and_negatives():
         PresentedSequence((0,), (2, -3))
 
 
+def test_a_negative_index_has_no_value():
+    with pytest.raises(ValueError, match="negative index"):
+        PresentedSequence((1, 2), (3,)).value(-1)
+
+
 @given(prefixes, tails)
 def test_mu_exact_matches_brute_scan(prefix, tail):
     s = PresentedSequence(prefix, tail)

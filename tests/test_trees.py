@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -212,6 +213,23 @@ def test_format_parse_round_trip(tree):
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ParseError):
         parse_tree(bad)
+
+
+@pytest.mark.parametrize("text, rest", [("truncate:3", "truncate:3"),
+                                        ("truncate:2: truncate:x:full",
+                                         "truncate:x:full")])
+def test_a_bad_truncation_is_named_from_where_it_starts(text, rest):
+    with pytest.raises(ParseError, match=f"^bad truncate syntax: {rest!r}$"):
+        parse_tree(text)
+
+
+def test_nested_truncations_parse_in_time_linear_in_their_number():
+    text = "truncate:3:" * 200_000 + "full"
+    start = time.perf_counter()
+    tree = parse_tree(text)
+    assert format_tree(tree) == text
+    assert time.perf_counter() - start < 10
+    assert tree.member(3, 0) and not tree.member(4, 0)
 
 
 def test_traced_view_answers_membership_under_the_string_coding():
