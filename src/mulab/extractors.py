@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from typing import Callable, Iterator
 
 from .coding import cantor_pair, dyadic_index, dyadic_value, max_coded_length
@@ -189,29 +189,73 @@ def ubin_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], BinaryExpansion]:
     return phi
 
 
+def _first_row(a: int, b: int, n: int) -> int:
+    """The least row k >= n with a << k > b, for a >= 1 and b >= 0: a
+    << k has a's bit length plus k bits, so k is at most one past the
+    gap between the two bit lengths."""
+    k = max(n, b.bit_length() - a.bit_length())
+    return k if a << k > b else k + 1
+
+
+def _read_runs(x: FastCauchyReal, stop: int,
+               record: Callable[[int, int], None],
+               decide: Callable[[Fraction, int], tuple[int, object] | None]):
+    """The verdict of the first row of x's column below stop that
+    decides, or None, read a run of equal rows at a time
+    (FastCauchyReal.run).  decide(q, n) gives the first row k >= n at
+    which a run of value q decides, and the verdict, or None if it never
+    does; record(lo, hi) records rows lo..hi - 1.  The rows recorded are
+    those a row-by-row loop records: every row up to the deciding one,
+    and a row that x refuses, before its error goes on."""
+    n = 0
+    while n < stop:
+        try:
+            q, end = x.run(n, stop)
+        except BaseException:
+            record(n, n + 1)
+            raise
+        decided = decide(q, n)
+        if decided is not None and decided[0] < end:
+            k, verdict = decided
+            record(n, k + 1)
+            return verdict
+        record(n, end)
+        n = end
+    return None
+
+
 def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
     """Whether the viewed real, of exact value ``value``, reaches t: the
     first row n with d = q_n - t at least 2^-n says yes, below -2^-n
     says no.  With q_n = a/b and t = tn/td, d·2^n compares with 1 as
     (a·td - tn·b)·2^n does with b·td, both denominators being positive,
-    so each row is decided on integers without building d.  A column
-    within 2^-n of value decides by the row past the bit length of the
-    gap's denominator, so one that has not by the limit below
-    contradicts value."""
+    so the column is decided on integers without building d.  It is read
+    by runs of equal rows: for a run of value a/b the first row that
+    decides is worked out at once, and the rows up to it go to the trace
+    in one update.  A column within 2^-n of value decides by the row past
+    the bit length of the gap's denominator, so one that has not by the
+    limit below contradicts value."""
     if value == t:
         return True
     tn, td = t.numerator, t.denominator
     limit = 4 * (value.denominator.bit_length() + td.bit_length()) + 64
-    for n in range(limit + 1):
-        q = view.rational(n)
+
+    def decide(q: Fraction, n: int) -> tuple[int, bool] | None:
         b = q.denominator
-        scaled = (q.numerator * td - tn * b) << n
-        if scaled >= b * td:
-            return True
-        if -scaled > b * td:
-            return False
-    raise BoundViolation(f"no row up to {limit} decides whether the real "
-                         f"reaches {t}")
+        gap, scale = q.numerator * td - tn * b, b * td
+        if gap > 0:  # yes once gap << k >= scale
+            return _first_row(gap, scale - 1, n), True
+        if gap < 0:  # no once -gap << k > scale
+            return _first_row(-gap, scale, n), False
+        return None
+
+    reached = _read_runs(
+        view.real, limit + 1,
+        lambda lo, hi: view._record_cells(range(lo, hi), hi - lo), decide)
+    if reached is None:
+        raise BoundViolation(f"no row up to {limit} decides whether the real "
+                             f"reaches {t}")
+    return reached
 
 
 def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
@@ -459,7 +503,10 @@ class TracedTableView(TracedView):
     """A function seen as its value table over the dyadic enumeration,
     one Cantor-paired index per (point, precision) cell.  The real at
     each dyadic point is built once per view and serves every precision
-    row of that point; each cell read is still recorded."""
+    row of that point.  entry(i, n) reads and records one cell; the sign
+    reader reads a point's column by runs of equal rows and records the
+    cells of rows lo..hi - 1 in one _record_cells update, their Cantor
+    codes stepping by i + n + 2 from row n to row n + 1."""
 
     def __init__(self, fn: RepresentedContinuousFunction,
                  budget: int = DEFAULT_BUDGET):
@@ -480,22 +527,35 @@ class TracedTableView(TracedView):
 
 
 def _sign_certified(view: TracedTableView, p: Fraction) -> int:
+    """Sign of the viewed function at dyadic p: 0 from an exact zero
+    value, without reads, else certified by the first row n of the
+    column at p with |q_n| > 2^-n, decided on integers.  The column is
+    read by runs of equal rows: for a run of value a/b the first row with
+    |a| << n > b is worked out at once, and the cells up to it go to the
+    trace in one update.  A column within 2^-n of value certifies its
+    sign by the row past the bit length of value's denominator; one that
+    has not by the limit is wrong."""
     i = dyadic_index(p)
-    value = view.point(i).exact_value()
+    x = view.point(i)
+    value = x.exact_value()
     if value == 0:
         return 0
-    # a column within 2^-n of value certifies its sign by the row past the
-    # bit length of its denominator; one that has not by the limit is wrong
     limit = 4 * value.denominator.bit_length() + 64
-    for n in range(limit + 1):
-        # |q| > 2^-n, decided on integers
-        q = view.entry(i, n)
-        scaled = q.numerator << n
-        if scaled > q.denominator:
-            return 1
-        if -scaled > q.denominator:
-            return -1
-    raise BoundViolation(f"no row up to {limit} certifies the sign at {p}")
+
+    def decide(q: Fraction, n: int) -> tuple[int, int] | None:
+        a = q.numerator
+        if a == 0:
+            return None
+        return _first_row(abs(a), q.denominator, n), 1 if a > 0 else -1
+
+    def record(lo: int, hi: int) -> None:
+        cells = accumulate(range(i + lo + 2, i + hi + 1), initial=cantor_pair(i, lo))
+        view._record_cells(cells, hi - lo)
+
+    sign = _read_runs(x, limit + 1, record, decide)
+    if sign is None:
+        raise BoundViolation(f"no row up to {limit} certifies the sign at {p}")
+    return sign
 
 
 def uivt_repr_endpoints(view: TracedTableView, k: int) -> list[Fraction]:

@@ -190,7 +190,24 @@ class TracedView:
     def _record(self, entry) -> None:
         self.trace.add(entry)
         if len(self.trace) > self.budget:
-            raise BudgetExceeded(f"view queried more than {self.budget} indices")
+            raise self._over_budget()
+
+    def _record_cells(self, cells: Iterable, size: int) -> None:
+        """Record the size entries of cells in one set update, as size
+        calls of _record in their order would: a run that may pass the
+        budget is added one entry at a time, so the error comes at the
+        same entry, with budget + 1 entries in the trace."""
+        trace = self.trace
+        if len(trace) + size <= self.budget:
+            trace.update(cells)
+            return
+        for entry in cells:
+            trace.add(entry)
+            if len(trace) > self.budget:
+                raise self._over_budget()
+
+    def _over_budget(self) -> BudgetExceeded:
+        return BudgetExceeded(f"view queried more than {self.budget} indices")
 
     def reset(self) -> None:
         self.trace.clear()
@@ -211,8 +228,10 @@ class TracedSeqView(TracedView):
 
 class TracedRealView(TracedView):
     """View of a real as its approximation column: rational(n) reads row
-    n.  The underlying real stays reachable for exactness escapes, which
-    is how the concrete functionals stay total at their tie points.
+    n, and a reader of runs of rows records rows lo..hi - 1 as
+    range(lo, hi) with _record_cells.  The underlying real stays
+    reachable for exactness escapes, which is how the concrete
+    functionals stay total at their tie points.
     """
 
     def __init__(self, x: FastCauchyReal, budget: int = DEFAULT_BUDGET):

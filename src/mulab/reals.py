@@ -61,6 +61,12 @@ class Presentation:
     def approx(self, n: int) -> Fraction:
         raise NotImplementedError
 
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        """Row n and the end of the run of rows equal to it, capped at
+        stop > n: approx(r) is row n for every r in [n, end).  This
+        default is a run of one row."""
+        return self.approx(n), n + 1
+
     def exact_value(self, mu: MuOp) -> Fraction:
         raise NotImplementedError
 
@@ -71,6 +77,9 @@ class PRational(Presentation, Value):
 
     def approx(self, n: int) -> Fraction:
         return self.value
+
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        return self.value, stop
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.value
@@ -111,6 +120,20 @@ class PFlagShift(Presentation, Value):
         if m0 is not None and m0 < n + 4 + self.shift:
             return self.base + self.factor * _epsilon(m0)
         return self.base
+
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        """The rows below the switch row m0 - 3 - shift, the first that
+        sees the event m0, are base; the rows from it on are exact.  A
+        run of base rows ends at the switch row or at stop, whichever
+        comes first, so the run depends only on f below stop + 3 + shift,
+        as row stop - 1 does."""
+        m0 = self.flag.first_zero
+        if m0 is None:
+            return self.base, stop
+        switch = m0 - 3 - self.shift
+        if n < switch:
+            return self.base, min(switch, stop)
+        return self.base + self.factor * _epsilon(m0), stop
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self.base + self.factor * _epsilon(mu(self.flag))
@@ -162,6 +185,14 @@ class FastCauchyReal(Value, eq=False):
         if self.presentation is None:
             raise UnsupportedPresentation("real has neither rule nor presentation")
         return self.presentation.approx(n)
+
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        """approx(n) and the end of the run of rows equal to it, capped at
+        stop > n (see Presentation.run).  A rule given by approx_override
+        makes runs of one row, and so does a row that approx refuses."""
+        if self.approx_override is not None or self.presentation is None or n < 0:
+            return self.approx(n), n + 1
+        return self.presentation.run(n, stop)
 
     def exact_value(self, mu: MuOp = mu_exact) -> Fraction:
         if self.presentation is None:

@@ -1,0 +1,261 @@
+"""Approximation columns read by runs of equal rows.
+
+``run(n, stop)`` gives row n and the end of the run of rows equal to it,
+and the column readers of the ivt and ubin routes (``_sign_certified``
+and ``_reaches``) decide a whole run at once.  These tests hold the run
+contract on every presentation and on FastCauchyReal, and hold the run
+readers to the row-by-row references in tests/oracles.py: the same
+answer, the same trace, and under a budget the same error at the same
+cell.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from mulab.coding import dyadic_value
+from mulab.errors import BudgetExceeded
+from mulab.extractors import (
+    RepresentedContinuousFunction,
+    TracedTableView,
+    _reaches,
+    _sign_certified,
+    ivt_counterexample,
+    ubin_repr_digits,
+    uivt_repr_endpoints,
+)
+from mulab.functionals import DEFAULT_BUDGET, TracedRealView
+from mulab.reals import (
+    FastCauchyReal,
+    PDqSeries,
+    PFlagShift,
+    PRational,
+    counterexample_pair,
+)
+from mulab.sequences import PresentedSequence, mu_exact
+
+from oracles import (
+    reference_ivt_endpoints,
+    reference_reaches,
+    reference_sign_certified,
+    reference_ubin_digits,
+)
+from test_extractors import deep_flags
+
+small_nat = st.integers(min_value=0, max_value=3)
+short_flags = st.builds(
+    lambda prefix, tail: PresentedSequence(tuple(prefix), tuple(tail)),
+    st.lists(small_nat, max_size=8), st.lists(small_nat, min_size=1, max_size=3))
+flags = st.one_of(short_flags, deep_flags)
+
+# dyadics hit the row ties |q_n| = 2^-n and q_n - t = 2^-n exactly
+dyadics = st.builds(lambda a, k: Fraction(a, 1 << k),
+                    st.integers(min_value=-8, max_value=8),
+                    st.integers(min_value=0, max_value=12))
+rationals = st.one_of(dyadics, st.fractions(min_value=-2, max_value=2,
+                                            max_denominator=24))
+# |factor| up to 7, so shift runs from 0 to 3
+factors = st.one_of(st.sampled_from([1, -1]), st.fractions(
+    min_value=-7, max_value=7, max_denominator=4).filter(bool))
+
+presentations = st.one_of(
+    rationals.map(PRational),
+    st.builds(PFlagShift, rationals, factors, flags),
+    flags.map(PDqSeries),
+)
+
+
+def _wobble(pres):
+    """Another column of the value pres presents: row n is off it by
+    2^-(n+2), on alternating sides."""
+    value = pres.exact_value(mu_exact)
+    return lambda n: value + Fraction((-1) ** n, 1 << (n + 2))
+
+
+# a presentation's own column, the same column given as approx_override,
+# and a different column of the same value given as approx_override
+columns = st.one_of(
+    presentations.map(FastCauchyReal),
+    presentations.map(lambda p: FastCauchyReal(p, approx_override=p.approx)),
+    presentations.map(lambda p: FastCauchyReal(p, approx_override=_wobble(p))),
+)
+
+
+def _check_run(x, n, stop):
+    q, end = x.run(n, stop)
+    assert q == x.approx(n)
+    assert n < end <= stop
+    assert all(x.approx(r) == q for r in range(n, end))
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations, st.integers(min_value=0, max_value=320),
+       st.integers(min_value=1, max_value=64))
+def test_a_presentation_run_is_its_rows(pres, n, width):
+    _check_run(pres, n, n + width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns, st.integers(min_value=0, max_value=320),
+       st.integers(min_value=1, max_value=64))
+def test_a_real_run_is_its_rows(x, n, width):
+    _check_run(x, n, n + width)
+    if x.approx_override is not None:
+        assert x.run(n, n + width)[1] == n + 1
+
+
+def test_a_rational_and_a_quiet_flag_shift_run_to_the_stop():
+    assert PRational(Fraction(1, 3)).run(5, 40) == (Fraction(1, 3), 40)
+    quiet = PFlagShift(Fraction(1, 2), Fraction(-3), PresentedSequence((1,), (2,)))
+    assert quiet.run(0, 1000) == (Fraction(1, 2), 1000)
+
+
+def test_a_flag_shift_run_ends_at_its_switch_row():
+    # event 20, factor 3 (shift 2): rows below 20 - 3 - 2 = 15 are base
+    pres = PFlagShift(Fraction(1, 2), Fraction(3), PresentedSequence((1,) * 20, (0,)))
+    assert pres.run(0, 100) == (Fraction(1, 2), 15)
+    assert pres.run(3, 10) == (Fraction(1, 2), 10)
+    assert pres.run(15, 100) == (Fraction(1, 2) + 3 * Fraction(1, 1 << 19), 100)
+    assert pres.approx(14) == Fraction(1, 2) != pres.approx(15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, factors, flags, st.integers(min_value=0, max_value=320),
+       st.integers(min_value=1, max_value=64), st.data())
+def test_flags_that_agree_below_the_stop_give_the_same_run(base, factor, f, n,
+                                                           width, data):
+    stop = n + width
+    pres = PFlagShift(base, factor, f)
+    cut = stop + 4 + pres.shift
+    rest = data.draw(st.lists(small_nat, max_size=6), label="rest")
+    tail = data.draw(st.lists(small_nat, min_size=1, max_size=3), label="tail")
+    g = PresentedSequence(tuple(f.value(i) for i in range(cut)) + tuple(rest),
+                          tuple(tail))
+    assert PFlagShift(base, factor, g).run(n, stop) == pres.run(n, stop)
+
+
+def _table(x, budget=DEFAULT_BUDGET):
+    """A table view whose column at every dyadic point is x's."""
+    return TracedTableView(RepresentedContinuousFunction(lambda q: x, "column"),
+                           budget)
+
+
+points = st.integers(min_value=0, max_value=40).map(dyadic_value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns, points)
+def test_the_run_sign_reader_matches_the_row_reference(x, p):
+    view, ref = _table(x), _table(x)
+    assert _sign_certified(view, p) == reference_sign_certified(ref, p)
+    assert view.trace == ref.trace
+
+
+def _thresholds(x):
+    """Thresholds for x: its exact value (a tie settled without reads),
+    a row value moved by exactly that row's 2^-k either way (a row tie),
+    and any rational."""
+    value = x.exact_value()
+    return st.one_of(
+        st.just(value),
+        st.builds(lambda k, s: x.approx(k) + s * Fraction(1, 1 << k),
+                  st.integers(min_value=0, max_value=12), st.sampled_from([1, -1])),
+        rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns, st.data())
+def test_the_run_reach_reader_matches_the_row_reference(x, data):
+    t = data.draw(_thresholds(x), label="t")
+    value = x.exact_value()
+    view, ref = TracedRealView(x), TracedRealView(x)
+    assert _reaches(view, value, t) == reference_reaches(ref, value, t)
+    assert view.trace == ref.trace
+
+
+def _runs_out_alike(make, read, reference, data):
+    """With a budget below the cells reference reads, read and reference,
+    each on its own view make(budget), raise BudgetExceeded with one
+    message and leave one trace of budget + 1 cells."""
+    full = make(DEFAULT_BUDGET)
+    reference(full)
+    if not full.trace:
+        return
+    budget = data.draw(st.integers(min_value=0, max_value=len(full.trace) - 1),
+                       label="budget")
+    view, ref = make(budget), make(budget)
+    with pytest.raises(BudgetExceeded) as got:
+        read(view)
+    with pytest.raises(BudgetExceeded) as expected:
+        reference(ref)
+    assert str(got.value) == str(expected.value)
+    assert view.trace == ref.trace
+    assert len(view.trace) == budget + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns, points, st.data())
+def test_the_run_sign_reader_runs_out_of_budget_at_the_same_cell(x, p, data):
+    _runs_out_alike(lambda budget: _table(x, budget),
+                    lambda view: _sign_certified(view, p),
+                    lambda view: reference_sign_certified(view, p), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns, st.data())
+def test_the_run_reach_reader_runs_out_of_budget_at_the_same_cell(x, data):
+    t = data.draw(_thresholds(x), label="t")
+    value = x.exact_value()
+    _runs_out_alike(lambda budget: TracedRealView(x, budget),
+                    lambda view: _reaches(view, value, t),
+                    lambda view: reference_reaches(view, value, t), data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags, st.sampled_from("+-"), st.integers(min_value=1, max_value=6), st.data())
+def test_many_probes_on_one_view_run_out_of_budget_at_the_same_cell(f, sign, k, data):
+    # later probes repeat cells of earlier ones, which do not count again
+    fn = ivt_counterexample(f, sign)
+    _runs_out_alike(lambda budget: TracedTableView(fn, budget),
+                    lambda view: uivt_repr_endpoints(view, k),
+                    lambda view: reference_ivt_endpoints(view, k), data)
+    x = counterexample_pair(f)[sign == "+"]
+    _runs_out_alike(lambda budget: TracedRealView(x, budget),
+                    lambda view: ubin_repr_digits(view, k),
+                    lambda view: reference_ubin_digits(view, k), data)
+
+
+class Refused(Exception):
+    pass
+
+
+def _refusing(value, row):
+    """A real of the given value whose rule refuses row `row` and every
+    row past it."""
+    def rule(n):
+        if n >= row:
+            raise Refused(n)
+        return value
+    return FastCauchyReal(PRational(value), approx_override=rule)
+
+
+@pytest.mark.parametrize("row", [0, 1, 5])
+def test_a_refused_row_is_recorded_before_its_error(row):
+    # the value needs row 20 to decide, so the column reaches the refusal
+    x = _refusing(Fraction(1, 1 << 19), row)
+    for read, reference, make in (
+            (lambda v: _sign_certified(v, Fraction(1, 2)),
+             lambda v: reference_sign_certified(v, Fraction(1, 2)), lambda: _table(x)),
+            (lambda v: _reaches(v, x.exact_value(), Fraction(0)),
+             lambda v: reference_reaches(v, x.exact_value(), Fraction(0)),
+             lambda: TracedRealView(x))):
+        view, ref = make(), make()
+        with pytest.raises(Refused):
+            read(view)
+        with pytest.raises(Refused):
+            reference(ref)
+        assert view.trace == ref.trace
+        assert len(view.trace) == row + 1

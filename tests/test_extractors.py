@@ -884,17 +884,28 @@ def test_column_routes_read_pinned_cells(monkeypatch, route, m, records, cells,
                                          xi_bound, search_bound):
     # every precision row (for wwkl, every tree string) the algorithm
     # needs is read, and read as often as it ever was: a change that
-    # skips or repeats reads moves these
-    record = TracedView._record
+    # skips or repeats reads moves these.  Cells are counted as they are
+    # handed to a trace, repeats included: one per _record call (wwkl,
+    # single reads) and size per _record_cells call (the column readers
+    # of ivt and ubin, a run of rows at a time)
+    record, record_cells = TracedView._record, TracedView._record_cells
     calls, views = [0], []
 
+    def seen(view, size):
+        calls[0] += size
+        if view not in views:
+            views.append(view)
+
     def counting_record(self, i):
-        calls[0] += 1
-        if self not in views:
-            views.append(self)
+        seen(self, 1)
         record(self, i)
 
+    def counting_record_cells(self, cells, size):
+        seen(self, size)
+        record_cells(self, cells, size)
+
     monkeypatch.setattr(TracedView, "_record", counting_record)
+    monkeypatch.setattr(TracedView, "_record_cells", counting_record_cells)
     report = route(PresentedSequence((1,) * m + (0,), (1,)))
     assert report.witness == m
     assert calls[0] == records

@@ -1,7 +1,8 @@
 """Smoke tests of tools/sweep.py: at small widths, one row per width
 with 2^N leaves and as many body runs, and a slope line per functional;
-at small event indices, one row per route and m whose witness is m and
-whose search bound is at least m, and a slope line per route; at small
+at small event indices, one row per route and m whose witness is m,
+whose search bound is at least m and whose cells are those the route's
+views recorded, and a slope line per route; at small
 formula sizes, one row per family and k with the family's step count
 and at least as many nodes summarized, and a slope line per family."""
 
@@ -13,6 +14,15 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from mulab.extractors import (
+    ubin_extraction,
+    udq_extraction,
+    uivt_extraction,
+    uwwkl_extraction,
+)
+from mulab.functionals import TracedView
+from mulab.sequences import PresentedSequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,7 +54,7 @@ def test_sweep_refuses_an_empty_range():
 
 
 EVENT_ROW = re.compile(
-    r"(ubin|wwkl|ivt|dq) +(\d+) +(\d+) +(\d+|<2\^\d+|none) +(\d+) +\d+\.\d{6}")
+    r"(ubin|wwkl|ivt|dq) +(\d+) +(\d+) +(\d+|<2\^\d+|none) +(\d+) +(\d+) +\d+\.\d{6}")
 
 
 def test_event_sweep_recovers_each_event_within_its_bound():
@@ -58,13 +68,48 @@ def test_event_sweep_recovers_each_event_within_its_bound():
     assert [(route, int(m)) for route, m, *_ in rows] == \
         [(route, m) for route in ("ubin", "wwkl", "ivt", "dq")
          for m in (2, 4, 8, 16)]
-    for route, m, witness, xi, bound in rows:
+    for route, m, witness, xi, bound, _ in rows:
         assert int(witness) == int(m) <= int(bound)
         assert (xi == "none") == (route == "dq")
     slopes = re.findall(r"^(\w+): log2 slope -?\d+\.\d{3}$", proc.stdout, re.M)
     assert slopes == ["ubin", "wwkl", "ivt", "dq"]
     # the width sweep runs only when asked for or when nothing else is
     assert "functional" not in proc.stdout
+
+
+def test_event_sweep_counts_the_cells_the_views_recorded(monkeypatch):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep.py"),
+         "--src", str(ROOT / "src"), "--events", "3", "12"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = [m.groups() for m in map(EVENT_ROW.fullmatch, proc.stdout.splitlines())
+            if m]
+    assert len(rows) == 12
+    # in process, the views are the ones that hand cells to a trace
+    record, record_cells = TracedView._record, TracedView._record_cells
+    views = []
+
+    def keep(view):
+        if view not in views:
+            views.append(view)
+
+    monkeypatch.setattr(TracedView, "_record",
+                        lambda view, i: keep(view) or record(view, i))
+    monkeypatch.setattr(TracedView, "_record_cells",
+                        lambda view, cells, size: keep(view) or
+                        record_cells(view, cells, size))
+    extractions = {"ubin": ubin_extraction, "wwkl": uwwkl_extraction,
+                   "ivt": uivt_extraction}
+    for route, m, *_, cells in rows:
+        views.clear()
+        m = int(m)
+        if route == "dq":
+            udq_extraction(PresentedSequence((0,) * m + (1,), (0,)))
+        else:
+            extractions[route](PresentedSequence((1,) * m + (0,), (1,)))
+        assert int(cells) == len(set().union(*(view.trace for view in views)))
+        assert (int(cells) == 0) == (route == "dq")
 
 
 def test_event_sweep_refuses_a_grid_of_one_point():

@@ -36,9 +36,13 @@ to LAST, runs ubin, wwkl and ivt on the flag prefix=[1]*m+[0];tail=[1]
 at m), each through its extraction in mulab.extractors, and prints one
 row per route and m: the witness, xi_bound, search_bound ("none" where
 the route reports none, and "<2^B" for a bound past 10^15 with B its bit
-length) and the best of 3 timed extraction calls, each on a freshly
-parsed flag.  After each route's rows it prints the least-squares slope
-of log2(best_s) against log2(m): 1 is time linear in m, 2 quadratic.
+length), cells and the best of 3 timed extraction calls, each on a
+freshly parsed flag.  cells counts the distinct cells the route's
+traced views recorded, in one untimed run on a wrapped
+``TracedView.__init__`` (0 for dq, which traces nothing); like the
+witness and the bounds it does not depend on the machine.  After each
+route's rows it prints the least-squares slope of log2(best_s) against
+log2(m): 1 is time linear in m, 2 quadratic.
 
 Size sweep: for k on the doubling grid FIRST, 2 FIRST, ... up to LAST
 (FIRST even, so every negation depth is even), takes the text of the
@@ -143,16 +147,26 @@ def _width_row(kind: str, n: int) -> tuple[str, float]:
 
 
 def _event_row(route: str, m: int) -> tuple[str, float]:
-    """The route's row at event m: witness, xi_bound, search_bound, best_s."""
-    from mulab import extractors, sequences
+    """The route's row at event m: witness, xi_bound, search_bound, cells
+    and best_s."""
+    from mulab import extractors, functionals, sequences
 
     extraction, template = ROUTES[route]
     text = template.format(ones="1," * m, zeros="0," * m)
-    rep, best = _best(lambda: sequences.parse_sequence(text),
-                      getattr(extractors, extraction))
+    run = getattr(extractors, extraction)
+    init, views = functionals.TracedView.__init__, []
+
+    def kept(view, *args, **kwargs):
+        views.append(view)
+        init(view, *args, **kwargs)
+
+    with mock.patch.object(functionals.TracedView, "__init__", kept):
+        run(sequences.parse_sequence(text))
+    cells = len(set().union(*(view.trace for view in views)))
+    rep, best = _best(lambda: sequences.parse_sequence(text), run)
     return (f"{route:<5} {m:>8} {_cell(rep.witness):>8} "
             f"{_cell(rep.xi_bound):>12} {_cell(rep.search_bound):>12} "
-            f"{best:>10.6f}"), best
+            f"{cells:>8} {best:>10.6f}"), best
 
 
 def _size_row(family: str, k: int) -> tuple[str, float]:
@@ -199,7 +213,7 @@ AXES = {
         lambda first, last: 1 <= first and 2 * first <= last,
         "--events needs 1 <= FIRST and 2 FIRST <= LAST", _doubling, ROUTES,
         f"{'route':<5} {'m':>8} {'witness':>8} {'xi_bound':>12} "
-        f"{'search_bound':>12} {'best_s':>10}", _event_row, True),
+        f"{'search_bound':>12} {'cells':>8} {'best_s':>10}", _event_row, True),
     "sizes": Axis(
         "run the size sweep on k = FIRST, 2 FIRST, 4 FIRST, ... up to LAST",
         lambda first, last: first >= 2 and first % 2 == 0 and 2 * first <= last,
