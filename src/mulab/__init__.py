@@ -32,9 +32,9 @@ _EXPORTS = {
         "NotInCbar", "NotNormalizable", "OutOfRange", "ParseError",
         "PropertyError", "UnsupportedPresentation"), "errors"),
     **dict.fromkeys((
-        "BinaryExpansion", "PiecewiseLinear", "RationalWitness",
+        "BinaryExpansion", "RationalWitness",
         "RepresentedContinuousFunction", "Route", "RouteReport", "TwoBump",
-        "flag_epsilon", "ivt_base", "ivt_counterexample", "mu_from",
+        "flag_epsilon", "ivt_counterexample", "mu_from",
         "trees_from_flag", "ubin_extraction", "ubin_from_mu",
         "udq_extraction", "udq_from_mu", "uivt_extraction", "uivt_from_mu",
         "uwwkl_extraction", "uwwkl_from_mu",

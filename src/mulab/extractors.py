@@ -45,12 +45,11 @@ from .reals import (
     counterexample_pair,
     dq_real,
     flag_shifted,
-    from_rational,
     real_sign,
 )
 from .sequences import PresentedSequence, mu_exact
 from .trees import FlagTree, PresentedTree, TracedTreeView, greedy_path
-from .value import Value, setfield
+from .value import Value
 
 __all__ = [
     "BinaryExpansion",
@@ -60,8 +59,6 @@ __all__ = [
     "uwwkl_from_mu",
     "uwwkl_repr_bits",
     "RepresentedContinuousFunction",
-    "PiecewiseLinear",
-    "ivt_base",
     "ivt_counterexample",
     "uivt_from_mu",
     "uivt_repr_endpoints",
@@ -105,10 +102,9 @@ class Route(Value, eq=False):
         """1 + the largest input index read on a or b for k outputs."""
         return xi_by_tracing(self.read, self.view(a), self.view(b), k)
 
-    def __call__(self, f: PresentedSequence, phi: Callable | None = None,
-                 xi: Callable | None = None) -> RouteReport:
+    def __call__(self, f: PresentedSequence, phi: Callable | None = None
+                 ) -> RouteReport:
         phi = phi or self.make_phi(mu_exact)
-        xi = xi or self.xi
         for m in self.settled:
             if f.value(m) == 0:
                 return RouteReport(self.name, f, True, m, None, None,
@@ -117,7 +113,7 @@ class Route(Value, eq=False):
         separated, details = self.observe(phi, a, b)
         if not separated:
             return RouteReport(self.name, f, False, None, None, None, details)
-        n = xi(a, b, self.precision)
+        n = self.xi(a, b, self.precision)
         bound = self.search_bound(n)
         for m in range(bound + 1):
             if f.value(m) == 0:
@@ -354,62 +350,24 @@ uwwkl_extraction = Route("wwkl", (), trees_from_flag, _wwkl_observe,
 # ---------------------------------------------------------------------------
 # intermediate value route
 
-class PiecewiseLinear(Value):
-    """Linear interpolation through rational breakpoints on [0, 1].
-
-    `segments` holds the (right end, slope, intercept) of each segment,
-    left to right.  It follows from points, so ==, hash and repr leave
-    it out."""
-
-    _fields = ("points",)
-
-    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]) -> None:
-        xs = [p[0] for p in points]
-        if len(xs) < 2 or xs[0] != 0 or xs[-1] != 1 or sorted(set(xs)) != xs:
-            raise ValueError("breakpoints must strictly increase from 0 to 1")
-        segments = []
-        for (x0, y0), (x1, y1) in zip(points, points[1:]):
-            slope = Fraction(y1 - y0) / (x1 - x0)
-            segments.append((x1, slope, y0 - slope * x0))
-        super().__init__(points)
-        setfield(self, "segments", tuple(segments))
-
-    def value(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        if x < 0 or x > 1:
-            raise OutOfRange(f"{x} outside [0,1]")
-        for x1, slope, intercept in self.segments:
-            if x <= x1:
-                return slope * x + intercept
-        raise AssertionError("unreachable")
-
-
 class RepresentedContinuousFunction(Value, eq=False):
     """A continuous function on [0, 1] given by exact values at rationals."""
 
     _fields = ("value_rule", "descriptor")
 
-    def value_at(self, q: Fraction, mu: MuOp = mu_exact) -> Fraction:
-        return self.value_rule(Fraction(q)).exact_value(mu)
 
-
-def from_piecewise_linear(pl: PiecewiseLinear, descriptor: str
-                          ) -> RepresentedContinuousFunction:
-    return RepresentedContinuousFunction(
-        lambda q: from_rational(pl.value(q)), descriptor)
-
-
-_IVT_BASE = PiecewiseLinear((
-    (Fraction(0), Fraction(-1)),
-    (Fraction(1, 3), Fraction(0)),
-    (Fraction(2, 3), Fraction(0)),
-    (Fraction(1), Fraction(1)),
-))
-
-
-def ivt_base() -> RepresentedContinuousFunction:
-    """Slope-3 ramp, zero plateau on the middle third, slope-3 ramp."""
-    return from_piecewise_linear(_IVT_BASE, "ivt-base")
+def _ivt_base(q: Fraction) -> Fraction:
+    """The ivt base at q in [0, 1]: a slope-3 ramp from -1 up to 0 at
+    1/3, zero on the middle third, and a slope-3 ramp from 0 at 2/3 up
+    to 1."""
+    if q < 0 or q > 1:
+        raise OutOfRange(f"{q} outside [0,1]")
+    t = 3 * q
+    if t < 1:
+        return t - 1
+    if t > 2:
+        return t - 2
+    return Fraction(0)
 
 
 def ivt_counterexample(f: PresentedSequence, sign: str) -> RepresentedContinuousFunction:
@@ -418,11 +376,12 @@ def ivt_counterexample(f: PresentedSequence, sign: str) -> RepresentedContinuous
         raise ValueError("sign must be '+' or '-'")
     s = 1 if sign == "+" else -1
     return RepresentedContinuousFunction(
-        lambda q: flag_shifted(_IVT_BASE.value(q), s, f), f"ivt-base{sign}delta")
+        lambda q: flag_shifted(_ivt_base(q), s, f), f"ivt-base{sign}delta")
 
 
 def _check_cbar(fn: RepresentedContinuousFunction, mu: MuOp) -> None:
-    if not (fn.value_at(Fraction(0), mu) < 0 < fn.value_at(Fraction(1), mu)):
+    if not (fn.value_rule(Fraction(0)).exact_value(mu) < 0
+            < fn.value_rule(Fraction(1)).exact_value(mu)):
         raise NotInCbar(f"{fn.descriptor}: need f(0) < 0 < f(1)")
 
 
@@ -503,10 +462,10 @@ class TracedTableView(TracedView):
     """A function seen as its value table over the dyadic enumeration,
     one Cantor-paired index per (point, precision) cell.  The real at
     each dyadic point is built once per view and serves every precision
-    row of that point.  entry(i, n) reads and records one cell; the sign
-    reader reads a point's column by runs of equal rows and records the
-    cells of rows lo..hi - 1 in one _record_cells update, their Cantor
-    codes stepping by i + n + 2 from row n to row n + 1."""
+    row of that point.  The sign reader reads a point's column by runs of
+    equal rows and records the cells of rows lo..hi - 1 in one
+    _record_cells update, their Cantor codes stepping by i + n + 2 from
+    row n to row n + 1."""
 
     def __init__(self, fn: RepresentedContinuousFunction,
                  budget: int = DEFAULT_BUDGET):
@@ -520,10 +479,6 @@ class TracedTableView(TracedView):
         if x is None:
             x = self._points[i] = self.fn.value_rule(dyadic_value(i))
         return x
-
-    def entry(self, i: int, n: int) -> Fraction:
-        self._record(cantor_pair(i, n))
-        return self.point(i).approx(n)
 
 
 def _sign_certified(view: TracedTableView, p: Fraction) -> int:

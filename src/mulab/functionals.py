@@ -25,7 +25,6 @@ Budgets make divergence on discontinuous inputs an error, not a hang.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, MalformedWitness, ParseError
@@ -227,20 +226,16 @@ class TracedSeqView(TracedView):
 
 
 class TracedRealView(TracedView):
-    """View of a real as its approximation column: rational(n) reads row
-    n, and a reader of runs of rows records rows lo..hi - 1 as
-    range(lo, hi) with _record_cells.  The underlying real stays
-    reachable for exactness escapes, which is how the concrete
-    functionals stay total at their tie points.
+    """View of a real as its approximation column, one cell per row: a
+    reader of runs of rows records rows lo..hi - 1 as range(lo, hi) with
+    _record_cells.  The underlying real stays reachable for exactness
+    escapes, which is how the concrete functionals stay total at their
+    tie points.
     """
 
     def __init__(self, x: FastCauchyReal, budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
         self.real = x
-
-    def rational(self, n: int) -> Fraction:
-        self._record(n)
-        return self.real.approx(n)
 
 
 TwinPhi = Callable[[TracedView, int], list]

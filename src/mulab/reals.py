@@ -59,13 +59,12 @@ class Presentation:
     ``tag``, the certificate a dq witness carries."""
 
     def approx(self, n: int) -> Fraction:
-        raise NotImplementedError
+        return self.run(n, n + 1)[0]
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """Row n and the end of the run of rows equal to it, capped at
-        stop > n: approx(r) is row n for every r in [n, end).  This
-        default is a run of one row."""
-        return self.approx(n), n + 1
+        stop > n: approx(r) is row n for every r in [n, end)."""
+        raise NotImplementedError
 
     def exact_value(self, mu: MuOp) -> Fraction:
         raise NotImplementedError
@@ -74,9 +73,6 @@ class Presentation:
 class PRational(Presentation, Value):
     _fields = ("value",)
     tag = "rational"
-
-    def approx(self, n: int) -> Fraction:
-        return self.value
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         return self.value, stop
@@ -115,12 +111,6 @@ class PFlagShift(Presentation, Value):
             k += 1
         setfield(self, "shift", k)
 
-    def approx(self, n: int) -> Fraction:
-        m0 = self.flag.first_zero
-        if m0 is not None and m0 < n + 4 + self.shift:
-            return self.base + self.factor * _epsilon(m0)
-        return self.base
-
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """The rows below the switch row m0 - 3 - shift, the first that
         sees the event m0, are base; the rows from it on are exact.  A
@@ -156,11 +146,13 @@ class PDqSeries(Presentation, Value):
             return Fraction(1)
         return 1 - Fraction(1, 1 << m0)
 
-    def approx(self, n: int) -> Fraction:
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        """Once the first nonzero is below n + 2 every row is exact, so
+        the run goes to stop; before that each row is its own run."""
         m0 = self.flag.first_nonzero
         if m0 is not None and m0 < n + 2:
-            return self._closed_form(m0)
-        return 1 - Fraction(1, 1 << (n + 2))
+            return self._closed_form(m0), stop
+        return 1 - Fraction(1, 1 << (n + 2)), n + 1
 
     def exact_value(self, mu: MuOp) -> Fraction:
         return self._closed_form(_first_nonzero_via(mu, self.flag))
@@ -178,20 +170,18 @@ class FastCauchyReal(Value, eq=False):
     label = ""
 
     def approx(self, n: int) -> Fraction:
+        return self.run(n, n + 1)[0]
+
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        """Row n and the end of the run of rows equal to it, capped at
+        stop > n (see Presentation.run).  A rule given by approx_override
+        makes runs of one row."""
         if n < 0:
             raise ValueError("negative precision index")
         if self.approx_override is not None:
-            return self.approx_override(n)
+            return self.approx_override(n), n + 1
         if self.presentation is None:
             raise UnsupportedPresentation("real has neither rule nor presentation")
-        return self.presentation.approx(n)
-
-    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
-        """approx(n) and the end of the run of rows equal to it, capped at
-        stop > n (see Presentation.run).  A rule given by approx_override
-        makes runs of one row, and so does a row that approx refuses."""
-        if self.approx_override is not None or self.presentation is None or n < 0:
-            return self.approx(n), n + 1
         return self.presentation.run(n, stop)
 
     def exact_value(self, mu: MuOp = mu_exact) -> Fraction:

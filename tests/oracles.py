@@ -21,14 +21,16 @@ from mulab.formulas import (
     And, App, Atom, ExIn, Implies, Not, Or, Quant, _Names, _RULES, _parts,
     _splice, format_formula,
 )
-from mulab.coding import dyadic_index, string_code
+from mulab.coding import cantor_pair, dyadic_index, string_code
 from mulab.errors import BudgetExceeded, OutOfRange
 from mulab.extractors import (
-    RepresentedContinuousFunction, TwoBump, _IVT_BASE, _bisection, _check_cbar,
+    RepresentedContinuousFunction, TwoBump, _bisection, _check_cbar,
     _greedy_digits,
 )
 from mulab.functionals import DEFAULT_BUDGET, TracedView
-from mulab.reals import FastCauchyReal, Presentation, PRational, real_sign
+from mulab.reals import (
+    FastCauchyReal, Presentation, PRational, from_rational, real_sign,
+)
 from mulab.trees import ScfReport
 from mulab.value import Value, setfield
 
@@ -315,7 +317,8 @@ def queried_death(tree, trace, length: int, value: int) -> bool:
 # ---------------------------------------------------------------------------
 # approximation columns decided on Fractions
 #
-# The library decides each row of a column on integers; these keep the
+# The library decides a column run by run on integers; these read it
+# row by row, record each row's cell before reading it, and keep the
 # comparisons as Fractions, with a fresh 2^-n per row.  The digit and
 # bisection walks around them are the library's own.
 
@@ -328,14 +331,42 @@ def reference_piecewise_value(points, x):
     raise ValueError(f"{x} past the last breakpoint")
 
 
+def _unit_piecewise_value(points, q):
+    """The interpolation on [0, 1], refusing q outside it as the
+    library's functions do."""
+    q = Fraction(q)
+    if q < 0 or q > 1:
+        raise OutOfRange(f"{q} outside [0,1]")
+    return reference_piecewise_value(points, q)
+
+
+def piecewise_function(points, name):
+    """The function on [0, 1] through the breakpoints, which run from 0
+    to 1, with a rational value at each rational."""
+    return RepresentedContinuousFunction(
+        lambda q: from_rational(_unit_piecewise_value(points, q)), name)
+
+
+# -1 at 0, zero on the middle third, 1 at 1
+IVT_BASE_POINTS = tuple((Fraction(x), Fraction(y)) for x, y in (
+    (0, -1), ("1/3", 0), ("2/3", 0), (1, 1)))
+
+
+def ivt_base():
+    """The unshifted ivt base, interpolated from its breakpoints."""
+    return piecewise_function(IVT_BASE_POINTS, "ivt-base")
+
+
 def reference_sign_certified(view, p):
     """Sign of a table view's function at dyadic p: 0 from the exact
     value, else from the first row n with |q_n| > 2^-n."""
     i = dyadic_index(p)
-    if view.point(i).exact_value() == 0:
+    x = view.point(i)
+    if x.exact_value() == 0:
         return 0
     for n in count():
-        q = view.entry(i, n)
+        view._record(cantor_pair(i, n))
+        q = x.approx(n)
         eps = Fraction(1, 1 << n)
         if q > eps:
             return 1
@@ -350,7 +381,8 @@ def reference_reaches(view, value, t):
     if value == t:
         return True
     for n in count():
-        q = view.rational(n)
+        view._record(n)
+        q = view.real.approx(n)
         eps = Fraction(1, 1 << n)
         if q - eps >= t:
             return True
@@ -412,7 +444,7 @@ def reference_uivt_phi(mu):
 # rational moved by +-delta(f) as a tree of a general sum-and-scale
 # algebra of presentations.  That algebra is kept here as the reference;
 # the shared constructions must give the same approximation rows and
-# exact values.
+# exact values.  Each of its presentations runs one row at a time.
 
 class PCumFlagSeries(Presentation, Value):
     """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or
@@ -424,9 +456,11 @@ class PCumFlagSeries(Presentation, Value):
     def _closed_form(self, m0):
         return Fraction(0) if m0 is None else Fraction(1, 2 ** (max(m0, 1) - 1))
 
-    def approx(self, n):
+    def run(self, n, stop):
         m0 = self.flag.first_zero
-        return self._closed_form(m0) if m0 is not None and m0 < n + 2 else Fraction(0)
+        if m0 is not None and m0 < n + 2:
+            return self._closed_form(m0), n + 1
+        return Fraction(0), n + 1
 
     def exact_value(self, mu):
         return self._closed_form(mu(self.flag))
@@ -437,8 +471,8 @@ class PSum(Presentation, Value):
 
     _fields = ("left", "right")
 
-    def approx(self, n):
-        return self.left.approx(n + 2) + self.right.approx(n + 2)
+    def run(self, n, stop):
+        return self.left.approx(n + 2) + self.right.approx(n + 2), n + 1
 
     def exact_value(self, mu):
         return self.left.exact_value(mu) + self.right.exact_value(mu)
@@ -457,8 +491,8 @@ class PScale(Presentation, Value):
             k += 1
         setfield(self, "shift", k)
 
-    def approx(self, n):
-        return self.factor * self.arg.approx(n + self.shift)
+    def run(self, n, stop):
+        return self.factor * self.arg.approx(n + self.shift), n + 1
 
     def exact_value(self, mu):
         return self.factor * self.arg.exact_value(mu)
@@ -476,7 +510,7 @@ def reference_ivt_counterexample(f, sign):
     s = 1 if sign == "+" else -1
 
     def rule(q):
-        pres = PSum(PRational(_IVT_BASE.value(q)),
+        pres = PSum(PRational(_unit_piecewise_value(IVT_BASE_POINTS, q)),
                     PScale(Fraction(s), PCumFlagSeries(f)))
         return FastCauchyReal(pres)
 

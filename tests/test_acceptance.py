@@ -19,11 +19,8 @@ from mulab.corpus import flag_corpus
 from mulab.errors import BoundViolation
 from mulab.extractors import (
     BinaryExpansion,
-    PiecewiseLinear,
     TracedTableView,
-    from_piecewise_linear,
     ivt_counterexample,
-    ivt_base,
     mu_from,
     ubin_extraction,
     ubin_from_mu,
@@ -56,7 +53,14 @@ from mulab.trees import (
     scf_check,
 )
 
-from oracles import alpha_equal, scan_first_nonzero, scan_first_zero, string_decode
+from oracles import (
+    alpha_equal,
+    ivt_base,
+    piecewise_function,
+    scan_first_nonzero,
+    scan_first_zero,
+    string_decode,
+)
 from test_extractors import counting
 from test_formulas import FIXTURES, fixture_text
 
@@ -96,9 +100,9 @@ def test_criterion_1_round_trip_extraction():
                    and direct_first_zero(f) >= len(f.prefix) for f in CORPUS)
 
         start = time.perf_counter()
-        mu_ubin = mu_from(ubin_extraction, ubin_from_mu(mu_exact), ubin_extraction.xi)
-        mu_wwkl = mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact), uwwkl_extraction.xi)
-        mu_ivt = mu_from(uivt_extraction, uivt_from_mu(mu_exact), uivt_extraction.xi)
+        mu_ubin = mu_from(ubin_extraction, ubin_from_mu(mu_exact))
+        mu_wwkl = mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact))
+        mu_ivt = mu_from(uivt_extraction, uivt_from_mu(mu_exact))
         mu_dq = mu_from(udq_extraction, udq_from_mu(mu_exact))
         for f in CORPUS:
             zero = direct_first_zero(f)
@@ -169,10 +173,10 @@ def _random_bracketing_functions(count: int, seed: int):
         if key in seen:
             continue
         seen.add(key)
-        pl = PiecewiseLinear(((Fraction(0), -a), (r, Fraction(0)),
-                              (Fraction(1), b)))
-        assert max(abs(slope) for _, slope, _ in pl.segments) <= 4
-        out.append((from_piecewise_linear(pl, f"bracket-{len(out)}"), r))
+        points = ((Fraction(0), -a), (r, Fraction(0)), (Fraction(1), b))
+        assert all(abs(y1 - y0) <= 4 * (x1 - x0)
+                   for (x0, y0), (x1, y1) in zip(points, points[1:]))
+        out.append((piecewise_function(points, f"bracket-{len(out)}"), r))
     return out
 
 
@@ -197,7 +201,8 @@ def test_criterion_4_ivt_root_soundness():
         for fn, expected_root in family + extras:
             root = phi(fn)
             for n in range(21):
-                assert abs(fn.value_at(root.approx(n))) <= Fraction(4, 1 << n)
+                value = fn.value_rule(root.approx(n)).exact_value()
+                assert abs(value) <= Fraction(4, 1 << n)
             assert abs(root.approx(20) - expected_root) <= Fraction(1, 1 << 20)
 
 

@@ -1,10 +1,12 @@
 """Approximation columns read by runs of equal rows.
 
-``run(n, stop)`` gives row n and the end of the run of rows equal to it,
-and the column readers of the ivt and ubin routes (``_sign_certified``
-and ``_reaches``) decide a whole run at once.  These tests hold the run
-contract on every presentation and on FastCauchyReal, and hold the run
-readers to the row-by-row references in tests/oracles.py: the same
+``run(n, stop)`` gives row n and the end of the run of rows equal to it.
+It is the only way a real gives its rows: ``approx(n)`` is row n of
+``run(n, n + 1)``, and the column readers of the ivt and ubin routes
+(``_sign_certified`` and ``_reaches``) decide a whole run at once.
+These tests hold every row of a run, on every presentation and on
+FastCauchyReal, to a column worked out independently in tests/oracles.py,
+and hold the run readers to the row-by-row references there: the same
 answer, the same trace, and under a budget the same error at the same
 cell.
 """
@@ -38,6 +40,10 @@ from mulab.reals import (
 from mulab.sequences import PresentedSequence, mu_exact
 
 from oracles import (
+    PCumFlagSeries,
+    PScale,
+    PSum,
+    dq_series_approx,
     reference_ivt_endpoints,
     reference_reaches,
     reference_sign_certified,
@@ -84,11 +90,28 @@ columns = st.one_of(
 )
 
 
+def _oracle_row(x, r):
+    """Row r of x's column, worked out without run: an approx_override
+    rule's own row, a rational's value, a flag shift's row in the
+    reference sum-and-scale algebra, and a dq series' row from a scan of
+    the flag below r + 2."""
+    if isinstance(x, FastCauchyReal):
+        if x.approx_override is not None:
+            return x.approx_override(r)
+        x = x.presentation
+    if isinstance(x, PRational):
+        return x.value
+    if isinstance(x, PFlagShift):
+        return PSum(PRational(x.base),
+                    PScale(x.factor, PCumFlagSeries(x.flag))).approx(r)
+    return dq_series_approx(x.flag.values(r + 2))
+
+
 def _check_run(x, n, stop):
     q, end = x.run(n, stop)
     assert q == x.approx(n)
     assert n < end <= stop
-    assert all(x.approx(r) == q for r in range(n, end))
+    assert all(_oracle_row(x, r) == q for r in range(n, end))
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,6 +134,10 @@ def test_a_rational_and_a_quiet_flag_shift_run_to_the_stop():
     assert PRational(Fraction(1, 3)).run(5, 40) == (Fraction(1, 3), 40)
     quiet = PFlagShift(Fraction(1, 2), Fraction(-3), PresentedSequence((1,), (2,)))
     assert quiet.run(0, 1000) == (Fraction(1, 2), 1000)
+    # first nonzero at 4: exact from row 3 on, one row at a time before
+    dq = PDqSeries(PresentedSequence((0, 0, 0, 0, 5), (1,)))
+    assert dq.run(3, 40) == (Fraction(15, 16), 40)
+    assert dq.run(0, 40) == (Fraction(3, 4), 1)
 
 
 def test_a_flag_shift_run_ends_at_its_switch_row():

@@ -32,13 +32,13 @@ EAGER_NAMES = [
     "dyadic_value", "e2_from_mu", "FastCauchyReal", "first_nonzero",
     "flag_corpus", "flag_epsilon", "flag_shifted", "FlagTree",
     "format_sequence", "format_tree", "FormulaScopeError", "Found",
-    "from_rational", "FullTree", "greedy_path", "InputError", "ivt_base",
+    "from_rational", "FullTree", "greedy_path", "InputError",
     "ivt_counterexample", "MalformedWitness", "max_coded_length",
     "measure_positive", "MeasureZero", "mu_budgeted", "mu_exact", "mu_from",
     "mu_from_e2", "MulabError", "NoneBelowBudget", "NotInCbar",
     "NotNormalizable", "omega_fan", "OpaqueSequence", "OutOfRange",
     "parse_sequence", "parse_tree", "ParseError", "PathTree",
-    "PiecewiseLinear", "PresentedSequence", "PresentedTree", "PropertyError",
+    "PresentedSequence", "PresentedTree", "PropertyError",
     "RationalWitness", "real_eq", "real_lt", "real_sign",
     "RepresentedContinuousFunction", "Route", "RouteReport", "scf_check",
     "string_code", "theta_special", "to_decimal",

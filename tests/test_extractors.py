@@ -20,18 +20,16 @@ from mulab.errors import (
 )
 from mulab.extractors import (
     BinaryExpansion,
-    PiecewiseLinear,
     RationalWitness,
     RepresentedContinuousFunction,
     TracedTableView,
     _EXACT_ROOT_DEPTH,
     _ROOT_PRECISION,
     _branch_alive_certified,
+    _ivt_base,
     _reaches,
     _sign_certified,
     flag_epsilon,
-    from_piecewise_linear,
-    ivt_base,
     ivt_counterexample,
     mu_from,
     trees_from_flag,
@@ -72,11 +70,12 @@ from mulab.trees import (
 from oracles import (
     CodeKeyedTreeView,
     binary_digits,
+    ivt_base,
+    piecewise_function,
     queried_death,
     reference_branch_alive,
     reference_ivt_counterexample,
     reference_ivt_endpoints,
-    reference_piecewise_value,
     reference_reaches,
     reference_sign_certified,
     reference_two_bump,
@@ -428,64 +427,21 @@ def test_descriptor_view_matches_the_code_keyed_reference(t, s, queries, budget,
 # ---------------------------------------------------------------------------
 # intermediate value route
 
-def test_piecewise_linear_evaluation():
-    pl = PiecewiseLinear(((Fraction(0), Fraction(-1)),
-                          (Fraction(1, 2), Fraction(1)),
-                          (Fraction(1), Fraction(0))))
-    assert pl.value(Fraction(0)) == -1
-    assert pl.value(Fraction(1, 4)) == 0
-    assert pl.value(Fraction(3, 4)) == Fraction(1, 2)
-    assert max(abs(slope) for _, slope, _ in pl.segments) == 4
-    with pytest.raises(OutOfRange):
-        pl.value(Fraction(9, 8))
-
-
-@pytest.mark.parametrize("points", [
-    ((Fraction(0), Fraction(0)),),
-    ((Fraction(1, 4), Fraction(0)), (Fraction(1), Fraction(1))),
-    ((Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1))),
-    ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
-])
-def test_piecewise_linear_rejects_bad_breakpoints(points):
-    with pytest.raises(ValueError):
-        PiecewiseLinear(points)
-
-
-breakpoints = st.tuples(
-    st.sets(st.fractions(min_value=0, max_value=1, max_denominator=24), max_size=4),
-    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=24),
-             min_size=6, max_size=6),
-).map(lambda xy: tuple(zip([Fraction(0), *sorted(xy[0] - {0, 1}), Fraction(1)],
-                           xy[1])))
-
-
-@given(breakpoints, unit_fractions)
-def test_piecewise_linear_matches_the_interpolation_formula(points, x):
-    pl = PiecewiseLinear(points)
-    assert pl.value(x) == reference_piecewise_value(points, x)
-    for bx, by in points:
-        assert pl.value(bx) == by
-    assert (max(abs(slope) for _, slope, _ in pl.segments)
-            == max(abs((y1 - y0) / (x1 - x0))
-                   for (x0, y0), (x1, y1) in zip(points, points[1:])))
-
-
 def test_ivt_base_shape():
-    base = ivt_base()
-    assert base.value_at(Fraction(0)) == -1
-    assert base.value_at(Fraction(1, 3)) == 0
-    assert base.value_at(Fraction(1, 2)) == 0
-    assert base.value_at(Fraction(2, 3)) == 0
-    assert base.value_at(Fraction(1)) == 1
-    assert base.value_at(Fraction(1, 6)) == Fraction(-1, 2)
+    for q, value in (("0", "-1"), ("1/6", "-1/2"), ("1/3", "0"), ("1/2", "0"),
+                     ("2/3", "0"), ("5/6", "1/2"), ("1", "1")):
+        assert _ivt_base(Fraction(q)) == Fraction(value)
+    for q in (Fraction(-1, 8), Fraction(9, 8)):
+        with pytest.raises(OutOfRange, match=f"{q} outside"):
+            _ivt_base(q)
 
 
 def test_ivt_counterexample_shifts_by_epsilon():
     f = flag_with_event_at(3)
     plus = ivt_counterexample(f, "+")
     minus = ivt_counterexample(f, "-")
-    assert plus.value_at(Fraction(1, 2)) == Fraction(1, 4)
-    assert minus.value_at(Fraction(1, 2)) == Fraction(-1, 4)
+    assert plus.value_rule(Fraction(1, 2)).exact_value() == Fraction(1, 4)
+    assert minus.value_rule(Fraction(1, 2)).exact_value() == Fraction(-1, 4)
     with pytest.raises(ValueError):
         ivt_counterexample(f, "?")
 
@@ -538,11 +494,11 @@ def test_uivt_extraction_routes():
 
 
 def test_table_view_codes_cells():
+    # the base is 1 at dyadic point 1; row 0 reads 1, not above 2^0, and
+    # row 1 certifies the sign
     view = TracedTableView(ivt_base())
-    q = view.entry(1, 3)  # dyadic point index 1 at precision 3
-    assert isinstance(q, Fraction)
-    assert cantor_pair(1, 3) in view.trace
-    assert view.entry(1, 3) == ivt_base().value_rule(dyadic_value(1)).approx(3)
+    assert _sign_certified(view, dyadic_value(1)) == 1
+    assert view.trace == {cantor_pair(1, 0), cantor_pair(1, 1)}
 
 
 IVT_FUNCTIONS = {
@@ -571,7 +527,7 @@ def test_repr_endpoints_match_the_library_bisection(fn):
 def _bracketing(a, zeros, b):
     points = ((Fraction(0), a), *((z, Fraction(0)) for z in zeros),
               (Fraction(1), b))
-    return from_piecewise_linear(PiecewiseLinear(points), "pl")
+    return piecewise_function(points, "pl")
 
 
 _dyadic_zeros = st.integers(min_value=1, max_value=30).flatmap(
@@ -700,8 +656,7 @@ def test_table_view_builds_each_point_once():
     assert {i for i, _ in cells} <= {dyadic_index(q) for q in built}
     assert len(cells) > len(built)  # several precision rows per point
     for i, n in cells:
-        expected = fn.value_rule(dyadic_value(i)).approx(n)
-        assert view.entry(i, n) == expected
+        assert view.point(i).approx(n) == fn.value_rule(dyadic_value(i)).approx(n)
 
 
 def test_uivt_xi_agrees_for_identical_tables():
@@ -929,4 +884,4 @@ def test_bound_violation_surfaces_for_a_lying_oracle():
         return FakeExpansion(len(calls) % 2)
 
     with pytest.raises(BoundViolation):
-        ubin_extraction(NO_EVENT, phi=lying_phi, xi=lambda x, y, k: 0)
+        ubin_extraction(NO_EVENT, phi=lying_phi)

@@ -11,6 +11,7 @@ from mulab.reals import (
     PDqSeries,
     PFlagShift,
     PRational,
+    Presentation,
     counterexample_pair,
     dq_real,
     flag_shifted,
@@ -104,6 +105,17 @@ def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
     altered = PresentedSequence(tuple(seen + junk), tuple(tail))
     expected = base + factor * flag_series_approx(seen)
     assert x.approx(n) == PFlagShift(base, factor, altered).approx(n) == expected
+
+
+def test_every_presentation_gives_its_rows_through_run_alone():
+    # approx(n) is row n of run(n, n + 1), written once on Presentation;
+    # a kind that wrote its own approx would be a second path to its rows
+    kinds = {cls for cls in Presentation.__subclasses__()
+             if cls.__module__ == "mulab.reals"}
+    assert {cls.__name__ for cls in kinds} == {"PRational", "PFlagShift", "PDqSeries"}
+    for cls in kinds:
+        assert {"run", "exact_value"} <= vars(cls).keys(), cls.__name__
+        assert "approx" not in vars(cls), cls.__name__
 
 
 # factors with a precision shift of 0 (0, +-1 and weights in [0, 1])

@@ -9,9 +9,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mulab.extractors import (PiecewiseLinear, RationalWitness,
-                              RepresentedContinuousFunction, Route,
-                              RouteReport, TwoBump)
+from mulab.extractors import (RationalWitness, RepresentedContinuousFunction,
+                              Route, RouteReport, TwoBump)
 from mulab.formulas import (And, App, Arrow, Atom, Base, ExIn, Implies, Not,
                             NormalForm, Or, Quant, RuleStep, RuleTrace, Seq,
                             parse_type)
@@ -116,9 +115,6 @@ VALUES = {
               f"Route(name='r', settled=(0, 1), pair={ABS}, observe={ABS}, "
               f"make_phi={ABS}, view=<class 'mulab.functionals.TracedView'>, "
               f"read={ABS}, precision=2, search_bound={ABS})", None),
-    "PiecewiseLinear": (lambda: PiecewiseLinear(((0, 0), (Q(1, 2), 1), (1, 0))),
-                        "PiecewiseLinear(points=((0, 0), (Fraction(1, 2), 1), (1, 0)))",
-                        ("points",)),
     "RepresentedContinuousFunction": (smooth, SMOOTH, None),
     "TwoBump": (lambda: TwoBump(half(), half()),
                 f"TwoBump(left_height={HALF}, right_height={HALF})",
@@ -175,7 +171,7 @@ def twin(x):
 
 
 def test_every_value_class_has_an_instance():
-    assert len(VALUES) == 38
+    assert len(VALUES) == 37
     for name, (make, _, _) in VALUES.items():
         assert type(make()).__name__ == name
 
@@ -233,8 +229,7 @@ def test_frozen_values_refuse_assignment(name):
     assert issubclass(FrozenInstanceError, AttributeError)
 
 
-@pytest.mark.parametrize("name, field", [("PFlagShift", "shift"), ("PScale", "shift"),
-                                         ("PiecewiseLinear", "segments")])
+@pytest.mark.parametrize("name, field", [("PFlagShift", "shift"), ("PScale", "shift")])
 def test_derived_fields_stay_out_of_eq_hash_and_repr(name, field):
     make, text, _ = VALUES[name]
     x, y = make(), make()
@@ -388,5 +383,5 @@ def test_only_classes_that_check_derive_or_build_formulas_write_a_constructor():
             | {"_Binary", "_BisectionRoot"})
     own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
     assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PFlagShift",
-                   "PiecewiseLinear", "PresentedSequence", "RuleStep",
-                   "App", "Atom", "Not", "_Binary", "ExIn"}
+                   "PresentedSequence", "RuleStep", "App", "Atom", "Not",
+                   "_Binary", "ExIn"}
