@@ -30,17 +30,17 @@ columns for reals, length-lex string codes for trees, Cantor pairs of
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, count, islice
 from typing import Callable, Iterator
 
 from .coding import cantor_pair, dyadic_index, dyadic_value, max_coded_length
-from .errors import BoundViolation, MalformedWitness, NotInCbar, OutOfRange
+from .errors import (BoundViolation, MalformedWitness, NotInCbar, OutOfRange,
+                     UnsupportedPresentation)
 from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
 from .reals import (
     FastCauchyReal,
     MuOp,
-    PRational,
+    Presentation,
     _epsilon,
     counterexample_pair,
     dq_real,
@@ -405,25 +405,25 @@ def _bisection(sign: Callable[[Fraction], int]
 _EXACT_ROOT_DEPTH = 24
 
 
-class _BisectionRoot(FastCauchyReal):
-    """The root that uivt_from_mu's phi returns.  ``stage(n)`` is (left
-    endpoint, root found) after n bisection stages, and approximation n
-    is that left endpoint.  The presentation is worked out on first read
-    (see uivt_from_mu).  It prints as a FastCauchyReal with ``stage`` for
-    its rule."""
+class _Bisection(Presentation, Value, eq=False):
+    """The presentation of the root that uivt_from_mu's phi returns.
+    ``stage(n)`` is (left endpoint, root found) after n bisection stages,
+    and row n is that left endpoint.  The exact value is the left
+    endpoint if the bisection has landed on a root by stage
+    _EXACT_ROOT_DEPTH; otherwise there is none to decide with."""
 
     _fields = ("stage", "label")
+    tag = "bisection"
 
-    def approx_override(self, n: int) -> Fraction:
-        return self.stage(n)[0]
+    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
+        return self.stage(n)[0], n + 1
 
-    @cached_property
-    def presentation(self) -> PRational | None:
+    def exact_value(self, mu: MuOp) -> Fraction:
         left, root = self.stage(_EXACT_ROOT_DEPTH)
-        return PRational(left) if root else None
-
-    def __repr__(self) -> str:
-        return repr(FastCauchyReal(self.presentation, self.stage, self.label))
+        if not root:
+            raise UnsupportedPresentation(
+                f"no presentation for exact decision on {self.label}")
+        return left
 
 
 def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauchyReal]:
@@ -434,13 +434,13 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
     phi checks the sign condition at once, with two calls of mu, and
     raises NotInCbar there.  The stages run on demand: a read of
     approximation n runs the stages up to n that no earlier read ran,
-    each a sign decided through mu, and keeps them.  The first read of
-    the presentation (through exact_value, real_eq, repr, ...) runs the
-    stages up to _EXACT_ROOT_DEPTH and gives the root an exact rational
-    presentation if the bisection has landed on it by then, else none.
-    An error from mu in a stage surfaces on the read that runs that
-    stage, and ends the bisection: a later read that needs a further
-    stage raises StopIteration.
+    each a sign decided through mu, and keeps them.  An exact decision
+    (exact_value, real_eq, ...) runs the stages up to _EXACT_ROOT_DEPTH
+    and gives the rational the bisection has landed on by then, or
+    raises UnsupportedPresentation if it has not; printing the root runs
+    none.  An error from mu in a stage surfaces on the read that runs
+    that stage, and ends the bisection: a later read that needs a
+    further stage raises StopIteration.
     """
 
     def phi(fn: RepresentedContinuousFunction) -> FastCauchyReal:
@@ -453,7 +453,7 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
                 stages.append(next(stream))
             return stages[n]
 
-        return _BisectionRoot(stage, f"bisect({fn.descriptor})")
+        return FastCauchyReal(_Bisection(stage, f"bisect({fn.descriptor})"))
 
     return phi
 

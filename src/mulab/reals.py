@@ -1,11 +1,12 @@
 """Fast-converging Cauchy reals with symbolic presentations.
 
-A real here is an approximation rule n -> q_n (exact rationals, with
-|q_n - q_{n+i}| < 2^-n) together with a presentation: a symbolic
-descriptor of one of three kinds (a rational constant, a flag-shifted
-rational, the dq series).  Comparisons are decided exactly from
-presentations; the flag-driven kinds reduce to one mu search on the
-presented flag sequence, which is the whole point of the class.
+A real here is its presentation: a symbolic descriptor of one of three
+kinds (a rational constant, a flag-shifted rational, the dq series) that
+gives both the approximation rows n -> q_n (exact rationals, with
+|q_n - q_{n+i}| < 2^-n) and the exact value.  Comparisons are decided
+exactly from presentations; the flag-driven kinds reduce to one mu
+search on the presented flag sequence, which is the whole point of the
+class.
 The real-valued counterexample objects are all flag-shifted reals,
 ``flag_shifted(c, factor, f)`` = c + factor * delta(f): its
 approximations agree with c until f's first event shows, and after it
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .errors import BoundViolation, UnsupportedPresentation
+from .errors import BoundViolation
 from .sequences import PresentedSequence, mu_exact
 from .value import Value, setfield
 
@@ -58,12 +59,9 @@ class Presentation:
     """Base class for symbolic presentations.  Each kind names itself in
     ``tag``, the certificate a dq witness carries."""
 
-    def approx(self, n: int) -> Fraction:
-        return self.run(n, n + 1)[0]
-
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """Row n and the end of the run of rows equal to it, capped at
-        stop > n: approx(r) is row n for every r in [n, end)."""
+        stop > n: row r is row n for every r in [n, end)."""
         raise NotImplementedError
 
     def exact_value(self, mu: MuOp) -> Fraction:
@@ -159,35 +157,26 @@ class PDqSeries(Presentation, Value):
 
 
 class FastCauchyReal(Value, eq=False):
-    """approx rule plus optional presentation.
+    """A real given by its presentation, which gives both its rows and
+    its exact value.
 
     Use real_eq / real_lt for comparisons; == is object identity on
     purpose, extensional equality of reals is not structural.
     """
 
-    _fields = ("presentation", "approx_override", "label")
-    approx_override = None
-    label = ""
+    _fields = ("presentation",)
 
     def approx(self, n: int) -> Fraction:
         return self.run(n, n + 1)[0]
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """Row n and the end of the run of rows equal to it, capped at
-        stop > n (see Presentation.run).  A rule given by approx_override
-        makes runs of one row."""
+        stop > n (see Presentation.run)."""
         if n < 0:
             raise ValueError("negative precision index")
-        if self.approx_override is not None:
-            return self.approx_override(n), n + 1
-        if self.presentation is None:
-            raise UnsupportedPresentation("real has neither rule nor presentation")
         return self.presentation.run(n, stop)
 
     def exact_value(self, mu: MuOp = mu_exact) -> Fraction:
-        if self.presentation is None:
-            raise UnsupportedPresentation(
-                f"no presentation for exact decision on {self.label or 'real'}")
         return self.presentation.exact_value(mu)
 
 

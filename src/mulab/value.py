@@ -3,11 +3,10 @@
 A subclass of ``Value`` names its fields in ``_fields``.  From ``Value``
 it gets:
 
-* a constructor that takes the fields positionally in that order, or by
-  name; a field left out takes the class attribute named after it, as
-  ``label = ""`` gives ``label`` a default.  Too many arguments, a
-  missing field without a default, and an unknown or repeated name raise
-  ``TypeError``.  Each field lands in the instance's own ``__dict__``;
+* a constructor that takes the fields positionally, in that order, and
+  only so: a call with another number of arguments, or with a field by
+  name, raises ``TypeError``.  Each field lands in the instance's own
+  ``__dict__``;
 * ``==`` over those fields, only with an instance of the very same
   class;
 * ``hash`` of the tuple of those fields, so equal values hash alike;
@@ -23,9 +22,9 @@ A class that checks its fields or works out more from them keeps an
 ``__init__`` of its own: it checks its arguments, then writes its fields
 through ``Value.__init__``.  The formula nodes of ``mulab.formulas``
 (and ``RuleStep``, and ``Quant`` after its check) write theirs out with
-``setfield``, in ``_fields`` order, with their defaults in their
-signatures: a normalize run builds thousands, and the generic
-constructor's binding and loop cost more than the writes.
+``setfield``, in ``_fields`` order, and take defaults and names through
+their own signatures: a normalize run builds thousands, and the generic
+constructor's loop costs more than the writes.
 A field left out of ``_fields`` (a cache worked out from the others, or
 a record that ``==`` reads another way) is written with ``setfield`` and
 is invisible to ``==``, ``hash`` and repr.  The class keyword
@@ -77,39 +76,16 @@ class Value:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, *args) -> None:
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
+        if len(args) != len(fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} "
+                            f"arguments but {len(args)} were given")
         # not self.__dict__.update: reading __dict__ turns the instance's
         # inline attribute values into a dict, which is larger and slower
         # to read from
         for name, value in zip(fields, args):
             setfield(self, name, value)
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """One value per field, in order: args, then kwargs by name, then
-        the class attribute named after each field still missing."""
-        fields, name = cls._fields, cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but "
-                            f"{len(args)} were given")
-        for key in kwargs:
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected argument {key!r}")
-            if fields.index(key) < len(args):
-                raise TypeError(f"{name}() got multiple values for argument "
-                                f"{key!r}")
-        values = list(args)
-        for field in fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs[field])
-            elif hasattr(cls, field):
-                values.append(getattr(cls, field))
-            else:
-                raise TypeError(f"{name}() missing argument {field!r}")
-        return values
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -22,7 +22,7 @@ from mulab.formulas import (
     _splice, format_formula,
 )
 from mulab.coding import cantor_pair, dyadic_index, string_code
-from mulab.errors import BudgetExceeded, OutOfRange
+from mulab.errors import BudgetExceeded, OutOfRange, UnsupportedPresentation
 from mulab.extractors import (
     RepresentedContinuousFunction, TwoBump, _bisection, _check_cbar,
     _greedy_digits,
@@ -403,10 +403,40 @@ def reference_ivt_endpoints(view, k):
 
 
 # ---------------------------------------------------------------------------
+# a column given beside its value
+#
+# A real whose rows come from a rule of the test's choosing while another
+# presentation decides its exact value: rows that stray from that value
+# make a liar, and a rule that raises makes a column that refuses a row.
+
+class PColumn(Presentation, Value):
+    """Rows from rule, one row per run; the exact value from exact."""
+
+    _fields = ("exact", "rule")
+
+    def run(self, n, stop):
+        return self.rule(n), n + 1
+
+    def exact_value(self, mu):
+        return self.exact.exact_value(mu)
+
+
+class PRefused(Presentation, Value):
+    """No exact value: every exact decision is refused, naming the real,
+    as a bisection root that has not landed refuses it."""
+
+    _fields = ("label",)
+
+    def exact_value(self, mu):
+        raise UnsupportedPresentation(
+            f"no presentation for exact decision on {self.label}")
+
+
+# ---------------------------------------------------------------------------
 # the eager bisection root
 #
 # uivt_from_mu as it was before its stages ran on demand: phi runs
-# _EAGER_DEPTH stages up front and decides the presentation there.  The
+# _EAGER_DEPTH stages up front and decides the exact value there.  The
 # lazy root must read the same through every door.
 
 _EAGER_DEPTH = 24
@@ -430,9 +460,8 @@ def reference_uivt_phi(mu):
             return endpoints[n]
 
         left, root = eager[-1]
-        pres = PRational(left) if root else None
-        return FastCauchyReal(pres, approx_override=rule,
-                              label=f"bisect({fn.descriptor})")
+        exact = PRational(left) if root else PRefused(f"bisect({fn.descriptor})")
+        return FastCauchyReal(PColumn(exact, rule))
 
     return phi
 
@@ -472,7 +501,8 @@ class PSum(Presentation, Value):
     _fields = ("left", "right")
 
     def run(self, n, stop):
-        return self.left.approx(n + 2) + self.right.approx(n + 2), n + 1
+        k = n + 2
+        return self.left.run(k, k + 1)[0] + self.right.run(k, k + 1)[0], n + 1
 
     def exact_value(self, mu):
         return self.left.exact_value(mu) + self.right.exact_value(mu)
@@ -492,7 +522,8 @@ class PScale(Presentation, Value):
         setfield(self, "shift", k)
 
     def run(self, n, stop):
-        return self.factor * self.arg.approx(n + self.shift), n + 1
+        k = n + self.shift
+        return self.factor * self.arg.run(k, k + 1)[0], n + 1
 
     def exact_value(self, mu):
         return self.factor * self.arg.exact_value(mu)

@@ -1,9 +1,10 @@
 """Approximation columns read by runs of equal rows.
 
 ``run(n, stop)`` gives row n and the end of the run of rows equal to it.
-It is the only way a real gives its rows: ``approx(n)`` is row n of
-``run(n, n + 1)``, and the column readers of the ivt and ubin routes
-(``_sign_certified`` and ``_reaches``) decide a whole run at once.
+It is the only way a real gives its rows: ``FastCauchyReal.approx(n)``
+is row n of ``run(n, n + 1)``, and the column readers of the ivt and
+ubin routes (``_sign_certified`` and ``_reaches``) decide a whole run at
+once.
 These tests hold every row of a run, on every presentation and on
 FastCauchyReal, to a column worked out independently in tests/oracles.py,
 and hold the run readers to the row-by-row references there: the same
@@ -40,6 +41,7 @@ from mulab.reals import (
 from mulab.sequences import PresentedSequence, mu_exact
 
 from oracles import (
+    PColumn,
     PCumFlagSeries,
     PScale,
     PSum,
@@ -81,35 +83,36 @@ def _wobble(pres):
     return lambda n: value + Fraction((-1) ** n, 1 << (n + 2))
 
 
-# a presentation's own column, the same column given as approx_override,
-# and a different column of the same value given as approx_override
+# a presentation's own column, the same column given row by row as a
+# PColumn rule, and a different column of the same value given so
 columns = st.one_of(
     presentations.map(FastCauchyReal),
-    presentations.map(lambda p: FastCauchyReal(p, approx_override=p.approx)),
-    presentations.map(lambda p: FastCauchyReal(p, approx_override=_wobble(p))),
+    presentations.map(lambda p: FastCauchyReal(
+        PColumn(p, lambda n: p.run(n, n + 1)[0]))),
+    presentations.map(lambda p: FastCauchyReal(PColumn(p, _wobble(p)))),
 )
 
 
 def _oracle_row(x, r):
-    """Row r of x's column, worked out without run: an approx_override
-    rule's own row, a rational's value, a flag shift's row in the
-    reference sum-and-scale algebra, and a dq series' row from a scan of
-    the flag below r + 2."""
+    """Row r of x's column, worked out without run: a PColumn rule's own
+    row, a rational's value, a flag shift's row in the reference
+    sum-and-scale algebra, and a dq series' row from a scan of the flag
+    below r + 2."""
     if isinstance(x, FastCauchyReal):
-        if x.approx_override is not None:
-            return x.approx_override(r)
         x = x.presentation
+    if isinstance(x, PColumn):
+        return x.rule(r)
     if isinstance(x, PRational):
         return x.value
     if isinstance(x, PFlagShift):
         return PSum(PRational(x.base),
-                    PScale(x.factor, PCumFlagSeries(x.flag))).approx(r)
+                    PScale(x.factor, PCumFlagSeries(x.flag))).run(r, r + 1)[0]
     return dq_series_approx(x.flag.values(r + 2))
 
 
 def _check_run(x, n, stop):
     q, end = x.run(n, stop)
-    assert q == x.approx(n)
+    assert q == x.run(n, n + 1)[0]
     assert n < end <= stop
     assert all(_oracle_row(x, r) == q for r in range(n, end))
 
@@ -126,7 +129,7 @@ def test_a_presentation_run_is_its_rows(pres, n, width):
        st.integers(min_value=1, max_value=64))
 def test_a_real_run_is_its_rows(x, n, width):
     _check_run(x, n, n + width)
-    if x.approx_override is not None:
+    if isinstance(x.presentation, PColumn):
         assert x.run(n, n + width)[1] == n + 1
 
 
@@ -146,7 +149,7 @@ def test_a_flag_shift_run_ends_at_its_switch_row():
     assert pres.run(0, 100) == (Fraction(1, 2), 15)
     assert pres.run(3, 10) == (Fraction(1, 2), 10)
     assert pres.run(15, 100) == (Fraction(1, 2) + 3 * Fraction(1, 1 << 19), 100)
-    assert pres.approx(14) == Fraction(1, 2) != pres.approx(15)
+    assert pres.run(14, 15)[0] == Fraction(1, 2) != pres.run(15, 16)[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,7 +269,7 @@ def _refusing(value, row):
         if n >= row:
             raise Refused(n)
         return value
-    return FastCauchyReal(PRational(value), approx_override=rule)
+    return FastCauchyReal(PColumn(PRational(value), rule))
 
 
 @pytest.mark.parametrize("row", [0, 1, 5])

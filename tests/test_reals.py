@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mulab.errors import BoundViolation, UnsupportedPresentation
+from mulab.errors import BoundViolation
+from mulab.extractors import _Bisection
 from mulab.reals import (
     FastCauchyReal,
     PDqSeries,
@@ -24,6 +25,7 @@ from mulab.reals import (
 from mulab.sequences import PresentedSequence, mu_exact
 
 from oracles import (
+    PColumn,
     PCumFlagSeries,
     PScale,
     PSum,
@@ -91,8 +93,8 @@ def test_series_approximations_read_only_two_indices_past_n(f, n, junk, tail):
     seen = f.values(n + 2)
     altered = PresentedSequence(tuple(seen + junk), tuple(tail))
     for g in (f, altered):
-        assert PCumFlagSeries(g).approx(n) == flag_series_approx(seen)
-        assert PDqSeries(g).approx(n) == dq_series_approx(seen)
+        assert PCumFlagSeries(g).run(n, n + 1)[0] == flag_series_approx(seen)
+        assert PDqSeries(g).run(n, n + 1)[0] == dq_series_approx(seen)
 
 
 @settings(max_examples=200)
@@ -104,18 +106,25 @@ def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
     seen = f.values(n + 4 + x.shift)
     altered = PresentedSequence(tuple(seen + junk), tuple(tail))
     expected = base + factor * flag_series_approx(seen)
-    assert x.approx(n) == PFlagShift(base, factor, altered).approx(n) == expected
+    row = PFlagShift(base, factor, altered).run(n, n + 1)[0]
+    assert x.run(n, n + 1)[0] == row == expected
 
 
 def test_every_presentation_gives_its_rows_through_run_alone():
-    # approx(n) is row n of run(n, n + 1), written once on Presentation;
-    # a kind that wrote its own approx would be a second path to its rows
-    kinds = {cls for cls in Presentation.__subclasses__()
-             if cls.__module__ == "mulab.reals"}
-    assert {cls.__name__ for cls in kinds} == {"PRational", "PFlagShift", "PDqSeries"}
+    # a real is its presentation, and a presentation gives its rows
+    # through run alone: an approx of its own would be a second path
+    kinds, stack = set(), [Presentation]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("mulab."):
+                kinds.add(cls)
+    assert kinds == {PRational, PFlagShift, PDqSeries, _Bisection}
     for cls in kinds:
-        assert {"run", "exact_value"} <= vars(cls).keys(), cls.__name__
+        assert {"run", "exact_value", "tag"} <= vars(cls).keys(), cls.__name__
         assert "approx" not in vars(cls), cls.__name__
+    assert "approx" not in vars(Presentation)
+    assert FastCauchyReal._fields == ("presentation",)
 
 
 # factors with a precision shift of 0 (0, +-1 and weights in [0, 1])
@@ -135,7 +144,8 @@ def test_a_flag_shift_reads_like_the_reference_sum_and_scale(f, base, factor):
     assert new.shift == scale.shift
     event = f.first_zero
     rows = range((f.horizon if event is None else event) + 9)
-    assert [new.approx(n) for n in rows] == [old.approx(n) for n in rows]
+    assert ([new.run(n, n + 1)[0] for n in rows]
+            == [old.run(n, n + 1)[0] for n in rows])
     mu_new, calls_new = counting(mu_exact)
     mu_old, calls_old = counting(mu_exact)
     assert new.exact_value(mu_new) == old.exact_value(mu_old)
@@ -168,8 +178,7 @@ def test_counterexample_pair_without_an_event_collapses():
 
 def test_real_lt_rejects_approximations_that_never_show_the_gap():
     # the exact values say 0 < 1, but every approximation of x reads 5
-    liar = FastCauchyReal(PRational(Fraction(0)),
-                          approx_override=lambda n: Fraction(5))
+    liar = FastCauchyReal(PColumn(PRational(Fraction(0)), lambda n: Fraction(5)))
     with pytest.raises(BoundViolation, match="gap witness search"):
         real_lt(liar, from_rational(1))
 
@@ -180,8 +189,8 @@ def test_real_lt_decides_each_row_like_the_fraction_form(n):
     # gap is a witness exactly when y_n > x_n + 2^-(n-1)
     eps = Fraction(1, 1 << (n - 1))
     for gap in (Fraction(0), eps / 3, eps, eps + eps / 8, 2 * eps, -eps, -2 * eps):
-        x = FastCauchyReal(PRational(Fraction(0)),
-                           approx_override=lambda j, gap=gap: 1 - gap if j == n else 1)
+        x = FastCauchyReal(PColumn(PRational(Fraction(0)),
+                                   lambda j, gap=gap: 1 - gap if j == n else 1))
         if x.approx(n) + eps < 1:
             assert real_lt(x, from_rational(1))
         else:
@@ -248,22 +257,6 @@ def test_to_decimal_matches_round_half_up(q, digits):
     scaled = q * 10**digits
     whole = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
     assert Fraction(shown) == Fraction(whole, 10**digits)
-
-
-def test_opaque_reals_refuse_exact_decisions():
-    opaque = FastCauchyReal(None, approx_override=lambda n: Fraction(1, 2),
-                            label="opaque half")
-    assert opaque.approx(3) == Fraction(1, 2)
-    with pytest.raises(UnsupportedPresentation):
-        opaque.exact_value()
-    with pytest.raises(UnsupportedPresentation):
-        real_eq(opaque, from_rational(1))
-
-
-def test_reals_need_some_rule():
-    empty = FastCauchyReal(None)
-    with pytest.raises(UnsupportedPresentation):
-        empty.approx(0)
 
 
 def test_negative_precision_rejected():

@@ -1,7 +1,7 @@
 """The value classes: one instance of each, its repr pinned as text, its
-==, hash and refusal of assignment; the call forms of Value's generic
-constructor and of the written-out ones; and == on chains deeper than
-the interpreter's recursion limit."""
+==, hash and refusal of assignment; the call forms of the written-out
+constructors and the calls Value's positional one refuses; and == on
+chains deeper than the interpreter's recursion limit."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def p(x="x"):
 
 
 def half():
-    return FastCauchyReal(PRational(Q(1, 2)), None, "half")
+    return FastCauchyReal(PRational(Q(1, 2)))
 
 
 def smooth():
@@ -55,8 +55,7 @@ def step(path=(1, 0)):
 
 
 SEQ = "PresentedSequence(prefix=(1,), tail=(2,))"
-HALF = ("FastCauchyReal(presentation=PRational(value=Fraction(1, 2)), "
-        "approx_override=None, label='half')")
+HALF = "FastCauchyReal(presentation=PRational(value=Fraction(1, 2)))"
 SMOOTH = "RepresentedContinuousFunction(value_rule=<built-in function abs>, descriptor='abs')"
 ABS = "<built-in function abs>"
 P_X = "Atom(pred='p', args=('x', App(head='f', args=('x', 'c'))))"
@@ -270,21 +269,9 @@ def test_deep_parsed_types_compare_equal():
     assert parse_type("10000") != parse_type("9999")
 
 
-def constant_half(n):
-    return Q(1, 2)
-
-
 # (a value built by name or with defaults, the same value spelled
-# positionally in full)
+# positionally in full); only a class with its own __init__ takes either
 CALL_FORMS = {
-    "FastCauchyReal by name": (
-        lambda: FastCauchyReal(PRational(Q(1, 2)), approx_override=constant_half,
-                               label="h"),
-        lambda: FastCauchyReal(PRational(Q(1, 2)), constant_half, "h")),
-    "FastCauchyReal defaults": (lambda: FastCauchyReal(PRational(Q(1, 2))),
-                                lambda: FastCauchyReal(PRational(Q(1, 2)), None, "")),
-    "FastCauchyReal label only": (lambda: FastCauchyReal(None, label="h"),
-                                  lambda: FastCauchyReal(None, None, "h")),
     "Atom default": (lambda: Atom("p"), lambda: Atom("p", ())),
     "Atom by name": (lambda: Atom(args=("x",), pred="p"), lambda: Atom("p", ("x",))),
     "Quant default": (lambda: Quant("all", True, "x", Base(), p()),
@@ -336,11 +323,7 @@ def test_a_rule_step_by_name_matches_the_positional_one():
 
 @pytest.mark.parametrize("call, message", [
     (lambda a: PSum(a, a, a), "PSum() takes 2 arguments but 3 were given"),
-    (lambda a: PSum(a), "PSum() missing argument 'right'"),
-    (lambda a: PSum(right=a), "PSum() missing argument 'left'"),
-    (lambda a: PSum(a, right=a, up=a), "PSum() got an unexpected argument 'up'"),
-    (lambda a: PSum(a, left=a), "PSum() got multiple values for argument 'left'"),
-    (lambda a: FastCauchyReal(), "FastCauchyReal() missing argument 'presentation'"),
+    (lambda a: PSum(a), "PSum() takes 2 arguments but 1 were given"),
     # a class that checks its fields binds them with its own signature
     (lambda a: Quant("all", True), "Quant.__init__() missing 3 required"),
     (lambda a: PathTree((1,), 2, 3), "PathTree.__init__() takes from 2 to 3"),
@@ -354,6 +337,12 @@ def test_a_bad_call_raises_type_error_naming_the_class(call, message):
     with pytest.raises(TypeError) as caught:
         call(PRational(Q(1)))
     assert str(caught.value).startswith(message)
+
+
+def test_the_generic_constructor_takes_no_field_by_name():
+    a = PRational(Q(1))
+    with pytest.raises(TypeError):
+        PSum(left=a, right=a)
 
 
 @pytest.mark.parametrize("name", VALUES)
@@ -376,11 +365,11 @@ def test_only_classes_that_check_derive_or_build_formulas_write_a_constructor():
     # every other value class takes Value's, which reads _fields; the
     # formula nodes each rewrite step builds write theirs out for speed
     classes = value_classes()
-    # _BisectionRoot prints a closure, so its repr cannot be pinned here;
-    # test_extractors pins it against the eager reference instead
+    # _Bisection prints a closure, so its repr cannot be pinned here;
+    # test_extractors holds its reads to the eager reference instead
     assert ({cls.__name__ for cls in classes}
             == VALUES.keys() - {"TracedFunctional", *REFERENCE_ALGEBRA}
-            | {"_Binary", "_BisectionRoot"})
+            | {"_Binary", "_Bisection"})
     own = {cls.__name__ for cls in classes if "__init__" in vars(cls)}
     assert own == {"FlagTree", "PathTree", "Truncation", "Quant", "PFlagShift",
                    "PresentedSequence", "RuleStep", "App", "Atom", "Not",
