@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate, count, islice
 from typing import Callable, Iterator
 
-from .coding import cantor_pair, dyadic_index, dyadic_value, max_coded_length
+from .coding import cantor_pair, dyadic_index, max_coded_length
 from .errors import (BoundViolation, MalformedWitness, NotInCbar, OutOfRange,
                      UnsupportedPresentation)
 from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
@@ -460,9 +460,8 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
 
 class TracedTableView(TracedView):
     """A function seen as its value table over the dyadic enumeration,
-    one Cantor-paired index per (point, precision) cell.  The real at
-    each dyadic point is built once per view and serves every precision
-    row of that point.  The sign reader reads a point's column by runs of
+    one Cantor-paired index per (point, precision) cell.  The sign reader
+    builds the real at each point it probes, reads its column by runs of
     equal rows and records the cells of rows lo..hi - 1 in one
     _record_cells update, their Cantor codes stepping by i + n + 2 from
     row n to row n + 1."""
@@ -471,27 +470,21 @@ class TracedTableView(TracedView):
                  budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
         self.fn = fn
-        self._points: dict[int, FastCauchyReal] = {}
-
-    def point(self, i: int) -> FastCauchyReal:
-        """The function's value at dyadic point i; records no query."""
-        x = self._points.get(i)
-        if x is None:
-            x = self._points[i] = self.fn.value_rule(dyadic_value(i))
-        return x
 
 
 def _sign_certified(view: TracedTableView, p: Fraction) -> int:
-    """Sign of the viewed function at dyadic p: 0 from an exact zero
-    value, without reads, else certified by the first row n of the
-    column at p with |q_n| > 2^-n, decided on integers.  The column is
-    read by runs of equal rows: for a run of value a/b the first row with
-    |a| << n > b is worked out at once, and the cells up to it go to the
-    trace in one update.  A column within 2^-n of value certifies its
-    sign by the row past the bit length of value's denominator; one that
-    has not by the limit is wrong."""
+    """Sign of the viewed function at dyadic p, read from the real
+    view.fn.value_rule(p), built on each call, with its cells coded at
+    p's dyadic index: 0 from an exact zero value, without reads, else
+    certified by the first row n of that column with |q_n| > 2^-n,
+    decided on integers.  The column is read by runs of equal rows: for
+    a run of value a/b the first row with |a| << n > b is worked out at
+    once, and the cells up to it go to the trace in one update.  A
+    column within 2^-n of value certifies its sign by the row past the
+    bit length of value's denominator; one that has not by the limit is
+    wrong."""
     i = dyadic_index(p)
-    x = view.point(i)
+    x = view.fn.value_rule(p)
     value = x.exact_value()
     if value == 0:
         return 0

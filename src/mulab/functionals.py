@@ -189,24 +189,18 @@ class TracedView:
     def _record(self, entry) -> None:
         self.trace.add(entry)
         if len(self.trace) > self.budget:
-            raise self._over_budget()
+            raise BudgetExceeded(f"view queried more than {self.budget} indices")
 
     def _record_cells(self, cells: Iterable, size: int) -> None:
         """Record the size entries of cells in one set update, as size
-        calls of _record in their order would: a run that may pass the
-        budget is added one entry at a time, so the error comes at the
-        same entry, with budget + 1 entries in the trace."""
-        trace = self.trace
-        if len(trace) + size <= self.budget:
-            trace.update(cells)
+        calls of _record in their order would.  A run that may pass the
+        budget falls back to _record, one entry at a time, so the error
+        comes at the same entry, with budget + 1 entries in the trace."""
+        if len(self.trace) + size <= self.budget:
+            self.trace.update(cells)
             return
         for entry in cells:
-            trace.add(entry)
-            if len(trace) > self.budget:
-                raise self._over_budget()
-
-    def _over_budget(self) -> BudgetExceeded:
-        return BudgetExceeded(f"view queried more than {self.budget} indices")
+            self._record(entry)
 
     def reset(self) -> None:
         self.trace.clear()

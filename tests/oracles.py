@@ -361,7 +361,7 @@ def reference_sign_certified(view, p):
     """Sign of a table view's function at dyadic p: 0 from the exact
     value, else from the first row n with |q_n| > 2^-n."""
     i = dyadic_index(p)
-    x = view.point(i)
+    x = view.fn.value_rule(p)
     if x.exact_value() == 0:
         return 0
     for n in count():

@@ -32,6 +32,7 @@ from mulab.errors import (
     UnsupportedPresentation,
 )
 from mulab.formulas import ExIn, Quant, format_formula, parse_formula
+from mulab.sequences import DEFAULT_BUDGET
 
 from oracles import free_names
 from test_formulas import marked_formulas, reused_name_formulas
@@ -357,6 +358,14 @@ def test_fan_budget_counts_tree_nodes(capsys):
                            "--budget", "15")
     assert code == 0
     assert fields_of(out)["fan_bound"] == "3"
+
+
+def test_fan_budget_defaults_to_the_library_budget(capsys):
+    # the parser spells the default itself, so that the CLI need not
+    # import mulab.sequences; this ties the two spellings together
+    code, out, _ = run_cli(capsys, "fan", "--functional", "sum:3")
+    assert code == 0
+    assert fields_of(out)["node_budget"] == str(DEFAULT_BUDGET)
 
 
 def test_bad_tree_is_exit_two_before_the_fan_replay(capsys):

@@ -86,7 +86,9 @@ def test_event_sweep_counts_the_cells_the_views_recorded(monkeypatch):
     rows = [m.groups() for m in map(EVENT_ROW.fullmatch, proc.stdout.splitlines())
             if m]
     assert len(rows) == 12
-    # in process, the views are the ones that hand cells to a trace
+    # in process, the views are the ones that hand cells to a trace.  A
+    # run that crosses a budget reaches _record through _record_cells,
+    # but no route run here comes near its budget
     record, record_cells = TracedView._record, TracedView._record_cells
     views = []
 
