@@ -40,7 +40,6 @@ from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_traci
 from .reals import (
     FastCauchyReal,
     MuOp,
-    Presentation,
     _epsilon,
     counterexample_pair,
     dq_real,
@@ -197,8 +196,8 @@ def _read_runs(x: FastCauchyReal, stop: int,
                record: Callable[[int, int], None],
                decide: Callable[[Fraction, int], tuple[int, object] | None]):
     """The verdict of the first row of x's column below stop that
-    decides, or None, read a run of equal rows at a time
-    (FastCauchyReal.run).  decide(q, n) gives the first row k >= n at
+    decides, or None, read a run of equal rows at a time, one call of
+    x.run each.  decide(q, n) gives the first row k >= n at
     which a run of value q decides, and the verdict, or None if it never
     does; record(lo, hi) records rows lo..hi - 1.  The rows recorded are
     those a row-by-row loop records: every row up to the deciding one,
@@ -405,8 +404,8 @@ def _bisection(sign: Callable[[Fraction], int]
 _EXACT_ROOT_DEPTH = 24
 
 
-class _Bisection(Presentation, Value, eq=False):
-    """The presentation of the root that uivt_from_mu's phi returns.
+class _Bisection(FastCauchyReal, eq=False):
+    """The root that uivt_from_mu's phi returns.
     ``stage(n)`` is (left endpoint, root found) after n bisection stages,
     and row n is that left endpoint.  The exact value is the left
     endpoint if the bisection has landed on a root by stage
@@ -418,7 +417,7 @@ class _Bisection(Presentation, Value, eq=False):
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         return self.stage(n)[0], n + 1
 
-    def exact_value(self, mu: MuOp) -> Fraction:
+    def _exact(self, mu: MuOp) -> Fraction:
         left, root = self.stage(_EXACT_ROOT_DEPTH)
         if not root:
             raise UnsupportedPresentation(
@@ -453,7 +452,7 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
                 stages.append(next(stream))
             return stages[n]
 
-        return FastCauchyReal(_Bisection(stage, f"bisect({fn.descriptor})"))
+        return _Bisection(stage, f"bisect({fn.descriptor})")
 
     return phi
 
@@ -569,7 +568,7 @@ class RationalWitness(Value):
 
 def udq_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], RationalWitness]:
     def phi(x: FastCauchyReal) -> RationalWitness:
-        return RationalWitness(x.exact_value(mu), x.presentation.tag)
+        return RationalWitness(x.exact_value(mu), x.tag)
     return phi
 
 

@@ -17,8 +17,9 @@ on replaying such bodies:
   value at any of its leaves, which comes with the finite cover of
   zero-padded prefixes of that length.  trees.scf_check decides the
   cover check from the same leaves, never running g outside the replay.
-* xi_by_tracing instruments two evaluations of a sequence-to-sequence
-  functional and reports 1 + the largest input index either one touched.
+* xi_by_tracing runs a reader through two views of any kind (a real's
+  column, a tree, a table or a sequence) and reports 1 + the largest
+  index either one touched.
 
 Budgets make divergence on discontinuous inputs an error, not a hang.
 """

@@ -1,12 +1,12 @@
 """Fast-converging Cauchy reals with symbolic presentations.
 
-A real here is its presentation: a symbolic descriptor of one of three
-kinds (a rational constant, a flag-shifted rational, the dq series) that
-gives both the approximation rows n -> q_n (exact rationals, with
-|q_n - q_{n+i}| < 2^-n) and the exact value.  Comparisons are decided
-exactly from presentations; the flag-driven kinds reduce to one mu
-search on the presented flag sequence, which is the whole point of the
-class.
+A real here is its presentation: an instance of one of three kinds (a
+rational constant, a flag-shifted rational, the dq series), each a
+subclass of FastCauchyReal that gives both the approximation rows
+n -> q_n (exact rationals, with |q_n - q_{n+i}| < 2^-n) and the exact
+value.  Comparisons are decided exactly from presentations; the
+flag-driven kinds reduce to one mu search on the presented flag
+sequence, which is the whole point of the class.
 The real-valued counterexample objects are all flag-shifted reals,
 ``flag_shifted(c, factor, f)`` = c + factor * delta(f): its
 approximations agree with c until f's first event shows, and after it
@@ -28,7 +28,6 @@ from .sequences import PresentedSequence, mu_exact
 from .value import Value, setfield
 
 __all__ = [
-    "Presentation",
     "PRational",
     "PFlagShift",
     "PDqSeries",
@@ -55,27 +54,38 @@ def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
                                 tuple(int(v == 0) for v in f.tail)))
 
 
-class Presentation:
-    """Base class for symbolic presentations.  Each kind names itself in
-    ``tag``, the certificate a dq witness carries."""
+class FastCauchyReal(Value):
+    """A real given by its presentation: each kind, a subclass, gives
+    its rows through ``run`` and its exact value through ``_exact``, and
+    names itself in ``tag``, the certificate a dq witness carries.
+
+    == compares presentations, the kind and its fields; use real_eq /
+    real_lt for the values, as extensional equality of reals is not
+    structural.
+    """
+
+    def approx(self, n: int) -> Fraction:
+        if n < 0:
+            raise ValueError("negative precision index")
+        return self.run(n, n + 1)[0]
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """Row n and the end of the run of rows equal to it, capped at
         stop > n: row r is row n for every r in [n, end)."""
         raise NotImplementedError
 
-    def exact_value(self, mu: MuOp) -> Fraction:
-        raise NotImplementedError
+    def exact_value(self, mu: MuOp = mu_exact) -> Fraction:
+        return self._exact(mu)
 
 
-class PRational(Presentation, Value):
+class PRational(FastCauchyReal):
     _fields = ("value",)
     tag = "rational"
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         return self.value, stop
 
-    def exact_value(self, mu: MuOp) -> Fraction:
+    def _exact(self, mu: MuOp) -> Fraction:
         return self.value
 
 
@@ -87,7 +97,7 @@ def _epsilon(m0: int | None) -> Fraction:
     return Fraction(1, 1 << (max(m0, 1) - 1))
 
 
-class PFlagShift(Presentation, Value):
+class PFlagShift(FastCauchyReal):
     """base + factor * delta(f), where delta(f) = sum over n >= 1 of
     c_n 2^-n and c_n = 1 iff f hits 0 at or below n.
 
@@ -123,11 +133,11 @@ class PFlagShift(Presentation, Value):
             return self.base, min(switch, stop)
         return self.base + self.factor * _epsilon(m0), stop
 
-    def exact_value(self, mu: MuOp) -> Fraction:
+    def _exact(self, mu: MuOp) -> Fraction:
         return self.base + self.factor * _epsilon(mu(self.flag))
 
 
-class PDqSeries(Presentation, Value):
+class PDqSeries(FastCauchyReal):
     """sum over n >= 1 of h(n) 2^-n with h(n) = 1 iff f is zero below n.
 
     Equals 1 when f is never nonzero and 1 - 2^-m0 when the first nonzero
@@ -152,43 +162,19 @@ class PDqSeries(Presentation, Value):
             return self._closed_form(m0), stop
         return 1 - Fraction(1, 1 << (n + 2)), n + 1
 
-    def exact_value(self, mu: MuOp) -> Fraction:
+    def _exact(self, mu: MuOp) -> Fraction:
         return self._closed_form(_first_nonzero_via(mu, self.flag))
 
 
-class FastCauchyReal(Value, eq=False):
-    """A real given by its presentation, which gives both its rows and
-    its exact value.
-
-    Use real_eq / real_lt for comparisons; == is object identity on
-    purpose, extensional equality of reals is not structural.
-    """
-
-    _fields = ("presentation",)
-
-    def approx(self, n: int) -> Fraction:
-        return self.run(n, n + 1)[0]
-
-    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
-        """Row n and the end of the run of rows equal to it, capped at
-        stop > n (see Presentation.run)."""
-        if n < 0:
-            raise ValueError("negative precision index")
-        return self.presentation.run(n, stop)
-
-    def exact_value(self, mu: MuOp = mu_exact) -> Fraction:
-        return self.presentation.exact_value(mu)
-
-
 def from_rational(q: Fraction | int | str) -> FastCauchyReal:
-    return FastCauchyReal(PRational(Fraction(q)))
+    return PRational(Fraction(q))
 
 
 def flag_shifted(c: Fraction | int, factor: Fraction | int,
                  f: PresentedSequence) -> FastCauchyReal:
     """c + factor * delta(f): c if f never hits zero, else c moved by
     factor * epsilon(f).  Every flag-shifted real is built here."""
-    return FastCauchyReal(PFlagShift(Fraction(c), Fraction(factor), f))
+    return PFlagShift(Fraction(c), Fraction(factor), f)
 
 
 def counterexample_pair(f: PresentedSequence) -> tuple[FastCauchyReal, FastCauchyReal]:
@@ -198,7 +184,7 @@ def counterexample_pair(f: PresentedSequence) -> tuple[FastCauchyReal, FastCauch
 
 
 def dq_real(f: PresentedSequence) -> FastCauchyReal:
-    return FastCauchyReal(PDqSeries(f))
+    return PDqSeries(f)
 
 
 def real_eq(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:

@@ -167,20 +167,22 @@ def _natural(text: str) -> int | None:
     return None
 
 
-_SEQ_RE = re.compile(r"^prefix=\[([0-9,]*)\];tail=\[([0-9,]*)\]$")
+# blanks may stand around the words and the punctuation, not inside a number
+_SEQ_RE = re.compile(r"\s*prefix\s*=\s*\[([0-9,\s]*)\]\s*;"
+                     r"\s*tail\s*=\s*\[([0-9,\s]*)\]\s*")
 
 
 def parse_sequence(text: str) -> PresentedSequence:
-    """Parse 'prefix=[a,b,...];tail=[c,...]'.  Whitespace is ignored."""
-    compact = "".join(text.split())
-    m = _SEQ_RE.match(compact)
+    """Parse 'prefix=[a,b,...];tail=[c,...]'.  Blanks around the words
+    and the punctuation are ignored; a blank inside a number is refused."""
+    m = _SEQ_RE.fullmatch(text)
     if not m:
         raise ParseError(f"bad sequence syntax: {text!r}")
 
     def ints(group: str) -> tuple[int, ...]:
-        if not group:
+        if not group.strip():
             return ()
-        values = tuple(map(_natural, group.split(",")))
+        values = tuple(_natural(entry.strip()) for entry in group.split(","))
         if None in values:
             raise ParseError(f"bad number list in {text!r}")
         return values

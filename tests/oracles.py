@@ -28,11 +28,9 @@ from mulab.extractors import (
     _greedy_digits,
 )
 from mulab.functionals import DEFAULT_BUDGET, TracedView
-from mulab.reals import (
-    FastCauchyReal, Presentation, PRational, from_rational, real_sign,
-)
+from mulab.reals import FastCauchyReal, PRational, from_rational, real_sign
 from mulab.trees import ScfReport
-from mulab.value import Value, setfield
+from mulab.value import setfield
 
 
 def unroll(prefix, tail, count):
@@ -409,7 +407,7 @@ def reference_ivt_endpoints(view, k):
 # presentation decides its exact value: rows that stray from that value
 # make a liar, and a rule that raises makes a column that refuses a row.
 
-class PColumn(Presentation, Value):
+class PColumn(FastCauchyReal):
     """Rows from rule, one row per run; the exact value from exact."""
 
     _fields = ("exact", "rule")
@@ -417,17 +415,17 @@ class PColumn(Presentation, Value):
     def run(self, n, stop):
         return self.rule(n), n + 1
 
-    def exact_value(self, mu):
-        return self.exact.exact_value(mu)
+    def _exact(self, mu):
+        return self.exact._exact(mu)
 
 
-class PRefused(Presentation, Value):
+class PRefused(FastCauchyReal):
     """No exact value: every exact decision is refused, naming the real,
     as a bisection root that has not landed refuses it."""
 
     _fields = ("label",)
 
-    def exact_value(self, mu):
+    def _exact(self, mu):
         raise UnsupportedPresentation(
             f"no presentation for exact decision on {self.label}")
 
@@ -461,7 +459,7 @@ def reference_uivt_phi(mu):
 
         left, root = eager[-1]
         exact = PRational(left) if root else PRefused(f"bisect({fn.descriptor})")
-        return FastCauchyReal(PColumn(exact, rule))
+        return PColumn(exact, rule)
 
     return phi
 
@@ -475,7 +473,7 @@ def reference_uivt_phi(mu):
 # the shared constructions must give the same approximation rows and
 # exact values.  Each of its presentations runs one row at a time.
 
-class PCumFlagSeries(Presentation, Value):
+class PCumFlagSeries(FastCauchyReal):
     """delta(f) = sum over n >= 1 of c_n 2^-n, c_n = 1 iff f hits 0 at or
     below n: 2^(1 - max(m0, 1)) for the first zero m0, else 0.  Row n is
     exact once the event is below n + 2, else 0."""
@@ -491,11 +489,11 @@ class PCumFlagSeries(Presentation, Value):
             return self._closed_form(m0), n + 1
         return Fraction(0), n + 1
 
-    def exact_value(self, mu):
+    def _exact(self, mu):
         return self._closed_form(mu(self.flag))
 
 
-class PSum(Presentation, Value):
+class PSum(FastCauchyReal):
     """left + right; row n adds the children's rows n + 2."""
 
     _fields = ("left", "right")
@@ -504,11 +502,11 @@ class PSum(Presentation, Value):
         k = n + 2
         return self.left.run(k, k + 1)[0] + self.right.run(k, k + 1)[0], n + 1
 
-    def exact_value(self, mu):
-        return self.left.exact_value(mu) + self.right.exact_value(mu)
+    def _exact(self, mu):
+        return self.left._exact(mu) + self.right._exact(mu)
 
 
-class PScale(Presentation, Value):
+class PScale(FastCauchyReal):
     """factor * arg; row n scales arg's row n + shift, where shift is the
     least k with |factor| <= 2^k and stays out of ==, hash and repr."""
 
@@ -525,14 +523,14 @@ class PScale(Presentation, Value):
         k = n + self.shift
         return self.factor * self.arg.run(k, k + 1)[0], n + 1
 
-    def exact_value(self, mu):
-        return self.factor * self.arg.exact_value(mu)
+    def _exact(self, mu):
+        return self.factor * self.arg._exact(mu)
 
 
 def reference_ubin_pair(f):
     """(1/2 - delta(f), 1/2 + delta(f))."""
-    return tuple(FastCauchyReal(PSum(PRational(Fraction(1, 2)),
-                                     PScale(Fraction(sign), PCumFlagSeries(f))))
+    return tuple(PSum(PRational(Fraction(1, 2)),
+                      PScale(Fraction(sign), PCumFlagSeries(f)))
                  for sign in (-1, 1))
 
 
@@ -541,9 +539,8 @@ def reference_ivt_counterexample(f, sign):
     s = 1 if sign == "+" else -1
 
     def rule(q):
-        pres = PSum(PRational(_unit_piecewise_value(IVT_BASE_POINTS, q)),
+        return PSum(PRational(_unit_piecewise_value(IVT_BASE_POINTS, q)),
                     PScale(Fraction(s), PCumFlagSeries(f)))
-        return FastCauchyReal(pres)
 
     return RepresentedContinuousFunction(rule, f"ivt-base{sign}delta")
 
@@ -554,7 +551,7 @@ def reference_two_bump(f, left_sign):
     delta = PCumFlagSeries(f)
     h_left = PSum(one, PScale(Fraction(left_sign), delta))
     h_right = PSum(one, PScale(Fraction(-left_sign), delta))
-    return TwoBump(FastCauchyReal(h_left), FastCauchyReal(h_right))
+    return TwoBump(h_left, h_right)
 
 
 # ---------------------------------------------------------------------------

@@ -716,6 +716,9 @@ UNUSABLE_ARGUMENTS = [
     (["fan", "--functional", "proj:x"], "bad functional spec 'proj:x'"),
     (["fan", "--functional", "const:1:2"], "unknown functional 'const:1:2'"),
     (["fan", "--functional", "sum"], "unknown functional 'sum'"),
+    # blanks may stand around the punctuation of a flag, not inside a number
+    (["ubin", "--flag", "prefix=[1 2];tail=[3]"],
+     "bad number list in 'prefix=[1 2];tail=[3]'"),
 ]
 
 

@@ -5,8 +5,9 @@ It is the only way a real gives its rows: ``FastCauchyReal.approx(n)``
 is row n of ``run(n, n + 1)``, and the column readers of the ivt and
 ubin routes (``_sign_certified`` and ``_reaches``) decide a whole run at
 once.
-These tests hold every row of a run, on every presentation and on
-FastCauchyReal, to a column worked out independently in tests/oracles.py,
+These tests hold every row of a run, on every presentation kind and on
+a column given by a rule beside its value (PColumn), to a column worked
+out independently in tests/oracles.py,
 and hold the run readers to the row-by-row references there: the same
 answer, the same trace, and under a budget the same error at the same
 cell.
@@ -32,7 +33,6 @@ from mulab.extractors import (
 )
 from mulab.functionals import DEFAULT_BUDGET, TracedRealView
 from mulab.reals import (
-    FastCauchyReal,
     PDqSeries,
     PFlagShift,
     PRational,
@@ -83,13 +83,11 @@ def _wobble(pres):
     return lambda n: value + Fraction((-1) ** n, 1 << (n + 2))
 
 
-# a presentation's own column, the same column given row by row as a
-# PColumn rule, and a different column of the same value given so
+# a presentation's column given row by row as a PColumn rule, and a
+# different column of the same value given so
 columns = st.one_of(
-    presentations.map(FastCauchyReal),
-    presentations.map(lambda p: FastCauchyReal(
-        PColumn(p, lambda n: p.run(n, n + 1)[0]))),
-    presentations.map(lambda p: FastCauchyReal(PColumn(p, _wobble(p)))),
+    presentations.map(lambda p: PColumn(p, lambda n: p.run(n, n + 1)[0])),
+    presentations.map(lambda p: PColumn(p, _wobble(p))),
 )
 
 
@@ -98,8 +96,6 @@ def _oracle_row(x, r):
     row, a rational's value, a flag shift's row in the reference
     sum-and-scale algebra, and a dq series' row from a scan of the flag
     below r + 2."""
-    if isinstance(x, FastCauchyReal):
-        x = x.presentation
     if isinstance(x, PColumn):
         return x.rule(r)
     if isinstance(x, PRational):
@@ -129,8 +125,7 @@ def test_a_presentation_run_is_its_rows(pres, n, width):
        st.integers(min_value=1, max_value=64))
 def test_a_real_run_is_its_rows(x, n, width):
     _check_run(x, n, n + width)
-    if isinstance(x.presentation, PColumn):
-        assert x.run(n, n + width)[1] == n + 1
+    assert x.run(n, n + width)[1] == n + 1
 
 
 def test_a_rational_and_a_quiet_flag_shift_run_to_the_stop():
@@ -269,7 +264,7 @@ def _refusing(value, row):
         if n >= row:
             raise Refused(n)
         return value
-    return FastCauchyReal(PColumn(PRational(value), rule))
+    return PColumn(PRational(value), rule)
 
 
 @pytest.mark.parametrize("row", [0, 1, 5])

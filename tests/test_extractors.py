@@ -259,7 +259,7 @@ def test_reaches_decides_each_row_like_the_fraction_form(n):
     for gap in boundary_gaps(n):
         value = t - 7 if gap >= 0 else t + 7
         rows = {j: t for j in range(n)} | {n: t + gap}
-        x = FastCauchyReal(PColumn(PRational(value), column(rows, value)))
+        x = PColumn(PRational(value), column(rows, value))
         view, ref = TracedRealView(x), TracedRealView(x)
         eps = Fraction(1, 1 << n)
         decided = gap >= eps or gap < -eps
@@ -278,7 +278,7 @@ def test_reaches_decides_drawn_rows_on_integers_like_the_fraction_form(t, n, dat
     gap = data.draw(st.one_of(st.fractions(), st.sampled_from(boundary_gaps(n))))
     value = t - 7 if gap >= 0 else t + 7
     rows = {j: t for j in range(n)} | {n: t + gap}
-    x = FastCauchyReal(PColumn(PRational(value), column(rows, value)))
+    x = PColumn(PRational(value), column(rows, value))
     view, ref = TracedRealView(x), TracedRealView(x)
     # row n decides as the Fraction form did, on d = q_n - t = gap
     scaled = gap.numerator << n
@@ -293,7 +293,7 @@ def test_reaches_stops_on_a_column_that_contradicts_the_value():
     # every row sits on t = 1/2, so none decides; a column within 2^-n of
     # the exact value 1/4 would have by row 4, so the search stops at a
     # bound from the denominators, not at the view's query budget
-    x = FastCauchyReal(PColumn(PRational(Fraction(1, 4)), lambda n: Fraction(1, 2)))
+    x = PColumn(PRational(Fraction(1, 4)), lambda n: Fraction(1, 2))
     view = TracedRealView(x)
     with pytest.raises(BoundViolation, match="no row up to 84 decides"):
         ubin_repr_digits(view, 1)
@@ -620,7 +620,7 @@ def test_printing_a_root_calls_no_mu():
     before = len(calls)
     text = repr(report.details["r_plus"])
     assert len(calls) == before
-    assert text.startswith("FastCauchyReal(presentation=_Bisection(stage=")
+    assert text.startswith("_Bisection(stage=")
 
 
 def test_ivt_over_the_corpus_counts_its_calls_of_mu():
@@ -684,7 +684,7 @@ def test_sign_certified_decides_each_row_like_the_fraction_form(n):
     for q in boundary_gaps(n):
         exact = Fraction(-7) if q >= 0 else Fraction(7)
         rows = {j: Fraction(0) for j in range(n)} | {n: q}
-        real = FastCauchyReal(PColumn(PRational(exact), column(rows, exact)))
+        real = PColumn(PRational(exact), column(rows, exact))
         fn = RepresentedContinuousFunction(lambda _, real=real: real, "column")
         view, ref = TracedTableView(fn), TracedTableView(fn)
         eps = Fraction(1, 1 << n)
@@ -698,7 +698,7 @@ def test_sign_certified_decides_each_row_like_the_fraction_form(n):
 
 def test_sign_certified_stops_on_a_column_that_contradicts_the_value():
     # every row reads 0, so none certifies the sign of the exact value 1/4
-    real = FastCauchyReal(PColumn(PRational(Fraction(1, 4)), lambda n: Fraction(0)))
+    real = PColumn(PRational(Fraction(1, 4)), lambda n: Fraction(0))
     fn = RepresentedContinuousFunction(lambda _: real, "column")
     view = TracedTableView(fn)
     with pytest.raises(BoundViolation, match="no row up to 76 certifies"):

@@ -12,7 +12,6 @@ from mulab.reals import (
     PDqSeries,
     PFlagShift,
     PRational,
-    Presentation,
     counterexample_pair,
     dq_real,
     flag_shifted,
@@ -112,8 +111,10 @@ def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
 
 def test_every_presentation_gives_its_rows_through_run_alone():
     # a real is its presentation, and a presentation gives its rows
-    # through run alone: an approx of its own would be a second path
-    kinds, stack = set(), [Presentation]
+    # through run alone: an approx of its own would be a second path,
+    # and one that skipped the base's approx and exact_value would
+    # skip the negative-row check and the tracer's counts
+    kinds, stack = set(), [FastCauchyReal]
     while stack:
         for cls in stack.pop().__subclasses__():
             stack.append(cls)
@@ -121,10 +122,10 @@ def test_every_presentation_gives_its_rows_through_run_alone():
                 kinds.add(cls)
     assert kinds == {PRational, PFlagShift, PDqSeries, _Bisection}
     for cls in kinds:
-        assert {"run", "exact_value", "tag"} <= vars(cls).keys(), cls.__name__
-        assert "approx" not in vars(cls), cls.__name__
-    assert "approx" not in vars(Presentation)
-    assert FastCauchyReal._fields == ("presentation",)
+        assert {"run", "_exact", "tag"} <= vars(cls).keys(), cls.__name__
+        assert not {"approx", "exact_value"} & vars(cls).keys(), cls.__name__
+    assert {"approx", "exact_value"} <= vars(FastCauchyReal).keys()
+    assert FastCauchyReal._fields == ()
 
 
 # factors with a precision shift of 0 (0, +-1 and weights in [0, 1])
@@ -150,7 +151,7 @@ def test_a_flag_shift_reads_like_the_reference_sum_and_scale(f, base, factor):
     mu_old, calls_old = counting(mu_exact)
     assert new.exact_value(mu_new) == old.exact_value(mu_old)
     assert calls_new == calls_old == [f]
-    assert flag_shifted(base, factor, f).presentation == new
+    assert flag_shifted(base, factor, f) == new
 
 
 def test_counterexample_pair_for_an_event_at_three():
@@ -178,7 +179,7 @@ def test_counterexample_pair_without_an_event_collapses():
 
 def test_real_lt_rejects_approximations_that_never_show_the_gap():
     # the exact values say 0 < 1, but every approximation of x reads 5
-    liar = FastCauchyReal(PColumn(PRational(Fraction(0)), lambda n: Fraction(5)))
+    liar = PColumn(PRational(Fraction(0)), lambda n: Fraction(5))
     with pytest.raises(BoundViolation, match="gap witness search"):
         real_lt(liar, from_rational(1))
 
@@ -189,8 +190,8 @@ def test_real_lt_decides_each_row_like_the_fraction_form(n):
     # gap is a witness exactly when y_n > x_n + 2^-(n-1)
     eps = Fraction(1, 1 << (n - 1))
     for gap in (Fraction(0), eps / 3, eps, eps + eps / 8, 2 * eps, -eps, -2 * eps):
-        x = FastCauchyReal(PColumn(PRational(Fraction(0)),
-                                   lambda j, gap=gap: 1 - gap if j == n else 1))
+        x = PColumn(PRational(Fraction(0)),
+                    lambda j, gap=gap: 1 - gap if j == n else 1)
         if x.approx(n) + eps < 1:
             assert real_lt(x, from_rational(1))
         else:

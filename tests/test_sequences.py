@@ -137,6 +137,8 @@ def test_parse_accepts_whitespace():
     "prefix=[1,];tail=[2]",
     "prefix=[a];tail=[1]",
     "prefix=[1];tail=[2];extra=[3]",
+    # a blank inside a number is not a separator
+    "prefix=[1 2];tail=[3]",
 ])
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ParseError):

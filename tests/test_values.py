@@ -33,7 +33,7 @@ def p(x="x"):
 
 
 def half():
-    return FastCauchyReal(PRational(Q(1, 2)))
+    return PRational(Q(1, 2))
 
 
 def smooth():
@@ -55,7 +55,7 @@ def step(path=(1, 0)):
 
 
 SEQ = "PresentedSequence(prefix=(1,), tail=(2,))"
-HALF = "FastCauchyReal(presentation=PRational(value=Fraction(1, 2)))"
+HALF = "PRational(value=Fraction(1, 2))"
 SMOOTH = "RepresentedContinuousFunction(value_rule=<built-in function abs>, descriptor='abs')"
 ABS = "<built-in function abs>"
 P_X = "Atom(pred='p', args=('x', App(head='f', args=('x', 'c'))))"
@@ -88,7 +88,8 @@ VALUES = {
     "PScale": (lambda: PScale(Q(-3), PCumFlagSeries(seq())),
                f"PScale(factor=Fraction(-3, 1), arg=PCumFlagSeries(flag={SEQ}))",
                ("factor", "arg")),
-    "FastCauchyReal": (half, HALF, None),
+    # the base of the presentation kinds, with no field of its own
+    "FastCauchyReal": (FastCauchyReal, "FastCauchyReal()", ()),
     "TracedFunctional": (lambda: TracedFunctional("len", len),
                          "TracedFunctional(name='len', body=<built-in function len>)",
                          None),
