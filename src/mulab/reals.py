@@ -55,13 +55,11 @@ def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
 
 
 class FastCauchyReal(Value):
-    """A real given by its presentation: each kind, a subclass, gives
-    its rows through ``run`` and its exact value through ``_exact``, and
-    names itself in ``tag``, the certificate a dq witness carries.
-
-    == compares presentations, the kind and its fields; use real_eq /
-    real_lt for the values, as extensional equality of reals is not
-    structural.
+    """A real given by its presentation: each kind, a subclass, defines
+    ``run`` and ``_exact`` and names itself in ``tag``, the certificate a
+    dq witness carries.  == compares presentations, the kind and its
+    fields; real_eq / real_lt compare values, as extensional equality of
+    reals is not structural.
     """
 
     def approx(self, n: int) -> Fraction:
@@ -70,12 +68,16 @@ class FastCauchyReal(Value):
         return self.run(n, n + 1)[0]
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
-        """Row n and the end of the run of rows equal to it, capped at
-        stop > n: row r is row n for every r in [n, end)."""
+        """Row n and the end of the run of rows equal to it, for 0 <= n
+        < stop, unchecked: row r is row n for every r in [n, end <= stop).
+        approx refuses a negative n; the column readers start at row 0."""
         raise NotImplementedError
 
     def exact_value(self, mu: MuOp = mu_exact) -> Fraction:
         return self._exact(mu)
+
+    def _exact(self, mu: MuOp) -> Fraction:
+        raise NotImplementedError
 
 
 class PRational(FastCauchyReal):

@@ -33,6 +33,7 @@ from mulab.extractors import (
 )
 from mulab.functionals import DEFAULT_BUDGET, TracedRealView
 from mulab.reals import (
+    FastCauchyReal,
     PDqSeries,
     PFlagShift,
     PRational,
@@ -83,9 +84,11 @@ def _wobble(pres):
     return lambda n: value + Fraction((-1) ** n, 1 << (n + 2))
 
 
-# a presentation's column given row by row as a PColumn rule, and a
-# different column of the same value given so
+# a presentation itself, whose runs may span many rows, the same column
+# given row by row as a PColumn rule, and a different column of the
+# same value given so
 columns = st.one_of(
+    presentations,
     presentations.map(lambda p: PColumn(p, lambda n: p.run(n, n + 1)[0])),
     presentations.map(lambda p: PColumn(p, _wobble(p))),
 )
@@ -125,7 +128,8 @@ def test_a_presentation_run_is_its_rows(pres, n, width):
        st.integers(min_value=1, max_value=64))
 def test_a_real_run_is_its_rows(x, n, width):
     _check_run(x, n, n + width)
-    assert x.run(n, n + width)[1] == n + 1
+    if isinstance(x, PColumn):
+        assert x.run(n, n + width)[1] == n + 1
 
 
 def test_a_rational_and_a_quiet_flag_shift_run_to_the_stop():
@@ -199,6 +203,33 @@ def test_the_run_reach_reader_matches_the_row_reference(x, data):
     view, ref = TracedRealView(x), TracedRealView(x)
     assert _reaches(view, value, t) == reference_reaches(ref, value, t)
     assert view.trace == ref.trace
+
+
+class _Asked(FastCauchyReal):
+    """real's column, noting every (n, stop) its run is asked for."""
+
+    _fields = ("real", "asked")
+
+    def run(self, n, stop):
+        self.asked.append((n, stop))
+        return self.real.run(n, stop)
+
+    def _exact(self, mu):
+        return self.real._exact(mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns, points, st.data())
+def test_the_run_readers_ask_rows_from_zero_and_below_the_stop(x, p, data):
+    # run leaves 0 <= n < stop unchecked, so the readers must keep to it
+    t = data.draw(_thresholds(x), label="t")
+    value = x.exact_value()
+    for read in (lambda y: _sign_certified(_table(y), p),
+                 lambda y: _reaches(TracedRealView(y), value, t)):
+        y = _Asked(x, [])
+        read(y)
+        assert not y.asked or y.asked[0][0] == 0
+        assert all(0 <= n < stop for n, stop in y.asked)
 
 
 def _runs_out_alike(make, read, reference, data):

@@ -263,3 +263,13 @@ def test_to_decimal_matches_round_half_up(q, digits):
 def test_negative_precision_rejected():
     with pytest.raises(ValueError):
         from_rational(1).approx(-1)
+
+
+def test_every_kind_refuses_a_negative_row_in_approx():
+    # approx is the one check: run leaves 0 <= n < stop to its callers
+    for x in (from_rational(1),
+              flag_shifted(Fraction(1, 2), 3, PresentedSequence((1, 0), (1,))),
+              dq_real(PresentedSequence((0, 5), (1,))),
+              _Bisection(lambda n: (Fraction(1, 2), True), "bisect(1/2)")):
+        with pytest.raises(ValueError, match="negative precision index"):
+            x.approx(-1)
