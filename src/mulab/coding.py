@@ -54,7 +54,8 @@ def cantor_unpair(p: int) -> tuple[int, int]:
 # represented continuous functions.
 
 def dyadic_index(q: Fraction) -> int:
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q < 0 or q > 1:
         raise ValueError("dyadic enumeration covers [0, 1] only")
     den = q.denominator

@@ -8,11 +8,14 @@ the functional a pair of presented counterexample objects that it tells
 apart exactly when the input flag sequence fires, each of which agrees
 with its never-firing version below the first flag index, and reads that
 index out of a bounded search whose bound comes from tracing the
-functional's queries on both objects.  The pairs made of reals come
-from one device, ``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the
-ivt base's values +- delta(f), and the two-bump heights 1 +- delta(f).
-The two-bump pair is only its two peak heights, since the argmax reads
-nothing else; it has no Xi and is not a route.
+functional's queries on both objects.  The search is one bounded
+question to the flag, ``zero_below(bound + 1)``, answered in O(1) from
+the event the flag keeps; the pairs ask the flag only such questions
+too.  The pairs made of reals come from one device,
+``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the ivt base's values
++- delta(f), and the two-bump heights 1 +- delta(f).  The two-bump
+pair is only its two peak heights, since the argmax reads nothing else;
+it has no Xi and is not a route.
 
 The three pair-based routes are Route records, and calling one runs
 that argument through a single shared loop.  The counterexample pairs
@@ -20,7 +23,9 @@ with a flag event at 0 or 1 fall outside the unit-interval and
 sign-condition domains of the expansion and root functionals, so those
 two routes settle indices 0 and 1 by direct inspection (a bounded,
 search-free step) and consult the functional for everything past that.
-The dq route has neither pair nor Xi and keeps its own extractor.
+The dq route has neither pair nor Xi and keeps its own extractor, which
+checks the index it decodes with one bounded question as well,
+``nonzero_below(m0 + 1)``.
 
 Xi bounds move between index spaces through fixed codings: approximation
 columns for reals, length-lex string codes for trees, Cantor pairs of
@@ -38,6 +43,7 @@ from .errors import (BoundViolation, MalformedWitness, NotInCbar, OutOfRange,
                      UnsupportedPresentation)
 from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
 from .reals import (
+    _ZERO,
     FastCauchyReal,
     MuOp,
     _epsilon,
@@ -89,9 +95,11 @@ class Route(Value, eq=False):
     ``pair(f)`` builds two objects that phi separates exactly when f
     fires, and ``observe(phi, a, b)`` says whether it does, plus the
     report details.  For a separated pair, Xi at ``precision``
-    bounds the inspected input and ``search_bound`` turns that into the
-    bound of a scan for the first zero.  Xi traces ``read``, phi
-    computed through a ``view`` of each input.
+    bounds the inspected input and ``search_bound`` turns that into a
+    bound, and the first zero is the answer to the bounded question
+    ``f.zero_below(bound + 1)``: the least zero a scan of indices 0 ..
+    bound would find.  Xi traces ``read``, phi computed through a
+    ``view`` of each input.
     """
 
     _fields = ("name", "settled", "pair", "observe", "make_phi", "view",
@@ -114,11 +122,11 @@ class Route(Value, eq=False):
             return RouteReport(self.name, f, False, None, None, None, details)
         n = self.xi(a, b, self.precision)
         bound = self.search_bound(n)
-        for m in range(bound + 1):
-            if f.value(m) == 0:
-                return RouteReport(self.name, f, True, m, n, bound, details)
-        raise BoundViolation(
-            f"{self.name} pair separated but no zero of {f} below {bound}")
+        m = f.zero_below(bound + 1)
+        if m is None:
+            raise BoundViolation(
+                f"{self.name} pair separated but no zero of {f} below {bound}")
+        return RouteReport(self.name, f, True, m, n, bound, details)
 
 
 def mu_from(extraction: Callable[..., RouteReport], *args) -> MuOp:
@@ -358,22 +366,24 @@ class RepresentedContinuousFunction(Value, eq=False):
 def _ivt_base(q: Fraction) -> Fraction:
     """The ivt base at q in [0, 1]: a slope-3 ramp from -1 up to 0 at
     1/3, zero on the middle third, and a slope-3 ramp from 0 at 2/3 up
-    to 1."""
-    if q < 0 or q > 1:
+    to 1.  With q = a/b, 3q - 1 and 3q - 2 are (3a - b)/b and (3a -
+    2b)/b, so the piece is decided on integers and one Fraction built."""
+    a, b = q.numerator, q.denominator
+    if a < 0 or a > b:
         raise OutOfRange(f"{q} outside [0,1]")
-    t = 3 * q
-    if t < 1:
-        return t - 1
-    if t > 2:
-        return t - 2
-    return Fraction(0)
+    t = 3 * a
+    if t < b:
+        return Fraction(t - b, b)
+    if t > 2 * b:
+        return Fraction(t - 2 * b, b)
+    return _ZERO
 
 
 def ivt_counterexample(f: PresentedSequence, sign: str) -> RepresentedContinuousFunction:
     """The base function shifted by +epsilon(f) or -epsilon(f)."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    s = 1 if sign == "+" else -1
+    s = Fraction(1 if sign == "+" else -1)
     return RepresentedContinuousFunction(
         lambda q: flag_shifted(_ivt_base(q), s, f), f"ivt-base{sign}delta")
 
@@ -390,15 +400,18 @@ def _bisection(sign: Callable[[Fraction], int]
     [0, 1].  Stage j probes the left endpoint plus 2^-j and moves there
     unless the sign is positive; a probe that lands exactly on a zero
     ends the search, and every later stage repeats it without probing.
+    The left endpoint after stage j - 1 is num / 2^(j-1), so stage j's
+    probe is (2 num + 1) / 2^j, built once from integers.
     """
-    left, root = Fraction(0), False
+    left, num, root = _ZERO, 0, False
     for j in count(1):
         yield left, root
         if not root:
-            probe = left + Fraction(1, 1 << j)
+            num <<= 1
+            probe = Fraction(num + 1, 1 << j)
             s = sign(probe)
             if s <= 0:
-                left, root = probe, s == 0
+                left, num, root = probe, num + 1, s == 0
 
 
 _EXACT_ROOT_DEPTH = 24
@@ -585,6 +598,6 @@ def udq_extraction(f: PresentedSequence,
     if remainder.numerator != 1 or remainder.denominator & (remainder.denominator - 1):
         raise MalformedWitness(f"{q} is not of the form 1 - 2^-m")
     m0 = remainder.denominator.bit_length() - 1
-    if f.value(m0) == 0 or any(f.value(i) != 0 for i in range(m0)):
+    if f.nonzero_below(m0 + 1) != m0:
         raise MalformedWitness(f"decoded index {m0} is not the first nonzero of {f}")
     return RouteReport("dq", f, True, m0, None, m0, details)

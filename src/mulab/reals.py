@@ -21,6 +21,7 @@ first nonzero value).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import not_
 from typing import Callable
 
 from .errors import BoundViolation
@@ -50,8 +51,7 @@ _ZERO = Fraction(0)
 
 def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
     # the zero indicator of f is 0 exactly where f is nonzero
-    return mu(PresentedSequence(tuple(int(v == 0) for v in f.prefix),
-                                tuple(int(v == 0) for v in f.tail)))
+    return mu(PresentedSequence(map(not_, f.prefix), map(not_, f.tail)))
 
 
 class FastCauchyReal(Value):
@@ -103,11 +103,11 @@ class PFlagShift(FastCauchyReal):
     """base + factor * delta(f), where delta(f) = sum over n >= 1 of
     c_n 2^-n and c_n = 1 iff f hits 0 at or below n.
 
-    Approximation n reads the flag's cached event: it is base until the
-    event is below n + 4 + shift, and exact from there on, so it depends
-    only on f below n + 4 + shift.  ``shift`` is the least k >= 0 with
-    |factor| <= 2^k; it follows from factor, so ==, hash and repr leave
-    it out.
+    Approximation n asks the flag where its first zero below n + 4 +
+    shift is: it is base until there is one, and exact from there on, so
+    it depends only on f below n + 4 + shift.  ``shift`` is the least
+    k >= 0 with |factor| <= 2^k; it follows from factor, so ==, hash and
+    repr leave it out.
     """
 
     _fields = ("base", "factor", "flag")
@@ -115,28 +115,39 @@ class PFlagShift(FastCauchyReal):
 
     def __init__(self, base: Fraction, factor: Fraction, flag: PresentedSequence) -> None:
         super().__init__(base, factor, flag)
-        k = 0
-        c = abs(factor)
-        while c > (1 << k):
-            k += 1
-        setfield(self, "shift", k)
+        # for factor = a/d, d << k has d's bit length plus k bits, so the
+        # least k with |a| <= d << k is at most one past their gap
+        a, d = abs(factor.numerator), factor.denominator
+        k = max(0, a.bit_length() - d.bit_length())
+        setfield(self, "shift", k + (a > d << k))
+
+    def _moved(self, m0: int | None) -> Fraction:
+        """base + factor * epsilon(f) for f's first zero m0, on integers:
+        with base = a/b, factor = c/d and epsilon(f) = 2^-k, that is
+        (a d 2^k + c b) / (b d 2^k), one Fraction."""
+        if m0 is None:
+            return self.base
+        k = max(m0, 1) - 1
+        a, b = self.base.numerator, self.base.denominator
+        c, d = self.factor.numerator, self.factor.denominator
+        return Fraction((a * d << k) + c * b, b * d << k)
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """The rows below the switch row m0 - 3 - shift, the first that
         sees the event m0, are base; the rows from it on are exact.  A
         run of base rows ends at the switch row or at stop, whichever
         comes first, so the run depends only on f below stop + 3 + shift,
-        as row stop - 1 does."""
-        m0 = self.flag.first_zero
+        as row stop - 1 does, and asks only below that."""
+        m0 = self.flag.zero_below(stop + 3 + self.shift)
         if m0 is None:
             return self.base, stop
         switch = m0 - 3 - self.shift
         if n < switch:
             return self.base, min(switch, stop)
-        return self.base + self.factor * _epsilon(m0), stop
+        return self._moved(m0), stop
 
     def _exact(self, mu: MuOp) -> Fraction:
-        return self.base + self.factor * _epsilon(mu(self.flag))
+        return self._moved(mu(self.flag))
 
 
 class PDqSeries(FastCauchyReal):
@@ -144,8 +155,8 @@ class PDqSeries(FastCauchyReal):
 
     Equals 1 when f is never nonzero and 1 - 2^-m0 when the first nonzero
     sits at m0 (so a nonzero at position 0 gives exactly 0).  Approximation
-    n reads the flag's cached first nonzero, and still depends only on f
-    below n + 2.
+    n asks the flag for its first nonzero below n + 2, so it depends only
+    on f below n + 2.
     """
 
     _fields = ("flag",)
@@ -159,13 +170,18 @@ class PDqSeries(FastCauchyReal):
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
         """Once the first nonzero is below n + 2 every row is exact, so
         the run goes to stop; before that each row is its own run."""
-        m0 = self.flag.first_nonzero
-        if m0 is not None and m0 < n + 2:
+        m0 = self.flag.nonzero_below(n + 2)
+        if m0 is not None:
             return self._closed_form(m0), stop
         return 1 - Fraction(1, 1 << (n + 2)), n + 1
 
     def _exact(self, mu: MuOp) -> Fraction:
         return self._closed_form(_first_nonzero_via(mu, self.flag))
+
+
+def _fraction(q: Fraction | int) -> Fraction:
+    """q as a Fraction, copied only if it is not one already."""
+    return q if type(q) is Fraction else Fraction(q)
 
 
 def from_rational(q: Fraction | int | str) -> FastCauchyReal:
@@ -176,7 +192,7 @@ def flag_shifted(c: Fraction | int, factor: Fraction | int,
                  f: PresentedSequence) -> FastCauchyReal:
     """c + factor * delta(f): c if f never hits zero, else c moved by
     factor * epsilon(f).  Every flag-shifted real is built here."""
-    return PFlagShift(Fraction(c), Fraction(factor), f)
+    return PFlagShift(_fraction(c), _fraction(factor), f)
 
 
 def counterexample_pair(f: PresentedSequence) -> tuple[FastCauchyReal, FastCauchyReal]:
@@ -214,8 +230,8 @@ def real_lt(x: FastCauchyReal, y: FastCauchyReal, mu: MuOp = mu_exact) -> bool:
 
 
 def real_sign(x: FastCauchyReal, mu: MuOp = mu_exact) -> int:
-    v = x.exact_value(mu)
-    return (v > 0) - (v < 0)
+    a = x.exact_value(mu).numerator
+    return (a > 0) - (a < 0)
 
 
 def to_decimal(x: FastCauchyReal, digits: int = 8) -> str:

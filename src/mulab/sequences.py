@@ -9,12 +9,19 @@ reduced to its shortest generating word, after which trailing prefix
 elements that merely repeat the tail are absorbed into it.  Construction
 canonicalizes, so extensional equality of sequences coincides with
 structural equality of objects.
+
+A sequence finds its first zero and its first nonzero once, in a C-level
+pass over the prefix and one period, and keeps them.  The routes' own
+side asks only bounded questions of it: ``zero_below(n)`` and
+``nonzero_below(n)`` say where the first such index below n is, or that
+there is none, as a scan of the values below n would.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import index
 from typing import Iterable
 
 from .errors import ParseError
@@ -44,6 +51,14 @@ def _minimal_period(word: tuple[int, ...]) -> tuple[int, ...]:
     return word
 
 
+def _index(values: tuple, v: object) -> int | None:
+    """The first index of v in values, or None."""
+    try:
+        return values.index(v)
+    except ValueError:
+        return None
+
+
 class PresentedSequence(Value):
     """An infinite sequence given by prefix then tail repeated forever."""
 
@@ -54,12 +69,16 @@ class PresentedSequence(Value):
 
     def __post_init__(self, prefix: Iterable[int], tail: Iterable[int]) -> None:
         # canonical form; a method of its own, so perfbench can count
-        # the sequences built
-        prefix = tuple(int(v) for v in prefix)
-        tail = tuple(int(v) for v in tail)
+        # the sequences built.  Entries are integers (bools count as 0
+        # and 1): anything else is refused, not coerced
+        prefix, tail = map(index, prefix), map(index, tail)
+        try:
+            prefix, tail = tuple(prefix), tuple(tail)
+        except TypeError:
+            raise ValueError("values must be natural numbers") from None
         if not tail:
             raise ValueError("tail must be nonempty")
-        if any(v < 0 for v in prefix + tail):
+        if min(prefix + tail) < 0:
             raise ValueError("values must be natural numbers")
         tail = _minimal_period(tail)
         # absorb the trailing prefix entries that already follow the
@@ -91,14 +110,22 @@ class PresentedSequence(Value):
     def first_zero(self) -> int | None:
         """Least n with value 0, or None: one scan of the prefix and one
         period, done once per sequence."""
-        return next((n for n, v in enumerate(self.prefix + self.tail) if v == 0),
-                    None)
+        return _index(self.prefix + self.tail, 0)
 
     @cached_property
     def first_nonzero(self) -> int | None:
         """Least n with a nonzero value, or None; scanned like first_zero."""
-        return next((n for n, v in enumerate(self.prefix + self.tail) if v != 0),
-                    None)
+        return _index(tuple(map(bool, self.prefix + self.tail)), True)
+
+    def zero_below(self, n: int) -> int | None:
+        """Least index below n with value 0, or None if there is none."""
+        m = self.first_zero
+        return m if m is not None and m < n else None
+
+    def nonzero_below(self, n: int) -> int | None:
+        """Least index below n with a nonzero value, or None."""
+        m = self.first_nonzero
+        return m if m is not None and m < n else None
 
     def as_opaque(self) -> "OpaqueSequence":
         return OpaqueSequence(self.value)
@@ -180,12 +207,15 @@ def parse_sequence(text: str) -> PresentedSequence:
         raise ParseError(f"bad sequence syntax: {text!r}")
 
     def ints(group: str) -> tuple[int, ...]:
+        # the syntax admits only ASCII digits, commas and blanks, so int
+        # refuses an entry exactly when it is not one number: empty,
+        # blank inside, or past the interpreter's limit on digits
         if not group.strip():
             return ()
-        values = tuple(_natural(entry.strip()) for entry in group.split(","))
-        if None in values:
-            raise ParseError(f"bad number list in {text!r}")
-        return values
+        try:
+            return tuple(map(int, group.split(",")))
+        except ValueError:
+            raise ParseError(f"bad number list in {text!r}") from None
 
     prefix, tail = ints(m.group(1)), ints(m.group(2))
     if not tail:
@@ -194,6 +224,6 @@ def parse_sequence(text: str) -> PresentedSequence:
 
 
 def format_sequence(s: PresentedSequence) -> str:
-    p = ",".join(str(v) for v in s.prefix)
-    t = ",".join(str(v) for v in s.tail)
+    p = ",".join(map(str, s.prefix))
+    t = ",".join(map(str, s.tail))
     return f"prefix=[{p}];tail=[{t}]"

@@ -95,8 +95,7 @@ class FlagTree(PresentedTree, Value):
 
     def _gate_open(self, n: int) -> bool:
         # the gated path has no strings of length >= max(first zero, 1)
-        event = self.flag.first_zero
-        return event is None or event > n
+        return self.flag.zero_below(n + 1) is None
 
     def member(self, length: int, value: int) -> bool:
         if not 0 <= value < (1 << length):

@@ -22,13 +22,14 @@ from mulab.formulas import (
     _splice, format_formula,
 )
 from mulab.coding import cantor_pair, dyadic_index, string_code
-from mulab.errors import BudgetExceeded, OutOfRange, UnsupportedPresentation
+from mulab.errors import (BudgetExceeded, OutOfRange, ParseError,
+                          UnsupportedPresentation)
 from mulab.extractors import (
-    RepresentedContinuousFunction, TwoBump, _bisection, _check_cbar,
-    _greedy_digits,
+    RepresentedContinuousFunction, TwoBump, _check_cbar, _greedy_digits,
 )
 from mulab.functionals import DEFAULT_BUDGET, TracedView
 from mulab.reals import FastCauchyReal, PRational, from_rational, real_sign
+from mulab.sequences import _SEQ_RE, PresentedSequence, _natural
 from mulab.trees import ScfReport
 from mulab.value import setfield
 
@@ -71,6 +72,27 @@ def scan_first_nonzero(values):
         if v != 0:
             return i
     return None
+
+
+def reference_parse_sequence(text):
+    """parse_sequence as it read a number list: entry by entry, each
+    stripped and spelled out in ASCII digits, with the same messages."""
+    m = _SEQ_RE.fullmatch(text)
+    if not m:
+        raise ParseError(f"bad sequence syntax: {text!r}")
+
+    def ints(group):
+        if not group.strip():
+            return ()
+        values = tuple(_natural(entry.strip()) for entry in group.split(","))
+        if None in values:
+            raise ParseError(f"bad number list in {text!r}")
+        return values
+
+    prefix, tail = ints(m.group(1)), ints(m.group(2))
+    if not tail:
+        raise ParseError("tail must be nonempty")
+    return PresentedSequence(prefix, tail)
 
 
 def delta_sum(values, terms=64):
@@ -317,8 +339,10 @@ def queried_death(tree, trace, length: int, value: int) -> bool:
 #
 # The library decides a column run by run on integers; these read it
 # row by row, record each row's cell before reading it, and keep the
-# comparisons as Fractions, with a fresh 2^-n per row.  The digit and
-# bisection walks around them are the library's own.
+# comparisons as Fractions, with a fresh 2^-n per row.  The digit walk
+# around them is the library's own; the bisection is reference_bisection
+# below, which walks on Fractions as the library did before it carried
+# its endpoints as integers.
 
 def reference_piecewise_value(points, x):
     """Linear interpolation between the breakpoints around x."""
@@ -353,6 +377,34 @@ IVT_BASE_POINTS = tuple((Fraction(x), Fraction(y)) for x, y in (
 def ivt_base():
     """The unshifted ivt base, interpolated from its breakpoints."""
     return piecewise_function(IVT_BASE_POINTS, "ivt-base")
+
+
+def reference_ivt_base(q):
+    """The ivt base at q in [0, 1] on Fractions: 3q - 1 below 1/3, 3q - 2
+    above 2/3, zero between."""
+    if q < 0 or q > 1:
+        raise OutOfRange(f"{q} outside [0,1]")
+    t = 3 * q
+    if t < 1:
+        return t - 1
+    if t > 2:
+        return t - 2
+    return Fraction(0)
+
+
+def reference_bisection(sign):
+    """(left endpoint, root found) after stage 0, 1, ... of bisection on
+    [0, 1], the probe of stage j being the left endpoint plus 2^-j, as a
+    Fraction sum: it moves there unless the sign is positive, and a zero
+    ends the probing."""
+    left, root = Fraction(0), False
+    for j in count(1):
+        yield left, root
+        if not root:
+            probe = left + Fraction(1, 1 << j)
+            s = sign(probe)
+            if s <= 0:
+                left, root = probe, s == 0
 
 
 def reference_sign_certified(view, p):
@@ -396,7 +448,7 @@ def reference_ubin_digits(view, k):
 
 def reference_ivt_endpoints(view, k):
     """The first k bisection endpoints, probed by reference_sign_certified."""
-    stages = _bisection(lambda p: reference_sign_certified(view, p))
+    stages = reference_bisection(lambda p: reference_sign_certified(view, p))
     return [left for left, _ in islice(stages, k)]
 
 
@@ -448,7 +500,7 @@ def reference_uivt_phi(mu):
 
     def phi(fn):
         _check_cbar(fn, mu)
-        stages = _bisection(lambda p: real_sign(fn.value_rule(p), mu))
+        stages = reference_bisection(lambda p: real_sign(fn.value_rule(p), mu))
         eager = list(islice(stages, _EAGER_DEPTH + 1))
         endpoints = [left for left, _ in eager]
 

@@ -719,6 +719,19 @@ UNUSABLE_ARGUMENTS = [
     # blanks may stand around the punctuation of a flag, not inside a number
     (["ubin", "--flag", "prefix=[1 2];tail=[3]"],
      "bad number list in 'prefix=[1 2];tail=[3]'"),
+    # each entry between commas is one number, and a flag's syntax admits
+    # only ASCII digits, commas and blanks
+    (["ubin", "--flag", "prefix=[1,,2];tail=[3]"],
+     "bad number list in 'prefix=[1,,2];tail=[3]'"),
+    (["ubin", "--flag", "prefix=[1,];tail=[3]"],
+     "bad number list in 'prefix=[1,];tail=[3]'"),
+    (["ubin", "--flag", "prefix=[+1];tail=[3]"],
+     "bad sequence syntax: 'prefix=[+1];tail=[3]'"),
+    (["ubin", "--flag", "prefix=[1_0];tail=[3]"],
+     "bad sequence syntax: 'prefix=[1_0];tail=[3]'"),
+    (["ubin", "--flag", "prefix=[٣];tail=[3]"],
+     "bad sequence syntax: 'prefix=[٣];tail=[3]'"),
+    (["ubin", "--flag", "prefix=[1];tail=[ ]"], "tail must be nonempty"),
 ]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,9 +22,11 @@ from mulab.extractors import (
     BinaryExpansion,
     RationalWitness,
     RepresentedContinuousFunction,
+    Route,
     TracedTableView,
     _EXACT_ROOT_DEPTH,
     _ROOT_PRECISION,
+    _bisection,
     _branch_alive_certified,
     _ivt_base,
     _reaches,
@@ -55,6 +58,7 @@ from mulab.reals import (
     from_rational,
     real_eq,
     real_lt,
+    real_sign,
 )
 from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
 from mulab.trees import (
@@ -73,7 +77,9 @@ from oracles import (
     ivt_base,
     piecewise_function,
     queried_death,
+    reference_bisection,
     reference_branch_alive,
+    reference_ivt_base,
     reference_ivt_counterexample,
     reference_ivt_endpoints,
     reference_reaches,
@@ -516,6 +522,56 @@ def test_repr_endpoints_match_the_library_bisection(fn):
     assert table == [direct.approx(n) for n in range(8)]
 
 
+# the bisection on integers against the Fraction walk of tests/oracles.py:
+# the same left endpoints and root flags stage by stage, the same probes,
+# and the same ivt base at every probed point
+_STAGES = _EXACT_ROOT_DEPTH + 8
+
+
+def _walk(bisection, sign):
+    probes = []
+
+    def probing(p):
+        probes.append(p)
+        return sign(p)
+
+    return list(islice(bisection(probing), _STAGES)), probes
+
+
+def _same_walk(sign):
+    stages, probes = _walk(_bisection, sign)
+    assert (stages, probes) == _walk(reference_bisection, sign)
+    for p in probes:
+        assert _ivt_base(p) == reference_ivt_base(p)
+
+
+_DEEP_COUNTEREXAMPLES = {
+    f"event{m}{sign}": ivt_counterexample(flag_with_event_at(m), sign)
+    for m in (20, 31, 100, 300) for sign in "+-"}
+
+
+@pytest.mark.parametrize("fn", [*IVT_FUNCTIONS.values(),
+                                *_DEEP_COUNTEREXAMPLES.values()],
+                         ids=[*IVT_FUNCTIONS, *_DEEP_COUNTEREXAMPLES])
+def test_bisection_on_integers_walks_as_on_fractions(fn):
+    _same_walk(lambda p: real_sign(fn.value_rule(p)))
+
+
+# dyadic points down to depth 30, which a probe lands on exactly, and
+# other rationals, which none does
+_dyadics = st.builds(lambda d, a: Fraction(a % ((1 << d) + 1), 1 << d),
+                     st.integers(0, 30), st.integers(0, 1 << 30))
+_points = st.one_of(_dyadics, unit_fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points, _points)
+def test_bisection_on_integers_walks_as_on_fractions_for_drawn_signs(a, b):
+    # the sign is -1 below lo, 0 from lo to hi and 1 above hi
+    lo, hi = min(a, b), max(a, b)
+    _same_walk(lambda p: -1 if p < lo else 1 if p > hi else 0)
+
+
 
 # the eager bisection root of tests/oracles.py against the lazy one.
 # Functions: -a at 0, zero at one point or on a plateau, b at 1, with
@@ -788,6 +844,10 @@ def test_udq_rejects_malformed_witnesses():
     with pytest.raises(MalformedWitness):
         udq_extraction(PresentedSequence((0, 0, 5), (1,)),
                        phi=lambda x: RationalWitness(Fraction(1, 2), "fake"))
+    # index 2 is nonzero, but index 0 is nonzero before it
+    with pytest.raises(MalformedWitness, match="decoded index 2 is not"):
+        udq_extraction(PresentedSequence((5, 0, 5), (1,)),
+                       phi=lambda x: RationalWitness(Fraction(3, 4), "fake"))
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +865,9 @@ def test_all_routes_recover_the_exact_search(f):
 @pytest.mark.parametrize("m", [400, 1000])
 def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
     # two reads settle indices 0 and 1 (wwkl: compare the two paths'
-    # first bits), then the bounded scan reads 0..m; the event itself is
-    # found once per flag, not once per approximation
+    # first bits), then the search asks the flag a bounded question and
+    # reads no value; the event itself is found once per flag, not once
+    # per approximation
     value = PresentedSequence.value
     calls = [0]
 
@@ -821,6 +882,28 @@ def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
         assert report.witness == m
         assert calls[0] <= m + 3, route.name
     assert udq_extraction(PresentedSequence((0,) * m, (1,))).witness == m
+
+
+@pytest.mark.parametrize("m", [400, 1000])
+@pytest.mark.parametrize("route", [ubin_extraction, uwwkl_extraction,
+                                   uivt_extraction], ids=["ubin", "wwkl", "ivt"])
+def test_routes_read_at_most_three_flag_values(monkeypatch, route, m):
+    # ubin and ivt read indices 0 and 1 to settle them; past them a route
+    # asks the flag where its first zero below the search bound is, and
+    # its pairs ask where the first zero below a row's horizon is, so no
+    # value of the flag is read however far the event lies
+    f = flag_with_event_at(m)
+    value = PresentedSequence.value
+    reads = []
+
+    def counting_value(self, n):
+        if self is f:
+            reads.append(n)
+        return value(self, n)
+
+    monkeypatch.setattr(PresentedSequence, "value", counting_value)
+    assert route(f).witness == m
+    assert len(reads) <= 3, reads
 
 
 @pytest.mark.parametrize("route,m,records,cells,xi_bound,search_bound", [
@@ -864,6 +947,15 @@ def test_column_routes_read_pinned_cells(monkeypatch, route, m, records, cells,
     assert calls[0] == records
     assert len(set().union(*(view.trace for view in views))) == cells
     assert (report.xi_bound, report.search_bound) == (xi_bound, search_bound)
+
+
+def test_the_search_looks_no_further_than_its_bound():
+    # ubin with a bound that falls short of the event: Xi is 51 at event
+    # 50, so the search asks below 26 and finds no zero there
+    fields = [getattr(ubin_extraction, name) for name in Route._fields]
+    short = Route(*fields[:-1], lambda n: n // 2)
+    with pytest.raises(BoundViolation, match="no zero of .* below 25$"):
+        short(flag_with_event_at(50))
 
 
 def test_bound_violation_surfaces_for_a_lying_oracle():

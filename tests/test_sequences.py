@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mulab.errors import ParseError
 from mulab.sequences import (
@@ -17,7 +19,8 @@ from mulab.sequences import (
     parse_sequence,
 )
 
-from oracles import reference_canonical, scan_first_nonzero, scan_first_zero, unroll
+from oracles import (reference_canonical, reference_parse_sequence,
+                     scan_first_nonzero, scan_first_zero, unroll)
 
 small_nat = st.integers(min_value=0, max_value=6)
 prefixes = st.lists(small_nat, max_size=8).map(tuple)
@@ -86,6 +89,20 @@ def test_rejects_empty_tail_and_negatives():
         PresentedSequence((0,), (2, -3))
 
 
+@pytest.mark.parametrize("prefix, tail", [
+    ((2.7,), (1,)), (("3",), (1,)), ((1,), (1.0,)), ((), (Fraction(1),)),
+], ids=["float", "text", "integral-float", "fraction"])
+def test_rejects_entries_that_are_not_integers(prefix, tail):
+    with pytest.raises(ValueError, match="^values must be natural numbers$"):
+        PresentedSequence(prefix, tail)
+
+
+def test_bools_are_the_integers_0_and_1():
+    s = PresentedSequence((True, False), (True,))
+    assert s == PresentedSequence((1, 0), (1,))
+    assert all(type(v) is int for v in s.prefix + s.tail)
+
+
 def test_a_negative_index_has_no_value():
     with pytest.raises(ValueError, match="negative index"):
         PresentedSequence((1, 2), (3,)).value(-1)
@@ -103,6 +120,23 @@ def test_first_nonzero_matches_brute_scan(prefix, tail):
     s = PresentedSequence(prefix, tail)
     window = s.horizon + 2 * len(s.tail)
     assert first_nonzero(s) == scan_first_nonzero(s.values(window))
+
+
+# values 0-2 so that the first zero and the first nonzero land in the
+# prefix, in the tail or nowhere, and n runs past the horizon
+@given(st.lists(st.integers(0, 2), max_size=8),
+       st.lists(st.integers(0, 2), min_size=1, max_size=4),
+       st.integers(0, 20))
+@example((1, 0), (1,), 5)  # zero in the prefix
+@example((1, 1), (2, 0), 9)  # zero in the tail only
+@example((3,), (1, 2), 20)  # no zero
+@example((0, 0), (0,), 20)  # no nonzero
+@example((0, 0), (0, 4), 3)  # nonzero in the tail, past n
+def test_bounded_questions_match_a_scan_below_n(prefix, tail, n):
+    s = PresentedSequence(prefix, tail)
+    below = [s.value(i) for i in range(n)]
+    assert s.zero_below(n) == scan_first_zero(below)
+    assert s.nonzero_below(n) == scan_first_nonzero(below)
 
 
 def test_mu_budgeted_finds_and_reports_budget():
@@ -143,6 +177,32 @@ def test_parse_accepts_whitespace():
 def test_parse_rejects_bad_syntax(bad):
     with pytest.raises(ParseError):
         parse_sequence(bad)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as error:
+        return str(error)
+
+
+# number lists from the pieces a flag's syntax admits (digits, commas,
+# ASCII and other blanks) and some it refuses (signs, underscores, a
+# non-ASCII digit)
+NUMBER_LISTS = st.lists(st.sampled_from(
+    ["0", "7", "12", "007", ",", ",", " ", "\t", "\u2003", "\x85", "\x1c",
+     "+", "-", "_", "٣", "x"]), max_size=10).map("".join)
+FLAG_TEXTS = (st.builds("prefix=[{}];tail=[{}]".format, NUMBER_LISTS, NUMBER_LISTS)
+              | st.builds(" prefix = [{}] ; tail = [{}] ".format, NUMBER_LISTS,
+                          NUMBER_LISTS)
+              | st.text(max_size=30))
+
+
+@given(FLAG_TEXTS)
+@example("prefix=[" + "1" * 5000 + "];tail=[1]")
+@example("prefix=[\u2003 12\x85, 0];tail=[ 7 ]")
+def test_parse_matches_the_per_entry_reference(text):
+    assert _parsed(parse_sequence, text) == _parsed(reference_parse_sequence, text)
 
 
 def test_opaque_view_round_trip():
