@@ -53,7 +53,7 @@ _EXPORTS = {
         "real_sign", "to_decimal"), "reals"),
     **dict.fromkeys((
         "DEFAULT_BUDGET", "Found", "NoneBelowBudget", "OpaqueSequence",
-        "PresentedSequence", "first_nonzero", "format_sequence",
+        "PresentedSequence", "format_sequence",
         "mu_budgeted", "mu_exact", "parse_sequence"), "sequences"),
     **dict.fromkeys((
         "FlagTree", "FullTree", "PathTree", "PresentedTree", "Truncation",

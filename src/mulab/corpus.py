@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .sequences import PresentedSequence, first_nonzero, mu_exact
+from .sequences import PresentedSequence, mu_exact
 
 __all__ = ["flag_corpus", "corpus_stats", "DEFAULT_CORPUS_SIZE"]
 
@@ -64,7 +64,7 @@ def flag_corpus(seed: int = 0, size: int = DEFAULT_CORPUS_SIZE
 
 def corpus_stats(corpus: tuple[PresentedSequence, ...]) -> dict[str, int]:
     fires = [mu_exact(f) for f in corpus]
-    nonzero = [first_nonzero(f) for f in corpus]
+    nonzero = [f.first_nonzero for f in corpus]
     return {
         "size": len(corpus),
         "with_event": sum(1 for m in fires if m is not None),

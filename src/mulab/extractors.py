@@ -10,8 +10,8 @@ with its never-firing version below the first flag index, and reads that
 index out of a bounded search whose bound comes from tracing the
 functional's queries on both objects.  The search is one bounded
 question to the flag, ``zero_below(bound + 1)``, answered in O(1) from
-the event the flag keeps; the pairs ask the flag only such questions
-too.  The pairs made of reals come from one device,
+the event the flag keeps; the route side asks the flag nothing else.
+The pairs made of reals come from one device,
 ``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the ivt base's values
 +- delta(f), and the two-bump heights 1 +- delta(f).  The two-bump
 pair is only its two peak heights, since the argmax reads nothing else;
@@ -21,11 +21,11 @@ The three pair-based routes are Route records, and calling one runs
 that argument through a single shared loop.  The counterexample pairs
 with a flag event at 0 or 1 fall outside the unit-interval and
 sign-condition domains of the expansion and root functionals, so those
-two routes settle indices 0 and 1 by direct inspection (a bounded,
-search-free step) and consult the functional for everything past that.
-The dq route has neither pair nor Xi and keeps its own extractor, which
-checks the index it decodes with one bounded question as well,
-``nonzero_below(m0 + 1)``.
+two routes settle indices 0 and 1 by direct inspection, the bounded
+question ``zero_below(2)``, and consult the functional for everything
+past that.  The dq route has neither pair nor Xi and keeps its own
+extractor, which checks the index it decodes with one bounded question
+as well, ``nonzero_below(m0 + 1)``.
 
 Xi bounds move between index spaces through fixed codings: approximation
 columns for reals, length-lex string codes for trees, Cantor pairs of
@@ -91,15 +91,15 @@ class RouteReport(Value, eq=False):
 class Route(Value, eq=False):
     """One pair-based extraction route; calling it runs the extraction.
 
-    Indices in ``settled`` are decided by direct inspection.  Past them,
-    ``pair(f)`` builds two objects that phi separates exactly when f
-    fires, and ``observe(phi, a, b)`` says whether it does, plus the
-    report details.  For a separated pair, Xi at ``precision``
-    bounds the inspected input and ``search_bound`` turns that into a
-    bound, and the first zero is the answer to the bounded question
-    ``f.zero_below(bound + 1)``: the least zero a scan of indices 0 ..
-    bound would find.  Xi traces ``read``, phi computed through a
-    ``view`` of each input.
+    Indices below ``settled`` are decided by direct inspection:
+    ``f.zero_below(settled)``.  Past them, ``pair(f)`` builds two
+    objects that phi separates exactly when f fires, and
+    ``observe(phi, a, b)`` says whether it does, plus the report
+    details.  For a separated pair, Xi at ``precision`` bounds the
+    inspected input, ``search_bound`` turns that into a bound, and the
+    first zero is ``f.zero_below(bound + 1)``: the least zero a scan of
+    indices 0 .. bound would find.  Xi traces ``read``, phi computed
+    through a ``view`` of each input.
     """
 
     _fields = ("name", "settled", "pair", "observe", "make_phi", "view",
@@ -112,10 +112,10 @@ class Route(Value, eq=False):
     def __call__(self, f: PresentedSequence, phi: Callable | None = None
                  ) -> RouteReport:
         phi = phi or self.make_phi(mu_exact)
-        for m in self.settled:
-            if f.value(m) == 0:
-                return RouteReport(self.name, f, True, m, None, None,
-                                   {"settled": "direct inspection"})
+        m = f.zero_below(self.settled)
+        if m is not None:
+            return RouteReport(self.name, f, True, m, None, None,
+                               {"settled": "direct inspection"})
         a, b = self.pair(f)
         separated, details = self.observe(phi, a, b)
         if not separated:
@@ -283,7 +283,7 @@ def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
 
 
 # indices 0 and 1 are settled directly; past them the pair stays in [0,1]
-ubin_extraction = Route("ubin", (0, 1), counterexample_pair, _ubin_observe,
+ubin_extraction = Route("ubin", 2, counterexample_pair, _ubin_observe,
                         ubin_from_mu, TracedRealView, ubin_repr_digits, 1,
                         lambda n: n + 2)
 
@@ -349,7 +349,7 @@ def _wwkl_observe(phi: Callable[[PresentedTree], PresentedSequence],
 # codes below n only reach strings of bounded length; each tree agrees
 # with its never-firing version on strings shorter than the first flag
 # index
-uwwkl_extraction = Route("wwkl", (), trees_from_flag, _wwkl_observe,
+uwwkl_extraction = Route("wwkl", 0, trees_from_flag, _wwkl_observe,
                          uwwkl_from_mu, TracedTreeView, uwwkl_repr_bits, 1,
                          lambda n: max_coded_length(n - 1) if n > 0 else 0)
 
@@ -543,7 +543,7 @@ def _ivt_observe(phi: Callable[[RepresentedContinuousFunction], FastCauchyReal],
 # differing table cell at Cantor code c has precision row at most c, and
 # the shifted values become visible two rows past the flag index.
 uivt_extraction = Route(
-    "ivt", (0, 1),
+    "ivt", 2,
     lambda f: (ivt_counterexample(f, "-"), ivt_counterexample(f, "+")),
     _ivt_observe, uivt_from_mu, TracedTableView, uivt_repr_endpoints,
     _ROOT_PRECISION, lambda n: n + 2)

@@ -335,14 +335,15 @@ def e2_from_mu(mu) -> Callable[[PresentedSequence], int]:
 
 
 def mu_from_e2(phi: Callable[[PresentedSequence], int]):
-    """Least-zero search driven by a zero-existence decision."""
+    """Least-zero search driven by a zero-existence decision: phi says
+    whether f hits zero, and ``f.zero_below(f.horizon)`` says where."""
 
     def mu(f: PresentedSequence) -> int | None:
         if phi(f) != 0:
             return None
-        for n in range(f.horizon):
-            if f.value(n) == 0:
-                return n
-        raise MalformedWitness("existence functional contradicted the scan")
+        n = f.zero_below(f.horizon)
+        if n is None:
+            raise MalformedWitness("existence functional contradicted the scan")
+        return n
 
     return mu

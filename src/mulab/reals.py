@@ -238,6 +238,7 @@ def to_decimal(x: FastCauchyReal, digits: int = 8) -> str:
     """Decimal rendering at the requested precision (round half up)."""
     if not isinstance(digits, int) or digits < 0:
         raise ValueError(f"digits must be a natural number, got {digits!r}")
+    digits = int(digits)  # a bool counts as 0 or 1
     bits = int(digits * 3.33) + 4
     q = x.approx(bits)
     scaled = q * 10**digits

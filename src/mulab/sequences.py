@@ -34,7 +34,6 @@ __all__ = [
     "NoneBelowBudget",
     "mu_exact",
     "mu_budgeted",
-    "first_nonzero",
     "parse_sequence",
     "format_sequence",
     "DEFAULT_BUDGET",
@@ -127,9 +126,6 @@ class PresentedSequence(Value):
         m = self.first_nonzero
         return m if m is not None and m < n else None
 
-    def as_opaque(self) -> "OpaqueSequence":
-        return OpaqueSequence(self.value)
-
     def __str__(self) -> str:
         return format_sequence(self)
 
@@ -164,19 +160,9 @@ def mu_exact(f: PresentedSequence) -> int | None:
     return f.first_zero
 
 
-def first_nonzero(f: PresentedSequence) -> int | None:
-    """Least n with f(n) != 0, or None, read from
-    ``PresentedSequence.first_nonzero``.  `corpus_stats` counts the
-    all-zero sequences with it; the dq route searches through mu instead
-    (`reals._first_nonzero_via`)."""
-    return f.first_nonzero
-
-
 def mu_budgeted(f: OpaqueSequence | PresentedSequence,
                 budget: int = DEFAULT_BUDGET) -> Found | NoneBelowBudget:
-    """Bounded search on an opaque view: scan indices below budget."""
-    if isinstance(f, PresentedSequence):
-        f = f.as_opaque()
+    """Bounded search by evaluation: scan indices below budget."""
     for n in range(budget):
         if f.value(n) == 0:
             return Found(n)
@@ -208,12 +194,13 @@ def parse_sequence(text: str) -> PresentedSequence:
 
     def ints(group: str) -> tuple[int, ...]:
         # the syntax admits only ASCII digits, commas and blanks, so int
-        # refuses an entry exactly when it is not one number: empty,
-        # blank inside, or past the interpreter's limit on digits
+        # refuses a stripped entry exactly when it is not one number:
+        # empty, blank inside, or past the interpreter's limit on digits.
+        # int strips fewer blanks than str.strip (not U+001C-U+001F)
         if not group.strip():
             return ()
         try:
-            return tuple(map(int, group.split(",")))
+            return tuple(map(int, map(str.strip, group.split(","))))
         except ValueError:
             raise ParseError(f"bad number list in {text!r}") from None
 

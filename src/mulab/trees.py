@@ -15,6 +15,7 @@ methods accept a mu operation and default to the exact one.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import TYPE_CHECKING
 
 from .coding import string_code
@@ -41,6 +42,18 @@ __all__ = [
     "parse_tree",
     "format_tree",
 ]
+
+
+def _natural_field(v: object, message: str, top: int | None = None) -> int:
+    """v as an int, a bool counting as 0 or 1; a non-integer, or a value
+    outside 0 .. top, is refused with message."""
+    try:
+        v = index(v)
+    except TypeError:
+        raise ValueError(message) from None
+    if v < 0 or top is not None and v > top:
+        raise ValueError(message)
+    return v
 
 
 class PresentedTree:
@@ -89,9 +102,8 @@ class FlagTree(PresentedTree, Value):
     _fields = ("root_bit", "flag")
 
     def __init__(self, root_bit: int, flag: PresentedSequence) -> None:
-        if root_bit not in (0, 1):
-            raise ValueError("root_bit must be 0 or 1")
-        super().__init__(root_bit, flag)
+        super().__init__(_natural_field(root_bit, "root_bit must be 0 or 1", 1),
+                         flag)
 
     def _gate_open(self, n: int) -> bool:
         # the gated path has no strings of length >= max(first zero, 1)
@@ -134,10 +146,13 @@ class PathTree(PresentedTree, Value):
 
     def __init__(self, bits: tuple[int, ...],
                  full_below: int | None = full_below) -> None:
-        if not bits or any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be a nonempty binary tuple")
-        if full_below is not None and full_below < 0:
-            raise ValueError("graft level must be nonnegative")
+        message = "bits must be a nonempty binary tuple"
+        bits = tuple(_natural_field(b, message, 1) for b in bits or ())
+        if not bits:
+            raise ValueError(message)
+        if full_below is not None:
+            full_below = _natural_field(full_below,
+                                        "graft level must be nonnegative")
         super().__init__(bits, full_below)
 
     def _path_bit(self, d: int) -> int:
@@ -171,9 +186,8 @@ class Truncation(PresentedTree, Value):
     _fields = ("level", "inner")
 
     def __init__(self, level: int, inner: PresentedTree) -> None:
-        if level < 0:
-            raise ValueError("truncation level must be nonnegative")
-        super().__init__(level, inner)
+        super().__init__(
+            _natural_field(level, "truncation level must be nonnegative"), inner)
 
     def member(self, length: int, value: int) -> bool:
         tree = self

@@ -29,9 +29,9 @@ EAGER_NAMES = [
     "BinaryExpansion", "BoundViolation", "BudgetExceeded", "cantor_pair",
     "cantor_unpair", "catalog_functional", "corpus_stats",
     "counterexample_pair", "DEFAULT_BUDGET", "dq_real", "dyadic_index",
-    "dyadic_value", "e2_from_mu", "FastCauchyReal", "first_nonzero",
-    "flag_corpus", "flag_epsilon", "flag_shifted", "FlagTree",
-    "format_sequence", "format_tree", "FormulaScopeError", "Found",
+    "dyadic_value", "e2_from_mu", "FastCauchyReal", "flag_corpus",
+    "flag_epsilon", "flag_shifted", "FlagTree", "format_sequence",
+    "format_tree", "FormulaScopeError", "Found",
     "from_rational", "FullTree", "greedy_path", "InputError",
     "ivt_counterexample", "MalformedWitness", "max_coded_length",
     "measure_positive", "MeasureZero", "mu_budgeted", "mu_exact", "mu_from",

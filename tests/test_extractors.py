@@ -60,7 +60,7 @@ from mulab.reals import (
     real_lt,
     real_sign,
 )
-from mulab.sequences import PresentedSequence, first_nonzero, mu_exact
+from mulab.sequences import PresentedSequence, mu_exact
 from mulab.trees import (
     FlagTree,
     FullTree,
@@ -859,15 +859,15 @@ def test_all_routes_recover_the_exact_search(f):
     assert mu_from(ubin_extraction, ubin_from_mu(mu_exact))(f) == mu_exact(f)
     assert mu_from(uwwkl_extraction, uwwkl_from_mu(mu_exact))(f) == mu_exact(f)
     assert mu_from(uivt_extraction, uivt_from_mu(mu_exact))(f) == mu_exact(f)
-    assert mu_from(udq_extraction, udq_from_mu(mu_exact))(f) == first_nonzero(f)
+    assert mu_from(udq_extraction, udq_from_mu(mu_exact))(f) == f.first_nonzero
 
 
 @pytest.mark.parametrize("m", [400, 1000])
 def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
-    # two reads settle indices 0 and 1 (wwkl: compare the two paths'
-    # first bits), then the search asks the flag a bounded question and
-    # reads no value; the event itself is found once per flag, not once
-    # per approximation
+    # the routes ask the flag only bounded questions and read none of its
+    # values; the reads counted here are wwkl's two paths' first bits,
+    # and the event itself is found once per flag, not once per
+    # approximation
     value = PresentedSequence.value
     calls = [0]
 
@@ -888,10 +888,11 @@ def test_routes_read_the_flag_linearly_in_the_event(monkeypatch, m):
 @pytest.mark.parametrize("route", [ubin_extraction, uwwkl_extraction,
                                    uivt_extraction], ids=["ubin", "wwkl", "ivt"])
 def test_routes_read_at_most_three_flag_values(monkeypatch, route, m):
-    # ubin and ivt read indices 0 and 1 to settle them; past them a route
-    # asks the flag where its first zero below the search bound is, and
-    # its pairs ask where the first zero below a row's horizon is, so no
-    # value of the flag is read however far the event lies
+    # ubin and ivt settle indices 0 and 1 by asking for a zero below 2;
+    # past them a route asks the flag where its first zero below the
+    # search bound is, and its pairs ask where the first zero below a
+    # row's horizon is, so no value of the flag is read however far the
+    # event lies
     f = flag_with_event_at(m)
     value = PresentedSequence.value
     reads = []
@@ -903,7 +904,7 @@ def test_routes_read_at_most_three_flag_values(monkeypatch, route, m):
 
     monkeypatch.setattr(PresentedSequence, "value", counting_value)
     assert route(f).witness == m
-    assert len(reads) <= 3, reads
+    assert reads == [], reads
 
 
 @pytest.mark.parametrize("route,m,records,cells,xi_bound,search_bound", [

@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 import mulab.formulas
 from mulab.errors import FormulaScopeError, NotNormalizable, ParseError
@@ -41,8 +41,9 @@ from mulab.formulas import (
 )
 
 from oracles import (
-    _internal, _kids, _symbols, _term_symbols, _walk, alpha_equal, formula_depth,
-    marked_measure, preorder, reference_normalize, replace_at, subformula_at,
+    _internal, _kids, _marked, _symbols, _term_symbols, _walk, alpha_equal,
+    formula_depth, marked_measure, preorder, reference_normalize, replace_at,
+    subformula_at,
 )
 
 
@@ -754,6 +755,33 @@ def test_engine_matches_the_reference_on_shared_subformulas(f):
     assert_engine_matches_the_reference(Implies(f, f))
     assert_engine_matches_the_reference(
         Implies(Not(f), Implies(f, And(Not(Not(f)), f))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(marked_formulas())
+# each guard fires once in these: R1a, R2 and R1b, then forall-pull,
+# R1c and exists-pull
+@example(parse_formula("(and (imp (ex st x:0 (atom p x)) (atom q)) (and (imp (all"
+                       " st y:0 (ex st z:0 (atom p y z))) (atom q)) (imp (all st"
+                       " u:0 (atom p u)) (atom q))))"))
+@example(parse_formula("(and (imp (atom q) (all st x:0 (atom p x))) (and (imp (atom"
+                       " q) (ex st y:0 (atom p y))) (imp (atom q) (ex st F:1 (atom"
+                       " p F)))))"))
+def test_an_implication_guard_fires_only_where_it_is_filed(f):
+    # an implication runs only the guards filed under its marked sides
+    # (_IMPLIES_GUARDS: antecedent, consequent or both), so a guard that
+    # fired with its side unmarked would be a step the engine never takes
+    guards = mulab.formulas._GUARDS[Implies]
+    filed = mulab.formulas._IMPLIES_GUARDS
+    with mock.patch.object(mulab.formulas, "_internal", _internal):
+        for _, node, _ in _walk(f):
+            if type(node) is not Implies:
+                continue
+            sides = _marked(node.left) | _marked(node.right) << 1
+            for pol in (1, -1):
+                for bit, guard in guards:
+                    if guard(node, pol):
+                        assert (bit, guard) in filed[sides], guard.__name__
 
 
 @settings(max_examples=300, deadline=None)

@@ -292,6 +292,23 @@ def test_zero_existence_round_trip(f):
     assert mu_from_e2(phi)(f) == mu_exact(f)
 
 
+def test_mu_from_e2_reads_no_value_of_the_flag(monkeypatch):
+    # once phi says a zero exists, the search asks the flag where the
+    # first zero below its horizon is; it scans no entry
+    f = PresentedSequence((1,) * 50 + (0,), (1,))
+    value = PresentedSequence.value
+    reads = []
+
+    def counting_value(self, n):
+        if self is f:
+            reads.append(n)
+        return value(self, n)
+
+    monkeypatch.setattr(PresentedSequence, "value", counting_value)
+    assert mu_from_e2(e2_from_mu(mu_exact))(f) == 50
+    assert reads == [], reads
+
+
 def test_mu_from_e2_rejects_an_existence_claim_without_a_zero():
     # phi claims a zero exists, but the sequence is 1 forever
     with pytest.raises(MalformedWitness, match="contradicted the scan"):

@@ -252,6 +252,11 @@ def test_to_decimal_refuses_a_digit_count_that_is_not_natural(digits):
         to_decimal(from_rational("1/3"), digits)
 
 
+def test_to_decimal_reads_a_bool_digit_count_as_its_int():
+    assert to_decimal(from_rational("1/3"), True) == "0.3"
+    assert to_decimal(from_rational("3/2"), False) == "2"
+
+
 @given(rationals, st.integers(min_value=1, max_value=10))
 def test_to_decimal_matches_round_half_up(q, digits):
     shown = to_decimal(from_rational(q), digits=digits)

@@ -12,7 +12,6 @@ from mulab.sequences import (
     NoneBelowBudget,
     OpaqueSequence,
     PresentedSequence,
-    first_nonzero,
     format_sequence,
     mu_budgeted,
     mu_exact,
@@ -119,7 +118,7 @@ def test_mu_exact_matches_brute_scan(prefix, tail):
 def test_first_nonzero_matches_brute_scan(prefix, tail):
     s = PresentedSequence(prefix, tail)
     window = s.horizon + 2 * len(s.tail)
-    assert first_nonzero(s) == scan_first_nonzero(s.values(window))
+    assert s.first_nonzero == scan_first_nonzero(s.values(window))
 
 
 # values 0-2 so that the first zero and the first nonzero land in the
@@ -201,10 +200,11 @@ FLAG_TEXTS = (st.builds("prefix=[{}];tail=[{}]".format, NUMBER_LISTS, NUMBER_LIS
 @given(FLAG_TEXTS)
 @example("prefix=[" + "1" * 5000 + "];tail=[1]")
 @example("prefix=[\u2003 12\x85, 0];tail=[ 7 ]")
+@example("prefix=[1\x1f];tail=[0\x1c]")
 def test_parse_matches_the_per_entry_reference(text):
     assert _parsed(parse_sequence, text) == _parsed(reference_parse_sequence, text)
 
 
 def test_opaque_view_round_trip():
     s = PresentedSequence((2, 0), (9,))
-    assert [s.as_opaque().value(n) for n in range(5)] == s.values(5)
+    assert [OpaqueSequence(s.value).value(n) for n in range(5)] == s.values(5)

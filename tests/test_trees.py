@@ -407,3 +407,31 @@ def test_invalid_constructions_rejected():
         PathTree((1,), full_below=-1)
     with pytest.raises(ValueError):
         Truncation(-1, FullTree())
+
+
+# a bool in an integer field counts as 0 or 1 and is stored as that int,
+# so the tree answers and prints as the int-built one does
+@pytest.mark.parametrize("built,text", [
+    (lambda: PathTree((True, False)), "path:10"),
+    (lambda: PathTree((1,), full_below=True), "path:1+full@1"),
+    (lambda: Truncation(True, FullTree()), "truncate:1:full"),
+    (lambda: FlagTree(True, NO_EVENT), "flagtree:1:prefix=[];tail=[1]"),
+], ids=["path-bits", "graft-level", "truncation-level", "root-bit"])
+def test_a_bool_tree_field_is_stored_as_its_int(built, text):
+    tree = built()
+    assert format_tree(tree) == text
+    parsed = parse_tree(text)
+    assert repr(tree) == repr(parsed)  # True would print as True
+    assert [tree.member(n, v) for n in range(4) for v in range(1 << n)] == [
+        parsed.member(n, v) for n in range(4) for v in range(1 << n)]
+
+
+@pytest.mark.parametrize("built,message", [
+    (lambda: PathTree((0.0, 1.0)), "bits must be a nonempty binary tuple"),
+    (lambda: PathTree((1,), full_below=2.0), "graft level must be nonnegative"),
+    (lambda: Truncation(1.0, FullTree()), "truncation level must be nonnegative"),
+    (lambda: FlagTree(1.0, NO_EVENT), "root_bit must be 0 or 1"),
+], ids=["path-bits", "graft-level", "truncation-level", "root-bit"])
+def test_a_non_integer_tree_field_is_refused(built, message):
+    with pytest.raises(ValueError, match=message):
+        built()

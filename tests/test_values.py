@@ -111,8 +111,8 @@ VALUES = {
                     f"RouteReport(route='dq', flag={SEQ}, fired=True, witness=1, "
                     "xi_bound=None, search_bound=1, details={'certificate': 'dq-series'})",
                     None),
-    "Route": (lambda: Route("r", (0, 1), abs, abs, abs, TracedView, abs, 2, abs),
-              f"Route(name='r', settled=(0, 1), pair={ABS}, observe={ABS}, "
+    "Route": (lambda: Route("r", 2, abs, abs, abs, TracedView, abs, 2, abs),
+              f"Route(name='r', settled=2, pair={ABS}, observe={ABS}, "
               f"make_phi={ABS}, view=<class 'mulab.functionals.TracedView'>, "
               f"read={ABS}, precision=2, search_bound={ABS})", None),
     "RepresentedContinuousFunction": (smooth, SMOOTH, None),
