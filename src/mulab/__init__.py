@@ -44,7 +44,7 @@ _EXPORTS = {
         "NormalForm", "parse_formula", "relativize_st", "replay", "RuleStep",
         "RuleTrace", "to_normal_form"), "formulas"),
     **dict.fromkeys((
-        "TracedFunctional", "TracedRealView", "TracedSeqView",
+        "TracedFunctional", "TracedSeqView", "TracedView",
         "catalog_functional", "e2_from_mu", "mu_from_e2", "omega_fan",
         "theta_special", "xi_by_tracing"), "functionals"),
     **dict.fromkeys((

@@ -174,7 +174,7 @@ def _run_fan(args: argparse.Namespace) -> RunReport:
         raise InputError(f"--budget must be at least 1, got {args.budget}")
     g = catalog_functional(args.functional)
     if args.tree is None:
-        return _report("fan", ("functional", args.functional),
+        return _report("fan", ("functional", g.name),
                        ("fan_bound", omega_fan(g, node_budget=args.budget)),
                        ("node_budget", args.budget))
     # the cover check's one replay of g also yields the fan bound
@@ -182,7 +182,7 @@ def _run_fan(args: argparse.Namespace) -> RunReport:
     scf = scf_check(g, tree, node_budget=args.budget)
     if not scf.implication:
         raise BoundViolation("special cover implication failed")
-    return _report("fan", ("functional", args.functional),
+    return _report("fan", ("functional", g.name),
                    ("fan_bound", scf.fan_bound), ("node_budget", args.budget),
                    ("tree", format_tree(tree)), ("cover_bound", scf.bound),
                    ("cover_size", scf.cover_size),
@@ -262,16 +262,18 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mulab",
         description="search operators, counterexample pairs, and the "
                     "normal form engine behind them")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the report as JSON")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for anything randomized (default 0)")
+    json_help = "emit the report as JSON"
+    seed_help = ("seed of the corpus draw; only corpus draws anything "
+                 "(default 0)")
+    parser.add_argument("--json", action="store_true", help=json_help)
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # subcommand default from overwriting a value given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+                        default=argparse.SUPPRESS, help=json_help)
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help=seed_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, (help_text, _) in _FLAG_COMMANDS.items():
@@ -285,7 +287,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="catalog name, e.g. max:4 or ifz:3:1:2 or f0+f1")
     p.add_argument("--tree", default=None,
                    help="optional tree for the special cover check")
-    p.add_argument("--budget", type=int, default=1 << 20)
+    p.add_argument("--budget", type=int, default=1 << 20,
+                   help="cap on the replay tree's nodes, not on the work "
+                        "(default 2^20)")
     p.set_defaults(run=_run_fan)
 
     p = sub.add_parser("normalize", help="drive a formula to normal form",
@@ -299,7 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="describe the seeded flag corpus",
                        parents=[common])
-    p.add_argument("--size", type=int, default=120)
+    p.add_argument("--size", type=int, default=120,
+                   help=f"number of flags drawn, 0 to {_CORPUS_CAP:,} "
+                        "(default 120)")
     p.set_defaults(run=_run_corpus)
 
     return parser

@@ -41,7 +41,7 @@ from typing import Callable, Iterator
 from .coding import cantor_pair, dyadic_index, max_coded_length
 from .errors import (BoundViolation, MalformedWitness, NotInCbar, OutOfRange,
                      UnsupportedPresentation)
-from .functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
+from .functionals import TracedView, xi_by_tracing
 from .reals import (
     _ZERO,
     FastCauchyReal,
@@ -67,7 +67,6 @@ __all__ = [
     "ivt_counterexample",
     "uivt_from_mu",
     "uivt_repr_endpoints",
-    "TracedTableView",
     "TwoBump",
     "weierstrass_counterexample",
     "RationalWitness",
@@ -99,7 +98,9 @@ class Route(Value, eq=False):
     inspected input, ``search_bound`` turns that into a bound, and the
     first zero is ``f.zero_below(bound + 1)``: the least zero a scan of
     indices 0 .. bound would find.  Xi traces ``read``, phi computed
-    through a ``view`` of each input.
+    through a ``view`` of each input: a plain TracedView of a real or a
+    function, which read reads itself as ``view.subject``, or a
+    TracedTreeView, which answers read's membership queries.
     """
 
     _fields = ("name", "settled", "pair", "observe", "make_phi", "view",
@@ -227,17 +228,18 @@ def _read_runs(x: FastCauchyReal, stop: int,
     return None
 
 
-def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
-    """Whether the viewed real, of exact value ``value``, reaches t: the
-    first row n with d = q_n - t at least 2^-n says yes, below -2^-n
+def _reaches(view: TracedView, value: Fraction, t: Fraction) -> bool:
+    """Whether view.subject, a real of exact value ``value``, reaches t:
+    the first row n with d = q_n - t at least 2^-n says yes, below -2^-n
     says no.  With q_n = a/b and t = tn/td, d·2^n compares with 1 as
     (a·td - tn·b)·2^n does with b·td, both denominators being positive,
     so the column is decided on integers without building d.  It is read
     by runs of equal rows: for a run of value a/b the first row that
-    decides is worked out at once, and the rows up to it go to the trace
-    in one update.  A column within 2^-n of value decides by the row past
-    the bit length of the gap's denominator, so one that has not by the
-    limit below contradicts value."""
+    decides is worked out at once, and rows lo..hi - 1 up to it go to
+    the trace as range(lo, hi) in one update.  A column within 2^-n of
+    value decides by the row past the bit length of the gap's
+    denominator, so one that has not by the limit below contradicts
+    value."""
     if value == t:
         return True
     tn, td = t.numerator, t.denominator
@@ -253,7 +255,7 @@ def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
         return None
 
     reached = _read_runs(
-        view.real, limit + 1,
+        view.subject, limit + 1,
         lambda lo, hi: view._record_cells(range(lo, hi), hi - lo), decide)
     if reached is None:
         raise BoundViolation(f"no row up to {limit} decides whether the real "
@@ -261,7 +263,7 @@ def _reaches(view: TracedRealView, value: Fraction, t: Fraction) -> bool:
     return reached
 
 
-def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
+def ubin_repr_digits(view: TracedView, k: int) -> list[int]:
     """Digits computed against the approximation column.
 
     Strict decisions are certified by queried values alone: q_n at least
@@ -270,7 +272,7 @@ def ubin_repr_digits(view: TracedRealView, k: int) -> list[int]:
     presentation without queries; that is the single point where the
     expansion is discontinuous in the representation.
     """
-    value = view.real.exact_value()
+    value = view.subject.exact_value()
     return list(islice(_greedy_digits(lambda t: _reaches(view, value, t)), k))
 
 
@@ -284,7 +286,7 @@ def _ubin_observe(phi: Callable[[FastCauchyReal], BinaryExpansion],
 
 # indices 0 and 1 are settled directly; past them the pair stays in [0,1]
 ubin_extraction = Route("ubin", 2, counterexample_pair, _ubin_observe,
-                        ubin_from_mu, TracedRealView, ubin_repr_digits, 1,
+                        ubin_from_mu, TracedView, ubin_repr_digits, 1,
                         lambda n: n + 2)
 
 
@@ -315,7 +317,7 @@ def _branch_alive_certified(view: TracedTreeView, length: int, value: int) -> bo
     agreeing on the queried strings.  On a thin gated branch each level
     costs two queries.
     """
-    if view.tree.alive(length, value):
+    if view.subject.alive(length, value):
         return True
     frontier = [value] if view.query(length, value) else []
     while frontier:
@@ -470,33 +472,20 @@ def uivt_from_mu(mu: MuOp) -> Callable[[RepresentedContinuousFunction], FastCauc
     return phi
 
 
-class TracedTableView(TracedView):
-    """A function seen as its value table over the dyadic enumeration,
-    one Cantor-paired index per (point, precision) cell.  The sign reader
-    builds the real at each point it probes, reads its column by runs of
-    equal rows and records the cells of rows lo..hi - 1 in one
-    _record_cells update, their Cantor codes stepping by i + n + 2 from
-    row n to row n + 1."""
-
-    def __init__(self, fn: RepresentedContinuousFunction,
-                 budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
-        self.fn = fn
-
-
-def _sign_certified(view: TracedTableView, p: Fraction) -> int:
-    """Sign of the viewed function at dyadic p, read from the real
-    view.fn.value_rule(p), built on each call, with its cells coded at
-    p's dyadic index: 0 from an exact zero value, without reads, else
-    certified by the first row n of that column with |q_n| > 2^-n,
-    decided on integers.  The column is read by runs of equal rows: for
-    a run of value a/b the first row with |a| << n > b is worked out at
-    once, and the cells up to it go to the trace in one update.  A
-    column within 2^-n of value certifies its sign by the row past the
-    bit length of value's denominator; one that has not by the limit is
-    wrong."""
+def _sign_certified(view: TracedView, p: Fraction) -> int:
+    """Sign of the function view.subject at dyadic p, read from the real
+    view.subject.value_rule(p), built on each call, with its cells
+    coded at (i, n) for p's dyadic index i and row n: 0 from an exact
+    zero value, without reads, else certified by the first row n of
+    that column with |q_n| > 2^-n, decided on integers.  The column is
+    read by runs of equal rows: for a run of value a/b the first row
+    with |a| << n > b is worked out at once, and the cells up to it go
+    to the trace in one update, their Cantor codes stepping by i + n + 2
+    from row n to row n + 1.  A column within 2^-n of value certifies
+    its sign by the row past the bit length of value's denominator; one
+    that has not by the limit is wrong."""
     i = dyadic_index(p)
-    x = view.fn.value_rule(p)
+    x = view.subject.value_rule(p)
     value = x.exact_value()
     if value == 0:
         return 0
@@ -518,7 +507,7 @@ def _sign_certified(view: TracedTableView, p: Fraction) -> int:
     return sign
 
 
-def uivt_repr_endpoints(view: TracedTableView, k: int) -> list[Fraction]:
+def uivt_repr_endpoints(view: TracedView, k: int) -> list[Fraction]:
     """First k bisection endpoints computed through the value table."""
     stages = _bisection(lambda p: _sign_certified(view, p))
     return [left for left, _ in islice(stages, k)]
@@ -545,7 +534,7 @@ def _ivt_observe(phi: Callable[[RepresentedContinuousFunction], FastCauchyReal],
 uivt_extraction = Route(
     "ivt", 2,
     lambda f: (ivt_counterexample(f, "-"), ivt_counterexample(f, "+")),
-    _ivt_observe, uivt_from_mu, TracedTableView, uivt_repr_endpoints,
+    _ivt_observe, uivt_from_mu, TracedView, uivt_repr_endpoints,
     _ROOT_PRECISION, lambda n: n + 2)
 
 

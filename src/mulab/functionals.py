@@ -26,14 +26,11 @@ Budgets make divergence on discontinuous inputs an error, not a hang.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, MalformedWitness, ParseError
 from .sequences import DEFAULT_BUDGET, PresentedSequence, _natural
 from .value import Value
-
-if TYPE_CHECKING:  # the fan commands never load the reals
-    from .reals import FastCauchyReal
 
 __all__ = [
     "TracedFunctional",
@@ -42,7 +39,6 @@ __all__ = [
     "theta_special",
     "TracedView",
     "TracedSeqView",
-    "TracedRealView",
     "xi_by_tracing",
     "catalog_functional",
     "catalog_names",
@@ -181,9 +177,16 @@ def theta_special(g: TracedFunctional,
 
 
 class TracedView:
-    """Query view recording the distinct entries asked for, within budget."""
+    """A view of subject that records the distinct entries a reader asks
+    for, within budget.  TracedSeqView and trees.TracedTreeView answer
+    queries and record them; the other readers read the subject (a
+    real's column, one cell per row, or a function's table, one
+    Cantor-paired cell per point and precision) and record what they
+    read.  The subject stays reachable for exactness escapes, which is
+    how the concrete functionals stay total at their tie points."""
 
-    def __init__(self, budget: int = DEFAULT_BUDGET):
+    def __init__(self, subject, budget: int = DEFAULT_BUDGET):
+        self.subject = subject
         self.trace: set = set()
         self.budget = budget
 
@@ -212,25 +215,12 @@ class TracedView:
 
 class TracedSeqView(TracedView):
     def __init__(self, seq: PresentedSequence | View, budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
+        super().__init__(seq, budget)
         self._answer = seq.value if isinstance(seq, PresentedSequence) else seq
 
     def query(self, i: int) -> int:
         self._record(i)
         return int(self._answer(i))
-
-
-class TracedRealView(TracedView):
-    """View of a real as its approximation column, one cell per row: a
-    reader of runs of rows records rows lo..hi - 1 as range(lo, hi) with
-    _record_cells.  The underlying real stays reachable for exactness
-    escapes, which is how the concrete functionals stay total at their
-    tie points.
-    """
-
-    def __init__(self, x: FastCauchyReal, budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
-        self.real = x
 
 
 TwinPhi = Callable[[TracedView, int], list]

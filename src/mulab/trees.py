@@ -242,12 +242,11 @@ class TracedTreeView(TracedView):
     largest, as length-lex code order is (length, value) order."""
 
     def __init__(self, tree: PresentedTree, budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
-        self.tree = tree
+        super().__init__(tree, budget)
 
     def query(self, length: int, value: int) -> bool:
         self._record((length, value))
-        return self.tree.member(length, value)
+        return self.subject.member(length, value)
 
     def top(self) -> int:
         return string_code(*max(self.trace)) if self.trace else -1

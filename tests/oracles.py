@@ -277,7 +277,7 @@ def reference_branch_alive(view, length: int, value: int) -> bool:
     negative answer certified by full-level enumeration: every string
     below the node is queried, level by level, until a level under it
     is empty."""
-    if view.tree.alive(length, value):
+    if view.subject.alive(length, value):
         return True
     if not view.query(length, value):
         return False
@@ -296,13 +296,12 @@ class CodeKeyedTreeView(TracedView):
     is the largest code recorded."""
 
     def __init__(self, tree, budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
-        self.tree = tree
+        super().__init__(tree, budget)
 
     def query(self, length: int, value: int) -> bool:
         code = string_code(length, value)
         self._record(code)
-        return self.tree.member(*string_decode(code))
+        return self.subject.member(*string_decode(code))
 
 
 def reference_xi(phi, f_view, g_view, k: int) -> int:
@@ -411,7 +410,7 @@ def reference_sign_certified(view, p):
     """Sign of a table view's function at dyadic p: 0 from the exact
     value, else from the first row n with |q_n| > 2^-n."""
     i = dyadic_index(p)
-    x = view.fn.value_rule(p)
+    x = view.subject.value_rule(p)
     if x.exact_value() == 0:
         return 0
     for n in count():
@@ -432,7 +431,7 @@ def reference_reaches(view, value, t):
         return True
     for n in count():
         view._record(n)
-        q = view.real.approx(n)
+        q = view.subject.approx(n)
         eps = Fraction(1, 1 << n)
         if q - eps >= t:
             return True
@@ -442,7 +441,7 @@ def reference_reaches(view, value, t):
 
 def reference_ubin_digits(view, k):
     """The first k greedy binary digits, each decided by reference_reaches."""
-    value = view.real.exact_value()
+    value = view.subject.exact_value()
     return list(islice(_greedy_digits(lambda t: reference_reaches(view, value, t)), k))
 
 

@@ -19,7 +19,6 @@ from mulab.corpus import flag_corpus
 from mulab.errors import BoundViolation
 from mulab.extractors import (
     BinaryExpansion,
-    TracedTableView,
     ivt_counterexample,
     mu_from,
     ubin_extraction,
@@ -36,7 +35,7 @@ from mulab.extractors import (
 )
 from mulab.formulas import parse_formula, to_normal_form
 from mulab.functionals import (
-    TracedRealView,
+    TracedView,
     catalog_functional,
     e2_from_mu,
     mu_from_e2,
@@ -381,7 +380,7 @@ def test_criterion_8_extensionality_contract():
         nonvacuous = _check_contract(
             _real_triples(50),
             ubin_extraction.xi,
-            lambda x, k: ubin_repr_digits(TracedRealView(x), k),
+            lambda x, k: ubin_repr_digits(TracedView(x), k),
             _real_columns_agree_below)
         assert nonvacuous >= 5
 
@@ -395,7 +394,7 @@ def test_criterion_8_extensionality_contract():
         nonvacuous = _check_contract(
             _table_triples(50),
             uivt_extraction.xi,
-            lambda fn, k: uivt_repr_endpoints(TracedTableView(fn), k),
+            lambda fn, k: uivt_repr_endpoints(TracedView(fn), k),
             _tables_agree_below)
         assert nonvacuous >= 3
 

@@ -679,6 +679,16 @@ def test_negative_functional_indices_are_exit_two(capsys, spec):
     assert err.startswith("input error:") and "needs" in err
 
 
+@pytest.mark.parametrize("tree", [(), ("--tree", "full")])
+@pytest.mark.parametrize("spec", [" f0 + f1 ", "\tmax:4 \n"])
+def test_fan_echoes_the_functional_it_built(capsys, spec, tree):
+    # like the tree and the flag, the functional is echoed as what was
+    # built from it (the catalog's name for it), not as typed
+    code, out, _ = run_cli(capsys, "--json", "fan", "--functional", spec, *tree)
+    assert code == 0
+    assert json.loads(out)["functional"] == spec.strip()
+
+
 def test_bad_tree_is_exit_two(capsys):
     code, _, _ = run_cli(capsys, "fan", "--functional", "const:1",
                          "--tree", "triangle")
@@ -953,6 +963,34 @@ def test_the_flag_table_drives_the_parser(monkeypatch, capsys):
         assert out == ""
         assert err.endswith(f"mulab {command}: error: the following "
                             "arguments are required: --flag\n")
+
+
+def undescribed_options(help_text: str) -> list[str]:
+    """The options in help_text's option list printed with no
+    description: argparse sets a description two or more blanks after
+    the option, or on the next line, indented past it."""
+    lines = help_text.splitlines()
+    listed = lines[lines.index("options:") + 1:]
+    missing = []
+    for line, follows in zip(listed, listed[1:] + [""]):
+        if not line.startswith("  -"):
+            continue
+        option, _, description = line.strip().partition("  ")
+        if not description.strip() and not (follows.startswith("   ")
+                                            and follows.strip()):
+            missing.append(option)
+    return missing
+
+
+def test_every_option_of_every_subcommand_says_what_it_does(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, _ in SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--json" in help_text and "--seed" in help_text
+        assert undescribed_options(help_text) == [], command
 
 
 def test_missing_arguments_exit_via_argparse():

@@ -24,14 +24,13 @@ from mulab.coding import dyadic_value
 from mulab.errors import BudgetExceeded
 from mulab.extractors import (
     RepresentedContinuousFunction,
-    TracedTableView,
     _reaches,
     _sign_certified,
     ivt_counterexample,
     ubin_repr_digits,
     uivt_repr_endpoints,
 )
-from mulab.functionals import DEFAULT_BUDGET, TracedRealView
+from mulab.functionals import DEFAULT_BUDGET, TracedView
 from mulab.reals import (
     FastCauchyReal,
     PDqSeries,
@@ -168,7 +167,7 @@ def test_flags_that_agree_below_the_stop_give_the_same_run(base, factor, f, n,
 
 def _table(x, budget=DEFAULT_BUDGET):
     """A table view whose column at every dyadic point is x's."""
-    return TracedTableView(RepresentedContinuousFunction(lambda q: x, "column"),
+    return TracedView(RepresentedContinuousFunction(lambda q: x, "column"),
                            budget)
 
 
@@ -200,7 +199,7 @@ def _thresholds(x):
 def test_the_run_reach_reader_matches_the_row_reference(x, data):
     t = data.draw(_thresholds(x), label="t")
     value = x.exact_value()
-    view, ref = TracedRealView(x), TracedRealView(x)
+    view, ref = TracedView(x), TracedView(x)
     assert _reaches(view, value, t) == reference_reaches(ref, value, t)
     assert view.trace == ref.trace
 
@@ -225,7 +224,7 @@ def test_the_run_readers_ask_rows_from_zero_and_below_the_stop(x, p, data):
     t = data.draw(_thresholds(x), label="t")
     value = x.exact_value()
     for read in (lambda y: _sign_certified(_table(y), p),
-                 lambda y: _reaches(TracedRealView(y), value, t)):
+                 lambda y: _reaches(TracedView(y), value, t)):
         y = _Asked(x, [])
         read(y)
         assert not y.asked or y.asked[0][0] == 0
@@ -265,7 +264,7 @@ def test_the_run_sign_reader_runs_out_of_budget_at_the_same_cell(x, p, data):
 def test_the_run_reach_reader_runs_out_of_budget_at_the_same_cell(x, data):
     t = data.draw(_thresholds(x), label="t")
     value = x.exact_value()
-    _runs_out_alike(lambda budget: TracedRealView(x, budget),
+    _runs_out_alike(lambda budget: TracedView(x, budget),
                     lambda view: _reaches(view, value, t),
                     lambda view: reference_reaches(view, value, t), data)
 
@@ -275,11 +274,11 @@ def test_the_run_reach_reader_runs_out_of_budget_at_the_same_cell(x, data):
 def test_many_probes_on_one_view_run_out_of_budget_at_the_same_cell(f, sign, k, data):
     # later probes repeat cells of earlier ones, which do not count again
     fn = ivt_counterexample(f, sign)
-    _runs_out_alike(lambda budget: TracedTableView(fn, budget),
+    _runs_out_alike(lambda budget: TracedView(fn, budget),
                     lambda view: uivt_repr_endpoints(view, k),
                     lambda view: reference_ivt_endpoints(view, k), data)
     x = counterexample_pair(f)[sign == "+"]
-    _runs_out_alike(lambda budget: TracedRealView(x, budget),
+    _runs_out_alike(lambda budget: TracedView(x, budget),
                     lambda view: ubin_repr_digits(view, k),
                     lambda view: reference_ubin_digits(view, k), data)
 
@@ -307,7 +306,7 @@ def test_a_refused_row_is_recorded_before_its_error(row):
              lambda v: reference_sign_certified(v, Fraction(1, 2)), lambda: _table(x)),
             (lambda v: _reaches(v, x.exact_value(), Fraction(0)),
              lambda v: reference_reaches(v, x.exact_value(), Fraction(0)),
-             lambda: TracedRealView(x))):
+             lambda: TracedView(x))):
         view, ref = make(), make()
         with pytest.raises(Refused):
             read(view)

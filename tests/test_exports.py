@@ -42,7 +42,7 @@ EAGER_NAMES = [
     "RationalWitness", "real_eq", "real_lt", "real_sign",
     "RepresentedContinuousFunction", "Route", "RouteReport", "scf_check",
     "string_code", "theta_special", "to_decimal",
-    "TracedFunctional", "TracedRealView", "TracedSeqView", "trees_from_flag",
+    "TracedFunctional", "TracedView", "TracedSeqView", "trees_from_flag",
     "Truncation", "TwoBump", "ubin_extraction", "ubin_from_mu",
     "udq_extraction", "udq_from_mu", "uivt_extraction", "uivt_from_mu",
     "UnsupportedPresentation", "uwwkl_extraction", "uwwkl_from_mu",

@@ -23,7 +23,6 @@ from mulab.extractors import (
     RationalWitness,
     RepresentedContinuousFunction,
     Route,
-    TracedTableView,
     _EXACT_ROOT_DEPTH,
     _ROOT_PRECISION,
     _bisection,
@@ -48,7 +47,7 @@ from mulab.extractors import (
     uwwkl_repr_bits,
     weierstrass_counterexample,
 )
-from mulab.functionals import DEFAULT_BUDGET, TracedRealView, TracedView, xi_by_tracing
+from mulab.functionals import DEFAULT_BUDGET, TracedView, xi_by_tracing
 from mulab.reals import (
     FastCauchyReal,
     PRational,
@@ -206,7 +205,7 @@ def test_ubin_settles_early_events_directly(m0):
 
 def test_ubin_repr_digits_certifies_through_the_column():
     x = flag_shifted(Fraction(1, 2), 1, flag_with_event_at(3))
-    view = TracedRealView(x)
+    view = TracedView(x)
     assert ubin_repr_digits(view, 3) == [1, 1, 0]
     assert view.trace
 
@@ -218,7 +217,7 @@ def test_ubin_repr_digits_tie_needs_no_queries():
              flag_shifted(Fraction(1, 2), 1, NO_EVENT)]
     outputs = []
     for x in twins:
-        view = TracedRealView(x)
+        view = TracedView(x)
         assert ubin_repr_digits(view, 1) == [1]
         assert view.trace == set()
         view.reset()
@@ -237,7 +236,7 @@ unit_reals = st.one_of(
 
 @given(unit_reals, st.integers(min_value=0, max_value=12))
 def test_ubin_repr_digits_match_the_library_expansion(x, k):
-    assert (ubin_repr_digits(TracedRealView(x), k)
+    assert (ubin_repr_digits(TracedView(x), k)
             == BinaryExpansion(x, mu_exact).digits(k))
 
 
@@ -252,7 +251,7 @@ def test_ubin_xi_is_a_nonnegative_bound():
 @given(deep_flags, st.integers(min_value=1, max_value=4))
 def test_ubin_repr_digits_match_the_fraction_reference(f, k):
     for x in counterexample_pair(f):
-        view, ref = TracedRealView(x), TracedRealView(x)
+        view, ref = TracedView(x), TracedView(x)
         assert ubin_repr_digits(view, k) == reference_ubin_digits(ref, k)
         assert view.trace == ref.trace
 
@@ -266,7 +265,7 @@ def test_reaches_decides_each_row_like_the_fraction_form(n):
         value = t - 7 if gap >= 0 else t + 7
         rows = {j: t for j in range(n)} | {n: t + gap}
         x = PColumn(PRational(value), column(rows, value))
-        view, ref = TracedRealView(x), TracedRealView(x)
+        view, ref = TracedView(x), TracedView(x)
         eps = Fraction(1, 1 << n)
         decided = gap >= eps or gap < -eps
         reached = _reaches(view, value, t)
@@ -285,7 +284,7 @@ def test_reaches_decides_drawn_rows_on_integers_like_the_fraction_form(t, n, dat
     value = t - 7 if gap >= 0 else t + 7
     rows = {j: t for j in range(n)} | {n: t + gap}
     x = PColumn(PRational(value), column(rows, value))
-    view, ref = TracedRealView(x), TracedRealView(x)
+    view, ref = TracedView(x), TracedView(x)
     # row n decides as the Fraction form did, on d = q_n - t = gap
     scaled = gap.numerator << n
     decided = scaled >= gap.denominator or -scaled > gap.denominator
@@ -300,7 +299,7 @@ def test_reaches_stops_on_a_column_that_contradicts_the_value():
     # the exact value 1/4 would have by row 4, so the search stops at a
     # bound from the denominators, not at the view's query budget
     x = PColumn(PRational(Fraction(1, 4)), lambda n: Fraction(1, 2))
-    view = TracedRealView(x)
+    view = TracedView(x)
     with pytest.raises(BoundViolation, match="no row up to 84 decides"):
         ubin_repr_digits(view, 1)
     assert view.trace == set(range(85))
@@ -501,7 +500,7 @@ def test_uivt_extraction_routes():
 def test_table_view_codes_cells():
     # the base is 1 at dyadic point 1; row 0 reads 1, not above 2^0, and
     # row 1 certifies the sign
-    view = TracedTableView(ivt_base())
+    view = TracedView(ivt_base())
     assert _sign_certified(view, dyadic_value(1)) == 1
     assert view.trace == {cantor_pair(1, 0), cantor_pair(1, 1)}
 
@@ -517,7 +516,7 @@ IVT_FUNCTIONS = {
 @pytest.mark.parametrize("fn", list(IVT_FUNCTIONS.values()),
                          ids=list(IVT_FUNCTIONS))
 def test_repr_endpoints_match_the_library_bisection(fn):
-    table = uivt_repr_endpoints(TracedTableView(fn), 8)
+    table = uivt_repr_endpoints(TracedView(fn), 8)
     direct = uivt_from_mu(mu_exact)(fn)
     assert table == [direct.approx(n) for n in range(8)]
 
@@ -704,7 +703,7 @@ def test_table_view_builds_each_point_once():
         built.append(q)
         return fn.value_rule(q)
 
-    view = TracedTableView(RepresentedContinuousFunction(rule, fn.descriptor))
+    view = TracedView(RepresentedContinuousFunction(rule, fn.descriptor))
     uivt_repr_endpoints(view, 12)
     cells = [cantor_unpair(c) for c in view.trace]
     assert len(built) == len(set(built))
@@ -717,8 +716,8 @@ def test_uivt_xi_agrees_for_identical_tables():
     a = ivt_counterexample(PresentedSequence((), (1,)), "+")
     b = ivt_counterexample(PresentedSequence((), (2,)), "+")
     k = xi(a, b, 6)
-    ea = uivt_repr_endpoints(TracedTableView(a), 6)
-    eb = uivt_repr_endpoints(TracedTableView(b), 6)
+    ea = uivt_repr_endpoints(TracedView(a), 6)
+    eb = uivt_repr_endpoints(TracedView(b), 6)
     assert ea == eb
     assert k >= 0
 
@@ -727,7 +726,7 @@ def test_uivt_xi_agrees_for_identical_tables():
 @given(deep_flags, st.sampled_from("+-"), st.integers(min_value=1, max_value=6))
 def test_repr_endpoints_match_the_fraction_reference(f, sign, k):
     fn = ivt_counterexample(f, sign)
-    view, ref = TracedTableView(fn), TracedTableView(fn)
+    view, ref = TracedView(fn), TracedView(fn)
     assert uivt_repr_endpoints(view, k) == reference_ivt_endpoints(ref, k)
     assert view.trace == ref.trace
 
@@ -742,7 +741,7 @@ def test_sign_certified_decides_each_row_like_the_fraction_form(n):
         rows = {j: Fraction(0) for j in range(n)} | {n: q}
         real = PColumn(PRational(exact), column(rows, exact))
         fn = RepresentedContinuousFunction(lambda _, real=real: real, "column")
-        view, ref = TracedTableView(fn), TracedTableView(fn)
+        view, ref = TracedView(fn), TracedView(fn)
         eps = Fraction(1, 1 << n)
         decided = q > eps or q < -eps
         sign = _sign_certified(view, p)
@@ -756,7 +755,7 @@ def test_sign_certified_stops_on_a_column_that_contradicts_the_value():
     # every row reads 0, so none certifies the sign of the exact value 1/4
     real = PColumn(PRational(Fraction(1, 4)), lambda n: Fraction(0))
     fn = RepresentedContinuousFunction(lambda _: real, "column")
-    view = TracedTableView(fn)
+    view = TracedView(fn)
     with pytest.raises(BoundViolation, match="no row up to 76 certifies"):
         _sign_certified(view, Fraction(1, 2))
     assert len(view.trace) == 77

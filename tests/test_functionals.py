@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import pkgutil
 from fractions import Fraction
+from importlib import import_module
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mulab
 from mulab.errors import BudgetExceeded, MalformedWitness, ParseError
 from mulab.functionals import (
     TracedFunctional,
-    TracedRealView,
     TracedSeqView,
+    TracedView,
     _fan_replay,
     catalog_functional,
     catalog_names,
@@ -22,6 +25,7 @@ from mulab.functionals import (
 )
 from mulab.reals import from_rational
 from mulab.sequences import PresentedSequence, mu_exact
+from mulab.trees import TracedTreeView
 from oracles import reference_fan_replay, replay_outcome
 
 flags = st.tuples(
@@ -261,11 +265,29 @@ def test_seq_view_traces_and_budgets():
 
 
 def test_real_view_codes_its_answers():
-    view = TracedRealView(from_rational(Fraction(2, 3)))
+    view = TracedView(from_rational(Fraction(2, 3)))
     view._record_cells(range(2, 5), 3)
     assert view.trace == {2, 3, 4}
-    assert view.real.approx(4) == Fraction(2, 3)
-    assert view.real.exact_value() == Fraction(2, 3)
+    assert view.subject.approx(4) == Fraction(2, 3)
+    assert view.subject.exact_value() == Fraction(2, 3)
+
+
+def test_every_view_kind_answers_queries():
+    # a view is its subject and its trace: a kind of its own exists only
+    # to answer queries, and a reader that reads its subject itself
+    # views it through TracedView, not through a kind that only holds it
+    for module in pkgutil.iter_modules(mulab.__path__):
+        import_module(f"mulab.{module.name}")
+    kinds, stack = set(), [TracedView]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("mulab."):
+                kinds.add(cls)
+    assert kinds == {TracedSeqView, TracedTreeView}
+    for cls in kinds:
+        assert "query" in vars(cls), cls.__name__
+    assert "query" not in vars(TracedView)
 
 
 def test_xi_by_tracing_counts_both_runs():
