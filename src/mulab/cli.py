@@ -1,13 +1,13 @@
 """Command line front end.
 
-Every subcommand prints a RunReport: a flat block of ``key: value``
-lines, the first ``command: <name>``, or the same fields as one JSON
-object under ``--json``.  Each subcommand carries its runner, and the
-five flag commands are the rows of one table, ``_FLAG_COMMANDS``.  Exit
-codes: 0 on success, 1 on a PropertyError (a stated property fails on
-the given input), 2 on an InputError (an argument is unusable, refused
-where its runner reads it).  Any other exception is a bug and surfaces
-as a traceback.
+Each subcommand carries its runner, which returns the report's fields:
+``(key, value)`` pairs in report order.  ``main`` puts ``command`` first
+and prints them as a flat block of ``key: value`` lines or, under
+``--json``, as one JSON object.  The five flag commands are the rows of
+one table, ``_FLAG_COMMANDS``.  Exit codes: 0 on success, 1 on a
+PropertyError (a stated property fails on the given input), 2 on an
+InputError (an argument is unusable, refused where its runner reads
+it).  Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -26,25 +26,7 @@ if TYPE_CHECKING:
 # Each runner imports the layers it runs, and a command compiles no other:
 # normalize loads no route or fan module, and fan no reals or extractors.
 
-__all__ = ["RunReport", "main", "console_main"]
-
-
-class RunReport:
-    """Ordered key/value lines; every field is a string."""
-
-    def __init__(self, command: str, fields: tuple[tuple[str, str], ...]):
-        self.command = command
-        self.fields = fields
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}"]
-        lines += [f"{k}: {v}" for k, v in self.fields]
-        return "\n".join(lines)
-
-    def to_json(self) -> str:
-        data = {"command": self.command}
-        data.update({k: v for k, v in self.fields})
-        return json.dumps(data, indent=2)
+__all__ = ["main", "console_main"]
 
 
 def _text(value: object) -> str:
@@ -57,14 +39,6 @@ def _text(value: object) -> str:
         from .digits import int_text
         num, den = value.numerator, value.denominator
         return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
-
-
-def _report(command: str, *fields: tuple[str, object]) -> RunReport:
-    return RunReport(command, tuple((k, _text(v)) for k, v in fields))
-
-
-def _fmt_witness(w: int | None) -> str:
-    return "none" if w is None else _text(w)
 
 
 _Fields = list[tuple[str, object]]
@@ -82,12 +56,10 @@ def _ubin_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
 
 
 def _wwkl_fields(f: PresentedSequence, rep: RouteReport) -> _Fields:
-    from .sequences import format_sequence
-
     fields = [("fired", rep.fired)]
     if "path0" in rep.details:
-        fields.append(("path0", format_sequence(rep.details["path0"])))
-        fields.append(("path1", format_sequence(rep.details["path1"])))
+        fields.append(("path0", rep.details["path0"]))
+        fields.append(("path1", rep.details["path1"]))
     return fields
 
 
@@ -113,10 +85,10 @@ def _route_fields(extraction: str, own_fields):
         rep = getattr(extractors, extraction)(f)
         direct = mu_exact(f)
         return [*own_fields(f, rep),
-                ("xi_bound", _fmt_witness(rep.xi_bound)),
-                ("search_bound", _fmt_witness(rep.search_bound)),
-                ("witness", _fmt_witness(rep.witness)),
-                ("mu_exact", _fmt_witness(direct)),
+                ("xi_bound", rep.xi_bound),
+                ("search_bound", rep.search_bound),
+                ("witness", rep.witness),
+                ("mu_exact", direct),
                 ("agrees_with_direct_search", rep.witness == direct)]
     return fields
 
@@ -128,7 +100,7 @@ def _dq_fields(f: PresentedSequence) -> _Fields:
     return [("value", rep.details["witness_value"]),
             ("certificate", rep.details["certificate"]),
             ("fired", rep.fired),
-            ("witness", _fmt_witness(rep.witness))]
+            ("witness", rep.witness)]
 
 
 def _weier_fields(f: PresentedSequence) -> _Fields:
@@ -158,40 +130,40 @@ _FLAG_COMMANDS = {
 }
 
 
-def _run_flag(args: argparse.Namespace) -> RunReport:
-    from .sequences import format_sequence, parse_sequence
+def _run_flag(args: argparse.Namespace) -> _Fields:
+    from .sequences import parse_sequence
 
     f = parse_sequence(args.flag)
     _, fields = _FLAG_COMMANDS[args.command]
-    return _report(args.command, ("flag", format_sequence(f)), *fields(f))
+    return [("flag", f), *fields(f)]
 
 
-def _run_fan(args: argparse.Namespace) -> RunReport:
+def _run_fan(args: argparse.Namespace) -> _Fields:
     from .functionals import catalog_functional, omega_fan
-    from .trees import format_tree, parse_tree, scf_check
+    from .trees import parse_tree, scf_check
 
     if args.budget < 1:
         raise InputError(f"--budget must be at least 1, got {args.budget}")
     g = catalog_functional(args.functional)
     if args.tree is None:
-        return _report("fan", ("functional", g.name),
-                       ("fan_bound", omega_fan(g, node_budget=args.budget)),
-                       ("node_budget", args.budget))
+        return [("functional", g.name),
+                ("fan_bound", omega_fan(g, node_budget=args.budget)),
+                ("node_budget", args.budget)]
     # the cover check's one replay of g also yields the fan bound
     tree = parse_tree(args.tree)
     scf = scf_check(g, tree, node_budget=args.budget)
     if not scf.implication:
         raise BoundViolation("special cover implication failed")
-    return _report("fan", ("functional", g.name),
-                   ("fan_bound", scf.fan_bound), ("node_budget", args.budget),
-                   ("tree", format_tree(tree)), ("cover_bound", scf.bound),
-                   ("cover_size", scf.cover_size),
-                   ("antecedent", scf.antecedent),
-                   ("consequent", scf.consequent),
-                   ("implication", scf.implication))
+    return [("functional", g.name),
+            ("fan_bound", scf.fan_bound), ("node_budget", args.budget),
+            ("tree", tree), ("cover_bound", scf.bound),
+            ("cover_size", scf.cover_size),
+            ("antecedent", scf.antecedent),
+            ("consequent", scf.consequent),
+            ("implication", scf.implication)]
 
 
-def _run_normalize(args: argparse.Namespace) -> RunReport:
+def _run_normalize(args: argparse.Namespace) -> _Fields:
     from .formulas import (
         extraction_obligation,
         format_formula,
@@ -225,8 +197,7 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
     def block(pairs: tuple) -> str:
         return " ".join(f"{v}:{printed[id(t)][1]}" for v, t in pairs) or "none"
 
-    return _report(
-        "normalize",
+    return [
         ("source", format_formula(formula)),
         ("steps", " ".join(trace.rules()) if trace.steps else "none"),
         ("certificate", trace.certificate),
@@ -235,7 +206,7 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
         ("matrix", printed[id(nf.matrix)][1]),
         ("normal_form", format_formula(nf.to_formula(), printed)),
         ("obligation", format_formula(extraction_obligation(nf), printed)),
-    )
+    ]
 
 
 # the corpus holds every flag it draws: 10^5 flags take about 4 s and a
@@ -243,7 +214,7 @@ def _run_normalize(args: argparse.Namespace) -> RunReport:
 _CORPUS_CAP = 100_000
 
 
-def _run_corpus(args: argparse.Namespace) -> RunReport:
+def _run_corpus(args: argparse.Namespace) -> _Fields:
     from .corpus import corpus_stats, flag_corpus
 
     if args.size < 0:
@@ -253,8 +224,7 @@ def _run_corpus(args: argparse.Namespace) -> RunReport:
                          f"got {args.size}")
     corpus = flag_corpus(seed=args.seed, size=args.size)
     stats = corpus_stats(corpus)
-    return _report("corpus", ("seed", args.seed),
-                   *sorted(stats.items()))
+    return [("seed", args.seed), *sorted(stats.items())]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,14 +285,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.run(args)
+        pairs = [(k, "none" if v is None else _text(v))
+                 for k, v in [("command", args.command), *args.run(args)]]
     except PropertyError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    print(report.to_json() if args.json else report.to_text())
+    print(json.dumps(dict(pairs), indent=2) if args.json else
+          "\n".join(f"{k}: {v}" for k, v in pairs))
     return 0
 
 

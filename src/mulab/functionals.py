@@ -259,9 +259,12 @@ _CATALOG: dict[str, tuple[int | None, Callable[..., Callable[[View], int]]]] = {
 }
 
 
-def _terms(spec: str) -> tuple[list[int], int] | None:
-    """The projection indices and the summed constant of a '+'-joined
-    mix such as f0+f1+1, or None unless spec is one with a projection."""
+def _terms(spec: str) -> tuple[str, list[int], int] | None:
+    """The name, projection indices and summed constant of a '+'-joined
+    mix such as f0+f1+1, or None unless spec is one with a projection.
+    The name keeps the terms in their order, each written canonically
+    (f00 as f0, 01 as 1), and joins them by '+' with no blanks."""
+    names: list[str] = []
     projections: list[int] = []
     constant = 0
     for term in spec.split("+"):
@@ -271,11 +274,13 @@ def _terms(spec: str) -> tuple[list[int], int] | None:
         index = _natural(term[1:]) if term.startswith("f") else None
         if index is not None:
             projections.append(index)
+            names.append(f"f{index}")
         elif (value := _natural(term)) is not None:
             constant += value
+            names.append(str(value))
         else:
             return None
-    return (projections, constant) if projections else None
+    return ("+".join(names), projections, constant) if projections else None
 
 
 def _integer(text: str, spec: str) -> int:
@@ -290,7 +295,9 @@ def catalog_functional(spec: str) -> TracedFunctional:
     """Build a functional from its catalog name: a spelling of _CATALOG
     with numbers for its letters, or a '+'-joined mix of projections fI
     and constants such as f0+f1+1.  Each kind's arguments must be at
-    least its table value; only const:N takes any integer.
+    least its table value; only const:N takes any integer.  The
+    functional is named canonically, whatever the spelling of spec:
+    sum:04 as sum:4, const:-0 as const:0, ' f0 + f1 ' as f0+f1.
     """
     spec = spec.strip()
     kind, *args = spec.split(":")
@@ -300,11 +307,13 @@ def catalog_functional(spec: str) -> TracedFunctional:
             values = [_integer(arg, spec) for arg in args]
             if least is not None and min(values) < least:
                 raise ParseError(f"{spelling} needs {', '.join(letters)} >= {least}")
-            return TracedFunctional(spec, build(*values))
+            return TracedFunctional(":".join([kind, *map(str, values)]),
+                                    build(*values))
     terms = _terms(spec)
     if terms is None:
         raise ParseError(f"unknown functional {spec!r}")
-    return TracedFunctional(spec, _linear(*terms))
+    name, projections, constant = terms
+    return TracedFunctional(name, _linear(projections, constant))
 
 
 def catalog_names() -> list[str]:

@@ -241,9 +241,6 @@ class TracedTreeView(TracedView):
     """Membership view tracing (length, value) descriptors; top() codes the
     largest, as length-lex code order is (length, value) order."""
 
-    def __init__(self, tree: PresentedTree, budget: int = DEFAULT_BUDGET):
-        super().__init__(tree, budget)
-
     def query(self, length: int, value: int) -> bool:
         self._record((length, value))
         return self.subject.member(length, value)

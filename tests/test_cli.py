@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mulab.cli
-from mulab.cli import RunReport, _text, main
+from mulab.cli import _text, main
 from mulab.errors import (
     BoundViolation,
     BudgetExceeded,
@@ -32,6 +32,7 @@ from mulab.errors import (
     UnsupportedPresentation,
 )
 from mulab.formulas import ExIn, Quant, format_formula, parse_formula
+from mulab.functionals import catalog_functional
 from mulab.sequences import DEFAULT_BUDGET
 
 from oracles import free_names
@@ -55,7 +56,7 @@ def run_captured(*argv: str) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def parse_report(text: str) -> RunReport:
+def parse_report(text: str) -> tuple[str, list[tuple[str, str]]]:
     """A printed report read back: the first ``command`` line names the
     command, and every other non-blank ``key: value`` line is a field."""
     command = None
@@ -73,18 +74,12 @@ def parse_report(text: str) -> RunReport:
             fields.append((key, value))
     if command is None:
         raise ParseError("report has no command line")
-    return RunReport(command, tuple(fields))
+    return command, fields
 
 
 def fields_of(out: str) -> dict[str, str]:
-    report = parse_report(out)
-    return {"command": report.command, **dict(report.fields)}
-
-
-def test_report_text_round_trip():
-    report = RunReport("demo", (("alpha", "1"), ("note", "two words here")))
-    parsed = parse_report(report.to_text())
-    assert (parsed.command, parsed.fields) == (report.command, report.fields)
+    command, fields = parse_report(out)
+    return {"command": command, **dict(fields)}
 
 
 def test_report_parse_requires_a_command_line():
@@ -242,11 +237,25 @@ def test_weier_argmaxes(capsys):
     assert got["argmaxes_equal"] == "True"
 
 
-def test_json_output_carries_the_same_fields(capsys):
-    _, text_out, _ = run_cli(capsys, "ivt", "--flag", EVENT_FLAG)
-    _, json_out, _ = run_cli(capsys, "--json", "ivt", "--flag", EVENT_FLAG)
-    data = json.loads(json_out)
-    assert data == fields_of(text_out)
+# one argv per subcommand, and fan also with a tree
+REPORT_ARGVS = {
+    **{route: (route, "--flag", EVENT_FLAG)
+       for route in ("ubin", "wwkl", "ivt", "dq", "weier")},
+    "fan": ("fan", "--functional", "sum:3"),
+    "fan --tree": ("fan", "--functional", "const:2", "--tree", "truncate:1:full"),
+    "normalize": ("normalize", "--formula",
+                  "(all st f:1 (ex st n:0 (atom iszero f n)))"),
+    "corpus": ("corpus", "--size", "30"),
+}
+
+
+@pytest.mark.parametrize("case", REPORT_ARGVS)
+def test_json_output_carries_the_same_fields(capsys, case):
+    # text and JSON come from one printer: same fields, in the same order
+    _, text_out, _ = run_cli(capsys, *REPORT_ARGVS[case])
+    _, json_out, _ = run_cli(capsys, "--json", *REPORT_ARGVS[case])
+    assert list(json.loads(json_out).items()) == \
+        list(fields_of(text_out).items())
 
 
 def test_json_flag_works_after_the_subcommand(capsys):
@@ -679,14 +688,28 @@ def test_negative_functional_indices_are_exit_two(capsys, spec):
     assert err.startswith("input error:") and "needs" in err
 
 
+# a spelling of a functional -> the catalog name it is echoed as
+ECHOED_NAMES = {" f0 + f1 ": "f0+f1", "\tmax:4 \n": "max:4", "sum:04": "sum:4",
+                "const:-05": "const:-5", "const:-0": "const:0",
+                "f00 + 01": "f0+1", "1+f2+f0": "1+f2+f0"}
+
+
 @pytest.mark.parametrize("tree", [(), ("--tree", "full")])
-@pytest.mark.parametrize("spec", [" f0 + f1 ", "\tmax:4 \n"])
+@pytest.mark.parametrize("spec", ECHOED_NAMES)
 def test_fan_echoes_the_functional_it_built(capsys, spec, tree):
     # like the tree and the flag, the functional is echoed as what was
-    # built from it (the catalog's name for it), not as typed
-    code, out, _ = run_cli(capsys, "--json", "fan", "--functional", spec, *tree)
-    assert code == 0
-    assert json.loads(out)["functional"] == spec.strip()
+    # built from it (the catalog's name for it), not as typed, and that
+    # name builds the same functional under the same name
+    name = ECHOED_NAMES[spec]
+    code, out, err = run_cli(capsys, "--json", "fan", "--functional", spec, *tree)
+    if tree and name.startswith("const:-"):
+        # the cover check refuses a negative value, naming the functional
+        assert (code, out) == (2, "")
+        assert f"but {name} gives" in err
+    else:
+        assert code == 0
+        assert json.loads(out)["functional"] == name
+    assert catalog_functional(name).name == name
 
 
 def test_bad_tree_is_exit_two(capsys):
