@@ -1,13 +1,15 @@
 """Command line front end.
 
-Each subcommand carries its runner, which returns the report's fields:
-``(key, value)`` pairs in report order.  ``main`` puts ``command`` first
-and prints them as a flat block of ``key: value`` lines or, under
-``--json``, as one JSON object.  The five flag commands are the rows of
-one table, ``_FLAG_COMMANDS``.  Exit codes: 0 on success, 1 on a
-PropertyError (a stated property fails on the given input), 2 on an
-InputError (an argument is unusable, refused where its runner reads
-it).  Any other exception is a bug and surfaces as a traceback.
+Each command is a row of one table, ``_COMMANDS``: its help text, runner
+and options.  The parser lists every command, and only the one argv
+names gets its options and runner.  A runner returns the report's
+fields: ``(key, value)`` pairs in report order.  ``main`` puts
+``command`` first and prints them as a flat block of ``key: value``
+lines or, under ``--json``, as one JSON object.  Exit codes: 0 on
+success, 1 on a PropertyError (a stated property fails on the given
+input), 2 on an InputError (an argument is unusable, refused where its
+runner reads it).  Any other exception is a bug and surfaces as a
+traceback.
 """
 
 from __future__ import annotations
@@ -116,26 +118,18 @@ def _weier_fields(f: PresentedSequence) -> _Fields:
             ("event", mu_exact(f) is not None)]
 
 
-# The flag commands: command -> (help text, the report fields after
-# ``flag``).  The parser adds one subcommand per row, in this order.
-_FLAG_COMMANDS = {
-    "ubin": ("binary expansion route",
-             _route_fields("ubin_extraction", _ubin_fields)),
-    "wwkl": ("tree path route",
-             _route_fields("uwwkl_extraction", _wwkl_fields)),
-    "ivt": ("intermediate value route",
-            _route_fields("uivt_extraction", _ivt_fields)),
-    "dq": ("rational witness route", _dq_fields),
-    "weier": ("maximum location pair", _weier_fields),
-}
+# flag command -> its report fields after ``flag``
+_FLAG_FIELDS = {"ubin": _route_fields("ubin_extraction", _ubin_fields),
+                "wwkl": _route_fields("uwwkl_extraction", _wwkl_fields),
+                "ivt": _route_fields("uivt_extraction", _ivt_fields),
+                "dq": _dq_fields, "weier": _weier_fields}
 
 
 def _run_flag(args: argparse.Namespace) -> _Fields:
     from .sequences import parse_sequence
 
     f = parse_sequence(args.flag)
-    _, fields = _FLAG_COMMANDS[args.command]
-    return [("flag", f), *fields(f)]
+    return [("flag", f), *_FLAG_FIELDS[args.command](f)]
 
 
 def _run_fan(args: argparse.Namespace) -> _Fields:
@@ -227,7 +221,34 @@ def _run_corpus(args: argparse.Namespace) -> _Fields:
     return [("seed", args.seed), *sorted(stats.items())]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FLAG_OPTIONS = [("--flag", dict(required=True, help="flag sequence, e.g. "
+                                 "'prefix=[1,1,1,0];tail=[1]'"))]
+# command -> (help text, runner, options as (name, add_argument keywords))
+_COMMANDS = {
+    "ubin": ("binary expansion route", _run_flag, _FLAG_OPTIONS),
+    "wwkl": ("tree path route", _run_flag, _FLAG_OPTIONS),
+    "ivt": ("intermediate value route", _run_flag, _FLAG_OPTIONS),
+    "dq": ("rational witness route", _run_flag, _FLAG_OPTIONS),
+    "weier": ("maximum location pair", _run_flag, _FLAG_OPTIONS),
+    "fan": ("branch-on-demand bounds", _run_fan, [
+        ("--functional", dict(required=True, help="catalog name, e.g. "
+                              "max:4 or ifz:3:1:2 or f0+f1")),
+        ("--tree", dict(help="optional tree for the special cover check")),
+        ("--budget", dict(type=int, default=1 << 20, help="cap on the replay "
+                          "tree's nodes, not on the work (default 2^20)"))]),
+    "normalize": ("drive a formula to normal form", _run_normalize, [
+        ("--formula", dict(required=True, help="formula text, which starts "
+                           "with '(' or ';', or a path to a file holding "
+                           "one")),
+        ("--relativize", dict(action="store_true", help="mark quantifiers "
+                              "standard before normalizing"))]),
+    "corpus": ("describe the seeded flag corpus", _run_corpus, [
+        ("--size", dict(type=int, default=120, help="number of flags drawn, "
+                        f"0 to {_CORPUS_CAP:,} (default 120)"))]),
+}
+
+
+def _build_parser(commands: set[str | None]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mulab",
         description="search operators, counterexample pairs, and the "
@@ -245,45 +266,23 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help=seed_help)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (help_text, _) in _FLAG_COMMANDS.items():
+    for name, (help_text, run, options) in _COMMANDS.items():
+        if name not in commands:
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
         p = sub.add_parser(name, help=help_text, parents=[common])
-        p.add_argument("--flag", required=True,
-                       help="flag sequence, e.g. 'prefix=[1,1,1,0];tail=[1]'")
-        p.set_defaults(run=_run_flag)
-
-    p = sub.add_parser("fan", help="branch-on-demand bounds", parents=[common])
-    p.add_argument("--functional", required=True,
-                   help="catalog name, e.g. max:4 or ifz:3:1:2 or f0+f1")
-    p.add_argument("--tree", default=None,
-                   help="optional tree for the special cover check")
-    p.add_argument("--budget", type=int, default=1 << 20,
-                   help="cap on the replay tree's nodes, not on the work "
-                        "(default 2^20)")
-    p.set_defaults(run=_run_fan)
-
-    p = sub.add_parser("normalize", help="drive a formula to normal form",
-                       parents=[common])
-    p.add_argument("--formula", required=True,
-                   help="formula text, which starts with '(' or ';', or a "
-                        "path to a file holding one")
-    p.add_argument("--relativize", action="store_true",
-                   help="mark quantifiers standard before normalizing")
-    p.set_defaults(run=_run_normalize)
-
-    p = sub.add_parser("corpus", help="describe the seeded flag corpus",
-                       parents=[common])
-    p.add_argument("--size", type=int, default=120,
-                   help=f"number of flags drawn, 0 to {_CORPUS_CAP:,} "
-                        "(default 120)")
-    p.set_defaults(run=_run_corpus)
-
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the first command name in argv is the only one argparse can run: an
+    # earlier one would be --seed's value, which fails int conversion first
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = _build_parser({named}).parse_args(argv)
     try:
         pairs = [(k, "none" if v is None else _text(v))
                  for k, v in [("command", args.command), *args.run(args)]]

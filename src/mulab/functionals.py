@@ -249,12 +249,17 @@ def _linear(projections: Iterable[int], constant: int = 0) -> Callable[[View], i
     return lambda view: sum(map(view, projections), constant)
 
 
+def _largest(indices: Iterable[int]) -> Callable[[View], int]:
+    """The body max(view(i0), view(i1), ...), queried in order."""
+    return lambda view: max(map(view, indices))
+
+
 # spelling -> (least value of its arguments, None for any; body builder)
 _CATALOG: dict[str, tuple[int | None, Callable[..., Callable[[View], int]]]] = {
     "const:N": (None, lambda c: _linear((), c)),
     "proj:N": (0, lambda i: _linear((i,))),
     "sum:N": (0, lambda n: _linear(range(n))),
-    "max:N": (1, lambda n: lambda view: max(map(view, range(n)))),
+    "max:N": (1, lambda n: _largest(range(n))),
     "ifz:I:J:K": (0, lambda i, j, k: lambda view: view(j) if view(i) == 0 else view(k)),
 }
 

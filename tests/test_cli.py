@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -968,17 +969,20 @@ SUBCOMMANDS = [("ubin", "binary expansion route"),
 
 def test_the_flag_table_drives_the_parser(monkeypatch, capsys):
     # one subcommand per table row, in table order, with the row's help
-    # text and a required --flag, and then the three other commands
+    # text; the five flag commands come first and take a required --flag
     table = [(name, help_text)
-             for name, (help_text, _) in mulab.cli._FLAG_COMMANDS.items()]
-    assert table == SUBCOMMANDS[:5]
+             for name, (help_text, _, _) in mulab.cli._COMMANDS.items()]
+    assert table == SUBCOMMANDS
+    flag_commands = [name for name, (_, run, _) in mulab.cli._COMMANDS.items()
+                     if run is mulab.cli._run_flag]
+    assert flag_commands == [name for name, _ in SUBCOMMANDS[:5]]
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert re.findall(r"^    (\w+) +(\S.*)$", out, re.M) == SUBCOMMANDS
-    for command, _ in table:
+    for command in flag_commands:
         with pytest.raises(SystemExit) as exc:
             main([command])
         assert exc.value.code == 2
@@ -986,6 +990,100 @@ def test_the_flag_table_drives_the_parser(monkeypatch, capsys):
         assert out == ""
         assert err.endswith(f"mulab {command}: error: the following "
                             "arguments are required: --flag\n")
+
+
+BUILD_PARSER = mulab.cli._build_parser
+
+
+def cli_outcome(monkeypatch, argv: list[str], equip) -> tuple:
+    """What main(argv) does when its parser gives options to the commands
+    equip(named) names, for the set named that main asks for: its return
+    value or SystemExit code, stdout, stderr and, where main returns, the
+    parsed arguments."""
+    parsed = []
+
+    def build_parser(named: set) -> argparse.ArgumentParser:
+        parser = BUILD_PARSER(equip(named))
+        parse = parser.parse_args
+
+        def parse_args(args: list[str]) -> argparse.Namespace:
+            parsed.append(parse(args))
+            return parsed[-1]
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(mulab.cli, "_build_parser", build_parser)
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    return code, out.getvalue(), err.getvalue(), [vars(a) for a in parsed]
+
+
+def every_command(named: set) -> set:
+    return set(mulab.cli._COMMANDS)
+
+
+# argvs whose outcome a parser built for every command sets: help at each
+# level, abbreviations, command names as option values or after "--", a
+# missing or unknown command, a missing option and extra arguments
+PARSER_CASES = [
+    ["--help"], *[[command, "--help"] for command, _ in SUBCOMMANDS],
+    ["--he"], ["-h", "ubin"], ["ubin", "-h", "fan"],
+    ["ubin", "--fl", EVENT_FLAG], ["corpus", "--si", "3", "--se", "2"],
+    ["--seed", "fan", "ubin", "--flag", "x"], ["--seed=ubin", "fan"],
+    ["--seed", "2", "--json", "dq", "--flag", EVENT_FLAG],
+    ["--", "ubin"], ["--", "ubin", "--flag", EVENT_FLAG],
+    ["--bogus", "fan", "ubin"],
+    [], ["--json"], ["sideways"], ["ubin"], ["fan", "--tree", "full"],
+    ["ubin", "--flag", EVENT_FLAG, "extra"],
+    ["ubin", "--flag", EVENT_FLAG, "fan"],
+    ["normalize", "--formula", "(atom p)", "--relativize", "corpus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=lambda argv: " ".join(argv) or "no arguments")
+def test_the_parser_for_the_named_command_acts_as_the_full_one(monkeypatch,
+                                                              argv):
+    outcome = cli_outcome(monkeypatch, argv, lambda named: named)
+    assert outcome == cli_outcome(monkeypatch, argv, every_command)
+    code, _, _, parsed = outcome
+    assert len(parsed) == isinstance(code, int)
+
+
+def test_the_parser_cases_catch_a_parser_for_the_last_command_name(
+        monkeypatch):
+    # the first command name in argv is the one argparse runs; a parser
+    # built for the last one differs from the full parser on some case
+    def last_named(argv: list[str]):
+        names = [arg for arg in argv if arg in mulab.cli._COMMANDS]
+        return lambda named: set(names[-1:]) or {None}
+
+    differing = [argv for argv in PARSER_CASES
+                 if cli_outcome(monkeypatch, argv, last_named(argv))
+                 != cli_outcome(monkeypatch, argv, every_command)]
+    assert differing == [["ubin", "-h", "fan"], ["--bogus", "fan", "ubin"],
+                         ["ubin", "--flag", EVENT_FLAG, "fan"],
+                         ["normalize", "--formula", "(atom p)", "--relativize",
+                          "corpus"]]
+
+
+def test_a_dq_argv_gives_options_to_dq_only(monkeypatch):
+    asked = []
+    cli_outcome(monkeypatch, ["dq", "--flag", EVENT_FLAG],
+                lambda named: asked.append(named) or named)
+    assert asked == [{"dq"}]
+    (subparsers,) = [action for action in BUILD_PARSER({"dq"})._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    options = {name: [action.dest for action in parser._actions]
+               for name, parser in subparsers.choices.items()}
+    assert options == {**{name: [] for name, _ in SUBCOMMANDS},
+                       "dq": ["help", "json", "seed", "flag"]}
 
 
 def undescribed_options(help_text: str) -> list[str]:
