@@ -3,17 +3,11 @@
 Each route pairs a forward construction (given an exact search operator
 mu, build a functional: binary expansions, tree paths, intermediate-value
 roots, rational-value witnesses) with an extractor that recovers mu from
-such a functional plus an extensionality bound Xi.  The extractor feeds
-the functional a pair of presented counterexample objects that it tells
-apart exactly when the input flag sequence fires, each of which agrees
-with its never-firing version below the first flag index, and reads that
-index out of a bounded search whose bound comes from tracing the
-functional's queries on both objects.  The search is one bounded
-question to the flag, ``zero_below(bound + 1)``, answered in O(1) from
-the event the flag keeps; the route side asks the flag nothing else.
-The pairs made of reals come from one device,
-``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the ivt base's values
-+- delta(f), and the two-bump heights 1 +- delta(f).  The two-bump
+such a functional plus an extensionality bound Xi, by Grilliot's trick
+(see Route).  The route side asks the flag only bounded questions,
+answered in O(1) from the event the flag keeps.  The pairs made of reals
+are all ``reals.flag_shifted``: 1/2 +- delta(f) for ubin, the ivt base's
+values +- delta(f), and the two-bump heights 1 +- delta(f).  The two-bump
 pair is only its two peak heights, since the argmax reads nothing else;
 it has no Xi and is not a route.
 
@@ -46,7 +40,6 @@ from .reals import (
     _ZERO,
     FastCauchyReal,
     MuOp,
-    _epsilon,
     counterexample_pair,
     dq_real,
     flag_shifted,
@@ -88,19 +81,23 @@ class RouteReport(Value, eq=False):
 
 
 class Route(Value, eq=False):
-    """One pair-based extraction route; calling it runs the extraction.
+    """One pair-based extraction route, Grilliot's trick on its own
+    space; calling it runs the extraction.
 
-    Indices below ``settled`` are decided by direct inspection:
-    ``f.zero_below(settled)``.  Past them, ``pair(f)`` builds two
-    objects that phi separates exactly when f fires, and
-    ``observe(phi, a, b)`` says whether it does, plus the report
-    details.  For a separated pair, Xi at ``precision`` bounds the
-    inspected input, ``search_bound`` turns that into a bound, and the
-    first zero is ``f.zero_below(bound + 1)``: the least zero a scan of
-    indices 0 .. bound would find.  Xi traces ``read``, phi computed
-    through a ``view`` of each input: a plain TracedView of a real or a
-    function, which read reads itself as ``view.subject``, or a
-    TracedTreeView, which answers read's membership queries.
+    ``pair(f)`` is the two-sided witness handed to phi: ubin's reals 1/2
+    -+ delta(f), ivt's functions base -+ delta(f) at every rational, or
+    wwkl's FlagTree(0, f) and FlagTree(1, f), each of which agrees with
+    its never-firing version below the event.  Indices below ``settled``
+    are decided by direct inspection, ``f.zero_below(settled)``; past
+    them ``observe(phi, a, b)`` says whether phi separates the pair,
+    which it does exactly when f fires, plus the report details.  For a
+    separated pair, Xi at ``precision`` bounds the inspected input and
+    ``search_bound`` turns that into the bound of the final question
+    ``f.zero_below(bound + 1)``: the least zero a scan of indices 0 ..
+    bound would find.  Xi traces ``read``, phi computed through a
+    ``view`` of each input: a plain TracedView of a real or a function,
+    which read reads itself as ``view.subject``, or a TracedTreeView,
+    which answers read's membership queries.
     """
 
     _fields = ("name", "settled", "pair", "observe", "make_phi", "view",
@@ -141,9 +138,10 @@ def mu_from(extraction: Callable[..., RouteReport], *args) -> MuOp:
 
 
 def flag_epsilon(f: PresentedSequence, mu: MuOp = mu_exact) -> Fraction:
-    """The dyadic shift a flag induces: 0 if f never hits zero, else
-    2^(1 - max(m0, 1)) for the first zero m0."""
-    return _epsilon(mu(f))
+    """epsilon(f), the dyadic shift a flag induces: 0 if f never hits
+    zero, else 2^(1 - max(m0, 1)) for the first zero m0."""
+    m0 = mu(f)
+    return _ZERO if m0 is None else Fraction(1, 1 << (max(m0, 1) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -163,28 +161,28 @@ def _greedy_digits(reaches: Callable[[Fraction], bool]) -> Iterator[int]:
 
 
 class BinaryExpansion:
-    """Greedy binary digits of a presented real in [0, 1].
+    """Greedy binary digits of a presented real in [0, 1], kept as its
+    exact value alone.
 
     Digit n+1 is 1 exactly when the real reaches the partial sum plus
-    2^-(n+1); ties therefore expand as 1 followed by zeros.
+    2^-(n+1); ties therefore expand as 1 followed by zeros.  Each call
+    works its digits out afresh.
     """
 
     def __init__(self, x: FastCauchyReal, mu: MuOp):
-        self._value = x.exact_value(mu)
-        if self._value < 0 or self._value > 1:
-            raise OutOfRange(f"expansion needs [0,1], got {self._value}")
-        self._digits: list[int] = []
-        self._stream = _greedy_digits(lambda t: self._value >= t)
+        value = x.exact_value(mu)
+        if value < 0 or value > 1:
+            raise OutOfRange(f"expansion needs [0,1], got {value}")
+        self._value = value
 
     def digit(self, n: int) -> int:
         if n < 1:
             raise ValueError("digits are indexed from 1")
-        while len(self._digits) < n:
-            self._digits.append(next(self._stream))
-        return self._digits[n - 1]
+        return self.digits(n)[-1]
 
     def digits(self, k: int) -> list[int]:
-        return [self.digit(n) for n in range(1, k + 1)]
+        value = self._value
+        return list(islice(_greedy_digits(lambda t: value >= t), max(k, 0)))
 
 
 def ubin_from_mu(mu: MuOp) -> Callable[[FastCauchyReal], BinaryExpansion]:
@@ -294,9 +292,12 @@ ubin_extraction = Route("ubin", 2, counterexample_pair, _ubin_observe,
 # weak Koenig route
 
 def trees_from_flag(f: PresentedSequence) -> tuple[FlagTree, FlagTree]:
-    """(T0, T1): T_b keeps its b branch full and the other branch a
-    single path (its first bit, then ones), cut where the flag fires.
-    Both greedy paths are all ones unless the cut kills T0's 1-branch."""
+    """(FlagTree(0, f), FlagTree(1, f)), wwkl's two-sided witness: T_b
+    keeps its b branch full and the other a single path (its first bit,
+    then ones) cut where the flag fires, so both agree with their
+    never-firing versions below the event.  Both greedy paths are all
+    ones unless the cut kills T0's 1-branch, so phi's first bits differ
+    exactly when f fires; Xi bounds zero_below(bound + 1)."""
     return FlagTree(0, f), FlagTree(1, f)
 
 
@@ -382,10 +383,14 @@ def _ivt_base(q: Fraction) -> Fraction:
 
 
 def ivt_counterexample(f: PresentedSequence, sign: str) -> RepresentedContinuousFunction:
-    """The base function shifted by +epsilon(f) or -epsilon(f)."""
+    """base + delta(f) or base - delta(f) at every rational: the "-" and
+    "+" functions are ivt's two-sided witness, both the base when f
+    never fires, and else with roots past either end of its zero set
+    [1/3, 2/3], so phi's roots differ exactly when f fires; Xi bounds
+    zero_below(bound + 1)."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    s = Fraction(1 if sign == "+" else -1)
+    s = 1 if sign == "+" else -1
     return RepresentedContinuousFunction(
         lambda q: flag_shifted(_ivt_base(q), s, f), f"ivt-base{sign}delta")
 

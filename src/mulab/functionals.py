@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, MalformedWitness, ParseError
-from .sequences import DEFAULT_BUDGET, PresentedSequence, _natural
+from .sequences import DEFAULT_BUDGET, OpaqueSequence, PresentedSequence, _natural
 from .value import Value
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 View = Callable[[int], int]
+Sequence = PresentedSequence | OpaqueSequence
 
 
 class TracedFunctional:
@@ -60,14 +61,15 @@ class TracedFunctional:
     def __repr__(self) -> str:
         return f"TracedFunctional(name={self.name!r}, body={self.body!r})"
 
-    def eval_traced(self, view: View | PresentedSequence) -> tuple[int, frozenset[int]]:
-        """The body's value on view and the distinct indices it queried,
-        read through a TracedSeqView: each answer passes through int(),
-        and more than DEFAULT_BUDGET distinct indices raise BudgetExceeded."""
+    def eval_traced(self, view: View | Sequence) -> tuple[int, frozenset[int]]:
+        """The body's value on view, a sequence of either kind or a bare
+        callable, and the distinct indices it queried, read through a
+        TracedSeqView: each answer passes through int(), and more than
+        DEFAULT_BUDGET distinct indices raise BudgetExceeded."""
         traced = TracedSeqView(view)
         return int(self.body(traced.query)), frozenset(traced.trace)
 
-    def __call__(self, view: View | PresentedSequence) -> int:
+    def __call__(self, view: View | Sequence) -> int:
         return self.eval_traced(view)[0]
 
 
@@ -214,9 +216,13 @@ class TracedView:
 
 
 class TracedSeqView(TracedView):
-    def __init__(self, seq: PresentedSequence | View, budget: int = DEFAULT_BUDGET):
+    """Answers a query through ``value`` of a presented or an opaque
+    sequence, or through a bare callable itself."""
+
+    def __init__(self, seq: Sequence | View, budget: int = DEFAULT_BUDGET):
         super().__init__(seq, budget)
-        self._answer = seq.value if isinstance(seq, PresentedSequence) else seq
+        self._answer = seq.value if isinstance(seq, (PresentedSequence,
+                                                     OpaqueSequence)) else seq
 
     def query(self, i: int) -> int:
         self._record(i)

@@ -8,9 +8,9 @@ value.  Comparisons are decided exactly from presentations; the
 flag-driven kinds reduce to one mu search on the presented flag
 sequence, which is the whole point of the class.
 The real-valued counterexample objects are all flag-shifted reals,
-``flag_shifted(c, factor, f)`` = c + factor * delta(f): its
-approximations agree with c until f's first event shows, and after it
-they split from c by factor * epsilon(f).
+``flag_shifted(c, sign, f)`` = c + sign * delta(f) for sign 1 or -1:
+row n reads f below n + 4, agrees with c until f's first event shows,
+and after it splits from c by epsilon(f), up or down as sign says.
 
 Flag convention, used artifact-wide except where a construction says
 otherwise: a flag event at m means f(m) = 0, so flag searches line up
@@ -26,7 +26,7 @@ from typing import Callable
 
 from .errors import BoundViolation
 from .sequences import PresentedSequence, mu_exact
-from .value import Value, setfield
+from .value import Value
 
 __all__ = [
     "PRational",
@@ -91,57 +91,38 @@ class PRational(FastCauchyReal):
         return self.value
 
 
-def _epsilon(m0: int | None) -> Fraction:
-    """epsilon(f) = delta(f) for a flag whose first zero is m0: 0 when f
-    never hits zero, else 2^(1 - max(m0, 1))."""
-    if m0 is None:
-        return _ZERO
-    return Fraction(1, 1 << (max(m0, 1) - 1))
-
-
 class PFlagShift(FastCauchyReal):
-    """base + factor * delta(f), where delta(f) = sum over n >= 1 of
-    c_n 2^-n and c_n = 1 iff f hits 0 at or below n.
+    """base + sign * delta(f) for sign 1 or -1, where delta(f) = sum over
+    n >= 1 of c_n 2^-n and c_n = 1 iff f hits 0 at or below n.
 
-    Approximation n asks the flag where its first zero below n + 4 +
-    shift is: it is base until there is one, and exact from there on, so
-    it depends only on f below n + 4 + shift.  ``shift`` is the least
-    k >= 0 with |factor| <= 2^k; it follows from factor, so ==, hash and
-    repr leave it out.
+    Approximation n asks the flag where its first zero below n + 4 is:
+    it is base until there is one, and exact from there on, so it
+    depends only on f below n + 4.  flag_shifted checks the sign.
     """
 
-    _fields = ("base", "factor", "flag")
+    _fields = ("base", "sign", "flag")
     tag = "sum"  # base plus a flag term
 
-    def __init__(self, base: Fraction, factor: Fraction, flag: PresentedSequence) -> None:
-        super().__init__(base, factor, flag)
-        # for factor = a/d, d << k has d's bit length plus k bits, so the
-        # least k with |a| <= d << k is at most one past their gap
-        a, d = abs(factor.numerator), factor.denominator
-        k = max(0, a.bit_length() - d.bit_length())
-        setfield(self, "shift", k + (a > d << k))
-
     def _moved(self, m0: int | None) -> Fraction:
-        """base + factor * epsilon(f) for f's first zero m0, on integers:
-        with base = a/b, factor = c/d and epsilon(f) = 2^-k, that is
-        (a d 2^k + c b) / (b d 2^k), one Fraction."""
+        """base + sign * epsilon(f) for f's first zero m0, on integers:
+        with base = a/b and epsilon(f) = 2^-k, that is (a 2^k + sign b)
+        / (b 2^k), one Fraction."""
         if m0 is None:
             return self.base
         k = max(m0, 1) - 1
         a, b = self.base.numerator, self.base.denominator
-        c, d = self.factor.numerator, self.factor.denominator
-        return Fraction((a * d << k) + c * b, b * d << k)
+        return Fraction((a << k) + self.sign * b, b << k)
 
     def run(self, n: int, stop: int) -> tuple[Fraction, int]:
-        """The rows below the switch row m0 - 3 - shift, the first that
-        sees the event m0, are base; the rows from it on are exact.  A
-        run of base rows ends at the switch row or at stop, whichever
-        comes first, so the run depends only on f below stop + 3 + shift,
-        as row stop - 1 does, and asks only below that."""
-        m0 = self.flag.zero_below(stop + 3 + self.shift)
+        """The rows below the switch row m0 - 3, the first that sees the
+        event m0, are base; the rows from it on are exact.  A run of base
+        rows ends at the switch row or at stop, whichever comes first, so
+        the run depends only on f below stop + 3, as row stop - 1 does,
+        and asks only below that."""
+        m0 = self.flag.zero_below(stop + 3)
         if m0 is None:
             return self.base, stop
-        switch = m0 - 3 - self.shift
+        switch = m0 - 3
         if n < switch:
             return self.base, min(switch, stop)
         return self._moved(m0), stop
@@ -179,24 +160,24 @@ class PDqSeries(FastCauchyReal):
         return self._closed_form(_first_nonzero_via(mu, self.flag))
 
 
-def _fraction(q: Fraction | int) -> Fraction:
-    """q as a Fraction, copied only if it is not one already."""
-    return q if type(q) is Fraction else Fraction(q)
-
-
 def from_rational(q: Fraction | int | str) -> FastCauchyReal:
     return PRational(Fraction(q))
 
 
-def flag_shifted(c: Fraction | int, factor: Fraction | int,
+def flag_shifted(c: Fraction | int, sign: int,
                  f: PresentedSequence) -> FastCauchyReal:
-    """c + factor * delta(f): c if f never hits zero, else c moved by
-    factor * epsilon(f).  Every flag-shifted real is built here."""
-    return PFlagShift(_fraction(c), _fraction(factor), f)
+    """c + sign * delta(f): c if f never hits zero, else c moved by
+    epsilon(f), up for sign 1 and down for sign -1.  Every flag-shifted
+    real is built here, and any other sign is refused."""
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    return PFlagShift(c if type(c) is Fraction else Fraction(c), int(sign), f)
 
 
 def counterexample_pair(f: PresentedSequence) -> tuple[FastCauchyReal, FastCauchyReal]:
-    """(1/2 - delta(f), 1/2 + delta(f)): equal iff f never hits zero."""
+    """(1/2 - delta(f), 1/2 + delta(f)), ubin's two-sided witness: equal
+    iff f never hits zero, else either side of 1/2, so phi's first
+    digits differ exactly when f fires; Xi bounds zero_below(bound + 1)."""
     half = Fraction(1, 2)
     return flag_shifted(half, -1, f), flag_shifted(half, 1, f)
 

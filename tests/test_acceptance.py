@@ -311,7 +311,7 @@ def _real_triples(count: int):
         (from_rational(half), flag_shifted(half, -1, quiet_b), 4),
         (flag_shifted(half, 1, quiet_a), flag_shifted(half, -1, quiet_c), 8),
         (from_rational(Fraction(3, 8)),
-         flag_shifted(Fraction(1, 8), Fraction(1, 4), PresentedSequence((0,), (1,))), 5),
+         flag_shifted(Fraction(-5, 8), 1, PresentedSequence((0,), (1,))), 5),
         (dq_real(PresentedSequence((), (0,))), dq_real(PresentedSequence((0,), (0,))), 6),
     ]
     rng = random.Random(81)

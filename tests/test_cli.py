@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tomllib
 from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -1140,12 +1141,10 @@ getattr(importlib.import_module(module), name)()
 
 
 def test_console_script_target_runs_without_installing():
-    # pyproject.toml is read as text: tomllib needs Python 3.11, and the
-    # project allows 3.10
     root = Path(__file__).resolve().parents[1]
-    text = (root / "pyproject.toml").read_text()
-    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
-    target = re.search(r'^mulab\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    with open(root / "pyproject.toml", "rb") as file:
+        scripts = tomllib.load(file)["project"]["scripts"]
+    target = re.fullmatch(r"([\w.]+):(\w+)", scripts["mulab"])
     assert target is not None, scripts
 
     def run(*args: str) -> subprocess.CompletedProcess:

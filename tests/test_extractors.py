@@ -497,6 +497,33 @@ def test_uivt_extraction_routes():
     assert early.fired and early.witness == 1 and early.xi_bound is None
 
 
+def test_every_flag_shift_a_route_builds_moves_by_a_sign():
+    # the reals ubin's pair, the two-bump heights and ivt's value rule
+    # build, the last at each dyadic the ivt route probes through phi
+    # and through Xi's table reads
+    built = []
+
+    def recording(fn):
+        def rule(q):
+            built.append(fn.value_rule(q))
+            return built[-1]
+        return RepresentedContinuousFunction(rule, fn.descriptor)
+
+    fields = [getattr(uivt_extraction, name) for name in Route._fields]
+    fields[Route._fields.index("pair")] = (
+        lambda f: tuple(map(recording, uivt_extraction.pair(f))))
+    ivt = Route(*fields)
+    for f in (*map(flag_with_event_at, (2, 3, 7, 40)), NO_EVENT):
+        before = len(built)
+        assert ivt(f).witness == uivt_extraction(f).witness
+        assert len(built) > before
+        built += counterexample_pair(f)
+        for bump in weierstrass_counterexample(f):
+            built += [bump.left_height, bump.right_height]
+    assert {type(x).__name__ for x in built} == {"PFlagShift"}
+    assert {(type(x.sign), x.sign) for x in built} == {(int, 1), (int, -1)}
+
+
 def test_table_view_codes_cells():
     # the base is 1 at dyadic point 1; row 0 reads 1, not above 2^0, and
     # row 1 certifies the sign

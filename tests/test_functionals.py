@@ -24,7 +24,7 @@ from mulab.functionals import (
     xi_by_tracing,
 )
 from mulab.reals import from_rational
-from mulab.sequences import PresentedSequence, mu_exact
+from mulab.sequences import OpaqueSequence, PresentedSequence, mu_exact
 from mulab.trees import TracedTreeView
 from oracles import reference_fan_replay, replay_outcome
 
@@ -343,3 +343,14 @@ def test_traced_functional_accepts_views_and_sequences(f, g):
     func = catalog_functional("f0+f1+1")
     assert func(f.value) == func(f)
     assert func(g) == g.value(0) + g.value(1) + 1
+
+
+@settings(max_examples=60)
+@given(flags, st.sampled_from(["const:3", "proj:2", "sum:3", "max:4",
+                               "ifz:0:1:2", "f0+f2+1"]))
+def test_a_traced_functional_reads_an_opaque_sequence_like_its_presentation(p, spec):
+    g = catalog_functional(spec)
+    opaque = OpaqueSequence(p.value)
+    assert g(opaque) == g(p)
+    assert g.eval_traced(opaque) == g.eval_traced(p)
+    assert TracedSeqView(opaque).subject is opaque

@@ -44,10 +44,11 @@ flags = st.tuples(
 ).map(lambda pt: PresentedSequence(pt[0], pt[1]))
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+signs = st.sampled_from([1, -1])
 
 presented_reals = st.one_of(
     rationals.map(from_rational),
-    st.builds(flag_shifted, rationals, rationals, flags),
+    st.builds(flag_shifted, rationals, signs, flags),
     flags.map(dq_real),
 )
 
@@ -97,15 +98,15 @@ def test_series_approximations_read_only_two_indices_past_n(f, n, junk, tail):
 
 
 @settings(max_examples=200)
-@given(flags, st.integers(min_value=0, max_value=12), rationals, rationals,
+@given(flags, st.integers(min_value=0, max_value=12), rationals, signs,
        st.lists(small_nat, max_size=4), st.lists(small_nat, min_size=1, max_size=3))
-def test_flag_shift_rows_read_only_the_flag_below_n_plus_4_plus_shift(
-        f, n, base, factor, junk, tail):
-    x = PFlagShift(base, factor, f)
-    seen = f.values(n + 4 + x.shift)
+def test_flag_shift_rows_read_only_the_flag_below_n_plus_4(
+        f, n, base, sign, junk, tail):
+    x = PFlagShift(base, sign, f)
+    seen = f.values(n + 4)
     altered = PresentedSequence(tuple(seen + junk), tuple(tail))
-    expected = base + factor * flag_series_approx(seen)
-    row = PFlagShift(base, factor, altered).run(n, n + 1)[0]
+    expected = base + sign * flag_series_approx(seen)
+    row = PFlagShift(base, sign, altered).run(n, n + 1)[0]
     assert x.run(n, n + 1)[0] == row == expected
 
 
@@ -128,21 +129,13 @@ def test_every_presentation_gives_its_rows_through_run_alone():
     assert FastCauchyReal._fields == ()
 
 
-# factors with a precision shift of 0 (0, +-1 and weights in [0, 1])
-# and of 1 or 2 (-3, 5/2 and the rest of [-4, 4])
-_weights = st.fractions(min_value=0, max_value=1, max_denominator=64)
-_factors = st.one_of(
-    st.sampled_from([Fraction(q) for q in ("0", "1", "-1", "-3", "5/2")]),
-    _weights, _weights.map(lambda w: -w), rationals)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(flags, deep_flags), rationals, _factors)
-def test_a_flag_shift_reads_like_the_reference_sum_and_scale(f, base, factor):
-    new = PFlagShift(base, factor, f)
-    scale = PScale(factor, PCumFlagSeries(f))
+@given(st.one_of(flags, deep_flags), rationals, signs)
+def test_a_flag_shift_reads_like_the_reference_sum_and_scale(f, base, sign):
+    new = PFlagShift(base, sign, f)
+    scale = PScale(sign, PCumFlagSeries(f))
     old = PSum(PRational(base), scale)
-    assert new.shift == scale.shift
+    assert scale.shift == 0  # a scaling by +-1 reads its rows unshifted
     event = f.first_zero
     rows = range((f.horizon if event is None else event) + 9)
     assert ([new.run(n, n + 1)[0] for n in rows]
@@ -151,7 +144,7 @@ def test_a_flag_shift_reads_like_the_reference_sum_and_scale(f, base, factor):
     mu_old, calls_old = counting(mu_exact)
     assert new.exact_value(mu_new) == old.exact_value(mu_old)
     assert calls_new == calls_old == [f]
-    assert flag_shifted(base, factor, f) == new
+    assert flag_shifted(base, sign, f) == new
 
 
 def test_counterexample_pair_for_an_event_at_three():
@@ -215,13 +208,30 @@ def test_dq_spot_values():
 
 
 def test_sum_and_scale_are_exact():
-    # base + factor * epsilon, with epsilon 1/2 for an event at 2
+    # base + sign * epsilon, with epsilon 1/2 for an event at 2
     f = PresentedSequence((1, 1), (0,))
-    x = flag_shifted(Fraction(1, 3), Fraction(-3, 2), f)
-    assert x.exact_value() == Fraction(1, 3) - Fraction(3, 2) * Fraction(1, 2)
-    assert x.approx(0) == x.exact_value()
-    y = flag_shifted(Fraction(1, 3), Fraction(-3, 2), PresentedSequence((), (1,)))
-    assert y.exact_value() == y.approx(0) == Fraction(1, 3)
+    for sign in (1, -1):
+        x = flag_shifted(Fraction(1, 3), sign, f)
+        assert x.exact_value() == Fraction(1, 3) + sign * Fraction(1, 2)
+        assert x.approx(0) == x.exact_value()
+        y = flag_shifted(Fraction(1, 3), sign, PresentedSequence((), (1,)))
+        assert y.exact_value() == y.approx(0) == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("sign", [0, 2, -3, Fraction(1, 2), "+"])
+def test_flag_shifted_refuses_a_sign_other_than_plus_or_minus_one(sign):
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        flag_shifted(Fraction(1, 2), sign, PresentedSequence((1,), (0,)))
+
+
+def test_flag_shifted_keeps_its_sign_as_an_int():
+    f = PresentedSequence((1,), (0,))
+    for sign in (1, -1, Fraction(-1), True):
+        x = flag_shifted(0, sign, f)
+        assert type(x.sign) is int and x.sign == sign
+    assert PFlagShift._fields == ("base", "sign", "flag")
+    assert "__init__" not in vars(PFlagShift)
+    assert not hasattr(x, "shift")
 
 
 def test_real_sign():
@@ -273,7 +283,7 @@ def test_negative_precision_rejected():
 def test_every_kind_refuses_a_negative_row_in_approx():
     # approx is the one check: run leaves 0 <= n < stop to its callers
     for x in (from_rational(1),
-              flag_shifted(Fraction(1, 2), 3, PresentedSequence((1, 0), (1,))),
+              flag_shifted(Fraction(1, 2), -1, PresentedSequence((1, 0), (1,))),
               dq_real(PresentedSequence((0, 5), (1,))),
               _Bisection(lambda n: (Fraction(1, 2), True), "bisect(1/2)")):
         with pytest.raises(ValueError, match="negative precision index"):
