@@ -39,9 +39,8 @@ def main() -> None:
     print("inputs equal below the naive bound give",
           gate(a), "versus", gate(b))
 
-    theta = theta_special(catalog_functional("sum:3"))
-    print("\nsum:3 cover bound", theta.bound,
-          "with", 1 << theta.bound, "prefixes")
+    bound = theta_special(catalog_functional("sum:3"))
+    print("\nsum:3 cover bound", bound, "with", 1 << bound, "prefixes")
 
     tree = parse_tree("truncate:1:full")
     report = scf_check(catalog_functional("const:2"), tree)

@@ -16,6 +16,7 @@ from mulab import (
     extraction_obligation,
     format_formula,
     parse_formula,
+    replay,
     to_normal_form,
 )
 
@@ -33,6 +34,8 @@ def main() -> None:
     print("steps       :", ", ".join(trace.rules()) or "none")
     print("certificate :", trace.certificate)
     print("normal form :", format_formula(nf.to_formula()))
+    # the trace alone rebuilds the normal form from the source
+    print("replayed    :", format_formula(replay(f, trace)))
     print("obligation  :", format_formula(extraction_obligation(nf)))
 
     # a bundled derivation where one step genuinely weakens the statement

@@ -49,8 +49,8 @@ _EXPORTS = {
         "theta_special", "xi_by_tracing"), "functionals"),
     **dict.fromkeys((
         "FastCauchyReal", "counterexample_pair", "dq_real",
-        "flag_shifted", "from_rational", "real_eq", "real_lt",
-        "real_sign", "to_decimal"), "reals"),
+        "flag_shifted", "real_eq", "real_lt", "real_sign",
+        "to_decimal"), "reals"),
     **dict.fromkeys((
         "DEFAULT_BUDGET", "Found", "NoneBelowBudget", "OpaqueSequence",
         "PresentedSequence", "format_sequence",

@@ -258,19 +258,18 @@ def _build_parser(commands: set[str | None]) -> argparse.ArgumentParser:
                  "(default 0)")
     parser.add_argument("--json", action="store_true", help=json_help)
     parser.add_argument("--seed", type=int, default=0, help=seed_help)
-    # the same flags are accepted after the subcommand; SUPPRESS keeps a
-    # subcommand default from overwriting a value given before it
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        default=argparse.SUPPRESS, help=json_help)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help=seed_help)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, run, options) in _COMMANDS.items():
         if name not in commands:
             sub.add_parser(name, help=help_text, add_help=False)
             continue
-        p = sub.add_parser(name, help=help_text, parents=[common])
+        p = sub.add_parser(name, help=help_text)
+        # the same flags are accepted after the subcommand; SUPPRESS keeps
+        # a subcommand default from overwriting a value given before it
+        p.add_argument("--json", action="store_true",
+                       default=argparse.SUPPRESS, help=json_help)
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help=seed_help)
         for option, keywords in options:
             p.add_argument(option, **keywords)
         p.set_defaults(run=run)

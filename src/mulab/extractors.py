@@ -139,9 +139,9 @@ def mu_from(extraction: Callable[..., RouteReport], *args) -> MuOp:
 
 def flag_epsilon(f: PresentedSequence, mu: MuOp = mu_exact) -> Fraction:
     """epsilon(f), the dyadic shift a flag induces: 0 if f never hits
-    zero, else 2^(1 - max(m0, 1)) for the first zero m0."""
-    m0 = mu(f)
-    return _ZERO if m0 is None else Fraction(1, 1 << (max(m0, 1) - 1))
+    zero, else 2^(1 - max(m0, 1)) for the first zero m0.  That is
+    delta(f), so it is the exact value of the flag shift 0 + delta(f)."""
+    return flag_shifted(0, 1, f).exact_value(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -30,18 +30,15 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import BudgetExceeded, MalformedWitness, ParseError
 from .sequences import DEFAULT_BUDGET, OpaqueSequence, PresentedSequence, _natural
-from .value import Value
 
 __all__ = [
     "TracedFunctional",
-    "ThetaResult",
     "omega_fan",
     "theta_special",
     "TracedView",
     "TracedSeqView",
     "xi_by_tracing",
     "catalog_functional",
-    "catalog_names",
     "e2_from_mu",
     "mu_from_e2",
 ]
@@ -155,27 +152,21 @@ def omega_fan(g: TracedFunctional, node_budget: int = DEFAULT_BUDGET) -> int:
     return 1 + answers.top
 
 
-class ThetaResult(Value):
-    """Bound of the special fan.  Its cover, every zero-padded prefix of
-    the bound's length, has 1 << bound elements and is never built."""
-
-    _fields = ("bound",)
-
-
 def theta_special(g: TracedFunctional,
-                  node_budget: int = DEFAULT_BUDGET) -> ThetaResult:
-    """Special-fan data for g: bound = max of g over the zero-padded
+                  node_budget: int = DEFAULT_BUDGET) -> int:
+    """Bound of the special fan for g: the max of g over the zero-padded
     prefixes at the fan modulus, at least 0.
 
     By determinism each such prefix runs g down exactly one leaf of the
     replay tree, and each leaf is reached by some prefix, so the bound is
-    the largest leaf value.
+    the largest leaf value.  The cover, every zero-padded prefix of the
+    bound's length, has 1 << bound elements and is never built.
     """
     bound = 0
     for _, value in _fan_replay(g, node_budget):
         if value > bound:
             bound = value
-    return ThetaResult(bound)
+    return bound
 
 
 class TracedView:
@@ -325,11 +316,6 @@ def catalog_functional(spec: str) -> TracedFunctional:
         raise ParseError(f"unknown functional {spec!r}")
     name, projections, constant = terms
     return TracedFunctional(name, _linear(projections, constant))
-
-
-def catalog_names() -> list[str]:
-    """The catalog's spellings, then two examples of the '+' mix."""
-    return [*_CATALOG, "f0+f1", "f0+f1+1"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Fast-converging Cauchy reals with symbolic presentations.
 
-A real here is its presentation: an instance of one of three kinds (a
-rational constant, a flag-shifted rational, the dq series), each a
+A real here is its presentation: an instance of one of the two kinds
+the routes build (a flag-shifted rational, the dq series), each a
 subclass of FastCauchyReal that gives both the approximation rows
 n -> q_n (exact rationals, with |q_n - q_{n+i}| < 2^-n) and the exact
-value.  Comparisons are decided exactly from presentations; the
-flag-driven kinds reduce to one mu search on the presented flag
+value.  The tests keep a third, the rational constant PRational, in
+tests/oracles.py.  Comparisons are decided exactly from presentations;
+the flag-driven kinds reduce to one mu search on the presented flag
 sequence, which is the whole point of the class.
 The real-valued counterexample objects are all flag-shifted reals,
 ``flag_shifted(c, sign, f)`` = c + sign * delta(f) for sign 1 or -1:
@@ -29,12 +30,10 @@ from .sequences import PresentedSequence, mu_exact
 from .value import Value
 
 __all__ = [
-    "PRational",
     "PFlagShift",
     "PDqSeries",
     "FastCauchyReal",
     "MuOp",
-    "from_rational",
     "flag_shifted",
     "counterexample_pair",
     "dq_real",
@@ -57,7 +56,9 @@ def _first_nonzero_via(mu: MuOp, f: PresentedSequence) -> int | None:
 class FastCauchyReal(Value):
     """A real given by its presentation: each kind, a subclass, defines
     ``run`` and ``_exact`` and names itself in ``tag``, the certificate a
-    dq witness carries.  == compares presentations, the kind and its
+    dq witness carries.  Two kinds live here, PFlagShift and PDqSeries;
+    extractors adds the ivt root, and the tests keep PRational, the
+    rational constant.  == compares presentations, the kind and its
     fields; real_eq / real_lt compare values, as extensional equality of
     reals is not structural.
     """
@@ -78,17 +79,6 @@ class FastCauchyReal(Value):
 
     def _exact(self, mu: MuOp) -> Fraction:
         raise NotImplementedError
-
-
-class PRational(FastCauchyReal):
-    _fields = ("value",)
-    tag = "rational"
-
-    def run(self, n: int, stop: int) -> tuple[Fraction, int]:
-        return self.value, stop
-
-    def _exact(self, mu: MuOp) -> Fraction:
-        return self.value
 
 
 class PFlagShift(FastCauchyReal):
@@ -158,10 +148,6 @@ class PDqSeries(FastCauchyReal):
 
     def _exact(self, mu: MuOp) -> Fraction:
         return self._closed_form(_first_nonzero_via(mu, self.flag))
-
-
-def from_rational(q: Fraction | int | str) -> FastCauchyReal:
-    return PRational(Fraction(q))
 
 
 def flag_shifted(c: Fraction | int, sign: int,

@@ -27,8 +27,8 @@ from mulab.errors import (BudgetExceeded, OutOfRange, ParseError,
 from mulab.extractors import (
     RepresentedContinuousFunction, TwoBump, _check_cbar, _greedy_digits,
 )
-from mulab.functionals import DEFAULT_BUDGET, TracedView
-from mulab.reals import FastCauchyReal, PRational, from_rational, real_sign
+from mulab.functionals import _CATALOG, DEFAULT_BUDGET, TracedView
+from mulab.reals import FastCauchyReal, real_sign
 from mulab.sequences import _SEQ_RE, PresentedSequence, _natural
 from mulab.trees import ScfReport
 from mulab.value import setfield
@@ -179,6 +179,11 @@ def reference_path_member(bits, full_below, length: int, value: int) -> bool:
     limit = length if full_below is None else min(length, full_below)
     return all((value >> (length - 1 - d)) & 1 == bits[d % len(bits)]
                for d in range(limit))
+
+
+def catalog_names() -> list[str]:
+    """The fan catalog's spellings, then two examples of the '+' mix."""
+    return [*_CATALOG, "f0+f1", "f0+f1+1"]
 
 
 def reference_fan_replay(g, node_budget):
@@ -449,6 +454,29 @@ def reference_ivt_endpoints(view, k):
     """The first k bisection endpoints, probed by reference_sign_certified."""
     stages = reference_bisection(lambda p: reference_sign_certified(view, p))
     return [left for left, _ in islice(stages, k)]
+
+
+# ---------------------------------------------------------------------------
+# a rational constant
+#
+# No route builds a real that is a bare rational, so the library has no
+# such kind; the tests use one for the reals they read and compare.
+
+class PRational(FastCauchyReal):
+    """The constant value: every row is exact, so a run goes to stop."""
+
+    _fields = ("value",)
+    tag = "rational"
+
+    def run(self, n, stop):
+        return self.value, stop
+
+    def _exact(self, mu):
+        return self.value
+
+
+def from_rational(q):
+    return PRational(Fraction(q))
 
 
 # ---------------------------------------------------------------------------

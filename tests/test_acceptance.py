@@ -41,7 +41,7 @@ from mulab.functionals import (
     mu_from_e2,
     omega_fan,
 )
-from mulab.reals import _first_nonzero_via, dq_real, flag_shifted, from_rational
+from mulab.reals import _first_nonzero_via, dq_real, flag_shifted
 from mulab.sequences import PresentedSequence, mu_exact
 from mulab.trees import (
     FlagTree,
@@ -54,6 +54,7 @@ from mulab.trees import (
 
 from oracles import (
     alpha_equal,
+    from_rational,
     ivt_base,
     piecewise_function,
     scan_first_nonzero,

@@ -35,7 +35,6 @@ from mulab.reals import (
     FastCauchyReal,
     PDqSeries,
     PFlagShift,
-    PRational,
     counterexample_pair,
 )
 from mulab.sequences import PresentedSequence, mu_exact
@@ -43,6 +42,7 @@ from mulab.sequences import PresentedSequence, mu_exact
 from oracles import (
     PColumn,
     PCumFlagSeries,
+    PRational,
     PScale,
     PSum,
     dq_series_approx,

@@ -28,3 +28,11 @@ def test_trees_demo_draws_the_thin_gate(capsys):
     assert "tree        : flagtree:0:prefix=[1,1,1];tail=[0]" in out
     assert "  level 2: ##.#" in out
     assert "  level 3: ####...." in out
+
+
+def test_normal_forms_demo_replays_its_trace_to_the_normal_form(capsys):
+    out = run_demo(next(p for p in DEMOS if p.stem == "06_normal_forms"),
+                   capsys)
+    fields = {key.strip(): value for key, value in
+              (line.split(" : ", 1) for line in out.splitlines() if " : " in line)}
+    assert fields["replayed"] == fields["normal form"]

@@ -50,11 +50,9 @@ from mulab.extractors import (
 from mulab.functionals import DEFAULT_BUDGET, TracedView, xi_by_tracing
 from mulab.reals import (
     FastCauchyReal,
-    PRational,
     counterexample_pair,
     dq_real,
     flag_shifted,
-    from_rational,
     real_eq,
     real_lt,
     real_sign,
@@ -72,7 +70,9 @@ from mulab.trees import (
 from oracles import (
     CodeKeyedTreeView,
     PColumn,
+    PRational,
     binary_digits,
+    from_rational,
     ivt_base,
     piecewise_function,
     queried_death,

@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from mulab.coding import string_code
 from mulab.errors import MeasureZero, ParseError
@@ -14,8 +14,8 @@ from mulab.functionals import (
     TracedFunctional,
     _fan_replay,
     catalog_functional,
-    catalog_names,
     omega_fan,
+    theta_special,
 )
 from mulab.sequences import PresentedSequence
 from mulab.trees import (
@@ -33,6 +33,7 @@ from mulab.trees import (
 )
 
 from oracles import (
+    catalog_names,
     level_set,
     reference_fan_replay,
     reference_meets,
@@ -40,7 +41,7 @@ from oracles import (
     reference_scf,
     replay_outcome,
 )
-from test_cli import TREES
+from test_cli import SMALL, TREES, catalog_spellings
 
 EVENT_AT_2 = PresentedSequence((1, 1), (0,))
 NO_EVENT = PresentedSequence((), (1,))
@@ -228,7 +229,8 @@ def test_nested_truncations_parse_in_time_linear_in_their_number():
     start = time.perf_counter()
     tree = parse_tree(text)
     assert format_tree(tree) == text
-    assert time.perf_counter() - start < 10
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"200,000 nested truncations took {elapsed:.1f} s"
     assert tree.member(3, 0) and not tree.member(4, 0)
 
 
@@ -297,6 +299,17 @@ SCF_TREES = [*SAMPLE_TREES, Truncation(1, FullTree()), Truncation(2, FullTree())
 def test_scf_matches_the_brute_force_cover(g):
     for tree in SCF_TREES:
         assert scf_check(g, tree) == reference_scf(g, tree), format_tree(tree)
+
+
+@seed(0)
+@settings(max_examples=150, deadline=None)
+@given(catalog_spellings(SMALL).map(catalog_functional), TREES.map(parse_tree))
+def test_the_cover_check_reads_the_fan_and_theta_bounds(g, tree):
+    # scf_check folds its one replay into both bounds; omega_fan and
+    # theta_special each replay g on their own
+    report = scf_check(g, tree)
+    assert theta_special(g) == report.bound
+    assert omega_fan(g) == report.fan_bound
 
 
 @pytest.mark.parametrize("spec,tree", [

@@ -14,14 +14,14 @@ from mulab.extractors import (RationalWitness, RepresentedContinuousFunction,
 from mulab.formulas import (And, App, Arrow, Atom, Base, ExIn, Implies, Not,
                             NormalForm, Or, Quant, RuleStep, RuleTrace, Seq,
                             parse_type)
-from mulab.functionals import ThetaResult, TracedFunctional, TracedView
-from mulab.reals import FastCauchyReal, PDqSeries, PFlagShift, PRational
+from mulab.functionals import TracedFunctional, TracedView
+from mulab.reals import FastCauchyReal, PDqSeries, PFlagShift
 from mulab.sequences import (Found, NoneBelowBudget, OpaqueSequence,
                              PresentedSequence)
 from mulab.trees import FlagTree, FullTree, PathTree, ScfReport, Truncation
 from mulab.value import FrozenInstanceError, Value, setfield
 
-from oracles import PCumFlagSeries, PScale, PSum
+from oracles import PCumFlagSeries, PRational, PScale, PSum
 
 
 def seq():
@@ -73,13 +73,14 @@ VALUES = {
     "Found": (lambda: Found(3), "Found(index=3)", ("index",)),
     "NoneBelowBudget": (lambda: NoneBelowBudget(16),
                         "NoneBelowBudget(budget=16)", ("budget",)),
-    "PRational": (lambda: PRational(Q(1, 3)),
-                  "PRational(value=Fraction(1, 3))", ("value",)),
     "PDqSeries": (lambda: PDqSeries(seq()), f"PDqSeries(flag={SEQ})", ("flag",)),
     "PFlagShift": (lambda: PFlagShift(Q(1, 2), -1, seq()),
                    f"PFlagShift(base=Fraction(1, 2), sign=-1, flag={SEQ})",
                    ("base", "sign", "flag")),
-    # the reference sum-and-scale algebra of tests/oracles.py
+    # the rational constant and the reference sum-and-scale algebra of
+    # tests/oracles.py
+    "PRational": (lambda: PRational(Q(1, 3)),
+                  "PRational(value=Fraction(1, 3))", ("value",)),
     "PCumFlagSeries": (lambda: PCumFlagSeries(seq()),
                        f"PCumFlagSeries(flag={SEQ})", ("flag",)),
     "PSum": (lambda: PSum(PRational(Q(1, 2)), PRational(Q(-1, 4))),
@@ -93,7 +94,6 @@ VALUES = {
     "TracedFunctional": (lambda: TracedFunctional("len", len),
                          "TracedFunctional(name='len', body=<built-in function len>)",
                          None),
-    "ThetaResult": (lambda: ThetaResult(4), "ThetaResult(bound=4)", ("bound",)),
     "FullTree": (FullTree, "FullTree()", ()),
     "FlagTree": (lambda: FlagTree(1, seq()), f"FlagTree(root_bit=1, flag={SEQ})",
                  ("root_bit", "flag")),
@@ -154,11 +154,11 @@ VALUES = {
 }
 
 # value classes of tests/oracles.py, kept here to pin them as well
-REFERENCE_ALGEBRA = {"PCumFlagSeries", "PSum", "PScale"}
+REFERENCE_ALGEBRA = {"PRational", "PCumFlagSeries", "PSum", "PScale"}
 
 # classes whose instances carry the same field values as each other's
 SIBLINGS = [("PCumFlagSeries", "PDqSeries"), ("And", "Or", "Implies"),
-            ("FullTree", "Base"), ("Found", "NoneBelowBudget", "ThetaResult")]
+            ("FullTree", "Base"), ("Found", "NoneBelowBudget")]
 
 
 def twin(x):
@@ -171,7 +171,7 @@ def twin(x):
 
 
 def test_every_value_class_has_an_instance():
-    assert len(VALUES) == 37
+    assert len(VALUES) == 36
     for name, (make, _, _) in VALUES.items():
         assert type(make()).__name__ == name
 
