@@ -1,15 +1,15 @@
 """Command line front end.
 
 Each command is a row of one table, ``_COMMANDS``: its help text, runner
-and options.  The parser lists every command, and only the one argv
-names gets its options and runner.  A runner returns the report's
-fields: ``(key, value)`` pairs in report order.  ``main`` puts
-``command`` first and prints them as a flat block of ``key: value``
-lines or, under ``--json``, as one JSON object.  Exit codes: 0 on
-success, 1 on a PropertyError (a stated property fails on the given
-input), 2 on an InputError (an argument is unusable, refused where its
-runner reads it).  Any other exception is a bug and surfaces as a
-traceback.
+and options.  The parser lists every command by its help text, and only
+the one argv names gets a parser, with its options and runner.  A
+runner returns the report's fields: ``(key, value)`` pairs in report
+order.  ``main`` puts ``command`` first and prints them as a flat block
+of ``key: value`` lines or, under ``--json``, as one JSON object.  Exit
+codes: 0 on success, 1 on a PropertyError (a stated property fails on
+the given input), 2 on an InputError (an argument is unusable, refused
+where its runner reads it).  Any other exception is a bug and surfaces
+as a traceback.
 """
 
 from __future__ import annotations
@@ -258,12 +258,15 @@ def _build_parser(commands: set[str | None]) -> argparse.ArgumentParser:
                  "(default 0)")
     parser.add_argument("--json", action="store_true", help=json_help)
     parser.add_argument("--seed", type=int, default=0, help=seed_help)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # add_parser lists a command by its help text alone, and the factory
+    # builds nothing: only the one argv names gets a parser
+    sub = parser.add_subparsers(dest="command", required=True,
+                                prog="mulab", parser_class=lambda **_: None)
     for name, (help_text, run, options) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text)
         if name not in commands:
-            sub.add_parser(name, help=help_text, add_help=False)
             continue
-        p = sub.add_parser(name, help=help_text)
+        p = sub.choices[name] = argparse.ArgumentParser(prog=f"mulab {name}")
         # the same flags are accepted after the subcommand; SUPPRESS keeps
         # a subcommand default from overwriting a value given before it
         p.add_argument("--json", action="store_true",

@@ -282,6 +282,13 @@ def _meets(tree: PresentedTree, answers: dict[int, int], length: int) -> bool:
     raise ValueError(f"unknown tree {tree!r}")
 
 
+# a cover of bound n has 2^n elements, and the fan command prints that
+# count in full: 10^7 bits print 3 MB in about 0.5 s with a 30 MB process
+# on a 2-core VM, 10^8 bits 30 MB in 4.6 s with 168 MB; a larger bound is
+# refused before 2^n is built
+_COVER_BOUND_CAP = 10_000_000
+
+
 def scf_check(g: TracedFunctional, tree: PresentedTree,
               node_budget: int = DEFAULT_BUDGET) -> ScfReport:
     """Check the special-fan implication for g against a presented tree.
@@ -293,7 +300,8 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
     One replay decides both.  A cover element reaches a replay leaf
     exactly when the leaf answers 1 only below the bound, so the
     antecedent fails iff such a leaf meets the tree at its value.  A cut
-    is a length, so a negative value of g is refused as input.
+    is a length, so a negative value of g is refused as input, and so is
+    a value above ``_COVER_BOUND_CAP``.
     """
     bound = 0
     low = float("inf")  # the least largest 1-answer of a leaf meeting the tree
@@ -302,6 +310,10 @@ def scf_check(g: TracedFunctional, tree: PresentedTree,
             raise InputError(f"the cover check needs natural values, "
                              f"but {g.name} gives {value}")
         if value > bound:
+            if value > _COVER_BOUND_CAP:
+                raise InputError(f"the cover check takes bounds up to "
+                                 f"{_COVER_BOUND_CAP:,}, but {g.name} "
+                                 f"gives a larger one")
             bound = value
         ones = answers.ones
         if not ones or ones[-1] < low:  # else the largest is not below low

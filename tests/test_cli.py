@@ -341,6 +341,20 @@ def test_fan_cover_of_a_million_bits_prints_in_full_and_fast(capsys):
     assert elapsed < 1, f"const:1000000 on full took {elapsed:.1f} s"
 
 
+@pytest.mark.parametrize("functional", ["const:99999999999999999999",
+                                        "f0+99999999999999999999"])
+def test_fan_cover_bound_past_the_cap_is_refused_promptly(capsys, functional):
+    # 1 << bound raised OverflowError here, and const:10^12 a MemoryError
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fan", "--functional", functional,
+                             "--tree", "full")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert err == (f"input error: the cover check takes bounds up to "
+                   f"10,000,000, but {functional} gives a larger one\n")
+    assert elapsed < 1, f"{functional} on full took {elapsed:.1f} s"
+
+
 def test_fan_cover_larger_than_the_budget_is_decided(capsys):
     code, out, err = run_cli(capsys, "fan", "--functional", "const:25",
                              "--tree", "truncate:24:full")
@@ -1002,10 +1016,10 @@ BUILD_PARSER = mulab.cli._build_parser
 
 
 def cli_outcome(monkeypatch, argv: list[str], equip) -> tuple:
-    """What main(argv) does when its parser gives options to the commands
-    equip(named) names, for the set named that main asks for: its return
-    value or SystemExit code, stdout, stderr and, where main returns, the
-    parsed arguments."""
+    """What main(argv) does when its parser builds the commands equip(named)
+    names, for the set named that main asks for: its return value,
+    SystemExit code or escaped exception's type name, stdout, stderr and,
+    where main returns, the parsed arguments."""
     parsed = []
 
     def build_parser(named: set) -> argparse.ArgumentParser:
@@ -1027,6 +1041,8 @@ def cli_outcome(monkeypatch, argv: list[str], equip) -> tuple:
             code = main(argv)
         except SystemExit as exc:
             code = ("SystemExit", exc.code)
+        except Exception as exc:  # an escaped exception is an outcome too
+            code = type(exc).__name__
     return code, out.getvalue(), err.getvalue(), [vars(a) for a in parsed]
 
 
@@ -1065,7 +1081,7 @@ def test_the_parser_for_the_named_command_acts_as_the_full_one(monkeypatch,
 def test_the_parser_cases_catch_a_parser_for_the_last_command_name(
         monkeypatch):
     # the first command name in argv is the one argparse runs; a parser
-    # built for the last one differs from the full parser on some case
+    # built for the last one leaves the first unbuilt, and crashes on it
     def last_named(argv: list[str]):
         names = [arg for arg in argv if arg in mulab.cli._COMMANDS]
         return lambda named: set(names[-1:]) or {None}
@@ -1079,17 +1095,37 @@ def test_the_parser_cases_catch_a_parser_for_the_last_command_name(
                           "corpus"]]
 
 
-def test_a_dq_argv_gives_options_to_dq_only(monkeypatch):
+def test_a_dq_argv_builds_a_parser_for_dq_only(monkeypatch):
     asked = []
     cli_outcome(monkeypatch, ["dq", "--flag", EVENT_FLAG],
                 lambda named: asked.append(named) or named)
     assert asked == [{"dq"}]
     (subparsers,) = [action for action in BUILD_PARSER({"dq"})._actions
                      if isinstance(action, argparse._SubParsersAction)]
-    options = {name: [action.dest for action in parser._actions]
-               for name, parser in subparsers.choices.items()}
-    assert options == {**{name: [] for name, _ in SUBCOMMANDS},
-                       "dq": ["help", "json", "seed", "flag"]}
+    assert list(subparsers.choices) == [name for name, _ in SUBCOMMANDS]
+    built = {name: [action.dest for action in parser._actions]
+             for name, parser in subparsers.choices.items()
+             if isinstance(parser, argparse.ArgumentParser)}
+    assert built == {"dq": ["help", "json", "seed", "flag"]}
+
+
+@pytest.mark.parametrize("argv, progs", [
+    (["dq", "--flag", EVENT_FLAG], ["mulab", "mulab dq"]),
+    (["--json", "fan", "--functional", "sum:3"], ["mulab", "mulab fan"]),
+    (["--help"], ["mulab"]), ([], ["mulab"])],
+    ids=["dq", "json fan", "help", "no arguments"])
+def test_a_call_builds_the_top_parser_and_the_named_one_alone(monkeypatch,
+                                                             argv, progs):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    outcome = cli_outcome(monkeypatch, argv, lambda named: named)
+    assert built == progs, outcome
 
 
 def undescribed_options(help_text: str) -> list[str]:

@@ -1,6 +1,8 @@
-"""The byte-identity gate: tools/pass_digest.py prints one digest line per
+"""The byte-identity gates: tools/pass_digest.py prints one digest line per
 benchmark workload, the lines do not depend on the hash seed, and at seeds
-7 and 41 they are the pinned digests."""
+7 and 41 they are the pinned digests; tools/cli_texts.py prints one digest
+line of the command line's texts, which does not depend on the hash seed
+either."""
 
 from __future__ import annotations
 
@@ -56,3 +58,22 @@ def test_pass_digest_prints_one_stable_line_per_workload(monkeypatch):
 
 def test_pass_digest_at_seed_41_is_pinned():
     assert _digest("--seed", "41") == PINNED_SEED_41
+
+
+def test_cli_texts_prints_one_line_stable_across_hash_seeds(monkeypatch):
+    # the texts differ between Python versions, so the digest is not pinned
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from cli_texts import ARGVS
+
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "cli_texts.py"),
+             "--src", str(ROOT / "src")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    line = rf"cli texts: {len(ARGVS)} argvs sha256 [0-9a-f]{{64}}\n"
+    assert re.fullmatch(line, outputs[0]), outputs[0]
+    assert outputs[1] == outputs[0]

@@ -24,7 +24,7 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_main(src: Path):
+def load_main(src: Path):
     sys.path.insert(0, str(src))
     import mulab.cli
     if src not in Path(mulab.cli.__file__).resolve().parents:
@@ -33,7 +33,7 @@ def _load_main(src: Path):
     return mulab.cli.main
 
 
-def _run(main, argv: tuple[str, ...]) -> list:
+def run_argv(main, argv: tuple[str, ...]) -> list:
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -55,12 +55,12 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(PERFBENCH))
     from workloads import WORKLOADS, make_pass
 
-    main_fn = _load_main(args.src.resolve())
+    main_fn = load_main(args.src.resolve())
     for workload in WORKLOADS:
         digest, ops = hashlib.sha256(), 0
         for seed in args.seed or [7, 41]:
             for op in make_pass(workload, seed, 0):
-                record = _run(main_fn, op.argv)
+                record = run_argv(main_fn, op.argv)
                 digest.update(json.dumps(record).encode() + b"\n")
                 ops += 1
         print(f"{workload}: {ops} ops sha256 {digest.hexdigest()}")
