@@ -5,7 +5,9 @@ and options.  The parser lists every command by its help text, and only
 the one argv names gets a parser, with its options and runner.  A
 runner returns the report's fields: ``(key, value)`` pairs in report
 order.  ``main`` puts ``command`` first and prints them as a flat block
-of ``key: value`` lines or, under ``--json``, as one JSON object.  Exit
+of ``key: value`` lines or, under ``--json``, as one JSON object.  Each
+option lives on the one parser that reads it: ``--json`` goes before
+the command, and every other option belongs to its command.  Exit
 codes: 0 on success, 1 on a PropertyError (a stated property fails on
 the given input), 2 on an InputError (an argument is unusable, refused
 where its runner reads it).  Any other exception is a bug and surfaces
@@ -243,8 +245,11 @@ _COMMANDS = {
         ("--relativize", dict(action="store_true", help="mark quantifiers "
                               "standard before normalizing"))]),
     "corpus": ("describe the seeded flag corpus", _run_corpus, [
-        ("--size", dict(type=int, default=120, help="number of flags drawn, "
-                        f"0 to {_CORPUS_CAP:,} (default 120)"))]),
+        ("--size", dict(type=int, default=120, help="least number of flags, "
+                        f"0 to {_CORPUS_CAP:,}; the 18 fixed flags are "
+                        "always in (default 120)")),
+        ("--seed", dict(type=int, default=0, help="seed of the draw "
+                        "(default 0)"))]),
 }
 
 
@@ -253,11 +258,8 @@ def _build_parser(commands: set[str | None]) -> argparse.ArgumentParser:
         prog="mulab",
         description="search operators, counterexample pairs, and the "
                     "normal form engine behind them")
-    json_help = "emit the report as JSON"
-    seed_help = ("seed of the corpus draw; only corpus draws anything "
-                 "(default 0)")
-    parser.add_argument("--json", action="store_true", help=json_help)
-    parser.add_argument("--seed", type=int, default=0, help=seed_help)
+    parser.add_argument("--json", action="store_true",
+                        help="emit the report as JSON")
     # add_parser lists a command by its help text alone, and the factory
     # builds nothing: only the one argv names gets a parser
     sub = parser.add_subparsers(dest="command", required=True,
@@ -267,12 +269,6 @@ def _build_parser(commands: set[str | None]) -> argparse.ArgumentParser:
         if name not in commands:
             continue
         p = sub.choices[name] = argparse.ArgumentParser(prog=f"mulab {name}")
-        # the same flags are accepted after the subcommand; SUPPRESS keeps
-        # a subcommand default from overwriting a value given before it
-        p.add_argument("--json", action="store_true",
-                       default=argparse.SUPPRESS, help=json_help)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help=seed_help)
         for option, keywords in options:
             p.add_argument(option, **keywords)
         p.set_defaults(run=run)
@@ -281,8 +277,8 @@ def _build_parser(commands: set[str | None]) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the first command name in argv is the only one argparse can run: an
-    # earlier one would be --seed's value, which fails int conversion first
+    # no top-level option takes a value, so the first command name in
+    # argv is the command argparse runs
     named = next((arg for arg in argv if arg in _COMMANDS), None)
     args = _build_parser({named}).parse_args(argv)
     try:

@@ -260,17 +260,46 @@ def test_json_output_carries_the_same_fields(capsys, case):
         list(fields_of(text_out).items())
 
 
-def test_json_flag_works_after_the_subcommand(capsys):
-    _, before, _ = run_cli(capsys, "--json", "dq", "--flag", EVENT_FLAG)
-    _, after, _ = run_cli(capsys, "dq", "--flag", EVENT_FLAG, "--json")
-    assert json.loads(before) == json.loads(after)
+def test_json_flag_goes_before_the_subcommand(capsys):
+    code, out, _ = run_cli(capsys, "--json", "dq", "--flag", EVENT_FLAG)
+    assert code == 0 and json.loads(out)["command"] == "dq"
+    with pytest.raises(SystemExit) as exc:
+        main(["dq", "--flag", EVENT_FLAG, "--json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("mulab: error: unrecognized arguments: --json\n")
 
 
-def test_seed_flag_works_in_both_positions(capsys):
-    _, before, _ = run_cli(capsys, "--seed", "2", "corpus")
-    _, after, _ = run_cli(capsys, "corpus", "--seed", "2")
-    assert before == after
-    assert fields_of(before)["seed"] == "2"
+def test_seed_flag_belongs_to_corpus(capsys):
+    code, out, _ = run_cli(capsys, "corpus", "--seed", "2")
+    assert code == 0 and fields_of(out)["seed"] == "2"
+    # before the command, --seed is an unknown option and 2 no command
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "2", "corpus"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: mulab [-h] [--json] ")
+    with pytest.raises(SystemExit) as exc:
+        main(["ubin", "--flag", EVENT_FLAG, "--seed", "2"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("mulab: error: unrecognized arguments: --seed 2\n")
+
+
+def test_the_corpus_help_names_its_fixed_head(monkeypatch, capsys):
+    # --size is a least count: the fixed head is always in
+    from mulab.corpus import flag_corpus
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["corpus", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    (fixed,) = re.findall(r"the (\d+) fixed flags are always in", help_text)
+    assert int(fixed) == len(flag_corpus(size=0))
+    code, out, _ = run_cli(capsys, "corpus", "--size", "0")
+    assert code == 0 and fields_of(out)["size"] == fixed
 
 
 def test_corpus_report(capsys):
@@ -1089,7 +1118,9 @@ def test_the_parser_cases_catch_a_parser_for_the_last_command_name(
     differing = [argv for argv in PARSER_CASES
                  if cli_outcome(monkeypatch, argv, last_named(argv))
                  != cli_outcome(monkeypatch, argv, every_command)]
-    assert differing == [["ubin", "-h", "fan"], ["--bogus", "fan", "ubin"],
+    assert differing == [["ubin", "-h", "fan"],
+                         ["--seed", "fan", "ubin", "--flag", "x"],
+                         ["--bogus", "fan", "ubin"],
                          ["ubin", "--flag", EVENT_FLAG, "fan"],
                          ["normalize", "--formula", "(atom p)", "--relativize",
                           "corpus"]]
@@ -1106,7 +1137,7 @@ def test_a_dq_argv_builds_a_parser_for_dq_only(monkeypatch):
     built = {name: [action.dest for action in parser._actions]
              for name, parser in subparsers.choices.items()
              if isinstance(parser, argparse.ArgumentParser)}
-    assert built == {"dq": ["help", "json", "seed", "flag"]}
+    assert built == {"dq": ["help", "flag"]}
 
 
 @pytest.mark.parametrize("argv, progs", [
@@ -1152,8 +1183,41 @@ def test_every_option_of_every_subcommand_says_what_it_does(monkeypatch, capsys)
             main([command, "--help"])
         assert exc.value.code == 0
         help_text = capsys.readouterr().out
-        assert "--json" in help_text and "--seed" in help_text
         assert undescribed_options(help_text) == [], command
+
+
+def option_strings(parser: argparse.ArgumentParser) -> list[list[str]]:
+    return [action.option_strings for action in parser._actions
+            if action.option_strings]
+
+
+def test_each_option_lives_on_the_parser_that_reads_it():
+    # --json (read by main) on the top parser alone, taking no value, so
+    # the first command name in argv is the command; every other option
+    # on its command's row alone
+    parser = BUILD_PARSER(set(mulab.cli._COMMANDS))
+    assert option_strings(parser) == [["-h", "--help"], ["--json"]]
+    assert all(action.nargs == 0 for action in parser._actions
+               if action.option_strings)
+    top = {"-h", "--help", "--json"}
+    (subparsers,) = [action for action in parser._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    for command, (_, _, options) in mulab.cli._COMMANDS.items():
+        own = option_strings(subparsers.choices[command])
+        assert own == [["-h", "--help"], *([name] for name, _ in options)]
+        assert not top & {name for name, _ in options}, command
+
+
+@pytest.mark.parametrize("command", [name for name, _ in SUBCOMMANDS])
+def test_a_command_option_before_its_command_exits_two(capsys, command):
+    for option, keywords in mulab.cli._COMMANDS[command][2]:
+        token = option if keywords.get("action") else f"{option}=1"
+        with pytest.raises(SystemExit) as exc:
+            main([token, *REPORT_ARGVS[command]])
+        assert exc.value.code == 2, token
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"mulab: error: unrecognized arguments: {token}\n")
 
 
 def test_missing_arguments_exit_via_argparse():

@@ -8,11 +8,13 @@ one sha256 over every argv, exit code (or escaped exception), stdout and
 stderr.  The list holds ``--help`` at the top level and for each
 command, ``--he``, ``-h ubin``, an empty argv, an unknown command, each
 command bare, with an unknown option and with a bad ``--seed``, a
-command name as an option's value, ``--`` and extra arguments.  Two checkouts whose
-parsers print the same texts print the same line under one Python, so a
-change to the parser can be checked against its parent: run this once
-with ``--src`` pointing at each checkout's ``src``.  argparse's texts
-differ between Python versions, so compare lines from the same one.
+command name as an option's value, ``--json`` after a command,
+``--seed`` before ``corpus``, after it and on a flag command, ``--``
+and extra arguments.  Two checkouts whose parsers print the same texts
+print the same line under one Python, so a change to the parser can be
+checked against its parent: run this once with ``--src`` pointing at
+each checkout's ``src``.  argparse's texts differ between Python
+versions, so compare lines from the same one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ ARGVS = [
     *([command, "--bogus"] for command in COMMANDS),
     *([command, "--seed", "x"] for command in COMMANDS),
     ["--seed", "x", "ubin"], ["--seed", "fan", "ubin", "--flag", FLAG],
+    ["dq", "--flag", FLAG, "--json"], ["--seed", "2", "corpus"],
+    ["corpus", "--seed", "2", "--size", "3"],
+    ["ubin", "--flag", FLAG, "--seed", "2"],
     ["--", "ubin"], ["--", "ubin", "--flag", FLAG],
     ["ubin", "--", "--flag", FLAG],
     ["ubin", "--flag", FLAG, "extra"], ["ubin", "--flag", FLAG, "fan"],
